@@ -26,7 +26,7 @@
 //! A **router / multi-model** phase additionally measures the scale-out
 //! path: two replica servers, each hosting `--models` compiled engines
 //! behind one listener, fronted by the replica router; closed-loop clients
-//! drive protocol-v2 traffic across all models through the router while one
+//! drive traffic across all models through the router while one
 //! replica is killed mid-load. The phase asserts zero failed requests and
 //! bit-exact responses before recording throughput, and runs on full
 //! (recording) runs or when `--router` is passed.
@@ -68,7 +68,7 @@ use sc_serve::batch::BatchPolicy;
 use sc_serve::engine::{Engine, EngineOptions};
 use sc_serve::interpreter::Inference;
 use sc_serve::plan_store::{load_plan, save_plan};
-use sc_serve::proto::{read_response, write_request_v2, Response};
+use sc_serve::proto::{decode_response, read_frame, write_request_v3, Response};
 use sc_serve::router::{spawn_router, RouterOptions};
 use sc_serve::server::{spawn_multi, ServerHandle, ServerOptions};
 use std::io::BufReader;
@@ -423,9 +423,9 @@ fn bench_router(
                     let id = (client * requests_per_client + request) as u64;
                     let model = (request % expected.len()) as u16;
                     let sent = Instant::now();
-                    write_request_v2(&mut writer, id, model, [1, 28, 28], image.as_slice())
+                    write_request_v3(&mut writer, id, model, 0, [1, 28, 28], image.as_slice())
                         .expect("send");
-                    match read_response(&mut reader).expect("recv") {
+                    match read_frame(&mut reader, decode_response).expect("recv") {
                         Some(Response::Ok {
                             id: rid, logits, ..
                         }) => {
@@ -619,9 +619,16 @@ fn bench_concurrency(stream_length: usize, ladder: &[(usize, usize)]) -> Vec<Con
                             for request in 0..per_connection {
                                 let id = (client * per_connection + request) as u64;
                                 let sent = Instant::now();
-                                write_request_v2(&mut writer, id, 0, [1, 28, 28], image.as_slice())
-                                    .expect("send");
-                                match read_response(&mut reader).expect("recv") {
+                                write_request_v3(
+                                    &mut writer,
+                                    id,
+                                    0,
+                                    0,
+                                    [1, 28, 28],
+                                    image.as_slice(),
+                                )
+                                .expect("send");
+                                match read_frame(&mut reader, decode_response).expect("recv") {
                                     Some(Response::Ok {
                                         id: rid, logits, ..
                                     }) => {
@@ -745,12 +752,12 @@ fn bench_overload(stream_length: usize, offered: u64) -> OverloadBenchRun {
     let mut reader = BufReader::new(stream);
     // Pipeline the whole burst, then drain every reply.
     for id in 0..offered {
-        write_request_v2(&mut writer, id, 0, [1, 28, 28], image.as_slice()).expect("send");
+        write_request_v3(&mut writer, id, 0, 0, [1, 28, 28], image.as_slice()).expect("send");
     }
     let mut accepted = 0u64;
     let mut shed = 0u64;
     for _ in 0..offered {
-        match read_response(&mut reader).expect("recv") {
+        match read_frame(&mut reader, decode_response).expect("recv") {
             Some(Response::Ok { logits, .. }) => {
                 assert_eq!(logits, expected, "accepted requests must stay bit-exact");
                 accepted += 1;

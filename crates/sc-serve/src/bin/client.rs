@@ -6,10 +6,9 @@
 //!     --addr 127.0.0.1:7878 --count 20 --seed 3 --model 1 --deadline-ms 250
 //! ```
 //!
-//! Without `--model` the client sends protocol-v1 frames (the multi-model
-//! server maps them to model 0); with `--model N` it sends v2 frames
-//! addressing model `N` of the server's registry; with `--deadline-ms` it
-//! sends v3 frames carrying a per-request latency budget.
+//! Every request addresses model `--model` of the server's registry
+//! (default 0); `--deadline-ms` gives each one a latency budget (default 0,
+//! no deadline).
 //!
 //! `--concurrency N` opens N connections on N threads and splits `--count`
 //! across them — the smoke-test shape for the event-loop server, whose whole
@@ -17,7 +16,7 @@
 //! aggregated and the exit code is the worst any connection saw.
 //!
 //! `--admin OP` switches the client into fleet-operations mode: it sends
-//! one protocol-v4 admin frame and prints the replica's status snapshot.
+//! one admin frame and prints the replica's status snapshot.
 //! `OP` is `status`, `drain`, `unload:MODEL`, or `load:MODEL:PATH` (PATH is
 //! a compiled plan-store file on the *replica's* filesystem). Mutating ops
 //! are authenticated by locality — the replica only honors them from
@@ -38,8 +37,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sc_nn::dataset::render_digit;
 use sc_serve::proto::{
-    read_admin_response, read_response, write_admin, write_request, write_request_v2,
-    write_request_v3, AdminOp, ErrorCode, Response,
+    decode_admin_response, decode_response, read_frame, write_admin, write_request_v3, AdminOp,
+    ErrorCode, Response,
 };
 use std::io::BufReader;
 use std::net::TcpStream;
@@ -55,7 +54,7 @@ const EXIT_DEADLINE: u8 = 4;
 #[derive(Clone)]
 struct RunConfig {
     addr: String,
-    model: Option<u16>,
+    model: u16,
     deadline_ms: u32,
     socket_timeout: Duration,
     read_timeout: Duration,
@@ -92,30 +91,18 @@ fn run_connection(config: &RunConfig, ids: std::ops::Range<u64>, seed: u64) -> (
         let digit = (id % 10) as usize;
         let image = render_digit(digit, &mut rng);
         let start = Instant::now();
-        let sent = if config.deadline_ms > 0 {
-            // v3 frame: budgeted request (model defaults to 0).
-            write_request_v3(
-                &mut writer,
-                id,
-                config.model.unwrap_or(0),
-                config.deadline_ms,
-                [1, 28, 28],
-                image.as_slice(),
-            )
-        } else {
-            match config.model {
-                // v1 frame: exercises the backwards-compatible path (model 0).
-                None => write_request(&mut writer, id, [1, 28, 28], image.as_slice()),
-                Some(model) => {
-                    write_request_v2(&mut writer, id, model, [1, 28, 28], image.as_slice())
-                }
-            }
-        };
-        if let Err(error) = sent {
+        if let Err(error) = write_request_v3(
+            &mut writer,
+            id,
+            config.model,
+            config.deadline_ms,
+            [1, 28, 28],
+            image.as_slice(),
+        ) {
             eprintln!("#{id}: send failed: {error}");
             return (correct, answered, EXIT_TRANSPORT);
         }
-        match read_response(&mut reader) {
+        match read_frame(&mut reader, decode_response) {
             Ok(Some(Response::Ok { argmax, logits, .. })) => {
                 answered += 1;
                 let rtt = start.elapsed();
@@ -200,7 +187,7 @@ fn run_admin(addr: &str, op: AdminOp, socket_timeout: Duration) -> ExitCode {
         return ExitCode::from(EXIT_TRANSPORT);
     }
     let mut reader = BufReader::new(stream);
-    match read_admin_response(&mut reader) {
+    match read_frame(&mut reader, decode_admin_response) {
         Ok(Some(response)) => {
             println!(
                 "{} generation={} draining={} models={:?}{}{}",
@@ -236,7 +223,7 @@ fn main() -> ExitCode {
     let mut addr = "127.0.0.1:7878".to_string();
     let mut count = 10usize;
     let mut seed = 1u64;
-    let mut model: Option<u16> = None;
+    let mut model = 0u16;
     let mut deadline_ms = 0u32;
     let mut socket_timeout_ms = 10_000u64;
     let mut concurrency = 1usize;
@@ -251,7 +238,7 @@ fn main() -> ExitCode {
             "--addr" => addr = value("--addr"),
             "--count" => count = value("--count").parse().expect("count"),
             "--seed" => seed = value("--seed").parse().expect("seed"),
-            "--model" => model = Some(value("--model").parse().expect("model id")),
+            "--model" => model = value("--model").parse().expect("model id"),
             "--deadline-ms" => deadline_ms = value("--deadline-ms").parse().expect("deadline ms"),
             "--socket-timeout-ms" => {
                 socket_timeout_ms = value("--socket-timeout-ms").parse().expect("timeout ms");

@@ -1,13 +1,13 @@
 //! `serve`: compile one or more SC networks and serve them over TCP.
 //!
 //! ```text
-//! # single model (protocol v1 clients keep working):
+//! # single model (requests address model 0):
 //! cargo run --release -p sc-serve --bin serve -- \
 //!     --addr 127.0.0.1:7878 --config no1 --stream-length 1024 \
 //!     --max-batch 32 --linger-us 2000 --train-per-class 20 --epochs 2
 //!
-//! # multi-model: one listener, N engines; model i of a protocol-v2
-//! # request frame selects the i-th --model-config:
+//! # multi-model: one listener, N engines; model i of a request frame
+//! # selects the i-th --model-config:
 //! cargo run --release -p sc-serve --bin serve -- \
 //!     --addr 127.0.0.1:7878 --model-config no1 --model-config apc
 //! ```

@@ -481,7 +481,7 @@ fn pump(mut from: impl Read, mut to: TcpStream) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{read_response, write_response, Response};
+    use crate::proto::{decode_response, read_frame, write_response, Response};
 
     fn frame_bytes() -> Vec<u8> {
         let mut wire = Vec::new();
@@ -527,7 +527,7 @@ mod tests {
         assert_eq!(received, wire[..7].to_vec());
         // The truncated stream is a clean error/EOF for the proto reader,
         // never a hang.
-        assert!(read_response(&mut received.as_slice()).is_err());
+        assert!(read_frame(&mut received.as_slice(), decode_response).is_err());
     }
 
     #[test]
@@ -552,8 +552,14 @@ mod tests {
         assert_eq!(received[frame_len + 5..], wire[frame_len + 5..]);
         // The corrupted frame is *detected*, not silently misparsed.
         let mut reader = &received[..];
-        assert!(read_response(&mut reader).unwrap().is_some(), "frame 1 ok");
-        assert!(read_response(&mut reader).is_err(), "frame 2 detected");
+        assert!(
+            read_frame(&mut reader, decode_response).unwrap().is_some(),
+            "frame 1 ok"
+        );
+        assert!(
+            read_frame(&mut reader, decode_response).is_err(),
+            "frame 2 detected"
+        );
     }
 
     #[test]
@@ -588,8 +594,14 @@ mod tests {
         // The CRC trailer makes the corruption a typed detection, wherever
         // the bit landed (payload or the trailer itself).
         let mut reader = &received[..];
-        assert!(read_response(&mut reader).unwrap().is_some(), "frame 1 ok");
-        assert!(read_response(&mut reader).is_err(), "frame 2 detected");
+        assert!(
+            read_frame(&mut reader, decode_response).unwrap().is_some(),
+            "frame 1 ok"
+        );
+        assert!(
+            read_frame(&mut reader, decode_response).is_err(),
+            "frame 2 detected"
+        );
         // Same seed, same stream → same flip: the fault is replayable.
         let (enabled, stop) = flags();
         let mut replay = FaultyStream::new(

@@ -21,8 +21,8 @@
 //!   `verify_against_interpreter`).
 //! * [`batch`] / [`server`] / [`proto`] / [`metrics`] — the serving runtime:
 //!   a micro-batching scheduler, a std-only length-prefixed TCP protocol
-//!   (`serve` / `client` binaries) whose v2 frames address one of several
-//!   models hosted behind a single listener, and throughput /
+//!   (`serve` / `client` binaries) whose request frames address one of
+//!   several models hosted behind a single listener, and throughput /
 //!   latency-percentile metrics.
 //! * [`router`] — the scale-out front (`route` binary): load-balances
 //!   client requests across several `serve` replicas with ping-based health

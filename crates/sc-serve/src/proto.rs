@@ -10,9 +10,8 @@
 //!
 //! ```text
 //! frame      := len:u32 payload:[u8; len-4] crc32(payload):u32
-//! request v1 := 0x01 id:u64 c:u16 h:u16 w:u16 pixels:[f32; c*h*w]
-//! request v2 := 0x03 ver:u8(=2) model:u16 id:u64 c:u16 h:u16 w:u16 pixels
-//! request v3 := 0x03 ver:u8(=3) model:u16 deadline_ms:u32 id:u64 c:u16 h:u16 w:u16 pixels
+//! request    := 0x03 ver:u8(=3) model:u16 deadline_ms:u32
+//!               id:u64 c:u16 h:u16 w:u16 pixels:[f32; c*h*w]
 //! response   := 0x02 id:u64 status:u8(0=ok) argmax:u16 n:u32 logits:[f64; n]
 //!             | 0x02 id:u64 status:u8(err code) len:u32 message:[u8; len]
 //! ping       := 0x04 nonce:u64
@@ -26,43 +25,40 @@
 //!               n:u16 models:[u16; n] len:u16 message:[u8; len]
 //! ```
 //!
-//! Version 2 (multi-model serving) addresses one of several engines hosted
-//! behind a single listener. Version 3 (overload protection) additionally
-//! carries an optional `deadline_ms` latency budget — `0` means "no
-//! deadline", and v1/v2 frames map to it — and pairs with the typed,
-//! retriable error statuses ([`ErrorCode::Overloaded`],
-//! [`ErrorCode::DeadlineExceeded`], [`ErrorCode::ShuttingDown`]). A ping
-//! frame is the health probe: answered directly by a server's connection
-//! reader, it proves the accept loop and connection threads are alive — a
-//! TCP connect only proves the kernel's listen backlog is.
+//! A request addresses one of several engines hosted behind a single
+//! listener (`model`) and carries an optional latency budget
+//! (`deadline_ms`, `0` = no deadline). Its version byte is checked before
+//! anything else in the payload is trusted: any version but
+//! [`PROTOCOL_VERSION`] is a clean `InvalidData`, and so is any unknown
+//! tag. Responses carry typed error statuses; the retriable ones
+//! ([`ErrorCode::Overloaded`], [`ErrorCode::DeadlineExceeded`],
+//! [`ErrorCode::ShuttingDown`], [`ErrorCode::ModelUnavailable`]) are the
+//! overload-protection and routing contract. A ping frame is the health
+//! probe: answered directly by a server's connection reader, it proves the
+//! accept loop and connection threads are alive — a TCP connect only proves
+//! the kernel's listen backlog is.
 //!
-//! Version 4 (fleet membership) adds the admin frames: a replica's model
-//! registry becomes mutable at runtime ([`AdminOp::LoadModel`] /
-//! [`AdminOp::UnloadModel`]), a replica can be drained ahead of a restart
-//! ([`AdminOp::Drain`]), and [`AdminOp::Status`] reports the registry —
-//! every admin response carries the full model set plus a monotonically
-//! increasing registry generation, so a router learns fleet membership from
-//! any admin exchange (it piggybacks a status on each health probe). Admin
-//! frames are **authenticated by locality**: a server only honours mutating
-//! ops from loopback peers; `status` is read-only and allowed remotely.
-//! The paired [`ErrorCode::ModelUnavailable`] status is the typed, retriable
-//! "this replica does not host that model" refusal heterogeneous replica
-//! sets produce.
-//!
-//! [`read_request`] accepts every version — old clients keep working against
-//! a new server — while a v1 peer ([`read_request_v1`]) rejects a v2/v3
-//! frame with a clean `InvalidData` error instead of misparsing it. The
-//! version byte inside the 0x03 frame leaves room for later revisions
-//! without burning a new tag each time; an unknown version is likewise a
-//! clean `InvalidData`.
+//! Admin frames make a replica's model registry mutable at runtime
+//! ([`AdminOp::LoadModel`] / [`AdminOp::UnloadModel`]), drain a replica
+//! ahead of a restart ([`AdminOp::Drain`]), and report the registry
+//! ([`AdminOp::Status`]). Every admin response carries the full model set
+//! plus a monotonically increasing registry generation, so a router learns
+//! fleet membership from any admin exchange (it piggybacks a status on each
+//! health probe). Admin frames are **authenticated by locality**: a server
+//! only honours mutating ops from loopback peers; `status` is read-only and
+//! allowed remotely.
 //!
 //! All integers and floats are little-endian. Frames are capped at 16 MiB.
 //!
-//! Every reader here exists in two shapes: the blocking `read_*` functions
-//! (one `Read` call sequence per frame — fine for tests, benches, and the
-//! health prober) and the resumable [`FrameDecoder`] + `decode_*` pair the
-//! event-loop I/O front uses, which accepts bytes in whatever pieces the
-//! kernel hands a nonblocking socket and yields byte-identical parses.
+//! Each `write_*` function builds its whole frame in one buffer and hands
+//! it to the writer in a single `write_all`, so an unbuffered socket never
+//! sees the write-write-read pattern that Nagle's algorithm and delayed
+//! ACKs stall. There is one way to read a frame per I/O style: the blocking
+//! [`read_frame`] (clients, tests, benches, the health prober) and the
+//! resumable [`FrameDecoder`] the event-loop I/O front uses, which accepts
+//! bytes in whatever pieces the kernel hands a nonblocking socket. Both
+//! apply the same framing rules and yield the checksum-verified payload,
+//! which one of the `decode_*` parsers turns into a typed value.
 
 use crate::crc32;
 use std::io::{self, Read, Write};
@@ -73,17 +69,15 @@ pub const MAX_FRAME_BYTES: usize = 16 << 20;
 /// Bytes of CRC-32 trailer counted by a frame's length prefix.
 pub const FRAME_CRC_BYTES: usize = 4;
 
-/// Protocol version written by [`write_request_v3`] and the highest version
-/// [`read_request`] understands.
+/// Bytes in front of a frame's payload: the little-endian `u32` length.
+const FRAME_LENGTH_BYTES: usize = 4;
+
+/// Request version written by [`write_request_v3`] and the only one
+/// [`decode_message`] accepts.
 pub const PROTOCOL_VERSION: u8 = 3;
 
-/// The multi-model protocol revision (no deadline field), still written by
-/// [`write_request_v2`] and accepted by [`read_request`].
-pub const PROTOCOL_VERSION_V2: u8 = 2;
-
-const TAG_REQUEST: u8 = 1;
 const TAG_RESPONSE: u8 = 2;
-const TAG_REQUEST_V2: u8 = 3;
+const TAG_REQUEST: u8 = 3;
 const TAG_PING: u8 = 4;
 const TAG_PONG: u8 = 5;
 const TAG_ADMIN: u8 = 6;
@@ -98,7 +92,7 @@ const ADMIN_OP_STATUS: u8 = 4;
 /// field; a longer path is a malformed frame, not a real filesystem).
 const MAX_ADMIN_PATH_BYTES: usize = 4096;
 
-/// A protocol-v4 fleet-administration operation.
+/// A fleet-administration operation.
 ///
 /// Carried in a `0x06` frame on the same connection inference requests use
 /// and handled directly on the server's event loop. Mutating ops (`load` /
@@ -159,13 +153,12 @@ pub struct AdminResponse {
 pub struct Request {
     /// Client-chosen correlation id, echoed in the response.
     pub id: u64,
-    /// Model the request addresses (always `0` for a v1 frame).
+    /// Model the request addresses.
     pub model: u16,
     /// Remaining end-to-end latency budget in milliseconds; `0` means "no
-    /// deadline" (and is what v1/v2 frames map to). A server drops a request
-    /// whose budget expired before compute and answers
-    /// [`ErrorCode::DeadlineExceeded`]; a router decrements the budget
-    /// across hops and never retries past it.
+    /// deadline". A server drops a request whose budget expired before
+    /// compute and answers [`ErrorCode::DeadlineExceeded`]; a router
+    /// decrements the budget across hops and never retries past it.
     pub deadline_ms: u32,
     /// Image shape `(channels, height, width)`.
     pub shape: [usize; 3],
@@ -295,7 +288,7 @@ impl Response {
 /// compute queue — the probe checks liveness, not capacity).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
-    /// An inference request (any protocol version).
+    /// An inference request.
     Request(Request),
     /// A health probe; the peer expects a pong echoing the nonce.
     Ping {
@@ -321,17 +314,27 @@ pub fn checked_shape_product(shape: [usize; 3]) -> Option<usize> {
     shape[0].checked_mul(shape[1])?.checked_mul(shape[2])
 }
 
-fn write_frame(writer: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME_BYTES {
-        return Err(invalid(format!(
-            "frame of {} bytes too large",
-            payload.len()
-        )));
+/// Starts a frame: a zeroed length prefix that [`write_frame`] fills in,
+/// with room for `payload_bytes` of payload and the checksum trailer.
+fn frame_buffer(payload_bytes: usize) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(FRAME_LENGTH_BYTES + payload_bytes + FRAME_CRC_BYTES);
+    frame.extend_from_slice(&[0; FRAME_LENGTH_BYTES]);
+    frame
+}
+
+/// Completes a frame started by [`frame_buffer`] (length prefix and CRC
+/// trailer) and sends it with one `write_all`. Nothing is written when the
+/// payload exceeds the cap.
+fn write_frame(writer: &mut impl Write, mut frame: Vec<u8>) -> io::Result<()> {
+    let payload_len = frame.len() - FRAME_LENGTH_BYTES;
+    if payload_len > MAX_FRAME_BYTES {
+        return Err(invalid(format!("frame of {payload_len} bytes too large")));
     }
-    let length = (payload.len() + FRAME_CRC_BYTES) as u32;
-    writer.write_all(&length.to_le_bytes())?;
-    writer.write_all(payload)?;
-    writer.write_all(&crc32::checksum(payload).to_le_bytes())?;
+    let length = (payload_len + FRAME_CRC_BYTES) as u32;
+    frame[..FRAME_LENGTH_BYTES].copy_from_slice(&length.to_le_bytes());
+    let checksum = crc32::checksum(&frame[FRAME_LENGTH_BYTES..]);
+    frame.extend_from_slice(&checksum.to_le_bytes());
+    writer.write_all(&frame)?;
     writer.flush()
 }
 
@@ -362,10 +365,24 @@ fn checked_payload_len(buffer: &[u8]) -> io::Result<usize> {
     Ok(split)
 }
 
-/// Reads one frame payload (checksum verified and stripped); `Ok(None)` on a
-/// clean EOF at a frame boundary.
-fn read_frame(reader: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    let mut header = [0u8; 4];
+/// Reads one frame, verifies its checksum, and parses the payload with
+/// `decode` — any of the `decode_*` parsers, e.g.
+/// `read_frame(&mut reader, decode_response)`. `Ok(None)` on a clean EOF at
+/// a frame boundary.
+///
+/// The blocking counterpart of [`FrameDecoder`], with the same framing
+/// rules.
+///
+/// # Errors
+///
+/// Propagates I/O failures (a connection cut mid-frame is
+/// `UnexpectedEof`); returns `InvalidData` for an out-of-range length, a
+/// checksum mismatch, or whatever `decode` rejects.
+pub fn read_frame<T>(
+    reader: &mut impl Read,
+    decode: impl FnOnce(&[u8]) -> io::Result<T>,
+) -> io::Result<Option<T>> {
+    let mut header = [0u8; FRAME_LENGTH_BYTES];
     match reader.read_exact(&mut header) {
         Ok(()) => {}
         Err(error) if error.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
@@ -373,11 +390,10 @@ fn read_frame(reader: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     }
     let length = u32::from_le_bytes(header) as usize;
     check_frame_length(length)?;
-    let mut payload = vec![0u8; length];
-    reader.read_exact(&mut payload)?;
-    let split = checked_payload_len(&payload)?;
-    payload.truncate(split);
-    Ok(Some(payload))
+    let mut buffer = vec![0u8; length];
+    reader.read_exact(&mut buffer)?;
+    let split = checked_payload_len(&buffer)?;
+    decode(&buffer[..split]).map(Some)
 }
 
 /// Resumable frame reader for nonblocking sockets.
@@ -431,7 +447,7 @@ impl FrameDecoder {
     /// `InvalidData` for an out-of-range declared length or a checksum
     /// mismatch. The decoder is poisoned after an error (resynchronizing
     /// into a byte stream is not possible once framing is lost); callers
-    /// drop the connection, exactly as the blocking readers' callers do.
+    /// drop the connection, exactly as [`read_frame`]'s callers do.
     pub fn feed(&mut self, input: &[u8]) -> io::Result<usize> {
         let mut consumed = 0;
         while !self.complete && consumed < input.len() {
@@ -503,11 +519,18 @@ impl Default for FrameDecoder {
     }
 }
 
-/// Validates a shape/pixel pair and appends the shared request body
-/// (`id shape pixels`) to `payload`.
-fn encode_request_body(
-    payload: &mut Vec<u8>,
+/// Serializes and sends a request frame addressing `model` with a
+/// `deadline_ms` latency budget (`0` = no deadline).
+///
+/// # Errors
+///
+/// Propagates I/O failures; rejects shape/pixel mismatches (nothing is
+/// written then).
+pub fn write_request_v3(
+    writer: &mut impl Write,
     id: u64,
+    model: u16,
+    deadline_ms: u32,
     shape: [usize; 3],
     pixels: &[f32],
 ) -> io::Result<()> {
@@ -524,113 +547,19 @@ fn encode_request_body(
             "shape {shape:?} describes a zero-length stream"
         )));
     }
-    payload.extend_from_slice(&id.to_le_bytes());
+    let mut frame = frame_buffer(8 + 8 + 6 + pixels.len() * 4);
+    frame.push(TAG_REQUEST);
+    frame.push(PROTOCOL_VERSION);
+    frame.extend_from_slice(&model.to_le_bytes());
+    frame.extend_from_slice(&deadline_ms.to_le_bytes());
+    frame.extend_from_slice(&id.to_le_bytes());
     for dim in shape {
-        payload.extend_from_slice(&(dim as u16).to_le_bytes());
+        frame.extend_from_slice(&(dim as u16).to_le_bytes());
     }
     for pixel in pixels {
-        payload.extend_from_slice(&pixel.to_le_bytes());
+        frame.extend_from_slice(&pixel.to_le_bytes());
     }
-    Ok(())
-}
-
-/// Serializes and sends a version-1 request frame (model 0).
-///
-/// Kept as the default single-model writer: a v1 frame's payload stays
-/// byte-identical to the pre-multi-model protocol (the checksum trailer is
-/// a frame-level addition shared by every version), and [`read_request`]
-/// maps it to model 0.
-///
-/// # Errors
-///
-/// Propagates I/O failures; rejects shape/pixel mismatches.
-pub fn write_request(
-    writer: &mut impl Write,
-    id: u64,
-    shape: [usize; 3],
-    pixels: &[f32],
-) -> io::Result<()> {
-    let mut payload = Vec::with_capacity(1 + 8 + 6 + pixels.len() * 4);
-    payload.push(TAG_REQUEST);
-    encode_request_body(&mut payload, id, shape, pixels)?;
-    write_frame(writer, &payload)
-}
-
-/// Serializes and sends a version-2 request frame addressing `model`.
-///
-/// # Errors
-///
-/// Propagates I/O failures; rejects shape/pixel mismatches.
-pub fn write_request_v2(
-    writer: &mut impl Write,
-    id: u64,
-    model: u16,
-    shape: [usize; 3],
-    pixels: &[f32],
-) -> io::Result<()> {
-    let mut payload = Vec::with_capacity(4 + 8 + 6 + pixels.len() * 4);
-    payload.push(TAG_REQUEST_V2);
-    payload.push(PROTOCOL_VERSION_V2);
-    payload.extend_from_slice(&model.to_le_bytes());
-    encode_request_body(&mut payload, id, shape, pixels)?;
-    write_frame(writer, &payload)
-}
-
-/// Serializes and sends a version-3 request frame addressing `model` with a
-/// `deadline_ms` latency budget (`0` = no deadline).
-///
-/// # Errors
-///
-/// Propagates I/O failures; rejects shape/pixel mismatches.
-pub fn write_request_v3(
-    writer: &mut impl Write,
-    id: u64,
-    model: u16,
-    deadline_ms: u32,
-    shape: [usize; 3],
-    pixels: &[f32],
-) -> io::Result<()> {
-    let mut payload = Vec::with_capacity(8 + 8 + 6 + pixels.len() * 4);
-    payload.push(TAG_REQUEST_V2);
-    payload.push(PROTOCOL_VERSION);
-    payload.extend_from_slice(&model.to_le_bytes());
-    payload.extend_from_slice(&deadline_ms.to_le_bytes());
-    encode_request_body(&mut payload, id, shape, pixels)?;
-    write_frame(writer, &payload)
-}
-
-/// Serializes and sends a parsed request, preserving its wire version. A
-/// deadline-free request for model 0 is written as a v1 frame —
-/// byte-identical to what a v1 client would send — and a deadline-free
-/// request for another model as v2, so forwarding never upgrades a frame an
-/// older backend could have served. A request carrying a deadline needs the
-/// v3 layout (the budget — typically already decremented by the forwarding
-/// hop — must survive the hop).
-///
-/// # Errors
-///
-/// Propagates I/O failures; rejects shape/pixel mismatches.
-pub fn forward_request(writer: &mut impl Write, request: &Request) -> io::Result<()> {
-    if request.deadline_ms != 0 {
-        write_request_v3(
-            writer,
-            request.id,
-            request.model,
-            request.deadline_ms,
-            request.shape,
-            &request.pixels,
-        )
-    } else if request.model == 0 {
-        write_request(writer, request.id, request.shape, &request.pixels)
-    } else {
-        write_request_v2(
-            writer,
-            request.id,
-            request.model,
-            request.shape,
-            &request.pixels,
-        )
-    }
+    write_frame(writer, frame)
 }
 
 /// Sends a health-probe ping carrying `nonce`.
@@ -639,10 +568,10 @@ pub fn forward_request(writer: &mut impl Write, request: &Request) -> io::Result
 ///
 /// Propagates I/O failures.
 pub fn write_ping(writer: &mut impl Write, nonce: u64) -> io::Result<()> {
-    let mut payload = Vec::with_capacity(9);
-    payload.push(TAG_PING);
-    payload.extend_from_slice(&nonce.to_le_bytes());
-    write_frame(writer, &payload)
+    let mut frame = frame_buffer(9);
+    frame.push(TAG_PING);
+    frame.extend_from_slice(&nonce.to_le_bytes());
+    write_frame(writer, frame)
 }
 
 /// Sends the pong answering a health-probe ping.
@@ -651,27 +580,13 @@ pub fn write_ping(writer: &mut impl Write, nonce: u64) -> io::Result<()> {
 ///
 /// Propagates I/O failures.
 pub fn write_pong(writer: &mut impl Write, nonce: u64) -> io::Result<()> {
-    let mut payload = Vec::with_capacity(9);
-    payload.push(TAG_PONG);
-    payload.extend_from_slice(&nonce.to_le_bytes());
-    write_frame(writer, &payload)
+    let mut frame = frame_buffer(9);
+    frame.push(TAG_PONG);
+    frame.extend_from_slice(&nonce.to_le_bytes());
+    write_frame(writer, frame)
 }
 
-/// Reads one pong frame and returns its nonce; `Ok(None)` on clean EOF.
-///
-/// # Errors
-///
-/// Propagates I/O failures; returns `InvalidData` for anything that is not
-/// a pong frame.
-pub fn read_pong(reader: &mut impl Read) -> io::Result<Option<u64>> {
-    let Some(payload) = read_frame(reader)? else {
-        return Ok(None);
-    };
-    Ok(Some(decode_pong(&payload)?))
-}
-
-/// Parses a pong frame payload (as yielded by a [`FrameDecoder`]) and
-/// returns its nonce.
+/// Parses a pong frame payload and returns its nonce.
 ///
 /// # Errors
 ///
@@ -686,14 +601,14 @@ pub fn decode_pong(payload: &[u8]) -> io::Result<u64> {
     Ok(nonce)
 }
 
-/// Serializes and sends a protocol-v4 admin frame.
+/// Serializes and sends an admin frame.
 ///
 /// # Errors
 ///
 /// Propagates I/O failures; rejects a load path longer than the cap.
 pub fn write_admin(writer: &mut impl Write, op: &AdminOp) -> io::Result<()> {
-    let mut payload = Vec::with_capacity(8);
-    payload.push(TAG_ADMIN);
+    let mut frame = frame_buffer(8);
+    frame.push(TAG_ADMIN);
     match op {
         AdminOp::LoadModel { model, path } => {
             if path.len() > MAX_ADMIN_PATH_BYTES {
@@ -702,23 +617,23 @@ pub fn write_admin(writer: &mut impl Write, op: &AdminOp) -> io::Result<()> {
                     path.len()
                 )));
             }
-            payload.push(ADMIN_OP_LOAD);
-            payload.extend_from_slice(&model.to_le_bytes());
-            payload.extend_from_slice(&(path.len() as u16).to_le_bytes());
-            payload.extend_from_slice(path.as_bytes());
+            frame.push(ADMIN_OP_LOAD);
+            frame.extend_from_slice(&model.to_le_bytes());
+            frame.extend_from_slice(&(path.len() as u16).to_le_bytes());
+            frame.extend_from_slice(path.as_bytes());
         }
         AdminOp::UnloadModel { model } => {
-            payload.push(ADMIN_OP_UNLOAD);
-            payload.extend_from_slice(&model.to_le_bytes());
+            frame.push(ADMIN_OP_UNLOAD);
+            frame.extend_from_slice(&model.to_le_bytes());
         }
-        AdminOp::Drain => payload.push(ADMIN_OP_DRAIN),
-        AdminOp::Status => payload.push(ADMIN_OP_STATUS),
+        AdminOp::Drain => frame.push(ADMIN_OP_DRAIN),
+        AdminOp::Status => frame.push(ADMIN_OP_STATUS),
     }
-    write_frame(writer, &payload)
+    write_frame(writer, frame)
 }
 
-/// Parses an admin frame payload (as yielded by a [`FrameDecoder`]); the
-/// shared parser behind [`decode_message`]'s admin arm.
+/// Parses an admin frame payload; the shared parser behind
+/// [`decode_message`]'s admin arm.
 ///
 /// # Errors
 ///
@@ -755,46 +670,36 @@ fn decode_admin_body(cursor: &mut Cursor<'_>) -> io::Result<AdminOp> {
     }
 }
 
+/// A length for a `u16` length field, or `InvalidData` when the cast would
+/// truncate it.
+fn u16_length(length: usize, what: &str) -> io::Result<u16> {
+    u16::try_from(length).map_err(|_| invalid(format!("{length} {what} exceed the u16 field")))
+}
+
 /// Serializes and sends the answer to an admin frame.
 ///
 /// # Errors
 ///
-/// Propagates I/O failures; rejects a message longer than the frame cap.
+/// Propagates I/O failures; rejects a model list or message too long for
+/// its `u16` length field (nothing is written then).
 pub fn write_admin_response(writer: &mut impl Write, response: &AdminResponse) -> io::Result<()> {
-    if response.message.len() > MAX_FRAME_BYTES / 2 {
-        return Err(invalid(format!(
-            "{}-byte admin message exceeds the frame cap",
-            response.message.len()
-        )));
-    }
-    let mut payload = Vec::with_capacity(16 + 2 * response.models.len() + response.message.len());
-    payload.push(TAG_ADMIN_RESPONSE);
-    payload.push(u8::from(response.ok));
-    payload.push(u8::from(response.draining));
-    payload.extend_from_slice(&response.generation.to_le_bytes());
-    payload.extend_from_slice(&(response.models.len() as u16).to_le_bytes());
+    let model_count = u16_length(response.models.len(), "admin models")?;
+    let message_len = u16_length(response.message.len(), "admin message bytes")?;
+    let mut frame = frame_buffer(15 + 2 * response.models.len() + response.message.len());
+    frame.push(TAG_ADMIN_RESPONSE);
+    frame.push(u8::from(response.ok));
+    frame.push(u8::from(response.draining));
+    frame.extend_from_slice(&response.generation.to_le_bytes());
+    frame.extend_from_slice(&model_count.to_le_bytes());
     for model in &response.models {
-        payload.extend_from_slice(&model.to_le_bytes());
+        frame.extend_from_slice(&model.to_le_bytes());
     }
-    payload.extend_from_slice(&(response.message.len() as u16).to_le_bytes());
-    payload.extend_from_slice(response.message.as_bytes());
-    write_frame(writer, &payload)
+    frame.extend_from_slice(&message_len.to_le_bytes());
+    frame.extend_from_slice(response.message.as_bytes());
+    write_frame(writer, frame)
 }
 
-/// Reads one admin response; `Ok(None)` on clean EOF.
-///
-/// # Errors
-///
-/// Propagates I/O failures; returns `InvalidData` for malformed frames.
-pub fn read_admin_response(reader: &mut impl Read) -> io::Result<Option<AdminResponse>> {
-    let Some(payload) = read_frame(reader)? else {
-        return Ok(None);
-    };
-    Ok(Some(decode_admin_response(&payload)?))
-}
-
-/// Parses an admin-response frame payload (as yielded by a
-/// [`FrameDecoder`]).
+/// Parses an admin-response frame payload.
 ///
 /// # Errors
 ///
@@ -841,13 +746,17 @@ fn decode_bool(byte: u8) -> io::Result<bool> {
     }
 }
 
-/// Parses the shared request body (`id shape pixels`) of an already
-/// tag-dispatched request frame.
-fn decode_request_body(
-    cursor: &mut Cursor<'_>,
-    model: u16,
-    deadline_ms: u32,
-) -> io::Result<Request> {
+/// Parses the rest of a request frame after its tag: version, model,
+/// deadline, id, shape, pixels.
+fn decode_request(cursor: &mut Cursor<'_>) -> io::Result<Request> {
+    let version = cursor.u8()?;
+    if version != PROTOCOL_VERSION {
+        return Err(invalid(format!(
+            "unsupported protocol version {version} (this reader speaks {PROTOCOL_VERSION})"
+        )));
+    }
+    let model = cursor.u16()?;
+    let deadline_ms = cursor.u32()?;
     let id = cursor.u64()?;
     let shape = [
         cursor.u16()? as usize,
@@ -864,8 +773,8 @@ fn decode_request_body(
         )));
     }
     // Bound the allocation by what the (already size-capped) frame actually
-    // carries before trusting the declared shape: a 19-byte frame claiming a
-    // 65535³-pixel image must not drive a petabyte `Vec` reservation.
+    // carries before trusting the declared shape: a 22-byte payload claiming
+    // a 65535³-pixel image must not drive a petabyte `Vec` reservation.
     if count != cursor.remaining() / 4 {
         return Err(invalid(format!(
             "shape {shape:?} declares {count} pixels but the frame carries {}",
@@ -886,55 +795,17 @@ fn decode_request_body(
     })
 }
 
-/// Reads one message — a request of any version, a health-probe ping, or an
-/// admin frame; `Ok(None)` on clean EOF.
-///
-/// A v1 frame maps to model 0; v2 carries a model id; v3 additionally a
-/// deadline budget (v1/v2 map to "no deadline"). A versioned frame
-/// declaring an unknown protocol version is `InvalidData` — the version
-/// byte is checked before anything else in the payload is trusted.
+/// Parses a request-side frame payload: an inference request, a
+/// health-probe ping, or an admin frame.
 ///
 /// # Errors
 ///
-/// Propagates I/O failures; returns `InvalidData` for malformed frames.
-pub fn read_message(reader: &mut impl Read) -> io::Result<Option<Message>> {
-    let Some(payload) = read_frame(reader)? else {
-        return Ok(None);
-    };
-    Ok(Some(decode_message(&payload)?))
-}
-
-/// Parses a request-side frame payload (as yielded by a [`FrameDecoder`]):
-/// a request of any version, a health-probe ping, or an admin frame. Version
-/// semantics match [`read_message`] exactly — the two share this parser.
-///
-/// # Errors
-///
-/// Returns `InvalidData` for malformed frames.
+/// Returns `InvalidData` for malformed frames, an unknown tag, and a request
+/// of any version but [`PROTOCOL_VERSION`].
 pub fn decode_message(payload: &[u8]) -> io::Result<Message> {
     let mut cursor = Cursor::new(payload);
     match cursor.u8()? {
-        TAG_REQUEST => Ok(Message::Request(decode_request_body(&mut cursor, 0, 0)?)),
-        TAG_REQUEST_V2 => {
-            let version = cursor.u8()?;
-            if version != PROTOCOL_VERSION_V2 && version != PROTOCOL_VERSION {
-                return Err(invalid(format!(
-                    "unsupported protocol version {version} (this reader speaks \
-                     {PROTOCOL_VERSION_V2} and {PROTOCOL_VERSION})"
-                )));
-            }
-            let model = cursor.u16()?;
-            let deadline_ms = if version >= PROTOCOL_VERSION {
-                cursor.u32()?
-            } else {
-                0
-            };
-            Ok(Message::Request(decode_request_body(
-                &mut cursor,
-                model,
-                deadline_ms,
-            )?))
-        }
+        TAG_REQUEST => Ok(Message::Request(decode_request(&mut cursor)?)),
         TAG_PING => {
             let nonce = cursor.u64()?;
             cursor.finish()?;
@@ -949,55 +820,15 @@ pub fn decode_message(payload: &[u8]) -> io::Result<Message> {
     }
 }
 
-/// Reads one request, any version; `Ok(None)` on clean EOF.
-///
-/// A ping frame is `InvalidData` to this reader — callers that also answer
-/// health probes use [`read_message`].
-///
-/// # Errors
-///
-/// Propagates I/O failures; returns `InvalidData` for malformed frames.
-pub fn read_request(reader: &mut impl Read) -> io::Result<Option<Request>> {
-    match read_message(reader)? {
-        None => Ok(None),
-        Some(Message::Request(request)) => Ok(Some(request)),
-        Some(Message::Ping { .. }) => Err(invalid("expected a request frame, got a ping")),
-        Some(Message::Admin(_)) => Err(invalid("expected a request frame, got an admin frame")),
-    }
-}
-
-/// Reads one request the way a version-1 peer does: only v1 frames are
-/// accepted; a v2 frame is a clean `InvalidData` error (its tag byte is not
-/// a request tag to this reader), never a misparse.
-///
-/// Kept so cross-version behaviour stays testable from the v2 codebase: a
-/// v1 `serve` deployment behind a mixed client population fails v2 traffic
-/// loudly at the protocol layer instead of serving the wrong model.
-///
-/// # Errors
-///
-/// Propagates I/O failures; returns `InvalidData` for malformed and v2
-/// frames.
-pub fn read_request_v1(reader: &mut impl Read) -> io::Result<Option<Request>> {
-    let Some(payload) = read_frame(reader)? else {
-        return Ok(None);
-    };
-    let mut cursor = Cursor::new(&payload);
-    if cursor.u8()? != TAG_REQUEST {
-        return Err(invalid("expected a request frame"));
-    }
-    Ok(Some(decode_request_body(&mut cursor, 0, 0)?))
-}
-
 /// Serializes and sends a response frame.
 ///
 /// # Errors
 ///
 /// Propagates I/O failures.
 pub fn write_response(writer: &mut impl Write, response: &Response) -> io::Result<()> {
-    let mut payload = Vec::new();
-    payload.push(TAG_RESPONSE);
-    payload.extend_from_slice(&response.id().to_le_bytes());
+    let mut frame = frame_buffer(16);
+    frame.push(TAG_RESPONSE);
+    frame.extend_from_slice(&response.id().to_le_bytes());
     match response {
         Response::Ok { argmax, logits, .. } => {
             // Reject before the `as u32` length cast can truncate: a logit
@@ -1009,11 +840,12 @@ pub fn write_response(writer: &mut impl Write, response: &Response) -> io::Resul
                     logits.len()
                 )));
             }
-            payload.push(0);
-            payload.extend_from_slice(&argmax.to_le_bytes());
-            payload.extend_from_slice(&(logits.len() as u32).to_le_bytes());
+            frame.reserve(8 * logits.len());
+            frame.push(0);
+            frame.extend_from_slice(&argmax.to_le_bytes());
+            frame.extend_from_slice(&(logits.len() as u32).to_le_bytes());
             for logit in logits {
-                payload.extend_from_slice(&logit.to_le_bytes());
+                frame.extend_from_slice(&logit.to_le_bytes());
             }
         }
         Response::Err { code, message, .. } => {
@@ -1023,27 +855,15 @@ pub fn write_response(writer: &mut impl Write, response: &Response) -> io::Resul
                     message.len()
                 )));
             }
-            payload.push(code.status());
-            payload.extend_from_slice(&(message.len() as u32).to_le_bytes());
-            payload.extend_from_slice(message.as_bytes());
+            frame.push(code.status());
+            frame.extend_from_slice(&(message.len() as u32).to_le_bytes());
+            frame.extend_from_slice(message.as_bytes());
         }
     }
-    write_frame(writer, &payload)
+    write_frame(writer, frame)
 }
 
-/// Reads one response; `Ok(None)` on clean EOF.
-///
-/// # Errors
-///
-/// Propagates I/O failures; returns `InvalidData` for malformed frames.
-pub fn read_response(reader: &mut impl Read) -> io::Result<Option<Response>> {
-    let Some(payload) = read_frame(reader)? else {
-        return Ok(None);
-    };
-    Ok(Some(decode_response(&payload)?))
-}
-
-/// Parses a response frame payload (as yielded by a [`FrameDecoder`]).
+/// Parses a response frame payload.
 ///
 /// # Errors
 ///
@@ -1058,8 +878,13 @@ pub fn decode_response(payload: &[u8]) -> io::Result<Response> {
         0 => {
             let argmax = cursor.u16()?;
             let count = cursor.u32()? as usize;
-            if count > MAX_FRAME_BYTES / 8 {
-                return Err(invalid("logit count exceeds the frame cap"));
+            // Cross-check the declared count against the bytes present
+            // before allocating: a 16-byte payload must not reserve 16 MiB.
+            if count > cursor.remaining() / 8 {
+                return Err(invalid(format!(
+                    "response declares {count} logits but the frame carries {}",
+                    cursor.remaining() / 8
+                )));
             }
             let mut logits = Vec::with_capacity(count);
             for _ in 0..count {
@@ -1141,131 +966,83 @@ impl<'a> Cursor<'a> {
 mod tests {
     use super::*;
 
+    /// Wraps a raw payload in a length-prefixed, checksummed frame.
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut wire = ((payload.len() + FRAME_CRC_BYTES) as u32)
+            .to_le_bytes()
+            .to_vec();
+        wire.extend_from_slice(payload);
+        wire.extend_from_slice(&crc32::checksum(payload).to_le_bytes());
+        wire
+    }
+
+    /// The payload of a frame written by one of the `write_*` functions.
+    fn payload_of(wire: &[u8]) -> &[u8] {
+        &wire[FRAME_LENGTH_BYTES..wire.len() - FRAME_CRC_BYTES]
+    }
+
+    /// A request payload up to its shape: tag, version, model 0, no
+    /// deadline, and `id`.
+    fn request_header(id: u64) -> Vec<u8> {
+        let mut payload = vec![TAG_REQUEST, PROTOCOL_VERSION];
+        payload.extend_from_slice(&0u16.to_le_bytes());
+        payload.extend_from_slice(&0u32.to_le_bytes());
+        payload.extend_from_slice(&id.to_le_bytes());
+        payload
+    }
+
+    /// Reads the one request frame in `wire`.
+    fn request_in(wire: &[u8]) -> Request {
+        match read_frame(&mut &wire[..], decode_message).unwrap() {
+            Some(Message::Request(request)) => request,
+            other => panic!("expected a request, got {other:?}"),
+        }
+    }
+
     #[test]
     fn request_round_trip() {
         let mut wire = Vec::new();
         let pixels: Vec<f32> = (0..12).map(|i| i as f32 / 12.0).collect();
-        write_request(&mut wire, 42, [1, 3, 4], &pixels).unwrap();
-        let parsed = read_request(&mut wire.as_slice()).unwrap().unwrap();
+        write_request_v3(&mut wire, 42, 0, 0, [1, 3, 4], &pixels).unwrap();
+        let parsed = request_in(&wire);
         assert_eq!(parsed.id, 42);
         assert_eq!(parsed.model, 0);
+        assert_eq!(parsed.deadline_ms, 0);
         assert_eq!(parsed.shape, [1, 3, 4]);
         assert_eq!(parsed.pixels, pixels);
         // EOF after the frame.
         let mut reader = wire.as_slice();
-        let _ = read_request(&mut reader).unwrap();
-        assert!(read_request(&mut reader).unwrap().is_none());
-    }
-
-    #[test]
-    fn v2_request_round_trips_with_model_id() {
-        let pixels: Vec<f32> = (0..6).map(|i| i as f32 / 6.0).collect();
-        for model in [0u16, 1, 7, u16::MAX] {
-            let mut wire = Vec::new();
-            write_request_v2(&mut wire, 42, model, [1, 2, 3], &pixels).unwrap();
-            let parsed = read_request(&mut wire.as_slice()).unwrap().unwrap();
-            assert_eq!(parsed.id, 42);
-            assert_eq!(parsed.model, model);
-            assert_eq!(parsed.shape, [1, 2, 3]);
-            assert_eq!(parsed.pixels, pixels);
-        }
-        // The v2 writer applies the same shape validation as the v1 writer.
-        let mut wire = Vec::new();
-        assert!(write_request_v2(&mut wire, 1, 3, [0, 2, 3], &[]).is_err());
-        assert!(write_request_v2(&mut wire, 1, 3, [1, 2, 3], &[0.0; 5]).is_err());
-        assert!(wire.is_empty());
-    }
-
-    #[test]
-    fn v2_reader_accepts_v1_frames_as_model_zero() {
-        // Cross-version matrix, forward direction: an old client's frame is
-        // served by a multi-model server as model 0 — byte layout untouched.
-        let pixels = [0.5f32, -0.25, 0.125, 1.0];
-        let mut wire = Vec::new();
-        write_request(&mut wire, 9, [1, 2, 2], &pixels).unwrap();
-        let parsed = read_request(&mut wire.as_slice()).unwrap().unwrap();
-        assert_eq!(parsed.model, 0);
-        assert_eq!(parsed.id, 9);
-        assert_eq!(parsed.pixels, pixels);
-    }
-
-    #[test]
-    fn v1_reader_rejects_v2_frames_cleanly() {
-        // Cross-version matrix, reverse direction: a v1 peer must fail a v2
-        // frame with `InvalidData` — not hang, not misparse the model id as
-        // part of the request id.
-        let mut wire = Vec::new();
-        write_request_v2(&mut wire, 3, 1, [1, 2, 2], &[0.0; 4]).unwrap();
-        let error = read_request_v1(&mut wire.as_slice()).unwrap_err();
-        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
-        assert!(error.to_string().contains("request frame"), "{error}");
-        // The v1 reader still accepts v1 frames and clean EOF.
-        let mut wire = Vec::new();
-        write_request(&mut wire, 4, [1, 1, 1], &[0.5]).unwrap();
-        let mut reader = wire.as_slice();
-        assert_eq!(read_request_v1(&mut reader).unwrap().unwrap().id, 4);
-        assert!(read_request_v1(&mut reader).unwrap().is_none());
+        assert!(read_frame(&mut reader, decode_message).unwrap().is_some());
+        assert!(read_frame(&mut reader, decode_message).unwrap().is_none());
     }
 
     #[test]
     fn unknown_protocol_version_is_rejected() {
-        // A v2-tagged frame with a version byte from the future must fail
-        // before any of its payload is trusted. The version byte is patched
-        // at the payload level and the frame re-checksummed, so the failure
-        // below is the version check, not corruption detection.
+        // A request frame declaring any version but the current one must
+        // fail before any of its payload is trusted. The version byte is
+        // patched at the payload level and the frame re-checksummed, so the
+        // failure below is the version check, not corruption detection.
+        // Version 2 (no deadline field) is one of the rejected versions.
         let mut wire = Vec::new();
-        write_request_v2(&mut wire, 5, 2, [1, 1, 1], &[0.25]).unwrap();
-        // Payload sits between the 4-byte length prefix and the 4-byte
-        // checksum trailer: [tag, version, ...].
-        let mut payload = wire[4..wire.len() - FRAME_CRC_BYTES].to_vec();
-        payload[1] = PROTOCOL_VERSION + 1;
-        let wire = frame(&payload);
-        let error = read_request(&mut wire.as_slice()).unwrap_err();
+        write_request_v3(&mut wire, 5, 2, 0, [1, 1, 1], &[0.25]).unwrap();
+        for version in [PROTOCOL_VERSION + 1, 2, 0, u8::MAX] {
+            let mut payload = payload_of(&wire).to_vec();
+            payload[1] = version;
+            let error = read_frame(&mut frame(&payload).as_slice(), decode_message).unwrap_err();
+            assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+            assert!(error.to_string().contains("version"), "{error}");
+        }
+        // A well-formed version-1 frame (tag 0x01, no version byte) is an
+        // unknown tag.
+        let mut v1 = vec![0x01];
+        v1.extend_from_slice(&5u64.to_le_bytes());
+        for dim in [1u16, 1, 1] {
+            v1.extend_from_slice(&dim.to_le_bytes());
+        }
+        v1.extend_from_slice(&0.25f32.to_le_bytes());
+        let error = read_frame(&mut frame(&v1).as_slice(), decode_message).unwrap_err();
         assert_eq!(error.kind(), io::ErrorKind::InvalidData);
-        assert!(error.to_string().contains("version"), "{error}");
-    }
-
-    #[test]
-    fn forward_request_preserves_wire_version_by_model_and_deadline() {
-        // Deadline-free model 0 forwards as a byte-identical v1 frame; other
-        // deadline-free models as v2; any deadline forces the v3 layout.
-        let pixels = [0.5f32, 0.25];
-        let v0 = Request {
-            id: 11,
-            model: 0,
-            deadline_ms: 0,
-            shape: [1, 1, 2],
-            pixels: pixels.to_vec(),
-        };
-        let mut forwarded = Vec::new();
-        forward_request(&mut forwarded, &v0).unwrap();
-        let mut direct = Vec::new();
-        write_request(&mut direct, 11, [1, 1, 2], &pixels).unwrap();
-        assert_eq!(forwarded, direct);
-        let v2 = Request {
-            model: 3,
-            ..v0.clone()
-        };
-        let mut forwarded = Vec::new();
-        forward_request(&mut forwarded, &v2).unwrap();
-        assert_eq!(
-            read_request(&mut forwarded.as_slice()).unwrap().unwrap(),
-            v2
-        );
-        // A deadline survives forwarding even for model 0 (v3 layout).
-        let with_deadline = Request {
-            deadline_ms: 250,
-            ..v0
-        };
-        let mut forwarded = Vec::new();
-        forward_request(&mut forwarded, &with_deadline).unwrap();
-        let mut direct = Vec::new();
-        write_request_v3(&mut direct, 11, 0, 250, [1, 1, 2], &pixels).unwrap();
-        assert_eq!(forwarded, direct);
-        assert_eq!(
-            read_request(&mut forwarded.as_slice()).unwrap().unwrap(),
-            with_deadline
-        );
+        assert!(error.to_string().contains("request frame"), "{error}");
     }
 
     #[test]
@@ -1274,49 +1051,42 @@ mod tests {
         for (model, deadline_ms) in [(0u16, 0u32), (1, 1), (7, 5_000), (u16::MAX, u32::MAX)] {
             let mut wire = Vec::new();
             write_request_v3(&mut wire, 21, model, deadline_ms, [1, 2, 2], &pixels).unwrap();
-            let parsed = read_request(&mut wire.as_slice()).unwrap().unwrap();
+            let parsed = request_in(&wire);
             assert_eq!(parsed.id, 21);
             assert_eq!(parsed.model, model);
             assert_eq!(parsed.deadline_ms, deadline_ms);
             assert_eq!(parsed.pixels, pixels);
         }
-        // v1/v2 frames map to "no deadline".
+        // Shape mismatches are refused before anything hits the wire.
         let mut wire = Vec::new();
-        write_request_v2(&mut wire, 4, 2, [1, 2, 2], &pixels).unwrap();
-        assert_eq!(
-            read_request(&mut wire.as_slice())
-                .unwrap()
-                .unwrap()
-                .deadline_ms,
-            0
-        );
-        // A v1 peer rejects a v3 frame as cleanly as it rejects v2.
-        let mut wire = Vec::new();
-        write_request_v3(&mut wire, 5, 0, 100, [1, 2, 2], &pixels).unwrap();
-        let error = read_request_v1(&mut wire.as_slice()).unwrap_err();
-        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+        assert!(write_request_v3(&mut wire, 1, 3, 0, [0, 2, 3], &[]).is_err());
+        assert!(write_request_v3(&mut wire, 1, 3, 0, [1, 2, 3], &[0.0; 5]).is_err());
+        assert!(wire.is_empty());
     }
 
     #[test]
     fn ping_pong_round_trips_and_stays_separate_from_requests() {
         let mut wire = Vec::new();
         write_ping(&mut wire, 0xDEAD_BEEF).unwrap();
-        match read_message(&mut wire.as_slice()).unwrap().unwrap() {
+        match read_frame(&mut wire.as_slice(), decode_message)
+            .unwrap()
+            .unwrap()
+        {
             Message::Ping { nonce } => assert_eq!(nonce, 0xDEAD_BEEF),
             other => panic!("expected a ping, got {other:?}"),
         }
-        // The request-only reader refuses pings instead of misparsing them.
-        let error = read_request(&mut wire.as_slice()).unwrap_err();
+        // A ping is not a pong (nor a response) to the client side.
+        let error = read_frame(&mut wire.as_slice(), decode_pong).unwrap_err();
         assert_eq!(error.kind(), io::ErrorKind::InvalidData);
-        assert!(error.to_string().contains("ping"), "{error}");
+        assert!(read_frame(&mut wire.as_slice(), decode_response).is_err());
         // Pong side.
         let mut wire = Vec::new();
         write_pong(&mut wire, 99).unwrap();
         let mut reader = wire.as_slice();
-        assert_eq!(read_pong(&mut reader).unwrap(), Some(99));
-        assert_eq!(read_pong(&mut reader).unwrap(), None);
+        assert_eq!(read_frame(&mut reader, decode_pong).unwrap(), Some(99));
+        assert_eq!(read_frame(&mut reader, decode_pong).unwrap(), None);
         // A pong is not a valid message on the request side.
-        assert!(read_message(&mut wire.as_slice()).is_err());
+        assert!(read_frame(&mut wire.as_slice(), decode_message).is_err());
     }
 
     #[test]
@@ -1333,25 +1103,21 @@ mod tests {
         for op in &ops {
             let mut wire = Vec::new();
             write_admin(&mut wire, op).unwrap();
-            match read_message(&mut wire.as_slice()).unwrap().unwrap() {
+            match read_frame(&mut wire.as_slice(), decode_message)
+                .unwrap()
+                .unwrap()
+            {
                 Message::Admin(parsed) => assert_eq!(&parsed, op),
                 other => panic!("expected an admin frame, got {other:?}"),
             }
-            assert_eq!(
-                decode_admin(&wire[4..wire.len() - FRAME_CRC_BYTES]).unwrap(),
-                *op
-            );
-            // The request-only reader refuses admin frames with a typed
-            // error instead of misparsing them.
-            let error = read_request(&mut wire.as_slice()).unwrap_err();
-            assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(decode_admin(payload_of(&wire)).unwrap(), *op);
         }
         assert!(AdminOp::Drain.mutates());
         assert!(AdminOp::UnloadModel { model: 0 }.mutates());
         assert!(!AdminOp::Status.mutates());
         // An unknown op byte is a clean typed error.
         let payload = [TAG_ADMIN, 9];
-        let error = read_message(&mut frame(&payload).as_slice()).unwrap_err();
+        let error = read_frame(&mut frame(&payload).as_slice(), decode_message).unwrap_err();
         assert!(error.to_string().contains("admin op"), "{error}");
         // An oversized load path is refused on the writer side.
         let mut wire = Vec::new();
@@ -1388,47 +1154,28 @@ mod tests {
         for response in &responses {
             let mut wire = Vec::new();
             write_admin_response(&mut wire, response).unwrap();
-            let parsed = read_admin_response(&mut wire.as_slice()).unwrap().unwrap();
+            let parsed = read_frame(&mut wire.as_slice(), decode_admin_response)
+                .unwrap()
+                .unwrap();
             assert_eq!(&parsed, response);
         }
         // Clean EOF.
-        assert!(read_admin_response(&mut [].as_slice()).unwrap().is_none());
+        assert!(read_frame(&mut [].as_slice(), decode_admin_response)
+            .unwrap()
+            .is_none());
         // A declared model count larger than the frame is rejected before
         // allocation, and a non-boolean flag byte is typed.
         let mut payload = vec![TAG_ADMIN_RESPONSE, 1, 0];
         payload.extend_from_slice(&7u64.to_le_bytes());
         payload.extend_from_slice(&u16::MAX.to_le_bytes());
-        let error = read_admin_response(&mut frame(&payload).as_slice()).unwrap_err();
+        let error = read_frame(&mut frame(&payload).as_slice(), decode_admin_response).unwrap_err();
         assert!(error.to_string().contains("models"), "{error}");
         let mut payload = vec![TAG_ADMIN_RESPONSE, 2, 0];
         payload.extend_from_slice(&7u64.to_le_bytes());
         payload.extend_from_slice(&0u16.to_le_bytes());
         payload.extend_from_slice(&0u16.to_le_bytes());
-        let error = read_admin_response(&mut frame(&payload).as_slice()).unwrap_err();
+        let error = read_frame(&mut frame(&payload).as_slice(), decode_admin_response).unwrap_err();
         assert!(error.to_string().contains("boolean"), "{error}");
-        // Single-bit corruption of an admin exchange is always detected by
-        // the readers that accept those frames.
-        let mut op_wire = Vec::new();
-        write_admin(&mut op_wire, &AdminOp::Status).unwrap();
-        let mut resp_wire = Vec::new();
-        write_admin_response(&mut resp_wire, &responses[1]).unwrap();
-        for (label, wire, check) in [
-            ("admin op", &op_wire, true),
-            ("admin response", &resp_wire, false),
-        ] {
-            for offset in 0..wire.len() {
-                for bit in 0..8 {
-                    let mut corrupt = wire.clone();
-                    corrupt[offset] ^= 1 << bit;
-                    let detected = if check {
-                        read_message(&mut corrupt.as_slice()).is_err()
-                    } else {
-                        read_admin_response(&mut corrupt.as_slice()).is_err()
-                    };
-                    assert!(detected, "{label} byte {offset} bit {bit} not detected");
-                }
-            }
-        }
     }
 
     #[test]
@@ -1447,7 +1194,9 @@ mod tests {
             };
             let mut wire = Vec::new();
             write_response(&mut wire, &response).unwrap();
-            let parsed = read_response(&mut wire.as_slice()).unwrap().unwrap();
+            let parsed = read_frame(&mut wire.as_slice(), decode_response)
+                .unwrap()
+                .unwrap();
             assert_eq!(parsed, response);
             assert_eq!(parsed.error_code(), Some(code));
         }
@@ -1469,7 +1218,7 @@ mod tests {
         let mut payload = vec![TAG_RESPONSE];
         payload.extend_from_slice(&1u64.to_le_bytes());
         payload.push(9); // unknown status
-        let error = read_response(&mut frame(&payload).as_slice()).unwrap_err();
+        let error = read_frame(&mut frame(&payload).as_slice(), decode_response).unwrap_err();
         assert!(error.to_string().contains("status"), "{error}");
     }
 
@@ -1493,9 +1242,15 @@ mod tests {
         write_response(&mut wire, &ok).unwrap();
         write_response(&mut wire, &err).unwrap();
         let mut reader = wire.as_slice();
-        assert_eq!(read_response(&mut reader).unwrap().unwrap(), ok);
-        assert_eq!(read_response(&mut reader).unwrap().unwrap(), err);
-        assert!(read_response(&mut reader).unwrap().is_none());
+        assert_eq!(
+            read_frame(&mut reader, decode_response).unwrap().unwrap(),
+            ok
+        );
+        assert_eq!(
+            read_frame(&mut reader, decode_response).unwrap().unwrap(),
+            err
+        );
+        assert!(read_frame(&mut reader, decode_response).unwrap().is_none());
         assert_eq!(ok.id(), 7);
     }
 
@@ -1503,39 +1258,27 @@ mod tests {
     fn huge_declared_shape_is_rejected_without_allocating() {
         // A tiny frame claiming a 65535^3-pixel image must be rejected by
         // the payload-size cross-check, not by an allocation attempt.
-        let mut payload = vec![TAG_REQUEST];
-        payload.extend_from_slice(&1u64.to_le_bytes());
+        let mut payload = request_header(1);
         for _ in 0..3 {
             payload.extend_from_slice(&u16::MAX.to_le_bytes());
         }
-        let error = read_request(&mut frame(&payload).as_slice()).unwrap_err();
+        let error = read_frame(&mut frame(&payload).as_slice(), decode_message).unwrap_err();
         assert!(error.to_string().contains("declares"), "{error}");
-    }
-
-    /// Wraps a raw payload in a length-prefixed, checksummed frame.
-    fn frame(payload: &[u8]) -> Vec<u8> {
-        let mut wire = ((payload.len() + FRAME_CRC_BYTES) as u32)
-            .to_le_bytes()
-            .to_vec();
-        wire.extend_from_slice(payload);
-        wire.extend_from_slice(&crc32::checksum(payload).to_le_bytes());
-        wire
     }
 
     #[test]
     fn zero_length_streams_are_rejected_on_both_sides() {
         // Writer side: a zero dimension means zero pixels — refuse to send.
         let mut wire = Vec::new();
-        let error = write_request(&mut wire, 1, [0, 4, 4], &[]).unwrap_err();
+        let error = write_request_v3(&mut wire, 1, 0, 0, [0, 4, 4], &[]).unwrap_err();
         assert!(error.to_string().contains("zero-length"), "{error}");
         // Reader side: a hand-crafted zero-shape frame is rejected before
         // the empty pixel vector could flow into the engine.
-        let mut payload = vec![TAG_REQUEST];
-        payload.extend_from_slice(&3u64.to_le_bytes());
+        let mut payload = request_header(3);
         for dim in [0u16, 4, 4] {
             payload.extend_from_slice(&dim.to_le_bytes());
         }
-        let error = read_request(&mut frame(&payload).as_slice()).unwrap_err();
+        let error = read_frame(&mut frame(&payload).as_slice(), decode_message).unwrap_err();
         assert!(error.to_string().contains("zero-length"), "{error}");
     }
 
@@ -1544,8 +1287,7 @@ mod tests {
         // A request whose frame header promises more pixels than the frame
         // carries must fail the declared/carried cross-check, not read
         // out of bounds or under-fill the pixel vector.
-        let mut payload = vec![TAG_REQUEST];
-        payload.extend_from_slice(&9u64.to_le_bytes());
+        let mut payload = request_header(9);
         for dim in [1u16, 2, 2] {
             payload.extend_from_slice(&dim.to_le_bytes());
         }
@@ -1553,36 +1295,41 @@ mod tests {
         for pixel in [0.5f32, 0.25] {
             payload.extend_from_slice(&pixel.to_le_bytes());
         }
-        let error = read_request(&mut frame(&payload).as_slice()).unwrap_err();
+        let error = read_frame(&mut frame(&payload).as_slice(), decode_message).unwrap_err();
         assert_eq!(error.kind(), io::ErrorKind::InvalidData);
         assert!(error.to_string().contains("declares"), "{error}");
     }
 
     #[test]
     fn huge_declared_response_length_is_rejected() {
-        // An Ok response declaring u32::MAX logits in a tiny frame must be
-        // stopped by the logit-count cap, not a 32-GiB allocation.
-        let mut payload = vec![TAG_RESPONSE];
-        payload.extend_from_slice(&5u64.to_le_bytes());
-        payload.push(0); // status ok
-        payload.extend_from_slice(&1u16.to_le_bytes()); // argmax
-        payload.extend_from_slice(&u32::MAX.to_le_bytes()); // logit count
-        let error = read_response(&mut frame(&payload).as_slice()).unwrap_err();
-        assert!(error.to_string().contains("cap"), "{error}");
+        // An Ok response declaring more logits than its tiny frame carries
+        // must be stopped by the bytes-present cross-check before the logit
+        // vector is reserved: u32::MAX, and MAX_FRAME_BYTES / 8, which a
+        // frame-cap check alone would let through to a 16 MiB reservation.
+        for count in [u32::MAX, (MAX_FRAME_BYTES / 8) as u32] {
+            let mut payload = vec![TAG_RESPONSE];
+            payload.extend_from_slice(&5u64.to_le_bytes());
+            payload.push(0); // status ok
+            payload.extend_from_slice(&1u16.to_le_bytes()); // argmax
+            payload.extend_from_slice(&count.to_le_bytes()); // logit count
+            let error = read_frame(&mut frame(&payload).as_slice(), decode_response).unwrap_err();
+            assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+            assert!(error.to_string().contains("declares"), "{count}: {error}");
+        }
         // Same for an error message whose declared length exceeds the frame.
         let mut payload = vec![TAG_RESPONSE];
         payload.extend_from_slice(&6u64.to_le_bytes());
         payload.push(1); // status err
         payload.extend_from_slice(&u32::MAX.to_le_bytes()); // message length
-        let error = read_response(&mut frame(&payload).as_slice()).unwrap_err();
+        let error = read_frame(&mut frame(&payload).as_slice(), decode_response).unwrap_err();
         assert_eq!(error.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
     fn oversized_writer_lengths_fail_before_the_cast_truncates() {
-        // The u32 length casts on the writer side are guarded: a response
-        // larger than the frame cap errors out instead of truncating its
-        // declared length.
+        // The length casts on the writer side are guarded: a field larger
+        // than its length prefix can express errors out instead of
+        // truncating the declared length, and nothing hits the wire.
         let too_many_logits = Response::Ok {
             id: 1,
             argmax: 0,
@@ -1592,35 +1339,127 @@ mod tests {
         let error = write_response(&mut wire, &too_many_logits).unwrap_err();
         assert!(error.to_string().contains("cap"), "{error}");
         assert!(wire.is_empty(), "nothing may hit the wire on error");
+        let status = AdminResponse {
+            ok: false,
+            draining: false,
+            generation: 1,
+            models: vec![],
+            message: String::new(),
+        };
+        for response in [
+            AdminResponse {
+                message: "m".repeat(70_000),
+                ..status.clone()
+            },
+            AdminResponse {
+                models: vec![0; usize::from(u16::MAX) + 1],
+                ..status
+            },
+        ] {
+            let mut wire = Vec::new();
+            let error = write_admin_response(&mut wire, &response).unwrap_err();
+            assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+            assert!(error.to_string().contains("u16"), "{error}");
+            assert!(wire.is_empty(), "nothing may hit the wire on error");
+        }
     }
 
     #[test]
     fn malformed_frames_are_rejected() {
         // Shape mismatch on the writer side.
         let mut wire = Vec::new();
-        assert!(write_request(&mut wire, 1, [1, 2, 2], &[0.0; 3]).is_err());
+        assert!(write_request_v3(&mut wire, 1, 0, 0, [1, 2, 2], &[0.0; 3]).is_err());
         // Oversized frame header.
         let huge = (MAX_FRAME_BYTES as u32 + 1).to_le_bytes();
-        assert!(read_request(&mut huge.as_slice()).is_err());
+        assert!(read_frame(&mut huge.as_slice(), decode_message).is_err());
         // Truncated payload.
         let mut ok_wire = Vec::new();
-        write_request(&mut ok_wire, 1, [1, 1, 1], &[0.5]).unwrap();
+        write_request_v3(&mut ok_wire, 1, 0, 0, [1, 1, 1], &[0.5]).unwrap();
         let truncated = &ok_wire[..ok_wire.len() - 2];
-        assert!(read_request(&mut &truncated[..]).is_err());
+        assert!(read_frame(&mut &truncated[..], decode_message).is_err());
         // Request parsed as response.
-        assert!(read_response(&mut ok_wire.as_slice()).is_err());
+        assert!(read_frame(&mut ok_wire.as_slice(), decode_response).is_err());
     }
 
-    /// One valid frame of each wire version plus a response, used as fuzz
-    /// seeds below.
+    /// A `Write` that records how many `write` calls it saw.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_writer_issues_one_write_per_frame() {
+        // Length, payload and checksum leave in one `write`: on an
+        // unbuffered socket a split frame is the write-write-read pattern
+        // that Nagle's algorithm and delayed ACKs stall.
+        type WriteOne = fn(&mut CountingWriter) -> io::Result<()>;
+        let writers: [(&str, WriteOne); 7] = [
+            ("request", |w| {
+                write_request_v3(w, 1, 2, 30, [1, 2, 2], &[0.5; 4])
+            }),
+            ("ok response", |w| {
+                write_response(
+                    w,
+                    &Response::Ok {
+                        id: 1,
+                        argmax: 0,
+                        logits: vec![0.5; 10],
+                    },
+                )
+            }),
+            ("err response", |w| {
+                write_response(w, &Response::app_err(1, "bad shape"))
+            }),
+            ("ping", |w| write_ping(w, 7)),
+            ("pong", |w| write_pong(w, 7)),
+            ("admin", |w| write_admin(w, &AdminOp::Status)),
+            ("admin response", |w| {
+                write_admin_response(
+                    w,
+                    &AdminResponse {
+                        ok: true,
+                        draining: false,
+                        generation: 2,
+                        models: vec![0, 1],
+                        message: "ok".into(),
+                    },
+                )
+            }),
+        ];
+        for (label, write) in writers {
+            let mut writer = CountingWriter::default();
+            write(&mut writer).unwrap();
+            assert_eq!(writer.writes, 1, "{label}");
+            let prefix = writer.bytes[..FRAME_LENGTH_BYTES].try_into().unwrap();
+            let declared = u32::from_le_bytes(prefix) as usize;
+            assert_eq!(declared + FRAME_LENGTH_BYTES, writer.bytes.len(), "{label}");
+            assert!(
+                read_frame(&mut writer.bytes.as_slice(), |_| Ok(()))
+                    .unwrap()
+                    .is_some(),
+                "{label}"
+            );
+        }
+    }
+
+    /// One valid frame of each kind, used as fuzz seeds below.
     fn fuzz_seed_frames() -> Vec<(&'static str, Vec<u8>)> {
         let pixels = [0.5f32, -0.25, 0.125, 1.0];
-        let mut v1 = Vec::new();
-        write_request(&mut v1, 3, [1, 2, 2], &pixels).unwrap();
-        let mut v2 = Vec::new();
-        write_request_v2(&mut v2, 4, 1, [1, 2, 2], &pixels).unwrap();
-        let mut v3 = Vec::new();
-        write_request_v3(&mut v3, 5, 1, 750, [1, 2, 2], &pixels).unwrap();
+        let mut request = Vec::new();
+        write_request_v3(&mut request, 5, 1, 750, [1, 2, 2], &pixels).unwrap();
         let mut ok = Vec::new();
         write_response(
             &mut ok,
@@ -1641,6 +1480,10 @@ mod tests {
             },
         )
         .unwrap();
+        let mut ping = Vec::new();
+        write_ping(&mut ping, 0x51AB_70FF).unwrap();
+        let mut pong = Vec::new();
+        write_pong(&mut pong, 0x51AB_70FF).unwrap();
         let mut admin = Vec::new();
         write_admin(
             &mut admin,
@@ -1654,44 +1497,45 @@ mod tests {
         write_admin_response(
             &mut admin_resp,
             &AdminResponse {
-                ok: true,
-                draining: false,
+                ok: false,
+                draining: true,
                 generation: 3,
                 models: vec![0, 1, 2],
-                message: String::new(),
+                message: "plan store: checksum mismatch".into(),
             },
         )
         .unwrap();
         vec![
-            ("v1 request", v1),
-            ("v2 request", v2),
-            ("v3 request", v3),
+            ("request", request),
             ("ok response", ok),
             ("err response", err),
+            ("ping", ping),
+            ("pong", pong),
             ("admin load", admin),
             ("admin response", admin_resp),
         ]
     }
 
-    /// Feeds `wire` to every frame reader; each must return promptly with
-    /// `Ok` or a typed error — a panic fails the test, a hang would trip the
+    /// Reads `wire` with [`read_frame`] once per payload parser.
+    fn parse_with_every_decoder(wire: &[u8]) -> [(&'static str, io::Result<bool>); 5] {
+        fn parse<T>(wire: &[u8], decode: fn(&[u8]) -> io::Result<T>) -> io::Result<bool> {
+            read_frame(&mut &wire[..], decode).map(|parsed| parsed.is_some())
+        }
+        [
+            ("decode_message", parse(wire, decode_message)),
+            ("decode_response", parse(wire, decode_response)),
+            ("decode_pong", parse(wire, decode_pong)),
+            ("decode_admin", parse(wire, decode_admin)),
+            ("decode_admin_response", parse(wire, decode_admin_response)),
+        ]
+    }
+
+    /// Feeds `wire` to every parser; each must return promptly with `Ok` or
+    /// a typed error — a panic fails the test, a hang would trip the
     /// harness timeout. Pure in-memory readers cannot block, so termination
     /// of this call *is* the no-hang assertion.
     fn assert_clean_parse(label: &str, wire: &[u8]) {
-        for (side, result) in [
-            ("read_request", read_request(&mut &wire[..]).map(|_| ())),
-            (
-                "read_request_v1",
-                read_request_v1(&mut &wire[..]).map(|_| ()),
-            ),
-            ("read_message", read_message(&mut &wire[..]).map(|_| ())),
-            ("read_response", read_response(&mut &wire[..]).map(|_| ())),
-            ("read_pong", read_pong(&mut &wire[..]).map(|_| ())),
-            (
-                "read_admin_response",
-                read_admin_response(&mut &wire[..]).map(|_| ()),
-            ),
-        ] {
+        for (side, result) in parse_with_every_decoder(wire) {
             if let Err(error) = result {
                 assert!(
                     !matches!(error.kind(), io::ErrorKind::OutOfMemory),
@@ -1704,15 +1548,19 @@ mod tests {
     #[test]
     fn truncation_at_every_byte_is_a_clean_typed_error() {
         // Every prefix of a valid frame must parse as clean EOF (when the
-        // cut lands exactly on a frame boundary, i.e. length 0 here) or a
-        // typed error — never a panic, wild allocation, or misparse.
+        // cut lands inside the length prefix) or a typed error — never a
+        // panic, wild allocation, or misparse.
         for (label, wire) in fuzz_seed_frames() {
             for cut in 0..wire.len() {
                 assert_clean_parse(&format!("{label} cut at {cut}"), &wire[..cut]);
+                for (side, result) in parse_with_every_decoder(&wire[..cut]) {
+                    if cut < FRAME_LENGTH_BYTES {
+                        assert!(matches!(result, Ok(false)), "{label} cut {cut}/{side}");
+                    } else {
+                        assert!(result.is_err(), "{label} cut {cut}/{side}");
+                    }
+                }
             }
-            // Zero-byte input is clean EOF on all readers.
-            assert!(read_request(&mut &wire[..0]).unwrap().is_none());
-            assert!(read_response(&mut &wire[..0]).unwrap().is_none());
         }
     }
 
@@ -1720,7 +1568,7 @@ mod tests {
     fn single_byte_corruption_is_always_detected() {
         // Deterministic fuzz: flip every bit position of every byte of each
         // seed frame (8x coverage of single-byte corruption per offset) and
-        // require every reader to return a typed error — never a panic,
+        // require every parser to return a typed error — never a panic,
         // hang, allocation blow-up, or silent misparse. CRC-32 detects all
         // single-bit errors over the payload + trailer; a flipped length
         // prefix misaligns the checksum window, which these vectors also
@@ -1734,14 +1582,7 @@ mod tests {
                     corrupt[offset] ^= 1 << bit;
                     let context = format!("{label} byte {offset} bit {bit}");
                     assert_clean_parse(&context, &corrupt);
-                    for (side, outcome) in [
-                        ("read_request", read_request(&mut &corrupt[..]).map(|_| ())),
-                        (
-                            "read_response",
-                            read_response(&mut &corrupt[..]).map(|_| ()),
-                        ),
-                        ("read_pong", read_pong(&mut &corrupt[..]).map(|_| ())),
-                    ] {
+                    for (side, outcome) in parse_with_every_decoder(&corrupt) {
                         assert!(
                             outcome.is_err(),
                             "{context}/{side}: corruption not detected"
@@ -1755,12 +1596,12 @@ mod tests {
     #[test]
     fn checksum_mismatch_is_a_typed_error() {
         let mut wire = Vec::new();
-        write_request(&mut wire, 8, [1, 1, 2], &[0.5, 0.25]).unwrap();
+        write_request_v3(&mut wire, 8, 0, 0, [1, 1, 2], &[0.5, 0.25]).unwrap();
         // Flip a pixel byte: structurally the frame still parses, so only
         // the checksum can catch this.
         let pixel_offset = wire.len() - FRAME_CRC_BYTES - 3;
         wire[pixel_offset] ^= 0x40;
-        let error = read_request(&mut wire.as_slice()).unwrap_err();
+        let error = read_frame(&mut wire.as_slice(), decode_message).unwrap_err();
         assert_eq!(error.kind(), io::ErrorKind::InvalidData);
         assert!(error.to_string().contains("checksum"), "{error}");
     }

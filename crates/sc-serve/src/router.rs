@@ -32,7 +32,7 @@
 //!   ([`RouterOptions::retry_budget`]) with exponential backoff and
 //!   deterministic per-request jitter — under a correlated failure the
 //!   router degrades to fast typed errors instead of amplifying the load.
-//!   If the request carries a protocol-v3 deadline, the remaining budget is
+//!   If the request carries a deadline, the remaining budget is
 //!   decremented across hops and a request is never retried past it. On
 //!   give-up the client gets a typed retriable `Response::Err` instead of a
 //!   hang. This is only correct because the serving runtime's graceful
@@ -48,21 +48,20 @@
 //!   a hedge is one extra frame on an existing channel, not a new
 //!   connection.
 //!
-//! The router is protocol-transparent: it parses requests (v1/v2/v3) only
-//! to learn frame boundaries, ids, model ids, and deadlines, and forwards
-//! them with [`crate::proto::forward_request`], which preserves the wire
-//! version. Response payloads are relayed with only the id rewritten back,
-//! so a routed inference is bit-exact with a direct engine call.
-//!
-//! [`SHUTTING_DOWN_MESSAGE`]: crate::server::SHUTTING_DOWN_MESSAGE
+//! The router is protocol-transparent: it parses requests only to learn
+//! frame boundaries, ids, model ids, and deadlines, and re-sends each one
+//! with [`crate::proto::write_request_v3`] under a channel-unique id and
+//! the decremented deadline. Response payloads are relayed with only the id
+//! rewritten back, so a routed inference is bit-exact with a direct engine
+//! call.
 
 use crate::obs::{MetricsRegistry, Sample, SampleKind, TraceEvent, TraceLog};
 use crate::proto::{
-    decode_message, decode_response, forward_request, read_admin_response, read_pong, write_admin,
-    write_admin_response, write_ping, write_pong, write_response, AdminOp, AdminResponse,
-    ErrorCode, FrameDecoder, Message, Request, Response,
+    decode_admin_response, decode_message, decode_pong, decode_response, read_frame, write_admin,
+    write_admin_response, write_ping, write_pong, write_request_v3, write_response, AdminOp,
+    AdminResponse, ErrorCode, FrameDecoder, Message, Request, Response,
 };
-use crate::server::{is_would_block, SHUTTING_DOWN_MESSAGE};
+use crate::server::is_would_block;
 use std::collections::HashMap;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -704,8 +703,8 @@ pub fn spawn_router_observed(
 /// short-lived blocking connections, off the request channels: a probe must
 /// measure the replica even (especially) when the channel to it is wedged.
 ///
-/// A replica that answers the ping but not the status exchange (a pre-v4
-/// build) is still healthy — it just keeps its `None` model set, so the
+/// A replica that answers the ping but not the status exchange is still
+/// healthy — it just keeps its `None` model set, so the
 /// router keeps assuming it hosts everything.
 fn probe_backend(
     addr: SocketAddr,
@@ -731,13 +730,13 @@ fn probe_backend(
         return (false, None);
     }
     let mut reader = BufReader::new(stream);
-    if !matches!(read_pong(&mut reader), Ok(Some(answered)) if answered == nonce) {
+    if !matches!(read_frame(&mut reader, decode_pong), Ok(Some(answered)) if answered == nonce) {
         return (false, None);
     }
     if write_admin(&mut writer, &AdminOp::Status).is_err() {
         return (true, None);
     }
-    match read_admin_response(&mut reader) {
+    match read_frame(&mut reader, decode_admin_response) {
         Ok(Some(status)) => (true, Some(status)),
         _ => (true, None),
     }
@@ -780,19 +779,8 @@ fn health_loop(shared: &RouterShared) {
 /// act on (retriable elsewhere, or deadline-expired), `None` for answers to
 /// relay as-is (`Ok`, and application errors — a bad shape is bad on every
 /// replica).
-///
-/// A plain-`App` response carrying exactly [`SHUTTING_DOWN_MESSAGE`] is
-/// honored as a shutdown refusal for wire compatibility with pre-v3
-/// replicas, which had no status byte for it.
 fn refusal_code(response: &Response) -> Option<ErrorCode> {
-    match response {
-        Response::Err { code, message, .. } => match code {
-            ErrorCode::App if message == SHUTTING_DOWN_MESSAGE => Some(ErrorCode::ShuttingDown),
-            ErrorCode::App => None,
-            other => Some(*other),
-        },
-        Response::Ok { .. } => None,
-    }
+    response.error_code().filter(|code| code.is_retriable())
 }
 
 /// Picks the healthy backend (breaker permitting) believed to host `model`
@@ -1384,20 +1372,21 @@ impl RouterIo {
             let channel = self.channels[index].as_mut().expect("channel just ensured");
             // Forward with the id rewritten to a channel-unique internal id
             // and the deadline decremented to what is left of the client's
-            // budget; both fields are restored right after so the eventual
-            // answer (and any retry) still carries the client's view. The
-            // in-place swap avoids cloning the pixel payload per attempt.
+            // budget; the stored request keeps the client's view for the
+            // eventual answer and any retry.
             let hop_deadline_ms = match remaining {
                 Some(left) => (left.as_millis().min(u128::from(u32::MAX)) as u32).max(1),
                 None => 0,
             };
-            let original_id = req.request.id;
-            let original_deadline = req.request.deadline_ms;
-            req.request.id = internal;
-            req.request.deadline_ms = hop_deadline_ms;
-            let _ = forward_request(&mut channel.outbuf, &req.request);
-            req.request.id = original_id;
-            req.request.deadline_ms = original_deadline;
+            let request = &req.request;
+            let _ = write_request_v3(
+                &mut channel.outbuf,
+                internal,
+                request.model,
+                hop_deadline_ms,
+                request.shape,
+                &request.pixels,
+            );
             let timeout = match remaining {
                 Some(left) => options
                     .exchange_timeout
@@ -1990,7 +1979,7 @@ impl RouterIo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{read_response, write_request, write_request_v3};
+    use crate::server::SHUTTING_DOWN_MESSAGE;
 
     /// An address nothing is listening on (bound then immediately freed).
     fn dead_addr() -> SocketAddr {
@@ -2170,8 +2159,13 @@ mod tests {
 
     #[test]
     fn refusal_codes_classify_retriability() {
-        // Typed refusals (v3 replicas).
-        for code in [ErrorCode::Overloaded, ErrorCode::ShuttingDown] {
+        // Typed refusals.
+        for code in [
+            ErrorCode::Overloaded,
+            ErrorCode::DeadlineExceeded,
+            ErrorCode::ShuttingDown,
+            ErrorCode::ModelUnavailable,
+        ] {
             let refusal = Response::Err {
                 id: 1,
                 code,
@@ -2179,16 +2173,12 @@ mod tests {
             };
             assert_eq!(refusal_code(&refusal), Some(code));
         }
-        // Legacy shutdown refusal: App code, contract message.
+        // Application errors and successes are relayed, not retried — even
+        // an application error whose message reads like a shutdown refusal.
         assert_eq!(
-            refusal_code(&Response::Err {
-                id: 1,
-                code: ErrorCode::App,
-                message: SHUTTING_DOWN_MESSAGE.to_string(),
-            }),
-            Some(ErrorCode::ShuttingDown)
+            refusal_code(&Response::app_err(1, SHUTTING_DOWN_MESSAGE)),
+            None
         );
-        // Application errors and successes are relayed, not retried.
         assert_eq!(
             refusal_code(&Response::app_err(
                 1,
@@ -2230,9 +2220,12 @@ mod tests {
             .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
         let mut writer = stream.try_clone().unwrap();
-        write_request(&mut writer, 42, [1, 1, 1], &[0.5]).unwrap();
+        write_request_v3(&mut writer, 42, 0, 0, [1, 1, 1], &[0.5]).unwrap();
         let mut reader = BufReader::new(stream);
-        match read_response(&mut reader).unwrap().expect("typed reply") {
+        match read_frame(&mut reader, decode_response)
+            .unwrap()
+            .expect("typed reply")
+        {
             Response::Err { id, code, message } => {
                 assert_eq!(id, 42);
                 assert_eq!(code, ErrorCode::Overloaded, "give-up must be retriable");
@@ -2266,9 +2259,12 @@ mod tests {
             .unwrap();
         let mut writer = stream.try_clone().unwrap();
         let start = Instant::now();
-        write_request(&mut writer, 7, [1, 1, 1], &[0.5]).unwrap();
+        write_request_v3(&mut writer, 7, 0, 0, [1, 1, 1], &[0.5]).unwrap();
         let mut reader = BufReader::new(stream);
-        match read_response(&mut reader).unwrap().expect("typed reply") {
+        match read_frame(&mut reader, decode_response)
+            .unwrap()
+            .expect("typed reply")
+        {
             Response::Err { code, message, .. } => {
                 assert_eq!(code, ErrorCode::Overloaded);
                 assert!(message.contains("retry budget"), "{message}");
@@ -2301,7 +2297,10 @@ mod tests {
         let start = Instant::now();
         write_request_v3(&mut writer, 9, 0, 100, [1, 1, 1], &[0.5]).unwrap();
         let mut reader = BufReader::new(stream);
-        match read_response(&mut reader).unwrap().expect("typed reply") {
+        match read_frame(&mut reader, decode_response)
+            .unwrap()
+            .expect("typed reply")
+        {
             Response::Err { id, code, .. } => {
                 assert_eq!(id, 9);
                 assert_eq!(code, ErrorCode::DeadlineExceeded);

@@ -22,10 +22,10 @@
 //! One listener serves **N compiled engines** (multi-model serving): each
 //! worker owns one long-lived [`Session`] *per model*, so every model's
 //! input-stream cache stays warm across batches regardless of how traffic
-//! interleaves. Requests address a model through the protocol-v2 `model`
-//! field; v1 frames map to model 0. A slow client never blocks inference:
-//! its responses accumulate in its output buffer (bounded by the write
-//! timeout), not on a worker.
+//! interleaves. Requests address a model through the request frame's
+//! `model` field. A slow client never blocks inference: its responses
+//! accumulate in its output buffer (bounded by the write timeout), not on a
+//! worker.
 //!
 //! ## Graceful shutdown
 //!
@@ -42,9 +42,9 @@
 //! The same answer-or-refuse contract holds under load: when the batch
 //! queue reaches its `max_queue` depth, new requests are *shed* with a
 //! retriable [`ErrorCode::Overloaded`] reply instead of queueing unboundedly
-//! (queue depth is tail latency). Requests may carry a protocol-v3
-//! `deadline_ms` budget; a worker that picks up an already-expired request
-//! skips the inference and answers [`ErrorCode::DeadlineExceeded`]. Both
+//! (queue depth is tail latency). Requests may carry a `deadline_ms`
+//! budget; a worker that picks up an already-expired request skips the
+//! inference and answers [`ErrorCode::DeadlineExceeded`]. Both
 //! events are counted in [`Metrics`] (`shed` / `expired`). The I/O thread
 //! also enforces an idle-read timeout (a client that connects and never
 //! writes is reaped), closes connections that stall mid-frame, and answers
@@ -75,11 +75,8 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Error message sent for a request accepted while the server is draining.
-///
-/// The router treats a response carrying exactly this message as a refusal
-/// (retriable on another replica) rather than an application error, so the
-/// string is part of the serving contract.
+/// Error message sent, with [`ErrorCode::ShuttingDown`], for a request
+/// accepted while the server is draining.
 pub const SHUTTING_DOWN_MESSAGE: &str = "shutting down";
 
 /// How long a connection with pending output may make zero write progress
@@ -132,9 +129,8 @@ impl Default for ServerOptions {
 /// The mutable model registry behind one listener: which engines this
 /// replica hosts, right now.
 ///
-/// Protocol-v4 admin frames mutate it at runtime (load-model /
-/// unload-model / drain), so a replica's model set is fleet state, not a
-/// process constant. Every mutation bumps a monotonically increasing
+/// Admin frames mutate it at runtime (load-model / unload-model / drain),
+/// so a replica's model set is fleet state, not a process constant. Every mutation bumps a monotonically increasing
 /// **generation** under the slot write lock:
 ///
 /// * workers snapshot the slots once and re-snapshot only when the
@@ -476,9 +472,9 @@ pub fn spawn(
 
 /// Starts serving `engines` on one listener and returns immediately.
 ///
-/// Engine `i` is model `i` of the protocol's v2 `model` field; v1 requests
-/// map to model 0. Each worker keeps one warm [`Session`] per model, so the
-/// per-model stream caches survive interleaved traffic.
+/// Engine `i` is model `i` of the request frame's `model` field. Each
+/// worker keeps one warm [`Session`] per model, so the per-model stream
+/// caches survive interleaved traffic.
 ///
 /// # Errors
 ///
@@ -994,11 +990,10 @@ impl IoLoop {
             Ok(Message::Ping { nonce }) => {
                 let _ = write_pong(&mut conn.outbuf, nonce);
             }
-            // Protocol-v4 admin frames mutate the model registry at
-            // runtime. They are handled on the event loop: inference
-            // traffic keeps flowing through the workers while a model
-            // loads, at the cost of stalling frame I/O for the load's
-            // duration — acceptable because a plan-store load is a
+            // Admin frames mutate the model registry at runtime. They are
+            // handled on the event loop: inference traffic keeps flowing
+            // through the workers while a model loads, at the cost of
+            // stalling frame I/O for the load's duration — acceptable because a plan-store load is a
             // deserialize + weight-stream regeneration, not a training run.
             Ok(Message::Admin(op)) => {
                 let response = if op.mutates() && !conn.peer_is_loopback {
@@ -1581,7 +1576,7 @@ mod tests {
     fn refused_request_gets_a_shutdown_reply_not_silence() {
         // Regression for the shutdown drop: a request read off the socket
         // after the queue closed must be answered with an explicit refusal —
-        // a silent drop would leave the client blocked in `read_response`
+        // a silent drop would leave the client blocked in `read_frame`
         // forever. Exercised against the real event loop with a pre-closed
         // queue (the draining state).
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1606,9 +1601,12 @@ mod tests {
         let io = std::thread::spawn(move || io_loop.run());
         let client = TcpStream::connect(addr).unwrap();
         let mut writer = client.try_clone().unwrap();
-        crate::proto::write_request(&mut writer, 77, [1, 2, 2], &[0.0; 4]).unwrap();
+        crate::proto::write_request_v3(&mut writer, 77, 0, 0, [1, 2, 2], &[0.0; 4]).unwrap();
         let mut reader = BufReader::new(client);
-        match crate::proto::read_response(&mut reader).unwrap().unwrap() {
+        match crate::proto::read_frame(&mut reader, crate::proto::decode_response)
+            .unwrap()
+            .unwrap()
+        {
             Response::Err { id, code, message } => {
                 assert_eq!(id, 77);
                 assert_eq!(code, ErrorCode::ShuttingDown);

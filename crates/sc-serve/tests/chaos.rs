@@ -29,7 +29,7 @@ use sc_serve::batch::BatchPolicy;
 use sc_serve::engine::{Engine, EngineOptions};
 use sc_serve::fault::{FaultKind, FaultProxy};
 use sc_serve::plan::PlanOptions;
-use sc_serve::proto::{read_response, write_request, write_request_v3, ErrorCode, Response};
+use sc_serve::proto::{decode_response, read_frame, write_request_v3, ErrorCode, Response};
 use sc_serve::router::{spawn_router, RouterHandle, RouterOptions};
 use sc_serve::server::{spawn_multi, ServerHandle, ServerOptions};
 use std::io::BufReader;
@@ -123,8 +123,8 @@ fn assert_all_ok_bit_exact(
 ) {
     for id in ids {
         let seed = id as u32;
-        write_request(writer, id, [1, 4, 4], test_image(seed).as_slice()).unwrap();
-        match read_response(reader)
+        write_request_v3(writer, id, 0, 0, [1, 4, 4], test_image(seed).as_slice()).unwrap();
+        match read_frame(reader, decode_response)
             .unwrap()
             .expect("reply, not a disconnect")
         {
@@ -318,7 +318,10 @@ fn slow_replica_answers_deadline_exceeded_not_silence() {
     let (mut writer, mut reader) = connect(handle.addr());
     // 50 ms budget against a 200 ms compute: expired before compute starts.
     write_request_v3(&mut writer, 1, 0, 50, [1, 4, 4], test_image(1).as_slice()).unwrap();
-    match read_response(&mut reader).unwrap().expect("typed reply") {
+    match read_frame(&mut reader, decode_response)
+        .unwrap()
+        .expect("typed reply")
+    {
         Response::Err { id, code, message } => {
             assert_eq!(id, 1);
             assert_eq!(code, ErrorCode::DeadlineExceeded, "{message}");
@@ -327,8 +330,11 @@ fn slow_replica_answers_deadline_exceeded_not_silence() {
         other => panic!("expected DEADLINE_EXCEEDED, got {other:?}"),
     }
     // No deadline: slow is fine.
-    write_request(&mut writer, 2, [1, 4, 4], test_image(2).as_slice()).unwrap();
-    match read_response(&mut reader).unwrap().expect("reply") {
+    write_request_v3(&mut writer, 2, 0, 0, [1, 4, 4], test_image(2).as_slice()).unwrap();
+    match read_frame(&mut reader, decode_response)
+        .unwrap()
+        .expect("reply")
+    {
         Response::Ok { id, logits, .. } => {
             assert_eq!(id, 2);
             assert_eq!(logits, expect_logits(&engine, 2));
@@ -380,7 +386,10 @@ fn router_bounds_a_deadline_request_against_a_slow_replica() {
     let (mut writer, mut reader) = connect(router.addr());
     let started = std::time::Instant::now();
     write_request_v3(&mut writer, 1, 0, 100, [1, 4, 4], test_image(1).as_slice()).unwrap();
-    match read_response(&mut reader).unwrap().expect("typed reply") {
+    match read_frame(&mut reader, decode_response)
+        .unwrap()
+        .expect("typed reply")
+    {
         Response::Err { id, code, .. } => {
             assert_eq!(id, 1);
             assert_eq!(code, ErrorCode::DeadlineExceeded);
@@ -431,13 +440,13 @@ fn overload_sheds_typed_errors_and_loses_nothing() {
     let (mut writer, mut reader) = connect(handle.addr());
     let image = test_image(3);
     for id in 0..BURST {
-        write_request(&mut writer, id, [1, 4, 4], image.as_slice()).unwrap();
+        write_request_v3(&mut writer, id, 0, 0, [1, 4, 4], image.as_slice()).unwrap();
     }
     let expected = expect_logits(&engine, 3);
     let mut oks = 0u64;
     let mut sheds = 0u64;
     for _ in 0..BURST {
-        match read_response(&mut reader)
+        match read_frame(&mut reader, decode_response)
             .unwrap()
             .expect("every request answered")
         {
@@ -622,8 +631,11 @@ fn breaker_trips_on_faults_and_recovers_when_they_clear() {
     // Fault on: the lone backend stalls, trips the breaker, and the client
     // gets a typed retriable refusal.
     proxy.set_enabled(true);
-    write_request(&mut writer, 1, [1, 4, 4], test_image(1).as_slice()).unwrap();
-    match read_response(&mut reader).unwrap().expect("typed reply") {
+    write_request_v3(&mut writer, 1, 0, 0, [1, 4, 4], test_image(1).as_slice()).unwrap();
+    match read_frame(&mut reader, decode_response)
+        .unwrap()
+        .expect("typed reply")
+    {
         Response::Err { id, code, message } => {
             assert_eq!(id, 1);
             assert_eq!(code, ErrorCode::Overloaded, "{message}");

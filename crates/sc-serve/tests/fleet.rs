@@ -2,9 +2,9 @@
 //!
 //! * **Rolling upgrade** — two replicas cold-started from the compiled plan
 //!   store behind a hedging router; each replica in sequence is drained via
-//!   a protocol-v4 admin frame, stopped, cold-started again from the store
-//!   on the *same* address (`bind_reusable` reclaims it through
-//!   `TIME_WAIT`), and rejoins. Sustained client load runs throughout; the
+//!   an admin frame, stopped, cold-started again from the store on the
+//!   *same* address (`bind_reusable` reclaims it through `TIME_WAIT`), and
+//!   rejoins. Sustained client load runs throughout; the
 //!   test demands zero failed and zero silently-lost requests, every answer
 //!   bit-exact with the originally compiled engines.
 //! * **SIGKILL chaos** — a replica process (the real `serve` binary, booted
@@ -23,7 +23,8 @@ use sc_serve::engine::{Engine, EngineOptions};
 use sc_serve::plan::PlanOptions;
 use sc_serve::plan_store::{load_plan, save_plan};
 use sc_serve::proto::{
-    read_admin_response, read_response, write_admin, write_request_v2, AdminOp, Response,
+    decode_admin_response, decode_response, read_frame, write_admin, write_request_v3, AdminOp,
+    Response,
 };
 use sc_serve::router::{spawn_router, RouterHandle, RouterOptions};
 use sc_serve::server::{bind_reusable, spawn_multi, ServerHandle, ServerOptions};
@@ -226,9 +227,9 @@ fn rolling_upgrade_under_sustained_load_loses_no_request() {
                 while !done.load(Ordering::Relaxed) {
                     let id = client * 1_000_000 + sent;
                     let model = (sent % 2) as u16;
-                    write_request_v2(&mut writer, id, model, [1, 4, 4], image.as_slice())
+                    write_request_v3(&mut writer, id, model, 0, [1, 4, 4], image.as_slice())
                         .expect("send through router");
-                    match read_response(&mut reader).expect("router reply") {
+                    match read_frame(&mut reader, decode_response).expect("router reply") {
                         Some(Response::Ok {
                             id: rid, logits, ..
                         }) => {
@@ -262,7 +263,7 @@ fn rolling_upgrade_under_sustained_load_loses_no_request() {
             .unwrap();
         let mut writer = stream.try_clone().unwrap();
         write_admin(&mut writer, &AdminOp::Drain).expect("send drain");
-        let response = read_admin_response(&mut BufReader::new(stream))
+        let response = read_frame(&mut BufReader::new(stream), decode_admin_response)
             .expect("drain reply")
             .expect("drain response");
         assert!(response.ok, "drain refused: {}", response.message);
@@ -421,9 +422,9 @@ fn sigkill_mid_load_loses_no_request_and_trips_the_breaker_once() {
                 let image = test_image(1);
                 for request in 0..REQUESTS {
                     let id = client * 1_000_000 + request;
-                    write_request_v2(&mut writer, id, 0, [1, 4, 4], image.as_slice())
+                    write_request_v3(&mut writer, id, 0, 0, [1, 4, 4], image.as_slice())
                         .expect("send through router");
-                    match read_response(&mut reader).expect("router reply") {
+                    match read_frame(&mut reader, decode_response).expect("router reply") {
                         Some(Response::Ok {
                             id: rid, logits, ..
                         }) => {

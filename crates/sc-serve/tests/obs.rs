@@ -14,7 +14,7 @@ use sc_serve::batch::BatchPolicy;
 use sc_serve::engine::{Engine, EngineOptions};
 use sc_serve::obs::{TraceLog, TraceSampler};
 use sc_serve::plan::PlanOptions;
-use sc_serve::proto::{read_response, write_request, ErrorCode, Response};
+use sc_serve::proto::{decode_response, read_frame, write_request_v3, ErrorCode, Response};
 use sc_serve::server::{spawn_multi_observed, ServerOptions};
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
@@ -117,11 +117,14 @@ fn scrape_agrees_with_client_totals_and_stage_spans_decompose_latency() {
     let mut reader = BufReader::new(stream);
     for id in 0..total {
         let image = test_image(id as u32);
-        write_request(&mut writer, id, [1, 4, 4], image.as_slice()).unwrap();
+        write_request_v3(&mut writer, id, 0, 0, [1, 4, 4], image.as_slice()).unwrap();
     }
     let mut ok = 0u64;
     for _ in 0..total {
-        match read_response(&mut reader).unwrap().expect("response") {
+        match read_frame(&mut reader, decode_response)
+            .unwrap()
+            .expect("response")
+        {
             Response::Ok { .. } => ok += 1,
             Response::Err { message, .. } => panic!("request failed: {message}"),
         }
@@ -238,12 +241,15 @@ fn shed_requests_record_no_compute_span() {
     let mut reader = BufReader::new(stream);
     for id in 0..total {
         let image = test_image(id as u32);
-        write_request(&mut writer, id, [1, 4, 4], image.as_slice()).unwrap();
+        write_request_v3(&mut writer, id, 0, 0, [1, 4, 4], image.as_slice()).unwrap();
     }
     let mut shed = 0u64;
     let mut served = 0u64;
     for _ in 0..total {
-        match read_response(&mut reader).unwrap().expect("response") {
+        match read_frame(&mut reader, decode_response)
+            .unwrap()
+            .expect("response")
+        {
             Response::Ok { .. } => served += 1,
             Response::Err { code, message, .. } => {
                 assert_eq!(code, ErrorCode::Overloaded, "{message}");
@@ -310,10 +316,12 @@ fn trace_sampling_is_deterministic_under_a_fixed_seed() {
         let mut reader = BufReader::new(stream);
         for id in 0..30u64 {
             let image = test_image(id as u32);
-            write_request(&mut writer, id, [1, 4, 4], image.as_slice()).unwrap();
+            write_request_v3(&mut writer, id, 0, 0, [1, 4, 4], image.as_slice()).unwrap();
         }
         for _ in 0..30 {
-            read_response(&mut reader).unwrap().expect("response");
+            read_frame(&mut reader, decode_response)
+                .unwrap()
+                .expect("response");
         }
         drop(writer);
         drop(reader);

@@ -1,14 +1,14 @@
 //! Resumable-proto equivalence suite: the event-loop I/O front parses frames
 //! through [`sc_serve::proto::FrameDecoder`], which must agree byte-for-byte
-//! with the blocking one-shot readers no matter how the kernel fragments the
-//! stream. Every v1/v2/v3 request frame, response frame, and ping/pong frame
-//! is fed byte-by-byte and at seeded random split points, and the decoder's
-//! reused buffer must not churn allocations across frames.
+//! with the blocking [`sc_serve::proto::read_frame`] no matter how the kernel
+//! fragments the stream. A request frame, response frames, ping/pong frames,
+//! and admin frames are fed byte-by-byte and at seeded random split points,
+//! and the decoder's reused buffer must not churn allocations across frames.
 
 use sc_serve::proto::{
-    decode_message, decode_pong, decode_response, read_message, read_pong, read_response,
-    write_ping, write_pong, write_request, write_request_v2, write_request_v3, write_response,
-    ErrorCode, FrameDecoder, Message, Response,
+    decode_admin_response, decode_message, decode_pong, decode_response, read_frame, write_admin,
+    write_admin_response, write_ping, write_pong, write_request_v3, write_response, AdminOp,
+    AdminResponse, ErrorCode, FrameDecoder, Message, Response,
 };
 
 /// SplitMix64 — the repo's standard deterministic test RNG.
@@ -28,21 +28,14 @@ impl Rng {
     }
 }
 
-/// What a frame parses to on the request side and the response side, so the
-/// comparison covers every reader that accepts the frame.
+/// What a payload parses to with every payload parser, so the comparison
+/// covers every side that accepts the frame.
 #[derive(Debug, PartialEq)]
 struct ParseOutcome {
     message: Option<Message>,
     response: Option<Response>,
     pong: Option<u64>,
-}
-
-fn one_shot_outcome(wire: &[u8]) -> ParseOutcome {
-    ParseOutcome {
-        message: read_message(&mut &wire[..]).ok().flatten(),
-        response: read_response(&mut &wire[..]).ok().flatten(),
-        pong: read_pong(&mut &wire[..]).ok().flatten(),
-    }
+    admin_response: Option<AdminResponse>,
 }
 
 fn decoder_outcome(payload: &[u8]) -> ParseOutcome {
@@ -50,18 +43,22 @@ fn decoder_outcome(payload: &[u8]) -> ParseOutcome {
         message: decode_message(payload).ok(),
         response: decode_response(payload).ok(),
         pong: decode_pong(payload).ok(),
+        admin_response: decode_admin_response(payload).ok(),
     }
+}
+
+/// The outcome of reading `wire` with the blocking reader.
+fn one_shot_outcome(wire: &[u8]) -> ParseOutcome {
+    read_frame(&mut &wire[..], |payload| Ok(decoder_outcome(payload)))
+        .unwrap()
+        .expect("one complete frame")
 }
 
 /// One frame of every wire shape the serving plane produces.
 fn seed_frames() -> Vec<(&'static str, Vec<u8>)> {
     let pixels: Vec<f32> = (0..20).map(|i| (i as f32 - 10.0) / 8.0).collect();
-    let mut v1 = Vec::new();
-    write_request(&mut v1, 101, [1, 4, 5], &pixels).unwrap();
-    let mut v2 = Vec::new();
-    write_request_v2(&mut v2, 102, 3, [1, 4, 5], &pixels).unwrap();
-    let mut v3 = Vec::new();
-    write_request_v3(&mut v3, 103, 3, 750, [1, 4, 5], &pixels).unwrap();
+    let mut request = Vec::new();
+    write_request_v3(&mut request, 103, 3, 750, [1, 4, 5], &pixels).unwrap();
     let mut ok = Vec::new();
     write_response(
         &mut ok,
@@ -86,14 +83,28 @@ fn seed_frames() -> Vec<(&'static str, Vec<u8>)> {
     write_ping(&mut ping, 0x51AB_70FF).unwrap();
     let mut pong = Vec::new();
     write_pong(&mut pong, 0x51AB_70FF).unwrap();
+    let mut admin = Vec::new();
+    write_admin(&mut admin, &AdminOp::UnloadModel { model: 2 }).unwrap();
+    let mut admin_response = Vec::new();
+    write_admin_response(
+        &mut admin_response,
+        &AdminResponse {
+            ok: true,
+            draining: false,
+            generation: 4,
+            models: vec![0, 1],
+            message: String::new(),
+        },
+    )
+    .unwrap();
     vec![
-        ("v1 request", v1),
-        ("v2 request", v2),
-        ("v3 request", v3),
+        ("request", request),
         ("ok response", ok),
         ("err response", err),
         ("ping", ping),
         ("pong", pong),
+        ("admin", admin),
+        ("admin response", admin_response),
     ]
 }
 
@@ -192,7 +203,7 @@ fn pipelined_frames_are_split_at_exact_boundaries() {
     // stop at the first frame boundary and leave the second frame's bytes
     // unconsumed for the next cycle.
     let mut first = Vec::new();
-    write_request(&mut first, 7, [1, 2, 2], &[0.1, 0.2, 0.3, 0.4]).unwrap();
+    write_request_v3(&mut first, 7, 0, 0, [1, 2, 2], &[0.1, 0.2, 0.3, 0.4]).unwrap();
     let mut second = Vec::new();
     write_ping(&mut second, 99).unwrap();
     let mut stream = first.clone();
@@ -220,7 +231,7 @@ fn buffer_is_reused_across_frames_without_reallocation_churn() {
     // the accumulation buffer after the first frame sized it.
     let pixels: Vec<f32> = (0..64).map(|i| i as f32 / 64.0).collect();
     let mut wire = Vec::new();
-    write_request(&mut wire, 1, [1, 8, 8], &pixels).unwrap();
+    write_request_v3(&mut wire, 1, 0, 0, [1, 8, 8], &pixels).unwrap();
 
     let mut decoder = FrameDecoder::new();
     decoder.feed(&wire).unwrap();
@@ -229,7 +240,7 @@ fn buffer_is_reused_across_frames_without_reallocation_churn() {
     decoder.take_frame();
     for round in 0..100 {
         let mut frame = Vec::new();
-        write_request(&mut frame, round, [1, 8, 8], &pixels).unwrap();
+        write_request_v3(&mut frame, round, 0, 0, [1, 8, 8], &pixels).unwrap();
         let mut remaining = frame.as_slice();
         while !remaining.is_empty() {
             let consumed = decoder.feed(remaining).unwrap();

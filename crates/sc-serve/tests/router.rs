@@ -12,7 +12,7 @@ use sc_nn::tensor::Tensor;
 use sc_serve::batch::BatchPolicy;
 use sc_serve::engine::{Engine, EngineOptions};
 use sc_serve::plan::PlanOptions;
-use sc_serve::proto::{read_response, write_request, write_request_v2, Response};
+use sc_serve::proto::{decode_response, read_frame, write_request_v3, Response};
 use sc_serve::router::{spawn_router, RouterHandle, RouterOptions};
 use sc_serve::server::{spawn_multi, ServerHandle, ServerOptions};
 use std::io::BufReader;
@@ -98,18 +98,24 @@ fn routed_requests_are_bit_exact_with_direct_inference() {
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
 
-    // Mixed traffic: v1 frames (model 0) and v2 frames for both models.
+    // Mixed traffic: requests alternate between the two models.
     let images: Vec<Tensor> = (0..6).map(test_image).collect();
     for (id, image) in images.iter().enumerate() {
         let model = (id % 2) as u16;
-        if id == 0 {
-            write_request(&mut writer, id as u64, [1, 4, 4], image.as_slice()).unwrap();
-        } else {
-            write_request_v2(&mut writer, id as u64, model, [1, 4, 4], image.as_slice()).unwrap();
-        }
+        write_request_v3(
+            &mut writer,
+            id as u64,
+            model,
+            0,
+            [1, 4, 4],
+            image.as_slice(),
+        )
+        .unwrap();
         // Closed-loop: the router handles one exchange at a time per client
         // connection.
-        let response = read_response(&mut reader).unwrap().expect("response");
+        let response = read_frame(&mut reader, decode_response)
+            .unwrap()
+            .expect("response");
         let expected = engines[usize::from(model)]
             .infer(&mut engines[usize::from(model)].new_session(), image)
             .unwrap();
@@ -151,8 +157,11 @@ fn routed_requests_are_bit_exact_with_direct_inference() {
     // A model no replica hosts is a typed MODEL_UNAVAILABLE refusal: the
     // router's model filter rejects every backend without burning an
     // exchange, and the client sees the code, not a generic overload.
-    write_request_v2(&mut writer, 99, 7, [1, 4, 4], images[0].as_slice()).unwrap();
-    match read_response(&mut reader).unwrap().expect("response") {
+    write_request_v3(&mut writer, 99, 7, 0, [1, 4, 4], images[0].as_slice()).unwrap();
+    match read_frame(&mut reader, decode_response)
+        .unwrap()
+        .expect("response")
+    {
         Response::Err { id, code, message } => {
             assert_eq!(id, 99);
             assert_eq!(code, sc_serve::proto::ErrorCode::ModelUnavailable);
@@ -219,9 +228,9 @@ fn replica_kill_mid_load_loses_no_request() {
                 for request in 0..REQUESTS {
                     let id = (client * REQUESTS + request) as u64;
                     let model = (request % 2) as u16;
-                    write_request_v2(&mut writer, id, model, [1, 4, 4], image.as_slice())
+                    write_request_v3(&mut writer, id, model, 0, [1, 4, 4], image.as_slice())
                         .expect("send through router");
-                    match read_response(&mut reader).expect("router reply") {
+                    match read_frame(&mut reader, decode_response).expect("router reply") {
                         Some(Response::Ok {
                             id: rid, logits, ..
                         }) => {
@@ -317,8 +326,11 @@ fn hung_backend_times_out_and_fails_over() {
     let expected = engines[0]
         .infer(&mut engines[0].new_session(), &image)
         .unwrap();
-    write_request(&mut writer, 1, [1, 4, 4], image.as_slice()).unwrap();
-    match read_response(&mut reader).unwrap().expect("response") {
+    write_request_v3(&mut writer, 1, 0, 0, [1, 4, 4], image.as_slice()).unwrap();
+    match read_frame(&mut reader, decode_response)
+        .unwrap()
+        .expect("response")
+    {
         Response::Ok { id, logits, .. } => {
             assert_eq!(id, 1);
             assert_eq!(logits, expected.logits, "failover answer must be bit-exact");
@@ -358,17 +370,22 @@ fn losing_every_replica_errors_the_client_instead_of_hanging() {
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
     let image = test_image(3);
-    write_request(&mut writer, 1, [1, 4, 4], image.as_slice()).unwrap();
+    write_request_v3(&mut writer, 1, 0, 0, [1, 4, 4], image.as_slice()).unwrap();
     assert!(matches!(
-        read_response(&mut reader).unwrap().expect("response"),
+        read_frame(&mut reader, decode_response)
+            .unwrap()
+            .expect("response"),
         Response::Ok { id: 1, .. }
     ));
 
     // Kill the only replica: the next request has no failover target and
     // must come back as an error reply, not a hang or a disconnect.
     replica_a.shutdown();
-    write_request(&mut writer, 2, [1, 4, 4], image.as_slice()).unwrap();
-    match read_response(&mut reader).unwrap().expect("response") {
+    write_request_v3(&mut writer, 2, 0, 0, [1, 4, 4], image.as_slice()).unwrap();
+    match read_frame(&mut reader, decode_response)
+        .unwrap()
+        .expect("response")
+    {
         Response::Err { id, message, .. } => {
             assert_eq!(id, 2);
             assert!(message.contains("failover"), "{message}");

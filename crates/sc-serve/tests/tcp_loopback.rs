@@ -11,7 +11,7 @@ use sc_nn::tensor::Tensor;
 use sc_serve::batch::BatchPolicy;
 use sc_serve::engine::{Engine, EngineOptions};
 use sc_serve::plan::PlanOptions;
-use sc_serve::proto::{read_response, write_request, write_request_v2, Response};
+use sc_serve::proto::{decode_response, read_frame, write_request_v3, Response};
 use sc_serve::server::{spawn, spawn_multi, ServerOptions, SHUTTING_DOWN_MESSAGE};
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
@@ -77,11 +77,15 @@ fn loopback_round_trip_matches_direct_inference() {
     // Pipeline several requests, then read all replies.
     let images: Vec<Tensor> = (0..5).map(test_image).collect();
     for (id, image) in images.iter().enumerate() {
-        write_request(&mut writer, id as u64, [1, 4, 4], image.as_slice()).unwrap();
+        write_request_v3(&mut writer, id as u64, 0, 0, [1, 4, 4], image.as_slice()).unwrap();
     }
     let mut responses = Vec::new();
     for _ in 0..images.len() {
-        responses.push(read_response(&mut reader).unwrap().expect("response"));
+        responses.push(
+            read_frame(&mut reader, decode_response)
+                .unwrap()
+                .expect("response"),
+        );
     }
     // Replies can arrive out of submission order (two workers); match by id.
     responses.sort_by_key(Response::id);
@@ -99,8 +103,11 @@ fn loopback_round_trip_matches_direct_inference() {
 
     // A malformed request (wrong element count for the plan) gets an error
     // reply instead of killing the connection.
-    write_request(&mut writer, 99, [1, 2, 2], &[0.0; 4]).unwrap();
-    match read_response(&mut reader).unwrap().expect("error response") {
+    write_request_v3(&mut writer, 99, 0, 0, [1, 2, 2], &[0.0; 4]).unwrap();
+    match read_frame(&mut reader, decode_response)
+        .unwrap()
+        .expect("error response")
+    {
         Response::Err { id, message, .. } => {
             assert_eq!(id, 99);
             assert!(message.contains("expects"), "unexpected message: {message}");
@@ -119,7 +126,7 @@ fn loopback_round_trip_matches_direct_inference() {
 }
 
 #[test]
-fn multi_model_listener_serves_v1_and_v2_traffic() {
+fn multi_model_listener_serves_each_model_by_id() {
     // Two engines with different seed schemes produce different logits for
     // the same pixels, so the test can prove the model id actually selects.
     let engines = vec![
@@ -148,18 +155,22 @@ fn multi_model_listener_serves_v1_and_v2_traffic() {
     let mut reader = BufReader::new(stream);
     let image = test_image(5);
 
-    // v1 frame → model 0; v2 frames address models explicitly.
-    write_request(&mut writer, 0, [1, 4, 4], image.as_slice()).unwrap();
-    write_request_v2(&mut writer, 1, 0, [1, 4, 4], image.as_slice()).unwrap();
-    write_request_v2(&mut writer, 2, 1, [1, 4, 4], image.as_slice()).unwrap();
+    // The model id selects the engine; a generous deadline changes nothing.
+    write_request_v3(&mut writer, 0, 0, 0, [1, 4, 4], image.as_slice()).unwrap();
+    write_request_v3(&mut writer, 1, 0, 60_000, [1, 4, 4], image.as_slice()).unwrap();
+    write_request_v3(&mut writer, 2, 1, 0, [1, 4, 4], image.as_slice()).unwrap();
     // Unknown model id: an error reply, not a disconnect.
-    write_request_v2(&mut writer, 3, 9, [1, 4, 4], image.as_slice()).unwrap();
+    write_request_v3(&mut writer, 3, 9, 0, [1, 4, 4], image.as_slice()).unwrap();
     // The connection must still serve real models after the bad request.
-    write_request_v2(&mut writer, 4, 1, [1, 4, 4], image.as_slice()).unwrap();
+    write_request_v3(&mut writer, 4, 1, 0, [1, 4, 4], image.as_slice()).unwrap();
 
     let mut responses = Vec::new();
     for _ in 0..5 {
-        responses.push(read_response(&mut reader).unwrap().expect("response"));
+        responses.push(
+            read_frame(&mut reader, decode_response)
+                .unwrap()
+                .expect("response"),
+        );
     }
     responses.sort_by_key(Response::id);
 
@@ -230,12 +241,14 @@ fn shutdown_answers_in_flight_requests_and_returns() {
             let stream = TcpStream::connect(addr).unwrap();
             let mut writer = stream.try_clone().unwrap();
             let mut reader = BufReader::new(stream);
-            write_request(&mut writer, 1, [1, 4, 4], image.as_slice()).unwrap();
+            write_request_v3(&mut writer, 1, 0, 0, [1, 4, 4], image.as_slice()).unwrap();
             // Blocks here until the drain answers; the old runtime would
             // hang forever if the request fell into the closed queue.
-            let response = read_response(&mut reader).unwrap().expect("answer");
+            let response = read_frame(&mut reader, decode_response)
+                .unwrap()
+                .expect("answer");
             // After shutdown the socket is closed: clean EOF, not a hang.
-            let eof = read_response(&mut reader).unwrap();
+            let eof = read_frame(&mut reader, decode_response).unwrap();
             (response, eof)
         })
     };
@@ -280,9 +293,11 @@ fn shutdown_closes_idle_connections_instead_of_leaking_readers() {
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
     let image = test_image(2);
-    write_request(&mut writer, 7, [1, 4, 4], image.as_slice()).unwrap();
+    write_request_v3(&mut writer, 7, 0, 0, [1, 4, 4], image.as_slice()).unwrap();
     assert!(matches!(
-        read_response(&mut reader).unwrap().expect("response"),
+        read_frame(&mut reader, decode_response)
+            .unwrap()
+            .expect("response"),
         Response::Ok { id: 7, .. }
     ));
 
@@ -290,7 +305,7 @@ fn shutdown_closes_idle_connections_instead_of_leaking_readers() {
     // return anyway, and the client's next read must see EOF, not block.
     handle.shutdown();
     assert!(
-        read_response(&mut reader).unwrap().is_none(),
+        read_frame(&mut reader, decode_response).unwrap().is_none(),
         "the server must have closed the socket"
     );
 }
@@ -331,10 +346,10 @@ fn idle_read_timeout_reclaims_silent_connections_but_spares_active_ones() {
 
     let image = test_image(3);
     for id in 0..4u64 {
-        write_request(&mut active_writer, id, [1, 4, 4], image.as_slice()).unwrap();
+        write_request_v3(&mut active_writer, id, 0, 0, [1, 4, 4], image.as_slice()).unwrap();
         assert!(
             matches!(
-                read_response(&mut active_reader)
+                read_frame(&mut active_reader, decode_response)
                     .unwrap()
                     .expect("response"),
                 Response::Ok { .. }
@@ -348,14 +363,16 @@ fn idle_read_timeout_reclaims_silent_connections_but_spares_active_ones() {
     // connection must be gone by now. The bounded client read turns a
     // misbehaving (never-closing) server into a test failure, not a hang.
     assert!(
-        read_response(&mut silent_reader).unwrap().is_none(),
+        read_frame(&mut silent_reader, decode_response)
+            .unwrap()
+            .is_none(),
         "the server must close a connection that stays idle past idle_timeout"
     );
 
     // The active connection is still healthy after the reaping.
-    write_request(&mut active_writer, 99, [1, 4, 4], image.as_slice()).unwrap();
+    write_request_v3(&mut active_writer, 99, 0, 0, [1, 4, 4], image.as_slice()).unwrap();
     assert!(matches!(
-        read_response(&mut active_reader)
+        read_frame(&mut active_reader, decode_response)
             .unwrap()
             .expect("response"),
         Response::Ok { id: 99, .. }

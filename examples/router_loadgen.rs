@@ -5,7 +5,7 @@
 //! Each replica hosts the same two-engine registry (model 0 = the paper's
 //! No.1-style MUX/APC mix, model 1 = all-APC) compiled from one trained
 //! tiny-LeNet, so any replica answers any model bit-exactly. Clients
-//! alternate models through protocol-v2 frames against the *router*
+//! alternate models through request frames against the *router*
 //! address; after every client has completed at least one request, replica
 //! A is shut down. The run asserts:
 //!
@@ -30,7 +30,7 @@ use sc_dcnn_repro::serve::admin::{scrape, spawn_admin};
 use sc_dcnn_repro::serve::batch::BatchPolicy;
 use sc_dcnn_repro::serve::engine::{Engine, EngineOptions};
 use sc_dcnn_repro::serve::fault::{FaultKind, FaultProxy};
-use sc_dcnn_repro::serve::proto::{read_response, write_request_v2, Response};
+use sc_dcnn_repro::serve::proto::{decode_response, read_frame, write_request_v3, Response};
 use sc_dcnn_repro::serve::router::{spawn_router, RouterOptions};
 use sc_dcnn_repro::serve::server::{spawn_multi, ServerHandle, ServerOptions};
 use std::io::BufReader;
@@ -233,9 +233,9 @@ fn main() {
                 for request in 0..requests_per_client {
                     let id = (client * requests_per_client + request) as u64;
                     let model = (request % expected.len()) as u16;
-                    write_request_v2(&mut writer, id, model, [1, 28, 28], image.as_slice())
+                    write_request_v3(&mut writer, id, model, 0, [1, 28, 28], image.as_slice())
                         .expect("send");
-                    match read_response(&mut reader).expect("recv") {
+                    match read_frame(&mut reader, decode_response).expect("recv") {
                         Some(Response::Ok {
                             id: rid, logits, ..
                         }) => {

@@ -15,7 +15,7 @@ use sc_dcnn_repro::nn::lenet::{tiny_lenet, PoolingStyle};
 use sc_dcnn_repro::serve::batch::BatchPolicy;
 use sc_dcnn_repro::serve::engine::{Engine, EngineOptions};
 use sc_dcnn_repro::serve::metrics::Metrics;
-use sc_dcnn_repro::serve::proto::{read_response, write_request, Response};
+use sc_dcnn_repro::serve::proto::{decode_response, read_frame, write_request_v3, Response};
 use sc_dcnn_repro::serve::server::{spawn, ServerOptions};
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
@@ -90,8 +90,9 @@ fn main() {
                 for request in 0..requests_per_client {
                     let id = (client * requests_per_client + request) as u64;
                     let sent = Instant::now();
-                    write_request(&mut writer, id, [1, 28, 28], image.as_slice()).expect("send");
-                    match read_response(&mut reader).expect("recv") {
+                    write_request_v3(&mut writer, id, 0, 0, [1, 28, 28], image.as_slice())
+                        .expect("send");
+                    match read_frame(&mut reader, decode_response).expect("recv") {
                         Some(Response::Ok { .. }) => metrics.record(sent.elapsed()),
                         Some(Response::Err { message, .. }) => {
                             eprintln!("request {id} failed: {message}");
