@@ -664,7 +664,6 @@ fn available_backends() -> Vec<Backend> {
         Backend::Scalar => 0,
         Backend::Wide => 1,
         Backend::Avx2 => 2,
-        Backend::Neon => 3,
     });
     list
 }

@@ -5,23 +5,20 @@
 //! * **interpreter single-request** throughput — the per-call evaluation
 //!   path (every operand stream regenerated per block call), one request at
 //!   a time. This is the pre-`sc-serve` baseline.
-//! * **engine (per-unit) single-request** throughput — compiled plan,
-//!   pre-generated weight streams, warm stream cache, units evaluated one
-//!   at a time (`fuse_layers: false`, the PR-2 engine).
-//! * **engine (fused) single-request** throughput — the layer-fused path:
-//!   shared operand streams, reusable MUX selector plans, shared-input APC
+//! * **engine single-request** throughput — compiled plan, pre-generated
+//!   weight streams, warm stream cache, and the layer-fused path: shared
+//!   operand streams, reusable MUX selector plans, shared-input APC
 //!   popcounts, batched activation walks.
-//! * **engine fused + unit fan-out** latency — the fused engine with
-//!   `parallel_units` enabled, measuring single-request latency when one
+//! * **engine + unit fan-out** latency — the same engine with session unit
+//!   fan-out on (the default), measuring single-request latency when one
 //!   request's units spread across `sc_core::parallel` workers (equals the
 //!   serial number on a single-core box; `threads` records the budget).
 //! * **engine batched** throughput — the fused engine fed request-by-request
 //!   through a warm session, the shape the serving runtime uses
 //!   (per-request latency percentiles are recorded from this run).
 //!
-//! Bit-exactness (fused engine vs per-unit engine vs interpreter) is
-//! verified before anything is timed. Results land in `BENCH_serving.json`
-//! at the repo root.
+//! Bit-exactness (fused engine vs interpreter) is verified before anything
+//! is timed. Results land in `BENCH_serving.json` at the repo root.
 //!
 //! A **router / multi-model** phase additionally measures the scale-out
 //! path: two replica servers, each hosting `--models` compiled engines
@@ -84,7 +81,6 @@ struct ServingRun {
     interpreter_requests: usize,
     batched_requests: usize,
     interpreter_rps: f64,
-    engine_per_unit_rps: f64,
     engine_single_rps: f64,
     parallel_single_latency_ms: f64,
     parallel_threads: usize,
@@ -104,10 +100,6 @@ struct ServingRun {
 impl ServingRun {
     fn speedup_single(&self) -> f64 {
         self.engine_single_rps / self.interpreter_rps
-    }
-
-    fn speedup_fused(&self) -> f64 {
-        self.engine_single_rps / self.engine_per_unit_rps
     }
 
     fn speedup_batched(&self) -> f64 {
@@ -156,8 +148,7 @@ fn bench_config(
 ) -> ServingRun {
     let config = ScNetworkConfig::new(name, kinds, stream_length, PoolingStyle::Max);
     let network = tiny_lenet(17);
-    // Fused engine (serving default) and the unit-at-a-time baseline. With
-    // `--verify`, every fused inference of the run re-checks itself against
+    // With `--verify`, every inference of the run re-checks itself against
     // the per-call interpreter (the CI smoke configuration).
     let engine = Engine::compile(
         &network,
@@ -168,13 +159,6 @@ fn bench_config(
         },
     )
     .expect("engine compiles");
-    let per_unit_options = EngineOptions {
-        fuse_layers: false,
-        parallel_units: false,
-        ..EngineOptions::default()
-    };
-    let per_unit_engine =
-        Engine::compile(&network, &config, per_unit_options).expect("engine compiles");
     let data = SyntheticDigits::generate(2, 23);
     let images: Vec<Tensor> = data
         .train_images
@@ -184,20 +168,10 @@ fn bench_config(
         .cloned()
         .collect();
 
-    // Prove bit-exactness before timing anything: fused engine vs the
-    // interpreter, and fused vs per-unit engine.
-    let mut session = engine.new_session();
+    // Prove bit-exactness against the interpreter before timing anything.
     engine
-        .verify(&mut session, &images[..1])
+        .verify(&mut engine.new_session(), &images[..1])
         .expect("fused engine must match the interpreter bit-for-bit");
-    let mut per_unit_session = per_unit_engine.new_session();
-    assert_eq!(
-        engine.infer(&mut session, &images[0]).expect("fused"),
-        per_unit_engine
-            .infer(&mut per_unit_session, &images[0])
-            .expect("per-unit"),
-        "fused engine must match the per-unit engine bit-for-bit"
-    );
 
     // Interpreter, one request at a time (the pre-serving baseline).
     let interpreter = engine.interpreter();
@@ -207,17 +181,6 @@ fn bench_config(
         interpreter_results.push(interpreter.infer(image).expect("interpreter inference"));
     }
     let interpreter_rps = interpreter_requests as f64 / start.elapsed().as_secs_f64();
-
-    // Per-unit compiled engine, one request at a time, warm session.
-    let mut session = per_unit_engine.new_session();
-    let start = Instant::now();
-    for image in &images[..interpreter_requests] {
-        let result = per_unit_engine
-            .infer(&mut session, image)
-            .expect("engine inference");
-        std::hint::black_box(result);
-    }
-    let engine_per_unit_rps = interpreter_requests as f64 / start.elapsed().as_secs_f64();
 
     // Fused engine, serial units, one request at a time, warm session. The
     // cache counters of every fused-engine session (each aggregated over its
@@ -288,7 +251,6 @@ fn bench_config(
         interpreter_requests,
         batched_requests,
         interpreter_rps,
-        engine_per_unit_rps,
         engine_single_rps,
         parallel_single_latency_ms,
         parallel_threads,
@@ -993,26 +955,17 @@ fn main() {
     }
 
     println!(
-        "\n{:<22}{:>12}{:>12}{:>11}{:>12}{:>9}{:>9}{:>13}",
-        "configuration",
-        "interp rps",
-        "perunit rps",
-        "fused rps",
-        "batched rps",
-        "1-req x",
-        "fused x",
-        "par p50 ms"
+        "\n{:<22}{:>12}{:>11}{:>12}{:>9}{:>13}",
+        "configuration", "interp rps", "fused rps", "batched rps", "1-req x", "par p50 ms"
     );
     for run in &runs {
         println!(
-            "{:<22}{:>12.3}{:>12.3}{:>11.3}{:>12.3}{:>8.1}x{:>8.2}x{:>13.2}",
+            "{:<22}{:>12.3}{:>11.3}{:>12.3}{:>8.1}x{:>13.2}",
             run.name,
             run.interpreter_rps,
-            run.engine_per_unit_rps,
             run.engine_single_rps,
             run.engine_batched_rps,
             run.speedup_single(),
-            run.speedup_fused(),
             run.parallel_single_latency_ms
         );
     }
@@ -1160,11 +1113,11 @@ fn main() {
             .unwrap_or(1)
     ));
     json.push_str(
-        "  \"note\": \"fused-engine outputs verified bit-identical to the per-unit engine and \
-         the per-call interpreter before timing; rps = requests/second; cache hit rate is \
-         aggregated across every fused-engine session of the run including fan-out worker \
-         sessions; steady-state allocs are the arena's buffer allocations after the batched \
-         phase's warm-up request (zero = the fused path reuses every stream/count buffer)\",\n",
+        "  \"note\": \"fused-engine outputs verified bit-identical to the per-call interpreter \
+         before timing; rps = requests/second; cache hit rate is aggregated across every \
+         fused-engine session of the run including fan-out worker sessions; steady-state \
+         allocs are the arena's buffer allocations after the batched phase's warm-up request \
+         (zero = the fused path reuses every stream/count buffer)\",\n",
     );
     json.push_str("  \"runs\": [\n");
     for (i, run) in runs.iter().enumerate() {
@@ -1194,10 +1147,6 @@ fn main() {
             run.interpreter_rps
         ));
         json.push_str(&format!(
-            "      \"engine_per_unit_single_request_rps\": {:.4},\n",
-            run.engine_per_unit_rps
-        ));
-        json.push_str(&format!(
             "      \"engine_fused_single_request_rps\": {:.4},\n",
             run.engine_single_rps
         ));
@@ -1208,10 +1157,6 @@ fn main() {
         json.push_str(&format!(
             "      \"speedup_single_vs_interpreter\": {:.2},\n",
             run.speedup_single()
-        ));
-        json.push_str(&format!(
-            "      \"speedup_fused_vs_per_unit\": {:.2},\n",
-            run.speedup_fused()
         ));
         json.push_str(&format!(
             "      \"speedup_batched_vs_interpreter\": {:.2},\n",

@@ -24,12 +24,13 @@ use sc_nn::tensor::Tensor;
 use sc_serve::engine::{Engine, EngineOptions};
 use std::time::Instant;
 
+/// Nearest-rank percentile over ascending samples (the serving metrics'
+/// rank rule, shared with `bench_serving`).
 fn percentile(sorted: &[f64], pct: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
-    let rank = (pct / 100.0 * (sorted.len() as f64 - 1.0)).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
+    sorted[sc_serve::metrics::nearest_rank_index(sorted.len(), pct)]
 }
 
 struct AbRun {
@@ -155,7 +156,7 @@ fn main() {
     let best = sc_core::word::best_available_backend();
     assert!(
         best != Backend::Scalar,
-        "no wide backend available; build with --features simd on x86-64/aarch64 \
+        "no wide backend available; build with --features simd on x86-64 \
          or rely on the portable super-word (always available)"
     );
     // Single-threaded like the serving acceptance runs: the kernel delta

@@ -297,8 +297,8 @@ impl FeatureBlock {
     /// The average-pooling block used by the Avg configurations.
     ///
     /// Single point of truth for the pooling selector's seed derivation:
-    /// the per-call, prepared, and layer-fused paths are only bit-identical
-    /// because they all instantiate *this* block.
+    /// the per-call and layer-fused paths are only bit-identical because
+    /// they both instantiate *this* block.
     fn average_pooling(&self) -> AveragePooling {
         AveragePooling::new(self.seed ^ 0x5151_5151)
     }
@@ -393,7 +393,7 @@ impl FeatureBlock {
     /// The per-call path re-derives these streams on every evaluation even
     /// though they only depend on the filter; a compiled engine generates
     /// them once per filter and feeds them back through
-    /// [`FeatureBlock::evaluate_prepared`].
+    /// [`FeatureBlock::evaluate_layer_prepared_with`].
     ///
     /// # Errors
     ///
@@ -419,134 +419,6 @@ impl FeatureBlock {
                 batch.generate_bipolar_bank(weight_seed, weights, self.stream_length)
             })
             .collect()
-    }
-
-    /// Evaluates the block from pre-generated operand streams.
-    ///
-    /// `inputs[i]` / `weights[i]` are the per-lane input and weight streams
-    /// of pool-window field `i`, as produced by the SNG banks seeded with
-    /// [`FeatureBlock::operand_bank_seeds`] (for the weights, exactly what
-    /// [`FeatureBlock::weight_streams`] returns). The result is bit-identical
-    /// to [`FeatureBlock::evaluate_stream`] on the corresponding values: the
-    /// fused multiply-accumulate kernels, the per-field MUX selectors, the
-    /// pooling block and the activation are applied in the same order with
-    /// the same seeds.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScError::InvalidParameter`] for mismatched field or lane
-    /// counts and propagates kernel errors for mismatched stream lengths.
-    pub fn evaluate_prepared(
-        &self,
-        inputs: &[Vec<BitStream>],
-        weights: &[Vec<BitStream>],
-    ) -> Result<BitStream, ScError> {
-        if inputs.len() != self.pool_window || weights.len() != self.pool_window {
-            return Err(ScError::InvalidParameter {
-                name: "inputs",
-                message: format!(
-                    "expected {} prepared fields, got {} input / {} weight fields",
-                    self.pool_window,
-                    inputs.len(),
-                    weights.len()
-                ),
-            });
-        }
-        for (field, (xs, ws)) in inputs.iter().zip(weights.iter()).enumerate() {
-            if xs.len() != self.input_size || ws.len() != self.input_size {
-                return Err(ScError::InvalidParameter {
-                    name: "inputs",
-                    message: format!(
-                        "field {field} has {} input / {} weight lanes, expected {}",
-                        xs.len(),
-                        ws.len(),
-                        self.input_size
-                    ),
-                });
-            }
-        }
-        match self.kind {
-            FeatureBlockKind::MuxAvgStanh | FeatureBlockKind::MuxMaxStanh => {
-                let streams: Vec<BitStream> = inputs
-                    .iter()
-                    .zip(weights.iter())
-                    .enumerate()
-                    .map(|(field, (xs, ws))| {
-                        let mut selector = mux_selector(self.field_seed(field));
-                        MuxAdder::new().sum_products(xs, ws, &mut selector)
-                    })
-                    .collect::<Result<_, _>>()?;
-                let pooled = if self.kind == FeatureBlockKind::MuxAvgStanh {
-                    self.average_pooling().pool_streams(&streams)?
-                } else {
-                    HardwareMaxPooling::new(DEFAULT_MAX_POOL_SEGMENT)?.pool_streams(&streams)?
-                };
-                let stanh = self.stanh.as_ref().expect("MUX blocks carry a Stanh");
-                Ok(stanh.apply(&pooled))
-            }
-            FeatureBlockKind::ApcAvgBtanh | FeatureBlockKind::ApcMaxBtanh => {
-                let counts: Vec<CountStream> = inputs
-                    .iter()
-                    .zip(weights.iter())
-                    .map(|(xs, ws)| Apc::new().count_products(xs, ws))
-                    .collect::<Result<_, _>>()?;
-                let pooled = if self.kind == FeatureBlockKind::ApcAvgBtanh {
-                    CountStream::merge_sum(&counts)?
-                } else {
-                    HardwareMaxPooling::new(DEFAULT_MAX_POOL_SEGMENT)?.pool_counts(&counts)?
-                };
-                let btanh = self.btanh.as_ref().expect("APC blocks carry a Btanh");
-                Ok(btanh.apply(&pooled))
-            }
-        }
-    }
-
-    /// Evaluates *all output units of one layer position* from pre-generated
-    /// operand streams in a single fused call.
-    ///
-    /// `inputs[field][lane]` are the input streams of pool-window field
-    /// `field`, shared by every unit (all units of an SC layer see the same
-    /// receptive fields through identically-wired SNG banks — the layer-level
-    /// analogue of the paper's filter-aware SRAM sharing).
-    /// `unit_weights[u][field][lane]` are unit `u`'s weight streams, exactly
-    /// what [`FeatureBlock::weight_streams`] returns for its filter.
-    ///
-    /// `result[u]` is **bit-identical** to
-    /// `self.evaluate_prepared(inputs, unit_weights[u])`, but the fused path
-    /// does the shared work once instead of once per unit:
-    ///
-    /// * MUX selector samples are drawn, fastmod-reduced and bit-sliced once
-    ///   per pool-window field into a [`MuxSelectorPlan`] that every unit
-    ///   replays (the selector LFSRs are seeded per field, not per unit);
-    /// * the average-pooling MUX selector is likewise planned once;
-    /// * APC popcounts run through the shared-input bit-transposed
-    ///   carry-save kernel ([`Apc::count_products_shared`]): every input
-    ///   word is loaded once for all units and compressed through in-register
-    ///   3:2 compressors into per-unit vertical counters (see
-    ///   [`sc_core::csa`]);
-    /// * the Btanh/Stanh walks of all units are interleaved word-by-word
-    ///   ([`BtanhBlock::apply_batch`] / [`StanhBlock::apply_batch`]).
-    ///
-    /// [`StanhBlock::apply_batch`]: crate::activation_block::StanhBlock::apply_batch
-    /// [`BtanhBlock::apply_batch`]: crate::activation_block::BtanhBlock::apply_batch
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScError::InvalidParameter`] for mismatched field or lane
-    /// counts of the shared inputs or any unit's weights, and propagates
-    /// kernel errors for mismatched stream lengths.
-    pub fn evaluate_layer_prepared(
-        &self,
-        inputs: &[Vec<BitStream>],
-        unit_weights: &[&[Vec<BitStream>]],
-    ) -> Result<Vec<BitStream>, ScError> {
-        let length = inputs
-            .first()
-            .and_then(|field| field.first())
-            .map(BitStream::len)
-            .unwrap_or(self.stream_length.bits());
-        let selectors = self.prepare_selectors(length)?;
-        self.evaluate_layer_prepared_with(&selectors, inputs, unit_weights, &mut StreamArena::new())
     }
 
     /// Pre-draws the selector plans shared by *every* unit and every
@@ -597,24 +469,57 @@ impl FeatureBlock {
         })
     }
 
-    /// [`FeatureBlock::evaluate_layer_prepared`] with externally-prepared
-    /// selector plans (see [`FeatureBlock::prepare_selectors`]) and an
-    /// externally-owned [`StreamArena`], so the draw + fastmod + bit-slice
-    /// pass is not repeated per call and steady-state evaluation allocates
-    /// no stream or count buffers.
+    /// Evaluates *all output units of one layer position* from pre-generated
+    /// operand streams in a single fused call.
+    ///
+    /// `inputs[field][lane]` are the input streams of pool-window field
+    /// `field`, as produced by the SNG banks seeded with
+    /// [`FeatureBlock::operand_bank_seeds`], and are shared by every unit
+    /// (all units of an SC layer see the same receptive fields through
+    /// identically-wired SNG banks — the layer-level analogue of the paper's
+    /// filter-aware SRAM sharing). `unit_weights[u][field][lane]` are unit
+    /// `u`'s weight streams, exactly what [`FeatureBlock::weight_streams`]
+    /// returns for its filter. `selectors` come from
+    /// [`FeatureBlock::prepare_selectors`], so the selector draw + fastmod +
+    /// bit-slice pass is not repeated per call.
+    ///
+    /// `result[u]` is **bit-identical** to
+    /// [`FeatureBlock::evaluate_stream`] on the corresponding values and
+    /// unit `u`'s filter: the multiply-accumulate kernels, the per-field
+    /// MUX selectors, the pooling block and the activation apply in the
+    /// same order with the same seeds. The fused call does the shared work
+    /// once instead of once per unit:
+    ///
+    /// * MUX selector samples are drawn, fastmod-reduced and bit-sliced once
+    ///   per pool-window field into a [`MuxSelectorPlan`] that every unit
+    ///   replays (the selector LFSRs are seeded per field, not per unit);
+    /// * the average-pooling MUX selector is likewise planned once;
+    /// * APC popcounts run through the shared-input bit-transposed
+    ///   carry-save kernel ([`Apc::count_products_shared`]): every input
+    ///   word is loaded once for all units and compressed through in-register
+    ///   3:2 compressors into per-unit vertical counters (see
+    ///   [`sc_core::csa`]);
+    /// * the Btanh/Stanh walks of all units are interleaved word-by-word
+    ///   ([`BtanhBlock::apply_batch`] / [`StanhBlock::apply_batch`]).
+    ///
+    /// [`StanhBlock::apply_batch`]: crate::activation_block::StanhBlock::apply_batch
+    /// [`BtanhBlock::apply_batch`]: crate::activation_block::BtanhBlock::apply_batch
     ///
     /// **Arena contract**: the caller owns `arena` and threads it down; all
     /// intermediates (per-field MUX sums, APC column counts, pooled streams)
-    /// are taken from and recycled into it before the call returns. The
+    /// are taken from and recycled into it before the call returns, so
+    /// steady-state evaluation allocates no stream or count buffers. The
     /// returned output streams are arena-backed too — the caller recycles
     /// them once decoded. Error paths drop in-flight buffers instead of
     /// pooling them (an error means a caller bug, not steady state).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`FeatureBlock::evaluate_layer_prepared`], plus
-    /// [`ScError::LengthMismatch`] for selectors prepared for a different
-    /// stream length.
+    /// Returns [`ScError::InvalidParameter`] for mismatched field or lane
+    /// counts of the shared inputs or any unit's weights, or for selectors
+    /// prepared for a different block, [`ScError::LengthMismatch`] for
+    /// selectors prepared for a different stream length, and propagates
+    /// kernel errors for mismatched stream lengths.
     pub fn evaluate_layer_prepared_with(
         &self,
         selectors: &LayerSelectors,
@@ -1007,38 +912,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn prepared_evaluation_is_bit_exact_with_per_call_path() {
-        for kind in FeatureBlockKind::ALL {
-            for len in [100usize, 127, 256] {
-                let block = FeatureBlock::new(kind, 8, StreamLength::new(len), 77).unwrap();
-                let (fields, weights) = random_case(8, 4, 1234 + len as u64);
-                let per_call = block.evaluate_stream(&fields, &weights).unwrap();
-                // Re-create the operand streams through the published seed
-                // scheme and evaluate from streams.
-                let weight_streams = block.weight_streams(&weights).unwrap();
-                let input_streams: Vec<Vec<_>> = fields
-                    .iter()
-                    .enumerate()
-                    .map(|(i, field)| {
-                        let (input_seed, _) = block.operand_bank_seeds(i);
-                        sc_core::sng::SngBank::new(
-                            sc_core::sng::SngKind::Lfsr32,
-                            field.len(),
-                            input_seed,
-                        )
-                        .generate_bipolar(field, block.stream_length())
-                        .unwrap()
-                    })
-                    .collect();
-                let prepared = block
-                    .evaluate_prepared(&input_streams, &weight_streams)
-                    .unwrap();
-                assert_eq!(prepared, per_call, "{kind} at length {len}");
-            }
-        }
-    }
-
     /// Input streams for `fields` through the published seed scheme.
     fn input_streams_for(block: &FeatureBlock, fields: &[Vec<f64>]) -> Vec<Vec<BitStream>> {
         fields
@@ -1053,12 +926,26 @@ mod tests {
             .collect()
     }
 
+    /// One fused layer call with freshly prepared selectors and a fresh arena.
+    fn evaluate_layer(
+        block: &FeatureBlock,
+        inputs: &[Vec<BitStream>],
+        unit_weights: &[&[Vec<BitStream>]],
+    ) -> Result<Vec<BitStream>, ScError> {
+        let selectors = block.prepare_selectors(block.stream_length().bits())?;
+        block.evaluate_layer_prepared_with(
+            &selectors,
+            inputs,
+            unit_weights,
+            &mut StreamArena::new(),
+        )
+    }
+
     #[test]
-    fn layer_fused_evaluation_is_bit_exact_with_per_unit_path() {
+    fn layer_fused_evaluation_is_bit_exact_with_per_call_path() {
         // All four kinds, lengths including the non-word-multiple 127, and
         // several units sharing the layer's input streams — the fused call
-        // must reproduce the per-unit prepared path (itself pinned to
-        // `evaluate_stream`) bit for bit, serial or parallel.
+        // must reproduce `evaluate_stream` bit for bit for every unit.
         for kind in FeatureBlockKind::ALL {
             for len in [100usize, 127, 256] {
                 let block = FeatureBlock::new(kind, 8, StreamLength::new(len), 77).unwrap();
@@ -1072,15 +959,11 @@ mod tests {
                     .collect();
                 let unit_refs: Vec<&[Vec<BitStream>]> =
                     unit_streams.iter().map(|u| u.as_slice()).collect();
-                let fused = block.evaluate_layer_prepared(&inputs, &unit_refs).unwrap();
+                let fused = evaluate_layer(&block, &inputs, &unit_refs).unwrap();
                 assert_eq!(fused.len(), 3);
                 for (unit, filter) in unit_filters.iter().enumerate() {
-                    let per_unit = block
-                        .evaluate_prepared(&inputs, &unit_streams[unit])
-                        .unwrap();
-                    assert_eq!(fused[unit], per_unit, "{kind} unit {unit} at length {len}");
                     let per_call = block.evaluate_stream(&fields, filter).unwrap();
-                    assert_eq!(fused[unit], per_call, "{kind} unit {unit} vs per-call");
+                    assert_eq!(fused[unit], per_call, "{kind} unit {unit} at length {len}");
                 }
             }
         }
@@ -1088,9 +971,9 @@ mod tests {
 
     #[test]
     fn layer_fused_arena_path_is_bit_exact_and_allocation_free_in_steady_state() {
-        // The arena-threaded fused call must (a) reproduce the allocating
-        // path bit for bit and (b) take every stream/count buffer from the
-        // pool once the arena is warm.
+        // Evaluating repeatedly through one shared arena must (a) reproduce
+        // a fresh-arena call bit for bit and (b) take every stream/count
+        // buffer from the pool once the arena is warm.
         for kind in FeatureBlockKind::ALL {
             let block = FeatureBlock::new(kind, 8, StreamLength::new(127), 77).unwrap();
             let (fields, _) = random_case(8, 4, 4321);
@@ -1104,7 +987,7 @@ mod tests {
                 .collect();
             let unit_refs: Vec<&[Vec<BitStream>]> =
                 unit_streams.iter().map(|u| u.as_slice()).collect();
-            let expected = block.evaluate_layer_prepared(&inputs, &unit_refs).unwrap();
+            let expected = evaluate_layer(&block, &inputs, &unit_refs).unwrap();
             let selectors = block.prepare_selectors(127).unwrap();
             let mut arena = StreamArena::new();
             let mut warm_allocs = 0;
@@ -1140,7 +1023,7 @@ mod tests {
         let filter = random_case(8, 4, 556).1;
         let weight_streams = block.weight_streams(&filter).unwrap();
         let refs: Vec<&[Vec<BitStream>]> = vec![weight_streams.as_slice()];
-        let fused = block.evaluate_layer_prepared(&inputs, &refs).unwrap();
+        let fused = evaluate_layer(&block, &inputs, &refs).unwrap();
         for limit in [1usize, 4] {
             sc_core::parallel::set_thread_limit(limit);
             let per_call = block.evaluate_stream(&fields, &filter).unwrap();
@@ -1151,53 +1034,29 @@ mod tests {
 
     #[test]
     fn layer_fused_evaluation_validates_shapes() {
-        let block =
-            FeatureBlock::new(FeatureBlockKind::MuxAvgStanh, 4, StreamLength::new(64), 3).unwrap();
-        let (fields, weights) = random_case(4, 4, 9);
-        let inputs = input_streams_for(&block, &fields);
-        let weight_streams = block.weight_streams(&weights).unwrap();
-        let good: Vec<&[Vec<BitStream>]> = vec![weight_streams.as_slice()];
-        // No units: valid, empty result.
-        assert!(block
-            .evaluate_layer_prepared(&inputs, &[])
-            .unwrap()
-            .is_empty());
-        // Wrong field count in the shared inputs.
-        assert!(block.evaluate_layer_prepared(&inputs[..3], &good).is_err());
-        // Wrong lane count in one unit's weights.
-        let mut short = weight_streams.clone();
-        short[1].pop();
-        let bad: Vec<&[Vec<BitStream>]> = vec![weight_streams.as_slice(), short.as_slice()];
-        assert!(block.evaluate_layer_prepared(&inputs, &bad).is_err());
-        assert!(block.evaluate_layer_prepared(&inputs, &good).is_ok());
-    }
-
-    #[test]
-    fn prepared_evaluation_validates_shapes() {
-        let block =
-            FeatureBlock::new(FeatureBlockKind::ApcAvgBtanh, 4, StreamLength::new(64), 3).unwrap();
-        let (fields, weights) = random_case(4, 4, 9);
-        let weight_streams = block.weight_streams(&weights).unwrap();
-        let input_streams: Vec<Vec<_>> = fields
-            .iter()
-            .enumerate()
-            .map(|(i, field)| {
-                let (input_seed, _) = block.operand_bank_seeds(i);
-                sc_core::sng::SngBank::new(sc_core::sng::SngKind::Lfsr32, field.len(), input_seed)
-                    .generate_bipolar(field, block.stream_length())
-                    .unwrap()
-            })
-            .collect();
-        assert!(block
-            .evaluate_prepared(&input_streams[..3], &weight_streams)
-            .is_err());
-        let mut short = input_streams.clone();
-        short[1].pop();
-        assert!(block.evaluate_prepared(&short, &weight_streams).is_err());
-        assert!(block.weight_streams(&weights[..3]).is_err());
-        assert!(block
-            .evaluate_prepared(&input_streams, &weight_streams)
-            .is_ok());
+        for kind in [FeatureBlockKind::MuxAvgStanh, FeatureBlockKind::ApcAvgBtanh] {
+            let block = FeatureBlock::new(kind, 4, StreamLength::new(64), 3).unwrap();
+            let (fields, weights) = random_case(4, 4, 9);
+            let inputs = input_streams_for(&block, &fields);
+            let weight_streams = block.weight_streams(&weights).unwrap();
+            let good: Vec<&[Vec<BitStream>]> = vec![weight_streams.as_slice()];
+            // No units: valid, empty result.
+            assert!(evaluate_layer(&block, &inputs, &[]).unwrap().is_empty());
+            // Wrong field count in the shared inputs.
+            assert!(evaluate_layer(&block, &inputs[..3], &good).is_err());
+            // Short lane count in one shared input field.
+            let mut short_input = inputs.clone();
+            short_input[1].pop();
+            assert!(evaluate_layer(&block, &short_input, &good).is_err());
+            // Wrong lane count in one unit's weights.
+            let mut short = weight_streams.clone();
+            short[1].pop();
+            let bad: Vec<&[Vec<BitStream>]> = vec![weight_streams.as_slice(), short.as_slice()];
+            assert!(evaluate_layer(&block, &inputs, &bad).is_err());
+            // Wrong weight count for the weight-stream generator.
+            assert!(block.weight_streams(&weights[..3]).is_err());
+            assert!(evaluate_layer(&block, &inputs, &good).is_ok());
+        }
     }
 
     #[test]

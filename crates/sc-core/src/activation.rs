@@ -773,8 +773,6 @@ mod tests {
         if crate::word::Backend::Avx2.is_available() {
             check::<crate::word::WAvx2>("avx2");
         }
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        check::<crate::word::WNeon>("neon");
     }
 
     #[test]

@@ -1765,8 +1765,6 @@ mod tests {
         if crate::word::Backend::Avx2.is_available() {
             check::<crate::word::WAvx2>("avx2");
         }
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        check::<crate::word::WNeon>("neon");
     }
 
     /// Every super-word backend of the CSA product-column kernels (per-unit
@@ -1817,8 +1815,6 @@ mod tests {
         if crate::word::Backend::Avx2.is_available() {
             check::<crate::word::WAvx2>("avx2");
         }
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        check::<crate::word::WNeon>("neon");
     }
 
     #[test]

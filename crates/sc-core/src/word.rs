@@ -13,13 +13,14 @@
 //! * [`W4`] (`[u64; 4]`, 4 lanes) is the **portable super-word** — plain
 //!   array code the compiler auto-vectorizes, available everywhere with no
 //!   feature flags. It is the default wide path.
-//! * `WAvx2` (x86-64, 4 lanes) and `WNeon` (AArch64, 2 lanes) are
-//!   `std::arch` backends behind the `simd` cargo feature, selected at
-//!   runtime only when the CPU supports them.
+//! * `WAvx2` (x86-64, 4 lanes) is the `std::arch` backend behind the
+//!   `simd` cargo feature, selected at runtime only when the CPU supports
+//!   AVX2. Other targets (AArch64 included) run the scalar and [`W4`]
+//!   backends.
 //!
 //! Backend selection is process-global: [`active_backend`] picks the best
 //! available backend on first use (honouring the `SC_KERNEL_BACKEND`
-//! environment variable: `scalar`, `wide`, `avx2`, or `neon`), and
+//! environment variable: `scalar`, `wide`, or `avx2`), and
 //! [`force_backend`] overrides it, e.g. to pin CI legs or A/B benchmark
 //! runs. Because all backends are bit-identical, flipping the backend at any
 //! point — even mid-evaluation from another thread — can never change a
@@ -474,117 +475,6 @@ mod avx2 {
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 pub use avx2::WAvx2;
 
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
-mod neon {
-    use super::Word;
-    use std::arch::aarch64::*;
-
-    /// NEON backend: one 128-bit register holding 2 bit-stream lanes.
-    ///
-    /// NEON is baseline on AArch64, so unlike AVX2 the intrinsics need no
-    /// per-kernel `#[target_feature]` entry points — the generic kernels
-    /// are instantiated with `WNeon` directly.
-    #[derive(Clone, Copy)]
-    pub struct WNeon(pub uint64x2_t);
-
-    impl Word for WNeon {
-        const LANES: usize = 2;
-
-        #[inline(always)]
-        fn zero() -> Self {
-            WNeon(unsafe { vdupq_n_u64(0) })
-        }
-
-        #[inline(always)]
-        fn splat(value: u64) -> Self {
-            WNeon(unsafe { vdupq_n_u64(value) })
-        }
-
-        #[inline(always)]
-        fn load(src: &[u64]) -> Self {
-            let src: &[u64] = &src[..2];
-            // SAFETY: the reslice above guarantees 2 readable lanes.
-            WNeon(unsafe { vld1q_u64(src.as_ptr()) })
-        }
-
-        #[inline(always)]
-        fn store(self, dst: &mut [u64]) {
-            let dst: &mut [u64] = &mut dst[..2];
-            // SAFETY: the reslice above guarantees 2 writable lanes.
-            unsafe { vst1q_u64(dst.as_mut_ptr(), self.0) }
-        }
-
-        #[inline(always)]
-        fn and(self, rhs: Self) -> Self {
-            WNeon(unsafe { vandq_u64(self.0, rhs.0) })
-        }
-
-        #[inline(always)]
-        fn or(self, rhs: Self) -> Self {
-            WNeon(unsafe { vorrq_u64(self.0, rhs.0) })
-        }
-
-        #[inline(always)]
-        fn xor(self, rhs: Self) -> Self {
-            WNeon(unsafe { veorq_u64(self.0, rhs.0) })
-        }
-
-        #[inline(always)]
-        fn not(self) -> Self {
-            WNeon(unsafe { veorq_u64(self.0, vdupq_n_u64(u64::MAX)) })
-        }
-
-        #[inline(always)]
-        fn shr(self, n: u32) -> Self {
-            // VSHL with a negative signed count is a logical right shift.
-            WNeon(unsafe { vshlq_u64(self.0, vdupq_n_s64(-i64::from(n))) })
-        }
-
-        #[inline(always)]
-        fn shl(self, n: u32) -> Self {
-            WNeon(unsafe { vshlq_u64(self.0, vdupq_n_s64(i64::from(n))) })
-        }
-
-        #[inline(always)]
-        fn is_zero(self) -> bool {
-            unsafe { vmaxvq_u32(vreinterpretq_u32_u64(self.0)) == 0 }
-        }
-
-        #[inline(always)]
-        fn popcount_accumulate(self, acc: Self) -> Self {
-            // Per-byte CNT widened pairwise up to per-lane 64-bit sums.
-            unsafe {
-                let bytes = vcntq_u8(vreinterpretq_u8_u64(self.0));
-                let per_lane = vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(bytes)));
-                WNeon(vaddq_u64(acc.0, per_lane))
-            }
-        }
-
-        #[inline(always)]
-        fn horizontal_sum(self) -> u64 {
-            unsafe { vgetq_lane_u64(self.0, 0).wrapping_add(vgetq_lane_u64(self.0, 1)) }
-        }
-
-        #[inline(always)]
-        fn add_i64(self, rhs: Self) -> Self {
-            WNeon(unsafe { vaddq_u64(self.0, rhs.0) })
-        }
-
-        #[inline(always)]
-        fn cmp_gt_i64(self, rhs: Self) -> Self {
-            unsafe {
-                WNeon(vcgtq_s64(
-                    vreinterpretq_s64_u64(self.0),
-                    vreinterpretq_s64_u64(rhs.0),
-                ))
-            }
-        }
-    }
-}
-
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
-pub use neon::WNeon;
-
 /// The kernel backend the dispatchers route through.
 ///
 /// All variants exist on every platform so tooling (benches, CI scripts,
@@ -599,13 +489,11 @@ pub enum Backend {
     Wide,
     /// AVX2 256-bit path (`simd` feature, x86-64 with AVX2 only).
     Avx2,
-    /// NEON 128-bit path (`simd` feature, AArch64 only).
-    Neon,
 }
 
 impl Backend {
     /// All backends, in preference order (best first).
-    pub const ALL: [Backend; 4] = [Backend::Avx2, Backend::Neon, Backend::Wide, Backend::Scalar];
+    pub const ALL: [Backend; 3] = [Backend::Avx2, Backend::Wide, Backend::Scalar];
 
     /// Whether this backend can run in this build on this CPU.
     pub fn is_available(self) -> bool {
@@ -615,10 +503,6 @@ impl Backend {
             Backend::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
             Backend::Avx2 => false,
-            #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-            Backend::Neon => true,
-            #[cfg(not(all(feature = "simd", target_arch = "aarch64")))]
-            Backend::Neon => false,
         }
     }
 
@@ -628,7 +512,6 @@ impl Backend {
             Backend::Scalar => "scalar",
             Backend::Wide => "wide",
             Backend::Avx2 => "avx2",
-            Backend::Neon => "neon",
         }
     }
 
@@ -638,7 +521,6 @@ impl Backend {
             "scalar" => Some(Backend::Scalar),
             "wide" => Some(Backend::Wide),
             "avx2" => Some(Backend::Avx2),
-            "neon" => Some(Backend::Neon),
             _ => None,
         }
     }
@@ -668,10 +550,6 @@ macro_rules! dispatch_word_kernel {
                 // feature detection (or an availability-checked force).
                 unsafe { $avx2($($arg),*) }
             }
-            #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-            $crate::word::Backend::Neon => {
-                $generic::<$crate::word::WNeon>($($arg),*)
-            }
             _ => $generic::<$crate::word::W4>($($arg),*),
         }
     }};
@@ -688,7 +566,6 @@ fn encode(backend: Backend) -> u8 {
         Backend::Scalar => 0,
         Backend::Wide => 1,
         Backend::Avx2 => 2,
-        Backend::Neon => 3,
     }
 }
 
@@ -696,8 +573,7 @@ fn decode(value: u8) -> Backend {
     match value {
         0 => Backend::Scalar,
         1 => Backend::Wide,
-        2 => Backend::Avx2,
-        _ => Backend::Neon,
+        _ => Backend::Avx2,
     }
 }
 
@@ -862,12 +738,6 @@ mod tests {
         }
     }
 
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    #[test]
-    fn neon_backend_ops_match_scalar() {
-        check_backend_ops::<WNeon>();
-    }
-
     #[test]
     fn backend_names_round_trip() {
         for backend in Backend::ALL {
@@ -895,9 +765,8 @@ mod tests {
         assert_eq!(active_backend(), Backend::Scalar);
         assert!(force_backend(Backend::Wide));
         assert_eq!(active_backend(), Backend::Wide);
-        #[cfg(not(all(feature = "simd", target_arch = "aarch64")))]
-        {
-            assert!(!force_backend(Backend::Neon));
+        if !Backend::Avx2.is_available() {
+            assert!(!force_backend(Backend::Avx2));
             assert_eq!(active_backend(), Backend::Wide);
         }
         assert!(force_backend(before));

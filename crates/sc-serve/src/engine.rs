@@ -19,14 +19,15 @@
 //!   fully-connected layer, across pooling windows, and across the requests
 //!   of a batch.
 //!
-//! Evaluation then runs [`FeatureBlock::evaluate_prepared`], the stream-level
-//! twin of the per-call path, which applies the same fused kernels with the
-//! same seeds. The engine is therefore **bit-exact** with the
-//! [`crate::interpreter::Interpreter`]; `verify_against_interpreter`
-//! (an [`EngineOptions`] flag or the standalone [`Engine::verify`] call)
-//! proves it at runtime.
+//! Evaluation then runs one [`FeatureBlock::evaluate_layer_prepared_with`]
+//! call per layer position, which evaluates every unit of the position at
+//! once from the shared input streams and applies the same kernels with the
+//! same seeds as the per-call path. The engine is therefore **bit-exact**
+//! with the [`crate::interpreter::Interpreter`], its oracle;
+//! `verify_against_interpreter` (an [`EngineOptions`] flag or the standalone
+//! [`Engine::verify`] call) proves it at runtime.
 //!
-//! [`FeatureBlock::evaluate_prepared`]: sc_blocks::feature_block::FeatureBlock::evaluate_prepared
+//! [`FeatureBlock::evaluate_layer_prepared_with`]: sc_blocks::feature_block::FeatureBlock::evaluate_layer_prepared_with
 
 use crate::error::ServeError;
 use crate::interpreter::{Inference, Interpreter};
@@ -55,21 +56,6 @@ pub struct EngineOptions {
     /// and fails loudly unless the logits are bit-identical. Expensive —
     /// meant for tests, bring-up, and canary replicas.
     pub verify_against_interpreter: bool,
-    /// Evaluate each plan stage through the layer-fused path
-    /// ([`FeatureBlock::evaluate_layer_prepared`]): all units of a stage
-    /// share operand streams, MUX selector plans, and batched activation
-    /// walks. Off reproduces the unit-at-a-time engine (kept as the
-    /// benchmark baseline); outputs are bit-identical either way.
-    ///
-    /// [`FeatureBlock::evaluate_layer_prepared`]: sc_blocks::feature_block::FeatureBlock::evaluate_layer_prepared
-    pub fuse_layers: bool,
-    /// Fan the units of a *single* request across `sc_core::parallel`
-    /// workers (per-worker sessions with their own stream caches). Cuts
-    /// single-request latency on multi-core machines; batched inference
-    /// already parallelizes across requests, and nested fan-outs degrade to
-    /// serial, so the two compose safely. Results are bit-identical
-    /// regardless of the thread budget.
-    pub parallel_units: bool,
 }
 
 impl Default for EngineOptions {
@@ -78,8 +64,6 @@ impl Default for EngineOptions {
             plan: PlanOptions::default(),
             cache_capacity: 1 << 16,
             verify_against_interpreter: false,
-            fuse_layers: true,
-            parallel_units: true,
         }
     }
 }
@@ -144,8 +128,14 @@ impl Session {
     }
 
     /// Enables or disables single-request unit fan-out for inferences run
-    /// through this session (default: enabled, subject to
-    /// [`EngineOptions::parallel_units`]).
+    /// through this session (default: enabled).
+    ///
+    /// With fan-out on and more than one `sc_core::parallel` thread, the
+    /// positions of a convolution layer and chunks of a dense layer's units
+    /// spread across workers with their own warm sub-sessions, cutting
+    /// single-request latency on multi-core machines. Batched inference
+    /// already parallelizes across requests, and nested fan-outs degrade to
+    /// serial, so the two compose safely.
     ///
     /// The engine's "nested fan-outs degrade to serial" guarantee only
     /// covers `sc_core::parallel` workers; a caller that runs many sessions
@@ -381,10 +371,7 @@ impl Engine {
     /// `independent_items` independent work items evaluated through
     /// `session`.
     fn fan_out_units(&self, session: &Session, independent_items: usize) -> bool {
-        self.options.parallel_units
-            && session.unit_fan_out
-            && independent_items > 1
-            && sc_core::parallel::max_threads() > 1
+        session.unit_fan_out && independent_items > 1 && sc_core::parallel::max_threads() > 1
     }
 
     fn eval_layer(
@@ -394,9 +381,6 @@ impl Engine {
         weights: &LayerWeightStreams,
         values: &[f64],
     ) -> Result<Vec<f64>, ServeError> {
-        if !self.options.fuse_layers {
-            return self.eval_layer_per_unit(session, layer, weights, values);
-        }
         match layer {
             PlanLayer::Conv(conv) => {
                 let [filters, pooled_h, pooled_w] = conv.out_shape;
@@ -554,44 +538,6 @@ impl Engine {
         }
     }
 
-    /// The pre-fusion unit-at-a-time evaluation path (the
-    /// `fuse_layers: false` baseline the fused path is benchmarked and
-    /// property-tested against).
-    fn eval_layer_per_unit(
-        &self,
-        session: &mut Session,
-        layer: &PlanLayer,
-        weights: &LayerWeightStreams,
-        values: &[f64],
-    ) -> Result<Vec<f64>, ServeError> {
-        match layer {
-            PlanLayer::Conv(conv) => {
-                let [filters, pooled_h, pooled_w] = conv.out_shape;
-                let positions = pooled_h * pooled_w;
-                let mut outputs = Vec::with_capacity(filters * positions);
-                for filter_weights in weights.iter().take(filters) {
-                    for position in 0..positions {
-                        let (py, px) = (position / pooled_w, position % pooled_w);
-                        let fields = conv.gather_fields(values, py, px);
-                        outputs.push(self.eval_unit(
-                            session,
-                            &conv.block,
-                            &fields,
-                            filter_weights,
-                        )?);
-                    }
-                }
-                Ok(outputs)
-            }
-            PlanLayer::Dense(dense) => {
-                let field = vec![values.to_vec()];
-                (0..dense.units.len())
-                    .map(|unit| self.eval_unit(session, &dense.block, &field, &weights[unit]))
-                    .collect()
-            }
-        }
-    }
-
     /// Generates (or serves from the session cache) the input streams of
     /// every pool-window field, in the block's published seed scheme. The
     /// returned buffers are arena-backed; recycle them after use.
@@ -626,23 +572,6 @@ impl Engine {
         }
         session.cache_fill_ns += started.elapsed().as_nanos() as u64;
         Ok(inputs)
-    }
-
-    /// Evaluates one feature-extraction block: cached input streams plus
-    /// pre-generated weight streams through the prepared (fused) pipeline.
-    fn eval_unit(
-        &self,
-        session: &mut Session,
-        block: &FeatureBlock,
-        fields: &[Vec<f64>],
-        weight_streams: &[Vec<BitStream>],
-    ) -> Result<f64, ServeError> {
-        let inputs = self.gather_input_streams(session, block, fields)?;
-        let output = block.evaluate_prepared(&inputs, weight_streams);
-        for field in inputs {
-            session.arena.recycle_all(field);
-        }
-        Ok(output?.bipolar_value())
     }
 }
 
@@ -704,7 +633,7 @@ mod tests {
 
     /// End-to-end kernel-backend bit-exactness: the scalar reference and
     /// the widest available backend (the portable super-word without the
-    /// `simd` feature, AVX2/NEON with it) must serve bit-identical
+    /// `simd` feature, AVX2 with it on x86-64) must serve bit-identical
     /// inferences through the full fused path — SNG comparator fills, fused
     /// XNOR/count and MUX-plan kernels, CSA compression, and the batch
     /// activation walks — for every feature-block family. `force_backend`
@@ -791,38 +720,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_engine_matches_per_unit_engine_bit_for_bit() {
-        for (kind, pooling, length) in [
-            (FeatureBlockKind::ApcMaxBtanh, PoolingStyle::Max, 127),
-            (FeatureBlockKind::MuxMaxStanh, PoolingStyle::Max, 100),
-        ] {
-            let network = small_network(21);
-            let config = ScNetworkConfig::new("c", vec![kind; 2], length, pooling);
-            let fused = Engine::compile(&network, &config, options()).unwrap();
-            let per_unit = Engine::compile(
-                &network,
-                &config,
-                EngineOptions {
-                    fuse_layers: false,
-                    parallel_units: false,
-                    ..options()
-                },
-            )
-            .unwrap();
-            let mut fused_session = fused.new_session();
-            let mut per_unit_session = per_unit.new_session();
-            for seed in 1..4 {
-                let image = image(seed);
-                assert_eq!(
-                    fused.infer(&mut fused_session, &image).unwrap(),
-                    per_unit.infer(&mut per_unit_session, &image).unwrap(),
-                    "{kind} L={length} image {seed}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn single_request_fan_out_is_schedule_independent() {
         let network = small_network(33);
         let config = ScNetworkConfig::new(
@@ -853,16 +750,9 @@ mod tests {
             128,
             PoolingStyle::Max,
         );
-        let engine = Engine::compile(
-            &network,
-            &config,
-            EngineOptions {
-                parallel_units: false, // keep all traffic in one session
-                ..options()
-            },
-        )
-        .unwrap();
+        let engine = Engine::compile(&network, &config, options()).unwrap();
         let mut session = engine.new_session();
+        session.set_unit_fan_out(false); // keep all traffic in one session
         let frame = image(5);
         engine.infer(&mut session, &frame).unwrap();
         let cold = session.cache_stats();
@@ -878,22 +768,14 @@ mod tests {
     #[test]
     fn steady_state_inference_allocates_no_stream_buffers() {
         // Once the session arena is warm, fused inference must serve every
-        // stream and count buffer from the pool — the per-unit path's
-        // zero-alloc property, restored for the fused path by threading the
-        // session arena through `evaluate_layer_prepared_with`.
+        // stream and count buffer from the pool: the session arena is
+        // threaded through `evaluate_layer_prepared_with`.
         for kind in [FeatureBlockKind::ApcMaxBtanh, FeatureBlockKind::MuxMaxStanh] {
             let network = small_network(13);
             let config = ScNetworkConfig::new("c", vec![kind; 2], 128, PoolingStyle::Max);
-            let engine = Engine::compile(
-                &network,
-                &config,
-                EngineOptions {
-                    parallel_units: false, // keep all traffic in one arena
-                    ..options()
-                },
-            )
-            .unwrap();
+            let engine = Engine::compile(&network, &config, options()).unwrap();
             let mut session = engine.new_session();
+            session.set_unit_fan_out(false); // keep all traffic in one arena
             let frames: Vec<Tensor> = (1..4).map(image).collect();
             // Warm-up: populate the arena pool and the stream cache.
             for frame in &frames {

@@ -180,11 +180,16 @@ impl Plan {
         self.layers.iter().map(|l| l.unit_count()).sum()
     }
 
-    /// Checks that `image` has the plan's input element count.
+    /// Checks that `image` has the plan's input element count and only
+    /// finite pixels.
+    ///
+    /// Quantization would otherwise map NaN to 0 and saturate ±Inf to ±1,
+    /// answering a corrupt frame as if it were a valid one.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Invalid`] on a size mismatch.
+    /// Returns [`ServeError::Invalid`] on a size mismatch or naming the
+    /// first non-finite pixel.
     pub fn validate_input(&self, image: &Tensor) -> Result<(), ServeError> {
         let expected: usize = self.input_shape.iter().product();
         if image.len() != expected {
@@ -193,6 +198,12 @@ impl Plan {
                 image.len(),
                 expected,
                 self.input_shape
+            )));
+        }
+        if let Some(index) = image.as_slice().iter().position(|v| !v.is_finite()) {
+            return Err(ServeError::Invalid(format!(
+                "input element {index} is not finite ({})",
+                image.as_slice()[index]
             )));
         }
         Ok(())

@@ -1399,6 +1399,7 @@ pub(crate) fn serve_one(
 mod tests {
     use super::*;
     use crate::engine::EngineOptions;
+    use crate::error::ServeError;
     use crate::plan::PlanOptions;
     use sc_blocks::feature_block::FeatureBlockKind;
     use sc_dcnn::config::ScNetworkConfig;
@@ -1461,6 +1462,39 @@ mod tests {
                 assert!(message.contains("overflows"), "{message}");
             }
             other => panic!("expected an overflow rejection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn non_finite_pixels_are_rejected_with_a_typed_error() {
+        let engine = Arc::new(tiny_engine(11));
+        let engines = vec![Some(Arc::clone(&engine))];
+        let mut sessions = vec![Some(engine.new_session())];
+        for (id, bad) in [(1u64, f32::NAN), (2, f32::INFINITY), (3, f32::NEG_INFINITY)] {
+            let pixels = vec![0.5, 0.25, bad, -0.5];
+            let image = Tensor::from_vec(pixels.clone(), &[1, 2, 2]);
+            let mut session = engine.new_session();
+            for error in [
+                engine.infer(&mut session, &image).unwrap_err(),
+                engine.interpreter().infer(&image).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(&error, ServeError::Invalid(message) if message.contains("element 2")),
+                    "{bad}: {error}"
+                );
+            }
+            match serve_one(&engines, &mut sessions, &request(id, 0, [1, 2, 2], pixels)) {
+                Response::Err {
+                    id: got,
+                    code,
+                    message,
+                } => {
+                    assert_eq!(got, id);
+                    assert_eq!(code, ErrorCode::App);
+                    assert!(message.contains("not finite"), "{bad}: {message}");
+                }
+                other => panic!("{bad}: expected a typed error, got {other:?}"),
+            }
         }
     }
 

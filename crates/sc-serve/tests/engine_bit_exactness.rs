@@ -69,10 +69,9 @@ fn engine_is_bit_exact_across_kinds_and_lengths() {
 
 #[test]
 fn fused_engine_is_bit_exact_across_kinds_lengths_and_schedules() {
-    // The layer-fused path must reproduce the per-unit engine — and through
-    // it the interpreter — across all four block kinds, stream lengths
-    // including the non-word-multiple 127, and serial vs parallel unit
-    // fan-out.
+    // The fused engine must reproduce the interpreter across all four block
+    // kinds, stream lengths including the non-word-multiple 127, and serial
+    // vs parallel unit fan-out.
     for kind in FeatureBlockKind::ALL {
         for stream_length in [100usize, 127] {
             let pooling = if kind.uses_max_pooling() {
@@ -82,43 +81,26 @@ fn fused_engine_is_bit_exact_across_kinds_lengths_and_schedules() {
             };
             let network = probe_network(kind, 90 + stream_length as u64);
             let config = ScNetworkConfig::new("fused", vec![kind; 3], stream_length, pooling);
-            let base = EngineOptions {
-                plan: PlanOptions {
-                    input_shape: [1, 8, 8],
-                    base_seed: 7 + stream_length as u64,
-                },
-                ..EngineOptions::default()
-            };
-            let fused = Engine::compile(&network, &config, base).unwrap();
-            let per_unit = Engine::compile(
+            let engine = Engine::compile(
                 &network,
                 &config,
                 EngineOptions {
-                    fuse_layers: false,
-                    parallel_units: false,
-                    ..base
+                    plan: PlanOptions {
+                        input_shape: [1, 8, 8],
+                        base_seed: 7 + stream_length as u64,
+                    },
+                    ..EngineOptions::default()
                 },
             )
             .unwrap();
             let images: Vec<Tensor> = (1..4).map(probe_image).collect();
-            // Fused engine against the interpreter (ground truth)…
-            let mut session = fused.new_session();
-            fused
-                .verify(&mut session, &images)
-                .unwrap_or_else(|error| panic!("{kind} at L={stream_length}: {error}"));
-            // …and against the per-unit engine, serial and fanned out.
             for thread_limit in [1usize, 4] {
                 sc_core::parallel::set_thread_limit(thread_limit);
-                let mut fused_session = fused.new_session();
-                let mut per_unit_session = per_unit.new_session();
-                for image in &images {
-                    assert_eq!(
-                        fused.infer(&mut fused_session, image).unwrap(),
-                        per_unit.infer(&mut per_unit_session, image).unwrap(),
-                        "{kind} at L={stream_length}, {thread_limit} threads"
-                    );
-                }
+                let verified = engine.verify(&mut engine.new_session(), &images);
                 sc_core::parallel::set_thread_limit(0);
+                verified.unwrap_or_else(|error| {
+                    panic!("{kind} at L={stream_length}, {thread_limit} threads: {error}")
+                });
             }
         }
     }
