@@ -13,7 +13,8 @@
 //! `--concurrency N` opens N connections on N threads and splits `--count`
 //! across them — the smoke-test shape for the event-loop server, whose whole
 //! point is owning many concurrent sockets with one I/O thread. Counts are
-//! aggregated and the exit code is the worst any connection saw.
+//! aggregated and the exit code is the worst any connection saw (see
+//! below).
 //!
 //! `--admin OP` switches the client into fleet-operations mode: it sends
 //! one admin frame and prints the replica's status snapshot.
@@ -32,6 +33,10 @@
 //! | 3    | at least one retriable refusal (`OVERLOADED`/`SHUTTING_DOWN`/ |
 //! |      | `MODEL_UNAVAILABLE`)                                          |
 //! | 4    | at least one `DEADLINE_EXCEEDED`                              |
+//!
+//! When a run sees several classes, a transport failure wins: it left a
+//! request unanswered, which no typed refusal on another request may hide.
+//! Among answered classes the highest code wins.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,6 +54,16 @@ const EXIT_TRANSPORT: u8 = 1;
 const EXIT_APP_ERROR: u8 = 2;
 const EXIT_RETRIABLE: u8 = 3;
 const EXIT_DEADLINE: u8 = 4;
+
+/// Combines two exit codes into the worse one: a transport failure outranks
+/// every answered class, otherwise the higher code wins.
+fn worse_exit(a: u8, b: u8) -> u8 {
+    if a == EXIT_TRANSPORT || b == EXIT_TRANSPORT {
+        EXIT_TRANSPORT
+    } else {
+        a.max(b)
+    }
+}
 
 /// Everything one connection needs to run its share of the request load.
 #[derive(Clone)]
@@ -85,7 +100,8 @@ fn run_connection(config: &RunConfig, ids: std::ops::Range<u64>, seed: u64) -> (
     let mut rng = StdRng::seed_from_u64(seed);
     let mut correct = 0usize;
     let mut answered = 0usize;
-    // Worst failure class seen on this connection.
+    // Worst answered failure class seen on this connection; a transport
+    // failure returns at once and outranks it.
     let mut exit = 0u8;
     for id in ids {
         let digit = (id % 10) as usize;
@@ -129,11 +145,11 @@ fn run_connection(config: &RunConfig, ids: std::ops::Range<u64>, seed: u64) -> (
             }
             Ok(None) => {
                 println!("server closed the connection");
-                return (correct, answered, EXIT_TRANSPORT.max(exit));
+                return (correct, answered, EXIT_TRANSPORT);
             }
             Err(error) => {
                 eprintln!("#{id}: read failed: {error}");
-                return (correct, answered, EXIT_TRANSPORT.max(exit));
+                return (correct, answered, EXIT_TRANSPORT);
             }
         }
     }
@@ -302,7 +318,7 @@ fn main() -> ExitCode {
             .into_iter()
             .map(|worker| worker.join().expect("client worker panicked"))
             .fold((0, 0, 0u8), |(c, a, e), (wc, wa, we)| {
-                (c + wc, a + wa, e.max(we))
+                (c + wc, a + wa, worse_exit(e, we))
             })
     };
     println!(
@@ -312,4 +328,20 @@ fn main() -> ExitCode {
         started.elapsed().as_secs_f64()
     );
     ExitCode::from(exit)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn transport_failure_outranks_every_answered_class() {
+        assert_eq!(worse_exit(EXIT_DEADLINE, EXIT_TRANSPORT), EXIT_TRANSPORT);
+        assert_eq!(worse_exit(EXIT_RETRIABLE, EXIT_TRANSPORT), EXIT_TRANSPORT);
+        assert_eq!(worse_exit(EXIT_APP_ERROR, EXIT_DEADLINE), EXIT_DEADLINE);
+        for code in 0..=EXIT_DEADLINE {
+            assert_eq!(worse_exit(0, code), code);
+            assert_eq!(worse_exit(code, 0), code);
+        }
+    }
 }

@@ -5,8 +5,8 @@
 //! exactly as the experiment harness does: every input *and* weight stream
 //! is regenerated inside every call. It is the semantic ground truth the
 //! compiled [`crate::engine::Engine`] is property-tested against
-//! (bit-exactness), and the baseline the serving benchmarks measure speedups
-//! over.
+//! (bit-exactness), and the oracle `perfbench` checks the engine against
+//! before it times anything.
 //!
 //! [`FeatureBlock::evaluate_stream`]: sc_blocks::feature_block::FeatureBlock::evaluate_stream
 

@@ -302,10 +302,10 @@ impl std::fmt::Display for MetricsReport {
 /// `p/100` (e.g. `0.95`) cannot push the rank past an exact integer boundary
 /// and select the wrong sample; at small sample counts (`n = 2`, p95/p99)
 /// the rank clamps to the max sample instead of rounding to a wrong index.
-/// `p ≥ 100` always selects the max sample, `p ≤ 0` the min. The serving
-/// benchmark's exact-sample baseline path uses this directly;
-/// [`LogHistogram::value_at_percentile`] follows the same rank convention at
-/// bucket resolution, so the two report comparable figures.
+/// `p ≥ 100` always selects the max sample, `p ≤ 0` the min. The router's
+/// hedge-delay window and `perfbench`'s exact-sample percentiles use this
+/// directly; [`LogHistogram::value_at_percentile`] follows the same rank
+/// convention at bucket resolution, so the two report comparable figures.
 ///
 /// # Panics
 ///

@@ -864,8 +864,7 @@ impl LatencyWindow {
         if self.recorded.is_multiple_of(LATENCY_RECOMPUTE) {
             let mut sorted = self.samples.clone();
             sorted.sort_unstable();
-            let index = (sorted.len() * 99 / 100).min(sorted.len() - 1);
-            self.p99_us = Some(sorted[index]);
+            self.p99_us = Some(sorted[crate::metrics::nearest_rank_index(sorted.len(), 99.0)]);
         }
     }
 }

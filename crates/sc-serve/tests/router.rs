@@ -73,7 +73,7 @@ fn replica(engines: &[Arc<Engine>; 2]) -> ServerHandle {
     .unwrap()
 }
 
-fn router_over(backends: &[&ServerHandle]) -> RouterHandle {
+fn router_over(backends: &[&ServerHandle], hedge: bool) -> RouterHandle {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     spawn_router(
         listener,
@@ -81,6 +81,9 @@ fn router_over(backends: &[&ServerHandle]) -> RouterHandle {
         RouterOptions {
             health_interval: Duration::from_millis(50),
             connect_timeout: Duration::from_millis(500),
+            hedge,
+            // The floor of the adaptive delay, so hedge arms really race.
+            hedge_delay: Duration::from_millis(1),
             ..RouterOptions::default()
         },
     )
@@ -92,97 +95,131 @@ fn routed_requests_are_bit_exact_with_direct_inference() {
     let engines = [engine_with_seed(44), engine_with_seed(77)];
     let replica_a = replica(&engines);
     let replica_b = replica(&engines);
-    let router = router_over(&[&replica_a, &replica_b]);
-
-    let stream = TcpStream::connect(router.addr()).unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
 
     // Mixed traffic: requests alternate between the two models.
     let images: Vec<Tensor> = (0..6).map(test_image).collect();
-    for (id, image) in images.iter().enumerate() {
-        let model = (id % 2) as u16;
-        write_request_v3(
-            &mut writer,
-            id as u64,
-            model,
-            0,
-            [1, 4, 4],
-            image.as_slice(),
-        )
-        .unwrap();
-        // Closed-loop: the router handles one exchange at a time per client
-        // connection.
-        let response = read_frame(&mut reader, decode_response)
-            .unwrap()
-            .expect("response");
-        let expected = engines[usize::from(model)]
-            .infer(&mut engines[usize::from(model)].new_session(), image)
-            .unwrap();
-        match response {
-            Response::Ok {
-                id: rid, logits, ..
-            } => {
-                assert_eq!(rid, id as u64);
-                assert_eq!(logits, expected.logits, "request {id} must be bit-exact");
-            }
-            Response::Err { message, .. } => panic!("request {id} failed: {message}"),
-        }
-    }
-
-    // Wait for the router to learn both replicas' model sets from status
-    // exchanges, so the model-7 request below is deterministic: the model
-    // filter rejects every backend up front instead of racing the probes.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while router
-        .stats()
-        .backends
+    let expected: Vec<Vec<f64>> = images
         .iter()
-        .any(|backend| backend.models.is_none())
-    {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "router never learned the replicas' model sets"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    for backend in router.stats().backends {
-        assert_eq!(backend.models, Some(vec![0, 1]));
-        assert!(
-            backend.registry_generation >= 1,
-            "replica generations start at 1"
-        );
-    }
+        .enumerate()
+        .map(|(i, image)| {
+            let engine = &engines[i % 2];
+            engine
+                .infer(&mut engine.new_session(), image)
+                .unwrap()
+                .logits
+        })
+        .collect();
 
-    // A model no replica hosts is a typed MODEL_UNAVAILABLE refusal: the
-    // router's model filter rejects every backend without burning an
-    // exchange, and the client sees the code, not a generic overload.
-    write_request_v3(&mut writer, 99, 7, 0, [1, 4, 4], images[0].as_slice()).unwrap();
-    match read_frame(&mut reader, decode_response)
-        .unwrap()
-        .expect("response")
-    {
-        Response::Err { id, code, message } => {
-            assert_eq!(id, 99);
-            assert_eq!(code, sc_serve::proto::ErrorCode::ModelUnavailable);
-            assert!(message.contains("model 7"), "{message}");
+    // One client on a plain router, then 8 and 32 concurrent clients on a
+    // hedged one: hedge arms racing on the shared replica channels must
+    // neither lose nor double-answer a request.
+    for (hedge, connections) in [(false, 1), (true, 8), (true, 32)] {
+        let router = router_over(&[&replica_a, &replica_b], hedge);
+        let addr = router.addr();
+        std::thread::scope(|scope| {
+            for client in 0..connections {
+                let (images, expected) = (&images, &expected);
+                scope.spawn(move || {
+                    let stream = TcpStream::connect(addr).unwrap();
+                    stream
+                        .set_read_timeout(Some(Duration::from_secs(30)))
+                        .unwrap();
+                    let mut writer = stream.try_clone().unwrap();
+                    let mut reader = BufReader::new(stream);
+                    for (i, image) in images.iter().enumerate() {
+                        let id = (client * images.len() + i) as u64;
+                        write_request_v3(
+                            &mut writer,
+                            id,
+                            (i % 2) as u16,
+                            0,
+                            [1, 4, 4],
+                            image.as_slice(),
+                        )
+                        .unwrap();
+                        // Closed-loop: the router handles one exchange at a
+                        // time per client connection.
+                        match read_frame(&mut reader, decode_response)
+                            .unwrap()
+                            .expect("response")
+                        {
+                            Response::Ok {
+                                id: rid, logits, ..
+                            } => {
+                                assert_eq!(rid, id);
+                                assert_eq!(logits, expected[i], "request {id} must be bit-exact");
+                            }
+                            Response::Err { message, .. } => {
+                                panic!("request {id} failed: {message}")
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        let sent = (connections * images.len()) as u64;
+        let stats = router.stats();
+        assert_eq!(stats.requests, sent, "hedge={hedge}: {stats}");
+        assert_eq!(stats.failed, 0, "hedge={hedge}: {stats}");
+
+        let stream = TcpStream::connect(router.addr()).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+
+        // Wait for the router to learn both replicas' model sets from status
+        // exchanges, so the model-7 request below is deterministic: the model
+        // filter rejects every backend up front instead of racing the probes.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while router
+            .stats()
+            .backends
+            .iter()
+            .any(|backend| backend.models.is_none())
+        {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "router never learned the replicas' model sets"
+            );
+            std::thread::sleep(Duration::from_millis(10));
         }
-        other => panic!("expected a model-unavailable refusal, got {other:?}"),
-    }
-    let stats = router.stats();
-    assert_eq!(stats.requests, 7);
-    assert_eq!(
-        stats.failovers, 0,
-        "healthy replicas must not trigger failover"
-    );
-    assert_eq!(
-        stats.failed, 1,
-        "the unhosted-model request is the one failure"
-    );
+        for backend in router.stats().backends {
+            assert_eq!(backend.models, Some(vec![0, 1]));
+            assert!(
+                backend.registry_generation >= 1,
+                "replica generations start at 1"
+            );
+        }
 
-    drop(writer);
-    drop(reader);
-    router.shutdown();
+        // A model no replica hosts is a typed MODEL_UNAVAILABLE refusal: the
+        // router's model filter rejects every backend without burning an
+        // exchange, and the client sees the code, not a generic overload.
+        write_request_v3(&mut writer, 99, 7, 0, [1, 4, 4], images[0].as_slice()).unwrap();
+        match read_frame(&mut reader, decode_response)
+            .unwrap()
+            .expect("response")
+        {
+            Response::Err { id, code, message } => {
+                assert_eq!(id, 99);
+                assert_eq!(code, sc_serve::proto::ErrorCode::ModelUnavailable);
+                assert!(message.contains("model 7"), "{message}");
+            }
+            other => panic!("expected a model-unavailable refusal, got {other:?}"),
+        }
+        let stats = router.stats();
+        assert_eq!(stats.requests, sent + 1);
+        assert_eq!(
+            stats.failovers, 0,
+            "healthy replicas must not trigger failover"
+        );
+        assert_eq!(
+            stats.failed, 1,
+            "the unhosted-model request is the one failure"
+        );
+
+        drop(writer);
+        drop(reader);
+        router.shutdown();
+    }
     replica_a.shutdown();
     replica_b.shutdown();
 }
@@ -197,7 +234,7 @@ fn replica_kill_mid_load_loses_no_request() {
     let engines = [engine_with_seed(44), engine_with_seed(77)];
     let replica_a = replica(&engines);
     let replica_b = replica(&engines);
-    let router = router_over(&[&replica_a, &replica_b]);
+    let router = router_over(&[&replica_a, &replica_b], false);
     let addr = router.addr();
 
     let expected: Vec<Vec<f64>> = {
@@ -361,7 +398,7 @@ fn hung_backend_times_out_and_fails_over() {
 fn losing_every_replica_errors_the_client_instead_of_hanging() {
     let engines = [engine_with_seed(44), engine_with_seed(77)];
     let replica_a = replica(&engines);
-    let router = router_over(&[&replica_a]);
+    let router = router_over(&[&replica_a], false);
 
     let stream = TcpStream::connect(router.addr()).unwrap();
     stream
