@@ -147,10 +147,9 @@ pub fn clamp_unipolar(value: f64) -> f64 {
 /// A decoded stream value is always one of these levels, so the function is
 /// the identity on anything that came out of a stream — quantizing *inputs*
 /// before encoding therefore changes each value by at most `1/L` (below the
-/// stream's own resolution) while collapsing the near-duplicate comparator
-/// thresholds that make stream-cache hits workload-dependent: after
-/// quantization at most `L + 1` distinct `(seed, threshold)` keys exist per
-/// SNG lane. NaN quantizes to the centre level (0), mirroring clamping.
+/// stream's own resolution) while collapsing near-duplicate comparator
+/// thresholds: after quantization at most `L + 1` distinct thresholds exist
+/// per SNG lane. NaN quantizes to the centre level (0), mirroring clamping.
 pub fn quantize_bipolar_levels(value: f64, stream_bits: usize) -> f64 {
     let l = stream_bits.max(1) as f64;
     let v = if value.is_nan() {

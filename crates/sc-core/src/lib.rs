@@ -62,7 +62,6 @@ pub mod word;
 
 pub use arena::{ArenaStats, StreamArena};
 pub use bitstream::{BitStream, StreamLength};
-pub use cache::StreamCache;
 pub use error::ScError;
 pub use hist::LogHistogram;
 pub use word::{active_backend, force_backend, Backend};
@@ -73,7 +72,6 @@ pub mod prelude {
     pub use crate::add::{Apc, ExactParallelCounter, MuxAdder, OrAdder};
     pub use crate::arena::StreamArena;
     pub use crate::bitstream::{BitStream, StreamLength};
-    pub use crate::cache::StreamCache;
     pub use crate::encoding::{Bipolar, Encoding, Unipolar};
     pub use crate::error::ScError;
     pub use crate::hist::LogHistogram;

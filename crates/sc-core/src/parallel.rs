@@ -94,8 +94,8 @@ where
 }
 
 /// Like [`parallel_map_with`], but hands the per-worker states back to the
-/// caller once the fan-out completes, so expensive warm state (a stream
-/// cache, a pooled arena) can be reused across fan-outs instead of rebuilt
+/// caller once the fan-out completes, so expensive warm state (a pooled
+/// arena) can be reused across fan-outs instead of rebuilt
 /// every call. The results vector is input-ordered as always; the states
 /// vector has one entry per worker that ran, in no particular order (an
 /// empty item slice runs no worker and returns no state).

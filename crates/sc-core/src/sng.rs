@@ -25,9 +25,9 @@ const THRESHOLD_BITS: u32 = 16;
 /// The comparator threshold an SNG uses for a one-density of `probability`.
 ///
 /// A generated stream is a pure function of the lane seed and this
-/// threshold, which is exactly the key a [`crate::cache::StreamCache`] is
-/// indexed by: two values mapping to the same threshold produce identical
-/// streams from the same generator.
+/// threshold: two values mapping to the same threshold produce identical
+/// streams from the same generator, and a [`LaneSequence`] turns a
+/// threshold into its lane's stream with the comparator alone.
 ///
 /// # Errors
 ///
@@ -55,6 +55,11 @@ pub enum SngKind {
     Ideal,
 }
 
+/// The register of an [`SngKind::Lfsr32`] generator seeded with `seed`.
+fn lfsr32_for_seed(seed: u64) -> Lfsr {
+    Lfsr::new(LfsrWidth::W32, seed as u32 ^ 0x9E37_79B9)
+}
+
 enum Source {
     Lfsr(Lfsr),
     Ideal(SoftwareRng<StdRng>),
@@ -67,7 +72,7 @@ impl Source {
     fn for_seed(kind: SngKind, seed: u64) -> Self {
         match kind {
             SngKind::Lfsr16 => Source::Lfsr(Lfsr::new(LfsrWidth::W16, seed as u32)),
-            SngKind::Lfsr32 => Source::Lfsr(Lfsr::new(LfsrWidth::W32, seed as u32 ^ 0x9E37_79B9)),
+            SngKind::Lfsr32 => Source::Lfsr(lfsr32_for_seed(seed)),
             SngKind::Ideal => Source::Ideal(SoftwareRng::new(StdRng::seed_from_u64(seed))),
         }
     }
@@ -126,37 +131,40 @@ fn fill_words_lfsr32_batched(
     bits: usize,
     seq: &mut Vec<u8>,
 ) {
+    let staged = staged_bits(bits);
+    if staged > 0 {
+        lfsr.w32_sequence_into(staged, seq);
+        compare_staged(seq, threshold, &mut words[..staged / 64]);
+    }
+    // The rest (every bit of a stream under 128 bits) runs serially from
+    // the resynced state.
+    fill_words_with(
+        || lfsr.step(),
+        threshold,
+        &mut words[staged / 64..],
+        bits - staged,
+    );
+}
+
+/// How many leading bits of a `bits`-long LFSR32 stream the staged
+/// comparator produces: whole words, and only from 128 bits on (the staged
+/// recurrence's minimum). The rest is drawn serially.
+fn staged_bits(bits: usize) -> usize {
     if bits < 128 {
-        fill_words_with(|| lfsr.next_u32(), threshold, words, bits);
-        return;
-    }
-    let batch_bits = bits / 64 * 64;
-    let batch_words = batch_bits / 64;
-    let tail_bits = bits - batch_bits;
-    lfsr.w32_sequence_into(batch_bits, seq);
-
-    // Bit-sliced threshold comparison, 64 samples per iteration.
-    if threshold > 0xFFFF {
-        // p == 1.0: every sample satisfies `sample < threshold`.
-        for word in words.iter_mut().take(batch_words) {
-            *word = u64::MAX;
-        }
-    } else if threshold == 0 {
-        for word in words.iter_mut().take(batch_words) {
-            *word = 0;
-        }
+        0
     } else {
-        comparator_fill(seq, threshold, words, batch_words);
+        bits / 64 * 64
     }
+}
 
-    // Tail: remaining bits (< 64) run serially from the resynced state.
-    if tail_bits > 0 {
-        let mut tail_word = 0u64;
-        for bit in 0..tail_bits {
-            let sample = lfsr.step();
-            tail_word |= u64::from((sample & 0xFFFF) < threshold) << bit;
-        }
-        words[batch_words] = tail_word;
+/// Comparator outputs for the staged part of a stream: one word per 64
+/// sequence bits of `seq` (a [`Lfsr::w32_sequence_into`] buffer).
+fn compare_staged(seq: &[u8], threshold: u32, words: &mut [u64]) {
+    match threshold {
+        0 => words.fill(0),
+        1..=0xFFFF => comparator_fill(seq, threshold, words, words.len()),
+        // p == 1.0: every sample satisfies `sample < threshold`.
+        _ => words.fill(u64::MAX),
     }
 }
 
@@ -495,13 +503,12 @@ impl Sng {
 ///
 /// The per-call paths construct one [`Sng`] per lane per evaluation; each
 /// fresh generator grows its own staged-recurrence scratch buffer on first
-/// use, so a layer evaluation that misses its stream cache pays one heap
-/// allocation (plus growth) per generated stream. A [`BatchSng`] generates
-/// any number of lanes — a whole SNG bank's worth of weight or input streams
-/// for one layer — through a **single** staged-recurrence scratch that
-/// persists across calls: steady-state stream generation touches the heap
-/// only for the output buffers, which the arena-backed entry points recycle
-/// too.
+/// use, so a layer evaluation pays one heap allocation (plus growth) per
+/// generated stream. A [`BatchSng`] generates any number of lanes — a whole
+/// SNG bank's worth of weight or input streams for one layer — through a
+/// **single** staged-recurrence scratch that persists across calls:
+/// steady-state stream generation touches the heap only for the output
+/// buffers, which the arena-backed entry points recycle too.
 ///
 /// Output is bit-exact with a fresh `Sng::new(kind, lane_seed)` per lane:
 /// the seed whitening and the sequence generation are shared code.
@@ -626,6 +633,77 @@ impl BatchSng {
                 Ok(stream)
             })
             .collect()
+    }
+}
+
+/// The precomputed random sequence of one [`SngKind::Lfsr32`] lane, for
+/// streams of one length.
+///
+/// A lane's comparator samples depend only on its seed, never on the value
+/// being encoded, so they can be drawn once and every later stream of the
+/// lane filled by the comparator alone — the hardware view of one fixed RNG
+/// sequence per comparator group. The sequence is held the way the batched
+/// fill consumes it: the staged bit-sequence of the register for the whole
+/// words, and the serial threshold samples for the rest.
+/// [`LaneSequence::fill`] is bit-exact with [`BatchSng::fill_probability`]
+/// for the same lane seed and length.
+#[derive(Debug, Clone)]
+pub struct LaneSequence {
+    /// Staged bit-sequence of the leading whole words, as
+    /// [`Lfsr::w32_sequence_into`] lays it out (empty below 128 bits).
+    staged: Vec<u8>,
+    /// Threshold samples of the remaining bits, in stream order.
+    tail: Vec<u16>,
+    length: StreamLength,
+}
+
+impl LaneSequence {
+    /// Draws the sequence of the lane seeded with `lane_seed` for streams of
+    /// `length` bits.
+    pub fn new(lane_seed: u64, length: StreamLength) -> Self {
+        let mut lfsr = lfsr32_for_seed(lane_seed);
+        let staged = staged_bits(length.bits());
+        let mut seq = Vec::new();
+        if staged > 0 {
+            lfsr.w32_sequence_into(staged, &mut seq);
+        }
+        let tail = (staged..length.bits())
+            .map(|_| (lfsr.step() & 0xFFFF) as u16)
+            .collect();
+        Self {
+            staged: seq,
+            tail,
+            length,
+        }
+    }
+
+    /// Fills `stream` with the lane's encoding of the comparator
+    /// `threshold` (see [`probability_threshold`]). Every word of `stream`
+    /// is overwritten.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScError::LengthMismatch`] unless `stream` has the
+    /// sequence's length.
+    pub fn fill(&self, threshold: u32, stream: &mut BitStream) -> Result<(), ScError> {
+        if stream.len() != self.length.bits() {
+            return Err(ScError::LengthMismatch {
+                left: self.length.bits(),
+                right: stream.len(),
+            });
+        }
+        let (staged, tail) = stream
+            .words_mut()
+            .split_at_mut(staged_bits(self.length.bits()) / 64);
+        compare_staged(&self.staged, threshold, staged);
+        let mut samples = self.tail.iter();
+        fill_words_with(
+            || samples.next().map_or(0, |&sample| u32::from(sample)),
+            threshold,
+            tail,
+            self.tail.len(),
+        );
+        Ok(())
     }
 }
 
@@ -934,6 +1012,19 @@ mod tests {
                 assert_eq!(arena.stats().stream_allocs, values.len() as u64);
             }
         }
+    }
+
+    #[test]
+    fn lane_sequence_rejects_other_lengths() {
+        let lane = LaneSequence::new(5, StreamLength::new(256));
+        let mut stream = BitStream::zeros(StreamLength::new(128));
+        assert_eq!(
+            lane.fill(0x8000, &mut stream),
+            Err(ScError::LengthMismatch {
+                left: 256,
+                right: 128
+            })
+        );
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Micro-batching request queue.
 //!
 //! Requests arrive one at a time from connection handlers; SC inference
-//! throughput is maximized when workers pull *batches* (the engine's stream
-//! cache stays warm across a batch and, with multiple workers, whole batches
-//! fan out in parallel). [`BatchQueue`] implements the classic micro-batching
+//! throughput is maximized when workers pull *batches* (one session's arena
+//! serves a whole batch and, with multiple workers, whole batches fan out in
+//! parallel). [`BatchQueue`] implements the classic micro-batching
 //! trade-off: a worker popping the queue receives up to `max_batch` requests,
 //! waiting at most `max_linger` after the first pending request for more to
 //! accumulate.

@@ -11,13 +11,14 @@
 //!   (one filter serves every inner-product block of a feature map, see
 //!   `sc_dcnn::weight_storage`) maps directly onto this cache: one set of
 //!   streams per filter serves all of its pooled positions.
-//! * **Input bit-streams** are memoized in a per-session
-//!   [`sc_core::cache::StreamCache`]: a stream is a pure function of its
-//!   `(lane seed, comparator threshold)` pair, all units of a layer share
-//!   their SNG wiring, and decoded layer outputs are quantized to `L + 1`
-//!   levels, so the same keys recur constantly — across the units of a
-//!   fully-connected layer, across pooling windows, and across the requests
-//!   of a batch.
+//! * **Input SNG sequences** are drawn once per `(layer, field, lane)` as a
+//!   [`LaneSequence`]: an input stream is a pure function of its lane seed
+//!   and its comparator threshold, and only the threshold depends on the
+//!   input. Every input stream is then a comparator-only fill into an arena
+//!   buffer, the paper's hardware view of one fixed RNG sequence per
+//!   comparator group. All units of a layer share their SNG wiring, so the
+//!   streams of one receptive field are filled once per position and serve
+//!   every filter (convolution) or unit (fully-connected).
 //!
 //! Evaluation then runs one [`FeatureBlock::evaluate_layer_prepared_with`]
 //! call per layer position, which evaluates every unit of the position at
@@ -32,79 +33,61 @@
 use crate::error::ServeError;
 use crate::interpreter::{Inference, Interpreter};
 use crate::plan::{lower, Plan, PlanLayer, PlanOptions};
-use sc_blocks::feature_block::FeatureBlock;
 use sc_core::arena::{ArenaStats, StreamArena};
 use sc_core::bitstream::BitStream;
-use sc_core::cache::{CacheStats, StreamCache};
+use sc_core::cache::CacheStats;
 use sc_core::encoding::{Bipolar, Encoding};
 use sc_core::parallel::{parallel_map_with, parallel_map_with_state};
-use sc_core::sng::{probability_threshold, BatchSng, SngBank, SngKind};
-use sc_core::ScError;
+use sc_core::sng::{probability_threshold, LaneSequence, SngBank};
 use sc_dcnn::config::ScNetworkConfig;
 use sc_nn::network::Network;
 use sc_nn::tensor::Tensor;
 use std::sync::Arc;
 
 /// Options controlling compilation and engine behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineOptions {
     /// Lowering options (input shape, seed scheme).
     pub plan: PlanOptions,
-    /// Maximum number of memoized input streams per session.
-    pub cache_capacity: usize,
     /// When set, every [`Engine::infer`] also runs the per-call interpreter
     /// and fails loudly unless the logits are bit-identical. Expensive —
     /// meant for tests, bring-up, and canary replicas.
     pub verify_against_interpreter: bool,
 }
 
-impl Default for EngineOptions {
-    fn default() -> Self {
-        Self {
-            plan: PlanOptions::default(),
-            cache_capacity: 1 << 16,
-            verify_against_interpreter: false,
-        }
-    }
-}
-
-/// Per-worker mutable state: the stream arena and the input-stream memo.
+/// Per-worker mutable state: the stream arena and the fill counters.
 ///
-/// Sessions are cheap to create but profit from living long: a warm cache
-/// carries hit rates across requests. The serving runtime keeps one session
-/// per worker thread.
+/// Sessions are cheap to create; living long keeps the arena's buffers
+/// pooled, so steady-state inference allocates nothing. The serving runtime
+/// keeps one session per worker thread.
 #[derive(Debug)]
 pub struct Session {
     arena: StreamArena,
-    cache: StreamCache,
-    /// Batched SNG shared by every cache miss of this session: one
-    /// staged-recurrence scratch serves all lanes of all layers, so misses
-    /// allocate nothing beyond the (arena-pooled) stream buffer.
-    sng: BatchSng,
-    /// Warm sub-sessions handed to single-request unit fan-out workers and
-    /// collected back afterwards, so their caches survive across layers and
-    /// requests instead of being rebuilt cold per fan-out.
+    /// Input streams filled by this session (not its workers).
+    fills: u64,
+    /// Sub-sessions handed to single-request unit fan-out workers, for
+    /// convolution positions and dense unit chunks alike, and collected back
+    /// afterwards, so their arenas stay pooled across layers and requests.
     workers: Vec<Session>,
-    /// Warm arenas handed to dense-layer fan-out chunk workers and collected
-    /// back afterwards (the chunk workers share the session's input streams
-    /// and need no cache of their own — only pooled buffers).
-    chunk_arenas: Vec<StreamArena>,
     /// Whether this session participates in single-request unit fan-out at
     /// all (see [`Session::set_unit_fan_out`]).
     unit_fan_out: bool,
-    /// Nanoseconds spent in input-stream cache lookup/fill since the last
+    /// Nanoseconds spent filling input streams since the last
     /// [`Session::take_cache_fill`] — the serving runtime drains this per
     /// request into the `cache_fill` stage histogram.
-    cache_fill_ns: u64,
+    fill_ns: u64,
 }
 
 impl Session {
-    /// Input-stream cache counters of this session, aggregated over its
-    /// warm fan-out worker sessions (with unit fan-out active, most conv
-    /// input-stream traffic flows through those workers — stats that
-    /// ignored them would report near-zero activity on multi-core runs).
+    /// Input-stream counters of this session, aggregated over its fan-out
+    /// worker sessions (with unit fan-out active, most conv input streams
+    /// are filled by those workers). `misses` counts the streams filled;
+    /// `hits` is always zero.
     pub fn cache_stats(&self) -> CacheStats {
-        let mut stats = self.cache.stats();
+        let mut stats = CacheStats {
+            hits: 0,
+            misses: self.fills,
+        };
         for worker in &self.workers {
             stats.merge(&worker.cache_stats());
         }
@@ -112,15 +95,12 @@ impl Session {
     }
 
     /// Stream/count buffer reuse counters of this session's arena,
-    /// aggregated over its warm fan-out worker sessions. In steady state the
+    /// aggregated over its fan-out worker sessions. In steady state the
     /// fused inference path takes every buffer from the pool: the
     /// `stream_allocs` delta between two snapshots of a warm session is
     /// zero.
     pub fn arena_stats(&self) -> ArenaStats {
         let mut stats = self.arena.stats();
-        for arena in &self.chunk_arenas {
-            stats.merge(&arena.stats());
-        }
         for worker in &self.workers {
             stats.merge(&worker.arena_stats());
         }
@@ -132,7 +112,7 @@ impl Session {
     ///
     /// With fan-out on and more than one `sc_core::parallel` thread, the
     /// positions of a convolution layer and chunks of a dense layer's units
-    /// spread across workers with their own warm sub-sessions, cutting
+    /// spread across workers with their own sub-sessions, cutting
     /// single-request latency on multi-core machines. Batched inference
     /// already parallelizes across requests, and nested fan-outs degrade to
     /// serial, so the two compose safely.
@@ -147,13 +127,13 @@ impl Session {
         self.unit_fan_out = enabled;
     }
 
-    /// Drains the time spent in input-stream cache lookup/fill since the
-    /// last call, aggregated over this session's warm fan-out workers (where
-    /// most conv input-stream traffic flows on multi-core runs). The serving
-    /// runtime calls this once per request to attribute the `cache_fill`
-    /// stage span; resetting keeps successive requests independent.
+    /// Drains the time spent filling input streams since the last call,
+    /// aggregated over this session's fan-out workers (where most conv
+    /// input streams are filled on multi-core runs). The serving runtime
+    /// calls this once per request to attribute the `cache_fill` stage span;
+    /// resetting keeps successive requests independent.
     pub fn take_cache_fill(&mut self) -> std::time::Duration {
-        let mut total = std::mem::take(&mut self.cache_fill_ns);
+        let mut total = std::mem::take(&mut self.fill_ns);
         for worker in &mut self.workers {
             total += worker.take_cache_fill().as_nanos() as u64;
         }
@@ -164,6 +144,36 @@ impl Session {
 /// Pre-generated weight streams of one layer: `[row][field][lane]`, where a
 /// row is a convolution filter or a fully-connected unit.
 type LayerWeightStreams = Vec<Vec<Vec<BitStream>>>;
+
+/// Input SNG sequences of one layer: `[field][lane]`, in the block's
+/// published seed scheme.
+type LayerLaneSequences = Vec<Vec<LaneSequence>>;
+
+/// Draws every layer's input lane sequences from the plan's block seeds.
+fn generate_lane_sequences(plan: &Plan) -> Vec<LayerLaneSequences> {
+    plan.layers
+        .iter()
+        .map(|layer| {
+            let block = match layer {
+                PlanLayer::Conv(conv) => &conv.block,
+                PlanLayer::Dense(dense) => &dense.block,
+            };
+            (0..block.pool_window())
+                .map(|field| {
+                    let (input_base, _) = block.operand_bank_seeds(field);
+                    (0..block.input_size())
+                        .map(|lane| {
+                            LaneSequence::new(
+                                SngBank::lane_seed(input_base, lane),
+                                plan.stream_length,
+                            )
+                        })
+                        .collect()
+                })
+                .collect()
+        })
+        .collect()
+}
 
 /// Pre-generates every layer's weight bit-streams from the plan's block
 /// seeds (shared by [`Engine::compile`] and [`Engine::from_plan`]; the
@@ -196,6 +206,7 @@ fn generate_weight_streams(plan: &Plan) -> Result<Vec<LayerWeightStreams>, Serve
 pub struct Engine {
     plan: Arc<Plan>,
     weights: Vec<LayerWeightStreams>,
+    lanes: Vec<LayerLaneSequences>,
     interpreter: Interpreter,
     options: EngineOptions,
 }
@@ -218,9 +229,10 @@ impl Engine {
 
     /// Builds an engine directly from an already-lowered [`Plan`] — the
     /// cold-start path of [`crate::plan_store`], which skips training and
-    /// lowering entirely. Weight bit-streams are regenerated here from the
-    /// plan's block seeds, so the resulting engine is bit-exact with one
-    /// [`Engine::compile`] produced from the same network and options.
+    /// lowering entirely. Weight bit-streams and input lane sequences are
+    /// regenerated here from the plan's block seeds, so the resulting engine
+    /// is bit-exact with one [`Engine::compile`] produced from the same
+    /// network and options.
     ///
     /// `options.plan` is recorded for introspection but does not influence
     /// the build (the plan is already lowered); pass the values the plan was
@@ -233,10 +245,12 @@ impl Engine {
     pub fn from_plan(plan: Plan, options: EngineOptions) -> Result<Self, ServeError> {
         let plan = Arc::new(plan);
         let weights = generate_weight_streams(&plan)?;
+        let lanes = generate_lane_sequences(&plan);
         Ok(Self {
             interpreter: Interpreter::new(Arc::clone(&plan)),
             plan,
             weights,
+            lanes,
             options,
         })
     }
@@ -277,12 +291,10 @@ impl Engine {
     pub fn new_session(&self) -> Session {
         Session {
             arena: StreamArena::new(),
-            cache: StreamCache::new(self.options.cache_capacity),
-            sng: BatchSng::new(SngKind::Lfsr32),
+            fills: 0,
             workers: Vec::new(),
-            chunk_arenas: Vec::new(),
             unit_fan_out: true,
-            cache_fill_ns: 0,
+            fill_ns: 0,
         }
     }
 
@@ -296,8 +308,9 @@ impl Engine {
     pub fn infer(&self, session: &mut Session, image: &Tensor) -> Result<Inference, ServeError> {
         self.plan.validate_input(image)?;
         let mut values = self.plan.input_values(image);
-        for (layer, weights) in self.plan.layers.iter().zip(self.weights.iter()) {
-            values = self.eval_layer(session, layer, weights, &values)?;
+        for ((layer, weights), lanes) in self.plan.layers.iter().zip(&self.weights).zip(&self.lanes)
+        {
+            values = self.eval_layer(session, layer, weights, lanes, &values)?;
         }
         let result = Inference::from_logits(values);
         if self.options.verify_against_interpreter {
@@ -314,8 +327,7 @@ impl Engine {
 
     /// Runs a batch of inferences, fanning the requests across
     /// `sc_core::parallel` workers (each worker gets its own session). With
-    /// one worker the provided session is used for the whole batch, keeping
-    /// its cache warm.
+    /// one worker the provided session serves the whole batch.
     ///
     /// # Errors
     ///
@@ -374,11 +386,43 @@ impl Engine {
         session.unit_fan_out && independent_items > 1 && sc_core::parallel::max_threads() > 1
     }
 
+    /// Maps `f` over `items` on unit fan-out workers, each with a sub-session
+    /// drawn from `session`'s pool and returned to it afterwards. Results
+    /// are input-ordered and depend only on the item, so the fan-out is
+    /// bit-deterministic.
+    fn fan_out<T: Sync, R: Send>(
+        &self,
+        session: &mut Session,
+        items: &[T],
+        f: impl Fn(&mut Session, &T) -> R + Sync,
+    ) -> Vec<R> {
+        let mut idle = std::mem::take(&mut session.workers);
+        // Hand out the fullest arenas first: a layer's workers are then the
+        // sub-sessions that already pooled its buffers, so steady-state
+        // fan-out never allocates, whichever order the workers finished in.
+        idle.sort_by_key(|worker| worker.arena.pooled());
+        let pool = std::sync::Mutex::new(idle);
+        let (results, states) = parallel_map_with_state(
+            items,
+            || {
+                pool.lock()
+                    .expect("session pool")
+                    .pop()
+                    .unwrap_or_else(|| self.new_session())
+            },
+            |worker, _, item| f(worker, item),
+        );
+        session.workers = pool.into_inner().expect("session pool");
+        session.workers.extend(states);
+        results
+    }
+
     fn eval_layer(
         &self,
         session: &mut Session,
         layer: &PlanLayer,
         weights: &LayerWeightStreams,
+        lanes: &LayerLaneSequences,
         values: &[f64],
     ) -> Result<Vec<f64>, ServeError> {
         match layer {
@@ -397,13 +441,13 @@ impl Engine {
                     .block
                     .prepare_selectors(self.plan.stream_length.bits())?;
                 // One fused call per pooled position evaluates every filter:
-                // the position's input streams are generated (or cache-hit)
-                // once instead of once per filter.
+                // the position's input streams are filled once instead of
+                // once per filter.
                 let eval_position =
-                    |session: &mut Session, position: usize| -> Result<Vec<f64>, ServeError> {
+                    |session: &mut Session, &position: &usize| -> Result<Vec<f64>, ServeError> {
                         let (py, px) = (position / pooled_w, position % pooled_w);
                         let fields = conv.gather_fields(values, py, px);
-                        let inputs = self.gather_input_streams(session, &conv.block, &fields)?;
+                        let inputs = self.gather_input_streams(session, lanes, &fields)?;
                         let outputs = conv.block.evaluate_layer_prepared_with(
                             &selectors,
                             &inputs,
@@ -420,30 +464,11 @@ impl Engine {
                     };
                 let per_position: Vec<Result<Vec<f64>, ServeError>> =
                     if self.fan_out_units(session, positions) {
-                        // Positions are independent; per-worker sessions keep
-                        // their own caches/arenas. Outputs depend only on the
-                        // position index, so the fan-out is bit-deterministic.
-                        // Workers draw warm sessions from the caller's pool
-                        // and return them afterwards, so the per-worker
-                        // caches carry hit rates across layers and requests.
-                        let pool = std::sync::Mutex::new(std::mem::take(&mut session.workers));
-                        let (results, states) = parallel_map_with_state(
-                            &(0..positions).collect::<Vec<usize>>(),
-                            || {
-                                pool.lock()
-                                    .expect("session pool")
-                                    .pop()
-                                    .unwrap_or_else(|| self.new_session())
-                            },
-                            |worker_session, _, &position| eval_position(worker_session, position),
-                        );
-                        let mut workers = pool.into_inner().expect("session pool");
-                        workers.extend(states);
-                        session.workers = workers;
-                        results
+                        let indices: Vec<usize> = (0..positions).collect();
+                        self.fan_out(session, &indices, eval_position)
                     } else {
                         (0..positions)
-                            .map(|position| eval_position(session, position))
+                            .map(|position| eval_position(session, &position))
                             .collect()
                     };
                 // Transpose position-major results into the plan's
@@ -458,9 +483,9 @@ impl Engine {
             }
             PlanLayer::Dense(dense) => {
                 // All units of a fully-connected layer share one receptive
-                // field: its streams are generated once for the whole layer.
+                // field: its streams are filled once for the whole layer.
                 let field = vec![values.to_vec()];
-                let inputs = self.gather_input_streams(session, &dense.block, &field)?;
+                let inputs = self.gather_input_streams(session, lanes, &field)?;
                 let unit_refs: Vec<&[Vec<BitStream>]> =
                     weights.iter().map(|row| row.as_slice()).collect();
                 // One selector-plan set for the whole layer, shared by every
@@ -469,108 +494,72 @@ impl Engine {
                 let selectors = dense
                     .block
                     .prepare_selectors(self.plan.stream_length.bits())?;
+                // Decode inside the evaluating session and recycle the output
+                // buffers into the arena they were taken from: take and
+                // recycle stay paired per worker, so no arena net-drains (and
+                // then re-allocates) under uneven chunk sizes or scheduling.
+                let eval_units = |session: &mut Session,
+                                  units: &&[&[Vec<BitStream>]]|
+                 -> Result<Vec<f64>, ServeError> {
+                    let streams = dense.block.evaluate_layer_prepared_with(
+                        &selectors,
+                        &inputs,
+                        units,
+                        &mut session.arena,
+                    )?;
+                    let decoded = streams.iter().map(BitStream::bipolar_value).collect();
+                    session.arena.recycle_all(streams);
+                    Ok(decoded)
+                };
                 let decoded = if self.fan_out_units(session, unit_refs.len()) {
                     let threads = sc_core::parallel::max_threads();
                     let chunk_size = unit_refs.len().div_ceil(threads).max(1);
                     let chunks: Vec<&[&[Vec<BitStream>]]> = unit_refs.chunks(chunk_size).collect();
-                    // Fan-out workers draw warm arenas from the session pool
-                    // and return them afterwards (mirroring the conv path's
-                    // worker-session pool), so dense fan-out stays zero-alloc
-                    // in steady state and the buffers remain visible to
-                    // `Session::arena_stats`.
-                    let pool = std::sync::Mutex::new(std::mem::take(&mut session.chunk_arenas));
-                    let (per_chunk, states) = parallel_map_with_state(
-                        &chunks,
-                        || pool.lock().expect("arena pool").pop().unwrap_or_default(),
-                        |arena, _, chunk| {
-                            // Decode inside the worker and recycle the output
-                            // buffers into the arena they were taken from:
-                            // take and recycle stay paired per worker, so no
-                            // arena net-drains (and then re-allocates) under
-                            // uneven chunk sizes or scheduling.
-                            dense
-                                .block
-                                .evaluate_layer_prepared_with(&selectors, &inputs, chunk, arena)
-                                .map(|streams| {
-                                    let decoded: Vec<f64> =
-                                        streams.iter().map(BitStream::bipolar_value).collect();
-                                    arena.recycle_all(streams);
-                                    decoded
-                                })
-                        },
-                    );
-                    let mut arenas = pool.into_inner().expect("arena pool");
-                    arenas.extend(states);
-                    session.chunk_arenas = arenas;
-                    let mut decoded = Vec::with_capacity(unit_refs.len());
-                    let mut error = None;
-                    for chunk in per_chunk {
-                        match chunk {
-                            Ok(chunk_values) => decoded.extend(chunk_values),
-                            Err(e) if error.is_none() => error = Some(e),
-                            Err(_) => {}
-                        }
-                    }
-                    match error {
-                        None => Ok(decoded),
-                        Some(e) => Err(e),
-                    }
+                    self.fan_out(session, &chunks, eval_units)
+                        .into_iter()
+                        .collect::<Result<Vec<Vec<f64>>, _>>()
+                        .map(|chunks| chunks.concat())
                 } else {
-                    dense
-                        .block
-                        .evaluate_layer_prepared_with(
-                            &selectors,
-                            &inputs,
-                            &unit_refs,
-                            &mut session.arena,
-                        )
-                        .map(|streams| {
-                            let decoded = streams.iter().map(BitStream::bipolar_value).collect();
-                            session.arena.recycle_all(streams);
-                            decoded
-                        })
+                    eval_units(session, &unit_refs.as_slice())
                 };
                 for field_streams in inputs {
                     session.arena.recycle_all(field_streams);
                 }
-                Ok(decoded?)
+                decoded
             }
         }
     }
 
-    /// Generates (or serves from the session cache) the input streams of
-    /// every pool-window field, in the block's published seed scheme. The
-    /// returned buffers are arena-backed; recycle them after use.
+    /// Fills the input streams of every pool-window field from the layer's
+    /// lane sequences. The returned buffers are arena-backed; recycle them
+    /// after use.
     fn gather_input_streams(
         &self,
         session: &mut Session,
-        block: &FeatureBlock,
+        lanes: &LayerLaneSequences,
         fields: &[Vec<f64>],
     ) -> Result<Vec<Vec<BitStream>>, ServeError> {
         let started = std::time::Instant::now();
-        let length = self.plan.stream_length;
-        let Session {
-            arena, cache, sng, ..
-        } = session;
         let mut inputs: Vec<Vec<BitStream>> = Vec::with_capacity(fields.len());
-        for (field_index, field) in fields.iter().enumerate() {
-            let (input_base, _) = block.operand_bank_seeds(field_index);
+        for (field, sequences) in fields.iter().zip(lanes) {
+            if field.len() != sequences.len() {
+                return Err(ServeError::Invalid(format!(
+                    "receptive field of {} values for {} SNG lanes",
+                    field.len(),
+                    sequences.len()
+                )));
+            }
             let mut streams = Vec::with_capacity(field.len());
-            for (lane, &value) in field.iter().enumerate() {
-                let lane_seed = SngBank::lane_seed(input_base, lane);
-                let probability = Bipolar::to_probability(value)?;
-                let threshold = probability_threshold(probability)?;
-                let stream =
-                    cache.get_or_generate((lane_seed, threshold), length, arena, |arena| {
-                        let mut fresh = arena.take_zeroed(length);
-                        sng.fill_probability(lane_seed, probability, &mut fresh)?;
-                        Ok::<_, ScError>(fresh)
-                    })?;
+            for (&value, sequence) in field.iter().zip(sequences) {
+                let threshold = probability_threshold(Bipolar::to_probability(value)?)?;
+                let mut stream = session.arena.take_zeroed(self.plan.stream_length);
+                sequence.fill(threshold, &mut stream)?;
                 streams.push(stream);
             }
+            session.fills += streams.len() as u64;
             inputs.push(streams);
         }
-        session.cache_fill_ns += started.elapsed().as_nanos() as u64;
+        session.fill_ns += started.elapsed().as_nanos() as u64;
         Ok(inputs)
     }
 }
@@ -627,8 +616,28 @@ mod tests {
         let images: Vec<Tensor> = (1..4).map(image).collect();
         engine.verify(&mut session, &images).unwrap();
         assert!(engine.cached_weight_streams() > 0);
-        // The dense layer guarantees cache hits (shared inputs across units).
-        assert!(session.cache_stats().hits > 0);
+        // Every inference fills each input stream exactly once per position:
+        // positions × pool window × receptive field, summed over layers —
+        // here 3×3 positions × 4 fields × 9 lanes (conv) plus 18 (dense),
+        // counted across the fan-out workers too.
+        let per_inference: usize = engine
+            .plan()
+            .layers
+            .iter()
+            .map(|layer| match layer {
+                PlanLayer::Conv(conv) => {
+                    conv.out_shape[1]
+                        * conv.out_shape[2]
+                        * conv.block.pool_window()
+                        * conv.block.input_size()
+                }
+                PlanLayer::Dense(dense) => dense.block.pool_window() * dense.block.input_size(),
+            })
+            .sum();
+        assert_eq!(per_inference, 9 * 4 * 9 + 18);
+        let stats = session.cache_stats();
+        assert_eq!(stats.misses, (images.len() * per_inference) as u64);
+        assert_eq!(stats.hits, 0);
     }
 
     /// End-to-end kernel-backend bit-exactness: the scalar reference and
@@ -740,32 +749,6 @@ mod tests {
     }
 
     #[test]
-    fn repeated_frames_hit_the_cache_exactly() {
-        // Quantized inputs → deterministic cache keys: replaying a frame
-        // must be served entirely from the warm cache (zero new misses).
-        let network = small_network(7);
-        let config = ScNetworkConfig::new(
-            "c",
-            vec![FeatureBlockKind::ApcMaxBtanh; 2],
-            128,
-            PoolingStyle::Max,
-        );
-        let engine = Engine::compile(&network, &config, options()).unwrap();
-        let mut session = engine.new_session();
-        session.set_unit_fan_out(false); // keep all traffic in one session
-        let frame = image(5);
-        engine.infer(&mut session, &frame).unwrap();
-        let cold = session.cache_stats();
-        engine.infer(&mut session, &frame).unwrap();
-        let warm = session.cache_stats();
-        assert_eq!(
-            warm.misses, cold.misses,
-            "a repeated frame must not generate any stream"
-        );
-        assert!(warm.hits > cold.hits);
-    }
-
-    #[test]
     fn steady_state_inference_allocates_no_stream_buffers() {
         // Once the session arena is warm, fused inference must serve every
         // stream and count buffer from the pool: the session arena is
@@ -777,7 +760,7 @@ mod tests {
             let mut session = engine.new_session();
             session.set_unit_fan_out(false); // keep all traffic in one arena
             let frames: Vec<Tensor> = (1..4).map(image).collect();
-            // Warm-up: populate the arena pool and the stream cache.
+            // Warm-up: populate the arena pool.
             for frame in &frames {
                 engine.infer(&mut session, frame).unwrap();
             }
@@ -832,29 +815,5 @@ mod tests {
             steady.pooled_streams, warm.pooled_streams,
             "steady-state fan-out inference must not grow the buffer pools"
         );
-    }
-
-    #[test]
-    fn tiny_cache_capacity_stays_correct() {
-        let network = small_network(11);
-        let config = ScNetworkConfig::new(
-            "c",
-            vec![FeatureBlockKind::ApcMaxBtanh; 2],
-            64,
-            PoolingStyle::Max,
-        );
-        let engine = Engine::compile(
-            &network,
-            &config,
-            EngineOptions {
-                cache_capacity: 8,
-                ..options()
-            },
-        )
-        .unwrap();
-        let mut session = engine.new_session();
-        let images: Vec<Tensor> = (1..3).map(image).collect();
-        engine.verify(&mut session, &images).unwrap();
-        assert!(session.cache_stats().flushes > 0);
     }
 }

@@ -15,8 +15,9 @@
 //! * [`interpreter`] — the reference executor: walks the plan through the
 //!   existing per-call `FeatureBlock::evaluate_stream` path.
 //! * [`engine`] — the compiled executor: weight bit-streams pre-generated
-//!   once per filter (filter-aware sharing), input streams memoized in a
-//!   [`sc_core::cache::StreamCache`], fused stream-level kernels. Bit-exact
+//!   once per filter (filter-aware sharing), input streams filled by the
+//!   comparator alone from per-lane SNG sequences drawn at build time
+//!   ([`sc_core::sng::LaneSequence`]), fused stream-level kernels. Bit-exact
 //!   with the interpreter (property-tested, and enforceable at runtime via
 //!   `verify_against_interpreter`).
 //! * [`batch`] / [`server`] / [`proto`] / [`metrics`] — the serving runtime:

@@ -6,7 +6,7 @@
 //! * [`MetricsRegistry`] — a process-wide collection of metric sources
 //!   (closures producing [`Sample`]s on demand) renderable as Prometheus
 //!   text exposition or JSON. The serving runtime registers its counters,
-//!   latency/stage histograms, queue-depth gauge, and cache/arena stats;
+//!   latency/stage histograms, queue-depth gauge, and fill/arena stats;
 //!   the router registers its request counters, retry-budget level, and
 //!   per-backend state. The [`crate::admin`] listener serves whatever the
 //!   registry renders.
@@ -30,7 +30,7 @@
 //! | `sc_request_latency_seconds` | summary | `quantile` = 0.5/0.95/0.99 |
 //! | `sc_stage_latency_seconds` | summary | `stage` + `quantile` = 0.5/0.99 |
 //! | `sc_queue_depth` | gauge | |
-//! | `sc_cache_*` / `sc_arena_*` | counter/gauge | |
+//! | `sc_stream_fills_total` / `sc_arena_*` | counter/gauge | |
 //! | `sc_router_failovers_total` | counter | |
 //! | `sc_retry_budget_level` | gauge | |
 //! | `sc_backend_*` | counter/gauge | `backend` = replica address |
@@ -340,7 +340,7 @@ pub fn register_request_metrics(registry: &MetricsRegistry, metrics: Arc<Metrics
 ///
 /// Worker [`crate::engine::Session`]s live inside their worker threads and
 /// cannot be read from a scrape; instead each worker writes its session's
-/// cache/arena stats here after every batch, so the registry reads values at
+/// fill/arena stats here after every batch, so the registry reads values at
 /// most one batch stale.
 #[derive(Debug)]
 pub struct WorkerStatsSlots {
@@ -378,29 +378,14 @@ impl WorkerStatsSlots {
     }
 }
 
-/// Registers cache/arena metric families backed by [`WorkerStatsSlots`].
+/// Registers stream-fill/arena metric families backed by [`WorkerStatsSlots`].
 pub fn register_engine_metrics(registry: &MetricsRegistry, slots: Arc<WorkerStatsSlots>) {
     registry.register(move |out| {
         let (cache, arena) = slots.totals();
         out.push(Sample::counter(
-            "sc_cache_hits_total",
-            vec![],
-            cache.hits as f64,
-        ));
-        out.push(Sample::counter(
-            "sc_cache_misses_total",
+            "sc_stream_fills_total",
             vec![],
             cache.misses as f64,
-        ));
-        out.push(Sample::counter(
-            "sc_cache_evicted_total",
-            vec![],
-            cache.evicted as f64,
-        ));
-        out.push(Sample::gauge(
-            "sc_cache_entries",
-            vec![],
-            cache.entries as f64,
         ));
         out.push(Sample::counter(
             "sc_arena_stream_allocs_total",
@@ -474,7 +459,7 @@ pub struct TraceEvent {
     pub queue_us: u64,
     /// In-batch linger span, microseconds.
     pub linger_us: u64,
-    /// Input-stream cache lookup/fill span, microseconds.
+    /// Input-stream fill span, microseconds.
     pub cache_fill_us: u64,
     /// Engine compute span, microseconds.
     pub compute_us: u64,
@@ -707,26 +692,19 @@ mod tests {
     #[test]
     fn worker_stats_slots_sum_across_workers() {
         let slots = WorkerStatsSlots::new(2);
-        let cache_a = CacheStats {
-            hits: 10,
-            entries: 3,
-            ..CacheStats::default()
+        let fills_a = CacheStats {
+            hits: 0,
+            misses: 10,
         };
-        let mut cache_b = CacheStats {
-            hits: 5,
-            misses: 2,
-            ..CacheStats::default()
-        };
-        slots.publish(0, cache_a, ArenaStats::default());
-        slots.publish(1, cache_b, ArenaStats::default());
-        let (cache, _) = slots.totals();
-        assert_eq!(cache.hits, 15);
-        assert_eq!(cache.misses, 2);
-        assert_eq!(cache.entries, 3);
+        let mut fills_b = CacheStats { hits: 0, misses: 5 };
+        slots.publish(0, fills_a, ArenaStats::default());
+        slots.publish(1, fills_b, ArenaStats::default());
+        let (fills, _) = slots.totals();
+        assert_eq!(fills.misses, 15);
         // Re-publishing replaces the slot (snapshots, not deltas).
-        cache_b.hits = 6;
-        slots.publish(1, cache_b, ArenaStats::default());
-        assert_eq!(slots.totals().0.hits, 16);
+        fills_b.misses = 6;
+        slots.publish(1, fills_b, ArenaStats::default());
+        assert_eq!(slots.totals().0.misses, 16);
         // An out-of-range index is ignored, not a panic.
         slots.publish(9, CacheStats::default(), ArenaStats::default());
     }

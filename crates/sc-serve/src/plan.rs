@@ -10,7 +10,7 @@
 //!   existing per-call [`FeatureBlock::evaluate_stream`] path (regenerating
 //!   every operand stream on every call), and
 //! * the compiled [`crate::engine::Engine`] walks the same plan with
-//!   pre-generated weight streams and a stream cache, producing bit-identical
+//!   pre-generated weight streams and input lane sequences, producing bit-identical
 //!   outputs.
 //!
 //! ## Lowering rules
@@ -215,10 +215,9 @@ impl Plan {
     /// Inputs are snapped to the `L + 1` levels a length-`L` stream can
     /// represent (`sc_core::encoding::quantize_bipolar_levels`). Decoded
     /// layer outputs already live on that grid, so this changes each pixel
-    /// by at most `1/L` — below the stream's own resolution — while making
-    /// the engine's input-stream cache keys deterministic: at most `L + 1`
-    /// distinct comparator thresholds exist per SNG lane, and near-duplicate
-    /// pixels collapse onto the same cached stream. Both execution paths
+    /// by at most `1/L` — below the stream's own resolution — and leaves at
+    /// most `L + 1` distinct comparator thresholds per SNG lane, so
+    /// near-duplicate pixels encode to the same stream. Both execution paths
     /// (interpreter and compiled engine) share this function, so they remain
     /// bit-identical.
     pub fn input_values(&self, image: &Tensor) -> Vec<f64> {

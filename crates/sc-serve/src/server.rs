@@ -21,7 +21,7 @@
 //!
 //! One listener serves **N compiled engines** (multi-model serving): each
 //! worker owns one long-lived [`Session`] *per model*, so every model's
-//! input-stream cache stays warm across batches regardless of how traffic
+//! stream arena stays pooled across batches regardless of how traffic
 //! interleaves. Requests address a model through the request frame's
 //! `model` field. A slow client never blocks inference: its responses
 //! accumulate in its output buffer (bounded by the write timeout), not on a
@@ -134,7 +134,7 @@ impl Default for ServerOptions {
 /// **generation** under the slot write lock:
 ///
 /// * workers snapshot the slots once and re-snapshot only when the
-///   generation moved, keeping warm [`Session`]s for every engine that
+///   generation moved, keeping the [`Session`]s of every engine that
 ///   survived (`Arc::ptr_eq`) — steady-state serving never takes the lock
 ///   per request;
 /// * routers learn the generation (and model set) from admin status
@@ -473,8 +473,8 @@ pub fn spawn(
 /// Starts serving `engines` on one listener and returns immediately.
 ///
 /// Engine `i` is model `i` of the request frame's `model` field. Each
-/// worker keeps one warm [`Session`] per model, so the per-model stream
-/// caches survive interleaved traffic.
+/// worker keeps one [`Session`] per model, so the per-model stream arenas
+/// stay pooled under interleaved traffic.
 ///
 /// # Errors
 ///
@@ -1174,12 +1174,12 @@ impl IoLoop {
 }
 
 /// One worker's registry view: the engines of a registry generation plus a
-/// warm [`Session`] per hosted model.
+/// [`Session`] per hosted model.
 ///
 /// `refresh` is the cheap steady-state path: one atomic generation read per
 /// batch, and only when the generation moved does it re-snapshot the slots
-/// — keeping the warm session of every engine that survived the change
-/// (`Arc::ptr_eq`), so loading model 3 never cools model 0's cache.
+/// — keeping the session of every engine that survived the change
+/// (`Arc::ptr_eq`), so loading model 3 never drains model 0's arena.
 struct WorkerModels {
     generation: u64,
     engines: Vec<Option<Arc<Engine>>>,
@@ -1226,8 +1226,8 @@ impl WorkerModels {
     }
 }
 
-/// Worker loop: pulls micro-batches and runs them through one warm session
-/// per model.
+/// Worker loop: pulls micro-batches and runs them through one session per
+/// model.
 ///
 /// A job whose deadline already passed is answered
 /// [`ErrorCode::DeadlineExceeded`] without touching the engine: the client
@@ -1296,7 +1296,7 @@ fn worker_loop(
             let compute = compute_started.elapsed();
             metrics.record_stage(Stage::Compute, compute);
             // Only the session this request's model used accumulated any
-            // cache-fill time; draining all of them attributes it without
+            // stream-fill time; draining all of them attributes it without
             // re-deriving the model→session mapping here.
             let cache_fill: Duration = models
                 .sessions
@@ -1542,7 +1542,7 @@ mod tests {
         assert_eq!(registry.generation(), 1);
         assert_eq!(registry.models(), vec![0]);
 
-        // Worker view: warm sessions survive an unrelated load.
+        // Worker view: sessions survive an unrelated load.
         let mut view = WorkerModels::new(&registry, false);
         let engine0 = view.engines[0].as_ref().unwrap().clone();
 

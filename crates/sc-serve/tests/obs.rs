@@ -163,7 +163,7 @@ fn scrape_agrees_with_client_totals_and_stage_spans_decompose_latency() {
         "sc_request_latency_seconds",
         "sc_stage_latency_seconds",
         "sc_queue_depth",
-        "sc_cache_hits_total",
+        "sc_stream_fills_total",
     ] {
         assert_eq!(
             text.matches(&format!("# TYPE {family} ")).count(),

@@ -4,6 +4,8 @@ use proptest::prelude::*;
 use sc_dcnn_repro::core::add::{Apc, CountStream, ExactParallelCounter};
 use sc_dcnn_repro::core::encoding::{prescale, Bipolar, Encoding, Unipolar};
 use sc_dcnn_repro::core::prelude::*;
+use sc_dcnn_repro::core::sng::{BatchSng, LaneSequence};
+use sc_dcnn_repro::core::{active_backend, force_backend, Backend};
 use sc_dcnn_repro::hw::sram::quantize_weight;
 use sc_dcnn_repro::nn::quantize::quantize_value;
 use sc_dcnn_repro::nn::tensor::Tensor;
@@ -140,6 +142,40 @@ proptest! {
         let word_parallel = Sng::new(kind, seed).generate_probability(p, length).unwrap();
         let bitwise = Sng::new(kind, seed).generate_probability_bitwise(p, length).unwrap();
         prop_assert_eq!(word_parallel, bitwise);
+    }
+
+    /// A lane's precomputed sequence fills exactly the stream its batched
+    /// and per-lane generators draw, at every length (below the 128-bit
+    /// staged minimum and off word multiples too), at the comparator's edge
+    /// thresholds, and under every kernel backend this build and CPU run.
+    #[test]
+    fn lane_sequence_fill_matches_batched_and_per_lane_sng(seed in any::<u64>(),
+                                                          random_threshold in 0u32..=0x10000) {
+        let original = active_backend();
+        for bits in [1usize, 63, 64, 100, 127, 128, 129, 1024, 8191] {
+            let length = StreamLength::new(bits);
+            let lane = LaneSequence::new(seed, length);
+            for threshold in [0u32, 1, 0x8000, 0xFFFF, 0x10000, random_threshold] {
+                // Exact: `probability_threshold` maps it back to `threshold`.
+                let probability = f64::from(threshold) / 65536.0;
+                for backend in Backend::ALL.into_iter().filter(|b| b.is_available()) {
+                    prop_assert!(force_backend(backend));
+                    let mut batched = BitStream::zeros(length);
+                    let mut per_lane = BitStream::zeros(length);
+                    let mut filled = BitStream::zeros(length);
+                    BatchSng::new(SngKind::Lfsr32)
+                        .fill_probability(seed, probability, &mut batched)
+                        .unwrap();
+                    Sng::new(SngKind::Lfsr32, seed)
+                        .generate_probability_into(probability, &mut per_lane)
+                        .unwrap();
+                    lane.fill(threshold, &mut filled).unwrap();
+                    prop_assert_eq!(&filled, &batched, "{} bits={} threshold={:#x}", backend.name(), bits, threshold);
+                    prop_assert_eq!(&filled, &per_lane, "{} bits={} threshold={:#x}", backend.name(), bits, threshold);
+                }
+            }
+        }
+        force_backend(original);
     }
 
     /// The fused AND/XNOR popcount kernels agree with materializing the
