@@ -741,22 +741,33 @@ fn backend_matrix(samples: usize, iters: usize) -> Vec<BackendMatrixRow> {
         ));
     }
 
-    // (3) Bit-sliced MUX selector plan replay (fused multiply-select).
+    // (3) MUX selector plan gather: one selected stream out of 32 lanes.
     {
         let xs = xs.clone();
-        let ws = ws.clone();
         let mut selector = Lfsr::new_32(77);
         let plan = MuxSelectorPlan::new(n, len.bits(), &mut selector).unwrap();
+        // The gather identity the fused layer path relies on: the XNOR of
+        // the gathered inputs and weights is the MUX sum of the lane
+        // products. A wrong kernel fails here instead of being timed.
+        let gathered = MuxAdder::new().sum_with_plan(&xs, &plan).unwrap();
+        let products = gathered.xnor(&MuxAdder::new().sum_with_plan(&ws, &plan).unwrap());
+        assert_eq!(
+            products,
+            MuxAdder::new()
+                .sum_products(&xs, &ws, &mut Lfsr::new_32(77))
+                .unwrap(),
+            "gathered MUX products must match the fused multiply-select"
+        );
         let mut out = BitStream::zeros(len);
         rows.push(measure_per_backend(
-            "mux_plan_replay_n32_l1024",
-            "MUX selector plan replay (32 lanes, 1024 bits): chunk-grouped \
-             masked ORs over XNOR product super-words",
+            "mux_plan_gather_n32_l1024",
+            "MUX selector plan gather (32 lanes, 1024 bits): chunk-grouped \
+             masked ORs selecting one stream per cycle",
             samples,
             iters * 4,
             move || {
                 MuxAdder::new()
-                    .sum_products_with_plan_into(&xs, &ws, &plan, &mut out)
+                    .sum_with_plan_into(&xs, &plan, &mut out)
                     .unwrap()
             },
         ));

@@ -15,7 +15,7 @@
 //! | `ApcMaxBtanh` | APC | hardware max | Btanh | most accurate, most expensive |
 //!
 //! Every hot kernel a feature block evaluates — SNG comparator fills, fused
-//! XNOR/popcount reductions, MUX selector replay, CSA vertical-counter
+//! XNOR/popcount reductions, MUX selector-plan gathers, CSA vertical-counter
 //! accumulation, and the Stanh/Btanh FSM batch walks — is word-generic and
 //! dispatches to the active [`sc_core::word`] backend (scalar, portable
 //! super-word, or SIMD). Backends are bit-identical, so block outputs do not
@@ -154,10 +154,14 @@ impl std::fmt::Display for FeatureBlockKind {
 
 /// Pre-drawn MUX selector plans for one SC layer at one stream length.
 ///
-/// Built by [`FeatureBlock::prepare_selectors`] and replayed by
-/// [`FeatureBlock::evaluate_layer_prepared_with`]; the plans depend only on
+/// Built by [`FeatureBlock::prepare_selectors`]; the plans depend only on
 /// the block's seeds and the stream length, so one set serves every unit,
-/// every layer position, and every fan-out worker. Empty for APC kinds.
+/// every layer position, and every fan-out worker, and a compiled engine
+/// builds it once at load time. The field plans gather each field's lane
+/// streams into the one stream its MUX forwards ([`LayerSelectors::gather`],
+/// or a [`sc_core::sng::SelectedSequence`] for input fills); the
+/// average-pooling plan is replayed by
+/// [`FeatureBlock::evaluate_layer_prepared_with`]. Empty for APC kinds.
 #[derive(Debug, Clone)]
 pub struct LayerSelectors {
     /// One inner-product selector plan per pool-window field (MUX kinds).
@@ -171,6 +175,43 @@ impl LayerSelectors {
     /// The stream length (in bits) the plans were drawn for.
     pub fn stream_bits(&self) -> usize {
         self.stream_bits
+    }
+
+    /// The inner-product selector plan of each pool-window field (empty for
+    /// APC kinds).
+    pub fn field_plans(&self) -> &[MuxSelectorPlan] {
+        &self.field_plans
+    }
+
+    /// Gathers `[field][lane]` operand streams into the form
+    /// [`FeatureBlock::evaluate_layer_prepared_with`] takes: for MUX kinds,
+    /// each field's lanes become the single stream its selector forwards
+    /// ([`MuxAdder::sum_with_plan`]); APC kinds keep every lane.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScError::InvalidParameter`] for a field count other than
+    /// the plans' and propagates [`MuxAdder::sum_with_plan`]'s errors for
+    /// lanes or lengths that do not match a plan.
+    pub fn gather(&self, fields: Vec<Vec<BitStream>>) -> Result<Vec<Vec<BitStream>>, ScError> {
+        if self.field_plans.is_empty() {
+            return Ok(fields);
+        }
+        if fields.len() != self.field_plans.len() {
+            return Err(ScError::InvalidParameter {
+                name: "fields",
+                message: format!(
+                    "{} fields for {} selector plans",
+                    fields.len(),
+                    self.field_plans.len()
+                ),
+            });
+        }
+        fields
+            .iter()
+            .zip(&self.field_plans)
+            .map(|(lanes, plan)| Ok(vec![MuxAdder::new().sum_with_plan(lanes, plan)?]))
+            .collect()
     }
 }
 
@@ -392,7 +433,8 @@ impl FeatureBlock {
     ///
     /// The per-call path re-derives these streams on every evaluation even
     /// though they only depend on the filter; a compiled engine generates
-    /// them once per filter and feeds them back through
+    /// them once per filter, gathers them ([`LayerSelectors::gather`]) and
+    /// feeds them back through
     /// [`FeatureBlock::evaluate_layer_prepared_with`].
     ///
     /// # Errors
@@ -426,8 +468,8 @@ impl FeatureBlock {
     ///
     /// The plans depend only on the block's seeds and the stream length —
     /// not on the operands — so an engine evaluating a whole layer builds
-    /// them once and replays them across all positions (and all fan-out
-    /// workers) via [`FeatureBlock::evaluate_layer_prepared_with`]. APC
+    /// them once, gathers its weights and input sequences through them,
+    /// and shares them across all positions (and all fan-out workers). APC
     /// kinds need no selector plans; their prepared set is empty.
     ///
     /// # Errors
@@ -472,16 +514,16 @@ impl FeatureBlock {
     /// Evaluates *all output units of one layer position* from pre-generated
     /// operand streams in a single fused call.
     ///
-    /// `inputs[field][lane]` are the input streams of pool-window field
-    /// `field`, as produced by the SNG banks seeded with
-    /// [`FeatureBlock::operand_bank_seeds`], and are shared by every unit
-    /// (all units of an SC layer see the same receptive fields through
-    /// identically-wired SNG banks — the layer-level analogue of the paper's
-    /// filter-aware SRAM sharing). `unit_weights[u][field][lane]` are unit
-    /// `u`'s weight streams, exactly what [`FeatureBlock::weight_streams`]
-    /// returns for its filter. `selectors` come from
-    /// [`FeatureBlock::prepare_selectors`], so the selector draw + fastmod +
-    /// bit-slice pass is not repeated per call.
+    /// `inputs[field]` are the streams of pool-window field `field` and
+    /// `unit_weights[u][field]` unit `u`'s, both *gathered*
+    /// ([`LayerSelectors::gather`] over the `[field][lane]` streams of the
+    /// SNG banks seeded with [`FeatureBlock::operand_bank_seeds`] and of
+    /// [`FeatureBlock::weight_streams`]): one selected stream per field for
+    /// MUX kinds, every lane for APC kinds. The inputs are shared by every
+    /// unit (all units of an SC layer see the same receptive fields through
+    /// identically-wired SNG banks — the layer-level analogue of the
+    /// paper's filter-aware SRAM sharing). `selectors` come from
+    /// [`FeatureBlock::prepare_selectors`].
     ///
     /// `result[u]` is **bit-identical** to
     /// [`FeatureBlock::evaluate_stream`] on the corresponding values and
@@ -490,10 +532,12 @@ impl FeatureBlock {
     /// same order with the same seeds. The fused call does the shared work
     /// once instead of once per unit:
     ///
-    /// * MUX selector samples are drawn, fastmod-reduced and bit-sliced once
-    ///   per pool-window field into a [`MuxSelectorPlan`] that every unit
-    ///   replays (the selector LFSRs are seeded per field, not per unit);
-    /// * the average-pooling MUX selector is likewise planned once;
+    /// * a MUX unit's field sum is one word-wise XNOR of the selected input
+    ///   and the selected weight stream: the MUX forwards one lane per
+    ///   cycle, so `MUX(x ⊙ w) = MUX(x) ⊙ MUX(w)` under the field's plan,
+    ///   and the gathering happened once per field (inputs) and once per
+    ///   unit at load time (weights);
+    /// * the average-pooling MUX selector is planned once and replayed;
     /// * APC popcounts run through the shared-input bit-transposed
     ///   carry-save kernel ([`Apc::count_products_shared`]): every input
     ///   word is loaded once for all units and compressed through in-register
@@ -518,8 +562,8 @@ impl FeatureBlock {
     /// Returns [`ScError::InvalidParameter`] for mismatched field or lane
     /// counts of the shared inputs or any unit's weights, or for selectors
     /// prepared for a different block, [`ScError::LengthMismatch`] for
-    /// selectors prepared for a different stream length, and propagates
-    /// kernel errors for mismatched stream lengths.
+    /// streams of a length other than the selectors', and propagates kernel
+    /// errors for mismatched stream lengths.
     pub fn evaluate_layer_prepared_with(
         &self,
         selectors: &LayerSelectors,
@@ -534,7 +578,8 @@ impl FeatureBlock {
                     name: "unit_weights",
                     message: format!(
                         "unit {unit} weight streams do not match {} fields x {} lanes",
-                        self.pool_window, self.input_size
+                        self.pool_window,
+                        self.prepared_lanes()
                     ),
                 })?;
         }
@@ -565,13 +610,19 @@ impl FeatureBlock {
                 let mut pooled_units = Vec::with_capacity(unit_weights.len());
                 let mut field_sums: Vec<BitStream> = Vec::with_capacity(self.pool_window);
                 for weights in unit_weights {
-                    for ((xs, ws), plan) in inputs
-                        .iter()
-                        .zip(weights.iter())
-                        .zip(selectors.field_plans.iter())
-                    {
+                    for (xs, ws) in inputs.iter().zip(weights.iter()) {
+                        let (x, w) = (&xs[0], &ws[0]);
+                        for stream in [x, w] {
+                            if stream.len() != length.bits() {
+                                return Err(ScError::LengthMismatch {
+                                    left: length.bits(),
+                                    right: stream.len(),
+                                });
+                            }
+                        }
                         let mut sum = arena.take_zeroed(length);
-                        MuxAdder::new().sum_products_with_plan_into(xs, ws, plan, &mut sum)?;
+                        sum.words_mut().copy_from_slice(x.as_words());
+                        sum.xnor_assign(w);
                         field_sums.push(sum);
                     }
                     let pooled = match &selectors.avg_plan {
@@ -639,8 +690,18 @@ impl FeatureBlock {
         }
     }
 
+    /// Lanes per field of the gathered streams
+    /// [`FeatureBlock::evaluate_layer_prepared_with`] takes: the one
+    /// selected stream for MUX kinds, every lane for APC kinds.
+    fn prepared_lanes(&self) -> usize {
+        match self.kind.inner_product() {
+            InnerProductKind::Mux => 1,
+            _ => self.input_size,
+        }
+    }
+
     /// Validates one prepared `[field][lane]` stream set against this
-    /// block's pool window and receptive-field size.
+    /// block's pool window and gathered lane count.
     fn validate_prepared_fields(
         &self,
         name: &'static str,
@@ -657,13 +718,13 @@ impl FeatureBlock {
             });
         }
         for (field, lanes) in fields.iter().enumerate() {
-            if lanes.len() != self.input_size {
+            if lanes.len() != self.prepared_lanes() {
                 return Err(ScError::InvalidParameter {
                     name,
                     message: format!(
                         "field {field} has {} lanes, expected {}",
                         lanes.len(),
-                        self.input_size
+                        self.prepared_lanes()
                     ),
                 });
             }
@@ -926,19 +987,34 @@ mod tests {
             .collect()
     }
 
-    /// One fused layer call with freshly prepared selectors and a fresh arena.
+    /// `[field][lane]` operand streams.
+    type FieldStreams = Vec<Vec<BitStream>>;
+
+    /// Freshly prepared selectors and the `[field][lane]` operands of
+    /// `inputs` and every unit gathered through them.
+    fn gather_layer(
+        block: &FeatureBlock,
+        inputs: &[Vec<BitStream>],
+        unit_weights: &[&[Vec<BitStream>]],
+    ) -> Result<(LayerSelectors, FieldStreams, Vec<FieldStreams>), ScError> {
+        let selectors = block.prepare_selectors(block.stream_length().bits())?;
+        let inputs = selectors.gather(inputs.to_vec())?;
+        let units = unit_weights
+            .iter()
+            .map(|weights| selectors.gather(weights.to_vec()))
+            .collect::<Result<_, _>>()?;
+        Ok((selectors, inputs, units))
+    }
+
+    /// One fused layer call over gathered operands with a fresh arena.
     fn evaluate_layer(
         block: &FeatureBlock,
         inputs: &[Vec<BitStream>],
         unit_weights: &[&[Vec<BitStream>]],
     ) -> Result<Vec<BitStream>, ScError> {
-        let selectors = block.prepare_selectors(block.stream_length().bits())?;
-        block.evaluate_layer_prepared_with(
-            &selectors,
-            inputs,
-            unit_weights,
-            &mut StreamArena::new(),
-        )
+        let (selectors, inputs, units) = gather_layer(block, inputs, unit_weights)?;
+        let refs: Vec<&[Vec<BitStream>]> = units.iter().map(|u| u.as_slice()).collect();
+        block.evaluate_layer_prepared_with(&selectors, &inputs, &refs, &mut StreamArena::new())
     }
 
     #[test]
@@ -988,7 +1064,8 @@ mod tests {
             let unit_refs: Vec<&[Vec<BitStream>]> =
                 unit_streams.iter().map(|u| u.as_slice()).collect();
             let expected = evaluate_layer(&block, &inputs, &unit_refs).unwrap();
-            let selectors = block.prepare_selectors(127).unwrap();
+            let (selectors, inputs, units) = gather_layer(&block, &inputs, &unit_refs).unwrap();
+            let unit_refs: Vec<&[Vec<BitStream>]> = units.iter().map(|u| u.as_slice()).collect();
             let mut arena = StreamArena::new();
             let mut warm_allocs = 0;
             for round in 0..3 {
@@ -1056,6 +1133,16 @@ mod tests {
             // Wrong weight count for the weight-stream generator.
             assert!(block.weight_streams(&weights[..3]).is_err());
             assert!(evaluate_layer(&block, &inputs, &good).is_ok());
+            // MUX kinds take one gathered stream per field: ungathered
+            // lanes are rejected, while APC kinds take every lane as is.
+            let selectors = block.prepare_selectors(64).unwrap();
+            let ungathered = block.evaluate_layer_prepared_with(
+                &selectors,
+                &inputs,
+                &good,
+                &mut StreamArena::new(),
+            );
+            assert_eq!(ungathered.is_ok(), kind == FeatureBlockKind::ApcAvgBtanh);
         }
     }
 

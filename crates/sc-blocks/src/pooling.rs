@@ -17,8 +17,9 @@
 //!
 //! The MUX average-pooling path replays precomputed selector plans
 //! ([`MuxSelectorPlan`]) whose masked-OR inner loop dispatches through the
-//! word-generic kernel layer ([`sc_core::word`]); segment counting in the
-//! hardware max path rides the same backend-dispatched popcount kernel.
+//! word-generic kernel layer ([`sc_core::word`]). The hardware max path over
+//! streams walks the words once, forwarding and counting each segment with
+//! masked word operations.
 
 use sc_core::add::{CountStream, MuxAdder, MuxSelectorPlan};
 use sc_core::arena::StreamArena;
@@ -237,19 +238,34 @@ impl HardwareMaxPooling {
                 });
             }
         }
+        // One walk over the words: every segment is a run of (word, mask)
+        // pairs, usually a single one, so forwarding the selected stream and
+        // counting each candidate are a masked blend and masked popcounts.
+        let out = output.words_mut();
         let mut selected = 0usize;
         let mut start = 0usize;
         while start < len {
             let end = (start + self.segment_bits).min(len);
-            // Forward the currently selected stream's bits for this segment
-            // (word-level masked copy, no per-bit get/set).
-            output.copy_range_from(&inputs[selected], start, end);
-            // Count ones in this segment for every candidate; the winner
+            let segment = || {
+                (start / 64..end.div_ceil(64)).map(move |w| {
+                    let low = start.max(w * 64) - w * 64;
+                    let high = end.min(w * 64 + 64) - w * 64;
+                    (w, (u64::MAX >> (64 - (high - low))) << low)
+                })
+            };
+            let source = inputs[selected].as_words();
+            for (w, mask) in segment() {
+                out[w] = (out[w] & !mask) | (source[w] & mask);
+            }
+            // The strictly largest count wins (first lane on ties) and
             // drives the selection for the *next* segment.
             let mut best = 0usize;
-            let mut best_count = 0usize;
+            let mut best_count = 0u32;
             for (lane, stream) in inputs.iter().enumerate() {
-                let count = stream.count_ones_in_range(start, end);
+                let words = stream.as_words();
+                let count: u32 = segment()
+                    .map(|(w, mask)| (words[w] & mask).count_ones())
+                    .sum();
                 if count > best_count {
                     best_count = count;
                     best = lane;
@@ -490,6 +506,89 @@ mod tests {
             .pool_streams(&streams)
             .unwrap();
         assert_eq!(pooled.len(), 9);
+    }
+
+    /// Per-bit reference of the hardware max pool: every output bit is read
+    /// from the lane whose previous segment held strictly the most ones
+    /// (the first such lane on ties; lane 0 for the first segment).
+    fn per_bit_max_pool(inputs: &[BitStream], segment_bits: usize) -> BitStream {
+        let len = inputs[0].len();
+        let mut out = BitStream::zeros(StreamLength::new(len));
+        let mut selected = 0;
+        for start in (0..len).step_by(segment_bits) {
+            let end = (start + segment_bits).min(len);
+            for t in start..end {
+                out.set(t, inputs[selected].get(t));
+            }
+            let mut best = (0, 0);
+            for (lane, stream) in inputs.iter().enumerate() {
+                let count = (start..end).filter(|&t| stream.get(t)).count();
+                if count > best.1 {
+                    best = (lane, count);
+                }
+            }
+            selected = best.0;
+        }
+        out
+    }
+
+    /// `stream` with the bits of every segment reversed: the same count in
+    /// every segment, but different bits wherever a segment is not a
+    /// palindrome, so selecting the wrong lane of a tie shows.
+    fn reverse_segments(stream: &BitStream, segment_bits: usize) -> BitStream {
+        let len = stream.len();
+        let mut out = BitStream::zeros(StreamLength::new(len));
+        for start in (0..len).step_by(segment_bits) {
+            let end = (start + segment_bits).min(len);
+            for t in start..end {
+                out.set(start + end - 1 - t, stream.get(t));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn word_level_max_pool_matches_per_bit_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x9001);
+        for segment_bits in [1usize, 7, 16, 64, 100] {
+            let pool = HardwareMaxPooling::new(segment_bits).unwrap();
+            for len in [1usize, 63, 64, 127, 1024] {
+                for lanes in 1..=5 {
+                    for trial in 0..4 {
+                        let random = |rng: &mut StdRng| {
+                            let density = [0.0, 0.1, 0.5, 0.9, 1.0][rng.gen_range(0..5usize)];
+                            BitStream::from_bits((0..len).map(|_| rng.gen_bool(density))).unwrap()
+                        };
+                        // Trial 0: independent lanes. Trials 1-3 force
+                        // equal counts in every segment: all lanes tie
+                        // (1), or all but lane 0 tie (2), or lanes pair up
+                        // into ties (3).
+                        let mut streams: Vec<BitStream> = vec![random(&mut rng)];
+                        for lane in 1..lanes {
+                            let tied = match trial {
+                                1 => true,
+                                2 => lane > 1,
+                                3 => lane % 2 == 1,
+                                _ => false,
+                            };
+                            streams.push(if tied {
+                                reverse_segments(&streams[lane - 1], segment_bits)
+                            } else {
+                                random(&mut rng)
+                            });
+                        }
+                        let expected = per_bit_max_pool(&streams, segment_bits);
+                        assert_eq!(
+                            pool.pool_streams(&streams).unwrap(),
+                            expected,
+                            "segment {segment_bits} len {len} lanes {lanes} trial {trial}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

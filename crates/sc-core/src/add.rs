@@ -193,54 +193,6 @@ impl MuxAdder {
         Ok(())
     }
 
-    /// Fused multiply-select replaying a pre-drawn [`MuxSelectorPlan`].
-    ///
-    /// Bit-exact with [`MuxAdder::sum_products`] driven by the RNG the plan
-    /// was built from; sharing one plan across the output units of a layer
-    /// amortizes the selector draw + slice pass the per-unit path repeats
-    /// per unit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScError::EmptyInput`] for empty slices and
-    /// [`ScError::LengthMismatch`] for mismatched element counts, stream
-    /// lengths, or a plan built for different operand dimensions.
-    pub fn sum_products_with_plan(
-        &self,
-        inputs: &[BitStream],
-        weights: &[BitStream],
-        plan: &MuxSelectorPlan,
-    ) -> Result<BitStream, ScError> {
-        let len = common_product_length(inputs, weights)?;
-        let mut out = BitStream::zeros(StreamLength::try_new(len)?);
-        self.sum_products_with_plan_into(inputs, weights, plan, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`MuxAdder::sum_products_with_plan`] writing into a caller-provided
-    /// stream (typically taken from a [`StreamArena`]). Every word of `out`
-    /// is overwritten.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`MuxAdder::sum_products_with_plan`], plus
-    /// [`ScError::LengthMismatch`] if `out` has the wrong length.
-    pub fn sum_products_with_plan_into(
-        &self,
-        inputs: &[BitStream],
-        weights: &[BitStream],
-        plan: &MuxSelectorPlan,
-        out: &mut BitStream,
-    ) -> Result<(), ScError> {
-        let len = common_product_length(inputs, weights)?;
-        plan.check_operands(inputs.len(), len)?;
-        check_output_length(out, len)?;
-        let xs: Vec<&[u64]> = inputs.iter().map(|s| s.as_words()).collect();
-        let ws: Vec<&[u64]> = weights.iter().map(|s| s.as_words()).collect();
-        plan_products_words(plan, &xs, &ws, out.words_mut());
-        Ok(())
-    }
-
     /// The scale factor the MUX output must be multiplied by to recover the
     /// true sum (equal to the number of inputs).
     pub fn scale_factor(&self, input_count: usize) -> f64 {
@@ -372,14 +324,19 @@ impl SelectorSlicer {
 ///
 /// A layer of MUX inner-product blocks shares its selector wiring: every
 /// output unit of the layer sees the *same* selector draws because the
-/// selector LFSR is seeded per pool-window field, not per unit. The per-unit
-/// path re-draws (and re-slices) those samples for every unit; a
+/// selector LFSR is seeded per pool-window field, not per unit. A
 /// [`MuxSelectorPlan`] runs the draw + fastmod + bit-slice pass once and
-/// replays the resulting per-word `(lane, mask)` pairs against each unit's
-/// operand words. Replaying the plan is bit-identical to re-drawing from an
-/// identically-seeded RNG, and constructing the plan consumes exactly the
-/// draws [`MuxAdder::sum`] would (one per stream cycle), leaving the RNG in
-/// the same state.
+/// replays the resulting per-word `(lane, mask)` pairs against operand
+/// words ([`MuxAdder::sum_with_plan`]). Replaying the plan is bit-identical
+/// to re-drawing from an identically-seeded RNG, and constructing the plan
+/// consumes exactly the draws [`MuxAdder::sum`] would (one per stream
+/// cycle), leaving the RNG in the same state.
+///
+/// Because a MUX forwards one lane per cycle, selecting commutes with the
+/// XNOR multiplier: `MUX(x ⊙ w) = MUX(x) ⊙ MUX(w)` under one plan. A layer
+/// therefore gathers its inputs and each unit's weights once per field and
+/// multiplies the two selected streams, instead of replaying the plan over
+/// every lane product.
 #[derive(Debug, Clone)]
 pub struct MuxSelectorPlan {
     lanes: usize,
@@ -487,6 +444,22 @@ impl MuxSelectorPlan {
         out
     }
 
+    /// The lane the selector forwards at each cycle, in stream order
+    /// (`stream_bits` entries, each below [`MuxSelectorPlan::lanes`]).
+    pub fn selected_lanes(&self) -> Vec<u32> {
+        let mut selected = vec![0u32; self.stream_bits];
+        for (w, span) in self.word_starts.windows(2).enumerate() {
+            for &(lane, mask) in &self.entries[span[0] as usize..span[1] as usize] {
+                let mut bits = mask;
+                while bits != 0 {
+                    selected[w * 64 + bits.trailing_zeros() as usize] = lane;
+                    bits &= bits - 1;
+                }
+            }
+        }
+        selected
+    }
+
     fn check_operands(&self, lanes: usize, len: usize) -> Result<(), ScError> {
         if lanes != self.lanes {
             return Err(ScError::LengthMismatch {
@@ -504,23 +477,17 @@ impl MuxSelectorPlan {
     }
 }
 
-/// Replays a plan into `out`: full chunks through the chunk-grouped wide
-/// entries (`fetch(lane, w)` loads a lane's operand super-word at word
-/// offset `w`), trailing words through the flat per-word entries
-/// (`fetch_word(lane, w)` loads a single operand word). The scalar backend
-/// (`LANES == 1`) takes the flat path for every word, which is exactly the
-/// pre-refactor replay loop.
+/// [`MuxAdder::sum_with_plan_into`]'s word kernel, generic over the
+/// super-word backend: full chunks replay through the chunk-grouped wide
+/// entries (one operand super-word load per touched lane per chunk),
+/// trailing words through the flat per-word entries. The scalar backend
+/// (`LANES == 1`) takes the flat path for every word.
 ///
 /// Bit-exact with the flat replay for any backend: each output bit is
 /// selected from exactly one lane, so the masked ORs commute, and a lane's
 /// chunk masks are the same bits its per-word masks carry.
 #[inline(always)]
-fn replay_plan<W: Word>(
-    plan: &MuxSelectorPlan,
-    out: &mut [u64],
-    fetch: impl Fn(usize, usize) -> W,
-    fetch_word: impl Fn(usize, usize) -> u64,
-) {
+fn plan_sum_words_impl<W: Word>(plan: &MuxSelectorPlan, words: &[&[u64]], out: &mut [u64]) {
     let mut w = 0usize;
     if W::LANES > 1 {
         let chunks = plan.chunk_starts.len() - 1;
@@ -532,7 +499,8 @@ fn replay_plan<W: Word>(
             while s < WIDE_CHUNK {
                 let mut acc = W::zero();
                 for &(lane, masks) in entries {
-                    acc = acc.or(W::load(&masks[s..]).and(fetch(lane as usize, base + s)));
+                    acc = acc
+                        .or(W::load(&masks[s..]).and(W::load(&words[lane as usize][base + s..])));
                 }
                 acc.store(&mut out[base + s..base + s + W::LANES]);
                 s += W::LANES;
@@ -541,40 +509,9 @@ fn replay_plan<W: Word>(
         w = chunks * WIDE_CHUNK;
     }
     while w < out.len() {
-        out[w] = plan.select_word(w, |lane| fetch_word(lane, w));
+        out[w] = plan.select_word(w, |lane| words[lane][w]);
         w += 1;
     }
-}
-
-/// [`MuxAdder::sum_with_plan_into`]'s word kernel, generic over the
-/// super-word backend.
-#[inline(always)]
-fn plan_sum_words_impl<W: Word>(plan: &MuxSelectorPlan, words: &[&[u64]], out: &mut [u64]) {
-    replay_plan::<W>(
-        plan,
-        out,
-        |lane, w| W::load(&words[lane][w..]),
-        |lane, w| words[lane][w],
-    );
-}
-
-/// [`MuxAdder::sum_products_with_plan_into`]'s word kernel: the fetched
-/// operand is the XNOR product super-word. The beyond-stream tail bits an
-/// XNOR raises (both operands store zero there) are killed by the selector
-/// masks, which never select past the stream length.
-#[inline(always)]
-fn plan_products_words_impl<W: Word>(
-    plan: &MuxSelectorPlan,
-    xs: &[&[u64]],
-    ws: &[&[u64]],
-    out: &mut [u64],
-) {
-    replay_plan::<W>(
-        plan,
-        out,
-        |lane, w| W::load(&xs[lane][w..]).xor(W::load(&ws[lane][w..])).not(),
-        |lane, w| !(xs[lane][w] ^ ws[lane][w]),
-    );
 }
 
 fn plan_sum_words(plan: &MuxSelectorPlan, words: &[&[u64]], out: &mut [u64]) {
@@ -582,14 +519,6 @@ fn plan_sum_words(plan: &MuxSelectorPlan, words: &[&[u64]], out: &mut [u64]) {
         plan_sum_words_impl,
         mux_avx2::plan_sum_avx2,
         (plan, words, out)
-    )
-}
-
-fn plan_products_words(plan: &MuxSelectorPlan, xs: &[&[u64]], ws: &[&[u64]], out: &mut [u64]) {
-    dispatch_word_kernel!(
-        plan_products_words_impl,
-        mux_avx2::plan_products_avx2,
-        (plan, xs, ws, out)
     )
 }
 
@@ -604,16 +533,6 @@ mod mux_avx2 {
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn plan_sum_avx2(plan: &MuxSelectorPlan, words: &[&[u64]], out: &mut [u64]) {
         plan_sum_words_impl::<WAvx2>(plan, words, out)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn plan_products_avx2(
-        plan: &MuxSelectorPlan,
-        xs: &[&[u64]],
-        ws: &[&[u64]],
-        out: &mut [u64],
-    ) {
-        plan_products_words_impl::<WAvx2>(plan, xs, ws, out)
     }
 
     #[target_feature(enable = "avx2")]
@@ -1522,24 +1441,31 @@ mod tests {
                 direct_sum,
                 "sum mismatch at lanes {lanes} len {len}"
             );
+            // The gather identity: selecting commutes with the XNOR
+            // multiplier, so multiplying the two selected streams is the
+            // MUX sum of the lane products.
             let mut direct_rng = Lfsr::new_32(777);
             let direct_products = MuxAdder::new()
                 .sum_products(&xs, &ws, &mut direct_rng)
                 .unwrap();
+            let gathered_xs = MuxAdder::new().sum_with_plan(&xs, &plan).unwrap();
+            let gathered_ws = MuxAdder::new().sum_with_plan(&ws, &plan).unwrap();
             assert_eq!(
-                MuxAdder::new()
-                    .sum_products_with_plan(&xs, &ws, &plan)
-                    .unwrap(),
+                gathered_xs.xnor(&gathered_ws),
                 direct_products,
                 "product mismatch at lanes {lanes} len {len}"
             );
             // The plan is reusable: a second replay gives the same bits.
             assert_eq!(
-                MuxAdder::new()
-                    .sum_products_with_plan(&xs, &ws, &plan)
-                    .unwrap(),
-                direct_products
+                MuxAdder::new().sum_with_plan(&xs, &plan).unwrap(),
+                gathered_xs
             );
+            // The per-cycle lanes are the serial selector draws.
+            let mut serial_rng = Lfsr::new_32(777);
+            let serial: Vec<u32> = (0..len)
+                .map(|_| serial_rng.next_below(lanes as u32))
+                .collect();
+            assert_eq!(plan.selected_lanes(), serial, "lanes {lanes} len {len}");
         }
     }
 
@@ -1556,10 +1482,11 @@ mod tests {
         // Wrong stream length.
         let short = streams_for(&[0.5, -0.5], 32, 3);
         assert!(MuxAdder::new().sum_with_plan(&short, &plan).is_err());
-        assert!(MuxAdder::new()
-            .sum_products_with_plan(&short, &short, &plan)
-            .is_err());
         assert!(MuxAdder::new().sum_with_plan(&[], &plan).is_err());
+        // Every cycle selects one of the plan's lanes.
+        let selected = plan.selected_lanes();
+        assert_eq!(selected.len(), 64);
+        assert!(selected.iter().all(|&lane| lane < 2));
     }
 
     #[test]
@@ -1703,15 +1630,26 @@ mod tests {
         assert_eq!(out, MuxAdder::new().sum_with_plan(&xs, &plan).unwrap());
         arena.recycle(out);
 
-        let mut out = arena.take_zeroed(StreamLength::new(len));
+        // The gather identity through reused (dirty) buffers: the XNOR of
+        // the selected input and weight streams is the fused MUX product.
+        let mut dirty = arena.take_zeroed(StreamLength::new(len));
+        for i in 0..len {
+            dirty.set(i, true);
+        }
+        arena.recycle(dirty);
+        let mut gathered_xs = arena.take_zeroed(StreamLength::new(len));
+        let mut gathered_ws = arena.take_zeroed(StreamLength::new(len));
         MuxAdder::new()
-            .sum_products_with_plan_into(&xs, &ws, &plan, &mut out)
+            .sum_with_plan_into(&xs, &plan, &mut gathered_xs)
             .unwrap();
+        MuxAdder::new()
+            .sum_with_plan_into(&ws, &plan, &mut gathered_ws)
+            .unwrap();
+        gathered_xs.xnor_assign(&gathered_ws);
+        let mut rng = Lfsr::new_32(555);
         assert_eq!(
-            out,
-            MuxAdder::new()
-                .sum_products_with_plan(&xs, &ws, &plan)
-                .unwrap()
+            gathered_xs,
+            MuxAdder::new().sum_products(&xs, &ws, &mut rng).unwrap()
         );
 
         // Wrong output length is rejected.
@@ -1720,13 +1658,14 @@ mod tests {
             .sum_with_plan_into(&xs, &plan, &mut short)
             .is_err());
         assert!(MuxAdder::new()
-            .sum_products_with_plan_into(&xs, &ws, &plan, &mut short)
+            .sum_with_plan_into(&ws, &plan, &mut short)
             .is_err());
     }
 
     /// Every super-word backend must replay a selector plan bit-for-bit
-    /// like the scalar (flat per-word) path, for both the sum and the fused
-    /// product kernels, across ragged lengths and lane counts.
+    /// like the scalar (flat per-word) path, and the XNOR of its gathered
+    /// inputs and weights must be the fused MUX product, across ragged
+    /// lengths and lane counts.
     #[test]
     fn plan_replay_bit_exact_across_backends() {
         fn check<W: Word>(backend: &str) {
@@ -1753,11 +1692,21 @@ mod tests {
                 plan_sum_words_impl::<u64>(&plan, &xw, &mut reference);
                 plan_sum_words_impl::<W>(&plan, &xw, &mut got);
                 assert_eq!(got, reference, "{backend} sum lanes {lanes} len {len}");
-                let mut reference = vec![0u64; words];
-                let mut got = vec![u64::MAX; words];
-                plan_products_words_impl::<u64>(&plan, &xw, &ww, &mut reference);
-                plan_products_words_impl::<W>(&plan, &xw, &ww, &mut got);
-                assert_eq!(got, reference, "{backend} products lanes {lanes} len {len}");
+                let mut gathered_ws = vec![u64::MAX; words];
+                plan_sum_words_impl::<W>(&plan, &ww, &mut gathered_ws);
+                let products = BitStream::from_raw_words(
+                    got.iter()
+                        .zip(&gathered_ws)
+                        .map(|(x, w)| !(x ^ w))
+                        .collect(),
+                    len,
+                );
+                let mut rng = Lfsr::new_32(4242 + lanes as u32);
+                assert_eq!(
+                    products,
+                    MuxAdder::new().sum_products(&xs, &ws, &mut rng).unwrap(),
+                    "{backend} products lanes {lanes} len {len}"
+                );
             }
         }
         check::<crate::word::W4>("wide");

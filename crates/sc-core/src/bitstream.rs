@@ -463,43 +463,6 @@ impl BitStream {
         total
     }
 
-    /// Overwrites the bits of `[start, end)` with the same range of `src`,
-    /// leaving all other bits untouched. Used by the hardware-oriented max
-    /// pooling block to forward the selected lane's segment word-by-word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the streams differ in length or the range is invalid.
-    pub fn copy_range_from(&mut self, src: &BitStream, start: usize, end: usize) {
-        assert_eq!(
-            self.len, src.len,
-            "bit-stream length mismatch: {} vs {}",
-            self.len, src.len
-        );
-        assert!(
-            start <= end && end <= self.len,
-            "invalid range {start}..{end}"
-        );
-        if start == end {
-            return;
-        }
-        let start_word = start / 64;
-        let end_word = (end - 1) / 64;
-        for w in start_word..=end_word {
-            let mut mask = u64::MAX;
-            if w == start_word {
-                mask &= u64::MAX << (start % 64);
-            }
-            if w == end_word {
-                let end_bit = end - w * 64;
-                if end_bit < 64 {
-                    mask &= (1u64 << end_bit) - 1;
-                }
-            }
-            self.words[w] = (self.words[w] & !mask) | (src.words[w] & mask);
-        }
-    }
-
     /// Fused AND + popcount: the number of cycles where both streams are one,
     /// without materializing the product stream. This is the unipolar
     /// multiplier-accumulator kernel.
@@ -1037,30 +1000,6 @@ mod tests {
                 expected,
                 "range {start}..{end}"
             );
-        }
-    }
-
-    #[test]
-    fn copy_range_from_touches_only_the_range() {
-        let len = StreamLength::new(200);
-        let src = BitStream::ones(len);
-        for (start, end) in [
-            (0, 200),
-            (3, 67),
-            (64, 128),
-            (65, 66),
-            (190, 200),
-            (100, 100),
-        ] {
-            let mut dst = BitStream::zeros(len);
-            dst.copy_range_from(&src, start, end);
-            for i in 0..200 {
-                assert_eq!(
-                    dst.get(i),
-                    (start..end).contains(&i),
-                    "bit {i} of {start}..{end}"
-                );
-            }
         }
     }
 

@@ -1,7 +1,8 @@
 //! Input-stream fill counters.
 //!
 //! The compiled engine fills every input stream with the comparator alone,
-//! from its lane's precomputed [`crate::sng::LaneSequence`]; nothing is
+//! from its lane's precomputed [`crate::sng::LaneSequence`] (APC layers) or
+//! its field's [`crate::sng::SelectedSequence`] (MUX layers); nothing is
 //! memoized. [`CacheStats`] keeps the name and shape the repo benchmark
 //! (`perfbench/`) compiles against, until the benchmark change that drops
 //! its `layer.*.cache_hit_rate` metric.
@@ -11,7 +12,9 @@
 pub struct CacheStats {
     /// Always zero: no stream is served from a memo.
     pub hits: u64,
-    /// Input streams filled.
+    /// Input streams filled: one per position and field of a MUX layer
+    /// (its selected stream), one per position, field and lane of an APC
+    /// layer.
     pub misses: u64,
 }
 

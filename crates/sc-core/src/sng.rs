@@ -7,6 +7,7 @@
 //! the correlation error and the peripheral hardware cost, so the generator
 //! kind is an explicit configuration knob throughout this reproduction.
 
+use crate::add::MuxSelectorPlan;
 use crate::bitstream::{BitStream, StreamLength};
 use crate::encoding::{Bipolar, Encoding, Unipolar};
 use crate::error::ScError;
@@ -705,6 +706,126 @@ impl LaneSequence {
         );
         Ok(())
     }
+
+    /// The stream length the sequence fills.
+    pub fn length(&self) -> StreamLength {
+        self.length
+    }
+
+    /// The 16-bit comparator sample the lane draws at cycle `t`: the low
+    /// half of the register state after `t + 1` steps, which in the staged
+    /// buffer is the 16-bit window ending at buffer bit `t + 32`, most
+    /// recent bit lowest (see [`Lfsr::w32_sequence_into`]).
+    fn sample(&self, t: usize) -> u16 {
+        let staged = staged_bits(self.length.bits());
+        if t >= staged {
+            return self.tail[t - staged];
+        }
+        let first = t + 17;
+        let bytes = self.staged[first / 8..first / 8 + 4]
+            .try_into()
+            .expect("4 bytes");
+        ((u32::from_le_bytes(bytes) >> (first % 8)) as u16).reverse_bits()
+    }
+}
+
+/// The input sequence one MUX inner product sees: at every cycle, the lane
+/// its selector forwards and that lane's comparator sample.
+///
+/// A MUX forwards one lane per cycle, so of the `N` input streams of a
+/// field only the selected bit of each cycle ever reaches the output. With
+/// the selector fixed (a [`MuxSelectorPlan`]) and every lane's random
+/// sequence fixed (a [`LaneSequence`]), the selected input stream is a
+/// single comparator pass, `bit t = sample[t] < threshold[lane[t]]`,
+/// instead of `N` lane fills followed by a gather. [`SelectedSequence::fill`]
+/// is bit-exact with [`MuxAdder::sum_with_plan`] over the
+/// [`LaneSequence::fill`] streams of every lane.
+///
+/// [`MuxAdder::sum_with_plan`]: crate::add::MuxAdder::sum_with_plan
+#[derive(Debug, Clone)]
+pub struct SelectedSequence {
+    /// The lane selected at each cycle.
+    lanes: Vec<u32>,
+    /// The selected lane's comparator sample at each cycle.
+    samples: Vec<u16>,
+    /// Number of input lanes the selector chooses between.
+    inputs: usize,
+    length: StreamLength,
+}
+
+impl SelectedSequence {
+    /// Gathers the selected sequence of `plan` over the lanes' sequences.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScError::LengthMismatch`] unless there is one sequence per
+    /// plan lane and every sequence has the plan's stream length.
+    pub fn new(sequences: &[LaneSequence], plan: &MuxSelectorPlan) -> Result<Self, ScError> {
+        if sequences.len() != plan.lanes() {
+            return Err(ScError::LengthMismatch {
+                left: plan.lanes(),
+                right: sequences.len(),
+            });
+        }
+        if let Some(sequence) = sequences
+            .iter()
+            .find(|sequence| sequence.length.bits() != plan.stream_bits())
+        {
+            return Err(ScError::LengthMismatch {
+                left: plan.stream_bits(),
+                right: sequence.length.bits(),
+            });
+        }
+        let lanes = plan.selected_lanes();
+        let samples = lanes
+            .iter()
+            .enumerate()
+            .map(|(t, &lane)| sequences[lane as usize].sample(t))
+            .collect();
+        Ok(Self {
+            lanes,
+            samples,
+            inputs: plan.lanes(),
+            length: sequences[0].length,
+        })
+    }
+
+    /// The stream length the sequence fills.
+    pub fn length(&self) -> StreamLength {
+        self.length
+    }
+
+    /// Fills `stream` with the selected input stream of a field whose lane
+    /// `i` encodes comparator threshold `thresholds[i]` (see
+    /// [`probability_threshold`]). Every word of `stream` is overwritten.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScError::LengthMismatch`] unless there is one threshold per
+    /// input lane and `stream` has the sequence's length.
+    pub fn fill(&self, thresholds: &[u32], stream: &mut BitStream) -> Result<(), ScError> {
+        if thresholds.len() != self.inputs {
+            return Err(ScError::LengthMismatch {
+                left: self.inputs,
+                right: thresholds.len(),
+            });
+        }
+        if stream.len() != self.length.bits() {
+            return Err(ScError::LengthMismatch {
+                left: self.length.bits(),
+                right: stream.len(),
+            });
+        }
+        let cycles = self.lanes.chunks(64).zip(self.samples.chunks(64));
+        for (word, (lanes, samples)) in stream.words_mut().iter_mut().zip(cycles) {
+            let mut packed = 0u64;
+            for (bit, (&lane, &sample)) in lanes.iter().zip(samples).enumerate() {
+                packed |= u64::from(u32::from(sample) < thresholds[lane as usize]) << bit;
+            }
+            *word = packed;
+        }
+        Ok(())
+    }
 }
 
 /// A bank of independent SNGs, one per input lane.
@@ -1025,6 +1146,26 @@ mod tests {
                 right: 128
             })
         );
+    }
+
+    #[test]
+    fn selected_sequence_rejects_mismatched_operands() {
+        let length = StreamLength::new(128);
+        let lanes: Vec<LaneSequence> = (0..3).map(|i| LaneSequence::new(i, length)).collect();
+        let plan = MuxSelectorPlan::new(3, 128, &mut Lfsr::new_32(9)).unwrap();
+        assert!(SelectedSequence::new(&lanes[..2], &plan).is_err());
+        let short = [
+            lanes[0].clone(),
+            lanes[1].clone(),
+            LaneSequence::new(2, StreamLength::new(64)),
+        ];
+        assert!(SelectedSequence::new(&short, &plan).is_err());
+        let selected = SelectedSequence::new(&lanes, &plan).unwrap();
+        let mut stream = BitStream::zeros(length);
+        assert!(selected.fill(&[0x8000; 2], &mut stream).is_err());
+        let mut wrong = BitStream::zeros(StreamLength::new(64));
+        assert!(selected.fill(&[0x8000; 3], &mut wrong).is_err());
+        assert!(selected.fill(&[0x8000; 3], &mut stream).is_ok());
     }
 
     #[test]

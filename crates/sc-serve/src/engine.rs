@@ -2,29 +2,37 @@
 //!
 //! [`Engine::compile`] lowers a trained network plus an SC configuration
 //! into an immutable execution plan and pre-generates everything that does
-//! not depend on the input:
+//! not depend on the input, once per engine:
 //!
+//! * **Selector plans.** Each MUX layer's per-field selector plans (and its
+//!   average-pooling plan) depend only on the block's seeds and the stream
+//!   length, so they are drawn once ([`LayerSelectors`]) and shared by every
+//!   request, position, unit and fan-out worker.
 //! * **Weight bit-streams** are generated once per filter (convolution) or
-//!   per unit (fully-connected) through the batched SNG and cached for the
-//!   engine's lifetime. The per-call path regenerates them on every single
-//!   block evaluation; the filter-aware sharing the paper applies to SRAM
+//!   per unit (fully-connected) through the batched SNG and kept for the
+//!   engine's lifetime — the filter-aware sharing the paper applies to SRAM
 //!   (one filter serves every inner-product block of a feature map, see
-//!   `sc_dcnn::weight_storage`) maps directly onto this cache: one set of
-//!   streams per filter serves all of its pooled positions.
-//! * **Input SNG sequences** are drawn once per `(layer, field, lane)` as a
-//!   [`LaneSequence`]: an input stream is a pure function of its lane seed
-//!   and its comparator threshold, and only the threshold depends on the
-//!   input. Every input stream is then a comparator-only fill into an arena
-//!   buffer, the paper's hardware view of one fixed RNG sequence per
-//!   comparator group. All units of a layer share their SNG wiring, so the
+//!   `sc_dcnn::weight_storage`). A MUX forwards one lane per cycle, so a MUX
+//!   layer keeps only each unit's *gathered* weights: one selected stream
+//!   per field ([`LayerSelectors::gather`]), `N` times less than the lanes.
+//! * **Input SNG sequences.** An input stream is a pure function of its lane
+//!   seed and its comparator threshold, and only the threshold depends on
+//!   the input. APC layers keep one [`LaneSequence`] per `(field, lane)`
+//!   and fill every lane's stream with the comparator alone — the paper's
+//!   hardware view of one fixed RNG sequence per comparator group. MUX
+//!   layers keep one [`SelectedSequence`] per field instead: per cycle, the
+//!   lane the selector forwards and that lane's sample, so a field's
+//!   selected input stream is one comparator pass rather than `N` lane fills
+//!   and a gather. All units of a layer share their SNG wiring, so the
 //!   streams of one receptive field are filled once per position and serve
 //!   every filter (convolution) or unit (fully-connected).
 //!
 //! Evaluation then runs one [`FeatureBlock::evaluate_layer_prepared_with`]
 //! call per layer position, which evaluates every unit of the position at
-//! once from the shared input streams and applies the same kernels with the
-//! same seeds as the per-call path. The engine is therefore **bit-exact**
-//! with the [`crate::interpreter::Interpreter`], its oracle;
+//! once from the shared input streams (a MUX unit's field sum is one XNOR
+//! of the selected input and weight streams) and applies the same kernels
+//! with the same seeds as the per-call path. The engine is therefore
+//! **bit-exact** with the [`crate::interpreter::Interpreter`], its oracle;
 //! `verify_against_interpreter` (an [`EngineOptions`] flag or the standalone
 //! [`Engine::verify`] call) proves it at runtime.
 //!
@@ -33,12 +41,13 @@
 use crate::error::ServeError;
 use crate::interpreter::{Inference, Interpreter};
 use crate::plan::{lower, Plan, PlanLayer, PlanOptions};
+use sc_blocks::feature_block::LayerSelectors;
 use sc_core::arena::{ArenaStats, StreamArena};
-use sc_core::bitstream::BitStream;
+use sc_core::bitstream::{BitStream, StreamLength};
 use sc_core::cache::CacheStats;
 use sc_core::encoding::{Bipolar, Encoding};
 use sc_core::parallel::{parallel_map_with, parallel_map_with_state};
-use sc_core::sng::{probability_threshold, LaneSequence, SngBank};
+use sc_core::sng::{probability_threshold, LaneSequence, SelectedSequence, SngBank};
 use sc_dcnn::config::ScNetworkConfig;
 use sc_nn::network::Network;
 use sc_nn::tensor::Tensor;
@@ -81,8 +90,9 @@ pub struct Session {
 impl Session {
     /// Input-stream counters of this session, aggregated over its fan-out
     /// worker sessions (with unit fan-out active, most conv input streams
-    /// are filled by those workers). `misses` counts the streams filled;
-    /// `hits` is always zero.
+    /// are filled by those workers). `misses` counts the streams filled —
+    /// one per position and field of a MUX layer, one per position, field
+    /// and lane of an APC layer; `hits` is always zero.
     pub fn cache_stats(&self) -> CacheStats {
         let mut stats = CacheStats {
             hits: 0,
@@ -141,61 +151,70 @@ impl Session {
     }
 }
 
-/// Pre-generated weight streams of one layer: `[row][field][lane]`, where a
-/// row is a convolution filter or a fully-connected unit.
-type LayerWeightStreams = Vec<Vec<Vec<BitStream>>>;
-
-/// Input SNG sequences of one layer: `[field][lane]`, in the block's
-/// published seed scheme.
-type LayerLaneSequences = Vec<Vec<LaneSequence>>;
-
-/// Draws every layer's input lane sequences from the plan's block seeds.
-fn generate_lane_sequences(plan: &Plan) -> Vec<LayerLaneSequences> {
-    plan.layers
-        .iter()
-        .map(|layer| {
-            let block = match layer {
-                PlanLayer::Conv(conv) => &conv.block,
-                PlanLayer::Dense(dense) => &dense.block,
-            };
-            (0..block.pool_window())
-                .map(|field| {
-                    let (input_base, _) = block.operand_bank_seeds(field);
-                    (0..block.input_size())
-                        .map(|lane| {
-                            LaneSequence::new(
-                                SngBank::lane_seed(input_base, lane),
-                                plan.stream_length,
-                            )
-                        })
-                        .collect()
-                })
-                .collect()
-        })
-        .collect()
+/// The input SNG sequences of one layer, per pool-window field, in the
+/// block's published seed scheme.
+#[derive(Debug)]
+enum InputSequences {
+    /// APC layers: `[field][lane]`; every lane's stream is filled.
+    Lanes(Vec<Vec<LaneSequence>>),
+    /// MUX layers: one selected sequence per field; the field's input is
+    /// one comparator pass over the lanes its selector forwards.
+    Selected(Vec<SelectedSequence>),
 }
 
-/// Pre-generates every layer's weight bit-streams from the plan's block
-/// seeds (shared by [`Engine::compile`] and [`Engine::from_plan`]; the
-/// streams are a pure function of the plan, which is what lets the plan
-/// store omit them).
-fn generate_weight_streams(plan: &Plan) -> Result<Vec<LayerWeightStreams>, ServeError> {
-    plan.layers
-        .iter()
-        .map(|layer| match layer {
-            PlanLayer::Conv(conv) => conv
-                .filters
-                .iter()
-                .map(|filter| conv.block.weight_streams(filter))
-                .collect::<Result<LayerWeightStreams, _>>(),
-            PlanLayer::Dense(dense) => dense
-                .units
-                .iter()
-                .map(|unit| dense.block.weight_streams(unit))
-                .collect::<Result<LayerWeightStreams, _>>(),
+/// Everything one plan layer needs at inference time that does not depend
+/// on the input, derived from the plan's block seeds.
+#[derive(Debug)]
+struct CompiledLayer {
+    /// The layer's selector plans (empty for APC layers).
+    selectors: LayerSelectors,
+    /// Gathered weight streams `[row][field][lane]`, where a row is a
+    /// convolution filter or a fully-connected unit: one selected stream
+    /// per field for MUX layers, every lane for APC layers.
+    weights: Vec<Vec<Vec<BitStream>>>,
+    inputs: InputSequences,
+}
+
+impl CompiledLayer {
+    /// Draws the layer's selector plans and lane sequences once and
+    /// gathers every row's weight streams through the plans. The result is
+    /// a pure function of the plan, which is what lets the plan store omit
+    /// it.
+    fn new(layer: &PlanLayer, length: StreamLength) -> Result<Self, ServeError> {
+        let (block, rows) = match layer {
+            PlanLayer::Conv(conv) => (&conv.block, &conv.filters),
+            PlanLayer::Dense(dense) => (&dense.block, &dense.units),
+        };
+        let selectors = block.prepare_selectors(length.bits())?;
+        let weights = rows
+            .iter()
+            .map(|row| selectors.gather(block.weight_streams(row)?))
+            .collect::<Result<_, _>>()?;
+        let lanes: Vec<Vec<LaneSequence>> = (0..block.pool_window())
+            .map(|field| {
+                let (input_base, _) = block.operand_bank_seeds(field);
+                (0..block.input_size())
+                    .map(|lane| LaneSequence::new(SngBank::lane_seed(input_base, lane), length))
+                    .collect()
+            })
+            .collect();
+        let inputs = if selectors.field_plans().is_empty() {
+            InputSequences::Lanes(lanes)
+        } else {
+            InputSequences::Selected(
+                lanes
+                    .iter()
+                    .zip(selectors.field_plans())
+                    .map(|(lanes, plan)| SelectedSequence::new(lanes, plan))
+                    .collect::<Result<_, _>>()?,
+            )
+        };
+        Ok(Self {
+            selectors,
+            weights,
+            inputs,
         })
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(ServeError::from)
+    }
 }
 
 /// A compiled, immutable SC inference engine.
@@ -205,8 +224,7 @@ fn generate_weight_streams(plan: &Plan) -> Result<Vec<LayerWeightStreams>, Serve
 #[derive(Debug)]
 pub struct Engine {
     plan: Arc<Plan>,
-    weights: Vec<LayerWeightStreams>,
-    lanes: Vec<LayerLaneSequences>,
+    layers: Vec<CompiledLayer>,
     interpreter: Interpreter,
     options: EngineOptions,
 }
@@ -229,10 +247,10 @@ impl Engine {
 
     /// Builds an engine directly from an already-lowered [`Plan`] — the
     /// cold-start path of [`crate::plan_store`], which skips training and
-    /// lowering entirely. Weight bit-streams and input lane sequences are
-    /// regenerated here from the plan's block seeds, so the resulting engine
-    /// is bit-exact with one [`Engine::compile`] produced from the same
-    /// network and options.
+    /// lowering entirely. Selector plans, gathered weight bit-streams and
+    /// input sequences are regenerated here from the plan's block seeds, so
+    /// the resulting engine is bit-exact with one [`Engine::compile`]
+    /// produced from the same network and options.
     ///
     /// `options.plan` is recorded for introspection but does not influence
     /// the build (the plan is already lowered); pass the values the plan was
@@ -244,13 +262,15 @@ impl Engine {
     /// Propagates encoding errors from weight-stream pre-generation.
     pub fn from_plan(plan: Plan, options: EngineOptions) -> Result<Self, ServeError> {
         let plan = Arc::new(plan);
-        let weights = generate_weight_streams(&plan)?;
-        let lanes = generate_lane_sequences(&plan);
+        let layers = plan
+            .layers
+            .iter()
+            .map(|layer| CompiledLayer::new(layer, plan.stream_length))
+            .collect::<Result<_, _>>()?;
         Ok(Self {
             interpreter: Interpreter::new(Arc::clone(&plan)),
             plan,
-            weights,
-            lanes,
+            layers,
             options,
         })
     }
@@ -278,11 +298,13 @@ impl Engine {
         sc_core::active_backend()
     }
 
-    /// Total number of pre-generated weight streams held by the engine.
+    /// Total number of pre-generated weight streams held by the engine: one
+    /// per unit per field for MUX layers (the gathered stream), one per
+    /// unit per field per lane for APC layers.
     pub fn cached_weight_streams(&self) -> usize {
-        self.weights
+        self.layers
             .iter()
-            .flat_map(|layer| layer.iter())
+            .flat_map(|layer| layer.weights.iter())
             .map(|row| row.iter().map(Vec::len).sum::<usize>())
             .sum()
     }
@@ -308,9 +330,8 @@ impl Engine {
     pub fn infer(&self, session: &mut Session, image: &Tensor) -> Result<Inference, ServeError> {
         self.plan.validate_input(image)?;
         let mut values = self.plan.input_values(image);
-        for ((layer, weights), lanes) in self.plan.layers.iter().zip(&self.weights).zip(&self.lanes)
-        {
-            values = self.eval_layer(session, layer, weights, lanes, &values)?;
+        for (layer, compiled) in self.plan.layers.iter().zip(&self.layers) {
+            values = self.eval_layer(session, layer, compiled, &values)?;
         }
         let result = Inference::from_logits(values);
         if self.options.verify_against_interpreter {
@@ -421,35 +442,39 @@ impl Engine {
         &self,
         session: &mut Session,
         layer: &PlanLayer,
-        weights: &LayerWeightStreams,
-        lanes: &LayerLaneSequences,
+        compiled: &CompiledLayer,
         values: &[f64],
     ) -> Result<Vec<f64>, ServeError> {
+        // Every input value's comparator threshold, once per layer: the
+        // receptive fields gather thresholds instead of re-deriving them for
+        // every position that reads the value.
+        let started = std::time::Instant::now();
+        let thresholds = values
+            .iter()
+            .map(|&value| probability_threshold(Bipolar::to_probability(value)?))
+            .collect::<Result<Vec<u32>, _>>()?;
+        session.fill_ns += started.elapsed().as_nanos() as u64;
+        let selectors = &compiled.selectors;
         match layer {
             PlanLayer::Conv(conv) => {
                 let [filters, pooled_h, pooled_w] = conv.out_shape;
                 let positions = pooled_h * pooled_w;
-                let unit_refs: Vec<&[Vec<BitStream>]> = weights
+                let unit_refs: Vec<&[Vec<BitStream>]> = compiled
+                    .weights
                     .iter()
                     .take(filters)
                     .map(|row| row.as_slice())
                     .collect();
-                // Selector plans depend only on the block's seeds and the
-                // stream length: one set serves every position and every
-                // fan-out worker of this layer.
-                let selectors = conv
-                    .block
-                    .prepare_selectors(self.plan.stream_length.bits())?;
                 // One fused call per pooled position evaluates every filter:
                 // the position's input streams are filled once instead of
                 // once per filter.
                 let eval_position =
                     |session: &mut Session, &position: &usize| -> Result<Vec<f64>, ServeError> {
                         let (py, px) = (position / pooled_w, position % pooled_w);
-                        let fields = conv.gather_fields(values, py, px);
-                        let inputs = self.gather_input_streams(session, lanes, &fields)?;
+                        let fields = conv.gather_fields(&thresholds, py, px);
+                        let inputs = fill_inputs(session, &compiled.inputs, &fields)?;
                         let outputs = conv.block.evaluate_layer_prepared_with(
-                            &selectors,
+                            selectors,
                             &inputs,
                             &unit_refs,
                             &mut session.arena,
@@ -484,16 +509,10 @@ impl Engine {
             PlanLayer::Dense(dense) => {
                 // All units of a fully-connected layer share one receptive
                 // field: its streams are filled once for the whole layer.
-                let field = vec![values.to_vec()];
-                let inputs = self.gather_input_streams(session, lanes, &field)?;
+                let inputs =
+                    fill_inputs(session, &compiled.inputs, std::slice::from_ref(&thresholds))?;
                 let unit_refs: Vec<&[Vec<BitStream>]> =
-                    weights.iter().map(|row| row.as_slice()).collect();
-                // One selector-plan set for the whole layer, shared by every
-                // fan-out chunk (rebuilding it per chunk would repeat the
-                // draw + bit-slice pass once per thread).
-                let selectors = dense
-                    .block
-                    .prepare_selectors(self.plan.stream_length.bits())?;
+                    compiled.weights.iter().map(|row| row.as_slice()).collect();
                 // Decode inside the evaluating session and recycle the output
                 // buffers into the arena they were taken from: take and
                 // recycle stay paired per worker, so no arena net-drains (and
@@ -502,7 +521,7 @@ impl Engine {
                                   units: &&[&[Vec<BitStream>]]|
                  -> Result<Vec<f64>, ServeError> {
                     let streams = dense.block.evaluate_layer_prepared_with(
-                        &selectors,
+                        selectors,
                         &inputs,
                         units,
                         &mut session.arena,
@@ -529,45 +548,57 @@ impl Engine {
             }
         }
     }
+}
 
-    /// Fills the input streams of every pool-window field from the layer's
-    /// lane sequences. The returned buffers are arena-backed; recycle them
-    /// after use.
-    fn gather_input_streams(
-        &self,
-        session: &mut Session,
-        lanes: &LayerLaneSequences,
-        fields: &[Vec<f64>],
-    ) -> Result<Vec<Vec<BitStream>>, ServeError> {
-        let started = std::time::Instant::now();
-        let mut inputs: Vec<Vec<BitStream>> = Vec::with_capacity(fields.len());
-        for (field, sequences) in fields.iter().zip(lanes) {
-            if field.len() != sequences.len() {
-                return Err(ServeError::Invalid(format!(
-                    "receptive field of {} values for {} SNG lanes",
-                    field.len(),
-                    sequences.len()
-                )));
+/// Fills the input streams of every pool-window field from the layer's
+/// sequences and the field's comparator thresholds: every lane's stream for
+/// APC layers, the one selected stream for MUX layers. The returned buffers
+/// are arena-backed; recycle them after use.
+fn fill_inputs(
+    session: &mut Session,
+    sequences: &InputSequences,
+    fields: &[Vec<u32>],
+) -> Result<Vec<Vec<BitStream>>, ServeError> {
+    let started = std::time::Instant::now();
+    let mut inputs: Vec<Vec<BitStream>> = Vec::with_capacity(fields.len());
+    for (field, thresholds) in fields.iter().enumerate() {
+        let streams = match sequences {
+            InputSequences::Lanes(lanes) => {
+                let lanes = &lanes[field];
+                if thresholds.len() != lanes.len() {
+                    return Err(ServeError::Invalid(format!(
+                        "receptive field of {} values for {} SNG lanes",
+                        thresholds.len(),
+                        lanes.len()
+                    )));
+                }
+                let mut streams = Vec::with_capacity(lanes.len());
+                for (&threshold, sequence) in thresholds.iter().zip(lanes) {
+                    let mut stream = session.arena.take_zeroed(sequence.length());
+                    sequence.fill(threshold, &mut stream)?;
+                    streams.push(stream);
+                }
+                streams
             }
-            let mut streams = Vec::with_capacity(field.len());
-            for (&value, sequence) in field.iter().zip(sequences) {
-                let threshold = probability_threshold(Bipolar::to_probability(value)?)?;
-                let mut stream = session.arena.take_zeroed(self.plan.stream_length);
-                sequence.fill(threshold, &mut stream)?;
-                streams.push(stream);
+            InputSequences::Selected(selected) => {
+                let sequence = &selected[field];
+                let mut stream = session.arena.take_zeroed(sequence.length());
+                sequence.fill(thresholds, &mut stream)?;
+                vec![stream]
             }
-            session.fills += streams.len() as u64;
-            inputs.push(streams);
-        }
-        session.fill_ns += started.elapsed().as_nanos() as u64;
-        Ok(inputs)
+        };
+        session.fills += streams.len() as u64;
+        inputs.push(streams);
     }
+    session.fill_ns += started.elapsed().as_nanos() as u64;
+    Ok(inputs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sc_blocks::feature_block::FeatureBlockKind;
+    use sc_blocks::inner_product::InnerProductKind;
     use sc_nn::lenet::PoolingStyle;
 
     fn small_network(seed: u64) -> Network {
@@ -604,40 +635,51 @@ mod tests {
 
     #[test]
     fn engine_matches_interpreter_bit_for_bit() {
-        let network = small_network(3);
-        let config = ScNetworkConfig::new(
-            "c",
-            vec![FeatureBlockKind::ApcMaxBtanh; 2],
-            128,
-            PoolingStyle::Max,
-        );
-        let engine = Engine::compile(&network, &config, options()).unwrap();
-        let mut session = engine.new_session();
-        let images: Vec<Tensor> = (1..4).map(image).collect();
-        engine.verify(&mut session, &images).unwrap();
-        assert!(engine.cached_weight_streams() > 0);
-        // Every inference fills each input stream exactly once per position:
-        // positions × pool window × receptive field, summed over layers —
-        // here 3×3 positions × 4 fields × 9 lanes (conv) plus 18 (dense),
-        // counted across the fan-out workers too.
-        let per_inference: usize = engine
-            .plan()
-            .layers
-            .iter()
-            .map(|layer| match layer {
-                PlanLayer::Conv(conv) => {
-                    conv.out_shape[1]
-                        * conv.out_shape[2]
-                        * conv.block.pool_window()
-                        * conv.block.input_size()
-                }
-                PlanLayer::Dense(dense) => dense.block.pool_window() * dense.block.input_size(),
-            })
-            .sum();
-        assert_eq!(per_inference, 9 * 4 * 9 + 18);
-        let stats = session.cache_stats();
-        assert_eq!(stats.misses, (images.len() * per_inference) as u64);
-        assert_eq!(stats.hits, 0);
+        for kind in [FeatureBlockKind::ApcMaxBtanh, FeatureBlockKind::MuxMaxStanh] {
+            let network = small_network(3);
+            let config = ScNetworkConfig::new("c", vec![kind; 2], 128, PoolingStyle::Max);
+            let engine = Engine::compile(&network, &config, options()).unwrap();
+            let mut session = engine.new_session();
+            let images: Vec<Tensor> = (1..4).map(image).collect();
+            engine.verify(&mut session, &images).unwrap();
+            assert!(engine.cached_weight_streams() > 0);
+            // Every inference fills each input stream exactly once per
+            // position: positions × pool window × streams per field, summed
+            // over layers, counted across the fan-out workers too. An APC
+            // field fills every lane (here 3×3 positions × 4 fields × 9
+            // lanes for the conv layer plus 18 lanes for the dense one); a
+            // MUX field fills its one selected stream (3×3 × 4 plus 1).
+            let per_inference: usize = engine
+                .plan()
+                .layers
+                .iter()
+                .map(|layer| {
+                    let (positions, block) = match layer {
+                        PlanLayer::Conv(conv) => {
+                            (conv.out_shape[1] * conv.out_shape[2], &conv.block)
+                        }
+                        PlanLayer::Dense(dense) => (1, &dense.block),
+                    };
+                    let streams_per_field = match block.kind().inner_product() {
+                        InnerProductKind::Mux => 1,
+                        _ => block.input_size(),
+                    };
+                    positions * block.pool_window() * streams_per_field
+                })
+                .sum();
+            let expected = match kind.inner_product() {
+                InnerProductKind::Mux => 9 * 4 + 1,
+                _ => 9 * 4 * 9 + 18,
+            };
+            assert_eq!(per_inference, expected, "{kind}");
+            let stats = session.cache_stats();
+            assert_eq!(
+                stats.misses,
+                (images.len() * per_inference) as u64,
+                "{kind}"
+            );
+            assert_eq!(stats.hits, 0);
+        }
     }
 
     /// End-to-end kernel-backend bit-exactness: the scalar reference and

@@ -16,8 +16,9 @@
 //!   existing per-call `FeatureBlock::evaluate_stream` path.
 //! * [`engine`] — the compiled executor: weight bit-streams pre-generated
 //!   once per filter (filter-aware sharing), input streams filled by the
-//!   comparator alone from per-lane SNG sequences drawn at build time
-//!   ([`sc_core::sng::LaneSequence`]), fused stream-level kernels. Bit-exact
+//!   comparator alone from SNG sequences drawn at build time (per lane,
+//!   [`sc_core::sng::LaneSequence`]; per MUX field, the selected
+//!   [`sc_core::sng::SelectedSequence`]), fused stream-level kernels. Bit-exact
 //!   with the interpreter (property-tested, and enforceable at runtime via
 //!   `verify_against_interpreter`).
 //! * [`batch`] / [`server`] / [`proto`] / [`metrics`] — the serving runtime:

@@ -382,6 +382,8 @@ impl WorkerStatsSlots {
 pub fn register_engine_metrics(registry: &MetricsRegistry, slots: Arc<WorkerStatsSlots>) {
     registry.register(move |out| {
         let (cache, arena) = slots.totals();
+        // Input streams filled: one per position and field of a MUX layer,
+        // one per position, field and lane of an APC layer.
         out.push(Sample::counter(
             "sc_stream_fills_total",
             vec![],

@@ -90,7 +90,7 @@ pub struct ConvPlanLayer {
 impl ConvPlanLayer {
     /// The four receptive fields of pooled output position `(py, px)`, in
     /// pool-window order, gathered from the flattened input `values`.
-    pub fn gather_fields(&self, values: &[f64], py: usize, px: usize) -> Vec<Vec<f64>> {
+    pub fn gather_fields<T: Copy>(&self, values: &[T], py: usize, px: usize) -> Vec<Vec<T>> {
         let [channels, height, width] = self.in_shape;
         debug_assert_eq!(values.len(), channels * height * width);
         let k = self.kernel;

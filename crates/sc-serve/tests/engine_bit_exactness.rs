@@ -70,10 +70,12 @@ fn engine_is_bit_exact_across_kinds_and_lengths() {
 #[test]
 fn fused_engine_is_bit_exact_across_kinds_lengths_and_schedules() {
     // The fused engine must reproduce the interpreter across all four block
-    // kinds, stream lengths including the non-word-multiple 127, and serial
-    // vs parallel unit fan-out.
+    // kinds, stream lengths including the non-word-multiple 127 and the
+    // sub-word 63 (below the 128-bit staged SNG cutoff, so every lane
+    // sample comes from the serial tail), and serial vs parallel unit
+    // fan-out.
     for kind in FeatureBlockKind::ALL {
-        for stream_length in [100usize, 127] {
+        for stream_length in [63usize, 100, 127] {
             let pooling = if kind.uses_max_pooling() {
                 PoolingStyle::Max
             } else {

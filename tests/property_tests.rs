@@ -1,10 +1,13 @@
 //! Property-based tests on the core stochastic-computing invariants.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use sc_dcnn_repro::core::add::MuxSelectorPlan;
 use sc_dcnn_repro::core::add::{Apc, CountStream, ExactParallelCounter};
 use sc_dcnn_repro::core::encoding::{prescale, Bipolar, Encoding, Unipolar};
 use sc_dcnn_repro::core::prelude::*;
-use sc_dcnn_repro::core::sng::{BatchSng, LaneSequence};
+use sc_dcnn_repro::core::sng::{BatchSng, LaneSequence, SelectedSequence, SngBank};
 use sc_dcnn_repro::core::{active_backend, force_backend, Backend};
 use sc_dcnn_repro::hw::sram::quantize_weight;
 use sc_dcnn_repro::nn::quantize::quantize_value;
@@ -311,5 +314,65 @@ proptest! {
         for (a, b) in mapped.as_slice().iter().zip(scaled.as_slice()) {
             prop_assert!((a - b).abs() < 1e-6);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A MUX field's selected-sequence fill is the gather of its lanes'
+    /// streams: one comparator pass over each cycle's selected lane equals
+    /// `MuxAdder::sum_with_plan` over the `LaneSequence::fill` stream of
+    /// every lane, at every length (below one word, below the 128-bit
+    /// staged minimum and off word multiples too), with per-lane thresholds
+    /// at the comparator's edges and random, under every kernel backend
+    /// this build and CPU run.
+    #[test]
+    fn selected_sequence_fill_matches_gathered_lane_fills(seed in any::<u64>(),
+                                                          selector_seed in 1u32..u32::MAX,
+                                                          threshold_seed in any::<u64>()) {
+        let original = active_backend();
+        let mut rng = StdRng::seed_from_u64(threshold_seed);
+        for lanes in [1usize, 25, 200] {
+            for bits in [1usize, 63, 64, 100, 127, 128, 129, 1024] {
+                let length = StreamLength::new(bits);
+                let sequences: Vec<LaneSequence> = (0..lanes)
+                    .map(|lane| LaneSequence::new(SngBank::lane_seed(seed, lane), length))
+                    .collect();
+                let plan = MuxSelectorPlan::new(lanes, bits, &mut Lfsr::new_32(selector_seed))
+                    .unwrap();
+                let selected = SelectedSequence::new(&sequences, &plan).unwrap();
+                // Every lane draws from the edge thresholds and a random one;
+                // a single lane runs through all six in turn.
+                for rotation in 0..if lanes == 1 { 6 } else { 1 } {
+                    let thresholds: Vec<u32> = (0..lanes)
+                        .map(|lane| {
+                            let edges = [0u32, 1, 0x8000, 0xFFFF, 0x10000];
+                            match (lane * 7 + rotation + rng.gen_range(0..2usize)) % 6 {
+                                5 => rng.gen_range(0..=0x10000u32),
+                                edge => edges[edge],
+                            }
+                        })
+                        .collect();
+                    for backend in Backend::ALL.into_iter().filter(|b| b.is_available()) {
+                        prop_assert!(force_backend(backend));
+                        let lane_streams: Vec<BitStream> = sequences
+                            .iter()
+                            .zip(&thresholds)
+                            .map(|(sequence, &threshold)| {
+                                let mut stream = BitStream::zeros(length);
+                                sequence.fill(threshold, &mut stream).unwrap();
+                                stream
+                            })
+                            .collect();
+                        let gathered = MuxAdder::new().sum_with_plan(&lane_streams, &plan).unwrap();
+                        let mut filled = BitStream::ones(length);
+                        selected.fill(&thresholds, &mut filled).unwrap();
+                        prop_assert_eq!(&filled, &gathered, "{} lanes={} bits={}", backend.name(), lanes, bits);
+                    }
+                }
+            }
+        }
+        force_backend(original);
     }
 }
