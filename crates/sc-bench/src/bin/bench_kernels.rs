@@ -7,6 +7,9 @@
 //!
 //! Run with: `cargo run --release -p sc-bench --bin bench_kernels`
 
+use sc_blocks::activation_block::StanhBlock;
+use sc_blocks::pooling::HardwareMaxPooling;
+use sc_core::activation::Stanh;
 use sc_core::add::{Apc, ExactParallelCounter, MuxAdder, MuxSelectorPlan};
 use sc_core::arena::StreamArena;
 use sc_core::bitstream::{BitStream, StreamLength};
@@ -626,6 +629,104 @@ fn bench_shared_apc_csa(samples: usize, iters: usize) -> Comparison {
     }
 }
 
+/// Per-bit reference of the hardware max pool (Fig. 8): every output bit is
+/// read with `get` from the input whose previous 16-bit segment held
+/// strictly the most ones (the first such input on ties; input 0 for the
+/// first segment), counting each candidate bit by bit.
+fn per_bit_max_pool(inputs: &[BitStream], segment_bits: usize) -> BitStream {
+    let len = inputs[0].len();
+    let mut out = BitStream::zeros(StreamLength::new(len));
+    let mut selected = 0;
+    for start in (0..len).step_by(segment_bits) {
+        let end = (start + segment_bits).min(len);
+        for t in start..end {
+            out.set(t, inputs[selected].get(t));
+        }
+        let mut best = (0, 0);
+        for (input, stream) in inputs.iter().enumerate() {
+            let count = (start..end).filter(|&t| stream.get(t)).count();
+            if count > best.1 {
+                best = (input, count);
+            }
+        }
+        selected = best.0;
+    }
+    out
+}
+
+/// The MUX-Max-Stanh block's max pool over a 2x2 window: the per-bit
+/// reference vs the lane-count pool behind `HardwareMaxPooling`.
+fn bench_hw_max_pool(samples: usize, iters: usize) -> Comparison {
+    let len = StreamLength::new(1024);
+    let streams: Vec<BitStream> = (0..4)
+        .map(|i| {
+            Sng::new(SngKind::Lfsr32, 800 + i as u64)
+                .generate_bipolar(0.3 - 0.2 * i as f64, len)
+                .unwrap()
+        })
+        .collect();
+    let pool = HardwareMaxPooling::default();
+    assert_eq!(
+        pool.pool_streams(&streams).unwrap(),
+        per_bit_max_pool(&streams, pool.segment_bits),
+        "lane-count max pool must match the per-bit reference"
+    );
+    let baseline_ns = measure(samples, iters, || {
+        per_bit_max_pool(&streams, pool.segment_bits)
+    });
+    let optimized_ns = measure(samples, iters, || pool.pool_streams(&streams).unwrap());
+    Comparison {
+        name: "hw_max_pool_n4_l1024",
+        description: "Hardware max pool (4 inputs, 16-bit segments, 1024 bits): \
+                      per-bit get/set forwarding and counting vs SWAR \
+                      lane-popcounts and lane-wise argmax per word",
+        baseline_ns,
+        optimized_ns,
+    }
+}
+
+/// The MUX-Max-Stanh activation of 32 units: one per-bit FSM walk per unit
+/// vs the block's byte-table walk.
+fn bench_stanh_batch(samples: usize, iters: usize) -> Comparison {
+    let len = StreamLength::new(1024);
+    let n = 32usize;
+    let inputs: Vec<BitStream> = (0..n)
+        .map(|i| {
+            Sng::new(SngKind::Lfsr32, 70 + i as u64)
+                .generate_bipolar((i as f64 / n as f64) - 0.5, len)
+                .unwrap()
+        })
+        .collect();
+    let refs: Vec<&BitStream> = inputs.iter().collect();
+    // conv1's block in tiny LeNet: 25 inputs at L = 1024.
+    let block = StanhBlock::for_mux_max(25, len.bits()).unwrap();
+    let per_bit = |inputs: &[BitStream]| -> Vec<BitStream> {
+        let mut fsm = Stanh::with_mode(block.states(), block.mode()).unwrap();
+        inputs.iter().map(|s| fsm.transform(s)).collect()
+    };
+    let mut arena = StreamArena::new();
+    let table = block.apply_batch_with(&refs, &mut arena);
+    assert_eq!(
+        table,
+        per_bit(&inputs),
+        "byte-table Stanh walk must match the per-bit FSM"
+    );
+    arena.recycle_all(table);
+    let baseline_ns = measure(samples, iters, || per_bit(&inputs));
+    let optimized_ns = measure(samples, iters, || {
+        let outputs = block.apply_batch_with(&refs, &mut arena);
+        arena.recycle_all(outputs);
+    });
+    Comparison {
+        name: "stanh_batch_n32_l1024",
+        description: "Stanh activation (32 units, conv1's MUX-Max block: \
+                      Eq. 2 states, shifted threshold, 1024 bits): per-bit FSM \
+                      steps vs one byte-table lookup per 8 input bits",
+        baseline_ns,
+        optimized_ns,
+    }
+}
+
 /// One kernel timed once per available word backend (see `sc_core::word`).
 /// All backends are bit-identical, so the rows differ only in throughput.
 struct BackendMatrixRow {
@@ -692,7 +793,7 @@ fn measure_per_backend<R>(
     }
 }
 
-/// Per-backend timings of the five widened kernel families, each through its
+/// Per-backend timings of the four widened kernel families, each through its
 /// public dispatching entry point (the same calls the serving engine makes).
 fn backend_matrix(samples: usize, iters: usize) -> Vec<BackendMatrixRow> {
     let len = StreamLength::new(1024);
@@ -810,25 +911,6 @@ fn backend_matrix(samples: usize, iters: usize) -> Vec<BackendMatrixRow> {
         ));
     }
 
-    // (5) Word-interleaved Stanh FSM batch walk.
-    {
-        let stanh = sc_core::activation::Stanh::new(8).unwrap();
-        let inputs = xs.clone();
-        let mut arena = StreamArena::new();
-        rows.push(measure_per_backend(
-            "stanh_batch_n32_l1024",
-            "Stanh FSM batch walk (32 units, 8 states, 1024 bits): \
-             lane-parallel saturating counters over word groups",
-            samples,
-            iters,
-            move || {
-                let refs: Vec<&BitStream> = inputs.iter().collect();
-                let outputs = stanh.transform_batch_with(&refs, &mut arena);
-                arena.recycle_all(outputs);
-            },
-        ));
-    }
-
     rows
 }
 
@@ -851,6 +933,8 @@ fn main() {
         bench_csa_column_count(samples, iters),
         bench_per_unit_apc_csa(samples, iters),
         bench_shared_apc_csa(samples, iters.div_ceil(4)),
+        bench_hw_max_pool(samples, iters),
+        bench_stanh_batch(samples, iters.div_ceil(4)),
     ];
 
     println!(
@@ -923,7 +1007,7 @@ fn main() {
     }
     json.push_str("  ],\n");
     json.push_str(
-        "  \"kernel_backends\": {\n    \"note\": \"the same five kernels \
+        "  \"kernel_backends\": {\n    \"note\": \"the same four kernels \
          timed once per word backend via force_backend; every backend is \
          bit-identical to scalar, speedups are scalar_ns / backend_ns\",\n",
     );

@@ -9,7 +9,7 @@
 
 use sc_core::activation::{
     apc_avg_btanh_states, apc_max_btanh_states, mux_avg_stanh_states, mux_max_stanh_states, Btanh,
-    Stanh, StanhMode,
+    Stanh, StanhMode, StanhTable,
 };
 use sc_core::add::CountStream;
 use sc_core::bitstream::BitStream;
@@ -37,10 +37,14 @@ impl ActivationKind {
 
 /// A Stanh activation block whose state count is derived from the feature
 /// extraction block configuration (Eq. 1 or Eq. 2).
+///
+/// The block builds its FSM's byte table ([`StanhTable`]) once, at
+/// construction, for the batch walk; [`StanhBlock::apply`] keeps the per-bit
+/// FSM, so the per-unit interpreter checks the table against an independent
+/// walk.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StanhBlock {
-    states: usize,
-    mode: StanhMode,
+    table: StanhTable,
 }
 
 impl StanhBlock {
@@ -52,11 +56,7 @@ impl StanhBlock {
     /// unusable (cannot happen for the supported parameter ranges).
     pub fn for_mux_avg(input_size: usize, stream_length: usize) -> Result<Self, ScError> {
         let states = mux_avg_stanh_states(input_size, stream_length);
-        Stanh::new(states)?;
-        Ok(Self {
-            states,
-            mode: StanhMode::Standard,
-        })
+        Self::with_states(states, StanhMode::Standard)
     }
 
     /// Builds the re-designed Stanh block for a MUX-Max-Stanh feature
@@ -68,11 +68,7 @@ impl StanhBlock {
     /// unusable (cannot happen for the supported parameter ranges).
     pub fn for_mux_max(input_size: usize, stream_length: usize) -> Result<Self, ScError> {
         let states = mux_max_stanh_states(input_size, stream_length);
-        Stanh::new(states)?;
-        Ok(Self {
-            states,
-            mode: StanhMode::ShiftedFifth,
-        })
+        Self::with_states(states, StanhMode::ShiftedFifth)
     }
 
     /// Builds a Stanh block with an explicit state count (used by ablations).
@@ -80,49 +76,47 @@ impl StanhBlock {
     /// # Errors
     ///
     /// Returns [`ScError::InvalidParameter`] unless `states` is an even
-    /// number of at least two.
+    /// number of at least two and at most [`StanhTable::MAX_STATES`].
     pub fn with_states(states: usize, mode: StanhMode) -> Result<Self, ScError> {
-        Stanh::new(states)?;
-        Ok(Self { states, mode })
+        Ok(Self {
+            table: StanhTable::new(states, mode)?,
+        })
     }
 
     /// The selected state count `K`.
     pub fn states(&self) -> usize {
-        self.states
+        self.table.states()
     }
 
     /// The output threshold mode.
     pub fn mode(&self) -> StanhMode {
-        self.mode
+        self.table.mode()
     }
 
-    /// Applies the activation to a (scaled) input stream.
+    /// Applies the activation to a (scaled) input stream, one FSM step per
+    /// bit.
     pub fn apply(&self, input: &BitStream) -> BitStream {
-        let mut fsm = Stanh::with_mode(self.states, self.mode)
+        let mut fsm = Stanh::with_mode(self.states(), self.mode())
             .expect("state count validated at construction");
         fsm.transform(input)
     }
 
     /// Applies one independent copy of the activation to every unit's
-    /// stream, interleaved word-by-word across units
-    /// ([`Stanh::transform_batch`]). `result[u]` is bit-exact with
-    /// [`StanhBlock::apply`] on `inputs[u]`.
-    pub fn apply_batch(&self, inputs: &[&BitStream]) -> Vec<BitStream> {
-        let fsm = Stanh::with_mode(self.states, self.mode)
-            .expect("state count validated at construction");
-        fsm.transform_batch(inputs)
-    }
-
-    /// [`StanhBlock::apply_batch`] with the output stream buffers taken from
-    /// `arena` (recycle them when done). Results are identical.
+    /// stream through the byte table ([`StanhTable::transform_into`]), with
+    /// the output stream buffers taken from `arena` (recycle them when
+    /// done). `result[u]` is bit-exact with [`StanhBlock::apply`] on
+    /// `inputs[u]`.
     pub fn apply_batch_with(
         &self,
         inputs: &[&BitStream],
         arena: &mut sc_core::arena::StreamArena,
     ) -> Vec<BitStream> {
-        let fsm = Stanh::with_mode(self.states, self.mode)
-            .expect("state count validated at construction");
-        fsm.transform_batch_with(inputs, arena)
+        let mut outputs: Vec<BitStream> = inputs
+            .iter()
+            .map(|s| arena.take_zeroed(s.stream_length()))
+            .collect();
+        self.table.transform_into(inputs, &mut outputs);
+        outputs
     }
 
     /// The continuous function this block approximates for an *unscaled*
@@ -192,15 +186,9 @@ impl BtanhBlock {
 
     /// Applies one independent copy of the activation to every unit's count
     /// stream, interleaved in 64-cycle blocks across units
-    /// ([`Btanh::transform_batch`]). `result[u]` is bit-exact with
-    /// [`BtanhBlock::apply`] on `inputs[u]`.
-    pub fn apply_batch(&self, inputs: &[&CountStream]) -> Vec<BitStream> {
-        let counter = Btanh::new(self.states).expect("state count validated at construction");
-        counter.transform_batch(inputs)
-    }
-
-    /// [`BtanhBlock::apply_batch`] with the output stream buffers taken from
-    /// `arena` (recycle them when done). Results are identical.
+    /// ([`Btanh::transform_batch_with`]), with the output stream buffers
+    /// taken from `arena` (recycle them when done). `result[u]` is
+    /// bit-exact with [`BtanhBlock::apply`] on `inputs[u]`.
     pub fn apply_batch_with(
         &self,
         inputs: &[&CountStream],
@@ -255,6 +243,31 @@ mod tests {
         let input = sng.generate_bipolar(0.2, StreamLength::new(512)).unwrap();
         let output = block.apply(&input);
         assert_eq!(output.len(), 512);
+    }
+
+    #[test]
+    fn stanh_block_batch_matches_per_unit_apply() {
+        let inputs: Vec<BitStream> = [1usize, 100, 1024, 1024, 127]
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| {
+                Sng::new(SngKind::Lfsr32, 30 + i as u64)
+                    .generate_bipolar(0.25 - 0.1 * i as f64, StreamLength::new(len))
+                    .unwrap()
+            })
+            .collect();
+        let refs: Vec<&BitStream> = inputs.iter().collect();
+        let mut arena = sc_core::arena::StreamArena::new();
+        for block in [
+            StanhBlock::for_mux_max(25, 1024).unwrap(),
+            StanhBlock::for_mux_avg(16, 256).unwrap(),
+        ] {
+            let outputs = block.apply_batch_with(&refs, &mut arena);
+            for (unit, input) in inputs.iter().enumerate() {
+                assert_eq!(outputs[unit], block.apply(input), "unit {unit}");
+            }
+            arena.recycle_all(outputs);
+        }
     }
 
     #[test]

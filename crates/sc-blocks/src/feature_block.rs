@@ -16,10 +16,11 @@
 //!
 //! Every hot kernel a feature block evaluates — SNG comparator fills, fused
 //! XNOR/popcount reductions, MUX selector-plan gathers, CSA vertical-counter
-//! accumulation, and the Stanh/Btanh FSM batch walks — is word-generic and
-//! dispatches to the active [`sc_core::word`] backend (scalar, portable
-//! super-word, or SIMD). Backends are bit-identical, so block outputs do not
-//! depend on which one serves them.
+//! accumulation, and the Btanh batch walk — is word-generic and dispatches
+//! to the active [`sc_core::word`] backend (scalar, portable super-word, or
+//! SIMD); the hardware max pool's lane counts and the Stanh byte-table walk
+//! are the same code on every backend. Backends are bit-identical, so block
+//! outputs do not depend on which one serves them.
 
 use crate::activation_block::{ActivationKind, BtanhBlock, StanhBlock};
 use crate::inner_product::{
@@ -543,11 +544,16 @@ impl FeatureBlock {
     ///   word is loaded once for all units and compressed through in-register
     ///   3:2 compressors into per-unit vertical counters (see
     ///   [`sc_core::csa`]);
-    /// * the Btanh/Stanh walks of all units are interleaved word-by-word
-    ///   ([`BtanhBlock::apply_batch`] / [`StanhBlock::apply_batch`]).
+    /// * the hardware max pool counts every 16-bit segment of a word with
+    ///   one SWAR lane-popcount and picks the forwarding mask by a
+    ///   lane-wise argmax ([`HardwareMaxPooling::pool_streams_with`]);
+    /// * the Stanh walks of all units run through the block's byte table,
+    ///   built once at construction, one lookup per input byte
+    ///   ([`StanhBlock::apply_batch_with`]); the Btanh walks are
+    ///   interleaved word-by-word ([`BtanhBlock::apply_batch_with`]).
     ///
-    /// [`StanhBlock::apply_batch`]: crate::activation_block::StanhBlock::apply_batch
-    /// [`BtanhBlock::apply_batch`]: crate::activation_block::BtanhBlock::apply_batch
+    /// [`StanhBlock::apply_batch_with`]: crate::activation_block::StanhBlock::apply_batch_with
+    /// [`BtanhBlock::apply_batch_with`]: crate::activation_block::BtanhBlock::apply_batch_with
     ///
     /// **Arena contract**: the caller owns `arena` and threads it down; all
     /// intermediates (per-field MUX sums, APC column counts, pooled streams)

@@ -17,9 +17,17 @@
 //!
 //! The MUX average-pooling path replays precomputed selector plans
 //! ([`MuxSelectorPlan`]) whose masked-OR inner loop dispatches through the
-//! word-generic kernel layer ([`sc_core::word`]). The hardware max path over
-//! streams walks the words once, forwarding and counting each segment with
-//! masked word operations.
+//! word-generic kernel layer ([`sc_core::word`]).
+//!
+//! The hardware max pool over streams computes all segment counts before it
+//! forwards anything: the choice for segment `s + 1` is the argmax of the
+//! segment-`s` counts, which do not depend on what was forwarded. When the
+//! segment length is a power of two ≤ 64 (the paper's 16 bits included),
+//! segments never straddle a word, so one SWAR lane-popcount per input word
+//! yields all of its segment counts and a lane-wise argmax picks the
+//! forwarding mask. Other lengths (the 7- or 100-bit ablations) keep the
+//! (word, mask) walk over each segment, the only form that handles a
+//! segment crossing a word boundary. No length takes both paths.
 
 use sc_core::add::{CountStream, MuxAdder, MuxSelectorPlan};
 use sc_core::arena::StreamArena;
@@ -238,41 +246,16 @@ impl HardwareMaxPooling {
                 });
             }
         }
-        // One walk over the words: every segment is a run of (word, mask)
-        // pairs, usually a single one, so forwarding the selected stream and
-        // counting each candidate are a masked blend and masked popcounts.
         let out = output.words_mut();
-        let mut selected = 0usize;
-        let mut start = 0usize;
-        while start < len {
-            let end = (start + self.segment_bits).min(len);
-            let segment = || {
-                (start / 64..end.div_ceil(64)).map(move |w| {
-                    let low = start.max(w * 64) - w * 64;
-                    let high = end.min(w * 64 + 64) - w * 64;
-                    (w, (u64::MAX >> (64 - (high - low))) << low)
-                })
-            };
-            let source = inputs[selected].as_words();
-            for (w, mask) in segment() {
-                out[w] = (out[w] & !mask) | (source[w] & mask);
-            }
-            // The strictly largest count wins (first lane on ties) and
-            // drives the selection for the *next* segment.
-            let mut best = 0usize;
-            let mut best_count = 0u32;
-            for (lane, stream) in inputs.iter().enumerate() {
-                let words = stream.as_words();
-                let count: u32 = segment()
-                    .map(|(w, mask)| (words[w] & mask).count_ones())
-                    .sum();
-                if count > best_count {
-                    best_count = count;
-                    best = lane;
-                }
-            }
-            selected = best;
-            start = end;
+        match self.segment_bits {
+            1 => pool_lane_counts::<1>(inputs, out),
+            2 => pool_lane_counts::<2>(inputs, out),
+            4 => pool_lane_counts::<4>(inputs, out),
+            8 => pool_lane_counts::<8>(inputs, out),
+            16 => pool_lane_counts::<16>(inputs, out),
+            32 => pool_lane_counts::<32>(inputs, out),
+            64 => pool_lane_counts::<64>(inputs, out),
+            segment_bits => pool_segment_walk(inputs, out, len, segment_bits),
         }
         Ok(())
     }
@@ -347,6 +330,109 @@ impl HardwareMaxPooling {
     pub fn reference(&self, values: &[f64]) -> f64 {
         assert!(!values.is_empty(), "max of an empty set is undefined");
         values.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+    }
+}
+
+/// Hardware max pool over streams whose segment length `W` is a power of two
+/// ≤ 64, so every word holds `64 / W` whole segments ("lanes"; a stream's
+/// last segment may be partial, but its tail bits are zero). Per word, one
+/// SWAR lane-popcount per input gives all of its segment counts, a running
+/// lane-wise strict maximum picks each lane's winner (the first input on
+/// ties), and the winners' next lanes are blended into the output. The top
+/// lane's winner forwards the first lane of the next word.
+fn pool_lane_counts<const W: u32>(inputs: &[BitStream], out: &mut [u64]) {
+    let first_lane = u64::MAX >> (64 - W);
+    // The first segment of the stream forwards input 0.
+    let mut carry = 0usize;
+    for (w, out_word) in out.iter_mut().enumerate() {
+        let head = inputs[carry].as_words()[w] & first_lane;
+        let word = inputs[0].as_words()[w];
+        let mut best = lane_counts::<W>(word);
+        // Lane `k + 1` of `next` holds the bits of lane `k`'s running winner.
+        let mut next = word;
+        carry = 0;
+        for (input, stream) in inputs.iter().enumerate().skip(1) {
+            let word = stream.as_words()[w];
+            let counts = lane_counts::<W>(word);
+            let wins = lane_greater::<W>(counts, best);
+            best = (counts & wins) | (best & !wins);
+            let shifted = wins.checked_shl(W).unwrap_or(0);
+            next = (word & shifted) | (next & !shifted);
+            if wins >> 63 != 0 {
+                carry = input;
+            }
+        }
+        *out_word = head | (next & !first_lane);
+    }
+}
+
+/// The ones-count of every `W`-bit lane of `word`, each held in its lane.
+#[inline(always)]
+fn lane_counts<const W: u32>(mut word: u64) -> u64 {
+    let mut width = 1;
+    while width < W {
+        // The low `width` bits of every `2 · width`-bit field.
+        let mask = u64::MAX / ((1u64 << width) + 1);
+        word = (word & mask) + ((word >> width) & mask);
+        width *= 2;
+    }
+    word
+}
+
+/// All-ones in every `W`-bit lane where count `a` exceeds count `b` (lane
+/// counts, each at most `W`), zero elsewhere.
+#[inline(always)]
+fn lane_greater<const W: u32>(a: u64, b: u64) -> u64 {
+    let low = u64::MAX / (u64::MAX >> (64 - W));
+    let high = low << (W - 1);
+    // Top bit of each lane: `b ≥ a`. From 4-bit lanes up a count never
+    // reaches the top bit, so one borrow-free subtraction decides; narrower
+    // lanes compare the top bits first and the lower bits after.
+    let b_ge_a = if W >= 4 {
+        (b | high).wrapping_sub(a) & high
+    } else {
+        let low_ge = (b | high).wrapping_sub(a & !high);
+        ((b & !a) | (!(a ^ b) & low_ge)) & high
+    };
+    let greater = !b_ge_a & high;
+    (greater - (greater >> (W - 1))) | greater
+}
+
+/// Hardware max pool for any other segment length: every segment is a run of
+/// (word, mask) pairs, so forwarding the selected stream and counting each
+/// candidate are a masked blend and masked popcounts.
+fn pool_segment_walk(inputs: &[BitStream], out: &mut [u64], len: usize, segment_bits: usize) {
+    let mut selected = 0usize;
+    let mut start = 0usize;
+    while start < len {
+        let end = (start + segment_bits).min(len);
+        let segment = || {
+            (start / 64..end.div_ceil(64)).map(move |w| {
+                let low = start.max(w * 64) - w * 64;
+                let high = end.min(w * 64 + 64) - w * 64;
+                (w, (u64::MAX >> (64 - (high - low))) << low)
+            })
+        };
+        let source = inputs[selected].as_words();
+        for (w, mask) in segment() {
+            out[w] = (out[w] & !mask) | (source[w] & mask);
+        }
+        // The strictly largest count wins (first lane on ties) and drives
+        // the selection for the *next* segment.
+        let mut best = 0usize;
+        let mut best_count = 0u32;
+        for (lane, stream) in inputs.iter().enumerate() {
+            let words = stream.as_words();
+            let count: u32 = segment()
+                .map(|(w, mask)| (words[w] & mask).count_ones())
+                .sum();
+            if count > best_count {
+                best_count = count;
+                best = lane;
+            }
+        }
+        selected = best;
+        start = end;
     }
 }
 
@@ -552,10 +638,12 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0x9001);
-        for segment_bits in [1usize, 7, 16, 64, 100] {
+        // Every power-of-two width takes the lane-count path; 7 and 100
+        // take the segment walk. 9 and 16 candidates are Table 4's windows.
+        for segment_bits in [1usize, 2, 4, 7, 8, 16, 32, 64, 100] {
             let pool = HardwareMaxPooling::new(segment_bits).unwrap();
             for len in [1usize, 63, 64, 127, 1024] {
-                for lanes in 1..=5 {
+                for lanes in (1..=5).chain([9, 16]) {
                     for trial in 0..4 {
                         let random = |rng: &mut StdRng| {
                             let density = [0.0, 0.1, 0.5, 0.9, 1.0][rng.gen_range(0..5usize)];

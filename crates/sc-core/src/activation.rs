@@ -14,6 +14,13 @@
 //! The empirical state-count formulas of Eqs. (1)–(3) are provided as free
 //! functions so the feature-extraction-block layer can pick `K` per
 //! configuration.
+//!
+//! Batch walks over a layer's units: Stanh runs through a [`StanhTable`],
+//! one lookup per input byte, on every kernel backend. The per-bit
+//! [`Stanh::step`] walk stays as the definition the table is built from and
+//! as the per-unit path, so checking the two against each other compares
+//! the table with an independent FSM. Btanh, whose per-cycle input is a
+//! count rather than a bit, keeps its lane-parallel word-kernel walk.
 
 use crate::add::CountStream;
 use crate::bitstream::{BitStream, StreamLength};
@@ -115,37 +122,127 @@ impl Stanh {
         input.iter().map(|bit| self.step(bit)).collect()
     }
 
-    /// Runs one independent copy of this FSM over every input stream,
-    /// interleaved word-by-word across units: all units advance through
-    /// word `w` before any unit touches word `w + 1`, so a layer's worth of
-    /// activations walks the stream buffers once front-to-back instead of
-    /// re-streaming per unit.
-    ///
-    /// Each copy is reset before processing; `result[u]` is bit-exact with
-    /// [`Stanh::transform`] on `inputs[u]`. Streams may differ in length.
-    pub fn transform_batch(&self, inputs: &[&BitStream]) -> Vec<BitStream> {
-        self.transform_batch_with(inputs, &mut crate::arena::StreamArena::new())
-    }
-
-    /// [`Stanh::transform_batch`] with the output stream buffers taken from
-    /// `arena` (recycle them when done). Results are identical.
-    pub fn transform_batch_with(
-        &self,
-        inputs: &[&BitStream],
-        arena: &mut crate::arena::StreamArena,
-    ) -> Vec<BitStream> {
-        let mut outputs: Vec<BitStream> = inputs
-            .iter()
-            .map(|s| arena.take_zeroed(s.stream_length()))
-            .collect();
-        let threshold = self.mode.threshold(self.states);
-        stanh_batch_words(inputs, &mut outputs, self.states, threshold);
-        outputs
-    }
-
     /// The continuous function this FSM approximates: `tanh(K·x / 2)`.
     pub fn reference(&self, x: f64) -> f64 {
         (self.states as f64 / 2.0 * x).tanh()
+    }
+}
+
+/// A [`Stanh`] FSM stepped a byte at a time.
+///
+/// Entry `(state, byte)` holds the state after the byte's 8 input bits (LSB
+/// first) and the 8 output bits they produce, so a stream walks one table
+/// lookup per input byte instead of 8 saturating updates. The table is
+/// built from [`Stanh::step`] itself, once per block (it holds `256·K`
+/// entries), and the walk is the same on every kernel backend.
+#[derive(Clone, PartialEq, Eq)]
+pub struct StanhTable {
+    states: usize,
+    mode: StanhMode,
+    /// `next_state << 8 | output_byte`, at index `state << 8 | input_byte`.
+    entries: Vec<u32>,
+}
+
+impl StanhTable {
+    /// Largest state count a table is built for (a 64 MiB table).
+    pub const MAX_STATES: usize = 1 << 16;
+
+    /// Builds the byte table of a `states`-state FSM in `mode`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScError::InvalidParameter`] unless `states` is an even
+    /// number of at least two and at most [`StanhTable::MAX_STATES`].
+    pub fn new(states: usize, mode: StanhMode) -> Result<Self, ScError> {
+        let mut fsm = Stanh::with_mode(states, mode)?;
+        if states > Self::MAX_STATES {
+            return Err(ScError::InvalidParameter {
+                name: "states",
+                message: format!(
+                    "byte table holds at most {} states, got {states}",
+                    Self::MAX_STATES
+                ),
+            });
+        }
+        let mut entries = Vec::with_capacity(states << 8);
+        for state in 0..states {
+            for byte in 0..=u8::MAX {
+                fsm.state = state;
+                let output = (0..8).fold(0u32, |out, bit| {
+                    out | u32::from(fsm.step((byte >> bit) & 1 == 1)) << bit
+                });
+                entries.push((fsm.state as u32) << 8 | output);
+            }
+        }
+        Ok(Self {
+            states,
+            mode,
+            entries,
+        })
+    }
+
+    /// Number of FSM states `K`.
+    pub fn states(&self) -> usize {
+        self.states
+    }
+
+    /// The output threshold mode.
+    pub fn mode(&self) -> StanhMode {
+        self.mode
+    }
+
+    /// Runs one independent copy of the FSM, each starting from the centre
+    /// state, over every input stream into the matching output buffer.
+    /// Units advance word by word in groups of four, so the groups' lookup
+    /// chains overlap. `outputs[u]` is bit-exact with [`Stanh::transform`]
+    /// on `inputs[u]`, tail bits zeroed; streams may differ in length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length or an output's length differs
+    /// from its input's.
+    pub fn transform_into(&self, inputs: &[&BitStream], outputs: &mut [BitStream]) {
+        const GROUP: usize = 4;
+        assert_eq!(inputs.len(), outputs.len(), "one output per input");
+        for (input, output) in inputs.iter().zip(outputs.iter()) {
+            assert_eq!(input.len(), output.len(), "output length");
+        }
+        let centre = (self.states / 2) as u32;
+        for (ins, outs) in inputs.chunks(GROUP).zip(outputs.chunks_mut(GROUP)) {
+            let mut states = [centre; GROUP];
+            let words = ins.iter().map(|s| s.as_words().len()).max().unwrap_or(0);
+            for w in 0..words {
+                for ((input, output), state) in ins.iter().zip(outs.iter_mut()).zip(&mut states) {
+                    if let Some(&word) = input.as_words().get(w) {
+                        output.words_mut()[w] = self.walk_word(state, word);
+                    }
+                }
+            }
+        }
+        for output in outputs {
+            output.mask_tail();
+        }
+    }
+
+    /// Walks one 64-bit input word from `state`, a byte per lookup.
+    #[inline(always)]
+    fn walk_word(&self, state: &mut u32, word: u64) -> u64 {
+        (0..8).fold(0u64, |out, byte| {
+            let input = (word >> (8 * byte)) as u32 & 0xFF;
+            let entry = self.entries[(*state << 8 | input) as usize];
+            *state = entry >> 8;
+            out | u64::from(entry & 0xFF) << (8 * byte)
+        })
+    }
+}
+
+/// Prints the FSM, not its `256·K` entries.
+impl std::fmt::Debug for StanhTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StanhTable")
+            .field("states", &self.states)
+            .field("mode", &self.mode)
+            .finish_non_exhaustive()
     }
 }
 
@@ -211,9 +308,8 @@ impl Btanh {
     }
 
     /// Runs one independent copy of this counter over every count stream,
-    /// interleaved in 64-cycle blocks across units (the binary-domain twin
-    /// of [`Stanh::transform_batch`]): all units consume cycles
-    /// `64w..64(w+1)` before any unit consumes the next block.
+    /// interleaved in 64-cycle blocks across units: all units consume
+    /// cycles `64w..64(w+1)` before any unit consumes the next block.
     ///
     /// Each copy is reset before processing; `result[u]` is bit-exact with
     /// [`Btanh::transform`] on `inputs[u]`. Streams may differ in length.
@@ -243,19 +339,6 @@ impl Btanh {
     }
 }
 
-fn stanh_batch_words(
-    inputs: &[&BitStream],
-    outputs: &mut [BitStream],
-    states: usize,
-    threshold: usize,
-) {
-    dispatch_word_kernel!(
-        stanh_batch_words_impl,
-        act_avx2::stanh_batch_avx2,
-        (inputs, outputs, states, threshold)
-    )
-}
-
 fn btanh_batch_words(inputs: &[&CountStream], outputs: &mut [BitStream], states: usize) {
     dispatch_word_kernel!(
         btanh_batch_words_impl,
@@ -264,108 +347,7 @@ fn btanh_batch_words(inputs: &[&CountStream], outputs: &mut [BitStream], states:
     )
 }
 
-/// Word-generic batch Stanh: groups of `LANES` equal-length units walk their
-/// streams with the FSM states held as super-word lanes (the per-bit update
-/// is `state = clamp(state ± 1, 0, K−1)`, which maps to a compare/blend
-/// chain); remaining units — the tail group, or all units once a group with
-/// mixed lengths is hit — take the word-interleaved scalar walk. Each unit's
-/// output is bit-exact with [`Stanh::transform`] either way.
-#[inline(always)]
-fn stanh_batch_words_impl<W: Word>(
-    inputs: &[&BitStream],
-    outputs: &mut [BitStream],
-    states: usize,
-    threshold: usize,
-) {
-    let mut unit = 0;
-    if W::LANES > 1 {
-        while unit + W::LANES <= inputs.len() {
-            let len = inputs[unit].len();
-            if !(1..W::LANES).all(|l| inputs[unit + l].len() == len) {
-                break;
-            }
-            stanh_unit_group::<W>(
-                &inputs[unit..unit + W::LANES],
-                &mut outputs[unit..unit + W::LANES],
-                states,
-                threshold,
-                len,
-            );
-            unit += W::LANES;
-        }
-    }
-    // Scalar walk for the remaining units, word-interleaved as before.
-    let rest = &inputs[unit..];
-    if rest.is_empty() {
-        return;
-    }
-    let mut unit_states: Vec<i64> = vec![states as i64 / 2; rest.len()];
-    let max_words = rest.iter().map(|s| s.as_words().len()).max().unwrap_or(0);
-    for w in 0..max_words {
-        for (u, input) in rest.iter().enumerate() {
-            let words = input.as_words();
-            if w >= words.len() {
-                continue;
-            }
-            let bits = (input.len() - w * 64).min(64);
-            let in_word = words[w];
-            let mut out_word = 0u64;
-            let mut state = unit_states[u];
-            for bit in 0..bits {
-                let delta = if (in_word >> bit) & 1 == 1 { 1 } else { -1 };
-                state = (state + delta).clamp(0, states as i64 - 1);
-                out_word |= u64::from(state >= threshold as i64) << bit;
-            }
-            unit_states[u] = state;
-            outputs[unit + u].words_mut()[w] = out_word;
-        }
-    }
-}
-
-/// One wide group of the batch Stanh walk: `LANES` units advance in
-/// lock-step, one FSM state per super-word lane.
-#[inline(always)]
-fn stanh_unit_group<W: Word>(
-    inputs: &[&BitStream],
-    outputs: &mut [BitStream],
-    states: usize,
-    threshold: usize,
-    len: usize,
-) {
-    let words = len.div_ceil(64);
-    let mut state = W::splat_i64(states as i64 / 2);
-    let top = W::splat_i64(states as i64 - 1);
-    let zero = W::zero();
-    let one = W::splat(1);
-    let minus_one = W::splat_i64(-1);
-    let plus_one = W::splat_i64(1);
-    // `state >= threshold` as a lane compare: `state > threshold − 1`.
-    let out_threshold = W::splat_i64(threshold as i64 - 1);
-    let mut lane_words = [0u64; 4];
-    let mut out_lanes = [0u64; 4];
-    for w in 0..words {
-        for (l, s) in inputs.iter().enumerate() {
-            lane_words[l] = s.as_words()[w];
-        }
-        let in_word = W::load(&lane_words);
-        let bits = ((len - w * 64).min(64)) as u32;
-        let mut out = W::zero();
-        for bit in 0..bits {
-            let input_mask = in_word.shr(bit).and(one).cmp_gt_i64(zero);
-            state = state.add_i64(minus_one.blend(plus_one, input_mask));
-            state = state.blend(top, state.cmp_gt_i64(top));
-            state = state.blend(zero, zero.cmp_gt_i64(state));
-            out = out.or(state.cmp_gt_i64(out_threshold).and(one).shl(bit));
-        }
-        out.store(&mut out_lanes);
-        for (l, o) in outputs.iter_mut().enumerate() {
-            o.words_mut()[w] = out_lanes[l];
-        }
-    }
-}
-
-/// Word-generic batch Btanh, the binary-domain twin of
-/// [`stanh_batch_words_impl`]: groups of `LANES` units with equal length and
+/// Word-generic batch Btanh: groups of `LANES` units with equal length and
 /// lane count walk their count streams with the counter states as super-word
 /// lanes; remaining units take the 64-cycle-block scalar walk. Each unit's
 /// output is bit-exact with [`Btanh::transform`] either way.
@@ -470,16 +452,6 @@ fn btanh_unit_group<W: Word>(
 mod act_avx2 {
     use super::*;
     use crate::word::WAvx2;
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn stanh_batch_avx2(
-        inputs: &[&BitStream],
-        outputs: &mut [BitStream],
-        states: usize,
-        threshold: usize,
-    ) {
-        stanh_batch_words_impl::<WAvx2>(inputs, outputs, states, threshold)
-    }
 
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn btanh_batch_avx2(
@@ -661,8 +633,38 @@ mod tests {
     }
 
     #[test]
+    fn stanh_table_entries_match_eight_fsm_steps() {
+        for states in (2..=64).step_by(2) {
+            for mode in [StanhMode::Standard, StanhMode::ShiftedFifth] {
+                let table = StanhTable::new(states, mode).unwrap();
+                assert_eq!((table.states(), table.mode()), (states, mode));
+                let mut fsm = Stanh::with_mode(states, mode).unwrap();
+                for state in 0..states {
+                    for byte in 0..=u8::MAX {
+                        fsm.state = state;
+                        let mut output = 0u8;
+                        for bit in 0..8 {
+                            output |= u8::from(fsm.step((byte >> bit) & 1 == 1)) << bit;
+                        }
+                        let entry = table.entries[state << 8 | usize::from(byte)];
+                        assert_eq!(
+                            ((entry >> 8) as usize, entry as u8),
+                            (fsm.state, output),
+                            "K {states} {mode:?} state {state} byte {byte:#04x}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(StanhTable::new(3, StanhMode::Standard).is_err());
+        assert!(StanhTable::new(StanhTable::MAX_STATES + 2, StanhMode::Standard).is_err());
+    }
+
+    #[test]
     fn stanh_batch_matches_per_unit_transform() {
-        let lengths = [64usize, 100, 127, 256, 1];
+        // Ragged lengths, with tails where the walk's zero-padded input
+        // would leave ones in the output word unless they are masked.
+        let lengths = [1usize, 7, 63, 65, 100, 1024];
         let streams: Vec<BitStream> = lengths
             .iter()
             .enumerate()
@@ -673,16 +675,24 @@ mod tests {
             })
             .collect();
         let refs: Vec<&BitStream> = streams.iter().collect();
-        for mode in [StanhMode::Standard, StanhMode::ShiftedFifth] {
-            let template = Stanh::with_mode(8, mode).unwrap();
-            let batch = template.transform_batch(&refs);
-            assert_eq!(batch.len(), streams.len());
-            for (unit, stream) in streams.iter().enumerate() {
-                let mut fsm = Stanh::with_mode(8, mode).unwrap();
-                assert_eq!(batch[unit], fsm.transform(stream), "unit {unit} {mode:?}");
+        for states in [2usize, 18, 28, 64] {
+            for mode in [StanhMode::Standard, StanhMode::ShiftedFifth] {
+                let table = StanhTable::new(states, mode).unwrap();
+                let mut batch: Vec<BitStream> = streams
+                    .iter()
+                    .map(|s| BitStream::zeros(s.stream_length()))
+                    .collect();
+                table.transform_into(&refs, &mut batch);
+                for (unit, stream) in streams.iter().enumerate() {
+                    let mut fsm = Stanh::with_mode(states, mode).unwrap();
+                    let expected = fsm.transform(stream);
+                    assert_eq!(batch[unit], expected, "unit {unit} K {states} {mode:?}");
+                }
             }
         }
-        assert!(Stanh::new(8).unwrap().transform_batch(&[]).is_empty());
+        StanhTable::new(8, StanhMode::Standard)
+            .unwrap()
+            .transform_into(&[], &mut []);
     }
 
     #[test]
@@ -711,37 +721,16 @@ mod tests {
         assert!(template.transform_batch(&[]).is_empty());
     }
 
-    /// Every super-word backend of the batch activation walks must match the
-    /// scalar backend bit-for-bit, across unit counts that exercise both the
-    /// wide groups and the scalar remainder, thresholds of both modes, and
-    /// ragged stream tails.
+    /// Every super-word backend of the batch Btanh walk must match the scalar
+    /// backend bit-for-bit, across unit counts that exercise both the wide
+    /// groups and the scalar remainder, and ragged stream tails. (The Stanh
+    /// byte-table walk is the same on every backend.)
     #[test]
     fn activation_batches_bit_exact_across_backends() {
         fn check<W: Word>(backend: &str) {
             for &len in &[100usize, 127, 1024] {
                 // 9 units: at least one wide group plus a remainder for
                 // every backend lane width.
-                let streams: Vec<BitStream> = (0..9)
-                    .map(|i| {
-                        Sng::new(SngKind::Lfsr32, 70 + i as u64)
-                            .generate_bipolar(0.4 - 0.09 * i as f64, StreamLength::new(len))
-                            .unwrap()
-                    })
-                    .collect();
-                let refs: Vec<&BitStream> = streams.iter().collect();
-                for threshold in [4usize, 1] {
-                    let mut expected: Vec<BitStream> = streams
-                        .iter()
-                        .map(|s| BitStream::zeros(s.stream_length()))
-                        .collect();
-                    let mut got = expected.clone();
-                    stanh_batch_words_impl::<u64>(&refs, &mut expected, 8, threshold);
-                    stanh_batch_words_impl::<W>(&refs, &mut got, 8, threshold);
-                    assert_eq!(
-                        got, expected,
-                        "{backend} stanh len {len} threshold {threshold}"
-                    );
-                }
                 let counts: Vec<CountStream> = (0..9)
                     .map(|u| {
                         let lanes: Vec<BitStream> = (0..4)

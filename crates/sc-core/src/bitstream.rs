@@ -531,7 +531,7 @@ impl BitStream {
     }
 
     /// Clears any bits stored beyond the logical length.
-    fn mask_tail(&mut self) {
+    pub(crate) fn mask_tail(&mut self) {
         let rem = self.len % 64;
         if rem != 0 {
             if let Some(last) = self.words.last_mut() {

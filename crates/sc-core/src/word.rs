@@ -2,8 +2,8 @@
 //!
 //! Every hot kernel in this crate — the SNG comparator fill, the fused
 //! XNOR/popcount inner-product counts, bit-sliced MUX selector application,
-//! the CSA vertical-counter compressors, and the word-interleaved FSM batch
-//! walks — is written once, generically over [`Word`]: a fixed-width bundle
+//! the CSA vertical-counter compressors, and the word-interleaved Btanh
+//! batch walk — is written once, generically over [`Word`]: a fixed-width bundle
 //! of 64-bit bit-stream lanes.
 //!
 //! * `u64` ([`Word::LANES`] = 1) is the **bit-exact reference**. Every other
