@@ -1,6 +1,6 @@
 //! # sc-serve
 //!
-//! Compiled SC inference engine and batched request-serving runtime for the
+//! Compiled SC inference engine and request-serving runtime for the
 //! SC-DCNN reproduction.
 //!
 //! The experiment harness evaluates SC networks one feature-extraction block
@@ -21,11 +21,11 @@
 //!   [`sc_core::sng::SelectedSequence`]), fused stream-level kernels. Bit-exact
 //!   with the interpreter (property-tested, and enforceable at runtime via
 //!   `verify_against_interpreter`).
-//! * [`batch`] / [`server`] / [`proto`] / [`metrics`] — the serving runtime:
-//!   a micro-batching scheduler, a std-only length-prefixed TCP protocol
-//!   (`serve` / `client` binaries) whose request frames address one of
-//!   several models hosted behind a single listener, and throughput /
-//!   latency-percentile metrics.
+//! * [`server`] / [`proto`] / [`metrics`] — the serving runtime: a bounded
+//!   job queue feeding engine workers one request at a time, a std-only
+//!   length-prefixed TCP protocol (`serve` / `client` binaries) whose
+//!   request frames address one of several models hosted behind a single
+//!   listener, and throughput / latency-percentile metrics.
 //! * [`router`] — the scale-out front (`route` binary): load-balances
 //!   client requests across several `serve` replicas with ping-based health
 //!   checks, least-loaded routing, per-backend circuit breakers, and
@@ -74,7 +74,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod admin;
-pub mod batch;
 pub mod crc32;
 pub mod engine;
 pub mod error;
@@ -85,6 +84,7 @@ pub mod obs;
 pub mod plan;
 pub mod plan_store;
 pub mod proto;
+mod queue;
 pub mod reactor;
 pub mod router;
 pub mod server;
@@ -97,7 +97,6 @@ pub use plan::{Plan, PlanOptions};
 /// Convenient glob-import of the most commonly used items.
 pub mod prelude {
     pub use crate::admin::{scrape, spawn_admin, AdminHandle};
-    pub use crate::batch::{BatchPolicy, BatchQueue, PushRefusal};
     pub use crate::engine::{Engine, EngineOptions, Session};
     pub use crate::error::ServeError;
     pub use crate::fault::{FaultKind, FaultProxy, FaultyStream};

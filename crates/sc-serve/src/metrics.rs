@@ -16,23 +16,19 @@ use std::time::{Duration, Instant};
 ///
 /// Each stage gets its own latency histogram in [`Metrics`], so a latency
 /// budget can be attributed: time spent waiting for a worker
-/// ([`QueueWait`](Stage::QueueWait)), waiting behind batchmates
-/// ([`Linger`](Stage::Linger)), generating or fetching SNG input streams
+/// ([`QueueWait`](Stage::QueueWait)), filling SNG input streams
 /// ([`CacheFill`](Stage::CacheFill)), computing ([`Compute`](Stage::Compute)),
 /// and shipping the reply bytes ([`WriteBack`](Stage::WriteBack)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Enqueue → the worker pops the batch containing the request (includes
-    /// micro-batch formation linger inside the queue).
+    /// Enqueue → a worker pops the request off the job queue.
     QueueWait,
-    /// Batch pop → this request's compute starts (waiting behind earlier
-    /// batchmates, plus any injected compute delay).
-    Linger,
-    /// Time inside the engine spent acquiring input bit-streams (stream
-    /// cache lookups plus SNG fills on miss); a sub-span of
-    /// [`Compute`](Stage::Compute).
+    /// Time inside the engine spent filling input bit-streams (the
+    /// comparator against each lane's precomputed SNG sequence); a sub-span
+    /// of [`Compute`](Stage::Compute).
     CacheFill,
-    /// The engine inference call itself.
+    /// Pop → response: the engine inference call, plus any injected compute
+    /// delay.
     Compute,
     /// Handing the serialized response to the client socket.
     WriteBack,
@@ -40,9 +36,8 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in pipeline order.
-    pub const ALL: [Stage; 5] = [
+    pub const ALL: [Stage; 4] = [
         Stage::QueueWait,
-        Stage::Linger,
         Stage::CacheFill,
         Stage::Compute,
         Stage::WriteBack,
@@ -53,7 +48,6 @@ impl Stage {
     pub fn name(self) -> &'static str {
         match self {
             Stage::QueueWait => "queue_wait",
-            Stage::Linger => "linger",
             Stage::CacheFill => "cache_fill",
             Stage::Compute => "compute",
             Stage::WriteBack => "write_back",
@@ -65,7 +59,6 @@ impl Stage {
 #[derive(Debug, Default)]
 pub struct StageSet {
     queue_wait: LogHistogram,
-    linger: LogHistogram,
     cache_fill: LogHistogram,
     compute: LogHistogram,
     write_back: LogHistogram,
@@ -76,7 +69,6 @@ impl StageSet {
     pub fn get(&self, stage: Stage) -> &LogHistogram {
         match stage {
             Stage::QueueWait => &self.queue_wait,
-            Stage::Linger => &self.linger,
             Stage::CacheFill => &self.cache_fill,
             Stage::Compute => &self.compute,
             Stage::WriteBack => &self.write_back,

@@ -445,7 +445,7 @@ impl TraceSampler {
 ///
 /// ```json
 /// {"kind":"serve","id":7,"model":0,"outcome":"ok","queue_us":133,
-///  "linger_us":12,"cache_fill_us":4100,"compute_us":9600,"total_us":9810}
+///  "cache_fill_us":4100,"compute_us":9600,"total_us":9810}
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
@@ -459,8 +459,6 @@ pub struct TraceEvent {
     pub outcome: &'static str,
     /// Queue-wait span, microseconds.
     pub queue_us: u64,
-    /// In-batch linger span, microseconds.
-    pub linger_us: u64,
     /// Input-stream fill span, microseconds.
     pub cache_fill_us: u64,
     /// Engine compute span, microseconds.
@@ -473,13 +471,12 @@ impl TraceEvent {
     fn to_jsonl(self) -> String {
         format!(
             "{{\"kind\":\"{}\",\"id\":{},\"model\":{},\"outcome\":\"{}\",\"queue_us\":{},\
-             \"linger_us\":{},\"cache_fill_us\":{},\"compute_us\":{},\"total_us\":{}}}\n",
+             \"cache_fill_us\":{},\"compute_us\":{},\"total_us\":{}}}\n",
             self.kind,
             self.id,
             self.model,
             self.outcome,
             self.queue_us,
-            self.linger_us,
             self.cache_fill_us,
             self.compute_us,
             self.total_us
@@ -668,7 +665,6 @@ mod tests {
                 model: 1,
                 outcome: "ok",
                 queue_us: 5,
-                linger_us: 1,
                 cache_fill_us: 2,
                 compute_us: 10,
                 total_us: 16,

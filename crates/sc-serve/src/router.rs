@@ -831,6 +831,13 @@ fn set_response_id(response: &mut Response, id: u64) {
 /// Ring of winning-exchange latencies feeding the adaptive hedge delay.
 /// Plain state on the I/O thread — no locking, because only that thread
 /// records and reads it.
+///
+/// A ring of recent samples, not a [`sc_core::hist::LogHistogram`]: the
+/// histogram is cumulative and never forgets, so after a replica's latency
+/// drops (a backlog clears, a slow replica recovers) its p99 would keep
+/// reporting the old tail and the router would keep hedging late on it.
+/// The ring's p99 covers only the last `LATENCY_WINDOW` answers, so the
+/// hedge delay follows the latency the fleet has now.
 #[derive(Debug)]
 struct LatencyWindow {
     samples: Vec<u64>,
@@ -1746,7 +1753,6 @@ impl RouterIo {
                 model: req.request.model,
                 outcome,
                 queue_us: 0,
-                linger_us: 0,
                 cache_fill_us: 0,
                 compute_us: 0,
                 total_us: crate::metrics::as_micros(req.arrival.elapsed()),
@@ -1819,7 +1825,7 @@ impl RouterIo {
                 Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => {
                     // Broken pipe: the replies are undeliverable. The
-                    // connection lingers until its in-flight requests
+                    // connection stays open until its in-flight requests
                     // resolve (their answers are then discarded here).
                     client.read_open = false;
                     client.outbuf.clear();

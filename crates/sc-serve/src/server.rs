@@ -1,11 +1,11 @@
-//! TCP serving runtime: event-loop I/O front → micro-batches → engine
+//! TCP serving runtime: event-loop I/O front → bounded job queue → engine
 //! workers.
 //!
 //! Architecture (all std threads, no external dependencies):
 //!
 //! ```text
 //!            ┌────────────── one I/O thread ──────────────┐
-//! sockets ──►│ reactor poll → per-connection state machine │──► BatchQueue ──► worker 0..N
+//! sockets ──►│ reactor poll → per-connection state machine │──► JobQueue ──► worker 0..N
 //!            │   (read → parse → enqueue → write-back)     │◄── completion queue + waker
 //!            └─────────────────────────────────────────────┘
 //! ```
@@ -21,7 +21,7 @@
 //!
 //! One listener serves **N compiled engines** (multi-model serving): each
 //! worker owns one long-lived [`Session`] *per model*, so every model's
-//! stream arena stays pooled across batches regardless of how traffic
+//! stream arena stays pooled across jobs regardless of how traffic
 //! interleaves. Requests address a model through the request frame's
 //! `model` field. A slow client never blocks inference: its responses
 //! accumulate in its output buffer (bounded by the write timeout), not on a
@@ -39,7 +39,7 @@
 //!
 //! ## Overload protection
 //!
-//! The same answer-or-refuse contract holds under load: when the batch
+//! The same answer-or-refuse contract holds under load: when the job
 //! queue reaches its `max_queue` depth, new requests are *shed* with a
 //! retriable [`ErrorCode::Overloaded`] reply instead of queueing unboundedly
 //! (queue depth is tail latency). Requests may carry a `deadline_ms`
@@ -54,7 +54,6 @@
 //! [`Session`]: crate::engine::Session
 //! [`FrameDecoder`]: crate::proto::FrameDecoder
 
-use crate::batch::{BatchPolicy, BatchQueue, PushRefusal};
 use crate::engine::{Engine, Session};
 use crate::metrics::{Metrics, Stage};
 use crate::obs::{
@@ -65,6 +64,7 @@ use crate::proto::{
     checked_shape_product, decode_message, write_admin_response, write_pong, write_response,
     AdminOp, AdminResponse, ErrorCode, FrameDecoder, Message, Request, Response,
 };
+use crate::queue::{JobQueue, PushRefusal};
 use crate::reactor::{Event, Interest, Poller, WakeReceiver, Waker};
 use sc_nn::tensor::Tensor;
 use std::collections::HashMap;
@@ -101,9 +101,9 @@ const TOKEN_FIRST_CONN: u64 = 2;
 /// Serving-runtime options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerOptions {
-    /// Micro-batch formation policy (including the `max_queue` admission
-    /// cap).
-    pub policy: BatchPolicy,
+    /// Maximum requests waiting for a worker before new ones are shed
+    /// (floored at one).
+    pub max_queue: usize,
     /// Number of inference workers (`0` = `sc_core::parallel::max_threads()`).
     pub workers: usize,
     /// How long a connection may sit idle (no bytes from the client) before
@@ -118,7 +118,7 @@ pub struct ServerOptions {
 impl Default for ServerOptions {
     fn default() -> Self {
         Self {
-            policy: BatchPolicy::default(),
+            max_queue: 1024,
             workers: 0,
             idle_timeout: Duration::from_secs(60),
             compute_delay: Duration::ZERO,
@@ -303,7 +303,7 @@ pub(crate) struct Job {
 /// Handle to a running server.
 pub struct ServerHandle {
     addr: SocketAddr,
-    queue: Arc<BatchQueue<Job>>,
+    queue: Arc<JobQueue<Job>>,
     metrics: Arc<Metrics>,
     metrics_registry: Arc<MetricsRegistry>,
     stop: Arc<AtomicBool>,
@@ -492,7 +492,7 @@ pub fn spawn_multi(
 /// [`spawn_multi`] with an optional sampled request-trace log.
 ///
 /// Sampled requests emit one JSONL [`TraceEvent`] each — stage breakdown
-/// (queue-wait / linger / cache-fill / compute) for served requests, a
+/// (queue-wait / cache-fill / compute) for served requests, a
 /// compute-free `refused` event for shed or draining refusals.
 ///
 /// # Errors
@@ -512,7 +512,7 @@ pub fn spawn_multi_observed(
         ));
     }
     let addr = listener.local_addr()?;
-    let queue = Arc::new(BatchQueue::<Job>::new(options.policy));
+    let queue = Arc::new(JobQueue::<Job>::new(options.max_queue));
     let metrics = Arc::new(Metrics::new());
     let stop = Arc::new(AtomicBool::new(false));
     let halt = Arc::new(AtomicBool::new(false));
@@ -681,7 +681,7 @@ struct IoLoop {
     completions: Arc<Completions>,
     conns: HashMap<u64, Conn>,
     next_token: u64,
-    queue: Arc<BatchQueue<Job>>,
+    queue: Arc<JobQueue<Job>>,
     metrics: Arc<Metrics>,
     registry: Arc<ModelRegistry>,
     idle_timeout: Duration,
@@ -696,7 +696,7 @@ impl IoLoop {
     #[allow(clippy::too_many_arguments)]
     fn build(
         listener: TcpListener,
-        queue: Arc<BatchQueue<Job>>,
+        queue: Arc<JobQueue<Job>>,
         metrics: Arc<Metrics>,
         registry: Arc<ModelRegistry>,
         idle_timeout: Duration,
@@ -900,7 +900,7 @@ impl IoLoop {
     fn dispatch_frame(
         conn: &mut Conn,
         token: u64,
-        queue: &BatchQueue<Job>,
+        queue: &JobQueue<Job>,
         metrics: &Metrics,
         registry: &ModelRegistry,
         completions: &Arc<Completions>,
@@ -975,7 +975,6 @@ impl IoLoop {
                         model,
                         outcome: "refused",
                         queue_us: 0,
-                        linger_us: 0,
                         cache_fill_us: 0,
                         compute_us: 0,
                         total_us: crate::metrics::as_micros(enqueued.elapsed()),
@@ -1177,7 +1176,7 @@ impl IoLoop {
 /// [`Session`] per hosted model.
 ///
 /// `refresh` is the cheap steady-state path: one atomic generation read per
-/// batch, and only when the generation moved does it re-snapshot the slots
+/// job, and only when the generation moved does it re-snapshot the slots
 /// — keeping the session of every engine that survived the change
 /// (`Arc::ptr_eq`), so loading model 3 never drains model 0's arena.
 struct WorkerModels {
@@ -1226,8 +1225,8 @@ impl WorkerModels {
     }
 }
 
-/// Worker loop: pulls micro-batches and runs them through one session per
-/// model.
+/// Worker loop: pops one job at a time and runs it through the worker's
+/// session for the job's model.
 ///
 /// A job whose deadline already passed is answered
 /// [`ErrorCode::DeadlineExceeded`] without touching the engine: the client
@@ -1235,11 +1234,12 @@ impl WorkerModels {
 /// still-in-budget requests behind it past *their* deadlines. The
 /// `compute_delay` sleep (the fault harness's "slow replica" mode) runs
 /// before the deadline check so an injected slowdown expires deadlines the
-/// way a genuinely slow replica would.
+/// way a genuinely slow replica would; it counts in the compute stage,
+/// which spans pop → response.
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     registry: &ModelRegistry,
-    queue: &BatchQueue<Job>,
+    queue: &JobQueue<Job>,
     metrics: &Metrics,
     unit_fan_out: bool,
     compute_delay: Duration,
@@ -1248,86 +1248,76 @@ fn worker_loop(
     trace: Option<&TraceLog>,
 ) {
     let mut models = WorkerModels::new(registry, unit_fan_out);
-    while let Some(batch) = queue.pop_batch() {
-        // Pick up admin-driven registry changes at batch granularity: one
-        // atomic load when nothing changed, a slot re-snapshot when it did.
-        models.refresh(registry, unit_fan_out);
-        // Everything in this batch stopped queueing the moment it was
-        // popped; time spent after this point (delays, earlier batch
-        // members' compute) is per-job *linger*, not queue wait.
+    while let Some(job) = queue.pop() {
         let popped = Instant::now();
-        for job in batch {
-            let queue_wait = popped.saturating_duration_since(job.enqueued);
-            metrics.record_stage(Stage::QueueWait, queue_wait);
-            if !compute_delay.is_zero() {
-                std::thread::sleep(compute_delay);
-            }
-            if let Some(deadline) = job.deadline {
-                if Instant::now() >= deadline {
-                    metrics.record_expired();
-                    if let Some(trace) = trace {
-                        trace.emit(&TraceEvent {
-                            kind: "serve",
-                            id: job.request.id,
-                            model: job.request.model,
-                            outcome: "expired",
-                            queue_us: crate::metrics::as_micros(queue_wait),
-                            linger_us: crate::metrics::as_micros(popped.elapsed()),
-                            cache_fill_us: 0,
-                            compute_us: 0,
-                            total_us: crate::metrics::as_micros(job.enqueued.elapsed()),
-                        });
-                    }
-                    job.reply.send(Response::Err {
-                        id: job.request.id,
-                        code: ErrorCode::DeadlineExceeded,
-                        message: format!(
-                            "deadline of {} ms exceeded before compute started",
-                            job.request.deadline_ms
-                        ),
-                    });
-                    continue;
-                }
-            }
-            let compute_started = Instant::now();
-            let linger = compute_started.saturating_duration_since(popped);
-            metrics.record_stage(Stage::Linger, linger);
-            let response = serve_one(&models.engines, &mut models.sessions, &job.request);
-            let compute = compute_started.elapsed();
-            metrics.record_stage(Stage::Compute, compute);
-            // Only the session this request's model used accumulated any
-            // stream-fill time; draining all of them attributes it without
-            // re-deriving the model→session mapping here.
-            let cache_fill: Duration = models
-                .sessions
-                .iter_mut()
-                .flatten()
-                .map(crate::engine::Session::take_cache_fill)
-                .sum();
-            metrics.record_stage(Stage::CacheFill, cache_fill);
-            let failed = matches!(response, Response::Err { .. });
-            if failed {
-                metrics.record_failure();
-            } else {
-                metrics.record(job.enqueued.elapsed());
-            }
-            if let Some(trace) = trace {
-                trace.emit(&TraceEvent {
-                    kind: "serve",
-                    id: job.request.id,
-                    model: job.request.model,
-                    outcome: if failed { "failed" } else { "ok" },
-                    queue_us: crate::metrics::as_micros(queue_wait),
-                    linger_us: crate::metrics::as_micros(linger),
-                    cache_fill_us: crate::metrics::as_micros(cache_fill),
-                    compute_us: crate::metrics::as_micros(compute),
-                    total_us: crate::metrics::as_micros(job.enqueued.elapsed()),
-                });
-            }
-            job.reply.send(response);
+        let queue_wait = popped.saturating_duration_since(job.enqueued);
+        metrics.record_stage(Stage::QueueWait, queue_wait);
+        // Pick up admin-driven registry changes: one atomic load when
+        // nothing changed, a slot re-snapshot when it did.
+        models.refresh(registry, unit_fan_out);
+        if !compute_delay.is_zero() {
+            std::thread::sleep(compute_delay);
         }
-        // Publish this worker's engine stats once per batch — cheap, and at
-        // most one batch stale at scrape time.
+        if let Some(deadline) = job.deadline {
+            if Instant::now() >= deadline {
+                metrics.record_expired();
+                if let Some(trace) = trace {
+                    trace.emit(&TraceEvent {
+                        kind: "serve",
+                        id: job.request.id,
+                        model: job.request.model,
+                        outcome: "expired",
+                        queue_us: crate::metrics::as_micros(queue_wait),
+                        cache_fill_us: 0,
+                        compute_us: 0,
+                        total_us: crate::metrics::as_micros(job.enqueued.elapsed()),
+                    });
+                }
+                job.reply.send(Response::Err {
+                    id: job.request.id,
+                    code: ErrorCode::DeadlineExceeded,
+                    message: format!(
+                        "deadline of {} ms exceeded before compute started",
+                        job.request.deadline_ms
+                    ),
+                });
+                continue;
+            }
+        }
+        let response = serve_one(&models.engines, &mut models.sessions, &job.request);
+        let compute = popped.elapsed();
+        metrics.record_stage(Stage::Compute, compute);
+        // Only the session this request's model used accumulated any
+        // stream-fill time; draining all of them attributes it without
+        // re-deriving the model→session mapping here.
+        let cache_fill: Duration = models
+            .sessions
+            .iter_mut()
+            .flatten()
+            .map(crate::engine::Session::take_cache_fill)
+            .sum();
+        metrics.record_stage(Stage::CacheFill, cache_fill);
+        let failed = matches!(response, Response::Err { .. });
+        if failed {
+            metrics.record_failure();
+        } else {
+            metrics.record(job.enqueued.elapsed());
+        }
+        if let Some(trace) = trace {
+            trace.emit(&TraceEvent {
+                kind: "serve",
+                id: job.request.id,
+                model: job.request.model,
+                outcome: if failed { "failed" } else { "ok" },
+                queue_us: crate::metrics::as_micros(queue_wait),
+                cache_fill_us: crate::metrics::as_micros(cache_fill),
+                compute_us: crate::metrics::as_micros(compute),
+                total_us: crate::metrics::as_micros(job.enqueued.elapsed()),
+            });
+        }
+        job.reply.send(response);
+        // Publish this worker's engine stats once per job — cheap, and at
+        // most one job stale at scrape time.
         let mut cache = sc_core::cache::CacheStats::default();
         let mut arena = sc_core::arena::ArenaStats::default();
         for session in models.sessions.iter().flatten() {
@@ -1615,7 +1605,7 @@ mod tests {
         // queue (the draining state).
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let queue = Arc::new(BatchQueue::<Job>::new(BatchPolicy::default()));
+        let queue = Arc::new(JobQueue::<Job>::new(1));
         queue.close(); // the server is already draining
         let metrics = Arc::new(Metrics::new());
         let stop = Arc::new(AtomicBool::new(false));

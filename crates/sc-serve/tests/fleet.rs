@@ -18,7 +18,6 @@ use sc_nn::layers::Dense;
 use sc_nn::lenet::PoolingStyle;
 use sc_nn::network::Network;
 use sc_nn::tensor::Tensor;
-use sc_serve::batch::BatchPolicy;
 use sc_serve::engine::{Engine, EngineOptions};
 use sc_serve::plan::PlanOptions;
 use sc_serve::plan_store::{load_plan, save_plan};
@@ -92,11 +91,6 @@ fn replica_on(listener: TcpListener, engines: Vec<Arc<Engine>>) -> ServerHandle 
         engines,
         listener,
         ServerOptions {
-            policy: BatchPolicy {
-                max_batch: 4,
-                max_linger: Duration::from_millis(1),
-                ..BatchPolicy::default()
-            },
             workers: 1,
             ..ServerOptions::default()
         },
@@ -334,8 +328,6 @@ fn spawn_serve_child(plan: &Path) -> (std::process::Child, SocketAddr) {
             "127.0.0.1:0",
             "--load-plan",
             plan.to_str().expect("plan path"),
-            "--linger-us",
-            "500",
             "--workers",
             "1",
         ])

@@ -10,7 +10,6 @@ use sc_nn::lenet::PoolingStyle;
 use sc_nn::network::Network;
 use sc_nn::tensor::Tensor;
 use sc_serve::admin::{scrape, spawn_admin};
-use sc_serve::batch::BatchPolicy;
 use sc_serve::engine::{Engine, EngineOptions};
 use sc_serve::obs::{TraceLog, TraceSampler};
 use sc_serve::plan::PlanOptions;
@@ -98,11 +97,6 @@ fn scrape_agrees_with_client_totals_and_stage_spans_decompose_latency() {
         vec![Arc::clone(&engine)],
         listener,
         ServerOptions {
-            policy: BatchPolicy {
-                max_batch: 4,
-                max_linger: Duration::from_millis(1),
-                ..BatchPolicy::default()
-            },
             workers: 2,
             ..ServerOptions::default()
         },
@@ -222,11 +216,7 @@ fn shed_requests_record_no_compute_span() {
         vec![Arc::clone(&engine)],
         listener,
         ServerOptions {
-            policy: BatchPolicy {
-                max_batch: 1,
-                max_linger: Duration::ZERO,
-                max_queue: 1,
-            },
+            max_queue: 1,
             workers: 1,
             compute_delay: Duration::from_millis(40),
             ..ServerOptions::default()

@@ -9,7 +9,6 @@ use sc_nn::layers::Dense;
 use sc_nn::lenet::PoolingStyle;
 use sc_nn::network::Network;
 use sc_nn::tensor::Tensor;
-use sc_serve::batch::BatchPolicy;
 use sc_serve::engine::{Engine, EngineOptions};
 use sc_serve::plan::PlanOptions;
 use sc_serve::proto::{decode_response, read_frame, write_request_v3, Response};
@@ -61,11 +60,6 @@ fn replica(engines: &[Arc<Engine>; 2]) -> ServerHandle {
         engines.to_vec(),
         listener,
         ServerOptions {
-            policy: BatchPolicy {
-                max_batch: 4,
-                max_linger: Duration::from_millis(1),
-                ..BatchPolicy::default()
-            },
             workers: 1,
             ..ServerOptions::default()
         },

@@ -8,7 +8,6 @@ use sc_nn::layers::Dense;
 use sc_nn::lenet::PoolingStyle;
 use sc_nn::network::Network;
 use sc_nn::tensor::Tensor;
-use sc_serve::batch::BatchPolicy;
 use sc_serve::engine::{Engine, EngineOptions};
 use sc_serve::plan::PlanOptions;
 use sc_serve::proto::{decode_response, read_frame, write_request_v3, Response};
@@ -16,7 +15,7 @@ use sc_serve::server::{spawn, spawn_multi, ServerOptions, SHUTTING_DOWN_MESSAGE}
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn engine_with_seed(base_seed: u64) -> Engine {
     let mut network = Network::new("loopback");
@@ -59,11 +58,6 @@ fn loopback_round_trip_matches_direct_inference() {
         Arc::clone(&engine),
         listener,
         ServerOptions {
-            policy: BatchPolicy {
-                max_batch: 4,
-                max_linger: Duration::from_millis(1),
-                ..BatchPolicy::default()
-            },
             workers: 2,
             ..ServerOptions::default()
         },
@@ -138,11 +132,6 @@ fn multi_model_listener_serves_each_model_by_id() {
         engines.clone(),
         listener,
         ServerOptions {
-            policy: BatchPolicy {
-                max_batch: 4,
-                max_linger: Duration::from_millis(1),
-                ..BatchPolicy::default()
-            },
             workers: 1,
             ..ServerOptions::default()
         },
@@ -208,9 +197,9 @@ fn multi_model_listener_serves_each_model_by_id() {
 
 #[test]
 fn shutdown_answers_in_flight_requests_and_returns() {
-    // Regression for the shutdown drop: a request that is already queued
-    // (the worker is lingering for a fuller batch) when `shutdown()` is
-    // called must still be answered, and `shutdown()` must return without
+    // Regression for the shutdown drop: requests already accepted when
+    // `shutdown()` is called — one in the worker's hands, one queued behind
+    // it — must still be answered, and `shutdown()` must return without
     // waiting for the client to disconnect.
     let engine = Arc::new(quick_engine());
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -218,15 +207,9 @@ fn shutdown_answers_in_flight_requests_and_returns() {
         Arc::clone(&engine),
         listener,
         ServerOptions {
-            policy: BatchPolicy {
-                max_batch: 8,
-                // Long linger: without shutdown breaking the wait, the reply
-                // would take 10 s — the test would time out if drain relied
-                // on the linger expiring.
-                max_linger: Duration::from_secs(10),
-                ..BatchPolicy::default()
-            },
             workers: 1,
+            // Holds each request in flight well past the shutdown call.
+            compute_delay: Duration::from_millis(400),
             ..ServerOptions::default()
         },
     )
@@ -239,40 +222,111 @@ fn shutdown_answers_in_flight_requests_and_returns() {
         let image = image.clone();
         std::thread::spawn(move || {
             let stream = TcpStream::connect(addr).unwrap();
+            // Bound the wait: a dropped request must fail the test, not
+            // hang the suite.
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
             let mut writer = stream.try_clone().unwrap();
             let mut reader = BufReader::new(stream);
-            write_request_v3(&mut writer, 1, 0, 0, [1, 4, 4], image.as_slice()).unwrap();
+            for id in [1, 2] {
+                write_request_v3(&mut writer, id, 0, 0, [1, 4, 4], image.as_slice()).unwrap();
+            }
             // Blocks here until the drain answers; the old runtime would
-            // hang forever if the request fell into the closed queue.
-            let response = read_frame(&mut reader, decode_response)
-                .unwrap()
-                .expect("answer");
+            // hang forever if a request fell into the closed queue.
+            let responses: Vec<Response> = (0..2)
+                .map(|_| {
+                    read_frame(&mut reader, decode_response)
+                        .unwrap()
+                        .expect("answer")
+                })
+                .collect();
             // After shutdown the socket is closed: clean EOF, not a hang.
             let eof = read_frame(&mut reader, decode_response).unwrap();
-            (response, eof)
+            (responses, eof)
         })
     };
-    // Let the request reach the queue (the worker lingers on it).
+    // Let the first request reach the worker and the second the queue.
     std::thread::sleep(Duration::from_millis(150));
     handle.shutdown();
-    let (response, eof) = client.join().unwrap();
-    match response {
-        Response::Ok { id, logits, .. } => {
-            assert_eq!(id, 1);
-            assert_eq!(
-                logits, expected.logits,
-                "drained reply must be a real answer"
-            );
-        }
-        Response::Err { message, .. } => {
-            // Acceptable only as an explicit refusal — never silence. (With
-            // the 150 ms head start the request is normally already queued
-            // and gets served; a heavily loaded machine may race it into
-            // the refusal window instead.)
-            assert_eq!(message, SHUTTING_DOWN_MESSAGE);
+    let (responses, eof) = client.join().unwrap();
+    for (expected_id, response) in [1, 2].into_iter().zip(responses) {
+        match response {
+            Response::Ok { id, logits, .. } => {
+                assert_eq!(id, expected_id);
+                assert_eq!(
+                    logits, expected.logits,
+                    "drained reply must be a real answer"
+                );
+            }
+            Response::Err { message, .. } => {
+                // Acceptable only as an explicit refusal — never silence.
+                // (With the 150 ms head start both requests are normally
+                // accepted and get served; a heavily loaded machine may race
+                // them into the refusal window instead.)
+                assert_eq!(message, SHUTTING_DOWN_MESSAGE);
+            }
         }
     }
     assert!(eof.is_none(), "shutdown must close the connection socket");
+}
+
+#[test]
+fn idle_worker_takes_the_next_job_instead_of_waiting_behind_a_busy_one() {
+    // Two workers, two requests sent together on two connections: each
+    // worker must pop one, so both answers arrive after about one compute
+    // delay. A worker that held both jobs would serve the second one a
+    // whole delay later, while the other worker sat idle.
+    let delay = Duration::from_millis(300);
+    let engine = Arc::new(quick_engine());
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let handle = spawn(
+        Arc::clone(&engine),
+        listener,
+        ServerOptions {
+            workers: 2,
+            compute_delay: delay,
+            ..ServerOptions::default()
+        },
+    )
+    .unwrap();
+
+    let image = test_image(5);
+    let connections: Vec<(TcpStream, BufReader<TcpStream>)> = (0..2)
+        .map(|_| {
+            let stream = TcpStream::connect(handle.addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            (stream.try_clone().unwrap(), BufReader::new(stream))
+        })
+        .collect();
+    let sent = Instant::now();
+    let readers: Vec<_> = connections
+        .into_iter()
+        .zip(1u64..)
+        .map(|((mut writer, mut reader), id)| {
+            write_request_v3(&mut writer, id, 0, 0, [1, 4, 4], image.as_slice()).unwrap();
+            std::thread::spawn(move || {
+                let response = read_frame(&mut reader, decode_response)
+                    .unwrap()
+                    .expect("answer");
+                (id, response, sent.elapsed())
+            })
+        })
+        .collect();
+    for reader in readers {
+        let (id, response, elapsed) = reader.join().unwrap();
+        assert!(
+            matches!(response, Response::Ok { id: got, .. } if got == id),
+            "request {id}: {response:?}"
+        );
+        assert!(
+            elapsed < delay + Duration::from_millis(200),
+            "request {id} answered after {elapsed:?}: it waited behind another job"
+        );
+    }
+    handle.shutdown();
 }
 
 #[test]
