@@ -74,6 +74,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod admin;
+mod conn;
 pub mod crc32;
 pub mod engine;
 pub mod error;

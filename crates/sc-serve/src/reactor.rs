@@ -2,9 +2,13 @@
 //!
 //! Both tiers of the serving plane — `serve`'s client front and `route`'s
 //! client + backend channels — run their sockets through one of these
-//! reactors: every socket is switched to nonblocking mode, registered with a
-//! [`Poller`] under a caller-chosen token, and a single I/O thread waits for
-//! readiness events instead of parking one or two OS threads per connection.
+//! reactors: every socket is registered with a [`Poller`] under a
+//! caller-chosen token, and a single I/O thread waits for readiness events
+//! instead of parking one or two OS threads per connection. The sockets
+//! themselves are one connection type shared by both tiers (the
+//! crate-private `conn::FramedConn`): nonblocking with `TCP_NODELAY`, read
+//! through a resumable frame decoder that stops at the first bad frame, and
+//! written from a partially flushed output buffer.
 //! Compute stays on the existing worker pool; workers hand results back
 //! through a completion queue and kick the I/O thread awake with a
 //! [`Waker`].

@@ -12,7 +12,11 @@
 //!   request ids to channel-unique internal ids on the way out and
 //!   correlates responses back by id, so a slow exchange never
 //!   head-of-line-blocks the channel the way per-client pooled connections
-//!   serialized their owner's requests.
+//!   serialized their owner's requests. Client connections and channels
+//!   are the framed connection type the `serve` front uses too:
+//!   `TCP_NODELAY` on every socket, and reads that stop at the first bad
+//!   frame (a violating client is closed; a corrupt channel is killed with
+//!   every exchange on it).
 //! * **Least-loaded routing** — every request is dispatched to the healthy
 //!   backend with the fewest in-flight requests (per-backend in-flight
 //!   accounting, maintained by the dispatch path itself).
@@ -55,15 +59,15 @@
 //! rewritten back, so a routed inference is bit-exact with a direct engine
 //! call.
 
+use crate::conn::FramedConn;
 use crate::obs::{MetricsRegistry, Sample, SampleKind, TraceEvent, TraceLog};
 use crate::proto::{
     decode_admin_response, decode_message, decode_pong, decode_response, read_frame, write_admin,
     write_admin_response, write_ping, write_pong, write_request_v3, write_response, AdminOp,
-    AdminResponse, ErrorCode, FrameDecoder, Message, Request, Response,
+    AdminResponse, ErrorCode, Message, Request, Response,
 };
-use crate::server::is_would_block;
 use std::collections::HashMap;
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -876,66 +880,19 @@ impl LatencyWindow {
     }
 }
 
-/// One client connection: resumable frame decoding in, a partially-flushed
-/// output buffer out, and a count of answers still owed.
+/// One client connection: the shared framed socket plus the count of
+/// answers still owed. (A backend channel is a bare [`FramedConn`]: every
+/// client's requests to that replica travel on it, correlated by internal
+/// wire ids.)
 struct ClientConn {
-    stream: TcpStream,
-    decoder: FrameDecoder,
-    outbuf: Vec<u8>,
-    out_offset: usize,
-    /// Last moment a write made progress while output was pending.
-    last_write_progress: Instant,
-    /// The read side is done (client EOF, protocol error, or router drain);
-    /// the connection lives on only to flush owed replies.
-    read_open: bool,
+    io: FramedConn,
     /// Admitted requests whose answers have not been written back yet.
     owed: usize,
-    /// Interest currently registered with the poller.
-    interest: crate::reactor::Interest,
 }
 
 impl ClientConn {
-    fn pending_output(&self) -> bool {
-        self.out_offset < self.outbuf.len()
-    }
-
-    fn desired_interest(&self) -> crate::reactor::Interest {
-        use crate::reactor::Interest;
-        match (self.read_open, self.pending_output()) {
-            (true, true) => Interest::ReadWrite,
-            (true, false) => Interest::Read,
-            (false, _) => Interest::Write,
-        }
-    }
-
     fn finished(&self) -> bool {
-        !self.read_open && self.owed == 0 && !self.pending_output()
-    }
-}
-
-/// One multiplexed channel to a backend: every client's requests to that
-/// replica travel here, correlated by internal wire ids.
-struct Channel {
-    stream: TcpStream,
-    decoder: FrameDecoder,
-    outbuf: Vec<u8>,
-    out_offset: usize,
-    last_write_progress: Instant,
-    interest: crate::reactor::Interest,
-}
-
-impl Channel {
-    fn pending_output(&self) -> bool {
-        self.out_offset < self.outbuf.len()
-    }
-
-    fn desired_interest(&self) -> crate::reactor::Interest {
-        use crate::reactor::Interest;
-        if self.pending_output() {
-            Interest::ReadWrite
-        } else {
-            Interest::Read
-        }
+        self.io.finished() && self.owed == 0
     }
 }
 
@@ -992,7 +949,7 @@ struct RouterIo {
     wake_rx: crate::reactor::WakeReceiver,
     shared: Arc<RouterShared>,
     clients: HashMap<u64, ClientConn>,
-    channels: Vec<Option<Channel>>,
+    channels: Vec<Option<FramedConn>>,
     requests: HashMap<u64, PendingRequest>,
     /// internal wire id → pending-request key, for response correlation.
     arm_index: HashMap<u64, u64>,
@@ -1081,7 +1038,7 @@ impl RouterIo {
                     let _ = self.poller.deregister(&listener, TOKEN_LISTENER);
                 }
                 for client in self.clients.values_mut() {
-                    client.read_open = false;
+                    client.io.close_read();
                 }
                 let finished: Vec<u64> = self
                     .clients
@@ -1104,115 +1061,34 @@ impl RouterIo {
         }
     }
 
-    /// Accepts until the listener runs dry.
     fn accept_ready(&mut self) {
-        use crate::reactor::Interest;
-        loop {
-            let Some(listener) = self.listener.as_ref() else {
-                return;
-            };
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    // Replies are written as whole frames; Nagle would add
-                    // delayed-ACK latency to every small response.
-                    let _ = stream.set_nodelay(true);
-                    let token = self.next_client_token;
-                    self.next_client_token += 1;
-                    if self
-                        .poller
-                        .register(&stream, token, Interest::Read)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    self.clients.insert(
-                        token,
-                        ClientConn {
-                            stream,
-                            decoder: FrameDecoder::new(),
-                            outbuf: Vec::new(),
-                            out_offset: 0,
-                            last_write_progress: Instant::now(),
-                            read_open: true,
-                            owed: 0,
-                            interest: Interest::Read,
-                        },
-                    );
-                }
-                Err(error) if is_would_block(&error) => return,
-                Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
-                // Transient accept errors (aborted handshakes, fd pressure):
-                // skip this readiness round rather than spinning.
-                Err(_) => return,
-            }
-        }
+        let Some(listener) = self.listener.as_ref() else {
+            return;
+        };
+        FramedConn::accept_all(
+            listener,
+            &mut self.poller,
+            &mut self.next_client_token,
+            |io, _| {
+                self.clients.insert(io.token(), ClientConn { io, owed: 0 });
+            },
+        );
     }
 
-    /// Reads everything a client socket has and admits complete requests.
+    /// Reads everything a client socket has, answering pings and admin
+    /// frames and admitting requests, up to the first protocol violation.
     fn client_readable(&mut self, token: u64) {
-        let mut messages: Vec<Message> = Vec::new();
-        {
-            let Some(client) = self.clients.get_mut(&token) else {
-                return;
-            };
-            if !client.read_open {
-                return;
-            }
-            'read: loop {
-                match client.stream.read(&mut self.scratch) {
-                    Ok(0) => {
-                        // Clean EOF (possibly a half-close): stop reading
-                        // but keep flushing replies the client is owed.
-                        client.read_open = false;
-                        break;
-                    }
-                    Ok(bytes) => {
-                        let mut slice = &self.scratch[..bytes];
-                        while !slice.is_empty() {
-                            match client.decoder.feed(slice) {
-                                Ok(consumed) => slice = &slice[consumed..],
-                                Err(_) => {
-                                    // Unrecoverable framing (bad length or
-                                    // checksum): the stream cannot be
-                                    // resynchronized; stop reading.
-                                    client.read_open = false;
-                                    break 'read;
-                                }
-                            }
-                            if let Some(payload) = client.decoder.frame() {
-                                match decode_message(payload) {
-                                    Ok(message) => messages.push(message),
-                                    Err(_) => {
-                                        client.read_open = false;
-                                        client.decoder.take_frame();
-                                        break 'read;
-                                    }
-                                }
-                                client.decoder.take_frame();
-                            }
-                        }
-                    }
-                    Err(error) if is_would_block(&error) => break,
-                    Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        client.read_open = false;
-                        break;
-                    }
-                }
-            }
-        }
-        for message in messages {
-            match message {
-                Message::Request(request) => self.admit(token, request),
+        let mut requests: Vec<Request> = Vec::new();
+        let Some(client) = self.clients.get_mut(&token) else {
+            return;
+        };
+        let _ = client.io.read_frames(&mut self.scratch, |payload, out| {
+            match decode_message(payload)? {
+                Message::Request(request) => requests.push(request),
                 // Health probes are answered on the I/O thread: they
                 // measure routing-plane liveness, not backend state.
                 Message::Ping { nonce } => {
-                    if let Some(client) = self.clients.get_mut(&token) {
-                        let _ = write_pong(&mut client.outbuf, nonce);
-                    }
+                    let _ = write_pong(out, nonce);
                 }
                 // The router is not a replica: it has no model registry to
                 // mutate, and admin frames are deliberately *not* proxied —
@@ -1221,22 +1097,24 @@ impl RouterIo {
                 // into a loopback one. A typed failure keeps the operator's
                 // client from hanging and tells them where to aim.
                 Message::Admin(_) => {
-                    if let Some(client) = self.clients.get_mut(&token) {
-                        let _ = write_admin_response(
-                            &mut client.outbuf,
-                            &AdminResponse {
-                                ok: false,
-                                draining: false,
-                                generation: 0,
-                                models: Vec::new(),
-                                message: "admin frames are not routed; connect to the replica \
-                                          directly"
-                                    .to_string(),
-                            },
-                        );
-                    }
+                    let _ = write_admin_response(
+                        out,
+                        &AdminResponse {
+                            ok: false,
+                            draining: false,
+                            generation: 0,
+                            models: Vec::new(),
+                            message: "admin frames are not routed; connect to the replica \
+                                      directly"
+                                .to_string(),
+                        },
+                    );
                 }
             }
+            Ok(())
+        });
+        for request in requests {
+            self.admit(token, request);
         }
         self.flush_client(token);
         self.drop_if_finished(token);
@@ -1363,7 +1241,14 @@ impl RouterIo {
         req.attempts += 1;
         req.tried.push(index);
         if self.channels[index].is_none() {
-            match self.connect_channel(index) {
+            // A blocking dial: a blackholed backend stalls the loop for the
+            // connect timeout at most once per breaker cooldown.
+            match FramedConn::connect(
+                self.shared.backends[index].addr,
+                options.connect_timeout,
+                &mut self.poller,
+                TOKEN_FIRST_CHANNEL + index as u64,
+            ) {
                 Ok(channel) => self.channels[index] = Some(channel),
                 Err(error) => {
                     self.fail_exchange(key, index, &error.to_string());
@@ -1386,7 +1271,7 @@ impl RouterIo {
             };
             let request = &req.request;
             let _ = write_request_v3(
-                &mut channel.outbuf,
+                channel.output(),
                 internal,
                 request.model,
                 hop_deadline_ms,
@@ -1431,87 +1316,22 @@ impl RouterIo {
         true
     }
 
-    /// Dials a backend and registers the channel. The connect itself is
-    /// blocking (bounded by `connect_timeout`) — the deliberate trade of a
-    /// std-only reactor without connect-progress polling: a refused dial
-    /// fails in microseconds on loopback, and a blackholed one stalls the
-    /// loop at most once per breaker cooldown.
-    fn connect_channel(&mut self, index: usize) -> io::Result<Channel> {
-        use crate::reactor::Interest;
-        let addr = self.shared.backends[index].addr;
-        let stream = TcpStream::connect_timeout(&addr, self.shared.options.connect_timeout)?;
-        // Many small frames from many clients multiplex here; Nagle would
-        // batch them against the delayed-ACK clock.
-        stream.set_nodelay(true)?;
-        stream.set_nonblocking(true)?;
-        self.poller
-            .register(&stream, TOKEN_FIRST_CHANNEL + index as u64, Interest::Read)?;
-        Ok(Channel {
-            stream,
-            decoder: FrameDecoder::new(),
-            outbuf: Vec::new(),
-            out_offset: 0,
-            last_write_progress: Instant::now(),
-            interest: Interest::Read,
-        })
-    }
-
-    /// Reads everything a channel has and resolves answered arms; any
-    /// transport or framing failure kills the whole channel.
+    /// Reads everything a channel has and resolves answered arms; EOF, a bad
+    /// frame or a socket error kills the whole channel.
     fn channel_readable(&mut self, index: usize) {
         let mut responses: Vec<Response> = Vec::new();
-        let mut failure: Option<String> = None;
-        {
-            let Some(channel) = self.channels[index].as_mut() else {
-                return;
-            };
-            'read: loop {
-                match channel.stream.read(&mut self.scratch) {
-                    Ok(0) => {
-                        failure = Some(String::from("backend closed the channel"));
-                        break;
-                    }
-                    Ok(bytes) => {
-                        let mut slice = &self.scratch[..bytes];
-                        while !slice.is_empty() {
-                            match channel.decoder.feed(slice) {
-                                Ok(consumed) => slice = &slice[consumed..],
-                                Err(error) => {
-                                    // Corrupt or misframed bytes: nothing
-                                    // after this point on the stream can be
-                                    // trusted or even re-delimited.
-                                    failure = Some(format!("channel framing error: {error}"));
-                                    break 'read;
-                                }
-                            }
-                            if let Some(payload) = channel.decoder.frame() {
-                                match decode_response(payload) {
-                                    Ok(response) => responses.push(response),
-                                    Err(error) => {
-                                        failure =
-                                            Some(format!("malformed backend response: {error}"));
-                                        channel.decoder.take_frame();
-                                        break 'read;
-                                    }
-                                }
-                                channel.decoder.take_frame();
-                            }
-                        }
-                    }
-                    Err(error) if is_would_block(&error) => break,
-                    Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
-                    Err(error) => {
-                        failure = Some(error.to_string());
-                        break;
-                    }
-                }
-            }
-        }
+        let Some(channel) = self.channels[index].as_mut() else {
+            return;
+        };
+        let read = channel.read_frames(&mut self.scratch, |payload, _| {
+            responses.push(decode_response(payload)?);
+            Ok(())
+        });
         for response in responses {
             self.resolve_arm(response);
         }
-        if let Some(error) = failure {
-            self.fail_channel(index, &error);
+        if let Err(error) = read {
+            self.fail_channel(index, &format!("backend channel: {error}"));
         }
     }
 
@@ -1621,9 +1441,7 @@ impl RouterIo {
     /// fresh connection.
     fn fail_channel(&mut self, index: usize, failure: &str) {
         if let Some(channel) = self.channels[index].take() {
-            let _ = self
-                .poller
-                .deregister(&channel.stream, TOKEN_FIRST_CHANNEL + index as u64);
+            channel.close(&mut self.poller);
         }
         let doomed: Vec<(u64, u64)> = self
             .requests
@@ -1761,7 +1579,7 @@ impl RouterIo {
         let token = req.client;
         if let Some(client) = self.clients.get_mut(&token) {
             client.owed = client.owed.saturating_sub(1);
-            let _ = write_response(&mut client.outbuf, &response);
+            let _ = write_response(client.io.output(), &response);
         }
         self.flush_client(token);
         self.drop_if_finished(token);
@@ -1769,75 +1587,20 @@ impl RouterIo {
 
     /// Pushes a channel's pending output; failure kills the channel.
     fn flush_channel(&mut self, index: usize) {
-        let mut failure: Option<String> = None;
-        {
-            let Some(channel) = self.channels[index].as_mut() else {
-                return;
-            };
-            while channel.pending_output() {
-                match channel.stream.write(&channel.outbuf[channel.out_offset..]) {
-                    Ok(0) => {
-                        failure = Some(String::from("backend stopped accepting bytes"));
-                        break;
-                    }
-                    Ok(bytes) => {
-                        channel.out_offset += bytes;
-                        channel.last_write_progress = Instant::now();
-                    }
-                    Err(error) if is_would_block(&error) => break,
-                    Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
-                    Err(error) => {
-                        failure = Some(error.to_string());
-                        break;
-                    }
-                }
-            }
-            if !channel.pending_output() {
-                channel.outbuf.clear();
-                channel.out_offset = 0;
-                channel.last_write_progress = Instant::now();
-            }
-        }
-        if let Some(error) = failure {
-            self.fail_channel(index, &error);
+        let Some(channel) = self.channels[index].as_mut() else {
+            return;
+        };
+        if let Err(error) = channel.flush() {
+            self.fail_channel(index, &format!("backend channel: {error}"));
         }
     }
 
-    /// Pushes a client's pending output; tolerates `WouldBlock` (write
-    /// interest keeps the poller watching).
+    /// Pushes a client's pending output. A failed flush drops the replies;
+    /// the connection stays until its in-flight requests resolve (their
+    /// answers are then discarded).
     fn flush_client(&mut self, token: u64) {
-        let Some(client) = self.clients.get_mut(&token) else {
-            return;
-        };
-        while client.pending_output() {
-            match client.stream.write(&client.outbuf[client.out_offset..]) {
-                Ok(0) => {
-                    client.read_open = false;
-                    client.outbuf.clear();
-                    client.out_offset = 0;
-                    break;
-                }
-                Ok(bytes) => {
-                    client.out_offset += bytes;
-                    client.last_write_progress = Instant::now();
-                }
-                Err(error) if is_would_block(&error) => break,
-                Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    // Broken pipe: the replies are undeliverable. The
-                    // connection stays open until its in-flight requests
-                    // resolve (their answers are then discarded here).
-                    client.read_open = false;
-                    client.outbuf.clear();
-                    client.out_offset = 0;
-                    break;
-                }
-            }
-        }
-        if !client.pending_output() {
-            client.outbuf.clear();
-            client.out_offset = 0;
-            client.last_write_progress = Instant::now();
+        if let Some(client) = self.clients.get_mut(&token) {
+            let _ = client.io.flush();
         }
     }
 
@@ -1855,12 +1618,10 @@ impl RouterIo {
             .iter()
             .enumerate()
             .filter_map(|(index, channel)| {
-                channel.as_ref().and_then(|channel| {
-                    (channel.pending_output()
-                        && now.saturating_duration_since(channel.last_write_progress)
-                            >= exchange_timeout)
-                        .then_some(index)
-                })
+                channel
+                    .as_ref()
+                    .is_some_and(|channel| channel.write_stalled(now, exchange_timeout))
+                    .then_some(index)
             })
             .collect();
         for index in stalled {
@@ -1920,19 +1681,14 @@ impl RouterIo {
         let wedged: Vec<u64> = self
             .clients
             .iter()
-            .filter(|(_, client)| {
-                client.pending_output()
-                    && now.saturating_duration_since(client.last_write_progress) >= exchange_timeout
-            })
+            .filter(|(_, client)| client.io.write_stalled(now, exchange_timeout))
             .map(|(&token, _)| token)
             .collect();
         for token in wedged {
             if let Some(client) = self.clients.get_mut(&token) {
                 // Zero write progress for the whole budget: the client is
                 // wedged, its buffered replies are undeliverable.
-                client.outbuf.clear();
-                client.out_offset = 0;
-                client.read_open = false;
+                client.io.abandon();
             }
             self.drop_if_finished(token);
         }
@@ -1941,30 +1697,11 @@ impl RouterIo {
     /// Brings every socket's registered poller interest in line with its
     /// state.
     fn reconcile_interest(&mut self) {
-        for (&token, client) in &mut self.clients {
-            let desired = client.desired_interest();
-            if desired != client.interest
-                && self
-                    .poller
-                    .reregister(&client.stream, token, desired)
-                    .is_ok()
-            {
-                client.interest = desired;
-            }
+        for client in self.clients.values_mut() {
+            client.io.reconcile_interest(&mut self.poller);
         }
-        for (index, channel) in self.channels.iter_mut().enumerate() {
-            let Some(channel) = channel.as_mut() else {
-                continue;
-            };
-            let desired = channel.desired_interest();
-            if desired != channel.interest
-                && self
-                    .poller
-                    .reregister(&channel.stream, TOKEN_FIRST_CHANNEL + index as u64, desired)
-                    .is_ok()
-            {
-                channel.interest = desired;
-            }
+        for channel in self.channels.iter_mut().flatten() {
+            channel.reconcile_interest(&mut self.poller);
         }
     }
 
@@ -1976,7 +1713,7 @@ impl RouterIo {
 
     fn drop_client(&mut self, token: u64) {
         if let Some(client) = self.clients.remove(&token) {
-            let _ = self.poller.deregister(&client.stream, token);
+            client.io.close(&mut self.poller);
         }
     }
 }

@@ -11,9 +11,12 @@
 //! ```
 //!
 //! A single nonblocking I/O thread owns the listener and every client
-//! socket through a [`crate::reactor::Poller`]; each connection is a small
-//! state machine (resumable [`FrameDecoder`] in, partially-flushed output
-//! buffer out) instead of a pair of parked OS threads. Workers return
+//! socket through a [`crate::reactor::Poller`]; each connection is the
+//! framed connection type the router's sockets use too (`TCP_NODELAY`,
+//! resumable [`FrameDecoder`] in, partially-flushed output buffer out),
+//! plus its idle clock and in-flight count, instead of a pair of parked OS
+//! threads. Reading stops at the first bad frame: a protocol violation
+//! ends the connection, and nothing sent after it is answered. Workers return
 //! responses through a completion queue and a [`crate::reactor::Waker`];
 //! the I/O thread serializes them into the owning connection's output
 //! buffer. One process therefore scales to thousands of concurrent
@@ -54,6 +57,7 @@
 //! [`Session`]: crate::engine::Session
 //! [`FrameDecoder`]: crate::proto::FrameDecoder
 
+use crate::conn::FramedConn;
 use crate::engine::{Engine, Session};
 use crate::metrics::{Metrics, Stage};
 use crate::obs::{
@@ -62,14 +66,13 @@ use crate::obs::{
 };
 use crate::proto::{
     checked_shape_product, decode_message, write_admin_response, write_pong, write_response,
-    AdminOp, AdminResponse, ErrorCode, FrameDecoder, Message, Request, Response,
+    AdminOp, AdminResponse, ErrorCode, Message, Request, Response,
 };
 use crate::queue::{JobQueue, PushRefusal};
 use crate::reactor::{Event, Interest, Poller, WakeReceiver, Waker};
 use sc_nn::tensor::Tensor;
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -615,62 +618,37 @@ pub fn spawn_multi_observed(
     })
 }
 
-/// Whether an I/O error means "the socket isn't ready" rather than "the
-/// socket is broken". Shared with the router's event loop, which follows
-/// the same nonblocking read/write discipline.
-pub(crate) fn is_would_block(error: &std::io::Error) -> bool {
-    matches!(
-        error.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// Per-connection state machine: resumable frame decoding in, a
-/// partially-flushed output buffer out.
+/// One client connection: the shared framed socket plus what the serving
+/// tier tracks per client.
 struct Conn {
-    stream: TcpStream,
+    io: FramedConn,
     /// Whether the peer connected from a loopback address, captured at
     /// accept time. Mutating admin ops (load / unload / drain) are
     /// authenticated by locality: only an operator on the replica's own
     /// host may change its model set. Status stays open to remote peers —
     /// the router's health probes depend on it.
     peer_is_loopback: bool,
-    decoder: FrameDecoder,
-    /// Serialized-but-unflushed replies; `out_offset` marks the flushed
-    /// prefix.
-    outbuf: Vec<u8>,
-    out_offset: usize,
     /// Last moment bytes arrived from the client (idle/stall clock).
     last_activity: Instant,
-    /// Last moment a write made progress while output was pending.
-    last_write_progress: Instant,
     /// Requests handed to the compute queue whose replies are still owed.
     in_flight: usize,
-    /// The read side is done (client EOF, idle reap, protocol error, or
-    /// server drain); the connection lives on only to flush owed replies.
-    read_open: bool,
-    /// Interest currently registered with the poller.
-    interest: Interest,
 }
 
 impl Conn {
-    fn pending_output(&self) -> bool {
-        self.out_offset < self.outbuf.len()
-    }
-
-    /// The interest this connection currently needs.
-    fn desired_interest(&self) -> Interest {
-        match (self.read_open, self.pending_output()) {
-            (true, true) => Interest::ReadWrite,
-            (true, false) => Interest::Read,
-            (false, _) => Interest::Write,
-        }
-    }
-
     /// Whether the connection has nothing left to do and can be dropped.
     fn finished(&self) -> bool {
-        !self.read_open && self.in_flight == 0 && !self.pending_output()
+        self.io.finished() && self.in_flight == 0
     }
+}
+
+/// What answering one client frame needs: the job queue, the model
+/// registry, the workers' reply path, and the trace log.
+struct Front {
+    queue: Arc<JobQueue<Job>>,
+    metrics: Arc<Metrics>,
+    registry: Arc<ModelRegistry>,
+    completions: Arc<Completions>,
+    trace: Option<TraceLog>,
 }
 
 /// The event-loop I/O front.
@@ -678,14 +656,10 @@ struct IoLoop {
     poller: Poller,
     listener: Option<TcpListener>,
     wake_rx: WakeReceiver,
-    completions: Arc<Completions>,
+    front: Front,
     conns: HashMap<u64, Conn>,
     next_token: u64,
-    queue: Arc<JobQueue<Job>>,
-    metrics: Arc<Metrics>,
-    registry: Arc<ModelRegistry>,
     idle_timeout: Duration,
-    trace: Option<TraceLog>,
     stop: Arc<AtomicBool>,
     halt: Arc<AtomicBool>,
     /// Read scratch shared across connections.
@@ -715,14 +689,16 @@ impl IoLoop {
                 poller,
                 listener: Some(listener),
                 wake_rx,
-                completions: Arc::clone(&completions),
+                front: Front {
+                    queue,
+                    metrics,
+                    registry,
+                    completions: Arc::clone(&completions),
+                    trace,
+                },
                 conns: HashMap::new(),
                 next_token: TOKEN_FIRST_CONN,
-                queue,
-                metrics,
-                registry,
                 idle_timeout,
-                trace,
                 stop,
                 halt,
                 scratch: vec![0; 64 << 10],
@@ -740,8 +716,7 @@ impl IoLoop {
                 // see clean disconnects instead of a wedged server.
                 return;
             }
-            let drained_wake = events.iter().any(|event| event.token == TOKEN_WAKE);
-            if drained_wake {
+            if events.iter().any(|event| event.token == TOKEN_WAKE) {
                 self.wake_rx.drain();
             }
             for &event in &events {
@@ -753,13 +728,15 @@ impl IoLoop {
                             self.read_ready(token);
                         }
                         if event.writable {
-                            self.flush_conn(token);
+                            if let Some(conn) = self.conns.get_mut(&token) {
+                                let _ = conn.io.flush();
+                            }
                         }
                     }
                 }
             }
             // Worker completions → owning connection's output buffer.
-            self.completions.drain(&mut finished);
+            self.front.completions.drain(&mut finished);
             for (token, response) in finished.drain(..) {
                 self.complete(token, response);
             }
@@ -775,200 +752,197 @@ impl IoLoop {
                 // Final flush: the workers are gone and every owed reply is
                 // in the output buffers. Stop reading, flush, close.
                 for conn in self.conns.values_mut() {
-                    conn.read_open = false;
+                    conn.io.close_read();
                     conn.in_flight = 0;
                 }
             }
             self.enforce_timeouts();
-            self.reconcile_interest();
+            for conn in self.conns.values_mut() {
+                conn.io.reconcile_interest(&mut self.poller);
+            }
             if self.halt.load(Ordering::SeqCst) && self.conns.is_empty() {
                 return;
             }
         }
     }
 
-    /// Accepts until the listener runs dry.
     fn accept_ready(&mut self) {
-        loop {
-            let Some(listener) = self.listener.as_ref() else {
-                return;
-            };
-            match listener.accept() {
-                Ok((stream, peer)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let peer_is_loopback = peer.ip().is_loopback();
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    if self
-                        .poller
-                        .register(&stream, token, Interest::Read)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    let now = Instant::now();
-                    self.conns.insert(
-                        token,
-                        Conn {
-                            stream,
-                            peer_is_loopback,
-                            decoder: FrameDecoder::new(),
-                            outbuf: Vec::new(),
-                            out_offset: 0,
-                            last_activity: now,
-                            last_write_progress: now,
-                            in_flight: 0,
-                            read_open: true,
-                            interest: Interest::Read,
-                        },
-                    );
-                }
-                Err(error) if is_would_block(&error) => return,
-                Err(error) if error.kind() == std::io::ErrorKind::Interrupted => {}
-                // Transient accept errors (aborted handshakes, fd pressure):
-                // skip this readiness round rather than spinning.
-                Err(_) => return,
-            }
-        }
+        let Some(listener) = self.listener.as_ref() else {
+            return;
+        };
+        let now = Instant::now();
+        FramedConn::accept_all(
+            listener,
+            &mut self.poller,
+            &mut self.next_token,
+            |io, peer| {
+                let conn = Conn {
+                    io,
+                    peer_is_loopback: peer.ip().is_loopback(),
+                    last_activity: now,
+                    in_flight: 0,
+                };
+                self.conns.insert(conn.io.token(), conn);
+            },
+        );
     }
 
-    /// Reads everything the socket has, feeding the resumable decoder and
-    /// dispatching completed frames.
+    /// Reads everything the socket has and answers or enqueues each frame,
+    /// up to the first protocol violation.
     fn read_ready(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        if !conn.read_open {
-            return;
+        let front = &self.front;
+        let read = conn.io.read_frames(&mut self.scratch, |payload, out| {
+            front.dispatch(
+                payload,
+                out,
+                token,
+                conn.peer_is_loopback,
+                &mut conn.in_flight,
+            )
+        });
+        if matches!(read, Ok(bytes) if bytes > 0) {
+            conn.last_activity = Instant::now();
         }
-        loop {
-            match conn.stream.read(&mut self.scratch) {
-                Ok(0) => {
-                    // Clean EOF (possibly a half-close): stop reading but
-                    // keep flushing replies the client is still owed.
-                    conn.read_open = false;
-                    break;
-                }
-                Ok(bytes) => {
-                    conn.last_activity = Instant::now();
-                    let mut slice = &self.scratch[..bytes];
-                    while !slice.is_empty() {
-                        match conn.decoder.feed(slice) {
-                            Ok(consumed) => slice = &slice[consumed..],
-                            Err(_) => {
-                                // Unrecoverable framing (bad length or
-                                // checksum): answer nothing for this frame —
-                                // it cannot be attributed to a request id
-                                // safely — and stop reading.
-                                conn.read_open = false;
-                                break;
-                            }
-                        }
-                        if conn.decoder.frame().is_some() {
-                            Self::dispatch_frame(
-                                conn,
-                                token,
-                                &self.queue,
-                                &self.metrics,
-                                &self.registry,
-                                &self.completions,
-                                self.trace.as_ref(),
-                            );
-                            conn.decoder.take_frame();
-                        }
-                    }
-                    if !conn.read_open {
-                        break;
-                    }
-                }
-                Err(error) if is_would_block(&error) => break,
-                Err(error) if error.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    conn.read_open = false;
-                    break;
-                }
-            }
-        }
-        self.flush_conn(token);
+        let _ = conn.io.flush();
         self.drop_if_finished(token);
     }
 
-    /// Handles one complete frame sitting in `conn`'s decoder.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_frame(
-        conn: &mut Conn,
+    /// Serializes a worker's response into the owning connection's output
+    /// buffer and pushes bytes out.
+    fn complete(&mut self, token: u64, response: Response) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            // The connection died while its request computed; the answer
+            // has nowhere to go.
+            return;
+        };
+        let write_started = Instant::now();
+        conn.in_flight = conn.in_flight.saturating_sub(1);
+        let _ = write_response(conn.io.output(), &response);
+        let _ = conn.io.flush();
+        // The write-back span is the socket-side cost of shipping the
+        // reply — the one stage that happens off the worker threads.
+        self.front
+            .metrics
+            .record_stage(Stage::WriteBack, write_started.elapsed());
+        self.drop_if_finished(token);
+    }
+
+    /// Applies idle, mid-frame-stall, and write-progress timeouts.
+    fn enforce_timeouts(&mut self) {
+        let now = Instant::now();
+        let idle = self.idle_timeout;
+        // A client that stalls mid-frame cannot be resumed; it is cut after
+        // a short budget (the old per-read slice), not the full idle window.
+        let stall = idle.clamp(Duration::from_millis(10), Duration::from_millis(250));
+        let mut doomed: Vec<u64> = Vec::new();
+        for (&token, conn) in &mut self.conns {
+            if conn.io.read_open() && !idle.is_zero() {
+                let quiet = now.saturating_duration_since(conn.last_activity);
+                let budget = if conn.io.mid_frame() { stall } else { idle };
+                if quiet >= budget {
+                    conn.io.close_read();
+                }
+            }
+            if conn.io.write_stalled(now, CLIENT_WRITE_TIMEOUT) {
+                // Zero write progress for the whole budget: the client is
+                // wedged, its buffered replies are undeliverable.
+                conn.io.abandon();
+                conn.in_flight = 0;
+            }
+            if conn.finished() {
+                doomed.push(token);
+            }
+        }
+        for token in doomed {
+            self.drop_conn(token);
+        }
+    }
+
+    fn drop_if_finished(&mut self, token: u64) {
+        if self.conns.get(&token).is_some_and(Conn::finished) {
+            self.drop_conn(token);
+        }
+    }
+
+    fn drop_conn(&mut self, token: u64) {
+        if let Some(conn) = self.conns.remove(&token) {
+            conn.io.close(&mut self.poller);
+        }
+    }
+}
+
+impl Front {
+    /// Handles one complete frame from connection `token`: a request is
+    /// enqueued (counted in `in_flight`) or refused, a ping or admin frame
+    /// is answered into `out`.
+    ///
+    /// # Errors
+    ///
+    /// A payload that is not a client message, behind a valid checksum: a
+    /// protocol violation, which ends reading on the connection.
+    fn dispatch(
+        &self,
+        payload: &[u8],
+        out: &mut Vec<u8>,
         token: u64,
-        queue: &JobQueue<Job>,
-        metrics: &Metrics,
-        registry: &ModelRegistry,
-        completions: &Arc<Completions>,
-        trace: Option<&TraceLog>,
-    ) {
-        let payload = conn.decoder.frame().expect("complete frame");
-        match decode_message(payload) {
-            Ok(Message::Request(request)) => {
+        peer_is_loopback: bool,
+        in_flight: &mut usize,
+    ) -> std::io::Result<()> {
+        let registry = &self.registry;
+        match decode_message(payload)? {
+            Message::Request(request) => {
                 let id = request.id;
                 let model = request.model;
                 let enqueued = Instant::now();
                 let deadline = (request.deadline_ms > 0)
                     .then(|| enqueued + Duration::from_millis(u64::from(request.deadline_ms)));
-                let refusal = if registry.draining() {
+                let pushed = if registry.draining() {
                     // Admin-initiated drain: the queue is still open (the
                     // workers are finishing in-flight jobs), but new work is
                     // refused with the same retriable contract as shutdown
                     // so the router fails it over instead of waiting.
-                    Some(Response::Err {
-                        id,
-                        code: ErrorCode::ShuttingDown,
-                        message: SHUTTING_DOWN_MESSAGE.to_string(),
-                    })
+                    Err(PushRefusal::Closed)
                 } else {
-                    None
-                };
-                let refusal = if let Some(refusal) = refusal {
-                    refusal
-                } else {
-                    let job = Job {
+                    self.queue.push(Job {
                         request,
                         enqueued,
                         deadline,
                         reply: ReplySink {
                             token,
-                            completions: Arc::clone(completions),
+                            completions: Arc::clone(&self.completions),
                         },
-                    };
-                    match queue.push(job) {
-                        Ok(()) => {
-                            conn.in_flight += 1;
-                            return;
-                        }
-                        // Admission shed: answer a retriable OVERLOADED
-                        // instead of queueing into latency the client will
-                        // not accept.
-                        Err(PushRefusal::Full) => {
-                            metrics.record_shed();
-                            Response::Err {
-                                id,
-                                code: ErrorCode::Overloaded,
-                                message: "server overloaded: request queue is full".to_string(),
-                            }
-                        }
-                        // Server draining: refuse instead of dropping, and
-                        // keep reading so every request this client already
-                        // pipelined gets its own refusal until shutdown
-                        // closes the socket.
-                        Err(PushRefusal::Closed) => Response::Err {
-                            id,
-                            code: ErrorCode::ShuttingDown,
-                            message: SHUTTING_DOWN_MESSAGE.to_string(),
-                        },
+                    })
+                };
+                let refusal = match pushed {
+                    Ok(()) => {
+                        *in_flight += 1;
+                        return Ok(());
                     }
+                    // Admission shed: answer a retriable OVERLOADED instead
+                    // of queueing into latency the client will not accept.
+                    Err(PushRefusal::Full) => {
+                        self.metrics.record_shed();
+                        Response::Err {
+                            id,
+                            code: ErrorCode::Overloaded,
+                            message: "server overloaded: request queue is full".to_string(),
+                        }
+                    }
+                    // Draining: refuse instead of dropping, and keep reading
+                    // so every request this client already pipelined gets
+                    // its own refusal until shutdown closes the socket.
+                    Err(PushRefusal::Closed) => Response::Err {
+                        id,
+                        code: ErrorCode::ShuttingDown,
+                        message: SHUTTING_DOWN_MESSAGE.to_string(),
+                    },
                 };
                 // A refused request never reaches a worker, so it records
                 // no compute span — the trace shows an all-zero breakdown.
-                if let Some(trace) = trace {
+                if let Some(trace) = &self.trace {
                     trace.emit(&TraceEvent {
                         kind: "serve",
                         id,
@@ -980,22 +954,22 @@ impl IoLoop {
                         total_us: crate::metrics::as_micros(enqueued.elapsed()),
                     });
                 }
-                let _ = write_response(&mut conn.outbuf, &refusal);
+                let _ = write_response(out, &refusal);
             }
             // Health probes are answered on the I/O thread — they measure
             // serving-plane liveness (accept loop, event loop, write path),
             // deliberately not queue depth; overload is signaled by typed
             // shed replies, and must not mark a replica dead.
-            Ok(Message::Ping { nonce }) => {
-                let _ = write_pong(&mut conn.outbuf, nonce);
+            Message::Ping { nonce } => {
+                let _ = write_pong(out, nonce);
             }
             // Admin frames mutate the model registry at runtime. They are
             // handled on the event loop: inference traffic keeps flowing
             // through the workers while a model loads, at the cost of
             // stalling frame I/O for the load's duration — acceptable because a plan-store load is a
             // deserialize + weight-stream regeneration, not a training run.
-            Ok(Message::Admin(op)) => {
-                let response = if op.mutates() && !conn.peer_is_loopback {
+            Message::Admin(op) => {
+                let response = if op.mutates() && !peer_is_loopback {
                     // Authenticated by locality: a remote peer may observe
                     // (Status) but never mutate. The refusal is a typed
                     // admin response, not a disconnect, so a misconfigured
@@ -1038,137 +1012,10 @@ impl IoLoop {
                         AdminOp::Status => registry.admin_response(true, String::new()),
                     }
                 };
-                let _ = write_admin_response(&mut conn.outbuf, &response);
-            }
-            Err(_) => {
-                // Malformed payload behind a valid checksum: protocol
-                // violation; stop reading this connection.
-                conn.read_open = false;
+                let _ = write_admin_response(out, &response);
             }
         }
-    }
-
-    /// Serializes a worker's response into the owning connection's output
-    /// buffer and pushes bytes out.
-    fn complete(&mut self, token: u64, response: Response) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            // The connection died while its request computed; the answer
-            // has nowhere to go.
-            return;
-        };
-        let write_started = Instant::now();
-        conn.in_flight = conn.in_flight.saturating_sub(1);
-        let _ = write_response(&mut conn.outbuf, &response);
-        self.flush_conn(token);
-        // The write-back span is the socket-side cost of shipping the
-        // reply — the one stage that happens off the worker threads.
-        self.metrics
-            .record_stage(Stage::WriteBack, write_started.elapsed());
-        self.drop_if_finished(token);
-    }
-
-    /// Pushes pending output; tolerates `WouldBlock` (write interest keeps
-    /// the poller watching).
-    fn flush_conn(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        while conn.pending_output() {
-            match conn.stream.write(&conn.outbuf[conn.out_offset..]) {
-                Ok(0) => {
-                    conn.read_open = false;
-                    conn.outbuf.clear();
-                    conn.out_offset = 0;
-                    break;
-                }
-                Ok(bytes) => {
-                    conn.out_offset += bytes;
-                    conn.last_write_progress = Instant::now();
-                }
-                Err(error) if is_would_block(&error) => break,
-                Err(error) if error.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    // Broken pipe: the replies are undeliverable.
-                    conn.read_open = false;
-                    conn.outbuf.clear();
-                    conn.out_offset = 0;
-                    break;
-                }
-            }
-        }
-        if !conn.pending_output() {
-            conn.outbuf.clear();
-            conn.out_offset = 0;
-            conn.last_write_progress = Instant::now();
-        }
-    }
-
-    /// Applies idle, mid-frame-stall, and write-progress timeouts.
-    fn enforce_timeouts(&mut self) {
-        let now = Instant::now();
-        let idle = self.idle_timeout;
-        // A client that stalls mid-frame cannot be resumed; it is cut after
-        // a short budget (the old per-read slice), not the full idle window.
-        let stall = if idle.is_zero() {
-            None
-        } else {
-            Some(idle.clamp(Duration::from_millis(10), Duration::from_millis(250)))
-        };
-        let mut doomed: Vec<u64> = Vec::new();
-        for (&token, conn) in &mut self.conns {
-            if conn.read_open && !idle.is_zero() {
-                let quiet = now.saturating_duration_since(conn.last_activity);
-                let budget = if conn.decoder.mid_frame() {
-                    stall.expect("stall budget exists when idle timeout set")
-                } else {
-                    idle
-                };
-                if quiet >= budget {
-                    conn.read_open = false;
-                }
-            }
-            if conn.pending_output()
-                && now.saturating_duration_since(conn.last_write_progress) >= CLIENT_WRITE_TIMEOUT
-            {
-                // Zero write progress for the whole budget: the client is
-                // wedged, its buffered replies are undeliverable.
-                conn.outbuf.clear();
-                conn.out_offset = 0;
-                conn.read_open = false;
-                conn.in_flight = 0;
-            }
-            if conn.finished() {
-                doomed.push(token);
-            }
-        }
-        for token in doomed {
-            self.drop_conn(token);
-        }
-    }
-
-    /// Brings each connection's registered poller interest in line with its
-    /// state.
-    fn reconcile_interest(&mut self) {
-        for (&token, conn) in &mut self.conns {
-            let desired = conn.desired_interest();
-            if desired != conn.interest
-                && self.poller.reregister(&conn.stream, token, desired).is_ok()
-            {
-                conn.interest = desired;
-            }
-        }
-    }
-
-    fn drop_if_finished(&mut self, token: u64) {
-        if self.conns.get(&token).is_some_and(Conn::finished) {
-            self.drop_conn(token);
-        }
-    }
-
-    fn drop_conn(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            let _ = self.poller.deregister(&conn.stream, token);
-        }
+        Ok(())
     }
 }
 
@@ -1397,6 +1244,7 @@ mod tests {
     use sc_nn::lenet::PoolingStyle;
     use sc_nn::network::Network;
     use std::io::BufReader;
+    use std::net::TcpStream;
 
     fn tiny_engine(seed: u64) -> Engine {
         let mut network = Network::new("unit");

@@ -30,7 +30,7 @@ use sc_serve::server::{bind_reusable, spawn_multi, ServerHandle, ServerOptions};
 use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -401,9 +401,11 @@ fn sigkill_mid_load_loses_no_request_and_trips_the_breaker_once() {
     let router_addr = router.addr();
 
     const REQUESTS: u64 = 150;
+    let answered = Arc::new(AtomicU64::new(0));
     let clients: Vec<_> = (0..2u64)
         .map(|client| {
             let expected = expected.clone();
+            let answered = Arc::clone(&answered);
             std::thread::spawn(move || {
                 let stream = TcpStream::connect(router_addr).expect("connect router");
                 stream
@@ -425,6 +427,7 @@ fn sigkill_mid_load_loses_no_request_and_trips_the_breaker_once() {
                                 logits, expected,
                                 "request {id} must stay bit-exact across the kill"
                             );
+                            answered.fetch_add(1, Ordering::SeqCst);
                         }
                         Some(Response::Err { message, .. }) => {
                             panic!("request {id} errored: {message}")
@@ -437,8 +440,14 @@ fn sigkill_mid_load_loses_no_request_and_trips_the_breaker_once() {
         .collect();
 
     // SIGKILL replica A mid-load: no drain, no graceful flush — its
-    // in-flight exchanges die mid-write.
-    std::thread::sleep(Duration::from_millis(100));
+    // in-flight exchanges die mid-write. The kill waits for a quarter of
+    // the load to be answered rather than for a fixed time, so it lands
+    // mid-load however fast the replicas answer.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while answered.load(Ordering::SeqCst) < REQUESTS / 2 {
+        assert!(Instant::now() < deadline, "load never got going");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     child_a.kill().expect("SIGKILL replica A");
     child_a.wait().expect("reap replica A");
 

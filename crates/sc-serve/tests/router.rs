@@ -14,10 +14,10 @@ use sc_serve::plan::PlanOptions;
 use sc_serve::proto::{decode_response, read_frame, write_request_v3, Response};
 use sc_serve::router::{spawn_router, RouterHandle, RouterOptions};
 use sc_serve::server::{spawn_multi, ServerHandle, ServerOptions};
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A small dense engine; different base seeds give bit-distinguishable
 /// models.
@@ -429,4 +429,94 @@ fn losing_every_replica_errors_the_client_instead_of_hanging() {
     drop(writer);
     drop(reader);
     router.shutdown();
+}
+
+#[test]
+fn a_protocol_violation_ends_the_routed_connection_before_later_requests() {
+    // The same assertion as tcp_loopback's direct one, so the two tiers'
+    // readers stay pinned together: one write holding a frame no client
+    // may send (a response) and then a valid request gets EOF, no reply.
+    let engines = [engine_with_seed(44), engine_with_seed(77)];
+    let replica_a = replica(&engines);
+    let router = router_over(&[&replica_a], false);
+    let mut bytes = Vec::new();
+    let bogus = Response::Ok {
+        id: 1,
+        argmax: 0,
+        logits: vec![0.0],
+    };
+    sc_serve::proto::write_response(&mut bytes, &bogus).unwrap();
+    write_request_v3(&mut bytes, 2, 0, 0, [1, 4, 4], test_image(1).as_slice()).unwrap();
+    for connection in 0..10 {
+        let mut stream = TcpStream::connect(router.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        stream.write_all(&bytes).unwrap();
+        match read_frame(&mut BufReader::new(stream), decode_response) {
+            Ok(None) => {}
+            Err(error) if error.kind() == std::io::ErrorKind::ConnectionReset => {}
+            other => panic!("connection {connection}: expected EOF, got {other:?}"),
+        }
+    }
+    router.shutdown();
+    replica_a.shutdown();
+}
+
+/// Median round trip of 20 rounds, each four pipelined requests sent in one
+/// write and all four replies read back.
+fn median_pipelined_round(addr: std::net::SocketAddr) -> Duration {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut rounds: Vec<Duration> = (0..20u64)
+        .map(|round| {
+            let mut bytes = Vec::new();
+            for id in round * 4..round * 4 + 4 {
+                let image = test_image(id as u32);
+                write_request_v3(&mut bytes, id, 0, 0, [1, 4, 4], image.as_slice()).unwrap();
+            }
+            let started = Instant::now();
+            writer.write_all(&bytes).unwrap();
+            for _ in 0..4 {
+                let reply = read_frame(&mut reader, decode_response).unwrap();
+                assert!(matches!(reply, Some(Response::Ok { .. })), "{reply:?}");
+            }
+            started.elapsed()
+        })
+        .collect();
+    rounds.sort_unstable();
+    rounds[rounds.len() / 2]
+}
+
+#[test]
+fn pipelined_replies_are_not_held_behind_delayed_acks() {
+    // Replies to pipelined requests go out as separate small writes on one
+    // connection, which is what every router channel carries. With Nagle's
+    // algorithm on, each reply after the first waits for the peer's delayed
+    // ACK (~40 ms on Linux); every serving socket sets TCP_NODELAY.
+    let engine = engine_with_seed(44);
+    let replica_a = spawn_multi(
+        vec![engine],
+        TcpListener::bind("127.0.0.1:0").unwrap(),
+        ServerOptions {
+            workers: 2,
+            ..ServerOptions::default()
+        },
+    )
+    .unwrap();
+    let router = router_over(&[&replica_a], false);
+    for (path, addr) in [("direct", replica_a.addr()), ("routed", router.addr())] {
+        let median = median_pipelined_round(addr);
+        assert!(
+            median < Duration::from_millis(20),
+            "{path}: median round trip of 4 pipelined requests took {median:?}"
+        );
+    }
+    router.shutdown();
+    replica_a.shutdown();
 }

@@ -436,3 +436,33 @@ fn idle_read_timeout_reclaims_silent_connections_but_spares_active_ones() {
     drop(active_reader);
     handle.shutdown();
 }
+
+#[test]
+fn a_protocol_violation_ends_the_connection_before_later_requests() {
+    // One write holding a frame no client may send (a response) and then a
+    // valid request: the reader must stop at the bad frame, close the
+    // connection, and never answer what came after it.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let handle = spawn(Arc::new(quick_engine()), listener, ServerOptions::default()).unwrap();
+    let mut bytes = Vec::new();
+    let bogus = Response::Ok {
+        id: 1,
+        argmax: 0,
+        logits: vec![0.0],
+    };
+    sc_serve::proto::write_response(&mut bytes, &bogus).unwrap();
+    write_request_v3(&mut bytes, 2, 0, 0, [1, 4, 4], test_image(1).as_slice()).unwrap();
+    for connection in 0..10 {
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        std::io::Write::write_all(&mut stream, &bytes).unwrap();
+        match read_frame(&mut BufReader::new(stream), decode_response) {
+            Ok(None) => {}
+            Err(error) if error.kind() == std::io::ErrorKind::ConnectionReset => {}
+            other => panic!("connection {connection}: expected EOF, got {other:?}"),
+        }
+    }
+    handle.shutdown();
+}
