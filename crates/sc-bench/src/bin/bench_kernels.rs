@@ -13,6 +13,7 @@ use sc_core::activation::Stanh;
 use sc_core::add::{Apc, ExactParallelCounter, MuxAdder, MuxSelectorPlan};
 use sc_core::arena::StreamArena;
 use sc_core::bitstream::{BitStream, StreamLength};
+use sc_core::csa::PackedLanes;
 use sc_core::multiply;
 use sc_core::rng::Lfsr;
 use sc_core::sng::{Sng, SngBank, SngKind};
@@ -382,78 +383,9 @@ fn bench_apc_counts(samples: usize, iters: usize) -> Comparison {
     }
 }
 
-/// Frozen copy of the per-lane `trailing_zeros` column accumulation (the
-/// pre-CSA `accumulate_columns`), kept so the CSA comparison measures the
-/// kernel this PR replaced.
-fn per_lane_column_accumulate(streams: &[BitStream], counts: &mut [u16]) {
-    for stream in streams {
-        for (w, &word) in stream.as_words().iter().enumerate() {
-            let mut bits = word;
-            let base = w * 64;
-            while bits != 0 {
-                let j = bits.trailing_zeros() as usize;
-                counts[base + j] += 1;
-                bits &= bits - 1;
-            }
-        }
-    }
-}
-
-/// Column counts through the bit-transposed CSA accumulator: word-major,
-/// lane triples through the 3:2 compressor, planes unpacked per word.
-fn csa_column_accumulate(streams: &[BitStream], len: usize, counts: &mut [u16]) {
-    let lane_words: Vec<&[u64]> = streams.iter().map(|s| s.as_words()).collect();
-    let mut scratch: Vec<u64> = vec![0; lane_words.len()];
-    for w in 0..len.div_ceil(64) {
-        let base = w * 64;
-        let span = (len - base).min(64);
-        for (slot, words) in scratch.iter_mut().zip(&lane_words) {
-            *slot = words[w];
-        }
-        sc_core::csa::accumulate_column_counts(&scratch, &mut counts[base..base + span]);
-    }
-}
-
-/// Per-cycle column counts across many lanes: the per-lane set-bit walk vs
-/// the bit-transposed CSA vertical counters.
-fn bench_csa_column_count(samples: usize, iters: usize) -> Comparison {
-    let len = 1024usize;
-    let n = 32usize;
-    let streams: Vec<BitStream> = (0..n)
-        .map(|i| {
-            Sng::new(SngKind::Lfsr32, 300 + i as u64)
-                .generate_bipolar((i as f64 / n as f64) - 0.5, StreamLength::new(len))
-                .unwrap()
-        })
-        .collect();
-    let mut a = vec![0u16; len];
-    let mut b = vec![0u16; len];
-    per_lane_column_accumulate(&streams, &mut a);
-    csa_column_accumulate(&streams, len, &mut b);
-    assert_eq!(a, b, "CSA column counts must match the per-lane walk");
-    let baseline_ns = measure(samples, iters, || {
-        let mut counts = vec![0u16; len];
-        per_lane_column_accumulate(&streams, &mut counts);
-        counts
-    });
-    let optimized_ns = measure(samples, iters, || {
-        let mut counts = vec![0u16; len];
-        csa_column_accumulate(&streams, len, &mut counts);
-        counts
-    });
-    Comparison {
-        name: "apc_csa_column_count_n32_l1024",
-        description: "Parallel-counter column counts (32 lanes, 1024 bits): \
-                      per-lane trailing_zeros set-bit walk vs bit-transposed \
-                      CSA vertical counters (3:2 compressors + plane unpack)",
-        baseline_ns,
-        optimized_ns,
-    }
-}
-
-/// Frozen copy of the per-unit `accumulate_product_columns` this PR ported
-/// onto the CSA vertical-counter accumulator: XNOR per word, then a
-/// `trailing_zeros` walk over the set product bits of every lane.
+/// Frozen copy of the per-unit `accumulate_product_columns` before it moved
+/// onto carry-save column counts: XNOR per word, then a `trailing_zeros`
+/// walk over the set product bits of every lane.
 fn frozen_per_unit_product_walk(
     inputs: &[BitStream],
     weights: &[BitStream],
@@ -479,8 +411,8 @@ fn frozen_per_unit_product_walk(
 }
 
 /// The per-unit APC multiply-count: the frozen `trailing_zeros` product walk
-/// (the pre-CSA `Apc::count_products` body) vs the shipped vertical-counter
-/// accumulation behind [`ExactParallelCounter::count_products`].
+/// (the pre-CSA `Apc::count_products` body) vs the shipped packing +
+/// Harley-Seal column counts behind [`ExactParallelCounter::count_products`].
 fn bench_per_unit_apc_csa(samples: usize, iters: usize) -> Comparison {
     let len = 1024usize;
     let n = 32usize;
@@ -522,8 +454,8 @@ fn bench_per_unit_apc_csa(samples: usize, iters: usize) -> Comparison {
     Comparison {
         name: "apc_per_unit_csa_n32_l1024",
         description: "Per-unit APC multiply-count (32 lanes, 1024 bits): \
-                      per-lane trailing_zeros product walk vs XNOR super-words \
-                      compressed into CSA vertical counters",
+                      per-lane trailing_zeros product walk vs packing both \
+                      operands + Harley-Seal column counts",
         baseline_ns,
         optimized_ns,
     }
@@ -563,7 +495,7 @@ fn per_lane_shared_product_counts(
 }
 
 /// The layer-fused shared-input APC kernel: frozen per-lane popcount walk vs
-/// the shipped CSA accumulation, 25 lanes (a 5x5 receptive field) x 8 units.
+/// the packed Harley-Seal core, 25 lanes (a 5x5 receptive field) x 8 units.
 fn bench_shared_apc_csa(samples: usize, iters: usize) -> Comparison {
     let len = 1024usize;
     let lanes = 25usize;
@@ -589,8 +521,7 @@ fn bench_shared_apc_csa(samples: usize, iters: usize) -> Comparison {
         .collect();
     let refs: Vec<&[BitStream]> = unit_ws.iter().map(|w| w.as_slice()).collect();
     // The frozen walk produces the raw (pre-APC-LSB) exact counts; compare
-    // against the exact shared counts reconstructed from the CSA kernel by
-    // re-deriving them per unit with the per-unit exact kernel.
+    // them with the per-unit exact kernel.
     let mut frozen: Vec<Vec<u16>> = vec![vec![0u16; len]; units];
     per_lane_shared_product_counts(&inputs, &refs, len, &mut frozen);
     for (unit, ws) in unit_ws.iter().enumerate() {
@@ -603,12 +534,16 @@ fn bench_shared_apc_csa(samples: usize, iters: usize) -> Comparison {
             "frozen shared walk diverged at unit {unit}"
         );
     }
-    let shared = Apc::new().count_products_shared(&inputs, &refs).unwrap();
+    let (packed_inputs, packed_weights) = pack_operands(&inputs, &unit_ws);
+    let mut arena = StreamArena::new();
+    let packed = Apc::new()
+        .count_packed_with(packed_inputs.view(), packed_weights.view(), &mut arena)
+        .unwrap();
     for (unit, ws) in unit_ws.iter().enumerate() {
         let per_unit = Apc::new().count_products(&inputs, ws).unwrap();
         assert_eq!(
-            shared[unit], per_unit,
-            "CSA shared kernel diverged at unit {unit}"
+            packed[unit], per_unit,
+            "packed kernel diverged at unit {unit}"
         );
     }
     let baseline_ns = measure(samples, iters, || {
@@ -617,15 +552,431 @@ fn bench_shared_apc_csa(samples: usize, iters: usize) -> Comparison {
         counts
     });
     let optimized_ns = measure(samples, iters, || {
-        Apc::new().count_products_shared(&inputs, &refs).unwrap()
+        let counts = Apc::new()
+            .count_packed_with(packed_inputs.view(), packed_weights.view(), &mut arena)
+            .unwrap();
+        for stream in counts {
+            arena.recycle_counts(stream.into_counts());
+        }
     });
     Comparison {
         name: "apc_shared_csa_n25_u8_l1024",
         description: "Shared-input APC multiply-count (25 lanes, 8 units, 1024 \
-                      bits): per-lane trailing_zeros product walk vs in-register \
-                      3:2 CSA compression into per-unit vertical counters",
+                      bits): per-lane trailing_zeros product walk vs the packed \
+                      Harley-Seal column counts (operands packed once, untimed)",
         baseline_ns,
         optimized_ns,
+    }
+}
+
+/// Packs one input field and the weights of every unit (one row each).
+fn pack_operands(inputs: &[BitStream], unit_ws: &[Vec<BitStream>]) -> (PackedLanes, PackedLanes) {
+    (
+        PackedLanes::pack([inputs]).unwrap(),
+        PackedLanes::pack(unit_ws.iter().map(Vec::as_slice)).unwrap(),
+    )
+}
+
+/// Frozen copy of the shared-input APC kernel the packed core replaced:
+/// word-major over super-word groups, every unit's per-lane `BitStream`
+/// loaded at each group, lane triples through a 3:2 compressor into
+/// per-unit vertical counters that ripple with a branch per plane, planes
+/// drained per word position. Exact counts, no APC LSB.
+mod frozen_shared {
+    use sc_core::word::Word;
+
+    const MAX_PLANES: usize = 17;
+
+    #[derive(Clone)]
+    struct VerticalCounter {
+        planes: [u64; MAX_PLANES],
+        used: usize,
+    }
+
+    impl VerticalCounter {
+        fn new() -> Self {
+            Self {
+                planes: [0; MAX_PLANES],
+                used: 0,
+            }
+        }
+
+        #[inline]
+        fn add_at(&mut self, mut word: u64, plane: usize) {
+            let mut k = plane;
+            while word != 0 {
+                let carry = self.planes[k] & word;
+                self.planes[k] ^= word;
+                word = carry;
+                k += 1;
+            }
+            self.used = self.used.max(k);
+        }
+
+        #[inline]
+        fn add3(&mut self, a: u64, b: u64, c: u64) {
+            let partial = a ^ b;
+            self.add_at(partial ^ c, 0);
+            self.add_at((a & b) | (partial & c), 1);
+        }
+
+        #[inline]
+        fn drain_into(&mut self, counts: &mut [u16]) {
+            if self.used <= 8 && counts.len() == 64 {
+                for (group, group_counts) in counts.chunks_exact_mut(8).enumerate() {
+                    let shift = 8 * group as u32;
+                    let mut packed = 0u64;
+                    for k in 0..self.used {
+                        packed |= ((self.planes[k] >> shift) & 0xFF) << (8 * k);
+                    }
+                    if packed == 0 {
+                        continue;
+                    }
+                    let transposed = transpose8(packed);
+                    for (j, count) in group_counts.iter_mut().enumerate() {
+                        *count += ((transposed >> (8 * j)) & 0xFF) as u16;
+                    }
+                }
+            } else {
+                for k in 0..self.used {
+                    let mut bits = self.planes[k];
+                    while bits != 0 {
+                        counts[bits.trailing_zeros() as usize] += 1 << k;
+                        bits &= bits - 1;
+                    }
+                }
+            }
+            self.planes[..self.used].fill(0);
+            self.used = 0;
+        }
+    }
+
+    #[inline(always)]
+    fn transpose8(mut x: u64) -> u64 {
+        let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+        x ^= t ^ (t << 7);
+        let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+        x ^= t ^ (t << 14);
+        let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+        x ^= t ^ (t << 28);
+        x
+    }
+
+    struct WideVerticalCounter<W: Word> {
+        planes: [W; MAX_PLANES],
+        used: usize,
+    }
+
+    impl<W: Word> WideVerticalCounter<W> {
+        fn new() -> Self {
+            Self {
+                planes: [W::zero(); MAX_PLANES],
+                used: 0,
+            }
+        }
+
+        #[inline(always)]
+        fn add_at(&mut self, mut word: W, plane: usize) {
+            let mut k = plane;
+            while !word.is_zero() {
+                let carry = self.planes[k].and(word);
+                self.planes[k] = self.planes[k].xor(word);
+                word = carry;
+                k += 1;
+            }
+            self.used = self.used.max(k);
+        }
+
+        #[inline(always)]
+        fn add3(&mut self, a: W, b: W, c: W) {
+            let partial = a.xor(b);
+            self.add_at(partial.xor(c), 0);
+            self.add_at(a.and(b).or(partial.and(c)), 1);
+        }
+
+        #[inline]
+        fn drain_into(&mut self, counts: &mut [u16]) {
+            let mut lanes = [[0u64; 4]; MAX_PLANES];
+            for (k, lane_words) in lanes.iter_mut().enumerate().take(self.used) {
+                self.planes[k].store(lane_words);
+                self.planes[k] = W::zero();
+            }
+            let mut scalar = VerticalCounter::new();
+            for (lane, lane_counts) in counts.chunks_exact_mut(64).take(W::LANES).enumerate() {
+                for (k, lane_words) in lanes.iter().enumerate().take(self.used) {
+                    scalar.planes[k] = lane_words[lane];
+                }
+                scalar.used = self.used;
+                scalar.drain_into(lane_counts);
+            }
+            self.used = 0;
+        }
+    }
+
+    #[inline(always)]
+    pub fn counts_impl<W: Word>(
+        input_words: &[&[u64]],
+        unit_lane_words: &[Vec<&[u64]>],
+        len: usize,
+        counts: &mut [Vec<u16>],
+    ) {
+        let lanes = input_words.len();
+        let full_words = len / 64;
+        let mut w = 0usize;
+        if W::LANES > 1 {
+            let mut counters: Vec<WideVerticalCounter<W>> = unit_lane_words
+                .iter()
+                .map(|_| WideVerticalCounter::new())
+                .collect();
+            while w + W::LANES <= full_words {
+                let mut lane = 0;
+                while lane + 3 <= lanes {
+                    let a0 = W::load(&input_words[lane][w..]);
+                    let a1 = W::load(&input_words[lane + 1][w..]);
+                    let a2 = W::load(&input_words[lane + 2][w..]);
+                    for (counter, lane_words) in counters.iter_mut().zip(unit_lane_words) {
+                        counter.add3(
+                            a0.xor(W::load(&lane_words[lane][w..])).not(),
+                            a1.xor(W::load(&lane_words[lane + 1][w..])).not(),
+                            a2.xor(W::load(&lane_words[lane + 2][w..])).not(),
+                        );
+                    }
+                    lane += 3;
+                }
+                while lane < lanes {
+                    let a = W::load(&input_words[lane][w..]);
+                    for (counter, lane_words) in counters.iter_mut().zip(unit_lane_words) {
+                        counter.add_at(a.xor(W::load(&lane_words[lane][w..])).not(), 0);
+                    }
+                    lane += 1;
+                }
+                for (counter, unit_counts) in counters.iter_mut().zip(counts.iter_mut()) {
+                    counter.drain_into(&mut unit_counts[w * 64..(w + W::LANES) * 64]);
+                }
+                w += W::LANES;
+            }
+        }
+        let words = len.div_ceil(64);
+        let mut counters: Vec<VerticalCounter> = unit_lane_words
+            .iter()
+            .map(|_| VerticalCounter::new())
+            .collect();
+        while w < words {
+            let base = w * 64;
+            let span = (len - base).min(64);
+            let tail_mask = if span == 64 {
+                u64::MAX
+            } else {
+                (1u64 << span) - 1
+            };
+            let mut lane = 0;
+            while lane + 3 <= lanes {
+                let a0 = input_words[lane][w];
+                let a1 = input_words[lane + 1][w];
+                let a2 = input_words[lane + 2][w];
+                for (counter, lane_words) in counters.iter_mut().zip(unit_lane_words) {
+                    counter.add3(
+                        !(a0 ^ lane_words[lane][w]) & tail_mask,
+                        !(a1 ^ lane_words[lane + 1][w]) & tail_mask,
+                        !(a2 ^ lane_words[lane + 2][w]) & tail_mask,
+                    );
+                }
+                lane += 3;
+            }
+            while lane < lanes {
+                let a = input_words[lane][w];
+                for (counter, lane_words) in counters.iter_mut().zip(unit_lane_words) {
+                    counter.add_at(!(a ^ lane_words[lane][w]) & tail_mask, 0);
+                }
+                lane += 1;
+            }
+            for (counter, unit_counts) in counters.iter_mut().zip(counts.iter_mut()) {
+                counter.drain_into(&mut unit_counts[base..base + span]);
+            }
+            w += 1;
+        }
+    }
+
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[target_feature(enable = "avx2")]
+    unsafe fn counts_avx2(
+        input_words: &[&[u64]],
+        unit_lane_words: &[Vec<&[u64]>],
+        len: usize,
+        counts: &mut [Vec<u16>],
+    ) {
+        counts_impl::<sc_core::word::WAvx2>(input_words, unit_lane_words, len, counts)
+    }
+
+    /// The frozen kernel under the active backend, as the library
+    /// dispatched it.
+    pub fn counts(
+        input_words: &[&[u64]],
+        unit_lane_words: &[Vec<&[u64]>],
+        len: usize,
+        counts: &mut [Vec<u16>],
+    ) {
+        match sc_core::active_backend() {
+            sc_core::Backend::Scalar => {
+                counts_impl::<u64>(input_words, unit_lane_words, len, counts)
+            }
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            // SAFETY: the backend selector reports AVX2 only when available.
+            sc_core::Backend::Avx2 => unsafe {
+                counts_avx2(input_words, unit_lane_words, len, counts)
+            },
+            _ => counts_impl::<sc_core::word::W4>(input_words, unit_lane_words, len, counts),
+        }
+    }
+}
+
+/// Evicts `words` from every cache level (best effort off x86-64, where it
+/// sweeps a buffer larger than the caches instead).
+fn evict(words: &[u64]) {
+    #[cfg(target_arch = "x86_64")]
+    for line in words.chunks(8) {
+        // SAFETY: `clflush` on a valid address of our own memory; SSE2 is
+        // part of the x86-64 baseline.
+        unsafe { std::arch::x86_64::_mm_clflush(line.as_ptr().cast()) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = words;
+        let sweep = vec![1u8; 64 << 20];
+        std::hint::black_box(sweep.iter().map(|&b| u64::from(b)).sum::<u64>());
+    }
+}
+
+/// Median nanoseconds per call over `samples` samples of `iters` calls,
+/// each call preceded by an untimed `prepare()`.
+fn measure_prepared<R>(
+    samples: usize,
+    iters: usize,
+    mut prepare: impl FnMut(),
+    mut f: impl FnMut() -> R,
+) -> f64 {
+    let mut timings: Vec<f64> = (0..samples)
+        .map(|_| {
+            let mut total = 0u128;
+            for _ in 0..iters {
+                prepare();
+                let start = Instant::now();
+                std::hint::black_box(f());
+                total += start.elapsed().as_nanos();
+            }
+            total as f64 / iters as f64
+        })
+        .collect();
+    timings.sort_by(|a, b| a.total_cmp(b));
+    timings[timings.len() / 2]
+}
+
+/// fc1's shape in the no1 network (256 lanes, 64 units, 1024 bits).
+const FC1: (usize, usize, usize) = (256, 64, 1024);
+
+/// fc1-shaped operands: one input field and every unit's weight lanes.
+fn fc1_operands() -> (Vec<BitStream>, Vec<Vec<BitStream>>) {
+    let (lanes, units, len) = FC1;
+    let len = StreamLength::new(len);
+    let values = operand_values(lanes).0;
+    let inputs = (0..lanes)
+        .map(|i| {
+            Sng::new(SngKind::Lfsr32, 90 + i as u64)
+                .generate_bipolar(values[i], len)
+                .unwrap()
+        })
+        .collect();
+    let unit_ws = (0..units)
+        .map(|u| {
+            (0..lanes)
+                .map(|i| {
+                    Sng::new(SngKind::Lfsr32, 9000 + (u * lanes + i) as u64)
+                        .generate_bipolar(-values[(i + u) % lanes], len)
+                        .unwrap()
+                })
+                .collect()
+        })
+        .collect();
+    (inputs, unit_ws)
+}
+
+/// fc1's APC count phase: the frozen shared kernel over per-lane streams
+/// vs the packed Harley-Seal core over the packed layout, hot (weights
+/// cached) or `cold` (every weight evicted from the caches before each
+/// call, as a request meets them after the rest of the frame ran). Both
+/// produce exact counts, asserted equal before timing.
+fn bench_fc1_apc(samples: usize, iters: usize, cold: bool) -> Comparison {
+    let (_, units, len) = FC1;
+    let (inputs, unit_ws) = fc1_operands();
+    let input_words: Vec<&[u64]> = inputs.iter().map(|s| s.as_words()).collect();
+    let unit_lane_words: Vec<Vec<&[u64]>> = unit_ws
+        .iter()
+        .map(|ws| ws.iter().map(|s| s.as_words()).collect())
+        .collect();
+    let (packed_inputs, packed_weights) = pack_operands(&inputs, &unit_ws);
+    let mut frozen = vec![vec![0u16; len]; units];
+    frozen_shared::counts(&input_words, &unit_lane_words, len, &mut frozen);
+    let mut arena = StreamArena::new();
+    let packed = Apc::new()
+        .count_packed_with(packed_inputs.view(), packed_weights.view(), &mut arena)
+        .unwrap();
+    for (unit, (exact, apc)) in frozen.iter().zip(&packed).enumerate() {
+        let mut expected = ExactParallelCounter::new()
+            .count_products(&inputs, &unit_ws[unit])
+            .unwrap();
+        assert_eq!(
+            expected.counts(),
+            exact.as_slice(),
+            "frozen kernel at unit {unit}"
+        );
+        expected = Apc::new().count_products(&inputs, &unit_ws[unit]).unwrap();
+        assert_eq!(&expected, apc, "packed kernel at unit {unit}");
+    }
+    let evict_frozen = || {
+        if cold {
+            for words in unit_lane_words.iter().flatten() {
+                evict(words);
+            }
+        }
+    };
+    let evict_packed = || {
+        if cold {
+            evict(packed_weights.as_words());
+        }
+    };
+    let baseline_ns = measure_prepared(samples, iters, evict_frozen, || {
+        let mut counts = vec![vec![0u16; len]; units];
+        frozen_shared::counts(&input_words, &unit_lane_words, len, &mut counts);
+        counts
+    });
+    let optimized_ns = measure_prepared(samples, iters, evict_packed, || {
+        let counts = Apc::new()
+            .count_packed_with(packed_inputs.view(), packed_weights.view(), &mut arena)
+            .unwrap();
+        for stream in counts {
+            arena.recycle_counts(stream.into_counts());
+        }
+    });
+    if cold {
+        Comparison {
+            name: "apc_fc1_n256_u64_l1024_cold",
+            description: "fc1's APC count phase (256 lanes, 64 units, 1024 bits), \
+                          every weight evicted from the caches before each call: \
+                          frozen shared kernel over 16384 separate weight streams \
+                          vs the packed Harley-Seal core reading each unit's \
+                          packed weights once, in order",
+            baseline_ns,
+            optimized_ns,
+        }
+    } else {
+        Comparison {
+            name: "apc_fc1_n256_u64_l1024",
+            description: "fc1's APC count phase (256 lanes, 64 units, 1024 bits), \
+                          weights cached: frozen shared kernel over 16384 separate \
+                          weight streams vs the packed Harley-Seal core",
+            baseline_ns,
+            optimized_ns,
+        }
     }
 }
 
@@ -793,7 +1144,7 @@ fn measure_per_backend<R>(
     }
 }
 
-/// Per-backend timings of the four widened kernel families, each through its
+/// Per-backend timings of the widened kernel families, each through its
 /// public dispatching entry point (the same calls the serving engine makes).
 fn backend_matrix(samples: usize, iters: usize) -> Vec<BackendMatrixRow> {
     let len = StreamLength::new(1024);
@@ -874,39 +1225,64 @@ fn backend_matrix(samples: usize, iters: usize) -> Vec<BackendMatrixRow> {
         ));
     }
 
-    // (4) CSA vertical-counter product accumulation (shared-input layer form).
-    {
-        let lanes = 25usize;
-        let units = 8usize;
-        let lane_values = operand_values(lanes).0;
-        let inputs: Vec<BitStream> = (0..lanes)
-            .map(|i| {
-                Sng::new(SngKind::Lfsr32, 40 + i as u64)
-                    .generate_bipolar(lane_values[i], len)
-                    .unwrap()
-            })
-            .collect();
-        let unit_ws: Vec<Vec<BitStream>> = (0..units)
-            .map(|u| {
-                (0..lanes)
-                    .map(|i| {
-                        Sng::new(SngKind::Lfsr32, 4000 + (u * lanes + i) as u64)
-                            .generate_bipolar(-lane_values[i], len)
-                            .unwrap()
-                    })
-                    .collect()
-            })
-            .collect();
+    // (4) Packed Harley-Seal product counts (layer form): a conv-sized and
+    // the fc1-sized shape, operands packed once outside the timing.
+    let lanes = 25usize;
+    let units = 8usize;
+    let lane_values = operand_values(lanes).0;
+    let inputs: Vec<BitStream> = (0..lanes)
+        .map(|i| {
+            Sng::new(SngKind::Lfsr32, 40 + i as u64)
+                .generate_bipolar(lane_values[i], len)
+                .unwrap()
+        })
+        .collect();
+    let unit_ws: Vec<Vec<BitStream>> = (0..units)
+        .map(|u| {
+            (0..lanes)
+                .map(|i| {
+                    Sng::new(SngKind::Lfsr32, 4000 + (u * lanes + i) as u64)
+                        .generate_bipolar(-lane_values[i], len)
+                        .unwrap()
+                })
+                .collect()
+        })
+        .collect();
+    let shapes = [
+        (
+            "packed_apc_n25_u8_l1024",
+            "Packed APC multiply-count (25 lanes, 8 units, 1024 bits): \
+             Harley-Seal 3:2 compression of product super-words, byte-sliced \
+             plane drain",
+            pack_operands(&inputs, &unit_ws),
+            iters,
+        ),
+        (
+            "packed_apc_fc1_n256_u64_l1024",
+            "Packed APC multiply-count, fc1's shape (256 lanes, 64 units, 1024 \
+             bits), weights cached: Harley-Seal 3:2 compression of product \
+             super-words, byte-sliced plane drain",
+            {
+                let (inputs, unit_ws) = fc1_operands();
+                pack_operands(&inputs, &unit_ws)
+            },
+            iters.div_ceil(40),
+        ),
+    ];
+    for (kernel, description, (x, w), iters) in shapes {
+        let mut arena = StreamArena::new();
         rows.push(measure_per_backend(
-            "csa_shared_apc_n25_u8_l1024",
-            "Shared-input CSA multiply-count (25 lanes, 8 units, 1024 bits): \
-             3:2 compression of product super-words into per-unit vertical \
-             counters",
+            kernel,
+            description,
             samples,
             iters,
             move || {
-                let refs: Vec<&[BitStream]> = unit_ws.iter().map(|w| w.as_slice()).collect();
-                Apc::new().count_products_shared(&inputs, &refs).unwrap()
+                let counts = Apc::new()
+                    .count_packed_with(x.view(), w.view(), &mut arena)
+                    .unwrap();
+                for stream in counts {
+                    arena.recycle_counts(stream.into_counts());
+                }
             },
         ));
     }
@@ -930,9 +1306,10 @@ fn main() {
         bench_mux_block(samples, iters),
         bench_mux_selector(samples, iters),
         bench_apc_counts(samples, iters),
-        bench_csa_column_count(samples, iters),
         bench_per_unit_apc_csa(samples, iters),
         bench_shared_apc_csa(samples, iters.div_ceil(4)),
+        bench_fc1_apc(samples, iters.div_ceil(40), false),
+        bench_fc1_apc(samples, iters.div_ceil(40), true),
         bench_hw_max_pool(samples, iters),
         bench_stanh_batch(samples, iters.div_ceil(4)),
     ];

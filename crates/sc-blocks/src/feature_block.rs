@@ -15,8 +15,8 @@
 //! | `ApcMaxBtanh` | APC | hardware max | Btanh | most accurate, most expensive |
 //!
 //! Every hot kernel a feature block evaluates — SNG comparator fills, fused
-//! XNOR/popcount reductions, MUX selector-plan gathers, CSA vertical-counter
-//! accumulation, and the Btanh batch walk — is word-generic and dispatches
+//! XNOR/popcount reductions, MUX selector-plan gathers, the packed
+//! Harley-Seal column counts, and the Btanh batch walk — is word-generic and dispatches
 //! to the active [`sc_core::word`] backend (scalar, portable super-word, or
 //! SIMD); the hardware max pool's lane counts and the Stanh byte-table walk
 //! are the same code on every backend. Backends are bit-identical, so block
@@ -31,9 +31,10 @@ use crate::pooling::{AveragePooling, HardwareMaxPooling, PoolingKind};
 use sc_core::add::{Apc, CountStream, MuxAdder, MuxSelectorPlan};
 use sc_core::arena::StreamArena;
 use sc_core::bitstream::{BitStream, StreamLength};
+use sc_core::csa::{PackedLanes, PackedView};
 use sc_core::error::ScError;
 use sc_core::parallel::parallel_map_with;
-use sc_core::sng::{BatchSng, SngKind};
+use sc_core::sng::{BatchSng, SngBank, SngKind};
 use serde::{Deserialize, Serialize};
 
 /// Default segment length (in bits) of the hardware-oriented max pooling.
@@ -185,9 +186,10 @@ impl LayerSelectors {
     }
 
     /// Gathers `[field][lane]` operand streams into the form
-    /// [`FeatureBlock::evaluate_layer_prepared_with`] takes: for MUX kinds,
-    /// each field's lanes become the single stream its selector forwards
-    /// ([`MuxAdder::sum_with_plan`]); APC kinds keep every lane.
+    /// [`LayerOperands::Gathered`] takes: for MUX kinds, each field's lanes
+    /// become the single stream its selector forwards
+    /// ([`MuxAdder::sum_with_plan`]); APC kinds keep every lane (which
+    /// [`LayerOperands::Packed`] takes packed, [`PackedLanes::pack`]).
     ///
     /// # Errors
     ///
@@ -214,6 +216,31 @@ impl LayerSelectors {
             .map(|(lanes, plan)| Ok(vec![MuxAdder::new().sum_with_plan(lanes, plan)?]))
             .collect()
     }
+}
+
+/// The operands of one fused layer call
+/// ([`FeatureBlock::evaluate_layer_prepared_with`]) in the form the block's
+/// inner product consumes.
+#[derive(Debug, Clone, Copy)]
+pub enum LayerOperands<'a> {
+    /// MUX kinds: `inputs[field]` and `unit_weights[unit][field]` each hold
+    /// the one stream the field's selector forwards
+    /// ([`LayerSelectors::gather`]).
+    Gathered {
+        /// Shared input streams, `[field][0]`.
+        inputs: &'a [Vec<BitStream>],
+        /// Every unit's weight streams, `[unit][field][0]`.
+        unit_weights: &'a [&'a [Vec<BitStream>]],
+    },
+    /// APC kinds: `inputs[field]` packs the field's input lanes (one row),
+    /// and `weights[field]` the field's weight lanes of every unit, one row
+    /// per unit, in unit order ([`PackedLanes`]).
+    Packed {
+        /// Shared input lanes, one packed row per field.
+        inputs: &'a [PackedLanes],
+        /// Every unit's weight lanes, one packed view per field.
+        weights: &'a [PackedView<'a>],
+    },
 }
 
 /// A configured feature extraction block.
@@ -464,6 +491,46 @@ impl FeatureBlock {
             .collect()
     }
 
+    /// Generates the weight lanes of every row (a convolution filter or a
+    /// fully-connected unit) straight into the packed form
+    /// [`LayerOperands::Packed`] takes: one [`PackedLanes`] per pool-window
+    /// field, one row per filter, in order. Bit-identical to packing each
+    /// row's [`FeatureBlock::weight_streams`], without a buffer per lane.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScError::InvalidParameter`] for a wrong weight count or a
+    /// lane count the packed layout cannot hold, and propagates encoding
+    /// errors for values outside `[-1, 1]`.
+    pub fn packed_weights(&self, rows: &[Vec<f64>]) -> Result<Vec<PackedLanes>, ScError> {
+        if let Some(row) = rows.iter().find(|row| row.len() != self.input_size) {
+            return Err(ScError::InvalidParameter {
+                name: "weights",
+                message: format!("expected {} weights, got {}", self.input_size, row.len()),
+            });
+        }
+        let mut batch = BatchSng::new(SngKind::Lfsr32);
+        let mut lane_stream = BitStream::zeros(self.stream_length);
+        (0..self.pool_window)
+            .map(|field| {
+                let (_, weight_seed) = self.operand_bank_seeds(field);
+                let mut packed =
+                    PackedLanes::zeroed(self.input_size, self.stream_length, rows.len())?;
+                for (row, weights) in rows.iter().enumerate() {
+                    for (lane, &weight) in weights.iter().enumerate() {
+                        batch.fill_bipolar(
+                            SngBank::lane_seed(weight_seed, lane),
+                            weight,
+                            &mut lane_stream,
+                        )?;
+                        packed.write_lane(row, lane, &lane_stream)?;
+                    }
+                }
+                Ok(packed)
+            })
+            .collect()
+    }
+
     /// Pre-draws the selector plans shared by *every* unit and every
     /// position of one SC layer for streams of `stream_bits` bits.
     ///
@@ -515,16 +582,15 @@ impl FeatureBlock {
     /// Evaluates *all output units of one layer position* from pre-generated
     /// operand streams in a single fused call.
     ///
-    /// `inputs[field]` are the streams of pool-window field `field` and
-    /// `unit_weights[u][field]` unit `u`'s, both *gathered*
-    /// ([`LayerSelectors::gather`] over the `[field][lane]` streams of the
-    /// SNG banks seeded with [`FeatureBlock::operand_bank_seeds`] and of
-    /// [`FeatureBlock::weight_streams`]): one selected stream per field for
-    /// MUX kinds, every lane for APC kinds. The inputs are shared by every
-    /// unit (all units of an SC layer see the same receptive fields through
-    /// identically-wired SNG banks — the layer-level analogue of the
-    /// paper's filter-aware SRAM sharing). `selectors` come from
-    /// [`FeatureBlock::prepare_selectors`].
+    /// The operands derive from the `[field][lane]` streams of the SNG banks
+    /// seeded with [`FeatureBlock::operand_bank_seeds`] and of
+    /// [`FeatureBlock::weight_streams`]: MUX kinds take them *gathered*
+    /// ([`LayerOperands::Gathered`], one selected stream per field), APC
+    /// kinds *packed* ([`LayerOperands::Packed`], every lane). The inputs
+    /// are shared by every unit (all units of an SC layer see the same
+    /// receptive fields through identically-wired SNG banks — the
+    /// layer-level analogue of the paper's filter-aware SRAM sharing).
+    /// `selectors` come from [`FeatureBlock::prepare_selectors`].
     ///
     /// `result[u]` is **bit-identical** to
     /// [`FeatureBlock::evaluate_stream`] on the corresponding values and
@@ -539,14 +605,16 @@ impl FeatureBlock {
     ///   and the gathering happened once per field (inputs) and once per
     ///   unit at load time (weights);
     /// * the average-pooling MUX selector is planned once and replayed;
-    /// * APC popcounts run through the shared-input bit-transposed
-    ///   carry-save kernel ([`Apc::count_products_shared`]): every input
-    ///   word is loaded once for all units and compressed through in-register
-    ///   3:2 compressors into per-unit vertical counters (see
+    /// * APC popcounts run through the packed Harley-Seal core
+    ///   ([`Apc::count_packed_with`]): each unit's weights of a field are
+    ///   read once, front to back, against the field's packed inputs (see
     ///   [`sc_core::csa`]);
     /// * the hardware max pool counts every 16-bit segment of a word with
     ///   one SWAR lane-popcount and picks the forwarding mask by a
     ///   lane-wise argmax ([`HardwareMaxPooling::pool_streams_with`]);
+    ///   a one-field pool window (every dense layer) passes its field
+    ///   straight to the activation, as the max or average of one input is
+    ///   that input;
     /// * the Stanh walks of all units run through the block's byte table,
     ///   built once at construction, one lookup per input byte
     ///   ([`StanhBlock::apply_batch_with`]); the Btanh walks are
@@ -565,12 +633,41 @@ impl FeatureBlock {
     ///
     /// # Errors
     ///
-    /// Returns [`ScError::InvalidParameter`] for mismatched field or lane
-    /// counts of the shared inputs or any unit's weights, or for selectors
-    /// prepared for a different block, [`ScError::LengthMismatch`] for
-    /// streams of a length other than the selectors', and propagates kernel
-    /// errors for mismatched stream lengths.
+    /// Returns [`ScError::InvalidParameter`] for operands of the other
+    /// inner-product family, mismatched field, lane or unit counts of the
+    /// shared inputs or any unit's weights, or for selectors prepared for a
+    /// different block, [`ScError::LengthMismatch`] for streams of a length
+    /// other than the selectors', and propagates kernel errors for
+    /// mismatched stream lengths.
     pub fn evaluate_layer_prepared_with(
+        &self,
+        selectors: &LayerSelectors,
+        operands: LayerOperands<'_>,
+        arena: &mut StreamArena,
+    ) -> Result<Vec<BitStream>, ScError> {
+        match (self.kind.inner_product(), operands) {
+            (
+                InnerProductKind::Mux,
+                LayerOperands::Gathered {
+                    inputs,
+                    unit_weights,
+                },
+            ) => self.evaluate_mux_layer(selectors, inputs, unit_weights, arena),
+            (InnerProductKind::Apc, LayerOperands::Packed { inputs, weights }) => {
+                self.evaluate_apc_layer(selectors, inputs, weights, arena)
+            }
+            _ => Err(ScError::InvalidParameter {
+                name: "operands",
+                message: format!(
+                    "{} takes gathered operands for MUX kinds and packed operands for APC kinds",
+                    self.kind
+                ),
+            }),
+        }
+    }
+
+    /// The MUX branch of [`FeatureBlock::evaluate_layer_prepared_with`].
+    fn evaluate_mux_layer(
         &self,
         selectors: &LayerSelectors,
         inputs: &[Vec<BitStream>],
@@ -583,131 +680,155 @@ impl FeatureBlock {
                 .map_err(|_| ScError::InvalidParameter {
                     name: "unit_weights",
                     message: format!(
-                        "unit {unit} weight streams do not match {} fields x {} lanes",
+                        "unit {unit} weight streams do not match {} fields x 1 gathered lane",
                         self.pool_window,
-                        self.prepared_lanes()
                     ),
                 })?;
         }
         if unit_weights.is_empty() {
             return Ok(Vec::new());
         }
-        match self.kind {
-            FeatureBlockKind::MuxAvgStanh | FeatureBlockKind::MuxMaxStanh => {
-                if selectors.field_plans.len() != self.pool_window {
-                    return Err(ScError::InvalidParameter {
-                        name: "selectors",
-                        message: format!(
-                            "{} field plans do not cover {} pool-window fields",
-                            selectors.field_plans.len(),
-                            self.pool_window
-                        ),
-                    });
-                }
-                if self.kind == FeatureBlockKind::MuxAvgStanh && selectors.avg_plan.is_none() {
-                    return Err(ScError::InvalidParameter {
-                        name: "selectors",
-                        message: "average-pooling MUX plan missing (selectors prepared for a \
-                                  different block?)"
-                            .into(),
-                    });
-                }
-                let length = StreamLength::try_new(selectors.stream_bits)?;
-                let mut pooled_units = Vec::with_capacity(unit_weights.len());
-                let mut field_sums: Vec<BitStream> = Vec::with_capacity(self.pool_window);
-                for weights in unit_weights {
-                    for (xs, ws) in inputs.iter().zip(weights.iter()) {
-                        let (x, w) = (&xs[0], &ws[0]);
-                        for stream in [x, w] {
-                            if stream.len() != length.bits() {
-                                return Err(ScError::LengthMismatch {
-                                    left: length.bits(),
-                                    right: stream.len(),
-                                });
-                            }
-                        }
-                        let mut sum = arena.take_zeroed(length);
-                        sum.words_mut().copy_from_slice(x.as_words());
-                        sum.xnor_assign(w);
-                        field_sums.push(sum);
+        if selectors.field_plans.len() != self.pool_window {
+            return Err(ScError::InvalidParameter {
+                name: "selectors",
+                message: format!(
+                    "{} field plans do not cover {} pool-window fields",
+                    selectors.field_plans.len(),
+                    self.pool_window
+                ),
+            });
+        }
+        if self.kind == FeatureBlockKind::MuxAvgStanh && selectors.avg_plan.is_none() {
+            return Err(ScError::InvalidParameter {
+                name: "selectors",
+                message: "average-pooling MUX plan missing (selectors prepared for a \
+                          different block?)"
+                    .into(),
+            });
+        }
+        let length = StreamLength::try_new(selectors.stream_bits)?;
+        let mut pooled_units = Vec::with_capacity(unit_weights.len());
+        let mut field_sums: Vec<BitStream> = Vec::with_capacity(self.pool_window);
+        for weights in unit_weights {
+            for (xs, ws) in inputs.iter().zip(weights.iter()) {
+                let (x, w) = (&xs[0], &ws[0]);
+                for stream in [x, w] {
+                    if stream.len() != length.bits() {
+                        return Err(ScError::LengthMismatch {
+                            left: length.bits(),
+                            right: stream.len(),
+                        });
                     }
-                    let pooled = match &selectors.avg_plan {
-                        Some(plan) => self.average_pooling().pool_streams_with_plan_with(
-                            &field_sums,
-                            plan,
-                            arena,
-                        )?,
-                        None => HardwareMaxPooling::new(DEFAULT_MAX_POOL_SEGMENT)?
-                            .pool_streams_with(&field_sums, arena)?,
-                    };
-                    arena.recycle_all(field_sums.drain(..));
-                    pooled_units.push(pooled);
                 }
-                let stanh = self.stanh.as_ref().expect("MUX blocks carry a Stanh");
-                let refs: Vec<&BitStream> = pooled_units.iter().collect();
-                let outputs = stanh.apply_batch_with(&refs, arena);
-                drop(refs);
-                arena.recycle_all(pooled_units);
-                Ok(outputs)
+                let mut sum = arena.take_zeroed(length);
+                sum.words_mut().copy_from_slice(x.as_words());
+                sum.xnor_assign(w);
+                field_sums.push(sum);
             }
-            FeatureBlockKind::ApcAvgBtanh | FeatureBlockKind::ApcMaxBtanh => {
-                // counts transposed to unit-major as each field's shared
-                // CSA pass completes (no per-unit copies of the buffers).
-                let mut per_unit: Vec<Vec<CountStream>> = (0..unit_weights.len())
-                    .map(|_| Vec::with_capacity(self.pool_window))
-                    .collect();
-                for field in 0..self.pool_window {
-                    let field_weights: Vec<&[BitStream]> = unit_weights
-                        .iter()
-                        .map(|weights| weights[field].as_slice())
-                        .collect();
-                    let field_counts = Apc::new().count_products_shared_with(
-                        &inputs[field],
-                        &field_weights,
+            let pooled = if self.pool_window == 1 {
+                field_sums.pop().expect("one field")
+            } else {
+                let pooled = match &selectors.avg_plan {
+                    Some(plan) => self.average_pooling().pool_streams_with_plan_with(
+                        &field_sums,
+                        plan,
                         arena,
-                    )?;
-                    for (unit, stream) in field_counts.into_iter().enumerate() {
-                        per_unit[unit].push(stream);
-                    }
-                }
-                let mut pooled_units = Vec::with_capacity(unit_weights.len());
-                for unit_counts in &per_unit {
-                    pooled_units.push(if self.kind == FeatureBlockKind::ApcAvgBtanh {
-                        CountStream::merge_sum_with(unit_counts, arena)?
-                    } else {
-                        HardwareMaxPooling::new(DEFAULT_MAX_POOL_SEGMENT)?
-                            .pool_counts_with(unit_counts, arena)?
-                    });
-                }
-                let btanh = self.btanh.as_ref().expect("APC blocks carry a Btanh");
-                let refs: Vec<&CountStream> = pooled_units.iter().collect();
-                let outputs = btanh.apply_batch_with(&refs, arena);
-                drop(refs);
-                for unit_counts in per_unit {
-                    for counts in unit_counts {
-                        arena.recycle_counts(counts.into_counts());
-                    }
-                }
-                for pooled in pooled_units {
-                    arena.recycle_counts(pooled.into_counts());
-                }
-                Ok(outputs)
+                    )?,
+                    None => HardwareMaxPooling::new(DEFAULT_MAX_POOL_SEGMENT)?
+                        .pool_streams_with(&field_sums, arena)?,
+                };
+                arena.recycle_all(field_sums.drain(..));
+                pooled
+            };
+            pooled_units.push(pooled);
+        }
+        let stanh = self.stanh.as_ref().expect("MUX blocks carry a Stanh");
+        let refs: Vec<&BitStream> = pooled_units.iter().collect();
+        let outputs = stanh.apply_batch_with(&refs, arena);
+        drop(refs);
+        arena.recycle_all(pooled_units);
+        Ok(outputs)
+    }
+
+    /// The APC branch of [`FeatureBlock::evaluate_layer_prepared_with`].
+    fn evaluate_apc_layer(
+        &self,
+        selectors: &LayerSelectors,
+        inputs: &[PackedLanes],
+        weights: &[PackedView<'_>],
+        arena: &mut StreamArena,
+    ) -> Result<Vec<BitStream>, ScError> {
+        let units = weights.first().map_or(0, PackedView::rows);
+        let shapes_match = inputs.len() == self.pool_window
+            && weights.len() == self.pool_window
+            && inputs
+                .iter()
+                .all(|field| field.lanes() == self.input_size && field.rows() == 1)
+            && weights
+                .iter()
+                .all(|field| field.lanes() == self.input_size && field.rows() == units);
+        if !shapes_match {
+            return Err(ScError::InvalidParameter {
+                name: "operands",
+                message: format!(
+                    "packed operands do not match {} fields x {} lanes (one input row, one \
+                     weight row per unit)",
+                    self.pool_window, self.input_size
+                ),
+            });
+        }
+        if let Some(field) = inputs
+            .iter()
+            .find(|field| field.length().bits() != selectors.stream_bits)
+        {
+            return Err(ScError::LengthMismatch {
+                left: selectors.stream_bits,
+                right: field.length().bits(),
+            });
+        }
+        if units == 0 {
+            return Ok(Vec::new());
+        }
+        // Counts transposed to unit-major as each field's pass completes
+        // (no per-unit copies of the buffers).
+        let mut per_unit: Vec<Vec<CountStream>> = (0..units)
+            .map(|_| Vec::with_capacity(self.pool_window))
+            .collect();
+        for (input, field_weights) in inputs.iter().zip(weights) {
+            let field_counts = Apc::new().count_packed_with(input.view(), *field_weights, arena)?;
+            for (unit, stream) in field_counts.into_iter().enumerate() {
+                per_unit[unit].push(stream);
             }
         }
-    }
-
-    /// Lanes per field of the gathered streams
-    /// [`FeatureBlock::evaluate_layer_prepared_with`] takes: the one
-    /// selected stream for MUX kinds, every lane for APC kinds.
-    fn prepared_lanes(&self) -> usize {
-        match self.kind.inner_product() {
-            InnerProductKind::Mux => 1,
-            _ => self.input_size,
+        let mut pooled_units = Vec::with_capacity(units);
+        for mut unit_counts in per_unit {
+            pooled_units.push(if self.pool_window == 1 {
+                unit_counts.pop().expect("one field")
+            } else {
+                let pooled = if self.kind == FeatureBlockKind::ApcAvgBtanh {
+                    CountStream::merge_sum_with(&unit_counts, arena)?
+                } else {
+                    HardwareMaxPooling::new(DEFAULT_MAX_POOL_SEGMENT)?
+                        .pool_counts_with(&unit_counts, arena)?
+                };
+                for counts in unit_counts {
+                    arena.recycle_counts(counts.into_counts());
+                }
+                pooled
+            });
         }
+        let btanh = self.btanh.as_ref().expect("APC blocks carry a Btanh");
+        let refs: Vec<&CountStream> = pooled_units.iter().collect();
+        let outputs = btanh.apply_batch_with(&refs, arena);
+        drop(refs);
+        for pooled in pooled_units {
+            arena.recycle_counts(pooled.into_counts());
+        }
+        Ok(outputs)
     }
 
-    /// Validates one prepared `[field][lane]` stream set against this
-    /// block's pool window and gathered lane count.
+    /// Validates one gathered `[field][0]` stream set against this block's
+    /// pool window.
     fn validate_prepared_fields(
         &self,
         name: &'static str,
@@ -724,14 +845,10 @@ impl FeatureBlock {
             });
         }
         for (field, lanes) in fields.iter().enumerate() {
-            if lanes.len() != self.prepared_lanes() {
+            if lanes.len() != 1 {
                 return Err(ScError::InvalidParameter {
                     name,
-                    message: format!(
-                        "field {field} has {} lanes, expected {}",
-                        lanes.len(),
-                        self.prepared_lanes()
-                    ),
+                    message: format!("field {field} has {} lanes, expected 1", lanes.len()),
                 });
             }
         }
@@ -996,45 +1113,143 @@ mod tests {
     /// `[field][lane]` operand streams.
     type FieldStreams = Vec<Vec<BitStream>>;
 
-    /// Freshly prepared selectors and the `[field][lane]` operands of
-    /// `inputs` and every unit gathered through them.
-    fn gather_layer(
+    /// One layer's operands prepared the way the block's family takes them.
+    enum Prepared {
+        /// MUX kinds: gathered inputs and every unit's gathered weights.
+        Gathered(FieldStreams, Vec<FieldStreams>),
+        /// APC kinds: packed input fields and packed weight fields.
+        Packed(Vec<PackedLanes>, Vec<PackedLanes>),
+    }
+
+    #[test]
+    fn packed_weights_match_packed_weight_streams() {
+        for len in [100usize, 256] {
+            let block =
+                FeatureBlock::new(FeatureBlockKind::ApcMaxBtanh, 9, StreamLength::new(len), 4)
+                    .unwrap();
+            let rows: Vec<Vec<f64>> = (0..3).map(|u| random_case(9, 4, 40 + u).1).collect();
+            let streams: Vec<Vec<Vec<BitStream>>> = rows
+                .iter()
+                .map(|row| block.weight_streams(row).unwrap())
+                .collect();
+            let packed = block.packed_weights(&rows).unwrap();
+            assert_eq!(packed.len(), 4);
+            for (field, field_packed) in packed.iter().enumerate() {
+                let expected =
+                    PackedLanes::pack(streams.iter().map(|unit| unit[field].as_slice())).unwrap();
+                assert_eq!(field_packed, &expected, "field {field} at length {len}");
+            }
+            assert!(block.packed_weights(&[rows[0][..8].to_vec()]).is_err());
+        }
+    }
+
+    /// Packs `[field][lane]` inputs into one row per field and the units'
+    /// weights into one row per unit per field.
+    fn pack_layer(
         block: &FeatureBlock,
         inputs: &[Vec<BitStream>],
         unit_weights: &[&[Vec<BitStream>]],
-    ) -> Result<(LayerSelectors, FieldStreams, Vec<FieldStreams>), ScError> {
-        let selectors = block.prepare_selectors(block.stream_length().bits())?;
-        let inputs = selectors.gather(inputs.to_vec())?;
-        let units = unit_weights
+    ) -> Result<(Vec<PackedLanes>, Vec<PackedLanes>), ScError> {
+        let packed_inputs = inputs
             .iter()
-            .map(|weights| selectors.gather(weights.to_vec()))
+            .map(|lanes| PackedLanes::pack([lanes.as_slice()]))
             .collect::<Result<_, _>>()?;
-        Ok((selectors, inputs, units))
+        let weights = (0..block.pool_window())
+            .map(|field| {
+                if unit_weights.is_empty() {
+                    PackedLanes::zeroed(block.input_size(), block.stream_length(), 0)
+                } else {
+                    PackedLanes::pack(unit_weights.iter().map(|unit| unit[field].as_slice()))
+                }
+            })
+            .collect::<Result<_, _>>()?;
+        Ok((packed_inputs, weights))
     }
 
-    /// One fused layer call over gathered operands with a fresh arena.
+    /// Freshly prepared selectors and the operands of `inputs` and every
+    /// unit: gathered through the selectors (MUX) or packed (APC).
+    fn prepare_layer(
+        block: &FeatureBlock,
+        inputs: &[Vec<BitStream>],
+        unit_weights: &[&[Vec<BitStream>]],
+    ) -> Result<(LayerSelectors, Prepared), ScError> {
+        let selectors = block.prepare_selectors(block.stream_length().bits())?;
+        let prepared = match block.kind().inner_product() {
+            InnerProductKind::Mux => Prepared::Gathered(
+                selectors.gather(inputs.to_vec())?,
+                unit_weights
+                    .iter()
+                    .map(|weights| selectors.gather(weights.to_vec()))
+                    .collect::<Result<_, _>>()?,
+            ),
+            _ => {
+                let (inputs, weights) = pack_layer(block, inputs, unit_weights)?;
+                Prepared::Packed(inputs, weights)
+            }
+        };
+        Ok((selectors, prepared))
+    }
+
+    /// One fused layer call over prepared operands.
+    fn run_layer(
+        block: &FeatureBlock,
+        selectors: &LayerSelectors,
+        prepared: &Prepared,
+        arena: &mut StreamArena,
+    ) -> Result<Vec<BitStream>, ScError> {
+        match prepared {
+            Prepared::Gathered(inputs, units) => {
+                let unit_weights: Vec<&[Vec<BitStream>]> =
+                    units.iter().map(|u| u.as_slice()).collect();
+                block.evaluate_layer_prepared_with(
+                    selectors,
+                    LayerOperands::Gathered {
+                        inputs,
+                        unit_weights: &unit_weights,
+                    },
+                    arena,
+                )
+            }
+            Prepared::Packed(inputs, weights) => {
+                let weights: Vec<PackedView<'_>> = weights.iter().map(PackedLanes::view).collect();
+                block.evaluate_layer_prepared_with(
+                    selectors,
+                    LayerOperands::Packed {
+                        inputs,
+                        weights: &weights,
+                    },
+                    arena,
+                )
+            }
+        }
+    }
+
+    /// One fused layer call over `[field][lane]` operands with a fresh arena.
     fn evaluate_layer(
         block: &FeatureBlock,
         inputs: &[Vec<BitStream>],
         unit_weights: &[&[Vec<BitStream>]],
     ) -> Result<Vec<BitStream>, ScError> {
-        let (selectors, inputs, units) = gather_layer(block, inputs, unit_weights)?;
-        let refs: Vec<&[Vec<BitStream>]> = units.iter().map(|u| u.as_slice()).collect();
-        block.evaluate_layer_prepared_with(&selectors, &inputs, &refs, &mut StreamArena::new())
+        let (selectors, prepared) = prepare_layer(block, inputs, unit_weights)?;
+        run_layer(block, &selectors, &prepared, &mut StreamArena::new())
     }
 
     #[test]
     fn layer_fused_evaluation_is_bit_exact_with_per_call_path() {
-        // All four kinds, lengths including the non-word-multiple 127, and
-        // several units sharing the layer's input streams — the fused call
-        // must reproduce `evaluate_stream` bit for bit for every unit.
+        // All four kinds, lengths including the non-word-multiple 127, a
+        // 2x2 pool window and the one-field window of a dense layer (whose
+        // field skips the pooling block), and several units sharing the
+        // layer's input streams — the fused call must reproduce
+        // `evaluate_stream` bit for bit for every unit.
         for kind in FeatureBlockKind::ALL {
-            for len in [100usize, 127, 256] {
-                let block = FeatureBlock::new(kind, 8, StreamLength::new(len), 77).unwrap();
-                let (fields, _) = random_case(8, 4, 4321 + len as u64);
+            for (len, window) in [(100usize, 4usize), (127, 4), (256, 4), (100, 1), (256, 1)] {
+                let block =
+                    FeatureBlock::with_pool_window(kind, 8, window, StreamLength::new(len), 77)
+                        .unwrap();
+                let (fields, _) = random_case(8, window, 4321 + len as u64);
                 let inputs = input_streams_for(&block, &fields);
                 let unit_filters: Vec<Vec<f64>> =
-                    (0..3).map(|u| random_case(8, 4, 9000 + u).1).collect();
+                    (0..3).map(|u| random_case(8, window, 9000 + u).1).collect();
                 let unit_streams: Vec<Vec<Vec<BitStream>>> = unit_filters
                     .iter()
                     .map(|filter| block.weight_streams(filter).unwrap())
@@ -1045,7 +1260,10 @@ mod tests {
                 assert_eq!(fused.len(), 3);
                 for (unit, filter) in unit_filters.iter().enumerate() {
                     let per_call = block.evaluate_stream(&fields, filter).unwrap();
-                    assert_eq!(fused[unit], per_call, "{kind} unit {unit} at length {len}");
+                    assert_eq!(
+                        fused[unit], per_call,
+                        "{kind} unit {unit} at length {len}, window {window}"
+                    );
                 }
             }
         }
@@ -1070,14 +1288,11 @@ mod tests {
             let unit_refs: Vec<&[Vec<BitStream>]> =
                 unit_streams.iter().map(|u| u.as_slice()).collect();
             let expected = evaluate_layer(&block, &inputs, &unit_refs).unwrap();
-            let (selectors, inputs, units) = gather_layer(&block, &inputs, &unit_refs).unwrap();
-            let unit_refs: Vec<&[Vec<BitStream>]> = units.iter().map(|u| u.as_slice()).collect();
+            let (selectors, prepared) = prepare_layer(&block, &inputs, &unit_refs).unwrap();
             let mut arena = StreamArena::new();
             let mut warm_allocs = 0;
             for round in 0..3 {
-                let outputs = block
-                    .evaluate_layer_prepared_with(&selectors, &inputs, &unit_refs, &mut arena)
-                    .unwrap();
+                let outputs = run_layer(&block, &selectors, &prepared, &mut arena).unwrap();
                 assert_eq!(outputs, expected, "{kind} round {round}");
                 arena.recycle_all(outputs);
                 let stats = arena.stats();
@@ -1139,16 +1354,30 @@ mod tests {
             // Wrong weight count for the weight-stream generator.
             assert!(block.weight_streams(&weights[..3]).is_err());
             assert!(evaluate_layer(&block, &inputs, &good).is_ok());
-            // MUX kinds take one gathered stream per field: ungathered
-            // lanes are rejected, while APC kinds take every lane as is.
+            // Each family takes its own operand form only: ungathered lanes
+            // are rejected by MUX kinds (one stream per field) and by APC
+            // kinds (packed operands), packed operands by MUX kinds.
             let selectors = block.prepare_selectors(64).unwrap();
             let ungathered = block.evaluate_layer_prepared_with(
                 &selectors,
-                &inputs,
-                &good,
+                LayerOperands::Gathered {
+                    inputs: &inputs,
+                    unit_weights: &good,
+                },
                 &mut StreamArena::new(),
             );
-            assert_eq!(ungathered.is_ok(), kind == FeatureBlockKind::ApcAvgBtanh);
+            assert!(ungathered.is_err());
+            let (packed_inputs, packed_weights) = pack_layer(&block, &inputs, &good).unwrap();
+            let views: Vec<PackedView<'_>> = packed_weights.iter().map(PackedLanes::view).collect();
+            let packed = block.evaluate_layer_prepared_with(
+                &selectors,
+                LayerOperands::Packed {
+                    inputs: &packed_inputs,
+                    weights: &views,
+                },
+                &mut StreamArena::new(),
+            );
+            assert_eq!(packed.is_ok(), kind == FeatureBlockKind::ApcAvgBtanh);
         }
     }
 

@@ -16,7 +16,7 @@
 
 use crate::arena::StreamArena;
 use crate::bitstream::{BitStream, StreamLength};
-use crate::csa::{VerticalCounter, WideVerticalCounter};
+use crate::csa::{product_column_counts, PackedLanes, PackedView};
 use crate::error::ScError;
 use crate::rng::RandomSource;
 use crate::word::{dispatch_word_kernel, Word};
@@ -534,26 +534,6 @@ mod mux_avx2 {
     pub(super) unsafe fn plan_sum_avx2(plan: &MuxSelectorPlan, words: &[&[u64]], out: &mut [u64]) {
         plan_sum_words_impl::<WAvx2>(plan, words, out)
     }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn product_columns_avx2(
-        inputs: &[&[u64]],
-        weights: &[&[u64]],
-        len: usize,
-        counts: &mut [u16],
-    ) {
-        accumulate_product_columns_impl::<WAvx2>(inputs, weights, len, counts)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn product_columns_shared_avx2(
-        inputs: &[&[u64]],
-        unit_lane_words: &[Vec<&[u64]>],
-        len: usize,
-        counts: &mut [Vec<u16>],
-    ) {
-        accumulate_product_columns_shared_impl::<WAvx2>(inputs, unit_lane_words, len, counts)
-    }
 }
 
 /// A per-cycle binary count sequence produced by a parallel counter.
@@ -766,10 +746,7 @@ impl ExactParallelCounter {
         inputs: &[BitStream],
         weights: &[BitStream],
     ) -> Result<CountStream, ScError> {
-        let len = common_product_length(inputs, weights)?;
-        let mut counts = vec![0u16; len];
-        accumulate_product_columns(inputs, weights, len, &mut counts);
-        CountStream::new(counts, inputs.len())
+        CountStream::new(product_counts(inputs, weights)?, inputs.len())
     }
 }
 
@@ -790,240 +767,18 @@ fn accumulate_columns(words: &[u64], counts: &mut [u16]) {
     }
 }
 
-/// Accumulates XNOR-product columns for every lane pair into `counts`
-/// through carry-save accumulation (see [`crate::csa`]), replacing the
-/// former per-lane `trailing_zeros` walk: bipolar product streams are
-/// ~half ones, so the walk cost one loop iteration per set bit (~32 per
-/// word per lane) where the compressor costs ~2 word operations per lane
-/// plus one plane unpack per word position.
-fn accumulate_product_columns(
-    inputs: &[BitStream],
-    weights: &[BitStream],
-    len: usize,
-    counts: &mut [u16],
-) {
-    let xs: Vec<&[u64]> = inputs.iter().map(|s| s.as_words()).collect();
-    let ws: Vec<&[u64]> = weights.iter().map(|s| s.as_words()).collect();
-    dispatch_word_kernel!(
-        accumulate_product_columns_impl,
-        mux_avx2::product_columns_avx2,
-        (&xs, &ws, len, counts)
-    )
-}
-
-/// Word-generic body of [`accumulate_product_columns`]: full groups of
-/// `LANES` word positions compress through a [`WideVerticalCounter`], the
-/// remaining words (including the ragged tail, masked to the stream length)
-/// through the scalar counter.
-#[inline(always)]
-fn accumulate_product_columns_impl<W: Word>(
-    inputs: &[&[u64]],
-    weights: &[&[u64]],
-    len: usize,
-    counts: &mut [u16],
-) {
-    let lanes = inputs.len();
-    let full_words = len / 64;
-    let mut w = 0usize;
-    if W::LANES > 1 {
-        let mut counter = WideVerticalCounter::<W>::new();
-        while w + W::LANES <= full_words {
-            let mut lane = 0;
-            while lane + 3 <= lanes {
-                counter.add3(
-                    product_super_word::<W>(inputs[lane], weights[lane], w),
-                    product_super_word::<W>(inputs[lane + 1], weights[lane + 1], w),
-                    product_super_word::<W>(inputs[lane + 2], weights[lane + 2], w),
-                );
-                lane += 3;
-            }
-            while lane < lanes {
-                counter.add(product_super_word::<W>(inputs[lane], weights[lane], w));
-                lane += 1;
-            }
-            counter.drain_into(&mut counts[w * 64..(w + W::LANES) * 64]);
-            w += W::LANES;
-        }
-    }
-    let words = len.div_ceil(64);
-    let mut counter = VerticalCounter::new();
-    while w < words {
-        let base = w * 64;
-        let span = (len - base).min(64);
-        let tail_mask = if span == 64 {
-            u64::MAX
-        } else {
-            (1u64 << span) - 1
-        };
-        let mut lane = 0;
-        while lane + 3 <= lanes {
-            counter.add3(
-                !(inputs[lane][w] ^ weights[lane][w]) & tail_mask,
-                !(inputs[lane + 1][w] ^ weights[lane + 1][w]) & tail_mask,
-                !(inputs[lane + 2][w] ^ weights[lane + 2][w]) & tail_mask,
-            );
-            lane += 3;
-        }
-        while lane < lanes {
-            counter.add(!(inputs[lane][w] ^ weights[lane][w]) & tail_mask);
-            lane += 1;
-        }
-        counter.drain_into(&mut counts[base..base + span]);
-        w += 1;
-    }
-}
-
-/// XNOR product super-word of one lane at word offset `w`. Full words only:
-/// the beyond-stream bits an XNOR raises in a tail word (both operands
-/// store zero there) never reach this path.
-#[inline(always)]
-fn product_super_word<W: Word>(x: &[u64], wt: &[u64], w: usize) -> W {
-    W::load(&x[w..]).xor(W::load(&wt[w..])).not()
-}
-
-/// Accumulates XNOR-product columns of one shared input set against the
-/// weight sets of many output units through bit-transposed carry-save
-/// accumulation (see [`crate::csa`]): for each word position, the input
-/// words are loaded once per lane and, held in registers, compressed into
-/// every unit's [`VerticalCounter`] — lane triples through a 3:2 compressor,
-/// the remainder through ripple half-adders — before the planes are unpacked
-/// into that word's column counts. Compared to the former per-lane
-/// `trailing_zeros` walk, the per-unit work drops from one loop iteration
-/// per *set product bit* per lane (~32 per word for bipolar-dense streams)
-/// to ~2 word operations per lane plus `⌈log₂(lanes+1)⌉` plane walks.
-///
-/// `counts[u]` receives unit `u`'s column counts; the counts are exact, so
-/// results are identical to running [`accumulate_product_columns`] once per
-/// unit (property-tested below).
-fn accumulate_product_columns_shared(
-    inputs: &[BitStream],
-    unit_weights: &[&[BitStream]],
-    len: usize,
-    counts: &mut [Vec<u16>],
-) {
-    let input_words: Vec<&[u64]> = inputs.iter().map(|s| s.as_words()).collect();
-    let unit_lane_words: Vec<Vec<&[u64]>> = unit_weights
-        .iter()
-        .map(|weights| weights.iter().map(|s| s.as_words()).collect())
-        .collect();
-    dispatch_word_kernel!(
-        accumulate_product_columns_shared_impl,
-        mux_avx2::product_columns_shared_avx2,
-        (&input_words, &unit_lane_words, len, counts)
-    )
-}
-
-/// Word-generic body of [`accumulate_product_columns_shared`]: full groups
-/// of `LANES` word positions compress through per-unit
-/// [`WideVerticalCounter`]s, the remaining words (including the ragged tail,
-/// masked to the stream length) through per-unit scalar counters.
-#[inline(always)]
-fn accumulate_product_columns_shared_impl<W: Word>(
-    input_words: &[&[u64]],
-    unit_lane_words: &[Vec<&[u64]>],
-    len: usize,
-    counts: &mut [Vec<u16>],
-) {
-    let lanes = input_words.len();
-    let full_words = len / 64;
-    let mut w = 0usize;
-    if W::LANES > 1 {
-        let mut counters: Vec<WideVerticalCounter<W>> = unit_lane_words
-            .iter()
-            .map(|_| WideVerticalCounter::new())
-            .collect();
-        while w + W::LANES <= full_words {
-            let mut lane = 0;
-            // Lane triples: the shared input super-words stay in registers
-            // across the unit loop, so each is loaded once and compressed
-            // `units` times.
-            while lane + 3 <= lanes {
-                let a0 = W::load(&input_words[lane][w..]);
-                let a1 = W::load(&input_words[lane + 1][w..]);
-                let a2 = W::load(&input_words[lane + 2][w..]);
-                for (counter, lane_words) in counters.iter_mut().zip(unit_lane_words) {
-                    counter.add3(
-                        a0.xor(W::load(&lane_words[lane][w..])).not(),
-                        a1.xor(W::load(&lane_words[lane + 1][w..])).not(),
-                        a2.xor(W::load(&lane_words[lane + 2][w..])).not(),
-                    );
-                }
-                lane += 3;
-            }
-            while lane < lanes {
-                let a = W::load(&input_words[lane][w..]);
-                for (counter, lane_words) in counters.iter_mut().zip(unit_lane_words) {
-                    counter.add(a.xor(W::load(&lane_words[lane][w..])).not());
-                }
-                lane += 1;
-            }
-            for (counter, unit_counts) in counters.iter_mut().zip(counts.iter_mut()) {
-                counter.drain_into(&mut unit_counts[w * 64..(w + W::LANES) * 64]);
-            }
-            w += W::LANES;
-        }
-    }
-    let words = len.div_ceil(64);
-    let mut counters: Vec<VerticalCounter> = unit_lane_words
-        .iter()
-        .map(|_| VerticalCounter::new())
-        .collect();
-    while w < words {
-        let base = w * 64;
-        let span = (len - base).min(64);
-        let tail_mask = if span == 64 {
-            u64::MAX
-        } else {
-            (1u64 << span) - 1
-        };
-        let mut lane = 0;
-        // Lane triples: the shared input words stay in registers across the
-        // unit loop, so each is loaded once and compressed `units` times.
-        while lane + 3 <= lanes {
-            let a0 = input_words[lane][w];
-            let a1 = input_words[lane + 1][w];
-            let a2 = input_words[lane + 2][w];
-            for (counter, lane_words) in counters.iter_mut().zip(unit_lane_words) {
-                counter.add3(
-                    !(a0 ^ lane_words[lane][w]) & tail_mask,
-                    !(a1 ^ lane_words[lane + 1][w]) & tail_mask,
-                    !(a2 ^ lane_words[lane + 2][w]) & tail_mask,
-                );
-            }
-            lane += 3;
-        }
-        while lane < lanes {
-            let a = input_words[lane][w];
-            for (counter, lane_words) in counters.iter_mut().zip(unit_lane_words) {
-                counter.add(!(a ^ lane_words[lane][w]) & tail_mask);
-            }
-            lane += 1;
-        }
-        for (counter, unit_counts) in counters.iter_mut().zip(counts.iter_mut()) {
-            counter.drain_into(&mut unit_counts[base..base + span]);
-        }
-        w += 1;
-    }
-}
-
-/// Validates one shared input set against many per-unit weight sets and
-/// returns the common stream length.
-fn common_shared_product_length(
-    inputs: &[BitStream],
-    unit_weights: &[&[BitStream]],
-) -> Result<usize, ScError> {
-    if unit_weights.is_empty() {
-        return Err(ScError::EmptyInput);
-    }
-    let mut len = None;
-    for weights in unit_weights {
-        let unit_len = common_product_length(inputs, weights)?;
-        match len {
-            None => len = Some(unit_len),
-            Some(l) => debug_assert_eq!(l, unit_len, "common length is input-determined"),
-        }
-    }
-    Ok(len.expect("at least one unit"))
+/// Exact column counts of the XNOR products of one lane set through the
+/// packed Harley-Seal core (see [`crate::csa`]): both operands are packed
+/// into one-row matrices first.
+fn product_counts(inputs: &[BitStream], weights: &[BitStream]) -> Result<Vec<u16>, ScError> {
+    let len = common_product_length(inputs, weights)?;
+    let mut counts = vec![vec![0u16; len]];
+    product_column_counts(
+        PackedLanes::pack([inputs])?.view(),
+        PackedLanes::pack([weights])?.view(),
+        &mut counts,
+    )?;
+    Ok(counts.pop().expect("one row"))
 }
 
 /// Validates a paired product operand set and returns the common length.
@@ -1101,69 +856,46 @@ impl Apc {
         inputs: &[BitStream],
         weights: &[BitStream],
     ) -> Result<CountStream, ScError> {
-        let len = common_product_length(inputs, weights)?;
-        let mut counts = vec![0u16; len];
-        accumulate_product_columns(inputs, weights, len, &mut counts);
+        let mut counts = product_counts(inputs, weights)?;
         apply_apc_lsb(&mut counts, inputs.len());
         CountStream::new(counts, inputs.len())
     }
 
-    /// Shared-input fused multiply-count: APC column counts of one input set
-    /// against the weight sets of many output units, accumulated
-    /// word-by-word across units (every input word is loaded once for all
-    /// units). `result[u]` is bit-exact with
-    /// `self.count_products(inputs, unit_weights[u])`.
+    /// Layer-fused multiply-count over packed operands: APC column counts of
+    /// the one-row `inputs` (one receptive field's lanes) against every row
+    /// of `weights` (one row per output unit), with the count buffers taken
+    /// from `arena`'s count pool (recycle each result's buffer via
+    /// [`CountStream::into_counts`] when done). `result[u]` is bit-exact
+    /// with [`Apc::count_products`] on the unpacked input lanes and unit
+    /// `u`'s weight lanes.
     ///
-    /// This is the layer-fused APC kernel: all inner-product blocks of one
-    /// SC layer position share their input streams and differ only in the
-    /// filter driving their weight streams.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScError::EmptyInput`] for empty slices and
-    /// [`ScError::LengthMismatch`] for any mismatched element count or
-    /// stream length.
-    pub fn count_products_shared(
-        &self,
-        inputs: &[BitStream],
-        unit_weights: &[&[BitStream]],
-    ) -> Result<Vec<CountStream>, ScError> {
-        let len = common_shared_product_length(inputs, unit_weights)?;
-        let mut counts: Vec<Vec<u16>> = vec![vec![0u16; len]; unit_weights.len()];
-        accumulate_product_columns_shared(inputs, unit_weights, len, &mut counts);
-        counts
-            .into_iter()
-            .map(|mut unit_counts| {
-                apply_apc_lsb(&mut unit_counts, inputs.len());
-                CountStream::new(unit_counts, inputs.len())
-            })
-            .collect()
-    }
-
-    /// [`Apc::count_products_shared`] with the per-unit count buffers taken
-    /// from `arena`'s count pool, so steady-state layer-fused evaluation
-    /// allocates no count buffers (recycle each result's buffer via
-    /// [`CountStream::into_counts`] when done). Results are identical.
+    /// This is the APC kernel of a whole SC layer position: all
+    /// inner-product blocks share their input streams and differ only in
+    /// the filter driving their weights, and each unit's packed weights are
+    /// read once, front to back (see [`crate::csa`]).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Apc::count_products_shared`].
-    pub fn count_products_shared_with(
+    /// Returns [`ScError::InvalidParameter`] unless `inputs` has one row and
+    /// the lane counts agree, and [`ScError::LengthMismatch`] for different
+    /// stream lengths.
+    pub fn count_packed_with(
         &self,
-        inputs: &[BitStream],
-        unit_weights: &[&[BitStream]],
+        inputs: PackedView<'_>,
+        weights: PackedView<'_>,
         arena: &mut StreamArena,
     ) -> Result<Vec<CountStream>, ScError> {
-        let len = common_shared_product_length(inputs, unit_weights)?;
-        let mut counts: Vec<Vec<u16>> = (0..unit_weights.len())
+        let len = inputs.length().bits();
+        let mut counts: Vec<Vec<u16>> = (0..weights.rows())
             .map(|_| arena.take_counts(len))
             .collect();
-        accumulate_product_columns_shared(inputs, unit_weights, len, &mut counts);
+        product_column_counts(inputs, weights, &mut counts)?;
+        let lanes = inputs.lanes();
         counts
             .into_iter()
             .map(|mut unit_counts| {
-                apply_apc_lsb(&mut unit_counts, inputs.len());
-                CountStream::new(unit_counts, inputs.len())
+                apply_apc_lsb(&mut unit_counts, lanes);
+                CountStream::new(unit_counts, lanes)
             })
             .collect()
     }
@@ -1489,6 +1221,14 @@ mod tests {
         assert!(selected.iter().all(|&lane| lane < 2));
     }
 
+    /// Packs one input field and the weights of `units` units.
+    fn packed_operands(xs: &[BitStream], unit_ws: &[Vec<BitStream>]) -> (PackedLanes, PackedLanes) {
+        (
+            PackedLanes::pack([xs]).unwrap(),
+            PackedLanes::pack(unit_ws.iter().map(Vec::as_slice)).unwrap(),
+        )
+    }
+
     #[test]
     fn shared_count_products_matches_per_unit_kernel() {
         for len in [100usize, 127, 512] {
@@ -1496,8 +1236,10 @@ mod tests {
             let unit_ws: Vec<Vec<BitStream>> = (0..3)
                 .map(|u| streams_for(&[-0.5, 0.25, 0.1, 0.9, 0.3], len, 900 + u * 31))
                 .collect();
-            let refs: Vec<&[BitStream]> = unit_ws.iter().map(|w| w.as_slice()).collect();
-            let shared = Apc::new().count_products_shared(&xs, &refs).unwrap();
+            let (x, w) = packed_operands(&xs, &unit_ws);
+            let shared = Apc::new()
+                .count_packed_with(x.view(), w.view(), &mut StreamArena::new())
+                .unwrap();
             assert_eq!(shared.len(), 3);
             for (unit, counts) in shared.iter().enumerate() {
                 let per_unit = Apc::new().count_products(&xs, &unit_ws[unit]).unwrap();
@@ -1536,12 +1278,11 @@ mod tests {
                 let unit_ws: Vec<Vec<BitStream>> = (0..2)
                     .map(|u| streams_for(&values, len, 7000 + u * 131 + lanes as u64))
                     .collect();
-                let refs: Vec<&[BitStream]> = unit_ws.iter().map(|w| w.as_slice()).collect();
-                // Exact counts: CSA shared kernel vs the naive reference.
+                // Exact counts: packed core vs the naive reference.
                 let shared = ExactParallelCounter::new();
-                let mut arena = StreamArena::new();
+                let (x, w) = packed_operands(&xs, &unit_ws);
                 let apc_shared = Apc::new()
-                    .count_products_shared_with(&xs, &refs, &mut arena)
+                    .count_packed_with(x.view(), w.view(), &mut StreamArena::new())
                     .unwrap();
                 for (unit, ws) in unit_ws.iter().enumerate() {
                     let naive = per_bit_product_counts(&xs, ws);
@@ -1552,13 +1293,13 @@ mod tests {
                         "exact kernel vs per-bit at lanes {lanes} len {len}"
                     );
                     // The approximate-APC truncation applied to the naive
-                    // reference must reproduce the shared CSA kernel.
+                    // reference must reproduce the packed kernel.
                     let mut approx = naive.clone();
                     apply_apc_lsb(&mut approx, lanes);
                     assert_eq!(
                         apc_shared[unit].counts(),
                         approx.as_slice(),
-                        "CSA shared kernel vs truncated per-bit reference \
+                        "packed kernel vs truncated per-bit reference \
                          at lanes {lanes} len {len} unit {unit}"
                     );
                 }
@@ -1572,12 +1313,15 @@ mod tests {
         let unit_ws: Vec<Vec<BitStream>> = (0..3)
             .map(|u| streams_for(&[-0.5, 0.25, 0.1, 0.9, 0.3], 127, 900 + u * 31))
             .collect();
-        let refs: Vec<&[BitStream]> = unit_ws.iter().map(|w| w.as_slice()).collect();
-        let plain = Apc::new().count_products_shared(&xs, &refs).unwrap();
+        let plain: Vec<CountStream> = unit_ws
+            .iter()
+            .map(|ws| Apc::new().count_products(&xs, ws).unwrap())
+            .collect();
+        let (x, w) = packed_operands(&xs, &unit_ws);
         let mut arena = StreamArena::new();
         for round in 0..3 {
             let pooled = Apc::new()
-                .count_products_shared_with(&xs, &refs, &mut arena)
+                .count_packed_with(x.view(), w.view(), &mut arena)
                 .unwrap();
             assert_eq!(pooled, plain, "round {round}");
             for counts in pooled {
@@ -1588,6 +1332,11 @@ mod tests {
         // Round one allocates three buffers; later rounds reuse them.
         assert_eq!(stats.count_allocs, 3);
         assert_eq!(stats.count_reuses, 6);
+        // A one-unit view of the same weights counts that unit alone.
+        let one = Apc::new()
+            .count_packed_with(x.view(), w.view_rows(2..3), &mut arena)
+            .unwrap();
+        assert_eq!(one, plain[2..]);
     }
 
     #[test]
@@ -1716,12 +1465,15 @@ mod tests {
         }
     }
 
-    /// Every super-word backend of the CSA product-column kernels (per-unit
-    /// and shared) must match the scalar backend exactly, which the
-    /// per-bit-reference tests elsewhere anchor to ground truth.
+    /// The dispatched product-count entry points (per-unit and packed
+    /// multi-unit) must serve identical counts under every backend; the
+    /// core's per-bit-reference tests in [`crate::csa`] anchor them to
+    /// ground truth.
     #[test]
     fn product_columns_bit_exact_across_backends() {
-        fn check<W: Word>(backend: &str) {
+        let counts_under = |backend: crate::word::Backend| {
+            assert!(crate::word::force_backend(backend));
+            let mut all = Vec::new();
             for &lanes in &[1usize, 3, 7, 32, 33, 100] {
                 for &len in &[100usize, 127, 1024, 8191] {
                     let values: Vec<f64> = (0..lanes)
@@ -1731,39 +1483,30 @@ mod tests {
                     let unit_ws: Vec<Vec<BitStream>> = (0..2)
                         .map(|u| streams_for(&values, len, 7000 + u * 131 + lanes as u64))
                         .collect();
-                    let xw: Vec<&[u64]> = xs.iter().map(|s| s.as_words()).collect();
-                    let unit_words: Vec<Vec<&[u64]>> = unit_ws
-                        .iter()
-                        .map(|ws| ws.iter().map(|s| s.as_words()).collect())
-                        .collect();
-                    let mut reference = vec![0u16; len];
-                    let mut got = vec![0u16; len];
-                    accumulate_product_columns_impl::<u64>(
-                        &xw,
-                        &unit_words[0],
-                        len,
-                        &mut reference,
+                    all.push(
+                        ExactParallelCounter::new()
+                            .count_products(&xs, &unit_ws[0])
+                            .unwrap(),
                     );
-                    accumulate_product_columns_impl::<W>(&xw, &unit_words[0], len, &mut got);
-                    assert_eq!(got, reference, "{backend} per-unit lanes {lanes} len {len}");
-                    let mut reference = vec![vec![0u16; len]; 2];
-                    let mut got = vec![vec![0u16; len]; 2];
-                    accumulate_product_columns_shared_impl::<u64>(
-                        &xw,
-                        &unit_words,
-                        len,
-                        &mut reference,
+                    let (x, w) = packed_operands(&xs, &unit_ws);
+                    all.extend(
+                        Apc::new()
+                            .count_packed_with(x.view(), w.view(), &mut StreamArena::new())
+                            .unwrap(),
                     );
-                    accumulate_product_columns_shared_impl::<W>(&xw, &unit_words, len, &mut got);
-                    assert_eq!(got, reference, "{backend} shared lanes {lanes} len {len}");
                 }
             }
+            all
+        };
+        let reference = counts_under(crate::word::Backend::Scalar);
+        for backend in crate::word::Backend::ALL {
+            if backend.is_available() {
+                assert_eq!(counts_under(backend), reference, "{backend}");
+            }
         }
-        check::<crate::word::W4>("wide");
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if crate::word::Backend::Avx2.is_available() {
-            check::<crate::word::WAvx2>("avx2");
-        }
+        assert!(crate::word::force_backend(
+            crate::word::best_available_backend()
+        ));
     }
 
     #[test]
@@ -1771,12 +1514,27 @@ mod tests {
         let xs = streams_for(&[0.5, -0.25], 64, 5);
         let ws = streams_for(&[0.5, -0.25], 64, 9);
         let short = streams_for(&[0.5], 64, 9);
-        let refs: Vec<&[BitStream]> = vec![&ws, &short];
-        assert!(Apc::new().count_products_shared(&xs, &[]).is_err());
-        assert!(Apc::new().count_products_shared(&xs, &refs).is_err());
-        assert!(Apc::new()
-            .count_products_shared(&[], &[ws.as_slice()])
+        let long = streams_for(&[0.5, -0.25], 65, 9);
+        let (x, w) = packed_operands(&xs, &[ws.clone(), ws.clone()]);
+        let mut arena = StreamArena::new();
+        let apc = Apc::new();
+        assert!(apc
+            .count_packed_with(x.view(), w.view(), &mut arena)
+            .is_ok());
+        // Two input rows, too few lanes, another length.
+        assert!(apc
+            .count_packed_with(w.view(), w.view(), &mut arena)
             .is_err());
+        let narrow = PackedLanes::pack([short.as_slice()]).unwrap();
+        assert!(apc
+            .count_packed_with(narrow.view(), w.view(), &mut arena)
+            .is_err());
+        let longer = PackedLanes::pack([long.as_slice()]).unwrap();
+        assert!(apc
+            .count_packed_with(longer.view(), w.view(), &mut arena)
+            .is_err());
+        // Rows of unequal lane counts never pack.
+        assert!(PackedLanes::pack([ws.as_slice(), short.as_slice()]).is_err());
     }
 
     #[test]

@@ -4,12 +4,15 @@
 //! the layer-fused serving path, Monte-Carlo trials regenerating operand
 //! streams every iteration) used to allocate a fresh `Vec` per stream per
 //! iteration. A [`StreamArena`] keeps the word buffers of recycled streams
-//! (and the `u16` buffers of recycled APC count streams) and hands them back
-//! out, so steady-state evaluation performs no heap allocation.
+//! (the `u16` buffers of recycled APC count streams, and the buffers of
+//! recycled [`PackedLanes`] input fields) and hands them back out, so
+//! steady-state evaluation performs no heap allocation.
 //!
-//! The arena is deliberately dumb: it is a LIFO stack of buffers with no
-//! size classes. All streams inside one evaluation share a single length, so
-//! the buffer on top of the stack is almost always the right capacity.
+//! The arena is deliberately dumb: it is a LIFO stack of buffers per kind
+//! with no size classes. All streams inside one evaluation share a single
+//! length, so the buffer on top of the stack is almost always the right
+//! capacity; packed fields, many streams wide, keep a stack of their own so
+//! they never claim (and regrow) a one-stream buffer.
 //!
 //! ## Ownership contract
 //!
@@ -24,6 +27,8 @@
 //! [`Session`]: https://docs.rs/sc-serve
 
 use crate::bitstream::{BitStream, StreamLength};
+use crate::csa::PackedLanes;
+use crate::error::ScError;
 
 /// Running reuse counters of a [`StreamArena`].
 ///
@@ -32,18 +37,20 @@ use crate::bitstream::{BitStream, StreamLength};
 /// zero between snapshots.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArenaStats {
-    /// Stream requests served from the pool (no heap allocation).
+    /// Stream (and packed-field) requests served from the pool (no heap
+    /// allocation).
     pub stream_reuses: u64,
-    /// Stream requests that had to allocate a fresh buffer.
+    /// Stream (and packed-field) requests that had to allocate a fresh
+    /// buffer.
     pub stream_allocs: u64,
     /// Count-buffer requests served from the pool.
     pub count_reuses: u64,
     /// Count-buffer requests that had to allocate.
     pub count_allocs: u64,
-    /// Stream buffers currently pooled.
+    /// Stream (and packed-field) buffers currently pooled.
     pub pooled_streams: usize,
-    /// Total `u64` words held by pooled stream buffers (capacity, i.e. the
-    /// memory the pool pins).
+    /// Total `u64` words held by pooled stream and packed-field buffers
+    /// (capacity, i.e. the memory the pool pins).
     pub pooled_words: usize,
     /// Count buffers currently pooled.
     pub pooled_counts: usize,
@@ -72,6 +79,7 @@ impl ArenaStats {
 #[derive(Debug, Default)]
 pub struct StreamArena {
     pool: Vec<Vec<u64>>,
+    packed: Vec<Vec<u64>>,
     counts: Vec<Vec<u16>>,
     stream_reuses: u64,
     stream_allocs: u64,
@@ -152,6 +160,33 @@ impl StreamArena {
         self.counts.push(buffer);
     }
 
+    /// Takes an all-zero one-row [`PackedLanes`] of `lanes` streams of
+    /// `length` bits (an input field of the packed APC kernel), reusing a
+    /// pooled buffer when one is available.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScError::InvalidParameter`] for a lane count the packed
+    /// layout cannot hold.
+    pub fn take_packed(
+        &mut self,
+        lanes: usize,
+        length: StreamLength,
+    ) -> Result<PackedLanes, ScError> {
+        let buffer = self.packed.pop().unwrap_or_default();
+        if buffer.capacity() > 0 {
+            self.stream_reuses += 1;
+        } else {
+            self.stream_allocs += 1;
+        }
+        PackedLanes::from_buffer(buffer, lanes, length, 1)
+    }
+
+    /// Returns a packed field's buffer to the pool for reuse.
+    pub fn recycle_packed(&mut self, packed: PackedLanes) {
+        self.packed.push(packed.into_words());
+    }
+
     /// Number of pooled stream buffers currently held.
     pub fn pooled(&self) -> usize {
         self.pool.len()
@@ -164,8 +199,13 @@ impl StreamArena {
             stream_allocs: self.stream_allocs,
             count_reuses: self.count_reuses,
             count_allocs: self.count_allocs,
-            pooled_streams: self.pool.len(),
-            pooled_words: self.pool.iter().map(Vec::capacity).sum(),
+            pooled_streams: self.pool.len() + self.packed.len(),
+            pooled_words: self
+                .pool
+                .iter()
+                .chain(&self.packed)
+                .map(Vec::capacity)
+                .sum(),
             pooled_counts: self.counts.len(),
         }
     }
@@ -174,6 +214,27 @@ impl StreamArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn packed_fields_pool_apart_from_streams() {
+        let mut arena = StreamArena::new();
+        let len = StreamLength::new(300);
+        let packed = arena.take_packed(25, len).unwrap();
+        assert_eq!((packed.lanes(), packed.rows()), (25, 1));
+        arena.recycle_packed(packed);
+        assert_eq!(arena.stats().pooled_streams, 1);
+        // A stream never takes the packed buffer, and the packed buffer
+        // comes back zeroed.
+        let stream = arena.take_zeroed(len);
+        assert_eq!(arena.stats().stream_allocs, 2);
+        let again = arena.take_packed(25, len).unwrap();
+        assert_eq!(again, PackedLanes::zeroed(25, len, 1).unwrap());
+        let stats = arena.stats();
+        assert_eq!((stats.stream_allocs, stats.stream_reuses), (2, 1));
+        arena.recycle(stream);
+        arena.recycle_packed(again);
+        assert!(arena.take_packed(0, len).is_err());
+    }
 
     #[test]
     fn take_recycle_round_trip() {

@@ -2,7 +2,7 @@
 //!
 //! Every hot kernel in this crate — the SNG comparator fill, the fused
 //! XNOR/popcount inner-product counts, bit-sliced MUX selector application,
-//! the CSA vertical-counter compressors, and the word-interleaved Btanh
+//! the packed Harley-Seal column counts, and the word-interleaved Btanh
 //! batch walk — is written once, generically over [`Word`]: a fixed-width bundle
 //! of 64-bit bit-stream lanes.
 //!

@@ -15,17 +15,23 @@
 //!   `sc_dcnn::weight_storage`). A MUX forwards one lane per cycle, so a MUX
 //!   layer keeps only each unit's *gathered* weights: one selected stream
 //!   per field ([`LayerSelectors::gather`]), `N` times less than the lanes.
+//!   An APC layer keeps every lane, packed once per field into one
+//!   contiguous [`PackedLanes`] buffer in unit-major order (within a unit:
+//!   256-column group, then lane, then 4 words), so each request reads a
+//!   unit's weights once, front to back, through the Harley-Seal column
+//!   counts of `sc_core::csa`.
 //! * **Input SNG sequences.** An input stream is a pure function of its lane
 //!   seed and its comparator threshold, and only the threshold depends on
 //!   the input. APC layers keep one [`LaneSequence`] per `(field, lane)`
 //!   and fill every lane's stream with the comparator alone — the paper's
-//!   hardware view of one fixed RNG sequence per comparator group. MUX
-//!   layers keep one [`SelectedSequence`] per field instead: per cycle, the
-//!   lane the selector forwards and that lane's sample, so a field's
-//!   selected input stream is one comparator pass rather than `N` lane fills
-//!   and a gather. All units of a layer share their SNG wiring, so the
-//!   streams of one receptive field are filled once per position and serve
-//!   every filter (convolution) or unit (fully-connected).
+//!   hardware view of one fixed RNG sequence per comparator group — into
+//!   an arena-backed packed field buffer. MUX layers keep one
+//!   [`SelectedSequence`] per field instead: per cycle, the lane the
+//!   selector forwards and that lane's sample, so a field's selected input
+//!   stream is one comparator pass rather than `N` lane fills and a
+//!   gather. All units of a layer share their SNG wiring, so the streams
+//!   of one receptive field are filled once per position and serve every
+//!   filter (convolution) or unit (fully-connected).
 //!
 //! Evaluation then runs one [`FeatureBlock::evaluate_layer_prepared_with`]
 //! call per layer position, which evaluates every unit of the position at
@@ -41,16 +47,18 @@
 use crate::error::ServeError;
 use crate::interpreter::{Inference, Interpreter};
 use crate::plan::{lower, Plan, PlanLayer, PlanOptions};
-use sc_blocks::feature_block::LayerSelectors;
+use sc_blocks::feature_block::{FeatureBlock, LayerOperands, LayerSelectors};
 use sc_core::arena::{ArenaStats, StreamArena};
 use sc_core::bitstream::{BitStream, StreamLength};
 use sc_core::cache::CacheStats;
+use sc_core::csa::{PackedLanes, PackedView};
 use sc_core::encoding::{Bipolar, Encoding};
 use sc_core::parallel::{parallel_map_with, parallel_map_with_state};
 use sc_core::sng::{probability_threshold, LaneSequence, SelectedSequence, SngBank};
 use sc_dcnn::config::ScNetworkConfig;
 use sc_nn::network::Network;
 use sc_nn::tensor::Tensor;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Options controlling compilation and engine behaviour.
@@ -151,15 +159,51 @@ impl Session {
     }
 }
 
-/// The input SNG sequences of one layer, per pool-window field, in the
-/// block's published seed scheme.
+/// A layer's input-independent operands, in the form its inner-product
+/// family consumes, in the block's published seed scheme. A row is a
+/// convolution filter or a fully-connected unit.
 #[derive(Debug)]
-enum InputSequences {
-    /// APC layers: `[field][lane]`; every lane's stream is filled.
-    Lanes(Vec<Vec<LaneSequence>>),
-    /// MUX layers: one selected sequence per field; the field's input is
-    /// one comparator pass over the lanes its selector forwards.
-    Selected(Vec<SelectedSequence>),
+enum CompiledOperands {
+    /// MUX layers: `[row][field]` weights, the one selected stream per
+    /// field, and one selected input sequence per field (the field's input
+    /// is one comparator pass over the lanes its selector forwards).
+    Gathered {
+        weights: Vec<Vec<Vec<BitStream>>>,
+        inputs: Vec<SelectedSequence>,
+    },
+    /// APC layers: per field, every row's weight lanes packed one row per
+    /// filter or unit (a request reads each row once, in order), and
+    /// `[field][lane]` input sequences; every lane's stream is filled.
+    Packed {
+        weights: Vec<PackedLanes>,
+        inputs: Vec<Vec<LaneSequence>>,
+    },
+}
+
+/// One position's filled input streams, matching [`CompiledOperands`].
+enum FilledInputs {
+    /// MUX layers: `[field][0]`, the selected stream.
+    Gathered(Vec<Vec<BitStream>>),
+    /// APC layers: one packed field of every lane per field.
+    Packed(Vec<PackedLanes>),
+}
+
+impl FilledInputs {
+    /// Returns every buffer to `arena`.
+    fn recycle(self, arena: &mut StreamArena) {
+        match self {
+            FilledInputs::Gathered(fields) => {
+                for field in fields {
+                    arena.recycle_all(field);
+                }
+            }
+            FilledInputs::Packed(fields) => {
+                for field in fields {
+                    arena.recycle_packed(field);
+                }
+            }
+        }
+    }
 }
 
 /// Everything one plan layer needs at inference time that does not depend
@@ -168,28 +212,20 @@ enum InputSequences {
 struct CompiledLayer {
     /// The layer's selector plans (empty for APC layers).
     selectors: LayerSelectors,
-    /// Gathered weight streams `[row][field][lane]`, where a row is a
-    /// convolution filter or a fully-connected unit: one selected stream
-    /// per field for MUX layers, every lane for APC layers.
-    weights: Vec<Vec<Vec<BitStream>>>,
-    inputs: InputSequences,
+    operands: CompiledOperands,
 }
 
 impl CompiledLayer {
-    /// Draws the layer's selector plans and lane sequences once and
-    /// gathers every row's weight streams through the plans. The result is
-    /// a pure function of the plan, which is what lets the plan store omit
-    /// it.
+    /// Draws the layer's selector plans and lane sequences once, gathers
+    /// every row's weight streams through the plans (MUX) or packs them
+    /// field by field (APC). The result is a pure function of the plan,
+    /// which is what lets the plan store omit it.
     fn new(layer: &PlanLayer, length: StreamLength) -> Result<Self, ServeError> {
         let (block, rows) = match layer {
             PlanLayer::Conv(conv) => (&conv.block, &conv.filters),
             PlanLayer::Dense(dense) => (&dense.block, &dense.units),
         };
         let selectors = block.prepare_selectors(length.bits())?;
-        let weights = rows
-            .iter()
-            .map(|row| selectors.gather(block.weight_streams(row)?))
-            .collect::<Result<_, _>>()?;
         let lanes: Vec<Vec<LaneSequence>> = (0..block.pool_window())
             .map(|field| {
                 let (input_base, _) = block.operand_bank_seeds(field);
@@ -198,22 +234,69 @@ impl CompiledLayer {
                     .collect()
             })
             .collect();
-        let inputs = if selectors.field_plans().is_empty() {
-            InputSequences::Lanes(lanes)
+        let operands = if selectors.field_plans().is_empty() {
+            CompiledOperands::Packed {
+                weights: block.packed_weights(rows)?,
+                inputs: lanes,
+            }
         } else {
-            InputSequences::Selected(
-                lanes
+            CompiledOperands::Gathered {
+                weights: rows
+                    .iter()
+                    .map(|row| selectors.gather(block.weight_streams(row)?))
+                    .collect::<Result<_, _>>()?,
+                inputs: lanes
                     .iter()
                     .zip(selectors.field_plans())
                     .map(|(lanes, plan)| SelectedSequence::new(lanes, plan))
                     .collect::<Result<_, _>>()?,
-            )
+            }
         };
         Ok(Self {
             selectors,
-            weights,
-            inputs,
+            operands,
         })
+    }
+
+    /// One fused evaluation of `block` over the filled `inputs` of one
+    /// position against the weights of `rows`.
+    fn evaluate(
+        &self,
+        block: &FeatureBlock,
+        inputs: &FilledInputs,
+        rows: Range<usize>,
+        arena: &mut StreamArena,
+    ) -> Result<Vec<BitStream>, ServeError> {
+        let outputs = match (&self.operands, inputs) {
+            (CompiledOperands::Gathered { weights, .. }, FilledInputs::Gathered(inputs)) => {
+                let unit_weights: Vec<&[Vec<BitStream>]> =
+                    weights[rows].iter().map(Vec::as_slice).collect();
+                block.evaluate_layer_prepared_with(
+                    &self.selectors,
+                    LayerOperands::Gathered {
+                        inputs,
+                        unit_weights: &unit_weights,
+                    },
+                    arena,
+                )
+            }
+            (CompiledOperands::Packed { weights, .. }, FilledInputs::Packed(inputs)) => {
+                let weights: Vec<PackedView<'_>> = weights
+                    .iter()
+                    .map(|field| field.view_rows(rows.clone()))
+                    .collect();
+                block.evaluate_layer_prepared_with(
+                    &self.selectors,
+                    LayerOperands::Packed {
+                        inputs,
+                        weights: &weights,
+                    },
+                    arena,
+                )
+            }
+            _ => unreachable!("a layer's inputs are filled in its weights' form"),
+        };
+        Ok(outputs?)
     }
 }
 
@@ -304,8 +387,15 @@ impl Engine {
     pub fn cached_weight_streams(&self) -> usize {
         self.layers
             .iter()
-            .flat_map(|layer| layer.weights.iter())
-            .map(|row| row.iter().map(Vec::len).sum::<usize>())
+            .map(|layer| match &layer.operands {
+                CompiledOperands::Gathered { weights, .. } => {
+                    weights.iter().map(Vec::len).sum::<usize>()
+                }
+                CompiledOperands::Packed { weights, .. } => weights
+                    .iter()
+                    .map(|field| field.rows() * field.lanes())
+                    .sum(),
+            })
             .sum()
     }
 
@@ -454,17 +544,10 @@ impl Engine {
             .map(|&value| probability_threshold(Bipolar::to_probability(value)?))
             .collect::<Result<Vec<u32>, _>>()?;
         session.fill_ns += started.elapsed().as_nanos() as u64;
-        let selectors = &compiled.selectors;
         match layer {
             PlanLayer::Conv(conv) => {
                 let [filters, pooled_h, pooled_w] = conv.out_shape;
                 let positions = pooled_h * pooled_w;
-                let unit_refs: Vec<&[Vec<BitStream>]> = compiled
-                    .weights
-                    .iter()
-                    .take(filters)
-                    .map(|row| row.as_slice())
-                    .collect();
                 // One fused call per pooled position evaluates every filter:
                 // the position's input streams are filled once instead of
                 // once per filter.
@@ -472,16 +555,10 @@ impl Engine {
                     |session: &mut Session, &position: &usize| -> Result<Vec<f64>, ServeError> {
                         let (py, px) = (position / pooled_w, position % pooled_w);
                         let fields = conv.gather_fields(&thresholds, py, px);
-                        let inputs = fill_inputs(session, &compiled.inputs, &fields)?;
-                        let outputs = conv.block.evaluate_layer_prepared_with(
-                            selectors,
-                            &inputs,
-                            &unit_refs,
-                            &mut session.arena,
-                        );
-                        for field in inputs {
-                            session.arena.recycle_all(field);
-                        }
+                        let inputs = fill_inputs(session, &compiled.operands, &fields)?;
+                        let outputs =
+                            compiled.evaluate(&conv.block, &inputs, 0..filters, &mut session.arena);
+                        inputs.recycle(&mut session.arena);
                         let outputs = outputs?;
                         let values = outputs.iter().map(BitStream::bipolar_value).collect();
                         session.arena.recycle_all(outputs);
@@ -509,41 +586,43 @@ impl Engine {
             PlanLayer::Dense(dense) => {
                 // All units of a fully-connected layer share one receptive
                 // field: its streams are filled once for the whole layer.
-                let inputs =
-                    fill_inputs(session, &compiled.inputs, std::slice::from_ref(&thresholds))?;
-                let unit_refs: Vec<&[Vec<BitStream>]> =
-                    compiled.weights.iter().map(|row| row.as_slice()).collect();
+                let inputs = fill_inputs(
+                    session,
+                    &compiled.operands,
+                    std::slice::from_ref(&thresholds),
+                )?;
+                let units = dense.units.len();
                 // Decode inside the evaluating session and recycle the output
                 // buffers into the arena they were taken from: take and
                 // recycle stay paired per worker, so no arena net-drains (and
                 // then re-allocates) under uneven chunk sizes or scheduling.
-                let eval_units = |session: &mut Session,
-                                  units: &&[&[Vec<BitStream>]]|
-                 -> Result<Vec<f64>, ServeError> {
-                    let streams = dense.block.evaluate_layer_prepared_with(
-                        selectors,
-                        &inputs,
-                        units,
-                        &mut session.arena,
-                    )?;
-                    let decoded = streams.iter().map(BitStream::bipolar_value).collect();
-                    session.arena.recycle_all(streams);
-                    Ok(decoded)
-                };
-                let decoded = if self.fan_out_units(session, unit_refs.len()) {
+                let eval_units =
+                    |session: &mut Session, rows: &Range<usize>| -> Result<Vec<f64>, ServeError> {
+                        let streams = compiled.evaluate(
+                            &dense.block,
+                            &inputs,
+                            rows.clone(),
+                            &mut session.arena,
+                        )?;
+                        let decoded = streams.iter().map(BitStream::bipolar_value).collect();
+                        session.arena.recycle_all(streams);
+                        Ok(decoded)
+                    };
+                let decoded = if self.fan_out_units(session, units) {
                     let threads = sc_core::parallel::max_threads();
-                    let chunk_size = unit_refs.len().div_ceil(threads).max(1);
-                    let chunks: Vec<&[&[Vec<BitStream>]]> = unit_refs.chunks(chunk_size).collect();
+                    let chunk_size = units.div_ceil(threads).max(1);
+                    let chunks: Vec<Range<usize>> = (0..units)
+                        .step_by(chunk_size)
+                        .map(|start| start..units.min(start + chunk_size))
+                        .collect();
                     self.fan_out(session, &chunks, eval_units)
                         .into_iter()
                         .collect::<Result<Vec<Vec<f64>>, _>>()
                         .map(|chunks| chunks.concat())
                 } else {
-                    eval_units(session, &unit_refs.as_slice())
+                    eval_units(session, &(0..units))
                 };
-                for field_streams in inputs {
-                    session.arena.recycle_all(field_streams);
-                }
+                inputs.recycle(&mut session.arena);
                 decoded
             }
         }
@@ -551,20 +630,20 @@ impl Engine {
 }
 
 /// Fills the input streams of every pool-window field from the layer's
-/// sequences and the field's comparator thresholds: every lane's stream for
-/// APC layers, the one selected stream for MUX layers. The returned buffers
-/// are arena-backed; recycle them after use.
+/// sequences and the field's comparator thresholds: every lane, packed,
+/// for APC layers (each lane is filled into one scratch stream and copied
+/// into the field's packed buffer), the one selected stream for MUX
+/// layers. The returned buffers are arena-backed; recycle them after use.
 fn fill_inputs(
     session: &mut Session,
-    sequences: &InputSequences,
+    operands: &CompiledOperands,
     fields: &[Vec<u32>],
-) -> Result<Vec<Vec<BitStream>>, ServeError> {
+) -> Result<FilledInputs, ServeError> {
     let started = std::time::Instant::now();
-    let mut inputs: Vec<Vec<BitStream>> = Vec::with_capacity(fields.len());
-    for (field, thresholds) in fields.iter().enumerate() {
-        let streams = match sequences {
-            InputSequences::Lanes(lanes) => {
-                let lanes = &lanes[field];
+    let filled = match operands {
+        CompiledOperands::Packed { inputs: lanes, .. } => {
+            let mut packed_fields = Vec::with_capacity(fields.len());
+            for (thresholds, lanes) in fields.iter().zip(lanes) {
                 if thresholds.len() != lanes.len() {
                     return Err(ServeError::Invalid(format!(
                         "receptive field of {} values for {} SNG lanes",
@@ -572,26 +651,34 @@ fn fill_inputs(
                         lanes.len()
                     )));
                 }
-                let mut streams = Vec::with_capacity(lanes.len());
-                for (&threshold, sequence) in thresholds.iter().zip(lanes) {
-                    let mut stream = session.arena.take_zeroed(sequence.length());
-                    sequence.fill(threshold, &mut stream)?;
-                    streams.push(stream);
+                let length = lanes[0].length();
+                let mut packed = session.arena.take_packed(lanes.len(), length)?;
+                let mut scratch = session.arena.take_zeroed(length);
+                for (lane, (&threshold, sequence)) in thresholds.iter().zip(lanes).enumerate() {
+                    sequence.fill(threshold, &mut scratch)?;
+                    packed.write_lane(0, lane, &scratch)?;
                 }
-                streams
+                session.arena.recycle(scratch);
+                session.fills += lanes.len() as u64;
+                packed_fields.push(packed);
             }
-            InputSequences::Selected(selected) => {
-                let sequence = &selected[field];
+            FilledInputs::Packed(packed_fields)
+        }
+        CompiledOperands::Gathered {
+            inputs: selected, ..
+        } => {
+            let mut streams = Vec::with_capacity(fields.len());
+            for (thresholds, sequence) in fields.iter().zip(selected) {
                 let mut stream = session.arena.take_zeroed(sequence.length());
                 sequence.fill(thresholds, &mut stream)?;
-                vec![stream]
+                session.fills += 1;
+                streams.push(vec![stream]);
             }
-        };
-        session.fills += streams.len() as u64;
-        inputs.push(streams);
-    }
+            FilledInputs::Gathered(streams)
+        }
+    };
     session.fill_ns += started.elapsed().as_nanos() as u64;
-    Ok(inputs)
+    Ok(filled)
 }
 
 #[cfg(test)]
