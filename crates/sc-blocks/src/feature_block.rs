@@ -14,6 +14,13 @@
 //! | `ApcAvgBtanh` | APC | average | Btanh (Eq. 3) | accurate, higher area/energy |
 //! | `ApcMaxBtanh` | APC | hardware max | Btanh | most accurate, most expensive |
 //!
+//! A block evaluates one unit per call ([`FeatureBlock::evaluate_stream`],
+//! regenerating every operand stream), or a whole layer at once:
+//! [`FeatureBlock::compile_layer`] builds a [`CompiledLayer`] that holds the
+//! layer's weights and input SNG sequences in the operand form the block's
+//! inner product fixes, and evaluates every unit of a layer position in one
+//! fused call, bit-identical to the per-unit path.
+//!
 //! Every hot kernel a feature block evaluates — SNG comparator fills, fused
 //! XNOR/popcount reductions, MUX selector-plan gathers, the packed
 //! Harley-Seal column counts, and the Btanh batch walk — is word-generic and dispatches
@@ -28,14 +35,16 @@ use crate::inner_product::{
     WEIGHT_BANK_SEED_XOR,
 };
 use crate::pooling::{AveragePooling, HardwareMaxPooling, PoolingKind};
-use sc_core::add::{Apc, CountStream, MuxAdder, MuxSelectorPlan};
+use sc_core::add::{Apc, CountStream, MuxSelectorPlan};
 use sc_core::arena::StreamArena;
 use sc_core::bitstream::{BitStream, StreamLength};
-use sc_core::csa::{PackedLanes, PackedView};
+use sc_core::csa::PackedLanes;
+use sc_core::encoding::{Bipolar, Encoding};
 use sc_core::error::ScError;
 use sc_core::parallel::parallel_map_with;
-use sc_core::sng::{BatchSng, SngBank, SngKind};
+use sc_core::sng::{probability_threshold, LaneSequence, SelectedSequence, SngBank};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Default segment length (in bits) of the hardware-oriented max pooling.
 pub const DEFAULT_MAX_POOL_SEGMENT: usize = 16;
@@ -152,95 +161,6 @@ impl std::fmt::Display for FeatureBlockKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// Pre-drawn MUX selector plans for one SC layer at one stream length.
-///
-/// Built by [`FeatureBlock::prepare_selectors`]; the plans depend only on
-/// the block's seeds and the stream length, so one set serves every unit,
-/// every layer position, and every fan-out worker, and a compiled engine
-/// builds it once at load time. The field plans gather each field's lane
-/// streams into the one stream its MUX forwards ([`LayerSelectors::gather`],
-/// or a [`sc_core::sng::SelectedSequence`] for input fills); the
-/// average-pooling plan is replayed by
-/// [`FeatureBlock::evaluate_layer_prepared_with`]. Empty for APC kinds.
-#[derive(Debug, Clone)]
-pub struct LayerSelectors {
-    /// One inner-product selector plan per pool-window field (MUX kinds).
-    field_plans: Vec<MuxSelectorPlan>,
-    /// The average-pooling selector plan (`MuxAvgStanh` only).
-    avg_plan: Option<MuxSelectorPlan>,
-    stream_bits: usize,
-}
-
-impl LayerSelectors {
-    /// The stream length (in bits) the plans were drawn for.
-    pub fn stream_bits(&self) -> usize {
-        self.stream_bits
-    }
-
-    /// The inner-product selector plan of each pool-window field (empty for
-    /// APC kinds).
-    pub fn field_plans(&self) -> &[MuxSelectorPlan] {
-        &self.field_plans
-    }
-
-    /// Gathers `[field][lane]` operand streams into the form
-    /// [`LayerOperands::Gathered`] takes: for MUX kinds, each field's lanes
-    /// become the single stream its selector forwards
-    /// ([`MuxAdder::sum_with_plan`]); APC kinds keep every lane (which
-    /// [`LayerOperands::Packed`] takes packed, [`PackedLanes::pack`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScError::InvalidParameter`] for a field count other than
-    /// the plans' and propagates [`MuxAdder::sum_with_plan`]'s errors for
-    /// lanes or lengths that do not match a plan.
-    pub fn gather(&self, fields: Vec<Vec<BitStream>>) -> Result<Vec<Vec<BitStream>>, ScError> {
-        if self.field_plans.is_empty() {
-            return Ok(fields);
-        }
-        if fields.len() != self.field_plans.len() {
-            return Err(ScError::InvalidParameter {
-                name: "fields",
-                message: format!(
-                    "{} fields for {} selector plans",
-                    fields.len(),
-                    self.field_plans.len()
-                ),
-            });
-        }
-        fields
-            .iter()
-            .zip(&self.field_plans)
-            .map(|(lanes, plan)| Ok(vec![MuxAdder::new().sum_with_plan(lanes, plan)?]))
-            .collect()
-    }
-}
-
-/// The operands of one fused layer call
-/// ([`FeatureBlock::evaluate_layer_prepared_with`]) in the form the block's
-/// inner product consumes.
-#[derive(Debug, Clone, Copy)]
-pub enum LayerOperands<'a> {
-    /// MUX kinds: `inputs[field]` and `unit_weights[unit][field]` each hold
-    /// the one stream the field's selector forwards
-    /// ([`LayerSelectors::gather`]).
-    Gathered {
-        /// Shared input streams, `[field][0]`.
-        inputs: &'a [Vec<BitStream>],
-        /// Every unit's weight streams, `[unit][field][0]`.
-        unit_weights: &'a [&'a [Vec<BitStream>]],
-    },
-    /// APC kinds: `inputs[field]` packs the field's input lanes (one row),
-    /// and `weights[field]` the field's weight lanes of every unit, one row
-    /// per unit, in unit order ([`PackedLanes`]).
-    Packed {
-        /// Shared input lanes, one packed row per field.
-        inputs: &'a [PackedLanes],
-        /// Every unit's weight lanes, one packed view per field.
-        weights: &'a [PackedView<'a>],
-    },
 }
 
 /// A configured feature extraction block.
@@ -405,8 +325,12 @@ impl FeatureBlock {
             FeatureBlockKind::MuxAvgStanh | FeatureBlockKind::MuxMaxStanh => {
                 let streams: Vec<BitStream> =
                     parallel_map_with(receptive_fields, StreamArena::new, |arena, i, field| {
-                        MuxInnerProduct::new(self.seed.wrapping_add(1 + i as u64 * 131))
-                            .evaluate_stream_with(field, weights, self.stream_length, arena)
+                        MuxInnerProduct::new(self.field_seed(i)).evaluate_stream_with(
+                            field,
+                            weights,
+                            self.stream_length,
+                            arena,
+                        )
                     })
                     .into_iter()
                     .collect::<Result<_, _>>()?;
@@ -421,8 +345,12 @@ impl FeatureBlock {
             FeatureBlockKind::ApcAvgBtanh | FeatureBlockKind::ApcMaxBtanh => {
                 let counts: Vec<_> =
                     parallel_map_with(receptive_fields, StreamArena::new, |arena, i, field| {
-                        ApcInnerProduct::new(self.seed.wrapping_add(1 + i as u64 * 131))
-                            .evaluate_counts_with(field, weights, self.stream_length, arena)
+                        ApcInnerProduct::new(self.field_seed(i)).evaluate_counts_with(
+                            field,
+                            weights,
+                            self.stream_length,
+                            arena,
+                        )
                     })
                     .into_iter()
                     .collect::<Result<Vec<_>, _>>()?;
@@ -442,417 +370,125 @@ impl FeatureBlock {
 
     /// Seed of the inner-product block evaluating pool-window field
     /// `field_index` (the per-field seed derivation of
-    /// [`FeatureBlock::evaluate_stream`]).
-    pub fn field_seed(&self, field_index: usize) -> u64 {
+    /// [`FeatureBlock::evaluate_stream`]); its input SNG bank is based at
+    /// this seed and its weight bank at the seed `^ WEIGHT_BANK_SEED_XOR`.
+    fn field_seed(&self, field_index: usize) -> u64 {
         self.seed.wrapping_add(1 + field_index as u64 * 131)
     }
 
-    /// Base seeds `(input_bank, weight_bank)` of the SNG banks feeding the
-    /// inner product at pool-window index `field_index`. Individual lane
-    /// seeds follow via [`sc_core::sng::SngBank::lane_seed`].
-    pub fn operand_bank_seeds(&self, field_index: usize) -> (u64, u64) {
-        let seed = self.field_seed(field_index);
-        (seed, seed ^ WEIGHT_BANK_SEED_XOR)
-    }
-
-    /// Generates, for every pool-window field, the weight streams that
-    /// [`FeatureBlock::evaluate_stream`] would generate internally for
-    /// `weights` (outer index: field, inner index: lane).
-    ///
-    /// The per-call path re-derives these streams on every evaluation even
-    /// though they only depend on the filter; a compiled engine generates
-    /// them once per filter, gathers them ([`LayerSelectors::gather`]) and
-    /// feeds them back through
-    /// [`FeatureBlock::evaluate_layer_prepared_with`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScError::InvalidParameter`] for a wrong weight count and
-    /// propagates encoding errors for values outside `[-1, 1]`.
-    pub fn weight_streams(&self, weights: &[f64]) -> Result<Vec<Vec<BitStream>>, ScError> {
-        if weights.len() != self.input_size {
-            return Err(ScError::InvalidParameter {
-                name: "weights",
-                message: format!(
-                    "expected {} weights, got {}",
-                    self.input_size,
-                    weights.len()
-                ),
-            });
-        }
-        // One batched generator (a single staged-recurrence scratch) fills
-        // every field's bank; bit-identical to per-lane `SngBank` generators.
-        let mut batch = BatchSng::new(SngKind::Lfsr32);
-        (0..self.pool_window)
-            .map(|field| {
-                let (_, weight_seed) = self.operand_bank_seeds(field);
-                batch.generate_bipolar_bank(weight_seed, weights, self.stream_length)
-            })
+    /// The lane sequences of the SNG bank based at `base_seed`, one per
+    /// receptive-field element.
+    fn lane_sequences(&self, base_seed: u64) -> Vec<LaneSequence> {
+        (0..self.input_size)
+            .map(|lane| LaneSequence::new(SngBank::lane_seed(base_seed, lane), self.stream_length))
             .collect()
     }
 
-    /// Generates the weight lanes of every row (a convolution filter or a
-    /// fully-connected unit) straight into the packed form
-    /// [`LayerOperands::Packed`] takes: one [`PackedLanes`] per pool-window
-    /// field, one row per filter, in order. Bit-identical to packing each
-    /// row's [`FeatureBlock::weight_streams`], without a buffer per lane.
+    /// Compiles one SC layer of this block against the weights of its
+    /// `rows` (the filters of a convolution layer or the units of a
+    /// fully-connected one): everything [`CompiledLayer::evaluate`] needs
+    /// that does not depend on the input, drawn once from the block's seeds.
+    ///
+    /// Every row shares the block's seeds and therefore its SNG wiring and
+    /// its MUX selectors, so one set of input sequences serves every row,
+    /// and a row's weight streams are generated once for the layer's
+    /// lifetime instead of once per call — the filter-aware sharing the
+    /// paper applies to SRAM (`sc_dcnn::weight_storage`). The inner product
+    /// fixes the operand form:
+    ///
+    /// * a MUX forwards one lane per cycle, so a field needs one selected
+    ///   stream: each field keeps one [`SelectedSequence`] for its inputs
+    ///   (per cycle, the lane the selector forwards and that lane's sample)
+    ///   and each row the one selected stream of its weights, `N` times
+    ///   less than the lanes, filled like an input from the field's selected
+    ///   weight sequence;
+    /// * an APC counts every lane, so a field needs all of them: each field
+    ///   keeps one [`LaneSequence`] per lane, and every row's weight lanes
+    ///   are packed into one contiguous [`PackedLanes`] buffer per field in
+    ///   row order, so an evaluation reads each row's weights once, front
+    ///   to back.
     ///
     /// # Errors
     ///
-    /// Returns [`ScError::InvalidParameter`] for a wrong weight count or a
-    /// lane count the packed layout cannot hold, and propagates encoding
-    /// errors for values outside `[-1, 1]`.
-    pub fn packed_weights(&self, rows: &[Vec<f64>]) -> Result<Vec<PackedLanes>, ScError> {
+    /// Returns [`ScError::InvalidParameter`] for a row of other than
+    /// `input_size` weights or a lane count the packed layout cannot hold,
+    /// and propagates encoding errors for weights outside `[-1, 1]`.
+    pub fn compile_layer(&self, rows: &[Vec<f64>]) -> Result<CompiledLayer, ScError> {
         if let Some(row) = rows.iter().find(|row| row.len() != self.input_size) {
             return Err(ScError::InvalidParameter {
                 name: "weights",
                 message: format!("expected {} weights, got {}", self.input_size, row.len()),
             });
         }
-        let mut batch = BatchSng::new(SngKind::Lfsr32);
-        let mut lane_stream = BitStream::zeros(self.stream_length);
-        (0..self.pool_window)
-            .map(|field| {
-                let (_, weight_seed) = self.operand_bank_seeds(field);
-                let mut packed =
-                    PackedLanes::zeroed(self.input_size, self.stream_length, rows.len())?;
-                for (row, weights) in rows.iter().enumerate() {
-                    for (lane, &weight) in weights.iter().enumerate() {
-                        batch.fill_bipolar(
-                            SngBank::lane_seed(weight_seed, lane),
-                            weight,
-                            &mut lane_stream,
-                        )?;
-                        packed.write_lane(row, lane, &lane_stream)?;
+        let weight_thresholds = rows
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .map(|&weight| probability_threshold(Bipolar::to_probability(weight)?))
+                    .collect::<Result<Vec<u32>, _>>()
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let length = self.stream_length;
+        let operands = match self.kind.inner_product() {
+            InnerProductKind::Mux => {
+                let mut inputs = Vec::with_capacity(self.pool_window);
+                let mut weights = vec![Vec::with_capacity(self.pool_window); rows.len()];
+                for field in 0..self.pool_window {
+                    let seed = self.field_seed(field);
+                    let plan = MuxSelectorPlan::new(
+                        self.input_size,
+                        length.bits(),
+                        &mut mux_selector(seed),
+                    )?;
+                    inputs.push(SelectedSequence::new(&self.lane_sequences(seed), &plan)?);
+                    let selected_weights = SelectedSequence::new(
+                        &self.lane_sequences(seed ^ WEIGHT_BANK_SEED_XOR),
+                        &plan,
+                    )?;
+                    for (row, thresholds) in weights.iter_mut().zip(&weight_thresholds) {
+                        let mut stream = BitStream::zeros(length);
+                        selected_weights.fill(thresholds, &mut stream)?;
+                        row.push(stream);
                     }
                 }
-                Ok(packed)
-            })
-            .collect()
-    }
-
-    /// Pre-draws the selector plans shared by *every* unit and every
-    /// position of one SC layer for streams of `stream_bits` bits.
-    ///
-    /// The plans depend only on the block's seeds and the stream length —
-    /// not on the operands — so an engine evaluating a whole layer builds
-    /// them once, gathers its weights and input sequences through them,
-    /// and shares them across all positions (and all fan-out workers). APC
-    /// kinds need no selector plans; their prepared set is empty.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScError::InvalidParameter`] for a zero `stream_bits`.
-    pub fn prepare_selectors(&self, stream_bits: usize) -> Result<LayerSelectors, ScError> {
-        let (field_plans, avg_plan) = match self.kind {
-            FeatureBlockKind::MuxAvgStanh | FeatureBlockKind::MuxMaxStanh => {
-                // Selector draws are a function of the field index only, so
-                // one plan per field serves every unit at every position.
-                let field_plans: Vec<MuxSelectorPlan> = (0..self.pool_window)
-                    .map(|field| {
-                        MuxSelectorPlan::new(
-                            self.input_size,
-                            stream_bits,
-                            &mut mux_selector(self.field_seed(field)),
-                        )
-                    })
-                    .collect::<Result<_, _>>()?;
-                let avg_plan = if self.kind == FeatureBlockKind::MuxAvgStanh {
-                    Some(
+                let avg_plan = match self.kind {
+                    FeatureBlockKind::MuxAvgStanh => Some(
                         self.average_pooling()
-                            .selector_plan(self.pool_window, stream_bits)?,
-                    )
-                } else {
-                    None
+                            .selector_plan(self.pool_window, length.bits())?,
+                    ),
+                    _ => None,
                 };
-                (field_plans, avg_plan)
+                Operands::Mux {
+                    inputs,
+                    weights,
+                    avg_plan,
+                }
             }
-            FeatureBlockKind::ApcAvgBtanh | FeatureBlockKind::ApcMaxBtanh => {
-                sc_core::bitstream::StreamLength::try_new(stream_bits)?;
-                (Vec::new(), None)
+            _ => {
+                let mut inputs = Vec::with_capacity(self.pool_window);
+                let mut weights = Vec::with_capacity(self.pool_window);
+                let mut lane_stream = BitStream::zeros(length);
+                for field in 0..self.pool_window {
+                    let seed = self.field_seed(field);
+                    inputs.push(self.lane_sequences(seed));
+                    let weight_lanes = self.lane_sequences(seed ^ WEIGHT_BANK_SEED_XOR);
+                    let mut packed = PackedLanes::zeroed(self.input_size, length, rows.len())?;
+                    for (row, thresholds) in weight_thresholds.iter().enumerate() {
+                        for (lane, sequence) in weight_lanes.iter().enumerate() {
+                            sequence.fill(thresholds[lane], &mut lane_stream)?;
+                            packed.write_lane(row, lane, &lane_stream)?;
+                        }
+                    }
+                    weights.push(packed);
+                }
+                Operands::Apc { inputs, weights }
             }
         };
-        Ok(LayerSelectors {
-            field_plans,
-            avg_plan,
-            stream_bits,
+        Ok(CompiledLayer {
+            block: self.clone(),
+            rows: rows.len(),
+            operands,
         })
-    }
-
-    /// Evaluates *all output units of one layer position* from pre-generated
-    /// operand streams in a single fused call.
-    ///
-    /// The operands derive from the `[field][lane]` streams of the SNG banks
-    /// seeded with [`FeatureBlock::operand_bank_seeds`] and of
-    /// [`FeatureBlock::weight_streams`]: MUX kinds take them *gathered*
-    /// ([`LayerOperands::Gathered`], one selected stream per field), APC
-    /// kinds *packed* ([`LayerOperands::Packed`], every lane). The inputs
-    /// are shared by every unit (all units of an SC layer see the same
-    /// receptive fields through identically-wired SNG banks — the
-    /// layer-level analogue of the paper's filter-aware SRAM sharing).
-    /// `selectors` come from [`FeatureBlock::prepare_selectors`].
-    ///
-    /// `result[u]` is **bit-identical** to
-    /// [`FeatureBlock::evaluate_stream`] on the corresponding values and
-    /// unit `u`'s filter: the multiply-accumulate kernels, the per-field
-    /// MUX selectors, the pooling block and the activation apply in the
-    /// same order with the same seeds. The fused call does the shared work
-    /// once instead of once per unit:
-    ///
-    /// * a MUX unit's field sum is one word-wise XNOR of the selected input
-    ///   and the selected weight stream: the MUX forwards one lane per
-    ///   cycle, so `MUX(x ⊙ w) = MUX(x) ⊙ MUX(w)` under the field's plan,
-    ///   and the gathering happened once per field (inputs) and once per
-    ///   unit at load time (weights);
-    /// * the average-pooling MUX selector is planned once and replayed;
-    /// * APC popcounts run through the packed Harley-Seal core
-    ///   ([`Apc::count_packed_with`]): each unit's weights of a field are
-    ///   read once, front to back, against the field's packed inputs (see
-    ///   [`sc_core::csa`]);
-    /// * the hardware max pool counts every 16-bit segment of a word with
-    ///   one SWAR lane-popcount and picks the forwarding mask by a
-    ///   lane-wise argmax ([`HardwareMaxPooling::pool_streams_with`]);
-    ///   a one-field pool window (every dense layer) passes its field
-    ///   straight to the activation, as the max or average of one input is
-    ///   that input;
-    /// * the Stanh walks of all units run through the block's byte table,
-    ///   built once at construction, one lookup per input byte
-    ///   ([`StanhBlock::apply_batch_with`]); the Btanh walks are
-    ///   interleaved word-by-word ([`BtanhBlock::apply_batch_with`]).
-    ///
-    /// [`StanhBlock::apply_batch_with`]: crate::activation_block::StanhBlock::apply_batch_with
-    /// [`BtanhBlock::apply_batch_with`]: crate::activation_block::BtanhBlock::apply_batch_with
-    ///
-    /// **Arena contract**: the caller owns `arena` and threads it down; all
-    /// intermediates (per-field MUX sums, APC column counts, pooled streams)
-    /// are taken from and recycled into it before the call returns, so
-    /// steady-state evaluation allocates no stream or count buffers. The
-    /// returned output streams are arena-backed too — the caller recycles
-    /// them once decoded. Error paths drop in-flight buffers instead of
-    /// pooling them (an error means a caller bug, not steady state).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScError::InvalidParameter`] for operands of the other
-    /// inner-product family, mismatched field, lane or unit counts of the
-    /// shared inputs or any unit's weights, or for selectors prepared for a
-    /// different block, [`ScError::LengthMismatch`] for streams of a length
-    /// other than the selectors', and propagates kernel errors for
-    /// mismatched stream lengths.
-    pub fn evaluate_layer_prepared_with(
-        &self,
-        selectors: &LayerSelectors,
-        operands: LayerOperands<'_>,
-        arena: &mut StreamArena,
-    ) -> Result<Vec<BitStream>, ScError> {
-        match (self.kind.inner_product(), operands) {
-            (
-                InnerProductKind::Mux,
-                LayerOperands::Gathered {
-                    inputs,
-                    unit_weights,
-                },
-            ) => self.evaluate_mux_layer(selectors, inputs, unit_weights, arena),
-            (InnerProductKind::Apc, LayerOperands::Packed { inputs, weights }) => {
-                self.evaluate_apc_layer(selectors, inputs, weights, arena)
-            }
-            _ => Err(ScError::InvalidParameter {
-                name: "operands",
-                message: format!(
-                    "{} takes gathered operands for MUX kinds and packed operands for APC kinds",
-                    self.kind
-                ),
-            }),
-        }
-    }
-
-    /// The MUX branch of [`FeatureBlock::evaluate_layer_prepared_with`].
-    fn evaluate_mux_layer(
-        &self,
-        selectors: &LayerSelectors,
-        inputs: &[Vec<BitStream>],
-        unit_weights: &[&[Vec<BitStream>]],
-        arena: &mut StreamArena,
-    ) -> Result<Vec<BitStream>, ScError> {
-        self.validate_prepared_fields("inputs", inputs)?;
-        for (unit, weights) in unit_weights.iter().enumerate() {
-            self.validate_prepared_fields("unit_weights", weights)
-                .map_err(|_| ScError::InvalidParameter {
-                    name: "unit_weights",
-                    message: format!(
-                        "unit {unit} weight streams do not match {} fields x 1 gathered lane",
-                        self.pool_window,
-                    ),
-                })?;
-        }
-        if unit_weights.is_empty() {
-            return Ok(Vec::new());
-        }
-        if selectors.field_plans.len() != self.pool_window {
-            return Err(ScError::InvalidParameter {
-                name: "selectors",
-                message: format!(
-                    "{} field plans do not cover {} pool-window fields",
-                    selectors.field_plans.len(),
-                    self.pool_window
-                ),
-            });
-        }
-        if self.kind == FeatureBlockKind::MuxAvgStanh && selectors.avg_plan.is_none() {
-            return Err(ScError::InvalidParameter {
-                name: "selectors",
-                message: "average-pooling MUX plan missing (selectors prepared for a \
-                          different block?)"
-                    .into(),
-            });
-        }
-        let length = StreamLength::try_new(selectors.stream_bits)?;
-        let mut pooled_units = Vec::with_capacity(unit_weights.len());
-        let mut field_sums: Vec<BitStream> = Vec::with_capacity(self.pool_window);
-        for weights in unit_weights {
-            for (xs, ws) in inputs.iter().zip(weights.iter()) {
-                let (x, w) = (&xs[0], &ws[0]);
-                for stream in [x, w] {
-                    if stream.len() != length.bits() {
-                        return Err(ScError::LengthMismatch {
-                            left: length.bits(),
-                            right: stream.len(),
-                        });
-                    }
-                }
-                let mut sum = arena.take_zeroed(length);
-                sum.words_mut().copy_from_slice(x.as_words());
-                sum.xnor_assign(w);
-                field_sums.push(sum);
-            }
-            let pooled = if self.pool_window == 1 {
-                field_sums.pop().expect("one field")
-            } else {
-                let pooled = match &selectors.avg_plan {
-                    Some(plan) => self.average_pooling().pool_streams_with_plan_with(
-                        &field_sums,
-                        plan,
-                        arena,
-                    )?,
-                    None => HardwareMaxPooling::new(DEFAULT_MAX_POOL_SEGMENT)?
-                        .pool_streams_with(&field_sums, arena)?,
-                };
-                arena.recycle_all(field_sums.drain(..));
-                pooled
-            };
-            pooled_units.push(pooled);
-        }
-        let stanh = self.stanh.as_ref().expect("MUX blocks carry a Stanh");
-        let refs: Vec<&BitStream> = pooled_units.iter().collect();
-        let outputs = stanh.apply_batch_with(&refs, arena);
-        drop(refs);
-        arena.recycle_all(pooled_units);
-        Ok(outputs)
-    }
-
-    /// The APC branch of [`FeatureBlock::evaluate_layer_prepared_with`].
-    fn evaluate_apc_layer(
-        &self,
-        selectors: &LayerSelectors,
-        inputs: &[PackedLanes],
-        weights: &[PackedView<'_>],
-        arena: &mut StreamArena,
-    ) -> Result<Vec<BitStream>, ScError> {
-        let units = weights.first().map_or(0, PackedView::rows);
-        let shapes_match = inputs.len() == self.pool_window
-            && weights.len() == self.pool_window
-            && inputs
-                .iter()
-                .all(|field| field.lanes() == self.input_size && field.rows() == 1)
-            && weights
-                .iter()
-                .all(|field| field.lanes() == self.input_size && field.rows() == units);
-        if !shapes_match {
-            return Err(ScError::InvalidParameter {
-                name: "operands",
-                message: format!(
-                    "packed operands do not match {} fields x {} lanes (one input row, one \
-                     weight row per unit)",
-                    self.pool_window, self.input_size
-                ),
-            });
-        }
-        if let Some(field) = inputs
-            .iter()
-            .find(|field| field.length().bits() != selectors.stream_bits)
-        {
-            return Err(ScError::LengthMismatch {
-                left: selectors.stream_bits,
-                right: field.length().bits(),
-            });
-        }
-        if units == 0 {
-            return Ok(Vec::new());
-        }
-        // Counts transposed to unit-major as each field's pass completes
-        // (no per-unit copies of the buffers).
-        let mut per_unit: Vec<Vec<CountStream>> = (0..units)
-            .map(|_| Vec::with_capacity(self.pool_window))
-            .collect();
-        for (input, field_weights) in inputs.iter().zip(weights) {
-            let field_counts = Apc::new().count_packed_with(input.view(), *field_weights, arena)?;
-            for (unit, stream) in field_counts.into_iter().enumerate() {
-                per_unit[unit].push(stream);
-            }
-        }
-        let mut pooled_units = Vec::with_capacity(units);
-        for mut unit_counts in per_unit {
-            pooled_units.push(if self.pool_window == 1 {
-                unit_counts.pop().expect("one field")
-            } else {
-                let pooled = if self.kind == FeatureBlockKind::ApcAvgBtanh {
-                    CountStream::merge_sum_with(&unit_counts, arena)?
-                } else {
-                    HardwareMaxPooling::new(DEFAULT_MAX_POOL_SEGMENT)?
-                        .pool_counts_with(&unit_counts, arena)?
-                };
-                for counts in unit_counts {
-                    arena.recycle_counts(counts.into_counts());
-                }
-                pooled
-            });
-        }
-        let btanh = self.btanh.as_ref().expect("APC blocks carry a Btanh");
-        let refs: Vec<&CountStream> = pooled_units.iter().collect();
-        let outputs = btanh.apply_batch_with(&refs, arena);
-        drop(refs);
-        for pooled in pooled_units {
-            arena.recycle_counts(pooled.into_counts());
-        }
-        Ok(outputs)
-    }
-
-    /// Validates one gathered `[field][0]` stream set against this block's
-    /// pool window.
-    fn validate_prepared_fields(
-        &self,
-        name: &'static str,
-        fields: &[Vec<BitStream>],
-    ) -> Result<(), ScError> {
-        if fields.len() != self.pool_window {
-            return Err(ScError::InvalidParameter {
-                name,
-                message: format!(
-                    "expected {} prepared fields, got {}",
-                    self.pool_window,
-                    fields.len()
-                ),
-            });
-        }
-        for (field, lanes) in fields.iter().enumerate() {
-            if lanes.len() != 1 {
-                return Err(ScError::InvalidParameter {
-                    name,
-                    message: format!("field {field} has {} lanes, expected 1", lanes.len()),
-                });
-            }
-        }
-        Ok(())
     }
 
     /// Evaluates the block and decodes the output to a bipolar value.
@@ -943,6 +579,349 @@ impl FeatureBlock {
             }
         }
         Ok(())
+    }
+}
+
+/// One SC layer compiled by [`FeatureBlock::compile_layer`]: the block, its
+/// input sequences and every row's weight streams, in the operand form the
+/// block's inner product consumes.
+///
+/// A request evaluates a layer position in two steps. [`CompiledLayer::fill`]
+/// turns the comparator thresholds of the position's receptive fields into
+/// [`LayerInputs`] — every stream is a comparator pass over a precomputed
+/// sequence, the hardware view of one fixed RNG sequence per comparator
+/// group — and [`CompiledLayer::evaluate`] evaluates any range of rows on
+/// them in one fused call. The inputs are shared by every row, so a
+/// position's streams are filled once for all filters (convolution) or
+/// units (fully-connected). The layer is immutable and `Sync`: any number
+/// of workers evaluate it at once, each with its own arena.
+#[derive(Debug)]
+pub struct CompiledLayer {
+    block: FeatureBlock,
+    rows: usize,
+    operands: Operands,
+}
+
+/// The input-independent operands of a [`CompiledLayer`].
+#[derive(Debug)]
+enum Operands {
+    /// One selected input sequence per field, `[row][field]` selected weight
+    /// streams, and the average-pooling selector plan (`MuxAvgStanh` only).
+    Mux {
+        inputs: Vec<SelectedSequence>,
+        weights: Vec<Vec<BitStream>>,
+        avg_plan: Option<MuxSelectorPlan>,
+    },
+    /// `[field][lane]` input sequences, and per field every row's weight
+    /// lanes packed one row per filter or unit.
+    Apc {
+        inputs: Vec<Vec<LaneSequence>>,
+        weights: Vec<PackedLanes>,
+    },
+}
+
+/// The input streams of one layer position, filled by
+/// [`CompiledLayer::fill`]: the one selected stream per field of a MUX
+/// layer, or every lane of an APC layer packed one field per buffer. The
+/// buffers come from the filling arena; [`LayerInputs::recycle`] returns
+/// them. `Sync`, so fan-out workers evaluate disjoint rows on one fill.
+#[derive(Debug)]
+pub struct LayerInputs(Inputs);
+
+#[derive(Debug)]
+enum Inputs {
+    Selected(Vec<BitStream>),
+    Packed(Vec<PackedLanes>),
+}
+
+impl LayerInputs {
+    /// Returns every buffer to `arena`.
+    pub fn recycle(self, arena: &mut StreamArena) {
+        match self.0 {
+            Inputs::Selected(fields) => arena.recycle_all(fields),
+            Inputs::Packed(fields) => {
+                for field in fields {
+                    arena.recycle_packed(field);
+                }
+            }
+        }
+    }
+}
+
+impl CompiledLayer {
+    /// Number of rows (filters or units) the layer evaluates.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Weight streams the layer holds: one per row and field for a MUX
+    /// layer (the selected stream), one per row, field and lane for an APC
+    /// layer.
+    pub fn weight_streams(&self) -> usize {
+        self.rows * self.streams_per_fill()
+    }
+
+    /// Input streams one [`CompiledLayer::fill`] fills: one per field for a
+    /// MUX layer, one per field and lane for an APC layer.
+    pub fn streams_per_fill(&self) -> usize {
+        match self.operands {
+            Operands::Mux { .. } => self.block.pool_window,
+            Operands::Apc { .. } => self.block.pool_window * self.block.input_size,
+        }
+    }
+
+    /// Fills the input streams of one layer position from the comparator
+    /// thresholds ([`probability_threshold`]) of its `pool_window`
+    /// receptive fields of `input_size` values each. The buffers are taken
+    /// from `arena`; recycle them with [`LayerInputs::recycle`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScError::InvalidParameter`] for a field count other than
+    /// the pool window or a field of other than `input_size` values.
+    pub fn fill(
+        &self,
+        fields: &[Vec<u32>],
+        arena: &mut StreamArena,
+    ) -> Result<LayerInputs, ScError> {
+        let block = &self.block;
+        if fields.len() != block.pool_window {
+            return Err(ScError::InvalidParameter {
+                name: "fields",
+                message: format!(
+                    "expected {} receptive fields, got {}",
+                    block.pool_window,
+                    fields.len()
+                ),
+            });
+        }
+        if let Some((field, values)) = fields
+            .iter()
+            .enumerate()
+            .find(|(_, values)| values.len() != block.input_size)
+        {
+            return Err(ScError::InvalidParameter {
+                name: "fields",
+                message: format!(
+                    "receptive field {field} has {} values, expected {}",
+                    values.len(),
+                    block.input_size
+                ),
+            });
+        }
+        let length = block.stream_length;
+        let inputs = match &self.operands {
+            Operands::Mux { inputs, .. } => Inputs::Selected(
+                fields
+                    .iter()
+                    .zip(inputs)
+                    .map(|(thresholds, sequence)| {
+                        let mut stream = arena.take_zeroed(length);
+                        sequence.fill(thresholds, &mut stream)?;
+                        Ok(stream)
+                    })
+                    .collect::<Result<_, ScError>>()?,
+            ),
+            Operands::Apc { inputs, .. } => {
+                let mut scratch = arena.take_zeroed(length);
+                let packed = fields
+                    .iter()
+                    .zip(inputs)
+                    .map(|(thresholds, lanes)| {
+                        let mut packed = arena.take_packed(block.input_size, length)?;
+                        for (lane, (&threshold, sequence)) in
+                            thresholds.iter().zip(lanes).enumerate()
+                        {
+                            sequence.fill(threshold, &mut scratch)?;
+                            packed.write_lane(0, lane, &scratch)?;
+                        }
+                        Ok(packed)
+                    })
+                    .collect::<Result<_, ScError>>();
+                arena.recycle(scratch);
+                Inputs::Packed(packed?)
+            }
+        };
+        Ok(LayerInputs(inputs))
+    }
+
+    /// Evaluates the rows in `rows` on one position's filled `inputs` in a
+    /// single fused call.
+    ///
+    /// `result[i]` is **bit-identical** to [`FeatureBlock::evaluate_stream`]
+    /// on the position's values and the weights of row `rows.start + i`:
+    /// the multiply-accumulate kernels, the per-field MUX selectors, the
+    /// pooling block and the activation apply in the same order with the
+    /// same seeds. The fused call does the shared work once instead of once
+    /// per row:
+    ///
+    /// * a MUX row's field sum is one word-wise XNOR of the selected input
+    ///   and the selected weight stream: the MUX forwards one lane per
+    ///   cycle, so `MUX(x ⊙ w) = MUX(x) ⊙ MUX(w)` under the field's plan;
+    /// * the average-pooling MUX selector is planned once and replayed;
+    /// * APC popcounts run through the packed Harley-Seal core
+    ///   ([`Apc::count_packed_with`]): each row's weights of a field are
+    ///   read once, front to back, against the field's packed inputs (see
+    ///   [`sc_core::csa`]);
+    /// * the hardware max pool counts every 16-bit segment of a word with
+    ///   one SWAR lane-popcount and picks the forwarding mask by a
+    ///   lane-wise argmax ([`HardwareMaxPooling::pool_streams_with`]);
+    ///   a one-field pool window (every dense layer) passes its field
+    ///   straight to the activation, as the max or average of one input is
+    ///   that input;
+    /// * the Stanh walks of all rows run through the block's byte table,
+    ///   built once at construction, one lookup per input byte
+    ///   ([`StanhBlock::apply_batch_with`]); the Btanh walks are
+    ///   interleaved word-by-word ([`BtanhBlock::apply_batch_with`]).
+    ///
+    /// **Arena contract**: the caller owns `arena` and threads it down; all
+    /// intermediates (per-field MUX sums, APC column counts, pooled streams)
+    /// are taken from and recycled into it before the call returns, so
+    /// steady-state evaluation allocates no stream or count buffers. The
+    /// returned output streams are arena-backed too — the caller recycles
+    /// them once decoded.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScError::InvalidParameter`] for a row range past the last
+    /// row or `inputs` filled by a layer of another form or shape, and
+    /// propagates kernel errors.
+    pub fn evaluate(
+        &self,
+        inputs: &LayerInputs,
+        rows: Range<usize>,
+        arena: &mut StreamArena,
+    ) -> Result<Vec<BitStream>, ScError> {
+        if rows.start > rows.end || rows.end > self.rows {
+            return Err(ScError::InvalidParameter {
+                name: "rows",
+                message: format!("rows {rows:?} outside a layer of {} rows", self.rows),
+            });
+        }
+        let block = &self.block;
+        let bits = block.stream_length.bits();
+        match (&self.operands, &inputs.0) {
+            (
+                Operands::Mux {
+                    weights, avg_plan, ..
+                },
+                Inputs::Selected(fields),
+            ) if fields.len() == block.pool_window
+                && fields.iter().all(|stream| stream.len() == bits) =>
+            {
+                self.evaluate_mux(fields, &weights[rows], avg_plan.as_ref(), arena)
+            }
+            (Operands::Apc { weights, .. }, Inputs::Packed(fields))
+                if fields.len() == block.pool_window
+                    && fields.iter().all(|field| {
+                        field.lanes() == block.input_size && field.length().bits() == bits
+                    }) =>
+            {
+                self.evaluate_apc(fields, weights, rows, arena)
+            }
+            _ => Err(ScError::InvalidParameter {
+                name: "inputs",
+                message: format!("inputs were not filled by this {} layer", block.kind),
+            }),
+        }
+    }
+
+    /// The MUX branch of [`CompiledLayer::evaluate`].
+    fn evaluate_mux(
+        &self,
+        inputs: &[BitStream],
+        weights: &[Vec<BitStream>],
+        avg_plan: Option<&MuxSelectorPlan>,
+        arena: &mut StreamArena,
+    ) -> Result<Vec<BitStream>, ScError> {
+        let block = &self.block;
+        let mut pooled_rows = Vec::with_capacity(weights.len());
+        let mut field_sums: Vec<BitStream> = Vec::with_capacity(block.pool_window);
+        for row in weights {
+            for (x, w) in inputs.iter().zip(row) {
+                let mut sum = arena.take_zeroed(block.stream_length);
+                sum.words_mut().copy_from_slice(x.as_words());
+                sum.xnor_assign(w);
+                field_sums.push(sum);
+            }
+            let pooled = if block.pool_window == 1 {
+                field_sums.pop().expect("one field")
+            } else {
+                let pooled = match avg_plan {
+                    Some(plan) => block.average_pooling().pool_streams_with_plan_with(
+                        &field_sums,
+                        plan,
+                        arena,
+                    )?,
+                    None => HardwareMaxPooling::new(DEFAULT_MAX_POOL_SEGMENT)?
+                        .pool_streams_with(&field_sums, arena)?,
+                };
+                arena.recycle_all(field_sums.drain(..));
+                pooled
+            };
+            pooled_rows.push(pooled);
+        }
+        let stanh = block.stanh.as_ref().expect("MUX blocks carry a Stanh");
+        let refs: Vec<&BitStream> = pooled_rows.iter().collect();
+        let outputs = stanh.apply_batch_with(&refs, arena);
+        drop(refs);
+        arena.recycle_all(pooled_rows);
+        Ok(outputs)
+    }
+
+    /// The APC branch of [`CompiledLayer::evaluate`].
+    fn evaluate_apc(
+        &self,
+        inputs: &[PackedLanes],
+        weights: &[PackedLanes],
+        rows: Range<usize>,
+        arena: &mut StreamArena,
+    ) -> Result<Vec<BitStream>, ScError> {
+        let block = &self.block;
+        if rows.is_empty() {
+            return Ok(Vec::new());
+        }
+        // Counts transposed to row-major as each field's pass completes
+        // (no per-row copies of the buffers).
+        let mut per_row: Vec<Vec<CountStream>> = rows
+            .clone()
+            .map(|_| Vec::with_capacity(block.pool_window))
+            .collect();
+        for (input, field_weights) in inputs.iter().zip(weights) {
+            let field_counts = Apc::new().count_packed_with(
+                input.view(),
+                field_weights.view_rows(rows.clone()),
+                arena,
+            )?;
+            for (row, stream) in field_counts.into_iter().enumerate() {
+                per_row[row].push(stream);
+            }
+        }
+        let mut pooled_rows = Vec::with_capacity(per_row.len());
+        for mut row_counts in per_row {
+            pooled_rows.push(if block.pool_window == 1 {
+                row_counts.pop().expect("one field")
+            } else {
+                let pooled = if block.kind == FeatureBlockKind::ApcAvgBtanh {
+                    CountStream::merge_sum_with(&row_counts, arena)?
+                } else {
+                    HardwareMaxPooling::new(DEFAULT_MAX_POOL_SEGMENT)?
+                        .pool_counts_with(&row_counts, arena)?
+                };
+                for counts in row_counts {
+                    arena.recycle_counts(counts.into_counts());
+                }
+                pooled
+            });
+        }
+        let btanh = block.btanh.as_ref().expect("APC blocks carry a Btanh");
+        let refs: Vec<&CountStream> = pooled_rows.iter().collect();
+        let outputs = btanh.apply_batch_with(&refs, arena);
+        drop(refs);
+        for pooled in pooled_rows {
+            arena.recycle_counts(pooled.into_counts());
+        }
+        Ok(outputs)
     }
 }
 
@@ -1096,174 +1075,66 @@ mod tests {
         );
     }
 
-    /// Input streams for `fields` through the published seed scheme.
-    fn input_streams_for(block: &FeatureBlock, fields: &[Vec<f64>]) -> Vec<Vec<BitStream>> {
+    /// Comparator thresholds of `fields`, the form a compiled layer fills
+    /// its input streams from.
+    fn thresholds(fields: &[Vec<f64>]) -> Vec<Vec<u32>> {
         fields
             .iter()
-            .enumerate()
-            .map(|(i, field)| {
-                let (input_seed, _) = block.operand_bank_seeds(i);
-                sc_core::sng::SngBank::new(sc_core::sng::SngKind::Lfsr32, field.len(), input_seed)
-                    .generate_bipolar(field, block.stream_length())
-                    .unwrap()
+            .map(|field| {
+                field
+                    .iter()
+                    .map(|&value| {
+                        probability_threshold(Bipolar::to_probability(value).unwrap()).unwrap()
+                    })
+                    .collect()
             })
             .collect()
     }
 
-    /// `[field][lane]` operand streams.
-    type FieldStreams = Vec<Vec<BitStream>>;
-
-    /// One layer's operands prepared the way the block's family takes them.
-    enum Prepared {
-        /// MUX kinds: gathered inputs and every unit's gathered weights.
-        Gathered(FieldStreams, Vec<FieldStreams>),
-        /// APC kinds: packed input fields and packed weight fields.
-        Packed(Vec<PackedLanes>, Vec<PackedLanes>),
-    }
-
-    #[test]
-    fn packed_weights_match_packed_weight_streams() {
-        for len in [100usize, 256] {
-            let block =
-                FeatureBlock::new(FeatureBlockKind::ApcMaxBtanh, 9, StreamLength::new(len), 4)
-                    .unwrap();
-            let rows: Vec<Vec<f64>> = (0..3).map(|u| random_case(9, 4, 40 + u).1).collect();
-            let streams: Vec<Vec<Vec<BitStream>>> = rows
-                .iter()
-                .map(|row| block.weight_streams(row).unwrap())
-                .collect();
-            let packed = block.packed_weights(&rows).unwrap();
-            assert_eq!(packed.len(), 4);
-            for (field, field_packed) in packed.iter().enumerate() {
-                let expected =
-                    PackedLanes::pack(streams.iter().map(|unit| unit[field].as_slice())).unwrap();
-                assert_eq!(field_packed, &expected, "field {field} at length {len}");
-            }
-            assert!(block.packed_weights(&[rows[0][..8].to_vec()]).is_err());
-        }
-    }
-
-    /// Packs `[field][lane]` inputs into one row per field and the units'
-    /// weights into one row per unit per field.
-    fn pack_layer(
-        block: &FeatureBlock,
-        inputs: &[Vec<BitStream>],
-        unit_weights: &[&[Vec<BitStream>]],
-    ) -> Result<(Vec<PackedLanes>, Vec<PackedLanes>), ScError> {
-        let packed_inputs = inputs
-            .iter()
-            .map(|lanes| PackedLanes::pack([lanes.as_slice()]))
-            .collect::<Result<_, _>>()?;
-        let weights = (0..block.pool_window())
-            .map(|field| {
-                if unit_weights.is_empty() {
-                    PackedLanes::zeroed(block.input_size(), block.stream_length(), 0)
-                } else {
-                    PackedLanes::pack(unit_weights.iter().map(|unit| unit[field].as_slice()))
-                }
-            })
-            .collect::<Result<_, _>>()?;
-        Ok((packed_inputs, weights))
-    }
-
-    /// Freshly prepared selectors and the operands of `inputs` and every
-    /// unit: gathered through the selectors (MUX) or packed (APC).
-    fn prepare_layer(
-        block: &FeatureBlock,
-        inputs: &[Vec<BitStream>],
-        unit_weights: &[&[Vec<BitStream>]],
-    ) -> Result<(LayerSelectors, Prepared), ScError> {
-        let selectors = block.prepare_selectors(block.stream_length().bits())?;
-        let prepared = match block.kind().inner_product() {
-            InnerProductKind::Mux => Prepared::Gathered(
-                selectors.gather(inputs.to_vec())?,
-                unit_weights
-                    .iter()
-                    .map(|weights| selectors.gather(weights.to_vec()))
-                    .collect::<Result<_, _>>()?,
-            ),
-            _ => {
-                let (inputs, weights) = pack_layer(block, inputs, unit_weights)?;
-                Prepared::Packed(inputs, weights)
-            }
-        };
-        Ok((selectors, prepared))
-    }
-
-    /// One fused layer call over prepared operands.
-    fn run_layer(
-        block: &FeatureBlock,
-        selectors: &LayerSelectors,
-        prepared: &Prepared,
+    /// Fills `fields` through `layer` and evaluates `rows` on them.
+    fn fill_and_evaluate(
+        layer: &CompiledLayer,
+        fields: &[Vec<f64>],
+        rows: Range<usize>,
         arena: &mut StreamArena,
-    ) -> Result<Vec<BitStream>, ScError> {
-        match prepared {
-            Prepared::Gathered(inputs, units) => {
-                let unit_weights: Vec<&[Vec<BitStream>]> =
-                    units.iter().map(|u| u.as_slice()).collect();
-                block.evaluate_layer_prepared_with(
-                    selectors,
-                    LayerOperands::Gathered {
-                        inputs,
-                        unit_weights: &unit_weights,
-                    },
-                    arena,
-                )
-            }
-            Prepared::Packed(inputs, weights) => {
-                let weights: Vec<PackedView<'_>> = weights.iter().map(PackedLanes::view).collect();
-                block.evaluate_layer_prepared_with(
-                    selectors,
-                    LayerOperands::Packed {
-                        inputs,
-                        weights: &weights,
-                    },
-                    arena,
-                )
-            }
-        }
-    }
-
-    /// One fused layer call over `[field][lane]` operands with a fresh arena.
-    fn evaluate_layer(
-        block: &FeatureBlock,
-        inputs: &[Vec<BitStream>],
-        unit_weights: &[&[Vec<BitStream>]],
-    ) -> Result<Vec<BitStream>, ScError> {
-        let (selectors, prepared) = prepare_layer(block, inputs, unit_weights)?;
-        run_layer(block, &selectors, &prepared, &mut StreamArena::new())
+    ) -> Vec<BitStream> {
+        let inputs = layer.fill(&thresholds(fields), arena).unwrap();
+        let outputs = layer.evaluate(&inputs, rows, arena).unwrap();
+        inputs.recycle(arena);
+        outputs
     }
 
     #[test]
     fn layer_fused_evaluation_is_bit_exact_with_per_call_path() {
         // All four kinds, lengths including the non-word-multiple 127, a
         // 2x2 pool window and the one-field window of a dense layer (whose
-        // field skips the pooling block), and several units sharing the
-        // layer's input streams — the fused call must reproduce
-        // `evaluate_stream` bit for bit for every unit.
+        // field skips the pooling block), and several rows sharing the
+        // layer's input streams: compile, fill from thresholds and
+        // evaluate must reproduce `evaluate_stream` bit for bit for every
+        // row, whole or in a sub-range.
         for kind in FeatureBlockKind::ALL {
-            for (len, window) in [(100usize, 4usize), (127, 4), (256, 4), (100, 1), (256, 1)] {
-                let block =
-                    FeatureBlock::with_pool_window(kind, 8, window, StreamLength::new(len), 77)
-                        .unwrap();
-                let (fields, _) = random_case(8, window, 4321 + len as u64);
-                let inputs = input_streams_for(&block, &fields);
-                let unit_filters: Vec<Vec<f64>> =
-                    (0..3).map(|u| random_case(8, window, 9000 + u).1).collect();
-                let unit_streams: Vec<Vec<Vec<BitStream>>> = unit_filters
-                    .iter()
-                    .map(|filter| block.weight_streams(filter).unwrap())
-                    .collect();
-                let unit_refs: Vec<&[Vec<BitStream>]> =
-                    unit_streams.iter().map(|u| u.as_slice()).collect();
-                let fused = evaluate_layer(&block, &inputs, &unit_refs).unwrap();
-                assert_eq!(fused.len(), 3);
-                for (unit, filter) in unit_filters.iter().enumerate() {
-                    let per_call = block.evaluate_stream(&fields, filter).unwrap();
-                    assert_eq!(
-                        fused[unit], per_call,
-                        "{kind} unit {unit} at length {len}, window {window}"
-                    );
+            for len in [100usize, 127, 256] {
+                for window in [4usize, 1] {
+                    let block =
+                        FeatureBlock::with_pool_window(kind, 8, window, StreamLength::new(len), 77)
+                            .unwrap();
+                    let (fields, _) = random_case(8, window, 4321 + len as u64);
+                    let rows: Vec<Vec<f64>> =
+                        (0..3).map(|u| random_case(8, window, 9000 + u).1).collect();
+                    let layer = block.compile_layer(&rows).unwrap();
+                    assert_eq!(layer.rows(), 3);
+                    let mut arena = StreamArena::new();
+                    let fused = fill_and_evaluate(&layer, &fields, 0..3, &mut arena);
+                    assert_eq!(fused.len(), 3);
+                    for (row, weights) in rows.iter().enumerate() {
+                        let per_call = block.evaluate_stream(&fields, weights).unwrap();
+                        assert_eq!(
+                            fused[row], per_call,
+                            "{kind} row {row} at length {len}, window {window}"
+                        );
+                    }
+                    let tail = fill_and_evaluate(&layer, &fields, 1..3, &mut arena);
+                    assert_eq!(tail, fused[1..], "{kind} rows 1..3");
                 }
             }
         }
@@ -1271,28 +1142,19 @@ mod tests {
 
     #[test]
     fn layer_fused_arena_path_is_bit_exact_and_allocation_free_in_steady_state() {
-        // Evaluating repeatedly through one shared arena must (a) reproduce
-        // a fresh-arena call bit for bit and (b) take every stream/count
-        // buffer from the pool once the arena is warm.
+        // Filling and evaluating repeatedly through one shared arena must
+        // (a) reproduce a fresh-arena call bit for bit and (b) take every
+        // stream/count/packed buffer from the pool once the arena is warm.
         for kind in FeatureBlockKind::ALL {
             let block = FeatureBlock::new(kind, 8, StreamLength::new(127), 77).unwrap();
             let (fields, _) = random_case(8, 4, 4321);
-            let inputs = input_streams_for(&block, &fields);
-            let unit_streams: Vec<Vec<Vec<BitStream>>> = (0..3)
-                .map(|u| {
-                    block
-                        .weight_streams(&random_case(8, 4, 9000 + u).1)
-                        .unwrap()
-                })
-                .collect();
-            let unit_refs: Vec<&[Vec<BitStream>]> =
-                unit_streams.iter().map(|u| u.as_slice()).collect();
-            let expected = evaluate_layer(&block, &inputs, &unit_refs).unwrap();
-            let (selectors, prepared) = prepare_layer(&block, &inputs, &unit_refs).unwrap();
+            let rows: Vec<Vec<f64>> = (0..3).map(|u| random_case(8, 4, 9000 + u).1).collect();
+            let layer = block.compile_layer(&rows).unwrap();
+            let expected = fill_and_evaluate(&layer, &fields, 0..3, &mut StreamArena::new());
             let mut arena = StreamArena::new();
             let mut warm_allocs = 0;
             for round in 0..3 {
-                let outputs = run_layer(&block, &selectors, &prepared, &mut arena).unwrap();
+                let outputs = fill_and_evaluate(&layer, &fields, 0..3, &mut arena);
                 assert_eq!(outputs, expected, "{kind} round {round}");
                 arena.recycle_all(outputs);
                 let stats = arena.stats();
@@ -1317,11 +1179,9 @@ mod tests {
         let kind = FeatureBlockKind::ApcMaxBtanh;
         let block = FeatureBlock::new(kind, 8, StreamLength::new(127), 3).unwrap();
         let (fields, _) = random_case(8, 4, 555);
-        let inputs = input_streams_for(&block, &fields);
         let filter = random_case(8, 4, 556).1;
-        let weight_streams = block.weight_streams(&filter).unwrap();
-        let refs: Vec<&[Vec<BitStream>]> = vec![weight_streams.as_slice()];
-        let fused = evaluate_layer(&block, &inputs, &refs).unwrap();
+        let layer = block.compile_layer(std::slice::from_ref(&filter)).unwrap();
+        let fused = fill_and_evaluate(&layer, &fields, 0..1, &mut StreamArena::new());
         for limit in [1usize, 4] {
             sc_core::parallel::set_thread_limit(limit);
             let per_call = block.evaluate_stream(&fields, &filter).unwrap();
@@ -1332,52 +1192,82 @@ mod tests {
 
     #[test]
     fn layer_fused_evaluation_validates_shapes() {
+        let invalid = |result: Result<LayerInputs, ScError>| {
+            matches!(result, Err(ScError::InvalidParameter { .. }))
+        };
+        let mut arena = StreamArena::new();
+        let length = StreamLength::new(64);
         for kind in [FeatureBlockKind::MuxAvgStanh, FeatureBlockKind::ApcAvgBtanh] {
-            let block = FeatureBlock::new(kind, 4, StreamLength::new(64), 3).unwrap();
+            let block = FeatureBlock::new(kind, 4, length, 3).unwrap();
             let (fields, weights) = random_case(4, 4, 9);
-            let inputs = input_streams_for(&block, &fields);
-            let weight_streams = block.weight_streams(&weights).unwrap();
-            let good: Vec<&[Vec<BitStream>]> = vec![weight_streams.as_slice()];
-            // No units: valid, empty result.
-            assert!(evaluate_layer(&block, &inputs, &[]).unwrap().is_empty());
-            // Wrong field count in the shared inputs.
-            assert!(evaluate_layer(&block, &inputs[..3], &good).is_err());
-            // Short lane count in one shared input field.
-            let mut short_input = inputs.clone();
-            short_input[1].pop();
-            assert!(evaluate_layer(&block, &short_input, &good).is_err());
-            // Wrong lane count in one unit's weights.
-            let mut short = weight_streams.clone();
+            let good = thresholds(&fields);
+            // A row of the wrong weight count, or a weight outside [-1, 1].
+            assert!(block.compile_layer(&[weights[..3].to_vec()]).is_err());
+            assert!(block.compile_layer(&[vec![0.0, 0.0, 0.0, 1.5]]).is_err());
+            let layer = block
+                .compile_layer(&[weights.clone(), weights.clone()])
+                .unwrap();
+            assert_eq!(layer.rows(), 2);
+            let per_field = if kind == FeatureBlockKind::MuxAvgStanh {
+                1
+            } else {
+                4
+            };
+            assert_eq!(layer.streams_per_fill(), 4 * per_field);
+            assert_eq!(layer.weight_streams(), 2 * 4 * per_field);
+            // Field counts other than the pool window.
+            assert!(invalid(layer.fill(&good[..3], &mut arena)), "{kind}");
+            let mut extra = good.clone();
+            extra.push(good[0].clone());
+            assert!(invalid(layer.fill(&extra, &mut arena)), "{kind}");
+            // A field with a value count other than the input size.
+            let mut short = good.clone();
             short[1].pop();
-            let bad: Vec<&[Vec<BitStream>]> = vec![weight_streams.as_slice(), short.as_slice()];
-            assert!(evaluate_layer(&block, &inputs, &bad).is_err());
-            // Wrong weight count for the weight-stream generator.
-            assert!(block.weight_streams(&weights[..3]).is_err());
-            assert!(evaluate_layer(&block, &inputs, &good).is_ok());
-            // Each family takes its own operand form only: ungathered lanes
-            // are rejected by MUX kinds (one stream per field) and by APC
-            // kinds (packed operands), packed operands by MUX kinds.
-            let selectors = block.prepare_selectors(64).unwrap();
-            let ungathered = block.evaluate_layer_prepared_with(
-                &selectors,
-                LayerOperands::Gathered {
-                    inputs: &inputs,
-                    unit_weights: &good,
-                },
-                &mut StreamArena::new(),
-            );
-            assert!(ungathered.is_err());
-            let (packed_inputs, packed_weights) = pack_layer(&block, &inputs, &good).unwrap();
-            let views: Vec<PackedView<'_>> = packed_weights.iter().map(PackedLanes::view).collect();
-            let packed = block.evaluate_layer_prepared_with(
-                &selectors,
-                LayerOperands::Packed {
-                    inputs: &packed_inputs,
-                    weights: &views,
-                },
-                &mut StreamArena::new(),
-            );
-            assert_eq!(packed.is_ok(), kind == FeatureBlockKind::ApcAvgBtanh);
+            assert!(invalid(layer.fill(&short, &mut arena)), "{kind}");
+            let mut long = good.clone();
+            long[2].push(0);
+            assert!(invalid(layer.fill(&long, &mut arena)), "{kind}");
+            // Row ranges past the last row.
+            let inputs = layer.fill(&good, &mut arena).unwrap();
+            assert!(layer.evaluate(&inputs, 1..3, &mut arena).is_err());
+            assert!(layer
+                .evaluate(&inputs, 2..2, &mut arena)
+                .unwrap()
+                .is_empty());
+            assert_eq!(layer.evaluate(&inputs, 0..2, &mut arena).unwrap().len(), 2);
+            inputs.recycle(&mut arena);
+            // A layer without rows evaluates to nothing.
+            let empty = block.compile_layer(&[]).unwrap();
+            let inputs = empty.fill(&good, &mut arena).unwrap();
+            assert!(empty
+                .evaluate(&inputs, 0..0, &mut arena)
+                .unwrap()
+                .is_empty());
+            inputs.recycle(&mut arena);
+        }
+        // Inputs filled by a layer of another form or shape are rejected.
+        let layers: Vec<(CompiledLayer, usize)> = [
+            (FeatureBlockKind::MuxMaxStanh, 4),
+            (FeatureBlockKind::ApcMaxBtanh, 4),
+            (FeatureBlockKind::MuxMaxStanh, 1),
+            (FeatureBlockKind::ApcMaxBtanh, 1),
+        ]
+        .into_iter()
+        .map(|(kind, window)| {
+            let block = FeatureBlock::with_pool_window(kind, 4, window, length, 3).unwrap();
+            let (_, weights) = random_case(4, window, 9);
+            (block.compile_layer(&[weights]).unwrap(), window)
+        })
+        .collect();
+        for (a, (filler, window)) in layers.iter().enumerate() {
+            let inputs = filler
+                .fill(&thresholds(&random_case(4, *window, 9).0), &mut arena)
+                .unwrap();
+            for (b, (layer, _)) in layers.iter().enumerate() {
+                let result = layer.evaluate(&inputs, 0..1, &mut arena);
+                assert_eq!(result.is_ok(), a == b, "inputs of layer {a} on layer {b}");
+            }
+            inputs.recycle(&mut arena);
         }
     }
 

@@ -84,16 +84,14 @@ pub fn reference_inner_product(inputs: &[f64], weights: &[f64]) -> f64 {
 }
 
 /// XOR applied to an inner-product block's seed to derive its *weight* SNG
-/// bank's base seed (the input bank uses the block seed directly). Exposed so
-/// compiled engines can pre-generate or cache individual operand streams that
-/// are bit-identical to what the per-call path generates.
-pub const WEIGHT_BANK_SEED_XOR: u64 = 0xABCD_EF01_2345_6789;
+/// bank's base seed (the input bank uses the block seed directly). Shared
+/// with the compiled layers of [`crate::feature_block`], whose precomputed
+/// operand streams are bit-identical to what the per-call path generates.
+pub(crate) const WEIGHT_BANK_SEED_XOR: u64 = 0xABCD_EF01_2345_6789;
 
-/// The selector LFSR a MUX inner-product block with `seed` draws from.
-///
-/// Exposed (alongside [`WEIGHT_BANK_SEED_XOR`]) so stream-level re-creations
-/// of the per-call pipeline can reproduce its bits exactly.
-pub fn mux_selector(seed: u64) -> Lfsr {
+/// The selector LFSR a MUX inner-product block with `seed` draws from
+/// (shared, alongside [`WEIGHT_BANK_SEED_XOR`], with the compiled layers).
+pub(crate) fn mux_selector(seed: u64) -> Lfsr {
     Lfsr::new_32((seed as u32).wrapping_mul(2_654_435_761) | 1)
 }
 

@@ -478,26 +478,6 @@ impl Sng {
         let p = Bipolar::to_probability(value)?;
         self.generate_probability_into(p, stream)
     }
-
-    /// Generates one bipolar stream per input value, reusing this generator's
-    /// randomness source for all of them (shared-LFSR hardware model).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any value is outside `[-1, 1]` or `values` is empty.
-    pub fn generate_bipolar_batch(
-        &mut self,
-        values: &[f64],
-        length: StreamLength,
-    ) -> Result<Vec<BitStream>, ScError> {
-        if values.is_empty() {
-            return Err(ScError::EmptyInput);
-        }
-        values
-            .iter()
-            .map(|&v| self.generate_bipolar(v, length))
-            .collect()
-    }
 }
 
 /// Batched multi-stream SNG fill.
@@ -608,33 +588,6 @@ impl BatchSng {
         }
         Ok(streams)
     }
-
-    /// Allocating variant of [`BatchSng::generate_bipolar_bank_with`] (used
-    /// by compile-time weight-stream pre-generation, where the streams live
-    /// for the engine's lifetime).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BatchSng::generate_bipolar_bank_with`].
-    pub fn generate_bipolar_bank(
-        &mut self,
-        base_seed: u64,
-        values: &[f64],
-        length: StreamLength,
-    ) -> Result<Vec<BitStream>, ScError> {
-        if values.is_empty() {
-            return Err(ScError::EmptyInput);
-        }
-        values
-            .iter()
-            .enumerate()
-            .map(|(lane, &value)| {
-                let mut stream = BitStream::zeros(length);
-                self.fill_bipolar(SngBank::lane_seed(base_seed, lane), value, &mut stream)?;
-                Ok(stream)
-            })
-            .collect()
-    }
 }
 
 /// The precomputed random sequence of one [`SngKind::Lfsr32`] lane, for
@@ -705,11 +658,6 @@ impl LaneSequence {
             self.tail.len(),
         );
         Ok(())
-    }
-
-    /// The stream length the sequence fills.
-    pub fn length(&self) -> StreamLength {
-        self.length
     }
 
     /// The 16-bit comparator sample the lane draws at cycle `t`: the low
@@ -788,11 +736,6 @@ impl SelectedSequence {
             inputs: plan.lanes(),
             length: sequences[0].length,
         })
-    }
-
-    /// The stream length the sequence fills.
-    pub fn length(&self) -> StreamLength {
-        self.length
     }
 
     /// Fills `stream` with the selected input stream of a field whose lane
@@ -1028,15 +971,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_requires_values() {
-        let mut sng = Sng::new(SngKind::Lfsr32, 3);
-        assert_eq!(
-            sng.generate_bipolar_batch(&[], length()),
-            Err(ScError::EmptyInput)
-        );
-    }
-
-    #[test]
     fn word_fill_is_bit_exact_with_bitwise_reference() {
         for kind in [SngKind::Lfsr16, SngKind::Lfsr32, SngKind::Ideal] {
             for bits in [1usize, 63, 64, 65, 100, 127, 1024] {
@@ -1118,10 +1052,8 @@ mod tests {
                 let expected = bank.generate_bipolar(&values, len).unwrap();
                 let mut batch = BatchSng::new(kind);
                 assert_eq!(batch.kind(), kind);
-                let via_batch = batch.generate_bipolar_bank(91, &values, len).unwrap();
-                assert_eq!(via_batch, expected, "{kind:?} bits={bits}");
-                // Arena-backed variant, twice, to prove the shared scratch
-                // and recycled buffers reproduce the same bits.
+                // Twice, to prove the shared scratch and recycled buffers
+                // reproduce the same bits.
                 let mut arena = crate::arena::StreamArena::new();
                 for round in 0..2 {
                     let pooled = batch
@@ -1173,10 +1105,6 @@ mod tests {
         let mut batch = BatchSng::new(SngKind::Lfsr32);
         let mut arena = crate::arena::StreamArena::new();
         let len = StreamLength::new(64);
-        assert_eq!(
-            batch.generate_bipolar_bank(1, &[], len),
-            Err(ScError::EmptyInput)
-        );
         assert!(batch
             .generate_bipolar_bank_with(1, &[], len, &mut arena)
             .is_err());

@@ -1,60 +1,39 @@
 //! The compiled SC inference engine.
 //!
 //! [`Engine::compile`] lowers a trained network plus an SC configuration
-//! into an immutable execution plan and pre-generates everything that does
-//! not depend on the input, once per engine:
+//! into an immutable execution plan, and compiles each plan layer once
+//! into a [`CompiledLayer`] ([`FeatureBlock::compile_layer`]): the layer's
+//! input SNG sequences and every filter's (convolution) or unit's
+//! (fully-connected) weight streams, in the operand form the layer's inner
+//! product consumes — one selected stream per field for a MUX layer, every
+//! lane packed for an APC layer. The weights are generated once per engine
+//! — the filter-aware sharing the paper applies to SRAM — and every input
+//! stream of a request is a comparator pass over a precomputed sequence.
 //!
-//! * **Selector plans.** Each MUX layer's per-field selector plans (and its
-//!   average-pooling plan) depend only on the block's seeds and the stream
-//!   length, so they are drawn once ([`LayerSelectors`]) and shared by every
-//!   request, position, unit and fan-out worker.
-//! * **Weight bit-streams** are generated once per filter (convolution) or
-//!   per unit (fully-connected) through the batched SNG and kept for the
-//!   engine's lifetime — the filter-aware sharing the paper applies to SRAM
-//!   (one filter serves every inner-product block of a feature map, see
-//!   `sc_dcnn::weight_storage`). A MUX forwards one lane per cycle, so a MUX
-//!   layer keeps only each unit's *gathered* weights: one selected stream
-//!   per field ([`LayerSelectors::gather`]), `N` times less than the lanes.
-//!   An APC layer keeps every lane, packed once per field into one
-//!   contiguous [`PackedLanes`] buffer in unit-major order (within a unit:
-//!   256-column group, then lane, then 4 words), so each request reads a
-//!   unit's weights once, front to back, through the Harley-Seal column
-//!   counts of `sc_core::csa`.
-//! * **Input SNG sequences.** An input stream is a pure function of its lane
-//!   seed and its comparator threshold, and only the threshold depends on
-//!   the input. APC layers keep one [`LaneSequence`] per `(field, lane)`
-//!   and fill every lane's stream with the comparator alone — the paper's
-//!   hardware view of one fixed RNG sequence per comparator group — into
-//!   an arena-backed packed field buffer. MUX layers keep one
-//!   [`SelectedSequence`] per field instead: per cycle, the lane the
-//!   selector forwards and that lane's sample, so a field's selected input
-//!   stream is one comparator pass rather than `N` lane fills and a
-//!   gather. All units of a layer share their SNG wiring, so the streams
-//!   of one receptive field are filled once per position and serve every
-//!   filter (convolution) or unit (fully-connected).
-//!
-//! Evaluation then runs one [`FeatureBlock::evaluate_layer_prepared_with`]
-//! call per layer position, which evaluates every unit of the position at
-//! once from the shared input streams (a MUX unit's field sum is one XNOR
-//! of the selected input and weight streams) and applies the same kernels
-//! with the same seeds as the per-call path. The engine is therefore
-//! **bit-exact** with the [`crate::interpreter::Interpreter`], its oracle;
+//! The engine itself owns what is left of a request: it turns each layer's
+//! input values into comparator thresholds once, gathers every position's
+//! receptive fields, has the compiled layer fill them once for all of the
+//! position's filters (or the dense layer's units) and evaluate them in one
+//! fused call, fans positions or unit chunks across workers, accounts fill
+//! counts and fill time per [`Session`], and decodes the output streams.
+//! The compiled layer applies the same kernels with the same seeds as the
+//! per-call path, so the engine is **bit-exact** with the
+//! [`crate::interpreter::Interpreter`], its oracle;
 //! `verify_against_interpreter` (an [`EngineOptions`] flag or the standalone
 //! [`Engine::verify`] call) proves it at runtime.
 //!
-//! [`FeatureBlock::evaluate_layer_prepared_with`]: sc_blocks::feature_block::FeatureBlock::evaluate_layer_prepared_with
+//! [`FeatureBlock::compile_layer`]: sc_blocks::feature_block::FeatureBlock::compile_layer
 
 use crate::error::ServeError;
 use crate::interpreter::{Inference, Interpreter};
 use crate::plan::{lower, Plan, PlanLayer, PlanOptions};
-use sc_blocks::feature_block::{FeatureBlock, LayerOperands, LayerSelectors};
+use sc_blocks::feature_block::{CompiledLayer, LayerInputs};
 use sc_core::arena::{ArenaStats, StreamArena};
-use sc_core::bitstream::{BitStream, StreamLength};
+use sc_core::bitstream::BitStream;
 use sc_core::cache::CacheStats;
-use sc_core::csa::{PackedLanes, PackedView};
 use sc_core::encoding::{Bipolar, Encoding};
 use sc_core::parallel::{parallel_map_with, parallel_map_with_state};
-use sc_core::sng::{probability_threshold, LaneSequence, SelectedSequence, SngBank};
+use sc_core::sng::probability_threshold;
 use sc_dcnn::config::ScNetworkConfig;
 use sc_nn::network::Network;
 use sc_nn::tensor::Tensor;
@@ -157,146 +136,19 @@ impl Session {
         }
         std::time::Duration::from_nanos(total)
     }
-}
 
-/// A layer's input-independent operands, in the form its inner-product
-/// family consumes, in the block's published seed scheme. A row is a
-/// convolution filter or a fully-connected unit.
-#[derive(Debug)]
-enum CompiledOperands {
-    /// MUX layers: `[row][field]` weights, the one selected stream per
-    /// field, and one selected input sequence per field (the field's input
-    /// is one comparator pass over the lanes its selector forwards).
-    Gathered {
-        weights: Vec<Vec<Vec<BitStream>>>,
-        inputs: Vec<SelectedSequence>,
-    },
-    /// APC layers: per field, every row's weight lanes packed one row per
-    /// filter or unit (a request reads each row once, in order), and
-    /// `[field][lane]` input sequences; every lane's stream is filled.
-    Packed {
-        weights: Vec<PackedLanes>,
-        inputs: Vec<Vec<LaneSequence>>,
-    },
-}
-
-/// One position's filled input streams, matching [`CompiledOperands`].
-enum FilledInputs {
-    /// MUX layers: `[field][0]`, the selected stream.
-    Gathered(Vec<Vec<BitStream>>),
-    /// APC layers: one packed field of every lane per field.
-    Packed(Vec<PackedLanes>),
-}
-
-impl FilledInputs {
-    /// Returns every buffer to `arena`.
-    fn recycle(self, arena: &mut StreamArena) {
-        match self {
-            FilledInputs::Gathered(fields) => {
-                for field in fields {
-                    arena.recycle_all(field);
-                }
-            }
-            FilledInputs::Packed(fields) => {
-                for field in fields {
-                    arena.recycle_packed(field);
-                }
-            }
-        }
-    }
-}
-
-/// Everything one plan layer needs at inference time that does not depend
-/// on the input, derived from the plan's block seeds.
-#[derive(Debug)]
-struct CompiledLayer {
-    /// The layer's selector plans (empty for APC layers).
-    selectors: LayerSelectors,
-    operands: CompiledOperands,
-}
-
-impl CompiledLayer {
-    /// Draws the layer's selector plans and lane sequences once, gathers
-    /// every row's weight streams through the plans (MUX) or packs them
-    /// field by field (APC). The result is a pure function of the plan,
-    /// which is what lets the plan store omit it.
-    fn new(layer: &PlanLayer, length: StreamLength) -> Result<Self, ServeError> {
-        let (block, rows) = match layer {
-            PlanLayer::Conv(conv) => (&conv.block, &conv.filters),
-            PlanLayer::Dense(dense) => (&dense.block, &dense.units),
-        };
-        let selectors = block.prepare_selectors(length.bits())?;
-        let lanes: Vec<Vec<LaneSequence>> = (0..block.pool_window())
-            .map(|field| {
-                let (input_base, _) = block.operand_bank_seeds(field);
-                (0..block.input_size())
-                    .map(|lane| LaneSequence::new(SngBank::lane_seed(input_base, lane), length))
-                    .collect()
-            })
-            .collect();
-        let operands = if selectors.field_plans().is_empty() {
-            CompiledOperands::Packed {
-                weights: block.packed_weights(rows)?,
-                inputs: lanes,
-            }
-        } else {
-            CompiledOperands::Gathered {
-                weights: rows
-                    .iter()
-                    .map(|row| selectors.gather(block.weight_streams(row)?))
-                    .collect::<Result<_, _>>()?,
-                inputs: lanes
-                    .iter()
-                    .zip(selectors.field_plans())
-                    .map(|(lanes, plan)| SelectedSequence::new(lanes, plan))
-                    .collect::<Result<_, _>>()?,
-            }
-        };
-        Ok(Self {
-            selectors,
-            operands,
-        })
-    }
-
-    /// One fused evaluation of `block` over the filled `inputs` of one
-    /// position against the weights of `rows`.
-    fn evaluate(
-        &self,
-        block: &FeatureBlock,
-        inputs: &FilledInputs,
-        rows: Range<usize>,
-        arena: &mut StreamArena,
-    ) -> Result<Vec<BitStream>, ServeError> {
-        let outputs = match (&self.operands, inputs) {
-            (CompiledOperands::Gathered { weights, .. }, FilledInputs::Gathered(inputs)) => {
-                let unit_weights: Vec<&[Vec<BitStream>]> =
-                    weights[rows].iter().map(Vec::as_slice).collect();
-                block.evaluate_layer_prepared_with(
-                    &self.selectors,
-                    LayerOperands::Gathered {
-                        inputs,
-                        unit_weights: &unit_weights,
-                    },
-                    arena,
-                )
-            }
-            (CompiledOperands::Packed { weights, .. }, FilledInputs::Packed(inputs)) => {
-                let weights: Vec<PackedView<'_>> = weights
-                    .iter()
-                    .map(|field| field.view_rows(rows.clone()))
-                    .collect();
-                block.evaluate_layer_prepared_with(
-                    &self.selectors,
-                    LayerOperands::Packed {
-                        inputs,
-                        weights: &weights,
-                    },
-                    arena,
-                )
-            }
-            _ => unreachable!("a layer's inputs are filled in its weights' form"),
-        };
-        Ok(outputs?)
+    /// Fills one position's input streams through `layer`, counting the
+    /// streams and the time against this session.
+    fn fill(
+        &mut self,
+        layer: &CompiledLayer,
+        fields: &[Vec<u32>],
+    ) -> Result<LayerInputs, ServeError> {
+        let started = std::time::Instant::now();
+        let inputs = layer.fill(fields, &mut self.arena)?;
+        self.fills += layer.streams_per_fill() as u64;
+        self.fill_ns += started.elapsed().as_nanos() as u64;
+        Ok(inputs)
     }
 }
 
@@ -330,10 +182,9 @@ impl Engine {
 
     /// Builds an engine directly from an already-lowered [`Plan`] — the
     /// cold-start path of [`crate::plan_store`], which skips training and
-    /// lowering entirely. Selector plans, gathered weight bit-streams and
-    /// input sequences are regenerated here from the plan's block seeds, so
-    /// the resulting engine is bit-exact with one [`Engine::compile`]
-    /// produced from the same network and options.
+    /// lowering entirely. Every layer is compiled here from the plan's
+    /// weights and block seeds, so the resulting engine is bit-exact with
+    /// one [`Engine::compile`] produced from the same network and options.
     ///
     /// `options.plan` is recorded for introspection but does not influence
     /// the build (the plan is already lowered); pass the values the plan was
@@ -348,7 +199,7 @@ impl Engine {
         let layers = plan
             .layers
             .iter()
-            .map(|layer| CompiledLayer::new(layer, plan.stream_length))
+            .map(|layer| layer.block().compile_layer(layer.rows()))
             .collect::<Result<_, _>>()?;
         Ok(Self {
             interpreter: Interpreter::new(Arc::clone(&plan)),
@@ -382,21 +233,10 @@ impl Engine {
     }
 
     /// Total number of pre-generated weight streams held by the engine: one
-    /// per unit per field for MUX layers (the gathered stream), one per
+    /// per unit per field for MUX layers (the selected stream), one per
     /// unit per field per lane for APC layers.
     pub fn cached_weight_streams(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|layer| match &layer.operands {
-                CompiledOperands::Gathered { weights, .. } => {
-                    weights.iter().map(Vec::len).sum::<usize>()
-                }
-                CompiledOperands::Packed { weights, .. } => weights
-                    .iter()
-                    .map(|field| field.rows() * field.lanes())
-                    .sum(),
-            })
-            .sum()
+        self.layers.iter().map(CompiledLayer::weight_streams).sum()
     }
 
     /// Creates a fresh per-worker session.
@@ -554,10 +394,9 @@ impl Engine {
                 let eval_position =
                     |session: &mut Session, &position: &usize| -> Result<Vec<f64>, ServeError> {
                         let (py, px) = (position / pooled_w, position % pooled_w);
-                        let fields = conv.gather_fields(&thresholds, py, px);
-                        let inputs = fill_inputs(session, &compiled.operands, &fields)?;
-                        let outputs =
-                            compiled.evaluate(&conv.block, &inputs, 0..filters, &mut session.arena);
+                        let inputs =
+                            session.fill(compiled, &conv.gather_fields(&thresholds, py, px))?;
+                        let outputs = compiled.evaluate(&inputs, 0..filters, &mut session.arena);
                         inputs.recycle(&mut session.arena);
                         let outputs = outputs?;
                         let values = outputs.iter().map(BitStream::bipolar_value).collect();
@@ -583,31 +422,21 @@ impl Engine {
                 }
                 Ok(outputs)
             }
-            PlanLayer::Dense(dense) => {
+            PlanLayer::Dense(_) => {
                 // All units of a fully-connected layer share one receptive
                 // field: its streams are filled once for the whole layer.
-                let inputs = fill_inputs(
-                    session,
-                    &compiled.operands,
-                    std::slice::from_ref(&thresholds),
-                )?;
-                let units = dense.units.len();
+                let inputs = session.fill(compiled, std::slice::from_ref(&thresholds))?;
+                let units = compiled.rows();
                 // Decode inside the evaluating session and recycle the output
                 // buffers into the arena they were taken from: take and
                 // recycle stay paired per worker, so no arena net-drains (and
                 // then re-allocates) under uneven chunk sizes or scheduling.
-                let eval_units =
-                    |session: &mut Session, rows: &Range<usize>| -> Result<Vec<f64>, ServeError> {
-                        let streams = compiled.evaluate(
-                            &dense.block,
-                            &inputs,
-                            rows.clone(),
-                            &mut session.arena,
-                        )?;
-                        let decoded = streams.iter().map(BitStream::bipolar_value).collect();
-                        session.arena.recycle_all(streams);
-                        Ok(decoded)
-                    };
+                let eval_units = |session: &mut Session, rows: &Range<usize>| {
+                    let streams = compiled.evaluate(&inputs, rows.clone(), &mut session.arena)?;
+                    let decoded: Vec<f64> = streams.iter().map(BitStream::bipolar_value).collect();
+                    session.arena.recycle_all(streams);
+                    Ok::<_, ServeError>(decoded)
+                };
                 let decoded = if self.fan_out_units(session, units) {
                     let threads = sc_core::parallel::max_threads();
                     let chunk_size = units.div_ceil(threads).max(1);
@@ -627,58 +456,6 @@ impl Engine {
             }
         }
     }
-}
-
-/// Fills the input streams of every pool-window field from the layer's
-/// sequences and the field's comparator thresholds: every lane, packed,
-/// for APC layers (each lane is filled into one scratch stream and copied
-/// into the field's packed buffer), the one selected stream for MUX
-/// layers. The returned buffers are arena-backed; recycle them after use.
-fn fill_inputs(
-    session: &mut Session,
-    operands: &CompiledOperands,
-    fields: &[Vec<u32>],
-) -> Result<FilledInputs, ServeError> {
-    let started = std::time::Instant::now();
-    let filled = match operands {
-        CompiledOperands::Packed { inputs: lanes, .. } => {
-            let mut packed_fields = Vec::with_capacity(fields.len());
-            for (thresholds, lanes) in fields.iter().zip(lanes) {
-                if thresholds.len() != lanes.len() {
-                    return Err(ServeError::Invalid(format!(
-                        "receptive field of {} values for {} SNG lanes",
-                        thresholds.len(),
-                        lanes.len()
-                    )));
-                }
-                let length = lanes[0].length();
-                let mut packed = session.arena.take_packed(lanes.len(), length)?;
-                let mut scratch = session.arena.take_zeroed(length);
-                for (lane, (&threshold, sequence)) in thresholds.iter().zip(lanes).enumerate() {
-                    sequence.fill(threshold, &mut scratch)?;
-                    packed.write_lane(0, lane, &scratch)?;
-                }
-                session.arena.recycle(scratch);
-                session.fills += lanes.len() as u64;
-                packed_fields.push(packed);
-            }
-            FilledInputs::Packed(packed_fields)
-        }
-        CompiledOperands::Gathered {
-            inputs: selected, ..
-        } => {
-            let mut streams = Vec::with_capacity(fields.len());
-            for (thresholds, sequence) in fields.iter().zip(selected) {
-                let mut stream = session.arena.take_zeroed(sequence.length());
-                sequence.fill(thresholds, &mut stream)?;
-                session.fills += 1;
-                streams.push(vec![stream]);
-            }
-            FilledInputs::Gathered(streams)
-        }
-    };
-    session.fill_ns += started.elapsed().as_nanos() as u64;
-    Ok(filled)
 }
 
 #[cfg(test)]
@@ -881,7 +658,7 @@ mod tests {
     fn steady_state_inference_allocates_no_stream_buffers() {
         // Once the session arena is warm, fused inference must serve every
         // stream and count buffer from the pool: the session arena is
-        // threaded through `evaluate_layer_prepared_with`.
+        // threaded through `CompiledLayer::fill` and `CompiledLayer::evaluate`.
         for kind in [FeatureBlockKind::ApcMaxBtanh, FeatureBlockKind::MuxMaxStanh] {
             let network = small_network(13);
             let config = ScNetworkConfig::new("c", vec![kind; 2], 128, PoolingStyle::Max);

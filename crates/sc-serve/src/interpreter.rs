@@ -8,11 +8,12 @@
 //! (bit-exactness), and the oracle `perfbench` checks the engine against
 //! before it times anything.
 //!
-//! [`FeatureBlock::evaluate_stream`]: sc_blocks::feature_block::FeatureBlock::evaluate_stream
+//! The walk itself is the plan's ([`Plan::reference_infer`] runs the same
+//! walk with each block's floating-point reference).
 
 use crate::error::ServeError;
-use crate::plan::{Plan, PlanLayer};
-use sc_core::parallel::parallel_map_range;
+use crate::plan::Plan;
+use sc_blocks::feature_block::FeatureBlock;
 use sc_nn::tensor::Tensor;
 use std::sync::Arc;
 
@@ -55,62 +56,23 @@ impl Interpreter {
         &self.plan
     }
 
-    /// Runs one SC inference through the per-call evaluation path.
+    /// Runs one SC inference through the per-call evaluation path: the
+    /// plan's walk with every unit evaluated by
+    /// [`FeatureBlock::evaluate`].
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::Invalid`] for a wrong input size and propagates
     /// kernel errors.
     pub fn infer(&self, image: &Tensor) -> Result<Inference, ServeError> {
-        self.plan.validate_input(image)?;
-        let mut values = self.plan.input_values(image);
-        for layer in &self.plan.layers {
-            values = self.eval_layer(layer, &values)?;
-        }
-        Ok(Inference::from_logits(values))
-    }
-
-    fn eval_layer(&self, layer: &PlanLayer, values: &[f64]) -> Result<Vec<f64>, ServeError> {
-        match layer {
-            PlanLayer::Conv(conv) => {
-                let [filters, pooled_h, pooled_w] = conv.out_shape;
-                let positions = pooled_h * pooled_w;
-                // Units are independent hardware blocks; fan them out.
-                let outputs = parallel_map_range(filters * positions, |unit| {
-                    let filter = unit / positions;
-                    let position = unit % positions;
-                    let (py, px) = (position / pooled_w, position % pooled_w);
-                    let fields = conv.gather_fields(values, py, px);
-                    conv.block
-                        .evaluate_stream(&fields, &conv.filters[filter])
-                        .map(|stream| stream.bipolar_value())
-                });
-                outputs
-                    .into_iter()
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(ServeError::from)
-            }
-            PlanLayer::Dense(dense) => {
-                let field = vec![values.to_vec()];
-                let outputs = parallel_map_range(dense.units.len(), |unit| {
-                    dense
-                        .block
-                        .evaluate_stream(&field, &dense.units[unit])
-                        .map(|stream| stream.bipolar_value())
-                });
-                outputs
-                    .into_iter()
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(ServeError::from)
-            }
-        }
+        self.plan.walk(image, FeatureBlock::evaluate)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{lower, PlanOptions};
+    use crate::plan::{lower, PlanLayer, PlanOptions};
     use sc_blocks::feature_block::FeatureBlockKind;
     use sc_dcnn::config::ScNetworkConfig;
     use sc_nn::lenet::PoolingStyle;
@@ -145,6 +107,43 @@ mod tests {
         assert_eq!(interpreter.infer(&image).unwrap(), result);
         // Wrong input size is rejected.
         assert!(interpreter.infer(&Tensor::zeros(&[3])).is_err());
+    }
+
+    #[test]
+    fn float_twin_evaluates_the_plan_in_float() {
+        let mut network = Network::new("dense-only");
+        network.push(Box::new(sc_nn::layers::Dense::new(16, 6, 2)));
+        let config = ScNetworkConfig::new(
+            "c",
+            vec![FeatureBlockKind::ApcMaxBtanh],
+            128,
+            PoolingStyle::Max,
+        );
+        let options = PlanOptions {
+            input_shape: [1, 4, 4],
+            base_seed: 11,
+        };
+        let plan = lower(&network, &config, &options).unwrap();
+        let image = Tensor::from_fn(&[1, 4, 4], |i| (i as f32 / 16.0) - 0.3);
+        // One dense layer: each logit is tanh(<x, w>) on the quantized input.
+        let inputs = plan.input_values(&image);
+        let PlanLayer::Dense(dense) = &plan.layers[0] else {
+            panic!("a dense-only network lowers to one dense layer");
+        };
+        let expected: Vec<f64> = dense
+            .units
+            .iter()
+            .map(|weights| {
+                let sum: f64 = inputs.iter().zip(weights).map(|(x, w)| x * w).sum();
+                sum.tanh()
+            })
+            .collect();
+        let twin = plan.reference_infer(&image).unwrap();
+        assert_eq!(twin.logits.len(), 6);
+        for (got, want) in twin.logits.iter().zip(&expected) {
+            assert!((got - want).abs() < 1e-12, "{got} vs {want}");
+        }
+        assert!(plan.reference_infer(&Tensor::zeros(&[3])).is_err());
     }
 
     #[test]

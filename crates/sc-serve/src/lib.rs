@@ -13,14 +13,16 @@
 //!   [`sc_dcnn::config::ScNetworkConfig`] into an immutable SC execution
 //!   plan (the config→deployment step of the paper's optimization story).
 //! * [`interpreter`] — the reference executor: walks the plan through the
-//!   existing per-call `FeatureBlock::evaluate_stream` path.
-//! * [`engine`] — the compiled executor: weight bit-streams pre-generated
-//!   once per filter (filter-aware sharing), input streams filled by the
-//!   comparator alone from SNG sequences drawn at build time (per lane,
-//!   [`sc_core::sng::LaneSequence`]; per MUX field, the selected
-//!   [`sc_core::sng::SelectedSequence`]), fused stream-level kernels. Bit-exact
-//!   with the interpreter (property-tested, and enforceable at runtime via
-//!   `verify_against_interpreter`).
+//!   existing per-call `FeatureBlock::evaluate_stream` path. The same walk
+//!   with each block's float reference is the plan's float twin,
+//!   `Plan::reference_infer`.
+//! * [`engine`] — the compiled executor: one
+//!   [`sc_blocks::feature_block::CompiledLayer`] per plan layer holds the
+//!   weight bit-streams, generated once per filter (filter-aware sharing),
+//!   and the SNG sequences every input stream is filled from by the
+//!   comparator alone; the engine gathers positions, fans them out, counts
+//!   fills and decodes. Bit-exact with the interpreter (property-tested,
+//!   and enforceable at runtime via `verify_against_interpreter`).
 //! * [`server`] / [`proto`] / [`metrics`] — the serving runtime: a bounded
 //!   job queue feeding engine workers one request at a time, a std-only
 //!   length-prefixed TCP protocol (`serve` / `client` binaries) whose

@@ -4,14 +4,16 @@
 //! The plan is the single source of truth for *what* the stochastic-computing
 //! forward pass computes: which feature-extraction block evaluates which
 //! unit, with which seeds, on which receptive fields, against which (clamped)
-//! weights. Both execution paths share it:
+//! weights. Every execution path shares it:
 //!
 //! * the [`crate::interpreter::Interpreter`] walks the plan calling the
 //!   existing per-call [`FeatureBlock::evaluate_stream`] path (regenerating
 //!   every operand stream on every call), and
 //! * the compiled [`crate::engine::Engine`] walks the same plan with
 //!   pre-generated weight streams and input lane sequences, producing bit-identical
-//!   outputs.
+//!   outputs, and
+//! * the plan's float twin ([`Plan::reference_infer`]) runs the
+//!   interpreter's walk with each block's floating-point reference.
 //!
 //! ## Lowering rules
 //!
@@ -33,8 +35,11 @@
 //! always in range by construction.
 
 use crate::error::ServeError;
+use crate::interpreter::Inference;
 use sc_blocks::feature_block::{FeatureBlock, FeatureBlockKind};
 use sc_core::bitstream::StreamLength;
+use sc_core::error::ScError;
+use sc_core::parallel::parallel_map_range;
 use sc_dcnn::config::ScNetworkConfig;
 use sc_nn::layers::{AvgPool2, Conv2d, Dense, Layer, MaxPool2, Tanh};
 use sc_nn::network::Network;
@@ -154,6 +159,15 @@ impl PlanLayer {
             PlanLayer::Dense(dense) => &dense.block,
         }
     }
+
+    /// The layer's weight rows: one per filter (convolution) or unit
+    /// (fully-connected).
+    pub fn rows(&self) -> &[Vec<f64>] {
+        match self {
+            PlanLayer::Conv(conv) => &conv.filters,
+            PlanLayer::Dense(dense) => &dense.units,
+        }
+    }
 }
 
 /// An immutable SC execution plan.
@@ -227,6 +241,58 @@ impl Plan {
             .iter()
             .map(|&v| sc_core::encoding::quantize_bipolar_levels(clamp_bipolar(v), bits))
             .collect()
+    }
+
+    /// The plan's float twin: the same walk as the
+    /// [`crate::interpreter::Interpreter`] on the same quantized inputs, with
+    /// every feature-extraction block evaluated by its floating-point
+    /// reference `tanh(pool(⟨x, w⟩))` ([`FeatureBlock::reference`]) instead
+    /// of in stochastic computing. Its agreement with the float network is
+    /// what the lowering loses; the engine's agreement with it is what the
+    /// SC rendering loses.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServeError::Invalid`] for a wrong input size or a
+    /// non-finite pixel.
+    pub fn reference_infer(&self, image: &Tensor) -> Result<Inference, ServeError> {
+        self.walk(image, FeatureBlock::reference)
+    }
+
+    /// Walks the plan over `image`: validates and quantizes it, then
+    /// evaluates every unit of every layer with `unit(block, receptive
+    /// fields, weights)` on the previous layer's outputs, units fanned out
+    /// across `sc_core::parallel` workers. The interpreter and the float
+    /// twin both run this walk, so they cannot drift apart in data flow.
+    pub(crate) fn walk(
+        &self,
+        image: &Tensor,
+        unit: impl Fn(&FeatureBlock, &[Vec<f64>], &[f64]) -> Result<f64, ScError> + Sync,
+    ) -> Result<Inference, ServeError> {
+        self.validate_input(image)?;
+        let mut values = self.input_values(image);
+        for layer in &self.layers {
+            let outputs = match layer {
+                PlanLayer::Conv(conv) => {
+                    let [filters, pooled_h, pooled_w] = conv.out_shape;
+                    let positions = pooled_h * pooled_w;
+                    parallel_map_range(filters * positions, |index| {
+                        let (filter, position) = (index / positions, index % positions);
+                        let fields =
+                            conv.gather_fields(&values, position / pooled_w, position % pooled_w);
+                        unit(&conv.block, &fields, &conv.filters[filter])
+                    })
+                }
+                PlanLayer::Dense(dense) => {
+                    let field = [values];
+                    parallel_map_range(dense.units.len(), |index| {
+                        unit(&dense.block, &field, &dense.units[index])
+                    })
+                }
+            };
+            values = outputs.into_iter().collect::<Result<_, _>>()?;
+        }
+        Ok(Inference::from_logits(values))
     }
 }
 

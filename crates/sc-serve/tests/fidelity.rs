@@ -1,5 +1,7 @@
-//! Fidelity gate: how often the compiled SC engine agrees with the float
-//! network it was lowered from.
+//! Fidelity gate: how often the compiled SC engine, and the float twin of
+//! its plan (`Plan::reference_infer`), agree with the float network they
+//! were lowered from. The twin's misses are what the lowering loses; the
+//! engine's further misses are what the SC rendering loses.
 //!
 //! The network is tiny-LeNet trained exactly as the repository benchmark
 //! (`perfbench`) trains it, and the frames are the first frames of the
@@ -53,21 +55,23 @@ fn fidelity_frames(count: usize) -> Vec<Tensor> {
         .collect()
 }
 
-/// Frames on which the engine compiled under `config` picks the float
-/// network's class (`float[i]` for frame `i`).
+/// Frames on which the engine compiled under `config`, and the float twin
+/// of its plan, pick the float network's class (`float[i]` for frame `i`):
+/// `(engine, plan-float)`.
 fn agreeing_frames(
     network: &Network,
     config: &ScNetworkConfig,
     frames: &[Tensor],
     float: &[usize],
-) -> usize {
+) -> (usize, usize) {
     let engine = Engine::compile(network, config, EngineOptions::default()).unwrap();
     let mut session = engine.new_session();
-    frames
-        .iter()
-        .zip(float)
-        .filter(|(frame, &class)| engine.infer(&mut session, frame).unwrap().argmax == class)
-        .count()
+    let mut agree = (0, 0);
+    for (frame, &class) in frames.iter().zip(float) {
+        agree.0 += usize::from(engine.infer(&mut session, frame).unwrap().argmax == class);
+        agree.1 += usize::from(engine.plan().reference_infer(frame).unwrap().argmax == class);
+    }
+    agree
 }
 
 #[test]
@@ -87,14 +91,26 @@ fn engine_agreement_with_the_float_network_stays_above_its_floors() {
         STREAM_LENGTH,
         PoolingStyle::Max,
     );
-    // (configuration, floor in agreeing frames out of FRAMES): the counts
-    // measured when the gate was added (no1 3/50, all-APC 16/50).
-    for (config, floor) in [(no1, 3usize), (all_apc, 16)] {
-        let agree = agreeing_frames(&network, &config, &frames, &float);
-        eprintln!("{}: {agree}/{FRAMES} frames agree", config.name);
+    // (configuration, engine floor, plan-float floor) in agreeing frames
+    // out of FRAMES: the counts measured when each gate was added (engine
+    // no1 3/50, all-APC 16/50; plan-float 32/50 for both, since the two
+    // configurations differ only in inner products, which the float twin
+    // computes exactly).
+    for (config, floor, plan_floor) in [(no1, 3usize, 32usize), (all_apc, 16, 32)] {
+        let (agree, plan_agree) = agreeing_frames(&network, &config, &frames, &float);
+        eprintln!(
+            "{}: {agree}/{FRAMES} frames agree (plan-float {plan_agree}/{FRAMES})",
+            config.name
+        );
         assert!(
             agree >= floor,
             "{}: {agree}/{FRAMES} frames agree with the float network, below the floor {floor}",
+            config.name
+        );
+        assert!(
+            plan_agree >= plan_floor,
+            "{}: the plan's float twin agrees with the float network on {plan_agree}/{FRAMES} \
+             frames, below the floor {plan_floor}",
             config.name
         );
     }
