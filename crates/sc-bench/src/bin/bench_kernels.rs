@@ -16,7 +16,7 @@ use sc_core::bitstream::{BitStream, StreamLength};
 use sc_core::csa::PackedLanes;
 use sc_core::multiply;
 use sc_core::rng::Lfsr;
-use sc_core::sng::{Sng, SngBank, SngKind};
+use sc_core::sng::{LaneSequence, SelectedSequence, Sng, SngBank, SngKind};
 use sc_core::{force_backend, Backend};
 use std::time::Instant;
 
@@ -1005,37 +1005,6 @@ fn per_bit_max_pool(inputs: &[BitStream], segment_bits: usize) -> BitStream {
     out
 }
 
-/// The MUX-Max-Stanh block's max pool over a 2x2 window: the per-bit
-/// reference vs the lane-count pool behind `HardwareMaxPooling`.
-fn bench_hw_max_pool(samples: usize, iters: usize) -> Comparison {
-    let len = StreamLength::new(1024);
-    let streams: Vec<BitStream> = (0..4)
-        .map(|i| {
-            Sng::new(SngKind::Lfsr32, 800 + i as u64)
-                .generate_bipolar(0.3 - 0.2 * i as f64, len)
-                .unwrap()
-        })
-        .collect();
-    let pool = HardwareMaxPooling::default();
-    assert_eq!(
-        pool.pool_streams(&streams).unwrap(),
-        per_bit_max_pool(&streams, pool.segment_bits),
-        "lane-count max pool must match the per-bit reference"
-    );
-    let baseline_ns = measure(samples, iters, || {
-        per_bit_max_pool(&streams, pool.segment_bits)
-    });
-    let optimized_ns = measure(samples, iters, || pool.pool_streams(&streams).unwrap());
-    Comparison {
-        name: "hw_max_pool_n4_l1024",
-        description: "Hardware max pool (4 inputs, 16-bit segments, 1024 bits): \
-                      per-bit get/set forwarding and counting vs SWAR \
-                      lane-popcounts and lane-wise argmax per word",
-        baseline_ns,
-        optimized_ns,
-    }
-}
-
 /// The MUX-Max-Stanh activation of 32 units: one per-bit FSM walk per unit
 /// vs the block's byte-table walk.
 fn bench_stanh_batch(samples: usize, iters: usize) -> Comparison {
@@ -1144,6 +1113,16 @@ fn measure_per_backend<R>(
     }
 }
 
+/// Runs `check` once per available backend before a row is timed, so a
+/// wrong kernel fails here instead of being timed.
+fn check_per_backend(mut check: impl FnMut(Backend)) {
+    for backend in available_backends() {
+        assert!(force_backend(backend), "backend {backend} vanished");
+        check(backend);
+    }
+    force_backend(sc_core::word::best_available_backend());
+}
+
 /// Per-backend timings of the widened kernel families, each through its
 /// public dispatching entry point (the same calls the serving engine makes).
 fn backend_matrix(samples: usize, iters: usize) -> Vec<BackendMatrixRow> {
@@ -1225,7 +1204,111 @@ fn backend_matrix(samples: usize, iters: usize) -> Vec<BackendMatrixRow> {
         ));
     }
 
-    // (4) Packed Harley-Seal product counts (layer form): a conv-sized and
+    // (4) Selected-sequence fill of a conv1 field: 25 lanes, one comparator
+    // per cycle against the selected lane's threshold.
+    {
+        let lanes = 25usize;
+        let sequences: Vec<LaneSequence> = (0..lanes)
+            .map(|lane| LaneSequence::new(SngBank::lane_seed(31, lane), len))
+            .collect();
+        let plan = MuxSelectorPlan::new(lanes, len.bits(), &mut Lfsr::new_32(0x5EED)).unwrap();
+        let selected = SelectedSequence::new(&sequences, &plan).unwrap();
+        let thresholds: Vec<u32> = (0..lanes as u32)
+            .map(|lane| (lane * 2_731) % 0x1_0001)
+            .collect();
+        // The scalar loop's answer is the MUX gather of every lane's fill.
+        let lane_streams: Vec<BitStream> = sequences
+            .iter()
+            .zip(&thresholds)
+            .map(|(sequence, &threshold)| {
+                let mut stream = BitStream::zeros(len);
+                sequence.fill(threshold, &mut stream).unwrap();
+                stream
+            })
+            .collect();
+        let expected = MuxAdder::new().sum_with_plan(&lane_streams, &plan).unwrap();
+        let mut out = BitStream::zeros(len);
+        check_per_backend(|backend| {
+            selected.fill(&thresholds, &mut out).unwrap();
+            assert_eq!(
+                out, expected,
+                "{backend} selected fill must match the scalar loop"
+            );
+        });
+        rows.push(measure_per_backend(
+            "selected_fill_n25_l1024",
+            "MUX selected-sequence fill (25 lanes, 1024 bits): one comparator \
+             per cycle against the selected lane's threshold; AVX2 gathers 8 \
+             thresholds per step",
+            samples,
+            iters * 4,
+            move || selected.fill(&thresholds, &mut out).unwrap(),
+        ));
+    }
+
+    // (5) Hardware max pool of a 2x2 window, over streams (the arena
+    // variant, output recycled) and over the XNOR products of a MUX-Max
+    // row's selected inputs and weights (the engine's call).
+    {
+        let streams: Vec<BitStream> = (0..4)
+            .map(|i| {
+                Sng::new(SngKind::Lfsr32, 800 + i as u64)
+                    .generate_bipolar(0.3 - 0.2 * i as f64, len)
+                    .unwrap()
+            })
+            .collect();
+        let weights = ws[..4].to_vec();
+        let inputs: Vec<BitStream> = streams
+            .iter()
+            .zip(&weights)
+            .map(|(p, w)| p.xnor(w))
+            .collect();
+        let pool = HardwareMaxPooling::default();
+        let expected = per_bit_max_pool(&streams, pool.segment_bits);
+        let mut arena = StreamArena::new();
+        check_per_backend(|backend| {
+            let pooled = pool.pool_streams_with(&streams, &mut arena).unwrap();
+            assert_eq!(
+                pooled, expected,
+                "{backend} max pool must match the per-bit reference"
+            );
+            arena.recycle(pooled);
+            let fused = pool
+                .pool_xnor_products_with(&inputs, &weights, &mut arena)
+                .unwrap();
+            assert_eq!(fused, expected, "{backend} fused XNOR max pool must match");
+            arena.recycle(fused);
+        });
+        rows.push(measure_per_backend(
+            "hw_max_pool_n4_l1024",
+            "Hardware max pool (4 inputs, 16-bit segments, 1024 bits), arena \
+             output: SWAR lane-popcounts and a lane-wise argmax, W::LANES \
+             words per step",
+            samples,
+            iters * 4,
+            || {
+                let pooled = pool.pool_streams_with(&streams, &mut arena).unwrap();
+                arena.recycle(pooled);
+            },
+        ));
+        let mut arena = StreamArena::new();
+        rows.push(measure_per_backend(
+            "xnor_max_pool_n4_l1024",
+            "Hardware max pool of 4 XNOR products (a MUX-Max row: selected \
+             inputs and weights, 1024 bits), each product word formed as the \
+             pool reads it",
+            samples,
+            iters * 4,
+            move || {
+                let pooled = pool
+                    .pool_xnor_products_with(&inputs, &weights, &mut arena)
+                    .unwrap();
+                arena.recycle(pooled);
+            },
+        ));
+    }
+
+    // (6) Packed Harley-Seal product counts (layer form): a conv-sized and
     // the fc1-sized shape, operands packed once outside the timing.
     let lanes = 25usize;
     let units = 8usize;
@@ -1310,7 +1393,6 @@ fn main() {
         bench_shared_apc_csa(samples, iters.div_ceil(4)),
         bench_fc1_apc(samples, iters.div_ceil(40), false),
         bench_fc1_apc(samples, iters.div_ceil(40), true),
-        bench_hw_max_pool(samples, iters),
         bench_stanh_batch(samples, iters.div_ceil(4)),
     ];
 
@@ -1384,7 +1466,7 @@ fn main() {
     }
     json.push_str("  ],\n");
     json.push_str(
-        "  \"kernel_backends\": {\n    \"note\": \"the same four kernels \
+        "  \"kernel_backends\": {\n    \"note\": \"each kernel \
          timed once per word backend via force_backend; every backend is \
          bit-identical to scalar, speedups are scalar_ns / backend_ns\",\n",
     );

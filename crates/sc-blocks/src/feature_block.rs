@@ -21,12 +21,13 @@
 //! inner product fixes, and evaluates every unit of a layer position in one
 //! fused call, bit-identical to the per-unit path.
 //!
-//! Every hot kernel a feature block evaluates — SNG comparator fills, fused
-//! XNOR/popcount reductions, MUX selector-plan gathers, the packed
-//! Harley-Seal column counts, and the Btanh batch walk — is word-generic and dispatches
-//! to the active [`sc_core::word`] backend (scalar, portable super-word, or
-//! SIMD); the hardware max pool's lane counts and the Stanh byte-table walk
-//! are the same code on every backend. Backends are bit-identical, so block
+//! Every hot kernel a feature block evaluates — SNG comparator fills, the
+//! MUX layers' selected-sequence fill (an AVX2 gather on that backend),
+//! fused XNOR/popcount reductions, MUX selector-plan gathers, the packed
+//! Harley-Seal column counts, the hardware max pool's lane counts, and the
+//! Btanh batch walk — dispatches to the active [`sc_core::word`] backend
+//! (scalar, portable super-word, or SIMD); only the Stanh byte-table walk
+//! is the same code on every backend. Backends are bit-identical, so block
 //! outputs do not depend on which one serves them.
 
 use crate::activation_block::{ActivationKind, BtanhBlock, StanhBlock};
@@ -54,7 +55,7 @@ pub const DEFAULT_MAX_POOL_SEGMENT: usize = 16;
 /// range within one stream.
 fn capped_states(states: usize, stream_length: sc_core::bitstream::StreamLength) -> usize {
     let cap = (stream_length.bits() / 2).max(2) & !1;
-    states.min(cap.max(2))
+    states.min(cap)
 }
 
 /// The four feature extraction block configurations studied by the paper.
@@ -144,15 +145,7 @@ impl FeatureBlockKind {
             (InnerProductKind::Mux, true) => FeatureBlockKind::MuxMaxStanh,
             (InnerProductKind::Mux, false) => FeatureBlockKind::MuxAvgStanh,
             (_, true) => FeatureBlockKind::ApcMaxBtanh,
-            (_, false) => FeatureBlockKind::MuxAvgStanh.pick_apc(false),
-        }
-    }
-
-    fn pick_apc(self, max: bool) -> FeatureBlockKind {
-        if max {
-            FeatureBlockKind::ApcMaxBtanh
-        } else {
-            FeatureBlockKind::ApcAvgBtanh
+            (_, false) => FeatureBlockKind::ApcAvgBtanh,
         }
     }
 }
@@ -758,15 +751,21 @@ impl CompiledLayer {
     /// * a MUX row's field sum is one word-wise XNOR of the selected input
     ///   and the selected weight stream: the MUX forwards one lane per
     ///   cycle, so `MUX(x ⊙ w) = MUX(x) ⊙ MUX(w)` under the field's plan;
-    /// * the average-pooling MUX selector is planned once and replayed;
+    ///   a MUX-Max row never materializes it, as the max pool forms each
+    ///   product word as it reads it
+    ///   ([`HardwareMaxPooling::pool_xnor_products_with`]);
+    /// * the average-pooling MUX selector is planned once and replayed over
+    ///   the materialized field sums;
     /// * APC popcounts run through the packed Harley-Seal core
     ///   ([`Apc::count_packed_with`]): each row's weights of a field are
     ///   read once, front to back, against the field's packed inputs (see
     ///   [`sc_core::csa`]);
     /// * the hardware max pool counts every 16-bit segment of a word with
     ///   one SWAR lane-popcount and picks the forwarding mask by a
-    ///   lane-wise argmax ([`HardwareMaxPooling::pool_streams_with`]);
-    ///   a one-field pool window (every dense layer) passes its field
+    ///   lane-wise argmax, `W::LANES` words per step on the active
+    ///   [`sc_core::word`] backend (an APC-Max row pools its count streams
+    ///   instead, [`HardwareMaxPooling::pool_counts_with`]); a one-field
+    ///   pool window (every dense layer) passes its field
     ///   straight to the activation, as the max or average of one input is
     ///   that input;
     /// * the Stanh walks of all rows run through the block's byte table,
@@ -835,29 +834,32 @@ impl CompiledLayer {
         arena: &mut StreamArena,
     ) -> Result<Vec<BitStream>, ScError> {
         let block = &self.block;
+        let max_pool = HardwareMaxPooling::new(DEFAULT_MAX_POOL_SEGMENT)?;
+        let product = |x: &BitStream, w: &BitStream, arena: &mut StreamArena| {
+            let mut sum = arena.take_zeroed(block.stream_length);
+            sum.words_mut().copy_from_slice(x.as_words());
+            sum.xnor_assign(w);
+            sum
+        };
         let mut pooled_rows = Vec::with_capacity(weights.len());
         let mut field_sums: Vec<BitStream> = Vec::with_capacity(block.pool_window);
         for row in weights {
-            for (x, w) in inputs.iter().zip(row) {
-                let mut sum = arena.take_zeroed(block.stream_length);
-                sum.words_mut().copy_from_slice(x.as_words());
-                sum.xnor_assign(w);
-                field_sums.push(sum);
-            }
+            // The max or average of one field is that field.
             let pooled = if block.pool_window == 1 {
-                field_sums.pop().expect("one field")
-            } else {
-                let pooled = match avg_plan {
-                    Some(plan) => block.average_pooling().pool_streams_with_plan_with(
-                        &field_sums,
-                        plan,
-                        arena,
-                    )?,
-                    None => HardwareMaxPooling::new(DEFAULT_MAX_POOL_SEGMENT)?
-                        .pool_streams_with(&field_sums, arena)?,
-                };
+                product(&inputs[0], &row[0], arena)
+            } else if let Some(plan) = avg_plan {
+                for (x, w) in inputs.iter().zip(row) {
+                    field_sums.push(product(x, w, arena));
+                }
+                let pooled = block.average_pooling().pool_streams_with_plan_with(
+                    &field_sums,
+                    plan,
+                    arena,
+                )?;
                 arena.recycle_all(field_sums.drain(..));
                 pooled
+            } else {
+                max_pool.pool_xnor_products_with(inputs, row, arena)?
             };
             pooled_rows.push(pooled);
         }
@@ -955,6 +957,18 @@ mod tests {
         }
         assert!(FeatureBlockKind::MuxMaxStanh.uses_max_pooling());
         assert!(!FeatureBlockKind::ApcAvgBtanh.uses_max_pooling());
+    }
+
+    #[test]
+    fn with_pooling_swaps_only_the_pooling() {
+        for kind in FeatureBlockKind::ALL {
+            assert_eq!(kind.with_pooling(kind.uses_max_pooling()), kind);
+            for max in [false, true] {
+                let swapped = kind.with_pooling(max);
+                assert_eq!(swapped.uses_max_pooling(), max, "{kind}");
+                assert_eq!(swapped.inner_product(), kind.inner_product(), "{kind}");
+            }
+        }
     }
 
     #[test]

@@ -25,15 +25,24 @@
 //! segment length is a power of two ≤ 64 (the paper's 16 bits included),
 //! segments never straddle a word, so one SWAR lane-popcount per input word
 //! yields all of its segment counts and a lane-wise argmax picks the
-//! forwarding mask. Other lengths (the 7- or 100-bit ablations) keep the
-//! (word, mask) walk over each segment, the only form that handles a
-//! segment crossing a word boundary. No length takes both paths.
+//! forwarding mask. That kernel is word-generic ([`sc_core::word`]): it
+//! pools `W::LANES` consecutive words per step on the active backend. Other
+//! lengths (the 7- or 100-bit ablations) keep the (word, mask) walk over
+//! each segment, the only form that handles a segment crossing a word
+//! boundary. No length takes both paths.
+//!
+//! Both kernels read their candidates through one word loader, either
+//! streams as they are ([`HardwareMaxPooling::pool_streams`]) or the XNOR
+//! products of two stream sets formed as they are read
+//! ([`HardwareMaxPooling::pool_xnor_products_with`], the MUX-Max block's
+//! pool over its per-field products, which are never materialized).
 
 use sc_core::add::{CountStream, MuxAdder, MuxSelectorPlan};
 use sc_core::arena::StreamArena;
-use sc_core::bitstream::BitStream;
+use sc_core::bitstream::{BitStream, StreamLength};
 use sc_core::error::ScError;
 use sc_core::rng::Lfsr;
+use sc_core::word::{active_backend, Backend, Word, W4};
 use serde::{Deserialize, Serialize};
 
 /// Identifies a pooling strategy.
@@ -203,9 +212,9 @@ impl HardwareMaxPooling {
     /// Returns [`ScError::EmptyInput`] for an empty slice and
     /// [`ScError::LengthMismatch`] if the streams differ in length.
     pub fn pool_streams(&self, inputs: &[BitStream]) -> Result<BitStream, ScError> {
-        let first = inputs.first().ok_or(ScError::EmptyInput)?;
-        let mut output = BitStream::zeros(first.stream_length());
-        self.pool_streams_into(inputs, &mut output)?;
+        let length = common_stream_length(inputs)?;
+        let mut output = BitStream::zeros(length);
+        self.pool_into(&Streams(inputs), output.words_mut(), length.bits());
         Ok(output)
     }
 
@@ -220,44 +229,66 @@ impl HardwareMaxPooling {
         inputs: &[BitStream],
         arena: &mut StreamArena,
     ) -> Result<BitStream, ScError> {
-        let first = inputs.first().ok_or(ScError::EmptyInput)?;
-        let mut output = arena.take_zeroed(first.stream_length());
-        match self.pool_streams_into(inputs, &mut output) {
-            Ok(()) => Ok(output),
-            Err(error) => {
-                arena.recycle(output);
-                Err(error)
-            }
-        }
+        let length = common_stream_length(inputs)?;
+        let mut output = arena.take_zeroed(length);
+        self.pool_into(&Streams(inputs), output.words_mut(), length.bits());
+        Ok(output)
     }
 
-    fn pool_streams_into(
+    /// Pools the XNOR products `inputs[i] ⊙ weights[i]` without
+    /// materializing them: bit-identical to [`BitStream::xnor_assign`] of
+    /// every pair followed by [`HardwareMaxPooling::pool_streams_with`].
+    /// The output buffer comes from `arena` (recycle it when done).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScError::EmptyInput`] for no inputs and
+    /// [`ScError::LengthMismatch`] unless there is one weight per input and
+    /// every stream has the same length.
+    pub fn pool_xnor_products_with(
         &self,
         inputs: &[BitStream],
-        output: &mut BitStream,
-    ) -> Result<(), ScError> {
-        let first = inputs.first().ok_or(ScError::EmptyInput)?;
-        let len = first.len();
-        for stream in inputs {
-            if stream.len() != len {
-                return Err(ScError::LengthMismatch {
-                    left: len,
-                    right: stream.len(),
-                });
+        weights: &[BitStream],
+        arena: &mut StreamArena,
+    ) -> Result<BitStream, ScError> {
+        let length = common_stream_length(inputs)?;
+        if weights.len() != inputs.len() {
+            return Err(ScError::LengthMismatch {
+                left: inputs.len(),
+                right: weights.len(),
+            });
+        }
+        if let Some(weight) = weights.iter().find(|weight| weight.len() != length.bits()) {
+            return Err(ScError::LengthMismatch {
+                left: length.bits(),
+                right: weight.len(),
+            });
+        }
+        let mut output = arena.take_zeroed(length);
+        let products = XnorProducts { inputs, weights };
+        self.pool_into(&products, output.words_mut(), length.bits());
+        Ok(output)
+    }
+
+    /// Pools `len`-bit candidates into the zeroed words `out`. The lane-count
+    /// kernel dispatches the way `sc_core`'s word kernels do: `u64` for
+    /// `scalar`, the AVX2 entry point for `avx2`, [`W4`] otherwise.
+    fn pool_into(&self, candidates: &impl PoolInputs, out: &mut [u64], len: usize) {
+        if self.segment_bits <= 64 && self.segment_bits.is_power_of_two() {
+            let segment_bits = self.segment_bits;
+            match active_backend() {
+                Backend::Scalar => pool_lane_counts::<u64>(segment_bits, candidates, out, len),
+                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+                Backend::Avx2 => {
+                    // SAFETY: `active_backend` reports AVX2 only after
+                    // runtime feature detection.
+                    unsafe { avx2::pool_lane_counts_avx2(segment_bits, candidates, out, len) }
+                }
+                _ => pool_lane_counts::<W4>(segment_bits, candidates, out, len),
             }
+        } else {
+            pool_segment_walk(candidates, out, len, self.segment_bits)
         }
-        let out = output.words_mut();
-        match self.segment_bits {
-            1 => pool_lane_counts::<1>(inputs, out),
-            2 => pool_lane_counts::<2>(inputs, out),
-            4 => pool_lane_counts::<4>(inputs, out),
-            8 => pool_lane_counts::<8>(inputs, out),
-            16 => pool_lane_counts::<16>(inputs, out),
-            32 => pool_lane_counts::<32>(inputs, out),
-            64 => pool_lane_counts::<64>(inputs, out),
-            segment_bits => pool_segment_walk(inputs, out, len, segment_bits),
-        }
-        Ok(())
     }
 
     /// Pools binary count streams: identical control flow, but the per-segment
@@ -333,75 +364,211 @@ impl HardwareMaxPooling {
     }
 }
 
-/// Hardware max pool over streams whose segment length `W` is a power of two
-/// ≤ 64, so every word holds `64 / W` whole segments ("lanes"; a stream's
-/// last segment may be partial, but its tail bits are zero). Per word, one
-/// SWAR lane-popcount per input gives all of its segment counts, a running
-/// lane-wise strict maximum picks each lane's winner (the first input on
-/// ties), and the winners' next lanes are blended into the output. The top
-/// lane's winner forwards the first lane of the next word.
-fn pool_lane_counts<const W: u32>(inputs: &[BitStream], out: &mut [u64]) {
-    let first_lane = u64::MAX >> (64 - W);
-    // The first segment of the stream forwards input 0.
-    let mut carry = 0usize;
-    for (w, out_word) in out.iter_mut().enumerate() {
-        let head = inputs[carry].as_words()[w] & first_lane;
-        let word = inputs[0].as_words()[w];
-        let mut best = lane_counts::<W>(word);
-        // Lane `k + 1` of `next` holds the bits of lane `k`'s running winner.
-        let mut next = word;
-        carry = 0;
-        for (input, stream) in inputs.iter().enumerate().skip(1) {
-            let word = stream.as_words()[w];
-            let counts = lane_counts::<W>(word);
-            let wins = lane_greater::<W>(counts, best);
-            best = (counts & wins) | (best & !wins);
-            let shifted = wins.checked_shl(W).unwrap_or(0);
-            next = (word & shifted) | (next & !shifted);
-            if wins >> 63 != 0 {
-                carry = input;
-            }
-        }
-        *out_word = head | (next & !first_lane);
+/// The candidates of a hardware max pool, read a word at a time.
+trait PoolInputs {
+    /// Number of candidates.
+    fn count(&self) -> usize;
+
+    /// Words `word .. word + W::LANES` of candidate `input`. Bits past the
+    /// stream length may read as ones; the kernels mask them.
+    fn load<W: Word>(&self, input: usize, word: usize) -> W;
+}
+
+/// Candidates held as streams.
+struct Streams<'a>(&'a [BitStream]);
+
+impl PoolInputs for Streams<'_> {
+    #[inline(always)]
+    fn count(&self) -> usize {
+        self.0.len()
+    }
+
+    #[inline(always)]
+    fn load<W: Word>(&self, input: usize, word: usize) -> W {
+        W::load(&self.0[input].as_words()[word..])
     }
 }
 
-/// The ones-count of every `W`-bit lane of `word`, each held in its lane.
+/// Candidates that are the XNOR products `inputs[i] ⊙ weights[i]`, formed
+/// as they are read.
+struct XnorProducts<'a> {
+    inputs: &'a [BitStream],
+    weights: &'a [BitStream],
+}
+
+impl PoolInputs for XnorProducts<'_> {
+    #[inline(always)]
+    fn count(&self) -> usize {
+        self.inputs.len()
+    }
+
+    #[inline(always)]
+    fn load<W: Word>(&self, input: usize, word: usize) -> W {
+        let x = W::load(&self.inputs[input].as_words()[word..]);
+        x.xor(W::load(&self.weights[input].as_words()[word..]))
+            .not()
+    }
+}
+
+/// Hardware max pool over `len`-bit candidates whose segment length is a
+/// power of two ≤ 64, so every word holds `64 / segment_bits` whole
+/// segments ("lanes"; a stream's last segment may be partial).
 #[inline(always)]
-fn lane_counts<const W: u32>(mut word: u64) -> u64 {
+fn pool_lane_counts<W: Word>(
+    segment_bits: usize,
+    candidates: &impl PoolInputs,
+    out: &mut [u64],
+    len: usize,
+) {
+    match segment_bits {
+        1 => pool_lane_words::<1, W>(candidates, out, len),
+        2 => pool_lane_words::<2, W>(candidates, out, len),
+        4 => pool_lane_words::<4, W>(candidates, out, len),
+        8 => pool_lane_words::<8, W>(candidates, out, len),
+        16 => pool_lane_words::<16, W>(candidates, out, len),
+        32 => pool_lane_words::<32, W>(candidates, out, len),
+        64 => pool_lane_words::<64, W>(candidates, out, len),
+        _ => unreachable!("segment lengths other than a power of two ≤ 64 take the walk"),
+    }
+}
+
+/// [`pool_lane_counts`] for `S`-bit segments: whole words go `W::LANES` at
+/// a time, the rest (the partial last word included) one at a time with
+/// the bits past `len` masked off.
+#[inline(always)]
+fn pool_lane_words<const S: u32, W: Word>(
+    candidates: &impl PoolInputs,
+    out: &mut [u64],
+    len: usize,
+) {
+    let whole = len / 64;
+    // The first segment of the stream forwards input 0.
+    let mut carry = 0usize;
+    let mut w = 0;
+    if W::LANES > 1 {
+        while w + W::LANES <= whole {
+            carry = pool_words::<S, W>(candidates, out, w, u64::MAX, carry);
+            w += W::LANES;
+        }
+    }
+    while w < out.len() {
+        let mask = if w < whole {
+            u64::MAX
+        } else {
+            u64::MAX >> (64 - len % 64)
+        };
+        carry = pool_words::<S, u64>(candidates, out, w, mask, carry);
+        w += 1;
+    }
+}
+
+/// Pools words `w .. w + W::LANES`, each candidate word read through
+/// `mask`, given the input that won the top lane of word `w - 1` (`carry`),
+/// and returns the top lane's winner of the last word.
+///
+/// Per word, one SWAR lane-popcount per candidate gives all of its segment
+/// counts, a running lane-wise strict maximum picks each lane's winner (the
+/// first candidate on ties), and the winners' next lanes are blended into
+/// the output. Each word's top-lane winner is recorded as the walk goes
+/// (the sign of its win mask) and forwards the first lane of the next word
+/// in a short fix-up pass.
+#[inline(always)]
+fn pool_words<const S: u32, W: Word>(
+    candidates: &impl PoolInputs,
+    out: &mut [u64],
+    w: usize,
+    mask: u64,
+    mut carry: usize,
+) -> usize {
+    let first_lane = u64::MAX >> (64 - S);
+    let mask_word = W::splat(mask);
+    let word = candidates.load::<W>(0, w).and(mask_word);
+    let mut best = lane_counts::<S, W>(word);
+    // Lane `k + 1` of `next` holds the bits of lane `k`'s running winner.
+    let mut next = word;
+    let mut top_winners = W::zero();
+    for input in 1..candidates.count() {
+        let word = candidates.load::<W>(input, w).and(mask_word);
+        let counts = lane_counts::<S, W>(word);
+        let wins = lane_greater::<S, W>(counts, best);
+        best = counts.and(wins).or(best.andnot(wins));
+        if S < 64 {
+            let shifted = wins.shl(S);
+            next = word.and(shifted).or(next.andnot(shifted));
+        }
+        let top_won = W::zero().cmp_gt_i64(wins);
+        top_winners = top_winners.blend(W::splat(input as u64), top_won);
+    }
+    next.andnot(W::splat(first_lane)).store(&mut out[w..]);
+    let mut winners = [0u64; 4];
+    top_winners.store(&mut winners);
+    for (j, &winner) in winners.iter().take(W::LANES).enumerate() {
+        out[w + j] |= candidates.load::<u64>(carry, w + j) & mask & first_lane;
+        carry = winner as usize;
+    }
+    carry
+}
+
+/// The ones-count of every `S`-bit lane of `word`, each held in its lane.
+#[inline(always)]
+fn lane_counts<const S: u32, W: Word>(mut word: W) -> W {
     let mut width = 1;
-    while width < W {
+    while width < S {
         // The low `width` bits of every `2 · width`-bit field.
-        let mask = u64::MAX / ((1u64 << width) + 1);
-        word = (word & mask) + ((word >> width) & mask);
+        let mask = W::splat(u64::MAX / ((1u64 << width) + 1));
+        word = word.and(mask).add_i64(word.shr(width).and(mask));
         width *= 2;
     }
     word
 }
 
-/// All-ones in every `W`-bit lane where count `a` exceeds count `b` (lane
-/// counts, each at most `W`), zero elsewhere.
+/// All-ones in every `S`-bit lane where count `a` exceeds count `b` (lane
+/// counts, each at most `S`), zero elsewhere.
 #[inline(always)]
-fn lane_greater<const W: u32>(a: u64, b: u64) -> u64 {
-    let low = u64::MAX / (u64::MAX >> (64 - W));
-    let high = low << (W - 1);
+fn lane_greater<const S: u32, W: Word>(a: W, b: W) -> W {
+    let low = u64::MAX / (u64::MAX >> (64 - S));
+    let high = W::splat(low << (S - 1));
     // Top bit of each lane: `b ≥ a`. From 4-bit lanes up a count never
     // reaches the top bit, so one borrow-free subtraction decides; narrower
     // lanes compare the top bits first and the lower bits after.
-    let b_ge_a = if W >= 4 {
-        (b | high).wrapping_sub(a) & high
+    let b_ge_a = if S >= 4 {
+        b.or(high).sub_i64(a).and(high)
     } else {
-        let low_ge = (b | high).wrapping_sub(a & !high);
-        ((b & !a) | (!(a ^ b) & low_ge)) & high
+        let low_ge = b.or(high).sub_i64(a.andnot(high));
+        b.andnot(a).or(low_ge.andnot(a.xor(b))).and(high)
     };
-    let greater = !b_ge_a & high;
-    (greater - (greater >> (W - 1))) | greater
+    let greater = high.andnot(b_ge_a);
+    greater.sub_i64(greater.shr(S - 1)).or(greater)
+}
+
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+mod avx2 {
+    use super::PoolInputs;
+    use sc_core::word::WAvx2;
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn pool_lane_counts_avx2(
+        segment_bits: usize,
+        candidates: &impl PoolInputs,
+        out: &mut [u64],
+        len: usize,
+    ) {
+        super::pool_lane_counts::<WAvx2>(segment_bits, candidates, out, len)
+    }
 }
 
 /// Hardware max pool for any other segment length: every segment is a run of
-/// (word, mask) pairs, so forwarding the selected stream and counting each
-/// candidate are a masked blend and masked popcounts.
-fn pool_segment_walk(inputs: &[BitStream], out: &mut [u64], len: usize, segment_bits: usize) {
+/// (word, mask) pairs, so forwarding the selected candidate and counting
+/// each candidate are a masked blend and masked popcounts.
+fn pool_segment_walk(
+    candidates: &impl PoolInputs,
+    out: &mut [u64],
+    len: usize,
+    segment_bits: usize,
+) {
     let mut selected = 0usize;
     let mut start = 0usize;
     while start < len {
@@ -413,27 +580,37 @@ fn pool_segment_walk(inputs: &[BitStream], out: &mut [u64], len: usize, segment_
                 (w, (u64::MAX >> (64 - (high - low))) << low)
             })
         };
-        let source = inputs[selected].as_words();
         for (w, mask) in segment() {
-            out[w] = (out[w] & !mask) | (source[w] & mask);
+            out[w] = (out[w] & !mask) | (candidates.load::<u64>(selected, w) & mask);
         }
-        // The strictly largest count wins (first lane on ties) and drives
-        // the selection for the *next* segment.
+        // The strictly largest count wins (first candidate on ties) and
+        // drives the selection for the *next* segment.
         let mut best = 0usize;
         let mut best_count = 0u32;
-        for (lane, stream) in inputs.iter().enumerate() {
-            let words = stream.as_words();
+        for input in 0..candidates.count() {
             let count: u32 = segment()
-                .map(|(w, mask)| (words[w] & mask).count_ones())
+                .map(|(w, mask)| (candidates.load::<u64>(input, w) & mask).count_ones())
                 .sum();
             if count > best_count {
                 best_count = count;
-                best = lane;
+                best = input;
             }
         }
         selected = best;
         start = end;
     }
+}
+
+/// Validates a stream operand set and returns the common length.
+fn common_stream_length(inputs: &[BitStream]) -> Result<StreamLength, ScError> {
+    let first = inputs.first().ok_or(ScError::EmptyInput)?;
+    if let Some(stream) = inputs.iter().find(|stream| stream.len() != first.len()) {
+        return Err(ScError::LengthMismatch {
+            left: first.len(),
+            right: stream.len(),
+        });
+    }
+    Ok(first.stream_length())
 }
 
 /// Validates a count-stream operand set and returns the common length.
@@ -493,8 +670,8 @@ impl SoftwareMaxPooling {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sc_core::bitstream::StreamLength;
     use sc_core::sng::{Sng, SngKind};
+    use sc_core::word::{active_backend, force_backend, Backend};
 
     fn stream_for(value: f64, len: usize, seed: u64) -> BitStream {
         Sng::new(SngKind::Lfsr32, seed)
@@ -633,50 +810,151 @@ mod tests {
         out
     }
 
+    /// One candidate set of `lanes` streams of `len` bits for `trial`:
+    /// trial 0 draws independent lanes; trials 1-3 force equal counts in
+    /// every segment: all lanes tie (1), or all but lane 0 tie (2), or lanes
+    /// pair up into ties (3).
+    fn candidates(
+        rng: &mut rand::rngs::StdRng,
+        segment_bits: usize,
+        len: usize,
+        lanes: usize,
+        trial: usize,
+    ) -> Vec<BitStream> {
+        use rand::Rng;
+        let random = |rng: &mut rand::rngs::StdRng| {
+            let density = [0.0, 0.1, 0.5, 0.9, 1.0][rng.gen_range(0..5usize)];
+            BitStream::from_bits((0..len).map(|_| rng.gen_bool(density))).unwrap()
+        };
+        let mut streams: Vec<BitStream> = vec![random(rng)];
+        for lane in 1..lanes {
+            let tied = match trial {
+                1 => true,
+                2 => lane > 1,
+                3 => lane % 2 == 1,
+                _ => false,
+            };
+            streams.push(if tied {
+                reverse_segments(&streams[lane - 1], segment_bits)
+            } else {
+                random(rng)
+            });
+        }
+        streams
+    }
+
+    /// Runs `check` once under every kernel backend this build and CPU
+    /// support, restoring the active backend afterwards.
+    fn for_each_backend(mut check: impl FnMut(Backend)) {
+        let original = active_backend();
+        for backend in Backend::ALL.into_iter().filter(|b| b.is_available()) {
+            assert!(force_backend(backend));
+            check(backend);
+        }
+        force_backend(original);
+    }
+
     #[test]
     fn word_level_max_pool_matches_per_bit_reference() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0x9001);
-        // Every power-of-two width takes the lane-count path; 7 and 100
-        // take the segment walk. 9 and 16 candidates are Table 4's windows.
-        for segment_bits in [1usize, 2, 4, 7, 8, 16, 32, 64, 100] {
-            let pool = HardwareMaxPooling::new(segment_bits).unwrap();
-            for len in [1usize, 63, 64, 127, 1024] {
-                for lanes in (1..=5).chain([9, 16]) {
-                    for trial in 0..4 {
-                        let random = |rng: &mut StdRng| {
-                            let density = [0.0, 0.1, 0.5, 0.9, 1.0][rng.gen_range(0..5usize)];
-                            BitStream::from_bits((0..len).map(|_| rng.gen_bool(density))).unwrap()
-                        };
-                        // Trial 0: independent lanes. Trials 1-3 force
-                        // equal counts in every segment: all lanes tie
-                        // (1), or all but lane 0 tie (2), or lanes pair up
-                        // into ties (3).
-                        let mut streams: Vec<BitStream> = vec![random(&mut rng)];
-                        for lane in 1..lanes {
-                            let tied = match trial {
-                                1 => true,
-                                2 => lane > 1,
-                                3 => lane % 2 == 1,
-                                _ => false,
-                            };
-                            streams.push(if tied {
-                                reverse_segments(&streams[lane - 1], segment_bits)
-                            } else {
-                                random(&mut rng)
-                            });
+        use rand::SeedableRng;
+        for_each_backend(|backend| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0x9001);
+            // Every power-of-two width takes the lane-count path; 7 and 100
+            // take the segment walk. 9 and 16 candidates are Table 4's
+            // windows.
+            for segment_bits in [1usize, 2, 4, 7, 8, 16, 32, 64, 100] {
+                let pool = HardwareMaxPooling::new(segment_bits).unwrap();
+                for len in [1usize, 63, 64, 127, 1024] {
+                    for lanes in (1..=5).chain([9, 16]) {
+                        for trial in 0..4 {
+                            let streams = candidates(&mut rng, segment_bits, len, lanes, trial);
+                            assert_eq!(
+                                pool.pool_streams(&streams).unwrap(),
+                                per_bit_max_pool(&streams, segment_bits),
+                                "{backend} segment {segment_bits} len {len} lanes {lanes} \
+                                 trial {trial}"
+                            );
                         }
-                        let expected = per_bit_max_pool(&streams, segment_bits);
-                        assert_eq!(
-                            pool.pool_streams(&streams).unwrap(),
-                            expected,
-                            "segment {segment_bits} len {len} lanes {lanes} trial {trial}"
-                        );
                     }
                 }
             }
+        });
+    }
+
+    #[test]
+    fn fused_xnor_max_pool_matches_materialized_products() {
+        use rand::{Rng, SeedableRng};
+        let mut arena = StreamArena::new();
+        for_each_backend(|backend| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0x7A11);
+            for segment_bits in [1usize, 2, 4, 8, 16, 32, 64, 100] {
+                let pool = HardwareMaxPooling::new(segment_bits).unwrap();
+                for len in [1usize, 63, 64, 127, 1024] {
+                    for fields in 1..=5 {
+                        for trial in 0..4 {
+                            // The products carry the trial's tie pattern;
+                            // the inputs are what XNORs with random weights
+                            // into them.
+                            let products = candidates(&mut rng, segment_bits, len, fields, trial);
+                            let weights: Vec<BitStream> = (0..fields)
+                                .map(|_| {
+                                    BitStream::from_bits((0..len).map(|_| rng.gen_bool(0.5)))
+                                        .unwrap()
+                                })
+                                .collect();
+                            let inputs: Vec<BitStream> = products
+                                .iter()
+                                .zip(&weights)
+                                .map(|(product, weight)| product.xnor(weight))
+                                .collect();
+                            let materialized: Vec<BitStream> = inputs
+                                .iter()
+                                .zip(&weights)
+                                .map(|(input, weight)| {
+                                    let mut product = input.clone();
+                                    product.xnor_assign(weight);
+                                    product
+                                })
+                                .collect();
+                            assert_eq!(materialized, products);
+                            let expected =
+                                pool.pool_streams_with(&materialized, &mut arena).unwrap();
+                            let fused = pool
+                                .pool_xnor_products_with(&inputs, &weights, &mut arena)
+                                .unwrap();
+                            let case = format!(
+                                "{backend} segment {segment_bits} len {len} fields {fields} \
+                                 trial {trial}"
+                            );
+                            assert_eq!(fused, expected, "{case}");
+                            // Both share one kernel, so pin it to the per-bit
+                            // reference too.
+                            assert_eq!(fused, per_bit_max_pool(&products, segment_bits), "{case}");
+                            arena.recycle(fused);
+                            arena.recycle(expected);
+                        }
+                    }
+                }
+            }
+        });
+        // Mismatched operand sets are refused before a buffer is taken.
+        let a = BitStream::from_binary_str("1010").unwrap();
+        let short = BitStream::from_binary_str("101").unwrap();
+        let pool = HardwareMaxPooling::default();
+        let before = arena.stats();
+        let refused = [
+            (vec![], vec![]),
+            (vec![a.clone()], vec![]),
+            (vec![a.clone()], vec![short.clone()]),
+            (vec![a, short.clone()], vec![short.clone(), short]),
+        ];
+        for (inputs, weights) in refused {
+            assert!(pool
+                .pool_xnor_products_with(&inputs, &weights, &mut arena)
+                .is_err());
         }
+        assert_eq!(arena.stats().stream_allocs, before.stream_allocs);
+        assert_eq!(arena.stats().stream_reuses, before.stream_reuses);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::bitstream::{BitStream, StreamLength};
 use crate::encoding::{Bipolar, Encoding, Unipolar};
 use crate::error::ScError;
 use crate::rng::{Lfsr, LfsrWidth, RandomSource, SoftwareRng};
-use crate::word::{dispatch_word_kernel, Word};
+use crate::word::{active_backend, dispatch_word_kernel, Word};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -724,7 +724,27 @@ impl SelectedSequence {
                 right: sequence.length.bits(),
             });
         }
-        let lanes = plan.selected_lanes();
+        Self::gather(sequences, plan.selected_lanes())
+    }
+
+    /// Gathers the samples of the lanes `lanes` selects, cycle by cycle.
+    ///
+    /// The AVX2 [`SelectedSequence::fill`] gathers thresholds by these lane
+    /// indices without bounds checks, so a lane past the last sequence (or
+    /// one that does not fit the gather's `i32` index) is refused here.
+    fn gather(sequences: &[LaneSequence], lanes: Vec<u32>) -> Result<Self, ScError> {
+        if let Some(&lane) = lanes
+            .iter()
+            .find(|&&lane| lane as usize >= sequences.len() || lane > i32::MAX as u32)
+        {
+            return Err(ScError::InvalidParameter {
+                name: "lanes",
+                message: format!(
+                    "selected lane {lane} is outside the {} lane sequences",
+                    sequences.len()
+                ),
+            });
+        }
         let samples = lanes
             .iter()
             .enumerate()
@@ -733,7 +753,7 @@ impl SelectedSequence {
         Ok(Self {
             lanes,
             samples,
-            inputs: plan.lanes(),
+            inputs: sequences.len(),
             length: sequences[0].length,
         })
     }
@@ -741,6 +761,12 @@ impl SelectedSequence {
     /// Fills `stream` with the selected input stream of a field whose lane
     /// `i` encodes comparator threshold `thresholds[i]` (see
     /// [`probability_threshold`]). Every word of `stream` is overwritten.
+    ///
+    /// Bit `t` is `samples[t] < thresholds[lanes[t]]`. The scalar loop is
+    /// the reference and serves the `scalar` and `wide` backends; the AVX2
+    /// backend does 8 cycles per step: one gather of the 8 selected
+    /// thresholds, the 8 samples widened to 32 bits, one compare and one
+    /// move-mask for 8 output bits. Both are bit-identical.
     ///
     /// # Errors
     ///
@@ -759,15 +785,94 @@ impl SelectedSequence {
                 right: stream.len(),
             });
         }
-        let cycles = self.lanes.chunks(64).zip(self.samples.chunks(64));
-        for (word, (lanes, samples)) in stream.words_mut().iter_mut().zip(cycles) {
+        let words = stream.words_mut();
+        match active_backend() {
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            crate::word::Backend::Avx2 => {
+                // SAFETY: `active_backend` reports AVX2 only after runtime
+                // feature detection; `gather` refused every lane that does
+                // not index the sequences, of which there are `inputs`, the
+                // length of `thresholds` checked above.
+                unsafe {
+                    gather_avx2::selected_fill_avx2(&self.lanes, &self.samples, thresholds, words)
+                }
+            }
+            _ => selected_fill_scalar(&self.lanes, &self.samples, thresholds, words),
+        }
+        Ok(())
+    }
+}
+
+/// The reference selected-sequence fill: one comparator per cycle, packed
+/// into the output words. Nothing in it is word-parallel, so it serves the
+/// `scalar` and `wide` backends alike.
+fn selected_fill_scalar(lanes: &[u32], samples: &[u16], thresholds: &[u32], words: &mut [u64]) {
+    let cycles = lanes.chunks(64).zip(samples.chunks(64));
+    for (word, (lanes, samples)) in words.iter_mut().zip(cycles) {
+        let mut packed = 0u64;
+        for (bit, (&lane, &sample)) in lanes.iter().zip(samples).enumerate() {
+            packed |= u64::from(u32::from(sample) < thresholds[lane as usize]) << bit;
+        }
+        *word = packed;
+    }
+}
+
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+mod gather_avx2 {
+    use std::arch::x86_64::*;
+
+    /// [`super::selected_fill_scalar`] 8 cycles at a time: gather the selected
+    /// lanes' thresholds, widen the samples to 32 bits, compare, and pack
+    /// the 8 results with one move-mask. Cycles past the last whole group
+    /// of 8 in a word take the scalar comparator.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, `lanes` and `samples` must be equally
+    /// long, and every lane must index `thresholds` and fit an `i32`.
+    /// [`super::SelectedSequence::gather`] refuses any other lane and
+    /// [`super::SelectedSequence::fill`] checks `thresholds.len() ==
+    /// inputs`, so its call upholds this.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn selected_fill_avx2(
+        lanes: &[u32],
+        samples: &[u16],
+        thresholds: &[u32],
+        words: &mut [u64],
+    ) {
+        debug_assert_eq!(lanes.len(), samples.len());
+        // Samples are below 2^16, so a threshold above 2^16 compares like
+        // 2^16; capping it keeps the signed 32-bit compare exact for every
+        // `u32` threshold.
+        let cap = _mm256_set1_epi32(1 << 16);
+        let cycles = lanes.chunks(64).zip(samples.chunks(64));
+        for (word, (lanes, samples)) in words.iter_mut().zip(cycles) {
+            let groups = lanes.len() / 8;
             let mut packed = 0u64;
-            for (bit, (&lane, &sample)) in lanes.iter().zip(samples).enumerate() {
-                packed |= u64::from(u32::from(sample) < thresholds[lane as usize]) << bit;
+            for group in 0..groups {
+                // SAFETY: `group * 8 + 8 <= lanes.len() == samples.len()`,
+                // and every gathered index is a lane below
+                // `thresholds.len()` (the function's precondition).
+                unsafe {
+                    let index = _mm256_loadu_si256(lanes.as_ptr().add(group * 8).cast());
+                    let threshold = _mm256_min_epu32(
+                        _mm256_i32gather_epi32::<4>(thresholds.as_ptr().cast(), index),
+                        cap,
+                    );
+                    let sample = _mm256_cvtepu16_epi32(_mm_loadu_si128(
+                        samples.as_ptr().add(group * 8).cast(),
+                    ));
+                    let below = _mm256_cmpgt_epi32(threshold, sample);
+                    let bits = _mm256_movemask_ps(_mm256_castsi256_ps(below)) as u32;
+                    packed |= u64::from(bits) << (group * 8);
+                }
+            }
+            for bit in groups * 8..lanes.len() {
+                let threshold = thresholds[lanes[bit] as usize];
+                packed |= u64::from(u32::from(samples[bit]) < threshold) << bit;
             }
             *word = packed;
         }
-        Ok(())
     }
 }
 
@@ -1098,6 +1203,30 @@ mod tests {
         let mut wrong = BitStream::zeros(StreamLength::new(64));
         assert!(selected.fill(&[0x8000; 3], &mut wrong).is_err());
         assert!(selected.fill(&[0x8000; 3], &mut stream).is_ok());
+    }
+
+    #[test]
+    fn selected_sequence_refuses_lanes_past_its_sequences() {
+        // A selector naming lane 3 of three sequences would make the AVX2
+        // fill gather a threshold past the end of the slice.
+        let length = StreamLength::new(64);
+        let lanes: Vec<LaneSequence> = (0..3).map(|i| LaneSequence::new(i, length)).collect();
+        let mut selected: Vec<u32> = (0..64).map(|t| t % 3).collect();
+        assert!(SelectedSequence::gather(&lanes, selected.clone()).is_ok());
+        selected[40] = 3;
+        assert!(matches!(
+            SelectedSequence::gather(&lanes, selected.clone()),
+            Err(ScError::InvalidParameter { name: "lanes", .. })
+        ));
+        selected[40] = u32::MAX;
+        assert!(SelectedSequence::gather(&lanes, selected).is_err());
+        // A plan over more lanes than there are sequences is refused before
+        // any lane is read.
+        let plan = MuxSelectorPlan::new(4, 64, &mut Lfsr::new_32(3)).unwrap();
+        assert_eq!(
+            SelectedSequence::new(&lanes, &plan).unwrap_err(),
+            ScError::LengthMismatch { left: 4, right: 3 }
+        );
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! XNOR/popcount inner-product counts, bit-sliced MUX selector application,
 //! the packed Harley-Seal column counts, and the word-interleaved Btanh
 //! batch walk — is written once, generically over [`Word`]: a fixed-width bundle
-//! of 64-bit bit-stream lanes.
+//! of 64-bit bit-stream lanes. So is `sc-blocks`' hardware max pool. The
+//! MUX selected-sequence fill is the exception: a per-cycle gather, it has
+//! one scalar loop and one AVX2 gather path.
 //!
 //! * `u64` ([`Word::LANES`] = 1) is the **bit-exact reference**. Every other
 //!   backend is required to produce identical bits; the kernels contain no
@@ -106,6 +108,9 @@ pub trait Word: Copy {
     /// Lane-wise wrapping addition of signed 64-bit lanes.
     fn add_i64(self, rhs: Self) -> Self;
 
+    /// Lane-wise wrapping subtraction of signed 64-bit lanes.
+    fn sub_i64(self, rhs: Self) -> Self;
+
     /// Lane-wise signed comparison: all-ones where `self > rhs`, else zero.
     fn cmp_gt_i64(self, rhs: Self) -> Self;
 
@@ -187,6 +192,11 @@ impl Word for u64 {
     #[inline(always)]
     fn add_i64(self, rhs: Self) -> Self {
         ((self as i64).wrapping_add(rhs as i64)) as u64
+    }
+
+    #[inline(always)]
+    fn sub_i64(self, rhs: Self) -> Self {
+        self.wrapping_sub(rhs)
     }
 
     #[inline(always)]
@@ -308,6 +318,15 @@ impl Word for W4 {
         let mut out = self.0;
         for (o, r) in out.iter_mut().zip(rhs.0) {
             *o = (*o as i64).wrapping_add(r as i64) as u64;
+        }
+        W4(out)
+    }
+
+    #[inline(always)]
+    fn sub_i64(self, rhs: Self) -> Self {
+        let mut out = self.0;
+        for (o, r) in out.iter_mut().zip(rhs.0) {
+            *o = o.wrapping_sub(r);
         }
         W4(out)
     }
@@ -456,6 +475,12 @@ mod avx2 {
         fn add_i64(self, rhs: Self) -> Self {
             // SAFETY: as above.
             WAvx2(unsafe { _mm256_add_epi64(self.0, rhs.0) })
+        }
+
+        #[inline(always)]
+        fn sub_i64(self, rhs: Self) -> Self {
+            // SAFETY: as above.
+            WAvx2(unsafe { _mm256_sub_epi64(self.0, rhs.0) })
         }
 
         #[inline(always)]
@@ -674,6 +699,7 @@ mod tests {
                 ("add_i64", a.add_i64(b), |x, y, _| {
                     (x as i64).wrapping_add(y as i64) as u64
                 }),
+                ("sub_i64", a.sub_i64(b), |x, y, _| x.wrapping_sub(y)),
                 ("cmp_gt_i64", a.cmp_gt_i64(b), |x, y, _| {
                     if (x as i64) > (y as i64) {
                         u64::MAX

@@ -324,7 +324,8 @@ proptest! {
     /// streams: one comparator pass over each cycle's selected lane equals
     /// `MuxAdder::sum_with_plan` over the `LaneSequence::fill` stream of
     /// every lane, at every length (below one word, below the 128-bit
-    /// staged minimum and off word multiples too), with per-lane thresholds
+    /// staged minimum and off word multiples too, so the AVX2 fill's
+    /// 8-cycle groups end part-way through a word), with per-lane thresholds
     /// at the comparator's edges and random, under every kernel backend
     /// this build and CPU run.
     #[test]
@@ -333,8 +334,8 @@ proptest! {
                                                           threshold_seed in any::<u64>()) {
         let original = active_backend();
         let mut rng = StdRng::seed_from_u64(threshold_seed);
-        for lanes in [1usize, 25, 200] {
-            for bits in [1usize, 63, 64, 100, 127, 128, 129, 1024] {
+        for lanes in [1usize, 7, 8, 9, 25, 200] {
+            for bits in [1usize, 63, 64, 65, 100, 127, 128, 129, 1000, 1024] {
                 let length = StreamLength::new(bits);
                 let sequences: Vec<LaneSequence> = (0..lanes)
                     .map(|lane| LaneSequence::new(SngBank::lane_seed(seed, lane), length))
@@ -342,14 +343,15 @@ proptest! {
                 let plan = MuxSelectorPlan::new(lanes, bits, &mut Lfsr::new_32(selector_seed))
                     .unwrap();
                 let selected = SelectedSequence::new(&sequences, &plan).unwrap();
-                // Every lane draws from the edge thresholds and a random one;
-                // a single lane runs through all six in turn.
-                for rotation in 0..if lanes == 1 { 6 } else { 1 } {
+                // Every lane draws from the edge thresholds (one past the
+                // comparator's range too) and a random one; a single lane
+                // runs through all seven in turn.
+                for rotation in 0..if lanes == 1 { 7 } else { 1 } {
                     let thresholds: Vec<u32> = (0..lanes)
                         .map(|lane| {
-                            let edges = [0u32, 1, 0x8000, 0xFFFF, 0x10000];
-                            match (lane * 7 + rotation + rng.gen_range(0..2usize)) % 6 {
-                                5 => rng.gen_range(0..=0x10000u32),
+                            let edges = [0u32, 1, 0x8000, 0xFFFF, 0x10000, u32::MAX];
+                            match (lane * 5 + rotation + rng.gen_range(0..2usize)) % 7 {
+                                6 => rng.gen_range(0..=0x10000u32),
                                 edge => edges[edge],
                             }
                         })
