@@ -7,13 +7,13 @@
 //!
 //! Run with: `cargo run --release -p sc-bench --bin bench_kernels`
 
-use sc_blocks::activation_block::StanhBlock;
+use sc_blocks::activation_block::{BtanhBlock, StanhBlock};
 use sc_blocks::pooling::HardwareMaxPooling;
 use sc_core::activation::Stanh;
-use sc_core::add::{Apc, ExactParallelCounter, MuxAdder, MuxSelectorPlan};
+use sc_core::add::{Apc, CountStream, ExactParallelCounter, MuxAdder, MuxSelectorPlan};
 use sc_core::arena::StreamArena;
 use sc_core::bitstream::{BitStream, StreamLength};
-use sc_core::csa::PackedLanes;
+use sc_core::csa::{CountPlanes, PackedLanes};
 use sc_core::multiply;
 use sc_core::rng::Lfsr;
 use sc_core::sng::{LaneSequence, SelectedSequence, Sng, SngBank, SngKind};
@@ -980,6 +980,399 @@ fn bench_fc1_apc(samples: usize, iters: usize, cold: bool) -> Comparison {
     }
 }
 
+/// Frozen copy of the APC count path the plane path replaced on the
+/// engine: the packed Harley-Seal core draining every (field, row) into
+/// `u16` counts through a `[[u64; 16]; 4]` scratch and a scalar 8-column
+/// transpose, the approximate LSB applied to the counts, and the hardware
+/// max pool over the count rows.
+mod frozen_field_drain {
+    use sc_core::add::CountStream;
+    use sc_core::arena::StreamArena;
+    use sc_core::word::Word;
+
+    const GROUP_WORDS: usize = 4;
+    const GROUP_BITS: usize = 256;
+    const MAX_PLANES: usize = 16;
+
+    #[inline(always)]
+    fn csa<W: Word>(a: W, b: W, c: W) -> (W, W) {
+        let partial = a.xor(b);
+        (partial.xor(c), a.and(b).or(partial.and(c)))
+    }
+
+    struct Planes<W: Word> {
+        ones: W,
+        twos: W,
+        fours: W,
+        eights: W,
+        upper: [W; MAX_PLANES - 4],
+    }
+
+    impl<W: Word> Planes<W> {
+        #[inline(always)]
+        fn add(&mut self, word: W, upper: usize) {
+            let carry = self.ones.and(word);
+            self.ones = self.ones.xor(word);
+            let carry2 = self.twos.and(carry);
+            self.twos = self.twos.xor(carry);
+            let carry4 = self.fours.and(carry2);
+            self.fours = self.fours.xor(carry2);
+            let carry8 = self.eights.and(carry4);
+            self.eights = self.eights.xor(carry4);
+            self.add_sixteens(carry8, upper);
+        }
+
+        #[inline(always)]
+        fn add_sixteens(&mut self, mut carry: W, upper: usize) {
+            for plane in &mut self.upper[..upper] {
+                let next = plane.and(carry);
+                *plane = plane.xor(carry);
+                carry = next;
+            }
+        }
+
+        #[inline(always)]
+        fn drain(&self, sub: usize, planes: usize, out: &mut [u16]) {
+            let mut by_word = [[0u64; MAX_PLANES]; GROUP_WORDS];
+            let low = [self.ones, self.twos, self.fours, self.eights];
+            for (k, plane) in low.iter().chain(&self.upper).take(planes).enumerate() {
+                let mut words = [0u64; GROUP_WORDS];
+                plane.store(&mut words);
+                for (word_planes, &bits) in by_word.iter_mut().zip(&words) {
+                    word_planes[k] = bits;
+                }
+            }
+            for (lane, word_planes) in by_word.iter().enumerate().take(W::LANES) {
+                let start = (sub + lane) * 64;
+                if start >= out.len() {
+                    break;
+                }
+                let end = out.len().min(start + 64);
+                drain_word(&word_planes[..planes], &mut out[start..end]);
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn compress<W: Word>(x: &[u64], w: &[u64], sub: usize, mask: W, upper: usize) -> Planes<W> {
+        let product = |x: &[u64], w: &[u64], lane: usize| {
+            let at = lane * GROUP_WORDS + sub;
+            W::load(&x[at..at + W::LANES])
+                .xor(W::load(&w[at..at + W::LANES]))
+                .not()
+                .and(mask)
+        };
+        let mut p = Planes {
+            ones: W::zero(),
+            twos: W::zero(),
+            fours: W::zero(),
+            eights: W::zero(),
+            upper: [W::zero(); MAX_PLANES - 4],
+        };
+        let mut xs = x.chunks_exact(16 * GROUP_WORDS);
+        let mut ws = w.chunks_exact(16 * GROUP_WORDS);
+        for (xc, wc) in (&mut xs).zip(&mut ws) {
+            let d = |lane| product(xc, wc, lane);
+            let (ones, twos_a) = csa(p.ones, d(0), d(1));
+            let (ones, twos_b) = csa(ones, d(2), d(3));
+            let (twos, fours_a) = csa(p.twos, twos_a, twos_b);
+            let (ones, twos_a) = csa(ones, d(4), d(5));
+            let (ones, twos_b) = csa(ones, d(6), d(7));
+            let (twos, fours_b) = csa(twos, twos_a, twos_b);
+            let (fours, eights_a) = csa(p.fours, fours_a, fours_b);
+            let (ones, twos_a) = csa(ones, d(8), d(9));
+            let (ones, twos_b) = csa(ones, d(10), d(11));
+            let (twos, fours_a) = csa(twos, twos_a, twos_b);
+            let (ones, twos_a) = csa(ones, d(12), d(13));
+            let (ones, twos_b) = csa(ones, d(14), d(15));
+            let (twos, fours_b) = csa(twos, twos_a, twos_b);
+            let (fours, eights_b) = csa(fours, fours_a, fours_b);
+            let (eights, sixteens) = csa(p.eights, eights_a, eights_b);
+            p.ones = ones;
+            p.twos = twos;
+            p.fours = fours;
+            p.eights = eights;
+            p.add_sixteens(sixteens, upper);
+        }
+        let (xr, wr) = (xs.remainder(), ws.remainder());
+        for lane in 0..xr.len() / GROUP_WORDS {
+            p.add(product(xr, wr, lane), upper);
+        }
+        p
+    }
+
+    #[inline(always)]
+    fn drain_word(planes: &[u64], out: &mut [u16]) {
+        let low = &planes[..planes.len().min(8)];
+        let mut full = [0u16; 64];
+        for (group, columns) in full.chunks_exact_mut(8).enumerate() {
+            let shift = 8 * group as u32;
+            let mut packed = 0u64;
+            for (k, &plane) in low.iter().enumerate() {
+                packed |= ((plane >> shift) & 0xFF) << (8 * k);
+            }
+            let transposed = transpose8(packed);
+            for (j, count) in columns.iter_mut().enumerate() {
+                *count = ((transposed >> (8 * j)) & 0xFF) as u16;
+            }
+        }
+        let len = out.len();
+        out.copy_from_slice(&full[..len]);
+        for (k, &plane) in planes.iter().enumerate().skip(8) {
+            let mut bits = plane;
+            while bits != 0 {
+                out[bits.trailing_zeros() as usize] += 1 << k;
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn transpose8(mut x: u64) -> u64 {
+        let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+        x ^= t ^ (t << 7);
+        let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+        x ^= t ^ (t << 14);
+        let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+        x ^= t ^ (t << 28);
+        x
+    }
+
+    /// APC counts of the one-row packed `input` against every packed row of
+    /// `weights` (`lanes` lanes, `bits` columns), into `counts`.
+    #[inline(always)]
+    pub fn apc_counts_impl<W: Word>(
+        input: &[u64],
+        weights: &[u64],
+        lanes: usize,
+        bits: usize,
+        counts: &mut [Vec<u16>],
+    ) {
+        let group_words = lanes * GROUP_WORDS;
+        let groups = bits.div_ceil(GROUP_BITS);
+        let planes = (usize::BITS - lanes.leading_zeros()) as usize;
+        let upper = planes.saturating_sub(4);
+        for (row, row_counts) in weights
+            .chunks_exact(groups * group_words)
+            .zip(counts.iter_mut())
+        {
+            for g in 0..groups {
+                let x = &input[g * group_words..(g + 1) * group_words];
+                let w = &row[g * group_words..(g + 1) * group_words];
+                let span = (bits - g * GROUP_BITS).min(GROUP_BITS);
+                let out = &mut row_counts[g * GROUP_BITS..g * GROUP_BITS + span];
+                let mut sub = 0;
+                while sub < GROUP_WORDS && sub * 64 < span {
+                    let mut masks = [0u64; GROUP_WORDS];
+                    for (s, mask) in masks.iter_mut().enumerate() {
+                        let valid = span.saturating_sub(s * 64).min(64);
+                        *mask = if valid == 64 {
+                            u64::MAX
+                        } else {
+                            (1u64 << valid) - 1
+                        };
+                    }
+                    compress::<W>(x, w, sub, W::load(&masks[sub..]), upper).drain(sub, planes, out);
+                    sub += W::LANES;
+                }
+            }
+        }
+        if lanes >= 2 {
+            for row_counts in counts.iter_mut() {
+                for (i, count) in row_counts.iter_mut().enumerate() {
+                    *count = ((*count & !1) + (i & 1) as u16).min(lanes as u16);
+                }
+            }
+        }
+    }
+
+    /// The hardware max pool over `u16` count rows into an arena buffer
+    /// (16-bit segments), as the engine ran it.
+    pub fn pool_counts_with(inputs: &[CountStream], arena: &mut StreamArena) -> CountStream {
+        let len = inputs[0].len();
+        let mut out = arena.take_counts(len);
+        let mut selected = 0usize;
+        for start in (0..len).step_by(16) {
+            let end = (start + 16).min(len);
+            out[start..end].copy_from_slice(&inputs[selected].counts()[start..end]);
+            let mut best = (0usize, 0u64);
+            for (input, stream) in inputs.iter().enumerate() {
+                let total: u64 = stream.counts()[start..end]
+                    .iter()
+                    .map(|&c| u64::from(c))
+                    .sum();
+                if total > best.1 {
+                    best = (input, total);
+                }
+            }
+            selected = best.0;
+        }
+        CountStream::new(out, inputs[0].lanes()).unwrap()
+    }
+
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[target_feature(enable = "avx2")]
+    unsafe fn apc_counts_avx2(
+        input: &[u64],
+        weights: &[u64],
+        lanes: usize,
+        bits: usize,
+        counts: &mut [Vec<u16>],
+    ) {
+        apc_counts_impl::<sc_core::word::WAvx2>(input, weights, lanes, bits, counts)
+    }
+
+    /// The frozen kernel under the active backend, as the library
+    /// dispatched it.
+    pub fn apc_counts(
+        input: &[u64],
+        weights: &[u64],
+        lanes: usize,
+        bits: usize,
+        counts: &mut [Vec<u16>],
+    ) {
+        match sc_core::active_backend() {
+            sc_core::Backend::Scalar => apc_counts_impl::<u64>(input, weights, lanes, bits, counts),
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            // SAFETY: the backend selector reports AVX2 only when available.
+            sc_core::Backend::Avx2 => unsafe {
+                apc_counts_avx2(input, weights, lanes, bits, counts)
+            },
+            _ => apc_counts_impl::<sc_core::word::W4>(input, weights, lanes, bits, counts),
+        }
+    }
+}
+
+/// conv1's all-APC shape at L=256: 4 pool-window fields of 25 lanes, 8
+/// filters, and the filters' APC-Max Btanh.
+const CONV1_APC: (usize, usize, usize, usize) = (4, 25, 8, 256);
+
+/// One conv1 position of the all-APC network, count to Btanh output, for
+/// every row: the frozen per-field drain with the approximate LSB on the
+/// counts and the count pool over the drained rows, against the plane
+/// path the engine runs (`Apc::count_planes_with`, `pool_planes_with`, one
+/// drain per pooled row). The Btanh outputs are asserted equal before
+/// timing.
+fn bench_apc_max_window(samples: usize, iters: usize) -> Comparison {
+    let (window, lanes, rows, bits) = CONV1_APC;
+    let len = StreamLength::new(bits);
+    let values = operand_values(lanes).0;
+    let inputs: Vec<PackedLanes> = (0..window)
+        .map(|field| {
+            let lane_streams: Vec<BitStream> = (0..lanes)
+                .map(|i| {
+                    Sng::new(SngKind::Lfsr32, 300 + (field * lanes + i) as u64)
+                        .generate_bipolar(values[(i + 3 * field) % lanes], len)
+                        .unwrap()
+                })
+                .collect();
+            PackedLanes::pack([lane_streams.as_slice()]).unwrap()
+        })
+        .collect();
+    let weights: Vec<PackedLanes> = (0..window)
+        .map(|field| {
+            let unit_ws: Vec<Vec<BitStream>> = (0..rows)
+                .map(|row| {
+                    (0..lanes)
+                        .map(|i| {
+                            Sng::new(
+                                SngKind::Lfsr32,
+                                7000 + ((field * rows + row) * lanes + i) as u64,
+                            )
+                            .generate_bipolar(-values[(i + row) % lanes], len)
+                            .unwrap()
+                        })
+                        .collect()
+                })
+                .collect();
+            PackedLanes::pack(unit_ws.iter().map(Vec::as_slice)).unwrap()
+        })
+        .collect();
+    let pool = HardwareMaxPooling::default();
+    let btanh = BtanhBlock::with_states(16).unwrap();
+    let frozen = |frozen_arena: &mut StreamArena| {
+        let mut per_row: Vec<Vec<CountStream>> =
+            (0..rows).map(|_| Vec::with_capacity(window)).collect();
+        for (x, w) in inputs.iter().zip(&weights) {
+            let mut counts: Vec<Vec<u16>> =
+                (0..rows).map(|_| frozen_arena.take_counts(bits)).collect();
+            frozen_field_drain::apc_counts(x.as_words(), w.as_words(), lanes, bits, &mut counts);
+            for (row, row_counts) in counts.into_iter().enumerate() {
+                per_row[row].push(CountStream::new(row_counts, lanes).unwrap());
+            }
+        }
+        let mut pooled = Vec::with_capacity(rows);
+        for row_counts in per_row {
+            pooled.push(frozen_field_drain::pool_counts_with(
+                &row_counts,
+                frozen_arena,
+            ));
+            for counts in row_counts {
+                frozen_arena.recycle_counts(counts.into_counts());
+            }
+        }
+        let refs: Vec<&CountStream> = pooled.iter().collect();
+        let outputs = btanh.apply_batch_with(&refs, frozen_arena);
+        for counts in pooled {
+            frozen_arena.recycle_counts(counts.into_counts());
+        }
+        outputs
+    };
+    let planes = |plane_arena: &mut StreamArena| {
+        let mut per_row: Vec<Vec<CountPlanes>> =
+            (0..rows).map(|_| Vec::with_capacity(window)).collect();
+        for (x, w) in inputs.iter().zip(&weights) {
+            let field = Apc::new()
+                .count_planes_with(x.view(), w.view(), plane_arena)
+                .unwrap();
+            for (row, row_planes) in field.into_iter().enumerate() {
+                per_row[row].push(row_planes);
+            }
+        }
+        let mut pooled = Vec::with_capacity(rows);
+        for row_planes in per_row {
+            let row = pool.pool_planes_with(&row_planes, plane_arena).unwrap();
+            pooled.push(row.drain_with(plane_arena).unwrap());
+            for field in row_planes {
+                plane_arena.recycle_planes(field);
+            }
+        }
+        let refs: Vec<&CountStream> = pooled.iter().collect();
+        let outputs = btanh.apply_batch_with(&refs, plane_arena);
+        for counts in pooled {
+            plane_arena.recycle_counts(counts.into_counts());
+        }
+        outputs
+    };
+    let mut arena = StreamArena::new();
+    check_per_backend(|backend| {
+        let (before, after) = (frozen(&mut arena), planes(&mut arena));
+        assert_eq!(
+            before, after,
+            "{backend}: plane path must match the frozen count path"
+        );
+        arena.recycle_all(before.into_iter().chain(after));
+    });
+    let baseline_ns = measure(samples, iters, || {
+        let outputs = frozen(&mut arena);
+        arena.recycle_all(outputs);
+    });
+    let optimized_ns = measure(samples, iters, || {
+        let outputs = planes(&mut arena);
+        arena.recycle_all(outputs);
+    });
+    Comparison {
+        name: "apc_max_window_n25_u8_l256",
+        description: "One conv1 position of the all-APC network (4 fields x 8 rows \
+                      of 25 lanes, 256 bits, APC-Max pool, Btanh included): \
+                      frozen per-field u16 drain + APC LSB on the counts + \
+                      pool_counts_with vs the plane path (LSB as a plane rewrite, \
+                      plane max pool, one word-generic drain per pooled row)",
+        baseline_ns,
+        optimized_ns,
+    }
+}
+
 /// Per-bit reference of the hardware max pool (Fig. 8): every output bit is
 /// read with `get` from the input whose previous 16-bit segment held
 /// strictly the most ones (the first such input on ties; input 0 for the
@@ -1047,8 +1440,9 @@ fn bench_stanh_batch(samples: usize, iters: usize) -> Comparison {
     }
 }
 
-/// One kernel timed once per available word backend (see `sc_core::word`).
-/// All backends are bit-identical, so the rows differ only in throughput.
+/// One kernel timed per available word backend (see `sc_core::word`), the
+/// median of [`BACKEND_ROUNDS`] rotated rounds. All backends are
+/// bit-identical, so the rows differ only in throughput.
 struct BackendMatrixRow {
     kernel: &'static str,
     description: &'static str,
@@ -1089,8 +1483,15 @@ fn available_backends() -> Vec<Backend> {
     list
 }
 
-/// Times `f` once per available backend, pinning the process-wide kernel
-/// backend around each measurement and restoring the best one afterwards.
+/// Rounds of a per-backend row: each round times every backend once, the
+/// backend order rotated by one per round, so a spell of host contention
+/// slows one round of every backend instead of a whole backend.
+const BACKEND_ROUNDS: usize = 5;
+
+/// Times `f` per available backend over [`BACKEND_ROUNDS`] rounds of
+/// `samples / 3` samples each, pinning the process-wide kernel backend
+/// around each measurement and restoring the best one afterwards; a
+/// backend's timing is the median of its rounds.
 fn measure_per_backend<R>(
     kernel: &'static str,
     description: &'static str,
@@ -1098,14 +1499,25 @@ fn measure_per_backend<R>(
     iters: usize,
     mut f: impl FnMut() -> R,
 ) -> BackendMatrixRow {
-    let timings = available_backends()
-        .into_iter()
-        .map(|backend| {
+    let backends = available_backends();
+    let mut rounds = vec![Vec::with_capacity(BACKEND_ROUNDS); backends.len()];
+    for round in 0..BACKEND_ROUNDS {
+        for slot in 0..backends.len() {
+            let index = (slot + round) % backends.len();
+            let backend = backends[index];
             assert!(force_backend(backend), "backend {backend} vanished");
-            (backend, measure(samples, iters, &mut f))
+            rounds[index].push(measure(samples.div_ceil(3), iters, &mut f));
+        }
+    }
+    force_backend(sc_core::word::best_available_backend());
+    let timings = backends
+        .into_iter()
+        .zip(rounds)
+        .map(|(backend, mut ns)| {
+            ns.sort_by(|a, b| a.total_cmp(b));
+            (backend, ns[ns.len() / 2])
         })
         .collect();
-    force_backend(sc_core::word::best_available_backend());
     BackendMatrixRow {
         kernel,
         description,
@@ -1331,12 +1743,48 @@ fn backend_matrix(samples: usize, iters: usize) -> Vec<BackendMatrixRow> {
                 .collect()
         })
         .collect();
+    // (7) The plane drain alone: (6)'s conv-sized rows as APC count planes,
+    // drained into `u16` counts, checked against the per-bit APC counter.
+    {
+        let (x, w) = pack_operands(&inputs, &unit_ws);
+        let planes = Apc::new()
+            .count_planes_with(x.view(), w.view(), &mut StreamArena::new())
+            .unwrap();
+        let expected: Vec<CountStream> = unit_ws
+            .iter()
+            .map(|ws| {
+                let products: Vec<BitStream> =
+                    inputs.iter().zip(ws).map(|(x, w)| x.xnor(w)).collect();
+                Apc::new().count(&products).unwrap()
+            })
+            .collect();
+        let mut counts = vec![0u16; len.bits()];
+        check_per_backend(|backend| {
+            for (row, expected) in planes.iter().zip(&expected) {
+                row.drain_into(&mut counts).unwrap();
+                assert_eq!(counts, expected.counts(), "{backend} plane drain");
+            }
+        });
+        rows.push(measure_per_backend(
+            "count_plane_drain_n25_u8_l1024",
+            "APC count-plane drain (8 rows of 25-lane planes, 1024 bits): a \
+             byte transpose of W::LANES plane words per step, widened to u16",
+            samples,
+            iters * 4,
+            move || {
+                for row in &planes {
+                    row.drain_into(&mut counts).unwrap();
+                }
+            },
+        ));
+    }
+
     let shapes = [
         (
             "packed_apc_n25_u8_l1024",
             "Packed APC multiply-count (25 lanes, 8 units, 1024 bits): \
-             Harley-Seal 3:2 compression of product super-words, byte-sliced \
-             plane drain",
+             Harley-Seal 3:2 compression of product super-words into count \
+             planes, APC LSB as a plane rewrite, word-generic plane drain",
             pack_operands(&inputs, &unit_ws),
             iters,
         ),
@@ -1344,7 +1792,7 @@ fn backend_matrix(samples: usize, iters: usize) -> Vec<BackendMatrixRow> {
             "packed_apc_fc1_n256_u64_l1024",
             "Packed APC multiply-count, fc1's shape (256 lanes, 64 units, 1024 \
              bits), weights cached: Harley-Seal 3:2 compression of product \
-             super-words, byte-sliced plane drain",
+             super-words into count planes, word-generic plane drain",
             {
                 let (inputs, unit_ws) = fc1_operands();
                 pack_operands(&inputs, &unit_ws)
@@ -1393,6 +1841,7 @@ fn main() {
         bench_shared_apc_csa(samples, iters.div_ceil(4)),
         bench_fc1_apc(samples, iters.div_ceil(40), false),
         bench_fc1_apc(samples, iters.div_ceil(40), true),
+        bench_apc_max_window(samples, iters.div_ceil(4)),
         bench_stanh_batch(samples, iters.div_ceil(4)),
     ];
 
@@ -1467,8 +1916,10 @@ fn main() {
     json.push_str("  ],\n");
     json.push_str(
         "  \"kernel_backends\": {\n    \"note\": \"each kernel \
-         timed once per word backend via force_backend; every backend is \
-         bit-identical to scalar, speedups are scalar_ns / backend_ns\",\n",
+         timed per word backend via force_backend in 5 rounds, the backend \
+         order rotated each round, each backend's value the median of its \
+         rounds; every backend is bit-identical to scalar, speedups are \
+         scalar_ns / backend_ns\",\n",
     );
     json.push_str(&format!(
         "    \"available\": [{}],\n",

@@ -24,8 +24,9 @@
 //! Every hot kernel a feature block evaluates — SNG comparator fills, the
 //! MUX layers' selected-sequence fill (an AVX2 gather on that backend),
 //! fused XNOR/popcount reductions, MUX selector-plan gathers, the packed
-//! Harley-Seal column counts, the hardware max pool's lane counts, and the
-//! Btanh batch walk — dispatches to the active [`sc_core::word`] backend
+//! Harley-Seal column counts and their plane drain, the hardware max pool's
+//! lane counts over streams and over count planes, and the Btanh batch
+//! walk — dispatches to the active [`sc_core::word`] backend
 //! (scalar, portable super-word, or SIMD); only the Stanh byte-table walk
 //! is the same code on every backend. Backends are bit-identical, so block
 //! outputs do not depend on which one serves them.
@@ -39,7 +40,7 @@ use crate::pooling::{AveragePooling, HardwareMaxPooling, PoolingKind};
 use sc_core::add::{Apc, CountStream, MuxSelectorPlan};
 use sc_core::arena::StreamArena;
 use sc_core::bitstream::{BitStream, StreamLength};
-use sc_core::csa::PackedLanes;
+use sc_core::csa::{CountPlanes, PackedLanes};
 use sc_core::encoding::{Bipolar, Encoding};
 use sc_core::error::ScError;
 use sc_core::parallel::parallel_map_with;
@@ -757,16 +758,23 @@ impl CompiledLayer {
     /// * the average-pooling MUX selector is planned once and replayed over
     ///   the materialized field sums;
     /// * APC popcounts run through the packed Harley-Seal core
-    ///   ([`Apc::count_packed_with`]): each row's weights of a field are
-    ///   read once, front to back, against the field's packed inputs (see
-    ///   [`sc_core::csa`]);
-    /// * the hardware max pool counts every 16-bit segment of a word with
-    ///   one SWAR lane-popcount and picks the forwarding mask by a
-    ///   lane-wise argmax, `W::LANES` words per step on the active
-    ///   [`sc_core::word`] backend (an APC-Max row pools its count streams
-    ///   instead, [`HardwareMaxPooling::pool_counts_with`]); a one-field
-    ///   pool window (every dense layer) passes its field
-    ///   straight to the activation, as the max or average of one input is
+    ///   ([`Apc::count_planes_with`]): each row's weights of a field are
+    ///   read once, front to back, against the field's packed inputs, and
+    ///   the counts stay bit-planes (see [`sc_core::csa`]); the APC's
+    ///   approximate LSB is a rewrite of each row's ones plane;
+    /// * an APC-Max row pools its fields' planes: each 16-bit segment's
+    ///   total is the planes' SWAR lane-popcounts shifted by plane weight,
+    ///   and the previous segment's winner's planes are blended in
+    ///   ([`HardwareMaxPooling::pool_planes_with`]); an APC-Avg row adds
+    ///   its fields' planes with a bit-sliced ripple adder
+    ///   ([`CountPlanes::merge_sum_with`]); either way only the pooled row
+    ///   is drained into the `u16` counts the Btanh walk reads, once;
+    /// * the MUX-Max hardware max pool counts every 16-bit segment of a
+    ///   word with one SWAR lane-popcount and picks the forwarding mask by
+    ///   a lane-wise argmax, `W::LANES` words per step on the active
+    ///   [`sc_core::word`] backend; a one-field pool window (every dense
+    ///   layer) passes its field straight to the activation (an APC row
+    ///   still drains its planes), as the max or average of one input is
     ///   that input;
     /// * the Stanh walks of all rows run through the block's byte table,
     ///   built once at construction, one lookup per input byte
@@ -774,11 +782,11 @@ impl CompiledLayer {
     ///   interleaved word-by-word ([`BtanhBlock::apply_batch_with`]).
     ///
     /// **Arena contract**: the caller owns `arena` and threads it down; all
-    /// intermediates (per-field MUX sums, APC column counts, pooled streams)
-    /// are taken from and recycled into it before the call returns, so
-    /// steady-state evaluation allocates no stream or count buffers. The
-    /// returned output streams are arena-backed too — the caller recycles
-    /// them once decoded.
+    /// intermediates (per-field MUX sums, APC count planes and counts,
+    /// pooled streams) are taken from and recycled into it before the call
+    /// returns, so steady-state evaluation allocates no stream, plane or
+    /// count buffers. The returned output streams are arena-backed too —
+    /// the caller recycles them once decoded.
     ///
     /// # Errors
     ///
@@ -871,7 +879,9 @@ impl CompiledLayer {
         Ok(outputs)
     }
 
-    /// The APC branch of [`CompiledLayer::evaluate`].
+    /// The APC branch of [`CompiledLayer::evaluate`]: per field, every
+    /// row's APC count planes; per row, the pool in the plane domain and
+    /// one drain of the pooled row for the Btanh walk.
     fn evaluate_apc(
         &self,
         inputs: &[PackedLanes],
@@ -883,38 +893,38 @@ impl CompiledLayer {
         if rows.is_empty() {
             return Ok(Vec::new());
         }
-        // Counts transposed to row-major as each field's pass completes
-        // (no per-row copies of the buffers).
-        let mut per_row: Vec<Vec<CountStream>> = rows
+        // Planes transposed to row-major as each field's pass completes.
+        let mut per_row: Vec<Vec<CountPlanes>> = rows
             .clone()
             .map(|_| Vec::with_capacity(block.pool_window))
             .collect();
         for (input, field_weights) in inputs.iter().zip(weights) {
-            let field_counts = Apc::new().count_packed_with(
+            let field_planes = Apc::new().count_planes_with(
                 input.view(),
                 field_weights.view_rows(rows.clone()),
                 arena,
             )?;
-            for (row, stream) in field_counts.into_iter().enumerate() {
-                per_row[row].push(stream);
+            for (row, planes) in field_planes.into_iter().enumerate() {
+                per_row[row].push(planes);
             }
         }
+        let max_pool = HardwareMaxPooling::new(DEFAULT_MAX_POOL_SEGMENT)?;
         let mut pooled_rows = Vec::with_capacity(per_row.len());
-        for mut row_counts in per_row {
-            pooled_rows.push(if block.pool_window == 1 {
-                row_counts.pop().expect("one field")
+        for mut row_planes in per_row {
+            let pooled = if block.pool_window == 1 {
+                row_planes.pop().expect("one field")
             } else {
                 let pooled = if block.kind == FeatureBlockKind::ApcAvgBtanh {
-                    CountStream::merge_sum_with(&row_counts, arena)?
+                    CountPlanes::merge_sum_with(&row_planes, arena)?
                 } else {
-                    HardwareMaxPooling::new(DEFAULT_MAX_POOL_SEGMENT)?
-                        .pool_counts_with(&row_counts, arena)?
+                    max_pool.pool_planes_with(&row_planes, arena)?
                 };
-                for counts in row_counts {
-                    arena.recycle_counts(counts.into_counts());
+                for planes in row_planes {
+                    arena.recycle_planes(planes);
                 }
                 pooled
-            });
+            };
+            pooled_rows.push(pooled.drain_with(arena)?);
         }
         let btanh = block.btanh.as_ref().expect("APC blocks carry a Btanh");
         let refs: Vec<&CountStream> = pooled_rows.iter().collect();

@@ -36,10 +36,18 @@
 //! products of two stream sets formed as they are read
 //! ([`HardwareMaxPooling::pool_xnor_products_with`], the MUX-Max block's
 //! pool over its per-field products, which are never materialized).
+//!
+//! In the binary domain the APC-Max block pools its rows as bit-planes
+//! ([`HardwareMaxPooling::pool_planes_with`], [`CountPlanes`]): a 16-bit
+//! segment's total is `Σₖ popcount(planeₖ) ≪ k`, one SWAR lane-popcount per
+//! plane word, and the winners' planes are blended in as the stream pool
+//! blends bits. [`HardwareMaxPooling::pool_counts`] over `u16` counts stays
+//! the per-call reference.
 
 use sc_core::add::{CountStream, MuxAdder, MuxSelectorPlan};
 use sc_core::arena::StreamArena;
 use sc_core::bitstream::{BitStream, StreamLength};
+use sc_core::csa::{CountPlanes, GROUP_WORDS};
 use sc_core::error::ScError;
 use sc_core::rng::Lfsr;
 use sc_core::word::{active_backend, Backend, Word, W4};
@@ -300,36 +308,7 @@ impl HardwareMaxPooling {
     /// [`ScError::LengthMismatch`] if the streams differ in length.
     pub fn pool_counts(&self, inputs: &[CountStream]) -> Result<CountStream, ScError> {
         let len = common_count_length(inputs)?;
-        self.pool_counts_into(inputs, vec![0u16; len])
-    }
-
-    /// [`HardwareMaxPooling::pool_counts`] with the output count buffer
-    /// taken from `arena`'s count pool (recycle the result's buffer via
-    /// [`CountStream::into_counts`] when done). Results are identical.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`HardwareMaxPooling::pool_counts`]; validation
-    /// happens before the buffer is taken, so an invalid input cannot leak
-    /// one from the pool.
-    pub fn pool_counts_with(
-        &self,
-        inputs: &[CountStream],
-        arena: &mut StreamArena,
-    ) -> Result<CountStream, ScError> {
-        let len = common_count_length(inputs)?;
-        self.pool_counts_into(inputs, arena.take_counts(len))
-    }
-
-    /// Shared body of the `pool_counts` variants over already-validated
-    /// inputs and a zeroed output buffer of the common length.
-    fn pool_counts_into(
-        &self,
-        inputs: &[CountStream],
-        mut out_counts: Vec<u16>,
-    ) -> Result<CountStream, ScError> {
-        let len = out_counts.len();
-        let lanes = inputs[0].lanes();
+        let mut out_counts = vec![0u16; len];
         let mut selected = 0usize;
         let mut start = 0usize;
         while start < len {
@@ -350,7 +329,61 @@ impl HardwareMaxPooling {
             selected = best;
             start = end;
         }
-        CountStream::new(out_counts, lanes)
+        CountStream::new(out_counts, inputs[0].lanes())
+    }
+
+    /// Pools APC count rows held as bit-planes, into planes taken from
+    /// `arena` (recycle them via [`StreamArena::recycle_planes`] or drain
+    /// them): drained, the result is bit-identical to
+    /// [`HardwareMaxPooling::pool_counts`] over the drained inputs. Each
+    /// 16-bit segment's total is exact for any lane count, the strictly
+    /// largest total wins (the first input on ties), and the winner's
+    /// planes are forwarded over the next segment, `W::LANES` words per step
+    /// on the active backend.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScError::EmptyInput`] for no inputs,
+    /// [`ScError::LengthMismatch`] for inputs of different lengths, and
+    /// [`ScError::InvalidParameter`] for inputs of different lane counts or
+    /// a segment length other than 16 bits (the block's
+    /// [`crate::feature_block::DEFAULT_MAX_POOL_SEGMENT`]).
+    pub fn pool_planes_with(
+        &self,
+        inputs: &[CountPlanes],
+        arena: &mut StreamArena,
+    ) -> Result<CountPlanes, ScError> {
+        let first = inputs.first().ok_or(ScError::EmptyInput)?;
+        if let Some(input) = inputs.iter().find(|p| p.length() != first.length()) {
+            return Err(ScError::LengthMismatch {
+                left: first.length().bits(),
+                right: input.length().bits(),
+            });
+        }
+        if self.segment_bits != 16 || inputs.iter().any(|p| p.lanes() != first.lanes()) {
+            return Err(ScError::InvalidParameter {
+                name: "inputs",
+                message: format!(
+                    "plane pooling takes 16-bit segments over rows of one lane count \
+                     ({}-bit segments)",
+                    self.segment_bits
+                ),
+            });
+        }
+        let mut output = arena.take_planes(first.lanes(), first.length())?;
+        let planes = first.planes();
+        let out = output.words_mut();
+        match active_backend() {
+            Backend::Scalar => pool_planes::<u64>(inputs, out, planes),
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            Backend::Avx2 => {
+                // SAFETY: `active_backend` reports AVX2 only after runtime
+                // feature detection.
+                unsafe { avx2::pool_planes_avx2(inputs, out, planes) }
+            }
+            _ => pool_planes::<W4>(inputs, out, planes),
+        }
+        Ok(output)
     }
 
     /// The floating-point reference for max pooling.
@@ -541,10 +574,110 @@ fn lane_greater<const S: u32, W: Word>(a: W, b: W) -> W {
     greater.sub_i64(greater.shr(S - 1)).or(greater)
 }
 
+/// Bit-plane hardware max pool over 16-bit segments (`inputs` of `planes`
+/// planes per group; `out`: the pooled row's zeroed words), `W::LANES`
+/// words per step, the top segment's winner of each word carried into the
+/// next.
+#[inline(always)]
+fn pool_planes<W: Word>(inputs: &[CountPlanes], out: &mut [u64], planes: usize) {
+    let mut carry = 0;
+    for group in (0..out.len()).step_by(planes * GROUP_WORDS) {
+        for sub in (0..GROUP_WORDS).step_by(W::LANES) {
+            carry = pool_plane_words::<W>(inputs, out, group + sub, planes, carry);
+        }
+    }
+}
+
+/// Pools words `at .. at + W::LANES` of every plane (plane `k` of those
+/// words at `at + k · GROUP_WORDS`), given the input that won the top
+/// segment of the previous word (`carry`), and returns the top segment's
+/// winner of the last word. The counterpart of [`pool_words`] for planes:
+/// per input, the segment totals `Σₖ lane_counts(planeₖ) ≪ k` are summed in
+/// 32-bit fields (even and odd segments apart), so they are exact up to
+/// 16 · 65535; a lane-wise strict maximum picks each segment's winner, and
+/// the winners' next segments are blended into every plane.
+#[inline(always)]
+fn pool_plane_words<W: Word>(
+    inputs: &[CountPlanes],
+    out: &mut [u64],
+    at: usize,
+    planes: usize,
+    mut carry: usize,
+) -> usize {
+    const FIRST_SEGMENT: u64 = 0xFFFF;
+    let low_halves = W::splat(LOW_HALVES);
+    let (mut best_even, mut best_odd) = segment_totals::<W>(inputs[0].as_words(), at, planes);
+    // Segment `s + 1` of `next[k]` holds plane `k` of segment `s`'s running
+    // winner.
+    let mut next = [W::zero(); 16];
+    for (k, plane) in next.iter_mut().enumerate().take(planes) {
+        *plane = W::load(&inputs[0].as_words()[at + k * GROUP_WORDS..]);
+    }
+    let mut top_winners = W::zero();
+    for (input, planes_in) in inputs.iter().enumerate().skip(1) {
+        let words = planes_in.as_words();
+        let (even, odd) = segment_totals::<W>(words, at, planes);
+        let wins_even = lane_greater::<32, W>(even, best_even);
+        let wins_odd = lane_greater::<32, W>(odd, best_odd);
+        best_even = best_even.blend(even, wins_even);
+        best_odd = best_odd.blend(odd, wins_odd);
+        let wins = wins_even.and(low_halves).or(wins_odd.andnot(low_halves));
+        let shifted = wins.shl(16);
+        for (k, plane) in next.iter_mut().enumerate().take(planes) {
+            *plane = plane.blend(W::load(&words[at + k * GROUP_WORDS..]), shifted);
+        }
+        let top_won = W::zero().cmp_gt_i64(wins);
+        top_winners = top_winners.blend(W::splat(input as u64), top_won);
+    }
+    for (k, plane) in next.iter().enumerate().take(planes) {
+        plane
+            .andnot(W::splat(FIRST_SEGMENT))
+            .store(&mut out[at + k * GROUP_WORDS..]);
+    }
+    let mut winners = [0u64; 4];
+    top_winners.store(&mut winners);
+    for (j, &winner) in winners.iter().take(W::LANES).enumerate() {
+        for k in 0..planes {
+            let word = at + k * GROUP_WORDS + j;
+            out[word] |= inputs[carry].as_words()[word] & FIRST_SEGMENT;
+        }
+        carry = winner as usize;
+    }
+    carry
+}
+
+/// The low 16-bit half of every 32-bit field.
+const LOW_HALVES: u64 = 0x0000_FFFF_0000_FFFF;
+
+/// The 16-bit segment totals of words `at .. at + W::LANES` of one row's
+/// planes (`words`), `Σₖ lane_counts(planeₖ) ≪ k` in 32-bit fields: the
+/// even segments' totals in the first word, the odd segments' in the
+/// second.
+#[inline(always)]
+fn segment_totals<W: Word>(words: &[u64], at: usize, planes: usize) -> (W, W) {
+    let low_halves = W::splat(LOW_HALVES);
+    let (mut even, mut odd) = (W::zero(), W::zero());
+    for k in 0..planes {
+        let counts = lane_counts::<16, W>(W::load(&words[at + k * GROUP_WORDS..]));
+        even = even.add_i64(counts.and(low_halves).shl(k as u32));
+        odd = odd.add_i64(counts.shr(16).and(low_halves).shl(k as u32));
+    }
+    (even, odd)
+}
+
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod avx2 {
     use super::PoolInputs;
+    use sc_core::csa::CountPlanes;
     use sc_core::word::WAvx2;
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn pool_planes_avx2(inputs: &[CountPlanes], out: &mut [u64], planes: usize) {
+        super::pool_planes::<WAvx2>(inputs, out, planes)
+    }
 
     /// # Safety
     ///
@@ -670,6 +803,8 @@ impl SoftwareMaxPooling {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sc_core::add::Apc;
+    use sc_core::csa::PackedLanes;
     use sc_core::sng::{Sng, SngKind};
     use sc_core::word::{active_backend, force_backend, Backend};
 
@@ -996,32 +1131,56 @@ mod tests {
             .unwrap();
         assert_eq!(pooled, direct);
         arena.recycle(pooled);
-        // Hardware max over counts.
-        let counts = vec![
-            CountStream::new(vec![4u16; 9], 4).unwrap(),
-            CountStream::new(vec![1u16; 9], 4).unwrap(),
-        ];
-        let direct = hw.pool_counts(&counts).unwrap();
-        let pooled = hw.pool_counts_with(&counts, &mut arena).unwrap();
-        assert_eq!(pooled, direct);
-        arena.recycle_counts(pooled.into_counts());
+        // Hardware max over count planes, against the pool over their
+        // drained counts.
+        let length = StreamLength::new(127);
+        let lanes: Vec<BitStream> = (0..5)
+            .map(|i| stream_for(0.1 * i as f64, 127, 40 + i))
+            .collect();
+        let planes: Vec<CountPlanes> = (0..3u64)
+            .map(|field| {
+                let weights: Vec<BitStream> = (0..5)
+                    .map(|i| stream_for(-0.3, 127, 70 + 5 * field + i))
+                    .collect();
+                let x = PackedLanes::pack([lanes.as_slice()]).unwrap();
+                let w = PackedLanes::pack([weights.as_slice()]).unwrap();
+                Apc::new()
+                    .count_planes_with(x.view(), w.view(), &mut arena)
+                    .unwrap()
+                    .pop()
+                    .unwrap()
+            })
+            .collect();
+        let counts: Vec<CountStream> = planes
+            .iter()
+            .map(|p| p.clone().drain_with(&mut StreamArena::new()).unwrap())
+            .collect();
+        let pooled = hw.pool_planes_with(&planes, &mut arena).unwrap();
+        assert_eq!(
+            pooled.drain_with(&mut arena).unwrap(),
+            hw.pool_counts(&counts).unwrap()
+        );
         // Error paths reject empty inputs without leaking buffers.
         assert!(hw.pool_streams_with(&[], &mut arena).is_err());
-        assert!(hw.pool_counts_with(&[], &mut arena).is_err());
+        assert!(hw.pool_planes_with(&[], &mut arena).is_err());
         assert!(avg
             .pool_streams_with_plan_with(&[], &plan, &mut arena)
             .is_err());
-        // A mismatched-length operand set is rejected before a count buffer
-        // is taken, so the pool is untouched.
+        // A mismatched operand set, or a segment the plane pool does not
+        // total, is rejected before a plane buffer is taken, so the pool is
+        // untouched.
         let before = arena.stats();
-        let short = CountStream::new(vec![1u16; 5], 4).unwrap();
+        let short = CountPlanes::zeroed(5, StreamLength::new(100)).unwrap();
+        let narrow = CountPlanes::zeroed(4, length).unwrap();
         assert!(hw
-            .pool_counts_with(&[counts[0].clone(), short], &mut arena)
+            .pool_planes_with(&[planes[0].clone(), short], &mut arena)
             .is_err());
-        let after = arena.stats();
-        assert_eq!(after.count_allocs, before.count_allocs);
-        assert_eq!(after.count_reuses, before.count_reuses);
-        assert_eq!(after.pooled_counts, before.pooled_counts);
+        assert!(hw
+            .pool_planes_with(&[planes[0].clone(), narrow], &mut arena)
+            .is_err());
+        let eight = HardwareMaxPooling::new(8).unwrap();
+        assert!(eight.pool_planes_with(&planes, &mut arena).is_err());
+        assert_eq!(arena.stats(), before);
     }
 
     #[test]

@@ -16,7 +16,9 @@
 
 use crate::arena::StreamArena;
 use crate::bitstream::{BitStream, StreamLength};
-use crate::csa::{product_column_counts, PackedLanes, PackedView};
+use crate::csa::{
+    product_column_counts, product_column_planes, CountPlanes, PackedLanes, PackedView,
+};
 use crate::error::ScError;
 use crate::rng::RandomSource;
 use crate::word::{dispatch_word_kernel, Word};
@@ -618,55 +620,20 @@ impl CountStream {
     /// Returns [`ScError::EmptyInput`] if `streams` is empty and
     /// [`ScError::LengthMismatch`] if lengths differ.
     pub fn merge_sum(streams: &[CountStream]) -> Result<CountStream, ScError> {
-        let len = Self::common_merge_length(streams)?;
-        Self::merge_sum_into(streams, vec![0u16; len])
-    }
-
-    /// [`CountStream::merge_sum`] with the output count buffer taken from
-    /// `arena`'s count pool (recycle the result's buffer via
-    /// [`CountStream::into_counts`] when done). Results are identical.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CountStream::merge_sum`]; validation happens
-    /// before the buffer is taken, so an invalid input cannot leak one from
-    /// the pool.
-    pub fn merge_sum_with(
-        streams: &[CountStream],
-        arena: &mut StreamArena,
-    ) -> Result<CountStream, ScError> {
-        let len = Self::common_merge_length(streams)?;
-        Self::merge_sum_into(streams, arena.take_counts(len))
-    }
-
-    /// Validates a merge operand set and returns the common length.
-    fn common_merge_length(streams: &[CountStream]) -> Result<usize, ScError> {
         let first = streams.first().ok_or(ScError::EmptyInput)?;
-        let len = first.len();
+        let mut counts = vec![0u16; first.len()];
         for s in streams {
-            if s.len() != len {
+            if s.len() != counts.len() {
                 return Err(ScError::LengthMismatch {
-                    left: len,
+                    left: counts.len(),
                     right: s.len(),
                 });
             }
-        }
-        Ok(len)
-    }
-
-    /// Shared body of the `merge_sum` variants: accumulates every (already
-    /// validated) stream's per-cycle counts into the zeroed `counts` buffer.
-    fn merge_sum_into(
-        streams: &[CountStream],
-        mut counts: Vec<u16>,
-    ) -> Result<CountStream, ScError> {
-        let lanes = streams.iter().map(|s| s.lanes).sum();
-        for s in streams {
             for (acc, &c) in counts.iter_mut().zip(s.counts.iter()) {
                 *acc += c;
             }
         }
-        CountStream::new(counts, lanes)
+        CountStream::new(counts, streams.iter().map(|s| s.lanes).sum())
     }
 
     /// Element-wise average with integer truncation, modelling the binary
@@ -867,37 +834,62 @@ impl Apc {
     /// from `arena`'s count pool (recycle each result's buffer via
     /// [`CountStream::into_counts`] when done). `result[u]` is bit-exact
     /// with [`Apc::count_products`] on the unpacked input lanes and unit
-    /// `u`'s weight lanes.
-    ///
-    /// This is the APC kernel of a whole SC layer position: all
-    /// inner-product blocks share their input streams and differ only in
-    /// the filter driving their weights, and each unit's packed weights are
-    /// read once, front to back (see [`crate::csa`]).
+    /// `u`'s weight lanes: the planes of [`Apc::count_planes_with`],
+    /// drained ([`CountPlanes::drain_with`]).
     ///
     /// # Errors
     ///
-    /// Returns [`ScError::InvalidParameter`] unless `inputs` has one row and
-    /// the lane counts agree, and [`ScError::LengthMismatch`] for different
-    /// stream lengths.
+    /// As [`Apc::count_planes_with`].
     pub fn count_packed_with(
         &self,
         inputs: PackedView<'_>,
         weights: PackedView<'_>,
         arena: &mut StreamArena,
     ) -> Result<Vec<CountStream>, ScError> {
-        let len = inputs.length().bits();
-        let mut counts: Vec<Vec<u16>> = (0..weights.rows())
-            .map(|_| arena.take_counts(len))
-            .collect();
-        product_column_counts(inputs, weights, &mut counts)?;
-        let lanes = inputs.lanes();
-        counts
+        self.count_planes_with(inputs, weights, arena)?
             .into_iter()
-            .map(|mut unit_counts| {
-                apply_apc_lsb(&mut unit_counts, lanes);
-                CountStream::new(unit_counts, lanes)
-            })
+            .map(|planes| planes.drain_with(arena))
             .collect()
+    }
+
+    /// Layer-fused multiply-count in bit-plane form: the APC column counts
+    /// of the one-row `inputs` against every row of `weights` as
+    /// [`CountPlanes`] taken from `arena` (recycle them via
+    /// [`StreamArena::recycle_planes`] or drain them with
+    /// [`CountPlanes::drain_with`]). Drained, `result[u]` is bit-exact with
+    /// [`Apc::count_products`] on the unpacked lanes of unit `u`.
+    ///
+    /// This is the APC kernel of a whole SC layer position: all
+    /// inner-product blocks share their input streams and differ only in
+    /// the filter driving their weights, and each unit's packed weights are
+    /// read once, front to back (see [`crate::csa`]). The approximate LSB
+    /// is a rewrite of each row's ones plane, so a pooling block can take
+    /// the rows as planes and drain only its pooled row.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScError::InvalidParameter`] unless `inputs` has one row and
+    /// the lane counts agree, and [`ScError::LengthMismatch`] for different
+    /// stream lengths.
+    pub fn count_planes_with(
+        &self,
+        inputs: PackedView<'_>,
+        weights: PackedView<'_>,
+        arena: &mut StreamArena,
+    ) -> Result<Vec<CountPlanes>, ScError> {
+        let mut planes = (0..weights.rows())
+            .map(|_| arena.take_planes(inputs.lanes(), inputs.length()))
+            .collect::<Result<Vec<_>, _>>()?;
+        if let Err(error) = product_column_planes(inputs, weights, &mut planes) {
+            for row in planes {
+                arena.recycle_planes(row);
+            }
+            return Err(error);
+        }
+        for row in &mut planes {
+            row.apc_lsb();
+        }
+        Ok(planes)
     }
 
     /// Gate-count reduction relative to the exact accumulative parallel
@@ -909,7 +901,8 @@ impl Apc {
 
 /// Replaces exact column counts with the APC approximation: the LSB is
 /// dropped and a toggling dither bit substituted (see [`Apc`]). Single-lane
-/// counters stay exact.
+/// counters stay exact. The per-call reference of the plane rewrite the
+/// layer-fused kernels apply ([`Apc::count_planes_with`]).
 fn apply_apc_lsb(counts: &mut [u16], lanes: usize) {
     if lanes < 2 {
         return;
@@ -1341,16 +1334,22 @@ mod tests {
 
     #[test]
     fn merge_sum_with_matches_allocating_merge() {
+        // The plane domain's adder tree (`CountPlanes::merge_sum_with`)
+        // against the count domain's, and its shape checks.
         let a = CountStream::new(vec![2, 3, 1], 4).unwrap();
         let b = CountStream::new(vec![3, 4, 0], 4).unwrap();
         let mut arena = StreamArena::new();
         let merged = CountStream::merge_sum(&[a.clone(), b.clone()]).unwrap();
-        let pooled = CountStream::merge_sum_with(&[a.clone(), b], &mut arena).unwrap();
-        assert_eq!(pooled, merged);
-        arena.recycle_counts(pooled.into_counts());
-        assert!(CountStream::merge_sum_with(&[], &mut arena).is_err());
-        let short = CountStream::new(vec![1], 4).unwrap();
-        assert!(CountStream::merge_sum_with(&[a, short], &mut arena).is_err());
+        let planes = [CountPlanes::from_counts(&a), CountPlanes::from_counts(&b)];
+        let pooled = CountPlanes::merge_sum_with(&planes, &mut arena).unwrap();
+        assert_eq!(pooled.lanes(), 8);
+        assert_eq!(pooled.drain_with(&mut arena).unwrap(), merged);
+        assert!(CountPlanes::merge_sum_with(&[], &mut arena).is_err());
+        let short = CountPlanes::from_counts(&CountStream::new(vec![1], 4).unwrap());
+        let mismatched = [planes[0].clone(), short];
+        assert!(CountPlanes::merge_sum_with(&mismatched, &mut arena).is_err());
+        let wide = CountPlanes::zeroed(u16::MAX as usize, StreamLength::new(3)).unwrap();
+        assert!(CountPlanes::merge_sum_with(&[wide.clone(), wide], &mut arena).is_err());
     }
 
     #[test]

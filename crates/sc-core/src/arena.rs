@@ -4,15 +4,17 @@
 //! the layer-fused serving path, Monte-Carlo trials regenerating operand
 //! streams every iteration) used to allocate a fresh `Vec` per stream per
 //! iteration. A [`StreamArena`] keeps the word buffers of recycled streams
-//! (the `u16` buffers of recycled APC count streams, and the buffers of
-//! recycled [`PackedLanes`] input fields) and hands them back out, so
-//! steady-state evaluation performs no heap allocation.
+//! (the `u16` buffers of recycled APC count streams, the buffers of
+//! recycled [`PackedLanes`] input fields, and those of recycled
+//! [`CountPlanes`]) and hands them back out, so steady-state evaluation
+//! performs no heap allocation.
 //!
 //! The arena is deliberately dumb: it is a LIFO stack of buffers per kind
 //! with no size classes. All streams inside one evaluation share a single
 //! length, so the buffer on top of the stack is almost always the right
 //! capacity; packed fields, many streams wide, keep a stack of their own so
-//! they never claim (and regrow) a one-stream buffer.
+//! they never claim (and regrow) a one-stream buffer, and so do count
+//! planes.
 //!
 //! ## Ownership contract
 //!
@@ -27,7 +29,7 @@
 //! [`Session`]: https://docs.rs/sc-serve
 
 use crate::bitstream::{BitStream, StreamLength};
-use crate::csa::PackedLanes;
+use crate::csa::{CountPlanes, PackedLanes};
 use crate::error::ScError;
 
 /// Running reuse counters of a [`StreamArena`].
@@ -37,20 +39,20 @@ use crate::error::ScError;
 /// zero between snapshots.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArenaStats {
-    /// Stream (and packed-field) requests served from the pool (no heap
-    /// allocation).
+    /// Stream (and packed-field or count-plane) requests served from the
+    /// pool (no heap allocation).
     pub stream_reuses: u64,
-    /// Stream (and packed-field) requests that had to allocate a fresh
-    /// buffer.
+    /// Stream (and packed-field or count-plane) requests that had to
+    /// allocate a fresh buffer.
     pub stream_allocs: u64,
     /// Count-buffer requests served from the pool.
     pub count_reuses: u64,
     /// Count-buffer requests that had to allocate.
     pub count_allocs: u64,
-    /// Stream (and packed-field) buffers currently pooled.
+    /// Stream (and packed-field or count-plane) buffers currently pooled.
     pub pooled_streams: usize,
-    /// Total `u64` words held by pooled stream and packed-field buffers
-    /// (capacity, i.e. the memory the pool pins).
+    /// Total `u64` words held by pooled stream, packed-field and plane
+    /// buffers (capacity, i.e. the memory the pool pins).
     pub pooled_words: usize,
     /// Count buffers currently pooled.
     pub pooled_counts: usize,
@@ -80,6 +82,7 @@ impl ArenaStats {
 pub struct StreamArena {
     pool: Vec<Vec<u64>>,
     packed: Vec<Vec<u64>>,
+    planes: Vec<Vec<u64>>,
     counts: Vec<Vec<u16>>,
     stream_reuses: u64,
     stream_allocs: u64,
@@ -187,6 +190,33 @@ impl StreamArena {
         self.packed.push(packed.into_words());
     }
 
+    /// Takes all-zero [`CountPlanes`] of counts of up to `lanes` over
+    /// `length` columns (the APC kernels' per-row counts), reusing a pooled
+    /// buffer when one is available.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScError::InvalidParameter`] for a lane count outside the
+    /// `u16` count range.
+    pub fn take_planes(
+        &mut self,
+        lanes: usize,
+        length: StreamLength,
+    ) -> Result<CountPlanes, ScError> {
+        let buffer = self.planes.pop().unwrap_or_default();
+        if buffer.capacity() > 0 {
+            self.stream_reuses += 1;
+        } else {
+            self.stream_allocs += 1;
+        }
+        CountPlanes::from_buffer(buffer, lanes, length)
+    }
+
+    /// Returns count planes' buffer to the pool for reuse.
+    pub fn recycle_planes(&mut self, planes: CountPlanes) {
+        self.planes.push(planes.into_words());
+    }
+
     /// Number of pooled stream buffers currently held.
     pub fn pooled(&self) -> usize {
         self.pool.len()
@@ -199,11 +229,12 @@ impl StreamArena {
             stream_allocs: self.stream_allocs,
             count_reuses: self.count_reuses,
             count_allocs: self.count_allocs,
-            pooled_streams: self.pool.len() + self.packed.len(),
+            pooled_streams: self.pool.len() + self.packed.len() + self.planes.len(),
             pooled_words: self
                 .pool
                 .iter()
                 .chain(&self.packed)
+                .chain(&self.planes)
                 .map(Vec::capacity)
                 .sum(),
             pooled_counts: self.counts.len(),
@@ -234,6 +265,24 @@ mod tests {
         arena.recycle(stream);
         arena.recycle_packed(again);
         assert!(arena.take_packed(0, len).is_err());
+    }
+
+    #[test]
+    fn count_planes_pool_with_the_counts() {
+        let mut arena = StreamArena::new();
+        let len = StreamLength::new(300);
+        let mut planes = arena.take_planes(25, len).unwrap();
+        assert_eq!((planes.lanes(), planes.planes()), (25, 5));
+        planes.words_mut()[0] = u64::MAX;
+        arena.recycle_planes(planes);
+        assert_eq!(arena.stats().pooled_streams, 1);
+        // The buffer comes back zeroed, resized for another lane count.
+        let again = arena.take_planes(200, len).unwrap();
+        assert_eq!(again, CountPlanes::zeroed(200, len).unwrap());
+        let stats = arena.stats();
+        assert_eq!((stats.stream_allocs, stats.stream_reuses), (1, 1));
+        arena.recycle_planes(again);
+        assert!(arena.take_planes(0, len).is_err());
     }
 
     #[test]

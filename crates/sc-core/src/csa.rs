@@ -1,4 +1,5 @@
-//! Packed lane matrices and the Harley-Seal column-count core.
+//! Packed lane matrices, the Harley-Seal column-count core, and the
+//! bit-planes it counts into.
 //!
 //! The APC-based inner-product kernels need, for every cycle `t`, the number
 //! of lanes whose XNOR product stream carries a one at `t` — a *column count*
@@ -18,29 +19,45 @@
 //! (full adders over whole words, the CSA tree of the hardware APC): 16
 //! product words become updates of the `ones`/`twos`/`fours`/`eights`
 //! bit-planes plus one `sixteens` word, which ripples through a fixed number
-//! of upper planes (as many as the lane count needs, never data-dependent).
+//! of upper planes (as many as the lane count needs, never data-dependent);
+//! a last step of fewer than 16 lanes runs the same tree on zero products.
 //! Per lane and group that is 2 loads and 2 operations for the XNOR and
 //! about 5 for the tree (15 full adders of 5 operations per 16 lanes), for
 //! any stream density and with no data-dependent branch. The wide backends
 //! process the 4 words of a group in one super-word; the scalar backend
 //! steps through them.
 //!
-//! **Drain.** Plane `k`, bit `t` is bit `k` of column `t`'s count. The low 8
-//! planes are turned into counts by a byte-sliced 8×8 bit transpose; a count
-//! that needs a 9th plane (256 or more ones in a column) adds the upper
-//! planes' set bits by a `trailing_zeros` walk.
+//! **Planes.** The core stores each row's planes, not counts: a
+//! [`CountPlanes`] holds, per 256-column group, plane `k` of the group's 4
+//! words, and plane `k`, bit `t` is bit `k` of column `t`'s count. The APC
+//! layers stay in this form through the APC's approximate LSB (a rewrite of
+//! the ones plane, [`crate::add::Apc::count_planes_with`]), the average
+//! pool's adder tree (a bit-sliced ripple adder,
+//! [`CountPlanes::merge_sum_with`]) and `sc-blocks`' hardware max pool,
+//! which totals each segment from the planes' lane popcounts.
+//!
+//! **Drain.** Only then are the planes turned into `u16` counts, once per
+//! pooled row ([`CountPlanes::drain_into`]): per 8 columns, byte `k` of one
+//! word gathers byte `g` of plane `k`, an 8×8 bit transpose turns byte `j`
+//! into column `8g + j`'s count, the count's low byte; planes 8 and up
+//! (256 or more ones in a column) take a second transpose for the high
+//! byte. The drain is word-generic: it converts the planes of `W::LANES`
+//! words per step.
 //!
 //! The counts are **exact**, identical to per-lane accumulation in any
 //! order, so every kernel built on the core is bit-compatible with the
 //! per-bit reference (property-tested here and in [`crate::add`]).
 
+use crate::add::CountStream;
+use crate::arena::StreamArena;
 use crate::bitstream::{BitStream, StreamLength};
 use crate::error::ScError;
 use crate::word::{dispatch_word_kernel, Word};
 
 /// Words per column group of the packed layout (256 columns), whatever the
-/// backend.
-const GROUP_WORDS: usize = 4;
+/// backend: a [`CountPlanes`] stores plane `k` of group `g` at words
+/// `(g · planes + k) · GROUP_WORDS ..` of [`CountPlanes::as_words`].
+pub const GROUP_WORDS: usize = 4;
 
 /// Columns per group.
 const GROUP_BITS: usize = 64 * GROUP_WORDS;
@@ -54,6 +71,11 @@ const MAX_PLANES: usize = 16;
 /// Words of one row: every lane's stream padded to whole groups.
 fn row_words(lanes: usize, length: StreamLength) -> usize {
     length.bits().div_ceil(GROUP_BITS) * lanes * GROUP_WORDS
+}
+
+/// Bit-planes of a count of at most `lanes`: its bit length.
+fn plane_count(lanes: usize) -> usize {
+    (usize::BITS - lanes.leading_zeros()) as usize
 }
 
 /// Validates a lane count against the `u16` column-count range.
@@ -249,93 +271,369 @@ impl PackedView<'_> {
     }
 }
 
-/// Exact column counts of the XNOR products of the one-row `input` with
-/// every row of `weights`: `counts[r][t]` becomes the number of lanes whose
-/// input and row-`r` weight bits agree at cycle `t`. Every count of a
-/// row's `length` entries is overwritten.
+/// The bit-planes of one row's column counts, each column a count of at
+/// most [`CountPlanes::lanes`] (see the [module docs](self)).
+///
+/// Per 256-column group the buffer holds [`CountPlanes::planes`] planes of
+/// [`GROUP_WORDS`] words: word `(g · planes + k) · GROUP_WORDS + s` is
+/// plane `k` of word `4g + s` of the stream, and its bit `b` is bit `k` of
+/// the count of column `64 · (4g + s) + b`. Every kernel keeps the columns
+/// past the end of the stream zero in every plane.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CountPlanes {
+    words: Vec<u64>,
+    lanes: usize,
+    length: StreamLength,
+}
+
+impl CountPlanes {
+    /// All-zero planes of counts of up to `lanes` over `length` columns.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScError::InvalidParameter`] for a lane count outside
+    /// `1..=65535` (drained counts are `u16`).
+    pub fn zeroed(lanes: usize, length: StreamLength) -> Result<Self, ScError> {
+        Self::from_buffer(Vec::new(), lanes, length)
+    }
+
+    /// Reuses `buffer` as all-zero planes (the arena's plane pool).
+    pub(crate) fn from_buffer(
+        mut buffer: Vec<u64>,
+        lanes: usize,
+        length: StreamLength,
+    ) -> Result<Self, ScError> {
+        check_lanes(lanes)?;
+        buffer.clear();
+        buffer.resize(
+            length.bits().div_ceil(GROUP_BITS) * plane_count(lanes) * GROUP_WORDS,
+            0,
+        );
+        Ok(Self {
+            words: buffer,
+            lanes,
+            length,
+        })
+    }
+
+    /// The largest count a column can hold (the lanes counted).
+    pub fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    /// Number of columns (the stream length).
+    pub fn length(&self) -> StreamLength {
+        self.length
+    }
+
+    /// Planes per group: the bit length of [`CountPlanes::lanes`].
+    pub fn planes(&self) -> usize {
+        plane_count(self.lanes)
+    }
+
+    /// The plane words, group after group.
+    pub fn as_words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// The plane words, for a kernel writing planes (a pooling block). It
+    /// must keep every column a count of at most [`CountPlanes::lanes`] and
+    /// the columns past the stream end zero.
+    pub fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
+    /// Releases the buffer (for an arena's plane pool).
+    pub(crate) fn into_words(self) -> Vec<u64> {
+        self.words
+    }
+
+    /// Writes every column's count to `counts` (see the [module
+    /// docs](self)), `W::LANES` words of planes per step on the active
+    /// [`crate::word`] backend.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScError::LengthMismatch`] unless `counts` has one entry per
+    /// column.
+    pub fn drain_into(&self, counts: &mut [u16]) -> Result<(), ScError> {
+        let bits = self.length.bits();
+        if counts.len() != bits {
+            return Err(ScError::LengthMismatch {
+                left: bits,
+                right: counts.len(),
+            });
+        }
+        let planes = self.planes();
+        dispatch_word_kernel!(drain_impl, avx2::drain_avx2, (&self.words, planes, counts));
+        Ok(())
+    }
+
+    /// Drains the planes into a count stream whose buffer comes from
+    /// `arena`'s count pool, and recycles the planes into its plane pool.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScError::InvalidParameter`] if a kernel left a count above
+    /// [`CountPlanes::lanes`].
+    pub fn drain_with(self, arena: &mut StreamArena) -> Result<CountStream, ScError> {
+        let mut counts = arena.take_counts(self.length.bits());
+        self.drain_into(&mut counts)?;
+        let lanes = self.lanes;
+        arena.recycle_planes(self);
+        CountStream::new(counts, lanes)
+    }
+
+    /// Sums the counts of `fields` column by column, as the adder tree of an
+    /// APC average pool does: a bit-sliced ripple adder over the planes,
+    /// into planes from `arena` whose lane count is the fields' total.
+    /// Bit-exact with [`CountStream::merge_sum`] over the drained counts.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScError::EmptyInput`] for no fields,
+    /// [`ScError::LengthMismatch`] for fields of different lengths, and
+    /// [`ScError::InvalidParameter`] when the total lane count exceeds the
+    /// `u16` count range.
+    pub fn merge_sum_with(
+        fields: &[CountPlanes],
+        arena: &mut StreamArena,
+    ) -> Result<CountPlanes, ScError> {
+        let first = fields.first().ok_or(ScError::EmptyInput)?;
+        if let Some(field) = fields.iter().find(|f| f.length != first.length) {
+            return Err(ScError::LengthMismatch {
+                left: first.length.bits(),
+                right: field.length.bits(),
+            });
+        }
+        let mut sum = arena.take_planes(fields.iter().map(|f| f.lanes).sum(), first.length)?;
+        let planes = sum.planes();
+        for field in fields {
+            let field_planes = field.planes();
+            let groups = sum
+                .words
+                .chunks_exact_mut(planes * GROUP_WORDS)
+                .zip(field.words.chunks_exact(field_planes * GROUP_WORDS));
+            for (acc, addend) in groups {
+                for s in 0..GROUP_WORDS {
+                    let mut carry = 0u64;
+                    for k in 0..planes {
+                        let a = acc[k * GROUP_WORDS + s];
+                        let b = if k < field_planes {
+                            addend[k * GROUP_WORDS + s]
+                        } else {
+                            0
+                        };
+                        let partial = a ^ b;
+                        acc[k * GROUP_WORDS + s] = partial ^ carry;
+                        carry = (a & b) | (partial & carry);
+                    }
+                }
+            }
+        }
+        Ok(sum)
+    }
+
+    /// The planes of `counts` (tests build pooling inputs from counts).
+    #[cfg(test)]
+    pub(crate) fn from_counts(counts: &CountStream) -> Self {
+        let mut planes = Self::zeroed(counts.lanes(), StreamLength::new(counts.len()))
+            .expect("a count stream's lane count fits the planes");
+        let stride = planes.planes() * GROUP_WORDS;
+        for (t, &count) in counts.counts().iter().enumerate() {
+            let (g, s, b) = (t / GROUP_BITS, t % GROUP_BITS / 64, t % 64);
+            for k in (0..planes.planes()).filter(|k| count >> k & 1 == 1) {
+                planes.words[g * stride + k * GROUP_WORDS + s] |= 1 << b;
+            }
+        }
+        planes
+    }
+
+    /// The APC's approximate least-significant bit (see
+    /// [`crate::add::Apc`]) as a plane rewrite: the ones plane becomes the
+    /// odd-cycle mask, cleared where an even lane count is saturated (a
+    /// column counting every lane keeps that count: the `min(lanes)` clamp)
+    /// and past the stream end. A single lane stays exact.
+    pub(crate) fn apc_lsb(&mut self) {
+        const ODD_CYCLES: u64 = 0xAAAA_AAAA_AAAA_AAAA;
+        let lanes = self.lanes;
+        if lanes < 2 {
+            return;
+        }
+        let bits = self.length.bits();
+        let planes = self.planes();
+        for (g, group) in self
+            .words
+            .chunks_exact_mut(planes * GROUP_WORDS)
+            .enumerate()
+        {
+            for s in 0..GROUP_WORDS {
+                let valid = match bits.saturating_sub((g * GROUP_WORDS + s) * 64) {
+                    0 => 0,
+                    n if n >= 64 => u64::MAX,
+                    n => (1 << n) - 1,
+                };
+                // A count is at most `lanes`, so it equals `lanes` exactly
+                // where every set bit of `lanes` is set.
+                let saturated = if lanes.is_multiple_of(2) {
+                    (1..planes)
+                        .filter(|k| lanes >> k & 1 == 1)
+                        .fold(u64::MAX, |acc, k| acc & group[k * GROUP_WORDS + s])
+                } else {
+                    0
+                };
+                group[s] = ODD_CYCLES & valid & !saturated;
+            }
+        }
+    }
+}
+
+/// Validates the operands of the column-count core and returns the stream
+/// length in bits.
+fn check_operands(
+    input: PackedView<'_>,
+    weights: PackedView<'_>,
+    outputs: usize,
+) -> Result<usize, ScError> {
+    if input.rows != 1 || input.lanes != weights.lanes || outputs != weights.rows {
+        return Err(ScError::InvalidParameter {
+            name: "weights",
+            message: format!(
+                "{} input row(s) of {} lanes against {} weight rows of {} lanes into {} \
+                 outputs",
+                input.rows, input.lanes, weights.rows, weights.lanes, outputs
+            ),
+        });
+    }
+    let bits = input.length.bits();
+    if weights.length.bits() != bits {
+        return Err(ScError::LengthMismatch {
+            left: bits,
+            right: weights.length.bits(),
+        });
+    }
+    Ok(bits)
+}
+
+/// Exact column-count planes of the XNOR products of the one-row `input`
+/// with every row of `weights`: `planes[r]` becomes the planes of the
+/// number of lanes whose input and row-`r` weight bits agree at each
+/// cycle. Every word of each row's planes is overwritten or stays zero.
 ///
 /// # Errors
 ///
 /// Returns [`ScError::InvalidParameter`] unless `input` has one row,
-/// `counts` one buffer per weight row, and both operands the same lane
-/// count; [`ScError::LengthMismatch`] for different stream lengths or a
+/// `planes` one buffer per weight row, and both operands and every buffer
+/// the same lane count; [`ScError::LengthMismatch`] for different stream
+/// lengths.
+pub(crate) fn product_column_planes(
+    input: PackedView<'_>,
+    weights: PackedView<'_>,
+    planes: &mut [CountPlanes],
+) -> Result<(), ScError> {
+    let bits = check_operands(input, weights, planes.len())?;
+    for row in planes.iter() {
+        if row.lanes != input.lanes {
+            return Err(ScError::InvalidParameter {
+                name: "planes",
+                message: format!("planes of {} lanes for {} lanes", row.lanes, input.lanes),
+            });
+        }
+        if row.length.bits() != bits {
+            return Err(ScError::LengthMismatch {
+                left: bits,
+                right: row.length.bits(),
+            });
+        }
+    }
+    dispatch_word_kernel!(
+        product_column_planes_impl,
+        avx2::product_column_planes_avx2,
+        (input.words, weights.words, input.lanes, bits, planes)
+    );
+    Ok(())
+}
+
+/// Exact column counts of the XNOR products of the one-row `input` with
+/// every row of `weights`: the planes of [`product_column_planes`],
+/// drained. `counts[r][t]` becomes the number of lanes whose input and
+/// row-`r` weight bits agree at cycle `t`.
+///
+/// # Errors
+///
+/// As [`product_column_planes`], and [`ScError::LengthMismatch`] for a
 /// count buffer of another length.
 pub(crate) fn product_column_counts(
     input: PackedView<'_>,
     weights: PackedView<'_>,
     counts: &mut [Vec<u16>],
 ) -> Result<(), ScError> {
-    if input.rows != 1 || input.lanes != weights.lanes || counts.len() != weights.rows {
-        return Err(ScError::InvalidParameter {
-            name: "weights",
-            message: format!(
-                "{} input row(s) of {} lanes against {} weight rows of {} lanes into {} \
-                 count buffers",
-                input.rows,
-                input.lanes,
-                weights.rows,
-                weights.lanes,
-                counts.len()
-            ),
+    let bits = check_operands(input, weights, counts.len())?;
+    if let Some(row) = counts.iter().find(|row| row.len() != bits) {
+        return Err(ScError::LengthMismatch {
+            left: bits,
+            right: row.len(),
         });
     }
-    let bits = input.length.bits();
-    for len in std::iter::once(weights.length.bits()).chain(counts.iter().map(Vec::len)) {
-        if len != bits {
-            return Err(ScError::LengthMismatch {
-                left: bits,
-                right: len,
-            });
-        }
+    let mut planes = (0..weights.rows)
+        .map(|_| CountPlanes::zeroed(input.lanes, input.length))
+        .collect::<Result<Vec<_>, _>>()?;
+    product_column_planes(input, weights, &mut planes)?;
+    for (row, row_counts) in planes.iter().zip(counts) {
+        row.drain_into(row_counts)?;
     }
-    dispatch_word_kernel!(
-        product_column_counts_impl,
-        avx2::product_column_counts_avx2,
-        (input.words, weights.words, input.lanes, bits, counts)
-    );
     Ok(())
 }
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod avx2 {
+    use super::CountPlanes;
     use crate::word::WAvx2;
 
     /// # Safety
     ///
     /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn product_column_counts_avx2(
+    pub(super) unsafe fn product_column_planes_avx2(
         input: &[u64],
         weights: &[u64],
         lanes: usize,
         bits: usize,
-        counts: &mut [Vec<u16>],
+        planes: &mut [CountPlanes],
     ) {
-        super::product_column_counts_impl::<WAvx2>(input, weights, lanes, bits, counts)
+        super::product_column_planes_impl::<WAvx2>(input, weights, lanes, bits, planes)
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn drain_avx2(words: &[u64], planes: usize, counts: &mut [u16]) {
+        super::drain_impl::<WAvx2>(words, planes, counts)
     }
 }
 
-/// Word-generic body of [`product_column_counts`]: rows outermost, then
-/// groups, each group's lanes compressed and drained in `W::LANES`-word
+/// Word-generic body of [`product_column_planes`]: rows outermost, then
+/// groups, each group's lanes compressed and stored in `W::LANES`-word
 /// steps.
 #[inline(always)]
-fn product_column_counts_impl<W: Word>(
+fn product_column_planes_impl<W: Word>(
     input: &[u64],
     weights: &[u64],
     lanes: usize,
     bits: usize,
-    counts: &mut [Vec<u16>],
+    out: &mut [CountPlanes],
 ) {
     let group_words = lanes * GROUP_WORDS;
     let groups = bits.div_ceil(GROUP_BITS);
-    let planes = (usize::BITS - lanes.leading_zeros()) as usize;
+    let planes = plane_count(lanes);
     let upper = planes.saturating_sub(4);
-    for (row, row_counts) in weights.chunks_exact(groups * group_words).zip(counts) {
-        for g in 0..groups {
+    for (row, row_planes) in weights.chunks_exact(groups * group_words).zip(out) {
+        let row_planes = row_planes.words.chunks_exact_mut(planes * GROUP_WORDS);
+        for (g, group_planes) in row_planes.enumerate() {
             let x = &input[g * group_words..(g + 1) * group_words];
             let w = &row[g * group_words..(g + 1) * group_words];
             let span = (bits - g * GROUP_BITS).min(GROUP_BITS);
-            let out = &mut row_counts[g * GROUP_BITS..g * GROUP_BITS + span];
             let mut sub = 0;
             // Words wholly past the end of the stream hold no columns.
             while sub < GROUP_WORDS && sub * 64 < span {
@@ -344,7 +642,7 @@ fn product_column_counts_impl<W: Word>(
                 } else {
                     compress::<W, true>(x, w, sub, tail_mask(span, sub), upper)
                 };
-                state.drain(sub, planes, out);
+                state.store(sub, planes, group_planes);
                 sub += W::LANES;
             }
         }
@@ -385,21 +683,30 @@ struct Planes<W: Word> {
 }
 
 impl<W: Word> Planes<W> {
-    /// Adds one weight-1 word through a fixed-depth half-adder ripple.
+    /// Adds 16 weight-1 words (`d(0) .. d(15)`) through one Harley-Seal
+    /// tree of 15 full adders.
     #[inline(always)]
-    fn add(&mut self, word: W, upper: usize) {
-        let carry = self.ones.and(word);
-        self.ones = self.ones.xor(word);
-        let word = carry;
-        let carry = self.twos.and(word);
-        self.twos = self.twos.xor(word);
-        let word = carry;
-        let carry = self.fours.and(word);
-        self.fours = self.fours.xor(word);
-        let word = carry;
-        let carry = self.eights.and(word);
-        self.eights = self.eights.xor(word);
-        self.add_sixteens(carry, upper);
+    fn add_sixteen(&mut self, d: impl Fn(usize) -> W, upper: usize) {
+        let (ones, twos_a) = csa(self.ones, d(0), d(1));
+        let (ones, twos_b) = csa(ones, d(2), d(3));
+        let (twos, fours_a) = csa(self.twos, twos_a, twos_b);
+        let (ones, twos_a) = csa(ones, d(4), d(5));
+        let (ones, twos_b) = csa(ones, d(6), d(7));
+        let (twos, fours_b) = csa(twos, twos_a, twos_b);
+        let (fours, eights_a) = csa(self.fours, fours_a, fours_b);
+        let (ones, twos_a) = csa(ones, d(8), d(9));
+        let (ones, twos_b) = csa(ones, d(10), d(11));
+        let (twos, fours_a) = csa(twos, twos_a, twos_b);
+        let (ones, twos_a) = csa(ones, d(12), d(13));
+        let (ones, twos_b) = csa(ones, d(14), d(15));
+        let (twos, fours_b) = csa(twos, twos_a, twos_b);
+        let (fours, eights_b) = csa(fours, fours_a, fours_b);
+        let (eights, sixteens) = csa(self.eights, eights_a, eights_b);
+        self.ones = ones;
+        self.twos = twos;
+        self.fours = fours;
+        self.eights = eights;
+        self.add_sixteens(sixteens, upper);
     }
 
     /// Adds a weight-16 word to the upper planes: a ripple of exactly
@@ -413,27 +720,13 @@ impl<W: Word> Planes<W> {
         }
     }
 
-    /// Converts the planes into the column counts of words `sub..sub +
-    /// W::LANES` of a group, writing them to `out` (the group's counts).
+    /// Stores the low `planes` planes as words `sub..sub + W::LANES` of a
+    /// group's planes (`out`: the group's `planes · 4` words).
     #[inline(always)]
-    fn drain(&self, sub: usize, planes: usize, out: &mut [u16]) {
-        // `by_word[j][k]`: plane `k` of word `sub + j`.
-        let mut by_word = [[0u64; MAX_PLANES]; GROUP_WORDS];
+    fn store(&self, sub: usize, planes: usize, out: &mut [u64]) {
         let low = [self.ones, self.twos, self.fours, self.eights];
         for (k, plane) in low.iter().chain(&self.upper).take(planes).enumerate() {
-            let mut words = [0u64; GROUP_WORDS];
-            plane.store(&mut words);
-            for (word_planes, &bits) in by_word.iter_mut().zip(&words) {
-                word_planes[k] = bits;
-            }
-        }
-        for (lane, word_planes) in by_word.iter().enumerate().take(W::LANES) {
-            let start = (sub + lane) * 64;
-            if start >= out.len() {
-                break;
-            }
-            let end = out.len().min(start + 64);
-            drain_word(&word_planes[..planes], &mut out[start..end]);
+            plane.store(&mut out[k * GROUP_WORDS + sub..]);
         }
     }
 }
@@ -471,88 +764,120 @@ fn compress<W: Word, const MASKED: bool>(
     let mut xs = x.chunks_exact(16 * GROUP_WORDS);
     let mut ws = w.chunks_exact(16 * GROUP_WORDS);
     for (xc, wc) in (&mut xs).zip(&mut ws) {
-        let d = |lane| product(xc, wc, lane);
-        let (ones, twos_a) = csa(p.ones, d(0), d(1));
-        let (ones, twos_b) = csa(ones, d(2), d(3));
-        let (twos, fours_a) = csa(p.twos, twos_a, twos_b);
-        let (ones, twos_a) = csa(ones, d(4), d(5));
-        let (ones, twos_b) = csa(ones, d(6), d(7));
-        let (twos, fours_b) = csa(twos, twos_a, twos_b);
-        let (fours, eights_a) = csa(p.fours, fours_a, fours_b);
-        let (ones, twos_a) = csa(ones, d(8), d(9));
-        let (ones, twos_b) = csa(ones, d(10), d(11));
-        let (twos, fours_a) = csa(twos, twos_a, twos_b);
-        let (ones, twos_a) = csa(ones, d(12), d(13));
-        let (ones, twos_b) = csa(ones, d(14), d(15));
-        let (twos, fours_b) = csa(twos, twos_a, twos_b);
-        let (fours, eights_b) = csa(fours, fours_a, fours_b);
-        let (eights, sixteens) = csa(p.eights, eights_a, eights_b);
-        p.ones = ones;
-        p.twos = twos;
-        p.fours = fours;
-        p.eights = eights;
-        p.add_sixteens(sixteens, upper);
+        p.add_sixteen(|lane| product(xc, wc, lane), upper);
     }
+    // The last partial step is a whole one with zero products past the
+    // last lane.
     let (xr, wr) = (xs.remainder(), ws.remainder());
-    for lane in 0..xr.len() / GROUP_WORDS {
-        p.add(product(xr, wr, lane), upper);
+    let rest = xr.len() / GROUP_WORDS;
+    if rest > 0 {
+        p.add_sixteen(
+            |lane| {
+                if lane < rest {
+                    product(xr, wr, lane)
+                } else {
+                    W::zero()
+                }
+            },
+            upper,
+        );
     }
     p
 }
 
-/// Writes the counts of one 64-column word (`out`: up to 64 columns) from
-/// its planes: byte-sliced over the low 8, then a set-bit walk over the
-/// rest.
+/// Word-generic body of [`CountPlanes::drain_into`]: groups in order, each
+/// group's planes converted `W::LANES` words per step.
 #[inline(always)]
-fn drain_word(planes: &[u64], out: &mut [u16]) {
-    let low = &planes[..planes.len().min(8)];
-    if out.len() == 64 {
-        drain_byte_sliced(low, out);
-    } else {
-        let mut full = [0u16; 64];
-        drain_byte_sliced(low, &mut full);
-        out.copy_from_slice(&full[..out.len()]);
-    }
-    for (k, &plane) in planes.iter().enumerate().skip(8) {
-        let mut bits = plane;
-        while bits != 0 {
-            out[bits.trailing_zeros() as usize] += 1 << k;
-            bits &= bits - 1;
+fn drain_impl<W: Word>(words: &[u64], planes: usize, counts: &mut [u16]) {
+    let bits = counts.len();
+    for (g, group) in words.chunks_exact(planes * GROUP_WORDS).enumerate() {
+        let start = g * GROUP_BITS;
+        let span = (bits - start).min(GROUP_BITS);
+        let out = &mut counts[start..start + span];
+        let mut sub = 0;
+        while sub < GROUP_WORDS && sub * 64 < span {
+            drain_words::<W>(group, planes, sub, out);
+            sub += W::LANES;
         }
     }
 }
 
-/// Byte-sliced drain of up to 8 planes over 64 columns: for each group of 8
-/// columns, byte `g` of plane `k` is packed into byte `k` of one word, so
-/// bit `8k + j` is bit `k` of column `8g + j`'s count, and an 8×8 bit
-/// transpose turns byte `j` into that column's count.
+/// Writes the counts of words `sub..sub + W::LANES` of one group (`group`:
+/// its `planes · 4` plane words; `out`: its counts, up to 256) one 8-column
+/// block at a time: a byte transpose of the low 8 planes, and one of the
+/// upper planes for the high byte when a count reaches 256.
 #[inline(always)]
-fn drain_byte_sliced(planes: &[u64], out: &mut [u16]) {
-    debug_assert!(planes.len() <= 8 && out.len() == 64);
-    for (group, columns) in out.chunks_exact_mut(8).enumerate() {
-        let shift = 8 * group as u32;
-        let mut packed = 0u64;
-        for (k, &plane) in planes.iter().enumerate() {
-            packed |= ((plane >> shift) & 0xFF) << (8 * k);
+fn drain_words<W: Word>(group: &[u64], planes: usize, sub: usize, out: &mut [u16]) {
+    let mut plane_words = [W::zero(); MAX_PLANES];
+    for (k, plane) in plane_words.iter_mut().enumerate().take(planes) {
+        *plane = W::load(&group[k * GROUP_WORDS + sub..]);
+    }
+    let low = &plane_words[..planes.min(8)];
+    let high = &plane_words[planes.min(8)..planes];
+    let mut low_bytes = [0u64; 4];
+    // The common case: whole words, every count below 256 (one byte).
+    if high.iter().all(|plane| plane.is_zero()) && (sub + W::LANES) * 64 <= out.len() {
+        for block in 0..8 {
+            byte_transpose(low, block as u32).store(&mut low_bytes);
+            for (j, bytes) in low_bytes.iter().enumerate().take(W::LANES) {
+                let column = (sub + j) * 64 + 8 * block;
+                let columns = &mut out[column..column + 8];
+                for (slot, byte) in columns.iter_mut().zip(bytes.to_le_bytes()) {
+                    *slot = u16::from(byte);
+                }
+            }
         }
-        let transposed = transpose8(packed);
-        for (j, count) in columns.iter_mut().enumerate() {
-            *count = ((transposed >> (8 * j)) & 0xFF) as u16;
+        return;
+    }
+    let mut high_bytes = [0u64; 4];
+    for block in 0..8 {
+        if sub * 64 + 8 * block >= out.len() {
+            break;
+        }
+        byte_transpose(low, block as u32).store(&mut low_bytes);
+        byte_transpose(high, block as u32).store(&mut high_bytes);
+        for j in 0..W::LANES {
+            let column = (sub + j) * 64 + 8 * block;
+            if column >= out.len() {
+                break;
+            }
+            let end = out.len().min(column + 8);
+            let (low, high) = (low_bytes[j].to_le_bytes(), high_bytes[j].to_le_bytes());
+            for (c, slot) in out[column..end].iter_mut().enumerate() {
+                *slot = u16::from_le_bytes([low[c], high[c]]);
+            }
         }
     }
+}
+
+/// For 8-column block `block` of every word lane: byte `k` gathers byte
+/// `block` of plane `k`, and the 8×8 transpose makes byte `j` the count
+/// bits of column `8 · block + j`.
+#[inline(always)]
+fn byte_transpose<W: Word>(planes: &[W], block: u32) -> W {
+    let byte = W::splat(0xFF);
+    let mut packed = W::zero();
+    for (k, plane) in planes.iter().enumerate() {
+        packed = packed.or(plane.shr(8 * block).and(byte).shl(8 * k as u32));
+    }
+    transpose8(packed)
 }
 
 /// Transposes an 8×8 bit matrix held row-per-byte (bit `8r + c` is entry
-/// `(r, c)`): three masked delta-swaps (Hacker's Delight 7-3).
+/// `(r, c)`) in every lane: three masked delta-swaps (Hacker's Delight
+/// 7-3).
 #[inline(always)]
-fn transpose8(mut x: u64) -> u64 {
-    let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
-    x ^= t ^ (t << 7);
-    let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
-    x ^= t ^ (t << 14);
-    let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
-    x ^= t ^ (t << 28);
-    x
+fn transpose8<W: Word>(x: W) -> W {
+    let x = delta_swap(x, 7, 0x00AA_00AA_00AA_00AA);
+    let x = delta_swap(x, 14, 0x0000_CCCC_0000_CCCC);
+    delta_swap(x, 28, 0x0000_0000_F0F0_F0F0)
+}
+
+/// Swaps the bits of `x` under `mask` with those `shift` places above.
+#[inline(always)]
+fn delta_swap<W: Word>(x: W, shift: u32, mask: u64) -> W {
+    let t = x.xor(x.shr(shift)).and(W::splat(mask));
+    x.xor(t.xor(t.shl(shift)))
 }
 
 #[cfg(test)]
@@ -592,17 +917,25 @@ mod tests {
             .to_vec()
     }
 
-    /// Runs the core under backend `W` directly (no process-wide switch).
+    /// Runs the core and the drain under backend `W` directly (no
+    /// process-wide switch).
     fn counts_with<W: Word>(inputs: &PackedLanes, weights: PackedView<'_>) -> Vec<Vec<u16>> {
-        let bits = inputs.length().bits();
-        let mut counts = vec![vec![u16::MAX; bits]; weights.rows()];
-        product_column_counts_impl::<W>(
+        let mut planes =
+            vec![CountPlanes::zeroed(inputs.lanes(), inputs.length()).unwrap(); weights.rows()];
+        product_column_planes_impl::<W>(
             &inputs.words,
             weights.words,
             inputs.lanes(),
-            bits,
-            &mut counts,
+            inputs.length().bits(),
+            &mut planes,
         );
+        planes.iter().map(drain_with::<W>).collect()
+    }
+
+    /// [`drain_impl`] under backend `W`.
+    fn drain_with<W: Word>(planes: &CountPlanes) -> Vec<u16> {
+        let mut counts = vec![u16::MAX; planes.length().bits()];
+        drain_impl::<W>(&planes.words, planes.planes(), &mut counts);
         counts
     }
 
@@ -619,17 +952,25 @@ mod tests {
         ];
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         if crate::word::Backend::Avx2.is_available() {
-            let bits = inputs.length().bits();
-            let mut counts = vec![vec![u16::MAX; bits]; weights.rows()];
+            let mut planes =
+                vec![CountPlanes::zeroed(inputs.lanes(), inputs.length()).unwrap(); weights.rows()];
             // SAFETY: AVX2 availability was checked above.
-            unsafe {
-                avx2::product_column_counts_avx2(
+            let counts = unsafe {
+                avx2::product_column_planes_avx2(
                     &inputs.words,
                     weights.words,
                     inputs.lanes(),
-                    bits,
-                    &mut counts,
-                )
+                    inputs.length().bits(),
+                    &mut planes,
+                );
+                planes
+                    .iter()
+                    .map(|row| {
+                        let mut counts = vec![u16::MAX; row.length().bits()];
+                        avx2::drain_avx2(&row.words, row.planes(), &mut counts);
+                        counts
+                    })
+                    .collect()
             };
             runs.push(("avx2", counts));
         }
@@ -732,7 +1073,8 @@ mod tests {
     #[test]
     fn add3_equals_three_adds() {
         // A 3:2 compressor's sum + 2·carry is the column count of its
-        // three words, and one `csa` equals three single-word adds.
+        // three words, and one `csa` equals a Harley-Seal step over the
+        // three words padded with zeros.
         let [a, b, c] = [1u64, 2, 3].map(|s| random_stream(64, s).as_words()[0]);
         let (sum, carry) = csa(a, b, c);
         for t in 0..64 {
@@ -750,9 +1092,7 @@ mod tests {
             eights: 0,
             upper: [0; MAX_PLANES - 4],
         };
-        for word in [a, b, c] {
-            planes.add(word, 0);
-        }
+        planes.add_sixteen(|lane| [a, b, c].get(lane).copied().unwrap_or(0), 0);
         assert_eq!((planes.ones, planes.twos), (sum, carry));
     }
 
@@ -767,11 +1107,12 @@ mod tests {
             eights: 0,
             upper: [0; MAX_PLANES - 4],
         };
-        planes.add(0b001, 2);
+        planes.add_sixteen(|lane| if lane == 0 { 0b001 } else { 0 }, 2);
         planes.add_sixteens(0b101, 2);
         planes.add_sixteens(0b100, 2);
-        let mut counts = [0u16; 64];
-        planes.drain(0, 6, &mut counts);
+        let mut stored = CountPlanes::zeroed(63, StreamLength::new(64)).unwrap();
+        planes.store(0, 6, &mut stored.words);
+        let counts = drain_with::<u64>(&stored);
         assert_eq!(&counts[..3], &[17, 0, 32]);
         assert!(counts[3..].iter().all(|&c| c == 0));
     }
@@ -790,29 +1131,43 @@ mod tests {
     }
 
     /// The drain must agree with a per-bit reference computed straight
-    /// from the planes, for every plane population up to the `u16` range
-    /// and for full and partial words.
+    /// from the planes, for every plane population up to the `u16` range,
+    /// for full and partial words and groups, on every backend.
     #[test]
     fn byte_sliced_drain_matches_plane_unpack_reference() {
         for planes in 1..=MAX_PLANES {
-            let words: Vec<u64> = (0..planes)
-                .map(|k| random_stream(64, 100 + k as u64).as_words()[0])
-                .collect();
-            let expected: Vec<u16> = (0..64)
-                .map(|t| {
-                    (0..planes)
-                        .map(|k| (((words[k] >> t) & 1) as u16) << k)
-                        .sum()
-                })
-                .collect();
-            let mut counts = vec![u16::MAX; 64];
-            drain_word(&words, &mut counts);
-            assert_eq!(counts, expected, "{planes} planes");
-            let short: Vec<u64> = words.iter().map(|w| w & ((1 << 10) - 1)).collect();
-            let mut counts = vec![u16::MAX; 10];
-            drain_word(&short, &mut counts);
-            assert_eq!(counts, expected[..10], "{planes} planes, 10 columns");
+            for bits in [10usize, 64, 300, 512] {
+                let lanes = (1usize << planes) - 1;
+                let mut stored = CountPlanes::zeroed(lanes, StreamLength::new(bits)).unwrap();
+                assert_eq!(stored.planes(), planes);
+                let mut expected = vec![0u16; bits];
+                for (t, count) in expected.iter_mut().enumerate() {
+                    let (g, s, b) = (t / GROUP_BITS, t % GROUP_BITS / 64, t % 64);
+                    for k in 0..planes {
+                        let word = random_stream(64, (100 + k * 7 + t / 64) as u64).as_words()[0];
+                        if (word >> b) & 1 == 1 {
+                            stored.words[(g * planes + k) * GROUP_WORDS + s] |= 1 << b;
+                            *count += 1 << k;
+                        }
+                    }
+                }
+                let mut runs = vec![
+                    ("scalar", drain_with::<u64>(&stored)),
+                    ("wide", drain_with::<crate::word::W4>(&stored)),
+                ];
+                let mut dispatched = vec![u16::MAX; bits];
+                stored.drain_into(&mut dispatched).unwrap();
+                runs.push(("active", dispatched));
+                for (backend, counts) in runs {
+                    assert_eq!(
+                        counts, expected,
+                        "{backend}: {planes} planes, {bits} columns"
+                    );
+                }
+            }
         }
+        let stored = CountPlanes::zeroed(3, StreamLength::new(64)).unwrap();
+        assert!(stored.drain_into(&mut [0u16; 63]).is_err());
     }
 
     /// Every backend must produce the scalar backend's counts.

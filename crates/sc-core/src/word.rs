@@ -2,9 +2,10 @@
 //!
 //! Every hot kernel in this crate — the SNG comparator fill, the fused
 //! XNOR/popcount inner-product counts, bit-sliced MUX selector application,
-//! the packed Harley-Seal column counts, and the word-interleaved Btanh
-//! batch walk — is written once, generically over [`Word`]: a fixed-width bundle
-//! of 64-bit bit-stream lanes. So is `sc-blocks`' hardware max pool. The
+//! the packed Harley-Seal column counts, the count-plane drain, and the
+//! word-interleaved Btanh batch walk — is written once, generically over
+//! [`Word`]: a fixed-width bundle of 64-bit bit-stream lanes. So are
+//! `sc-blocks`' hardware max pools over streams and over count planes. The
 //! MUX selected-sequence fill is the exception: a per-cycle gather, it has
 //! one scalar loop and one AVX2 gather path.
 //!

@@ -3,8 +3,10 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sc_dcnn_repro::blocks::pooling::HardwareMaxPooling;
 use sc_dcnn_repro::core::add::MuxSelectorPlan;
 use sc_dcnn_repro::core::add::{Apc, CountStream, ExactParallelCounter};
+use sc_dcnn_repro::core::csa::{CountPlanes, PackedLanes, GROUP_WORDS};
 use sc_dcnn_repro::core::encoding::{prescale, Bipolar, Encoding, Unipolar};
 use sc_dcnn_repro::core::prelude::*;
 use sc_dcnn_repro::core::sng::{BatchSng, LaneSequence, SelectedSequence, SngBank};
@@ -371,6 +373,137 @@ proptest! {
                         let mut filled = BitStream::ones(length);
                         selected.fill(&thresholds, &mut filled).unwrap();
                         prop_assert_eq!(&filled, &gathered, "{} lanes={} bits={}", backend.name(), lanes, bits);
+                    }
+                }
+            }
+        }
+        force_backend(original);
+    }
+}
+
+/// `lanes` pseudo-random streams of `bits` bits (splitmix64 words).
+fn random_lanes(lanes: usize, bits: usize, seed: u64) -> Vec<BitStream> {
+    let mut state = seed;
+    (0..lanes)
+        .map(|_| {
+            let mut stream = BitStream::zeros(StreamLength::new(bits));
+            for word in stream.words_mut() {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                *word = z ^ (z >> 31);
+            }
+            if !bits.is_multiple_of(64) {
+                *stream.words_mut().last_mut().unwrap() &= (1u64 << (bits % 64)) - 1;
+            }
+            stream
+        })
+        .collect()
+}
+
+/// `counts` in the documented `CountPlanes` layout: per 256-column group,
+/// `planes` planes of `GROUP_WORDS` words, zero past the last column.
+fn planes_of(counts: &[u16], planes: usize) -> Vec<u64> {
+    let mut words = vec![0u64; counts.len().div_ceil(256) * planes * GROUP_WORDS];
+    for (t, &count) in counts.iter().enumerate() {
+        let (group, word, bit) = (t / 256, t % 256 / 64, t % 64);
+        for k in (0..planes).filter(|k| count >> k & 1 == 1) {
+            words[(group * planes + k) * GROUP_WORDS + word] |= 1 << bit;
+        }
+    }
+    words
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    /// The APC layers' plane path — the core's planes with the approximate
+    /// LSB rewritten in the ones plane, the plane max pool, the bit-sliced
+    /// average merge and the drain — equals the count path it replaced on
+    /// the engine: `Apc::count` (per-bit counts + `apply_apc_lsb`), then
+    /// `HardwareMaxPooling::pool_counts` / `CountStream::merge_sum`. The
+    /// planes themselves must match the oracle's counts word for word,
+    /// zero past the stream end. Lane counts around every plane boundary,
+    /// lengths around every segment, word and group tail, windows 1–4, and
+    /// three kinds of window: random fields with one field whose lanes all
+    /// agree, every lane of every field agreeing (the saturated count the
+    /// APC clamps at an even lane count), and no lane agreeing (an all-zero
+    /// window, where the first field wins every tie); under every kernel
+    /// backend this build and CPU run.
+    #[test]
+    fn apc_count_planes_match_the_count_path(seed in any::<u64>()) {
+        let original = active_backend();
+        let pool = HardwareMaxPooling::default();
+        let mut arena = StreamArena::new();
+        for lanes in [1usize, 2, 3, 24, 25, 200, 256, 4095, 4096] {
+            for bits in [1usize, 15, 16, 17, 63, 64, 255, 256, 257, 1024] {
+                for kind in 0..3u64 {
+                    let salt = seed ^ (lanes as u64) << 40 ^ (bits as u64) << 8 ^ kind;
+                    let fields: Vec<(Vec<BitStream>, Vec<BitStream>)> = (0..4u64)
+                        .map(|field| {
+                            let inputs = random_lanes(lanes, bits, salt.wrapping_mul(31) + field);
+                            let weights = match (kind, field) {
+                                (0, 1) | (1, _) => inputs.clone(),
+                                (2, _) => inputs
+                                    .iter()
+                                    .map(|s| s.xnor(&BitStream::zeros(s.stream_length())))
+                                    .collect(),
+                                _ => random_lanes(lanes, bits, salt.wrapping_mul(37) + field),
+                            };
+                            (inputs, weights)
+                        })
+                        .collect();
+                    let oracle: Vec<CountStream> = fields
+                        .iter()
+                        .map(|(inputs, weights)| {
+                            let products: Vec<BitStream> =
+                                inputs.iter().zip(weights).map(|(x, w)| x.xnor(w)).collect();
+                            Apc::new().count(&products).unwrap()
+                        })
+                        .collect();
+                    let packed: Vec<(PackedLanes, PackedLanes)> = fields
+                        .iter()
+                        .map(|(inputs, weights)| {
+                            (
+                                PackedLanes::pack([inputs.as_slice()]).unwrap(),
+                                PackedLanes::pack([weights.as_slice()]).unwrap(),
+                            )
+                        })
+                        .collect();
+                    for backend in Backend::ALL.into_iter().filter(|b| b.is_available()) {
+                        prop_assert!(force_backend(backend));
+                        let planes: Vec<CountPlanes> = packed
+                            .iter()
+                            .map(|(x, w)| {
+                                Apc::new()
+                                    .count_planes_with(x.view(), w.view(), &mut arena)
+                                    .unwrap()
+                                    .pop()
+                                    .unwrap()
+                            })
+                            .collect();
+                        for window in 1..=4 {
+                            let case = format!(
+                                "{} lanes={lanes} bits={bits} kind={kind} window={window}",
+                                backend.name()
+                            );
+                            let expected_max = pool.pool_counts(&oracle[..window]).unwrap();
+                            let expected_sum = CountStream::merge_sum(&oracle[..window]).unwrap();
+                            let pooled = pool.pool_planes_with(&planes[..window], &mut arena).unwrap();
+                            let merged = CountPlanes::merge_sum_with(&planes[..window], &mut arena).unwrap();
+                            for (got, expected) in [(pooled, expected_max), (merged, expected_sum)] {
+                                prop_assert_eq!(
+                                    got.as_words(),
+                                    planes_of(expected.counts(), got.planes()).as_slice(),
+                                    "planes: {}", &case
+                                );
+                                prop_assert_eq!(got.drain_with(&mut arena).unwrap(), expected, "counts: {}", &case);
+                            }
+                        }
+                        for field in planes {
+                            arena.recycle_planes(field);
+                        }
                     }
                 }
             }
