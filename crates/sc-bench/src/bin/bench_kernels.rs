@@ -1440,6 +1440,89 @@ fn bench_stanh_batch(samples: usize, iters: usize) -> Comparison {
     }
 }
 
+/// Frozen copy of the scoped-spawn `sc_core::parallel::parallel_map_with_state`
+/// the helper pool replaced: fresh scoped threads, one per part, on every
+/// call. (Its nested-call flag is left out: the timed items never nest.)
+fn scoped_spawn_map_with_state<T, S, R, I, F>(items: &[T], init: I, f: F) -> (Vec<R>, Vec<S>)
+where
+    T: Sync,
+    R: Send,
+    S: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &T) -> R + Sync,
+{
+    if items.is_empty() {
+        return (Vec::new(), Vec::new());
+    }
+    let threads = sc_core::parallel::max_threads().min(items.len());
+    if threads <= 1 {
+        let mut state = init();
+        let results = items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| f(&mut state, i, item))
+            .collect();
+        return (results, vec![state]);
+    }
+    let mut results: Vec<Option<R>> = Vec::with_capacity(items.len());
+    results.resize_with(items.len(), || None);
+    let states = std::sync::Mutex::new(Vec::with_capacity(threads));
+    let chunk = items.len().div_ceil(threads);
+    std::thread::scope(|scope| {
+        let mut rest: &mut [Option<R>] = &mut results;
+        let mut start = 0usize;
+        while !rest.is_empty() {
+            let take = chunk.min(rest.len());
+            let (head, tail) = rest.split_at_mut(take);
+            rest = tail;
+            let slice = &items[start..start + take];
+            let (f, init, states) = (&f, &init, &states);
+            scope.spawn(move || {
+                let mut state = init();
+                for (offset, (slot, item)) in head.iter_mut().zip(slice).enumerate() {
+                    *slot = Some(f(&mut state, start + offset, item));
+                }
+                states.lock().expect("state collector").push(state);
+            });
+            start += take;
+        }
+    });
+    let results = results
+        .into_iter()
+        .map(|r| r.expect("worker filled every output slot"))
+        .collect();
+    (results, states.into_inner().expect("state collector"))
+}
+
+/// One fan-out of 16 trivial items at thread limit 2: the handoff cost
+/// alone, scoped spawn + join per call vs a post to a parked helper.
+fn bench_fan_out(samples: usize, iters: usize) -> Comparison {
+    let items: Vec<u64> = (0..16).collect();
+    let item = |_: &mut (), i: usize, &x: &u64| x.wrapping_mul(0x9E37_79B9) ^ i as u64;
+    sc_core::parallel::set_thread_limit(2);
+    let pooled = sc_core::parallel::parallel_map_with_state(&items, || (), item).0;
+    assert_eq!(
+        pooled,
+        scoped_spawn_map_with_state(&items, || (), item).0,
+        "the helper pool must map like the scoped-spawn fan-out"
+    );
+    let baseline_ns = measure(samples, iters, || {
+        scoped_spawn_map_with_state(&items, || (), item)
+    });
+    let optimized_ns = measure(samples, iters, || {
+        sc_core::parallel::parallel_map_with_state(&items, || (), item)
+    });
+    sc_core::parallel::set_thread_limit(0);
+    Comparison {
+        name: "fan_out_call_n16",
+        description: "one sc_core::parallel fan-out of 16 trivial items at \
+                      thread limit 2: scoped threads spawned and joined per \
+                      call vs the caller plus one parked helper",
+        baseline_ns,
+        optimized_ns,
+    }
+}
+
 /// One kernel timed per available word backend (see `sc_core::word`), the
 /// median of [`BACKEND_ROUNDS`] rotated rounds. All backends are
 /// bit-identical, so the rows differ only in throughput.
@@ -1843,6 +1926,7 @@ fn main() {
         bench_fc1_apc(samples, iters.div_ceil(40), true),
         bench_apc_max_window(samples, iters.div_ceil(4)),
         bench_stanh_batch(samples, iters.div_ceil(4)),
+        bench_fan_out(samples, iters),
     ];
 
     println!(

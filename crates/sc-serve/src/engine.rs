@@ -32,13 +32,13 @@ use sc_core::arena::{ArenaStats, StreamArena};
 use sc_core::bitstream::BitStream;
 use sc_core::cache::CacheStats;
 use sc_core::encoding::{Bipolar, Encoding};
-use sc_core::parallel::{parallel_map_with, parallel_map_with_state};
+use sc_core::parallel::{parallel_map, parallel_map_with};
 use sc_core::sng::probability_threshold;
 use sc_dcnn::config::ScNetworkConfig;
 use sc_nn::network::Network;
 use sc_nn::tensor::Tensor;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Options controlling compilation and engine behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -61,13 +61,11 @@ pub struct Session {
     arena: StreamArena,
     /// Input streams filled by this session (not its workers).
     fills: u64,
-    /// Sub-sessions handed to single-request unit fan-out workers, for
-    /// convolution positions and dense unit chunks alike, and collected back
-    /// afterwards, so their arenas stay pooled across layers and requests.
+    /// One sub-session per single-request fan-out range after the first,
+    /// for convolution positions and dense unit chunks alike: range `i > 0`
+    /// always runs in `workers[i - 1]` (range 0 in this session), so their
+    /// arenas stay pooled across layers and requests.
     workers: Vec<Session>,
-    /// Whether this session participates in single-request unit fan-out at
-    /// all (see [`Session::set_unit_fan_out`]).
-    unit_fan_out: bool,
     /// Nanoseconds spent filling input streams since the last
     /// [`Session::take_cache_fill`] — the serving runtime drains this per
     /// request into the `cache_fill` stage histogram.
@@ -76,8 +74,8 @@ pub struct Session {
 
 impl Session {
     /// Input-stream counters of this session, aggregated over its fan-out
-    /// worker sessions (with unit fan-out active, most conv input streams
-    /// are filled by those workers). `misses` counts the streams filled —
+    /// worker sessions (on a multi-thread run they fill every conv input
+    /// stream outside the first range). `misses` counts the streams filled —
     /// one per position and field of a MUX layer, one per position, field
     /// and lane of an APC layer; `hits` is always zero.
     pub fn cache_stats(&self) -> CacheStats {
@@ -104,31 +102,12 @@ impl Session {
         stats
     }
 
-    /// Enables or disables single-request unit fan-out for inferences run
-    /// through this session (default: enabled).
-    ///
-    /// With fan-out on and more than one `sc_core::parallel` thread, the
-    /// positions of a convolution layer and chunks of a dense layer's units
-    /// spread across workers with their own sub-sessions, cutting
-    /// single-request latency on multi-core machines. Batched inference
-    /// already parallelizes across requests, and nested fan-outs degrade to
-    /// serial, so the two compose safely.
-    ///
-    /// The engine's "nested fan-outs degrade to serial" guarantee only
-    /// covers `sc_core::parallel` workers; a caller that runs many sessions
-    /// on its *own* threads — like the TCP runtime's per-worker loops —
-    /// should disable fan-out to avoid oversubscribing the machine with
-    /// `workers × threads` scoped threads. Results are bit-identical either
-    /// way.
-    pub fn set_unit_fan_out(&mut self, enabled: bool) {
-        self.unit_fan_out = enabled;
-    }
-
     /// Drains the time spent filling input streams since the last call,
-    /// aggregated over this session's fan-out workers (where most conv
-    /// input streams are filled on multi-core runs). The serving runtime
-    /// calls this once per request to attribute the `cache_fill` stage span;
-    /// resetting keeps successive requests independent.
+    /// aggregated over this session's fan-out workers (which fill the conv
+    /// input streams outside the first range on multi-thread runs). The
+    /// serving runtime calls this once per request to attribute the
+    /// `cache_fill` stage span; resetting keeps successive requests
+    /// independent.
     pub fn take_cache_fill(&mut self) -> std::time::Duration {
         let mut total = std::mem::take(&mut self.fill_ns);
         for worker in &mut self.workers {
@@ -245,7 +224,6 @@ impl Engine {
             arena: StreamArena::new(),
             fills: 0,
             workers: Vec::new(),
-            unit_fan_out: true,
             fill_ns: 0,
         }
     }
@@ -330,42 +308,51 @@ impl Engine {
         &self.interpreter
     }
 
-    /// Whether single-request unit fan-out is active for a layer of
-    /// `independent_items` independent work items evaluated through
-    /// `session`.
-    fn fan_out_units(&self, session: &Session, independent_items: usize) -> bool {
-        session.unit_fan_out && independent_items > 1 && sc_core::parallel::max_threads() > 1
-    }
-
-    /// Maps `f` over `items` on unit fan-out workers, each with a sub-session
-    /// drawn from `session`'s pool and returned to it afterwards. Results
-    /// are input-ordered and depend only on the item, so the fan-out is
-    /// bit-deterministic.
-    fn fan_out<T: Sync, R: Send>(
+    /// Runs `eval` over `0..count`: in one call on `session` when
+    /// `sc_core::parallel` allows one thread, otherwise as `max_threads()`
+    /// contiguous ranges, range 0 in `session` and range `i > 0` always in
+    /// its sub-session `workers[i - 1]`. Each range evaluates in the same
+    /// session whoever runs it, so the results (concatenated in order) are
+    /// bit-deterministic and a warm session allocates nothing, however
+    /// many helpers the thread budget lends.
+    fn fan_out<R: Send>(
         &self,
         session: &mut Session,
-        items: &[T],
-        f: impl Fn(&mut Session, &T) -> R + Sync,
-    ) -> Vec<R> {
-        let mut idle = std::mem::take(&mut session.workers);
-        // Hand out the fullest arenas first: a layer's workers are then the
-        // sub-sessions that already pooled its buffers, so steady-state
-        // fan-out never allocates, whichever order the workers finished in.
-        idle.sort_by_key(|worker| worker.arena.pooled());
-        let pool = std::sync::Mutex::new(idle);
-        let (results, states) = parallel_map_with_state(
-            items,
-            || {
-                pool.lock()
-                    .expect("session pool")
-                    .pop()
-                    .unwrap_or_else(|| self.new_session())
-            },
-            |worker, _, item| f(worker, item),
-        );
-        session.workers = pool.into_inner().expect("session pool");
-        session.workers.extend(states);
-        results
+        count: usize,
+        eval: impl Fn(&mut Session, Range<usize>) -> Result<Vec<R>, ServeError> + Sync,
+    ) -> Result<Vec<R>, ServeError> {
+        let parts = sc_core::parallel::max_threads().min(count);
+        if parts <= 1 {
+            return eval(session, 0..count);
+        }
+        let mut workers = std::mem::take(&mut session.workers);
+        if workers.len() < parts - 1 {
+            workers.resize_with(parts - 1, || self.new_session());
+        }
+        let chunk = count.div_ceil(parts);
+        // The ranges are fixed by `max_threads()` so that range `i` always
+        // meets the same arena; `parallel_map` then groups them into one
+        // part per participant it got (one range each when the budget lends
+        // every helper), and its caller always runs the first part, range 0
+        // included. Ranges are handed out by shared reference, so each
+        // session sits behind a lock taken once, by whichever participant
+        // runs its range.
+        let ranges: Vec<(Mutex<&mut Session>, Range<usize>)> = std::iter::once(&mut *session)
+            .chain(workers.iter_mut())
+            .zip((0..count).step_by(chunk))
+            .map(|(worker, start)| (Mutex::new(worker), start..count.min(start + chunk)))
+            .collect();
+        let evaluated = parallel_map(&ranges, |_, (worker, range)| {
+            let mut worker = worker.lock().expect("each range runs once");
+            eval(&mut worker, range.clone())
+        });
+        drop(ranges);
+        session.workers = workers;
+        let mut results = Vec::with_capacity(count);
+        for range in evaluated {
+            results.extend(range?);
+        }
+        Ok(results)
     }
 
     fn eval_layer(
@@ -391,32 +378,29 @@ impl Engine {
                 // One fused call per pooled position evaluates every filter:
                 // the position's input streams are filled once instead of
                 // once per filter.
-                let eval_position =
-                    |session: &mut Session, &position: &usize| -> Result<Vec<f64>, ServeError> {
-                        let (py, px) = (position / pooled_w, position % pooled_w);
-                        let inputs =
-                            session.fill(compiled, &conv.gather_fields(&thresholds, py, px))?;
-                        let outputs = compiled.evaluate(&inputs, 0..filters, &mut session.arena);
-                        inputs.recycle(&mut session.arena);
-                        let outputs = outputs?;
-                        let values = outputs.iter().map(BitStream::bipolar_value).collect();
-                        session.arena.recycle_all(outputs);
-                        Ok(values)
-                    };
-                let per_position: Vec<Result<Vec<f64>, ServeError>> =
-                    if self.fan_out_units(session, positions) {
-                        let indices: Vec<usize> = (0..positions).collect();
-                        self.fan_out(session, &indices, eval_position)
-                    } else {
-                        (0..positions)
-                            .map(|position| eval_position(session, &position))
-                            .collect()
-                    };
+                let eval_positions = |session: &mut Session, range: Range<usize>| {
+                    range
+                        .map(|position| {
+                            let (py, px) = (position / pooled_w, position % pooled_w);
+                            let inputs =
+                                session.fill(compiled, &conv.gather_fields(&thresholds, py, px))?;
+                            let outputs =
+                                compiled.evaluate(&inputs, 0..filters, &mut session.arena);
+                            inputs.recycle(&mut session.arena);
+                            let outputs = outputs?;
+                            let values: Vec<f64> =
+                                outputs.iter().map(BitStream::bipolar_value).collect();
+                            session.arena.recycle_all(outputs);
+                            Ok(values)
+                        })
+                        .collect::<Result<Vec<_>, ServeError>>()
+                };
+                let per_position = self.fan_out(session, positions, eval_positions)?;
                 // Transpose position-major results into the plan's
                 // filter-major output order.
                 let mut outputs = vec![0.0f64; filters * positions];
                 for (position, result) in per_position.into_iter().enumerate() {
-                    for (filter, value) in result?.into_iter().enumerate() {
+                    for (filter, value) in result.into_iter().enumerate() {
                         outputs[filter * positions + position] = value;
                     }
                 }
@@ -426,31 +410,17 @@ impl Engine {
                 // All units of a fully-connected layer share one receptive
                 // field: its streams are filled once for the whole layer.
                 let inputs = session.fill(compiled, std::slice::from_ref(&thresholds))?;
-                let units = compiled.rows();
                 // Decode inside the evaluating session and recycle the output
                 // buffers into the arena they were taken from: take and
-                // recycle stay paired per worker, so no arena net-drains (and
-                // then re-allocates) under uneven chunk sizes or scheduling.
-                let eval_units = |session: &mut Session, rows: &Range<usize>| {
-                    let streams = compiled.evaluate(&inputs, rows.clone(), &mut session.arena)?;
+                // recycle stay paired per sub-session, so no arena net-drains
+                // (and then re-allocates) under uneven chunk sizes.
+                let eval_units = |session: &mut Session, rows: Range<usize>| {
+                    let streams = compiled.evaluate(&inputs, rows, &mut session.arena)?;
                     let decoded: Vec<f64> = streams.iter().map(BitStream::bipolar_value).collect();
                     session.arena.recycle_all(streams);
-                    Ok::<_, ServeError>(decoded)
+                    Ok(decoded)
                 };
-                let decoded = if self.fan_out_units(session, units) {
-                    let threads = sc_core::parallel::max_threads();
-                    let chunk_size = units.div_ceil(threads).max(1);
-                    let chunks: Vec<Range<usize>> = (0..units)
-                        .step_by(chunk_size)
-                        .map(|start| start..units.min(start + chunk_size))
-                        .collect();
-                    self.fan_out(session, &chunks, eval_units)
-                        .into_iter()
-                        .collect::<Result<Vec<Vec<f64>>, _>>()
-                        .map(|chunks| chunks.concat())
-                } else {
-                    eval_units(session, &(0..units))
-                };
+                let decoded = self.fan_out(session, compiled.rows(), eval_units);
                 inputs.recycle(&mut session.arena);
                 decoded
             }
@@ -664,8 +634,10 @@ mod tests {
             let config = ScNetworkConfig::new("c", vec![kind; 2], 128, PoolingStyle::Max);
             let engine = Engine::compile(&network, &config, options()).unwrap();
             let mut session = engine.new_session();
-            session.set_unit_fan_out(false); // keep all traffic in one arena
             let frames: Vec<Tensor> = (1..4).map(image).collect();
+            // Keep all traffic in the session's own arena.
+            let _guard = THREAD_LIMIT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+            sc_core::parallel::set_thread_limit(1);
             // Warm-up: populate the arena pool.
             for frame in &frames {
                 engine.infer(&mut session, frame).unwrap();
@@ -675,6 +647,7 @@ mod tests {
                 engine.infer(&mut session, frame).unwrap();
             }
             let steady = session.arena_stats();
+            sc_core::parallel::set_thread_limit(0);
             assert_eq!(
                 steady.total_allocs(),
                 warm.total_allocs(),
@@ -686,11 +659,11 @@ mod tests {
 
     #[test]
     fn fanned_out_inference_keeps_the_arena_pool_bounded() {
-        // With unit fan-out active, dense-layer chunk workers draw warm
-        // arenas from the session pool and output buffers return to them:
-        // steady state must neither allocate fresh buffers nor grow the
-        // pools (buffers leaking from the chunk arenas into the session
-        // arena would do both, one dense layer's worth per request).
+        // Fanned out at 4 threads, every range of a layer evaluates in its
+        // own sub-session (range 0 in the session) and its output buffers
+        // return to that arena: steady state must neither allocate fresh
+        // buffers nor grow the pools (buffers leaking from one arena into
+        // another would do both, one dense layer's worth per request).
         let network = small_network(17);
         let config = ScNetworkConfig::new(
             "c",

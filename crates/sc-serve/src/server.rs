@@ -526,14 +526,11 @@ pub fn spawn_multi_observed(
     } else {
         options.workers
     };
-    // With several plain-thread workers the machine is already saturated at
-    // request granularity; letting each worker's inferences additionally
-    // fan units across scoped threads would oversubscribe the CPU up to
-    // workers × threads (the engine's nested-fan-out guard only covers
-    // `sc_core::parallel` workers, not these threads). A single worker
-    // keeps unit fan-out: that is exactly the single-outstanding-request
-    // latency case it exists for.
-    let unit_fan_out = worker_count.max(1) == 1;
+    // Every worker's inferences fan out over `sc_core::parallel`'s helper
+    // pool, and every worker counts against its thread budget while it runs
+    // a job (`job_guard` in `worker_loop`): one outstanding request borrows
+    // the idle cores, while a fully loaded replica runs one SC thread per
+    // core and its fan-outs stay on their callers.
     let worker_slots = Arc::new(WorkerStatsSlots::new(worker_count.max(1)));
     let workers: Vec<JoinHandle<()>> = (0..worker_count.max(1))
         .map(|index| {
@@ -548,7 +545,6 @@ pub fn spawn_multi_observed(
                     &registry,
                     &queue,
                     &metrics,
-                    unit_fan_out,
                     compute_delay,
                     &slots,
                     index,
@@ -1033,17 +1029,17 @@ struct WorkerModels {
 }
 
 impl WorkerModels {
-    fn new(registry: &ModelRegistry, unit_fan_out: bool) -> Self {
+    fn new(registry: &ModelRegistry) -> Self {
         let mut models = Self {
             generation: 0,
             engines: Vec::new(),
             sessions: Vec::new(),
         };
-        models.refresh(registry, unit_fan_out);
+        models.refresh(registry);
         models
     }
 
-    fn refresh(&mut self, registry: &ModelRegistry, unit_fan_out: bool) {
+    fn refresh(&mut self, registry: &ModelRegistry) {
         if registry.generation() == self.generation {
             return;
         }
@@ -1058,11 +1054,7 @@ impl WorkerModels {
             };
             sessions.push(match (engine, kept) {
                 (Some(_), Some(session)) => Some(session),
-                (Some(engine), None) => {
-                    let mut session = engine.new_session();
-                    session.set_unit_fan_out(unit_fan_out);
-                    Some(session)
-                }
+                (Some(engine), None) => Some(engine.new_session()),
                 (None, _) => None,
             });
         }
@@ -1083,25 +1075,23 @@ impl WorkerModels {
 /// before the deadline check so an injected slowdown expires deadlines the
 /// way a genuinely slow replica would; it counts in the compute stage,
 /// which spans pop → response.
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
     registry: &ModelRegistry,
     queue: &JobQueue<Job>,
     metrics: &Metrics,
-    unit_fan_out: bool,
     compute_delay: Duration,
     slots: &WorkerStatsSlots,
     worker_index: usize,
     trace: Option<&TraceLog>,
 ) {
-    let mut models = WorkerModels::new(registry, unit_fan_out);
+    let mut models = WorkerModels::new(registry);
     while let Some(job) = queue.pop() {
         let popped = Instant::now();
         let queue_wait = popped.saturating_duration_since(job.enqueued);
         metrics.record_stage(Stage::QueueWait, queue_wait);
         // Pick up admin-driven registry changes: one atomic load when
         // nothing changed, a slot re-snapshot when it did.
-        models.refresh(registry, unit_fan_out);
+        models.refresh(registry);
         if !compute_delay.is_zero() {
             std::thread::sleep(compute_delay);
         }
@@ -1131,7 +1121,10 @@ fn worker_loop(
                 continue;
             }
         }
-        let response = serve_one(&models.engines, &mut models.sessions, &job.request);
+        let response = {
+            let _sc_thread = sc_core::parallel::job_guard();
+            serve_one(&models.engines, &mut models.sessions, &job.request)
+        };
         let compute = popped.elapsed();
         metrics.record_stage(Stage::Compute, compute);
         // Only the session this request's model used accumulated any
@@ -1381,14 +1374,14 @@ mod tests {
         assert_eq!(registry.models(), vec![0]);
 
         // Worker view: sessions survive an unrelated load.
-        let mut view = WorkerModels::new(&registry, false);
+        let mut view = WorkerModels::new(&registry);
         let engine0 = view.engines[0].as_ref().unwrap().clone();
 
         registry.load(2, Arc::new(tiny_engine(5)));
         assert_eq!(registry.generation(), 2);
         assert_eq!(registry.models(), vec![0, 2]);
         assert_eq!(registry.model_count(), 2);
-        view.refresh(&registry, false);
+        view.refresh(&registry);
         assert!(
             Arc::ptr_eq(view.engines[0].as_ref().unwrap(), &engine0),
             "loading model 2 must not rebuild model 0"
@@ -1401,7 +1394,7 @@ mod tests {
         assert_eq!(registry.models(), vec![2]);
         assert!(registry.unload(0).is_err(), "double unload is an error");
         assert_eq!(registry.generation(), 3, "failed unload must not bump");
-        view.refresh(&registry, false);
+        view.refresh(&registry);
         assert!(view.engines[0].is_none() && view.sessions[0].is_none());
 
         assert!(!registry.draining());
