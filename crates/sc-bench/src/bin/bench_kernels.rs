@@ -7,13 +7,13 @@
 //!
 //! Run with: `cargo run --release -p sc-bench --bin bench_kernels`
 
-use sc_blocks::activation_block::{BtanhBlock, StanhBlock};
+use sc_blocks::activation_block::StanhBlock;
 use sc_blocks::pooling::HardwareMaxPooling;
-use sc_core::activation::Stanh;
+use sc_core::activation::{Btanh, Stanh};
 use sc_core::add::{Apc, CountStream, ExactParallelCounter, MuxAdder, MuxSelectorPlan};
 use sc_core::arena::StreamArena;
 use sc_core::bitstream::{BitStream, StreamLength};
-use sc_core::csa::{CountPlanes, PackedLanes};
+use sc_core::csa::{CountPlanes, PackedLanes, ROW_GROUP};
 use sc_core::multiply;
 use sc_core::rng::Lfsr;
 use sc_core::sng::{LaneSequence, SelectedSequence, Sng, SngBank, SngKind};
@@ -1247,12 +1247,14 @@ mod frozen_field_drain {
 /// filters, and the filters' APC-Max Btanh.
 const CONV1_APC: (usize, usize, usize, usize) = (4, 25, 8, 256);
 
-/// One conv1 position of the all-APC network, count to Btanh output, for
+/// One conv1 position of the all-APC network, count to pooled counts, for
 /// every row: the frozen per-field drain with the approximate LSB on the
 /// counts and the count pool over the drained rows, against the plane
 /// path the engine runs (`Apc::count_planes_with`, `pool_planes_with`, one
-/// drain per pooled row). The Btanh outputs are asserted equal before
-/// timing.
+/// drain of every pooled row into the row-interleaved buffer the Btanh
+/// walk reads). Both sides stop at the pooled counts, asserted equal
+/// before timing: the Btanh walk that follows is the same on both, and is
+/// timed on its own (`btanh_rows8_l256`).
 fn bench_apc_max_window(samples: usize, iters: usize) -> Comparison {
     let (window, lanes, rows, bits) = CONV1_APC;
     let len = StreamLength::new(bits);
@@ -1289,7 +1291,6 @@ fn bench_apc_max_window(samples: usize, iters: usize) -> Comparison {
         })
         .collect();
     let pool = HardwareMaxPooling::default();
-    let btanh = BtanhBlock::with_states(16).unwrap();
     let frozen = |frozen_arena: &mut StreamArena| {
         let mut per_row: Vec<Vec<CountStream>> =
             (0..rows).map(|_| Vec::with_capacity(window)).collect();
@@ -1311,12 +1312,7 @@ fn bench_apc_max_window(samples: usize, iters: usize) -> Comparison {
                 frozen_arena.recycle_counts(counts.into_counts());
             }
         }
-        let refs: Vec<&CountStream> = pooled.iter().collect();
-        let outputs = btanh.apply_batch_with(&refs, frozen_arena);
-        for counts in pooled {
-            frozen_arena.recycle_counts(counts.into_counts());
-        }
-        outputs
+        pooled
     };
     let planes = |plane_arena: &mut StreamArena| {
         let mut per_row: Vec<Vec<CountPlanes>> =
@@ -1331,43 +1327,52 @@ fn bench_apc_max_window(samples: usize, iters: usize) -> Comparison {
         }
         let mut pooled = Vec::with_capacity(rows);
         for row_planes in per_row {
-            let row = pool.pool_planes_with(&row_planes, plane_arena).unwrap();
-            pooled.push(row.drain_with(plane_arena).unwrap());
+            pooled.push(pool.pool_planes_with(&row_planes, plane_arena).unwrap());
             for field in row_planes {
                 plane_arena.recycle_planes(field);
             }
         }
-        let refs: Vec<&CountStream> = pooled.iter().collect();
-        let outputs = btanh.apply_batch_with(&refs, plane_arena);
-        for counts in pooled {
-            plane_arena.recycle_counts(counts.into_counts());
+        let mut counts = plane_arena.take_counts(rows.next_multiple_of(ROW_GROUP) * bits);
+        CountPlanes::drain_interleaved(&pooled, &mut counts).unwrap();
+        for row in pooled {
+            plane_arena.recycle_planes(row);
         }
-        outputs
+        counts
     };
     let mut arena = StreamArena::new();
     check_per_backend(|backend| {
         let (before, after) = (frozen(&mut arena), planes(&mut arena));
-        assert_eq!(
-            before, after,
-            "{backend}: plane path must match the frozen count path"
-        );
-        arena.recycle_all(before.into_iter().chain(after));
+        for (row, counts) in before.iter().enumerate() {
+            for (t, &count) in counts.counts().iter().enumerate() {
+                assert_eq!(
+                    after[(row / ROW_GROUP * bits + t) * ROW_GROUP + row % ROW_GROUP],
+                    count,
+                    "{backend}: plane path must match the frozen count path"
+                );
+            }
+        }
+        for counts in before {
+            arena.recycle_counts(counts.into_counts());
+        }
+        arena.recycle_counts(after);
     });
     let baseline_ns = measure(samples, iters, || {
-        let outputs = frozen(&mut arena);
-        arena.recycle_all(outputs);
+        for counts in frozen(&mut arena) {
+            arena.recycle_counts(counts.into_counts());
+        }
     });
     let optimized_ns = measure(samples, iters, || {
-        let outputs = planes(&mut arena);
-        arena.recycle_all(outputs);
+        let counts = planes(&mut arena);
+        arena.recycle_counts(counts);
     });
     Comparison {
         name: "apc_max_window_n25_u8_l256",
         description: "One conv1 position of the all-APC network (4 fields x 8 rows \
-                      of 25 lanes, 256 bits, APC-Max pool, Btanh included): \
-                      frozen per-field u16 drain + APC LSB on the counts + \
-                      pool_counts_with vs the plane path (LSB as a plane rewrite, \
-                      plane max pool, one word-generic drain per pooled row)",
+                      of 25 lanes, 256 bits, APC-Max pool, up to the pooled counts \
+                      the Btanh walk reads): frozen per-field u16 drain + APC LSB on \
+                      the counts + pool_counts_with vs the plane path (LSB as a \
+                      plane rewrite, plane max pool, one word-generic drain of every \
+                      pooled row into the row-interleaved count buffer)",
         baseline_ns,
         optimized_ns,
     }
@@ -1738,6 +1743,111 @@ fn backend_matrix(samples: usize, iters: usize) -> Vec<BackendMatrixRow> {
             samples,
             iters * 4,
             move || selected.fill(&thresholds, &mut out).unwrap(),
+        ));
+    }
+
+    // (4b) An all-APC conv1 position's input fill: 4 fields of 25 lanes at
+    // L = 256, each filled straight into its packed group-lane slots, from
+    // L-quantized pseudo-random thresholds (as real inputs vary them).
+    {
+        let (fields, lanes, bits) = (4usize, 25usize, 256usize);
+        let length = StreamLength::new(bits);
+        let sequences: Vec<Vec<LaneSequence>> = (0..fields)
+            .map(|field| {
+                (0..lanes)
+                    .map(|lane| {
+                        LaneSequence::new(SngBank::lane_seed(90 + field as u64, lane), length)
+                    })
+                    .collect()
+            })
+            .collect();
+        let thresholds: Vec<Vec<u32>> = (0..fields)
+            .map(|field| {
+                (0..lanes)
+                    .map(|lane| {
+                        (((field * lanes + lane) * 2_654_435_761) % bits * 65536 / bits) as u32
+                    })
+                    .collect()
+            })
+            .collect();
+        let expected: Vec<PackedLanes> = sequences
+            .iter()
+            .zip(&thresholds)
+            .map(|(sequences, thresholds)| {
+                let streams: Vec<BitStream> = sequences
+                    .iter()
+                    .zip(thresholds)
+                    .map(|(sequence, &threshold)| {
+                        let mut stream = BitStream::zeros(length);
+                        sequence.fill(threshold, &mut stream).unwrap();
+                        stream
+                    })
+                    .collect();
+                PackedLanes::pack([streams.as_slice()]).unwrap()
+            })
+            .collect();
+        let fill = |packed: &mut [PackedLanes]| {
+            for ((field, sequences), thresholds) in
+                packed.iter_mut().zip(&sequences).zip(&thresholds)
+            {
+                field.fill_row(0, sequences, thresholds).unwrap();
+            }
+        };
+        let mut packed: Vec<PackedLanes> = (0..fields)
+            .map(|_| PackedLanes::zeroed(lanes, length, 1).unwrap())
+            .collect();
+        check_per_backend(|backend| {
+            fill(&mut packed);
+            assert_eq!(packed, expected, "{backend} packed field fill");
+        });
+        rows.push(measure_per_backend(
+            "apc_field_fill_n25_l256",
+            "APC input fill of an all-APC conv1 position (4 fields x 25 lanes, \
+             256 bits, L-quantized thresholds): branch-free bit-sliced \
+             comparator straight into the packed group-lane slots, one call \
+             per field",
+            samples,
+            iters * 4,
+            || fill(&mut packed),
+        ));
+    }
+
+    // (4c) The Btanh walk of one group of 8 rows (an all-APC conv1
+    // position's filters) over 256 cycles of 25-lane counts.
+    {
+        let (rows_per_group, lanes, bits) = (ROW_GROUP, 25usize, 256usize);
+        let btanh = Btanh::new(50).unwrap();
+        let row_counts: Vec<CountStream> = (0..rows_per_group)
+            .map(|row| {
+                let counts = (0..bits)
+                    .map(|t| (((row * bits + t) * 2_654_435_761) >> 7) as u16 % (lanes as u16 + 1))
+                    .collect();
+                CountStream::new(counts, lanes).unwrap()
+            })
+            .collect();
+        let mut counts = vec![0u16; rows_per_group * bits];
+        for (row, row_counts) in row_counts.iter().enumerate() {
+            for (t, &count) in row_counts.counts().iter().enumerate() {
+                counts[t * ROW_GROUP + row] = count;
+            }
+        }
+        let expected: Vec<BitStream> = row_counts
+            .iter()
+            .map(|counts| btanh.clone().transform(counts))
+            .collect();
+        let mut outputs = vec![BitStream::zeros(StreamLength::new(bits)); rows_per_group];
+        check_per_backend(|backend| {
+            btanh.transform_rows(&counts, lanes, &mut outputs);
+            assert_eq!(outputs, expected, "{backend} Btanh row walk");
+        });
+        rows.push(measure_per_backend(
+            "btanh_rows8_l256",
+            "Btanh walk of 8 rows x 256 cycles (25-lane counts, K = 50) from a \
+             row-interleaved count buffer: the 8 rows' states as i32 lanes, \
+             output bits by compare mask and an 8x8 bit transpose",
+            samples,
+            iters * 4,
+            move || btanh.transform_rows(&counts, lanes, &mut outputs),
         ));
     }
 

@@ -12,7 +12,7 @@ use sc_core::activation::{
     Stanh, StanhMode, StanhTable,
 };
 use sc_core::add::CountStream;
-use sc_core::bitstream::BitStream;
+use sc_core::bitstream::{BitStream, StreamLength};
 use sc_core::error::ScError;
 use serde::{Deserialize, Serialize};
 
@@ -184,18 +184,33 @@ impl BtanhBlock {
         counter.transform(counts)
     }
 
-    /// Applies one independent copy of the activation to every unit's count
-    /// stream, interleaved in 64-cycle blocks across units
-    /// ([`Btanh::transform_batch_with`]), with the output stream buffers
-    /// taken from `arena` (recycle them when done). `result[u]` is
-    /// bit-exact with [`BtanhBlock::apply`] on `inputs[u]`.
-    pub fn apply_batch_with(
+    /// Applies one independent copy of the activation to each of `rows`
+    /// rows of `lanes`-lane counts held row-interleaved in `counts` (the
+    /// layout of [`CountPlanes::drain_interleaved`], walked by
+    /// [`Btanh::transform_rows`]), with the output streams of `length` bits
+    /// taken from `arena` (recycle them when done). `result[r]` is
+    /// bit-exact with [`BtanhBlock::apply`] on row `r`'s counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `counts` holds `rows` rounded up to a multiple of
+    /// [`ROW_GROUP`] rows of `length` cycles.
+    ///
+    /// [`CountPlanes::drain_interleaved`]: sc_core::csa::CountPlanes::drain_interleaved
+    /// [`ROW_GROUP`]: sc_core::csa::ROW_GROUP
+    pub fn apply_rows_with(
         &self,
-        inputs: &[&CountStream],
+        counts: &[u16],
+        rows: usize,
+        lanes: usize,
+        length: StreamLength,
         arena: &mut sc_core::arena::StreamArena,
     ) -> Vec<BitStream> {
-        let counter = Btanh::new(self.states).expect("state count validated at construction");
-        counter.transform_batch_with(inputs, arena)
+        let mut outputs: Vec<BitStream> = (0..rows).map(|_| arena.take_zeroed(length)).collect();
+        Btanh::new(self.states)
+            .expect("state count validated at construction")
+            .transform_rows(counts, lanes, &mut outputs);
+        outputs
     }
 
     /// The continuous function this block approximates for an unscaled sum `x`.

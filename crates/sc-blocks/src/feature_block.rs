@@ -37,10 +37,10 @@ use crate::inner_product::{
     WEIGHT_BANK_SEED_XOR,
 };
 use crate::pooling::{AveragePooling, HardwareMaxPooling, PoolingKind};
-use sc_core::add::{Apc, CountStream, MuxSelectorPlan};
+use sc_core::add::{Apc, MuxSelectorPlan};
 use sc_core::arena::StreamArena;
 use sc_core::bitstream::{BitStream, StreamLength};
-use sc_core::csa::{CountPlanes, PackedLanes};
+use sc_core::csa::{CountPlanes, PackedLanes, ROW_GROUP};
 use sc_core::encoding::{Bipolar, Encoding};
 use sc_core::error::ScError;
 use sc_core::parallel::parallel_map_with;
@@ -461,17 +461,13 @@ impl FeatureBlock {
             _ => {
                 let mut inputs = Vec::with_capacity(self.pool_window);
                 let mut weights = Vec::with_capacity(self.pool_window);
-                let mut lane_stream = BitStream::zeros(length);
                 for field in 0..self.pool_window {
                     let seed = self.field_seed(field);
                     inputs.push(self.lane_sequences(seed));
                     let weight_lanes = self.lane_sequences(seed ^ WEIGHT_BANK_SEED_XOR);
                     let mut packed = PackedLanes::zeroed(self.input_size, length, rows.len())?;
                     for (row, thresholds) in weight_thresholds.iter().enumerate() {
-                        for (lane, sequence) in weight_lanes.iter().enumerate() {
-                            sequence.fill(thresholds[lane], &mut lane_stream)?;
-                            packed.write_lane(row, lane, &lane_stream)?;
-                        }
+                        packed.fill_row(row, &weight_lanes, thresholds)?;
                     }
                     weights.push(packed);
                 }
@@ -664,10 +660,24 @@ impl CompiledLayer {
         }
     }
 
+    /// The size of one APC row's evaluation on one position: every
+    /// field's lanes times the stream's 64-bit words, the operand words the
+    /// packed count core reads. `None` for a MUX layer, whose row reads one
+    /// selected stream per field and whose fill costs one comparator per
+    /// cycle, not per lane: the product would overstate its work about
+    /// `input_size`-fold, and no measure of it has been derived.
+    pub fn apc_row_work(&self) -> Option<usize> {
+        let block = &self.block;
+        matches!(self.operands, Operands::Apc { .. })
+            .then(|| block.pool_window * block.input_size * block.stream_length.bits().div_ceil(64))
+    }
+
     /// Fills the input streams of one layer position from the comparator
     /// thresholds ([`probability_threshold`]) of its `pool_window`
     /// receptive fields of `input_size` values each. The buffers are taken
-    /// from `arena`; recycle them with [`LayerInputs::recycle`].
+    /// from `arena`; recycle them with [`LayerInputs::recycle`]. An APC
+    /// field's lanes are filled straight into their packed group-lane
+    /// slots, one comparator call per field ([`PackedLanes::fill_row`]).
     ///
     /// # Errors
     ///
@@ -716,25 +726,17 @@ impl CompiledLayer {
                     })
                     .collect::<Result<_, ScError>>()?,
             ),
-            Operands::Apc { inputs, .. } => {
-                let mut scratch = arena.take_zeroed(length);
-                let packed = fields
+            Operands::Apc { inputs, .. } => Inputs::Packed(
+                fields
                     .iter()
                     .zip(inputs)
                     .map(|(thresholds, lanes)| {
                         let mut packed = arena.take_packed(block.input_size, length)?;
-                        for (lane, (&threshold, sequence)) in
-                            thresholds.iter().zip(lanes).enumerate()
-                        {
-                            sequence.fill(threshold, &mut scratch)?;
-                            packed.write_lane(0, lane, &scratch)?;
-                        }
+                        packed.fill_row(0, lanes, thresholds)?;
                         Ok(packed)
                     })
-                    .collect::<Result<_, ScError>>();
-                arena.recycle(scratch);
-                Inputs::Packed(packed?)
-            }
+                    .collect::<Result<_, ScError>>()?,
+            ),
         };
         Ok(LayerInputs(inputs))
     }
@@ -778,8 +780,10 @@ impl CompiledLayer {
     ///   that input;
     /// * the Stanh walks of all rows run through the block's byte table,
     ///   built once at construction, one lookup per input byte
-    ///   ([`StanhBlock::apply_batch_with`]); the Btanh walks are
-    ///   interleaved word-by-word ([`BtanhBlock::apply_batch_with`]).
+    ///   ([`StanhBlock::apply_batch_with`]); the Btanh walks step 8 rows
+    ///   at a time from one row-interleaved count buffer that every pooled
+    ///   row is drained into ([`CountPlanes::drain_interleaved`],
+    ///   [`BtanhBlock::apply_rows_with`]).
     ///
     /// **Arena contract**: the caller owns `arena` and threads it down; all
     /// intermediates (per-field MUX sums, APC count planes and counts,
@@ -880,8 +884,9 @@ impl CompiledLayer {
     }
 
     /// The APC branch of [`CompiledLayer::evaluate`]: per field, every
-    /// row's APC count planes; per row, the pool in the plane domain and
-    /// one drain of the pooled row for the Btanh walk.
+    /// row's APC count planes; per row, the pool in the plane domain; then
+    /// one drain of every pooled row into a row-interleaved count buffer
+    /// and one Btanh walk over all of them.
     fn evaluate_apc(
         &self,
         inputs: &[PackedLanes],
@@ -924,16 +929,23 @@ impl CompiledLayer {
                 }
                 pooled
             };
-            pooled_rows.push(pooled.drain_with(arena)?);
+            pooled_rows.push(pooled);
         }
-        let btanh = block.btanh.as_ref().expect("APC blocks carry a Btanh");
-        let refs: Vec<&CountStream> = pooled_rows.iter().collect();
-        let outputs = btanh.apply_batch_with(&refs, arena);
-        drop(refs);
+        let lanes = pooled_rows[0].lanes();
+        let mut counts = arena.take_counts(
+            pooled_rows.len().next_multiple_of(ROW_GROUP) * block.stream_length.bits(),
+        );
+        let drained = CountPlanes::drain_interleaved(&pooled_rows, &mut counts);
+        let rows = pooled_rows.len();
         for pooled in pooled_rows {
-            arena.recycle_counts(pooled.into_counts());
+            arena.recycle_planes(pooled);
         }
-        Ok(outputs)
+        let outputs = drained.map(|()| {
+            let btanh = block.btanh.as_ref().expect("APC blocks carry a Btanh");
+            btanh.apply_rows_with(&counts, rows, lanes, block.stream_length, arena)
+        });
+        arena.recycle_counts(counts);
+        outputs
     }
 }
 

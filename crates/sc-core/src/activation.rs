@@ -20,12 +20,15 @@
 //! [`Stanh::step`] walk stays as the definition the table is built from and
 //! as the per-unit path, so checking the two against each other compares
 //! the table with an independent FSM. Btanh, whose per-cycle input is a
-//! count rather than a bit, keeps its lane-parallel word-kernel walk.
+//! count rather than a bit, walks 8 rows per step from a row-interleaved
+//! count buffer ([`Btanh::transform_rows`]: `i32` lanes, one AVX2
+//! instruction per operation where available); the per-unit
+//! [`Btanh::transform`] stays the `i64` definition it is checked against.
 
 use crate::add::CountStream;
-use crate::bitstream::{BitStream, StreamLength};
+use crate::bitstream::BitStream;
+use crate::csa::{transpose8, ROW_GROUP};
 use crate::error::ScError;
-use crate::word::{dispatch_word_kernel, Word};
 use serde::{Deserialize, Serialize};
 
 /// Output threshold mode for the [`Stanh`] FSM.
@@ -307,29 +310,78 @@ impl Btanh {
             .collect()
     }
 
-    /// Runs one independent copy of this counter over every count stream,
-    /// interleaved in 64-cycle blocks across units: all units consume
-    /// cycles `64w..64(w+1)` before any unit consumes the next block.
+    /// Runs one independent copy of this counter, each from the centre
+    /// state, over every row of a row-interleaved, cycle-major count buffer
+    /// (the layout [`CountPlanes::drain_interleaved`] writes): row `r`'s
+    /// count at cycle `t` is `counts[(r / ROW_GROUP · len + t) · ROW_GROUP +
+    /// r % ROW_GROUP]`, `len` being the outputs' length, and every row
+    /// counts `lanes` lanes. `outputs[r]` becomes bit-exact with
+    /// [`Btanh::transform`] on row `r`'s counts; the rows that pad the last
+    /// group to [`ROW_GROUP`] are walked and discarded.
     ///
-    /// Each copy is reset before processing; `result[u]` is bit-exact with
-    /// [`Btanh::transform`] on `inputs[u]`. Streams may differ in length.
-    pub fn transform_batch(&self, inputs: &[&CountStream]) -> Vec<BitStream> {
-        self.transform_batch_with(inputs, &mut crate::arena::StreamArena::new())
+    /// The [`ROW_GROUP`] rows of a group step together, one `i32` lane
+    /// each: per cycle one add and a `max`/`min` clamp update every state,
+    /// and a compare gives the rows' output bits as a mask; an 8×8 bit
+    /// transpose turns 8 cycles' masks into one byte per row. The AVX2
+    /// backend runs the group in one 256-bit vector (the mask is a
+    /// move-mask); the other backends run a portable `[i32; 8]`. A state
+    /// count or lane count whose walk could leave the `i32` range takes the
+    /// exact `i64` [`Btanh::step`] per row instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the outputs differ in length, or `counts` does not hold
+    /// `outputs.len()` rounded up to a multiple of [`ROW_GROUP`] rows of
+    /// `len` cycles.
+    ///
+    /// [`CountPlanes::drain_interleaved`]: crate::csa::CountPlanes::drain_interleaved
+    pub fn transform_rows(&self, counts: &[u16], lanes: usize, outputs: &mut [BitStream]) {
+        let Some(len) = outputs.first().map(BitStream::len) else {
+            return;
+        };
+        assert!(
+            outputs.iter().all(|output| output.len() == len),
+            "outputs of different lengths"
+        );
+        assert_eq!(
+            counts.len(),
+            outputs.len().next_multiple_of(ROW_GROUP) * len,
+            "one count per padded row and cycle"
+        );
+        if !walk_fits_i32(self.states, lanes) {
+            return self.transform_rows_i64(counts, lanes, outputs);
+        }
+        let walk = RowWalk {
+            centre: (self.states / 2) as i32,
+            top: self.states as i32 - 1,
+            lanes: lanes as i32,
+        };
+        match crate::word::active_backend() {
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            crate::word::Backend::Avx2 => {
+                // SAFETY: `active_backend` reports AVX2 only after runtime
+                // feature detection.
+                unsafe { rows_avx2::walk_rows_avx2(counts, len, &walk, outputs) }
+            }
+            _ => walk_rows::<PortableRows>(counts, len, &walk, outputs),
+        }
     }
 
-    /// [`Btanh::transform_batch`] with the output stream buffers taken from
-    /// `arena` (recycle them when done). Results are identical.
-    pub fn transform_batch_with(
-        &self,
-        inputs: &[&CountStream],
-        arena: &mut crate::arena::StreamArena,
-    ) -> Vec<BitStream> {
-        let mut outputs: Vec<BitStream> = inputs
-            .iter()
-            .map(|c| arena.take_zeroed(StreamLength::new(c.len())))
-            .collect();
-        btanh_batch_words(inputs, &mut outputs, self.states);
-        outputs
+    /// [`Btanh::transform_rows`] one row at a time with the exact `i64`
+    /// step, for walks that do not fit `i32`.
+    fn transform_rows_i64(&self, counts: &[u16], lanes: usize, outputs: &mut [BitStream]) {
+        let mut counter = self.clone();
+        for (r, output) in outputs.iter_mut().enumerate() {
+            let len = output.len();
+            let first = r / ROW_GROUP * len * ROW_GROUP + r % ROW_GROUP;
+            counter.reset();
+            let words = output.words_mut();
+            words.fill(0);
+            for t in 0..len {
+                let bit = counter.step(counts[first + t * ROW_GROUP], lanes);
+                words[t / 64] |= u64::from(bit) << (t % 64);
+            }
+        }
     }
 
     /// The continuous function the counter approximates for `n` input lanes:
@@ -339,127 +391,164 @@ impl Btanh {
     }
 }
 
-fn btanh_batch_words(inputs: &[&CountStream], outputs: &mut [BitStream], states: usize) {
-    dispatch_word_kernel!(
-        btanh_batch_words_impl,
-        act_avx2::btanh_batch_avx2,
-        (inputs, outputs, states)
-    )
+/// Whether every value a walk of a `states`-state counter over `lanes`-lane
+/// `u16` counts computes fits `i32`: a state stays in `0 .. states`, and a
+/// step adds `2 · count − lanes`, so the sums lie in
+/// `−lanes ..= states − 1 + 2 · u16::MAX`.
+fn walk_fits_i32(states: usize, lanes: usize) -> bool {
+    states <= i32::MAX as usize + 1 - 2 * usize::from(u16::MAX) && lanes <= i32::MAX as usize
 }
 
-/// Word-generic batch Btanh: groups of `LANES` units with equal length and
-/// lane count walk their count streams with the counter states as super-word
-/// lanes; remaining units take the 64-cycle-block scalar walk. Each unit's
-/// output is bit-exact with [`Btanh::transform`] either way.
+/// The constants of one [`Btanh::transform_rows`] walk, all within `i32`:
+/// every state starts at `centre`, and a cycle's count `c` moves it by
+/// `2c − lanes`, clamped to `0 ..= top`; the output bit is one from
+/// `centre` up.
+#[derive(Clone, Copy)]
+struct RowWalk {
+    centre: i32,
+    top: i32,
+    lanes: i32,
+}
+
+/// The counter states of one group of [`ROW_GROUP`] rows.
+trait RowStates {
+    /// Every row at the walk's centre state.
+    fn centre(walk: &RowWalk) -> Self;
+
+    /// Steps every row by its count of one cycle (`counts`: the group's
+    /// [`ROW_GROUP`] counts of the cycle) and returns the rows' output
+    /// bits, bit `r` for row `r`.
+    fn step(&mut self, counts: &[u16]) -> u64;
+}
+
+/// The portable row states: plain `i32` lanes the compiler may vectorize.
+struct PortableRows {
+    state: [i32; ROW_GROUP],
+    walk: RowWalk,
+}
+
+impl RowStates for PortableRows {
+    #[inline(always)]
+    fn centre(walk: &RowWalk) -> Self {
+        Self {
+            state: [walk.centre; ROW_GROUP],
+            walk: *walk,
+        }
+    }
+
+    #[inline(always)]
+    fn step(&mut self, counts: &[u16]) -> u64 {
+        let walk = self.walk;
+        for (state, &count) in self.state.iter_mut().zip(&counts[..ROW_GROUP]) {
+            *state = (*state + 2 * i32::from(count) - walk.lanes)
+                .max(0)
+                .min(walk.top);
+        }
+        // A separate pass, so the update above stays a vector loop.
+        let mut above = [0u8; ROW_GROUP];
+        for (bit, &state) in above.iter_mut().zip(&self.state) {
+            *bit = u8::from(state >= walk.centre);
+        }
+        // Byte `r` holds row `r`'s bit; the multiply gathers it into bit `56 + r`.
+        u64::from_le_bytes(above).wrapping_mul(0x0102_0408_1020_4080) >> 56
+    }
+}
+
+/// The body of [`Btanh::transform_rows`] for walks that fit `i32`: per
+/// group of [`ROW_GROUP`] rows, 8 cycles of output masks (byte `t` of a
+/// word: the rows' bits at cycle `t`) are transposed into one byte per row
+/// and OR-ed into the rows' output words.
 #[inline(always)]
-fn btanh_batch_words_impl<W: Word>(
-    inputs: &[&CountStream],
-    outputs: &mut [BitStream],
-    states: usize,
-) {
-    let mut unit = 0;
-    if W::LANES > 1 {
-        while unit + W::LANES <= inputs.len() {
-            let len = inputs[unit].len();
-            let lanes = inputs[unit].lanes();
-            if !(1..W::LANES)
-                .all(|l| inputs[unit + l].len() == len && inputs[unit + l].lanes() == lanes)
-            {
-                break;
+fn walk_rows<S: RowStates>(counts: &[u16], len: usize, walk: &RowWalk, outputs: &mut [BitStream]) {
+    for (group, rows) in counts
+        .chunks_exact(ROW_GROUP * len)
+        .zip(outputs.chunks_mut(ROW_GROUP))
+    {
+        let mut states = S::centre(walk);
+        for (w, cycles) in group.chunks(ROW_GROUP * 64).enumerate() {
+            let mut words = [0u64; ROW_GROUP];
+            for (block, cycles) in cycles.chunks(ROW_GROUP * 8).enumerate() {
+                let mut masks = 0u64;
+                if let Ok(cycles) = <&[u16; ROW_GROUP * 8]>::try_from(cycles) {
+                    // A whole block: fixed offsets, unrolled.
+                    for t in 0..8 {
+                        let cycle = &cycles[ROW_GROUP * t..ROW_GROUP * (t + 1)];
+                        masks |= states.step(cycle) << (8 * t);
+                    }
+                } else {
+                    for (t, cycle) in cycles.chunks_exact(ROW_GROUP).enumerate() {
+                        masks |= states.step(cycle) << (8 * t);
+                    }
+                }
+                let bytes = transpose8(masks).to_le_bytes();
+                for (word, byte) in words.iter_mut().zip(bytes) {
+                    *word |= u64::from(byte) << (8 * block);
+                }
             }
-            btanh_unit_group::<W>(
-                &inputs[unit..unit + W::LANES],
-                &mut outputs[unit..unit + W::LANES],
-                states,
-                lanes,
-                len,
-            );
-            unit += W::LANES;
-        }
-    }
-    let rest = &inputs[unit..];
-    if rest.is_empty() {
-        return;
-    }
-    let mut unit_states: Vec<i64> = vec![states as i64 / 2; rest.len()];
-    let max_words = rest.iter().map(|c| c.len().div_ceil(64)).max().unwrap_or(0);
-    for w in 0..max_words {
-        let start = w * 64;
-        for (u, input) in rest.iter().enumerate() {
-            if start >= input.len() {
-                continue;
+            for (row, word) in rows.iter_mut().zip(words) {
+                row.words_mut()[w] = word;
             }
-            let end = (start + 64).min(input.len());
-            let lanes = input.lanes() as i64;
-            let mut out_word = 0u64;
-            let mut state = unit_states[u];
-            for (bit, &count) in input.counts()[start..end].iter().enumerate() {
-                let delta = 2 * i64::from(count) - lanes;
-                state = (state + delta).clamp(0, states as i64 - 1);
-                out_word |= u64::from(state >= states as i64 / 2) << bit;
-            }
-            unit_states[u] = state;
-            outputs[unit + u].words_mut()[w] = out_word;
         }
     }
 }
 
-/// One wide group of the batch Btanh walk: per cycle the `LANES` units'
-/// counts are gathered into lanes and the saturating update
-/// `state = clamp(state + 2·count − n, 0, K−1)` runs across all units.
-#[inline(always)]
-fn btanh_unit_group<W: Word>(
-    inputs: &[&CountStream],
-    outputs: &mut [BitStream],
-    states: usize,
-    lanes: usize,
-    len: usize,
-) {
-    let words = len.div_ceil(64);
-    let mut state = W::splat_i64(states as i64 / 2);
-    let top = W::splat_i64(states as i64 - 1);
-    let zero = W::zero();
-    let one = W::splat(1);
-    let neg_lanes = W::splat_i64(-(lanes as i64));
-    let out_threshold = W::splat_i64(states as i64 / 2 - 1);
-    let mut lane_counts = [0u64; 4];
-    let mut out_lanes = [0u64; 4];
-    for w in 0..words {
-        let start = w * 64;
-        let bits = ((len - start).min(64)) as u32;
-        let mut out = W::zero();
-        for bit in 0..bits {
-            let t = start + bit as usize;
-            for (l, c) in inputs.iter().enumerate() {
-                lane_counts[l] = u64::from(c.counts()[t]);
-            }
-            let count = W::load(&lane_counts);
-            state = state.add_i64(count.add_i64(count).add_i64(neg_lanes));
-            state = state.blend(top, state.cmp_gt_i64(top));
-            state = state.blend(zero, zero.cmp_gt_i64(state));
-            out = out.or(state.cmp_gt_i64(out_threshold).and(one).shl(bit));
-        }
-        out.store(&mut out_lanes);
-        for (l, o) in outputs.iter_mut().enumerate() {
-            o.words_mut()[w] = out_lanes[l];
-        }
-    }
-}
-
-/// Concrete AVX2 entry points: `#[target_feature]` wrappers over the
-/// `#[inline(always)]` generic kernels (see [`crate::word`]).
+/// The AVX2 row walk: a group's states in one 256-bit vector.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod act_avx2 {
-    use super::*;
-    use crate::word::WAvx2;
+mod rows_avx2 {
+    use super::{walk_rows, RowStates, RowWalk, ROW_GROUP};
+    use crate::bitstream::BitStream;
+    use std::arch::x86_64::*;
 
+    struct Avx2Rows {
+        state: __m256i,
+        top: __m256i,
+        lanes: __m256i,
+        below: __m256i,
+    }
+
+    impl RowStates for Avx2Rows {
+        #[inline(always)]
+        fn centre(walk: &RowWalk) -> Self {
+            // SAFETY: only reached from `walk_rows_avx2`, whose caller
+            // verified AVX2 support.
+            unsafe {
+                Self {
+                    state: _mm256_set1_epi32(walk.centre),
+                    top: _mm256_set1_epi32(walk.top),
+                    lanes: _mm256_set1_epi32(walk.lanes),
+                    below: _mm256_set1_epi32(walk.centre - 1),
+                }
+            }
+        }
+
+        #[inline(always)]
+        fn step(&mut self, counts: &[u16]) -> u64 {
+            let counts = &counts[..ROW_GROUP];
+            // SAFETY: as above; the reslice guarantees the 16 bytes the
+            // unaligned load reads.
+            unsafe {
+                let count = _mm256_cvtepu16_epi32(_mm_loadu_si128(counts.as_ptr().cast()));
+                let delta = _mm256_sub_epi32(_mm256_add_epi32(count, count), self.lanes);
+                let next =
+                    _mm256_max_epi32(_mm256_add_epi32(self.state, delta), _mm256_setzero_si256());
+                self.state = _mm256_min_epi32(next, self.top);
+                let above = _mm256_cmpgt_epi32(self.state, self.below);
+                u64::from(_mm256_movemask_ps(_mm256_castsi256_ps(above)) as u32)
+            }
+        }
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn btanh_batch_avx2(
-        inputs: &[&CountStream],
+    pub(super) unsafe fn walk_rows_avx2(
+        counts: &[u16],
+        len: usize,
+        walk: &RowWalk,
         outputs: &mut [BitStream],
-        states: usize,
     ) {
-        btanh_batch_words_impl::<WAvx2>(inputs, outputs, states)
+        walk_rows::<Avx2Rows>(counts, len, walk, outputs)
     }
 }
 
@@ -695,72 +784,136 @@ mod tests {
             .transform_into(&[], &mut []);
     }
 
-    #[test]
-    fn btanh_batch_matches_per_unit_transform() {
-        let counts: Vec<CountStream> = [64usize, 100, 127, 1]
-            .iter()
-            .enumerate()
-            .map(|(i, &len)| {
-                let streams: Vec<BitStream> = (0..4)
-                    .map(|lane| {
-                        Sng::new(SngKind::Lfsr32, 500 + i as u64 * 7 + lane)
-                            .generate_bipolar(0.4 - 0.2 * lane as f64, StreamLength::new(len))
-                            .unwrap()
-                    })
-                    .collect();
-                ExactParallelCounter::new().count(&streams).unwrap()
+    /// Pseudo-random counts in `0..=lanes` (splitmix64).
+    fn random_counts(len: usize, lanes: usize, salt: u64) -> Vec<u16> {
+        let mut state = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let z = (state ^ (state >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                ((z ^ (z >> 29)) % (lanes as u64 + 1)) as u16
             })
-            .collect();
-        let refs: Vec<&CountStream> = counts.iter().collect();
-        let template = Btanh::new(6).unwrap();
-        let batch = template.transform_batch(&refs);
-        for (unit, count_stream) in counts.iter().enumerate() {
-            let mut counter = Btanh::new(6).unwrap();
-            assert_eq!(batch[unit], counter.transform(count_stream), "unit {unit}");
-        }
-        assert!(template.transform_batch(&[]).is_empty());
+            .collect()
     }
 
-    /// Every super-word backend of the batch Btanh walk must match the scalar
-    /// backend bit-for-bit, across unit counts that exercise both the wide
-    /// groups and the scalar remainder, and ragged stream tails. (The Stanh
-    /// byte-table walk is the same on every backend.)
-    #[test]
-    fn activation_batches_bit_exact_across_backends() {
-        fn check<W: Word>(backend: &str) {
-            for &len in &[100usize, 127, 1024] {
-                // 9 units: at least one wide group plus a remainder for
-                // every backend lane width.
-                let counts: Vec<CountStream> = (0..9)
-                    .map(|u| {
-                        let lanes: Vec<BitStream> = (0..4)
-                            .map(|lane| {
-                                Sng::new(SngKind::Lfsr32, 500 + u as u64 * 7 + lane)
-                                    .generate_bipolar(
-                                        0.4 - 0.2 * lane as f64,
-                                        StreamLength::new(len),
-                                    )
-                                    .unwrap()
-                            })
-                            .collect();
-                        ExactParallelCounter::new().count(&lanes).unwrap()
-                    })
-                    .collect();
-                let count_refs: Vec<&CountStream> = counts.iter().collect();
-                let mut expected: Vec<BitStream> = counts
-                    .iter()
-                    .map(|c| BitStream::zeros(StreamLength::new(c.len())))
-                    .collect();
-                let mut got = expected.clone();
-                btanh_batch_words_impl::<u64>(&count_refs, &mut expected, 6);
-                btanh_batch_words_impl::<W>(&count_refs, &mut got, 6);
-                assert_eq!(got, expected, "{backend} btanh len {len}");
+    /// Rows of counts laid out as [`Btanh::transform_rows`] reads them.
+    fn interleave(rows: &[Vec<u16>], len: usize) -> Vec<u16> {
+        let mut counts = vec![0u16; rows.len().next_multiple_of(ROW_GROUP) * len];
+        for (r, row) in rows.iter().enumerate() {
+            for (t, &count) in row.iter().enumerate() {
+                counts[(r / ROW_GROUP * len + t) * ROW_GROUP + r % ROW_GROUP] = count;
             }
         }
-        check::<crate::word::W4>("wide");
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if crate::word::Backend::Avx2.is_available() {
-            check::<crate::word::WAvx2>("avx2");
+        counts
+    }
+
+    /// The row walk's outputs from every body this build and CPU can run,
+    /// each labelled: the portable body, the AVX2 body, and the dispatched
+    /// entry point (which takes the `i64` step when the walk does not fit
+    /// `i32`). The outputs start dirty, to show every word is written.
+    fn row_walks(
+        btanh: &Btanh,
+        counts: &[u16],
+        lanes: usize,
+        rows: usize,
+        len: usize,
+    ) -> Vec<(&'static str, Vec<BitStream>)> {
+        let dirty = || vec![BitStream::ones(StreamLength::new(len)); rows];
+        let walk = RowWalk {
+            centre: (btanh.states / 2) as i32,
+            top: btanh.states as i32 - 1,
+            lanes: lanes as i32,
+        };
+        let mut runs = Vec::new();
+        let mut outputs = dirty();
+        btanh.transform_rows(counts, lanes, &mut outputs);
+        runs.push(("dispatched", outputs));
+        if walk_fits_i32(btanh.states, lanes) {
+            let mut outputs = dirty();
+            walk_rows::<PortableRows>(counts, len, &walk, &mut outputs);
+            runs.push(("portable", outputs));
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            if crate::word::Backend::Avx2.is_available() {
+                let mut outputs = dirty();
+                // SAFETY: AVX2 availability was checked above.
+                unsafe { rows_avx2::walk_rows_avx2(counts, len, &walk, &mut outputs) };
+                runs.push(("avx2", outputs));
+            }
+        }
+        runs
+    }
+
+    /// The row walk against the per-unit counter: row counts around the
+    /// group of 8 (one short, one over, several groups), lengths around
+    /// every word and 8-cycle block, the smallest counter (K = 2), and a
+    /// row of all-zero and one of all-`lanes` counts (saturation at both
+    /// ends), on every body.
+    #[test]
+    fn btanh_batch_matches_per_unit_transform() {
+        for rows in [1usize, 7, 8, 9, 16, 64] {
+            for len in [1usize, 63, 64, 127, 256, 1024] {
+                for (states, lanes) in [(2usize, 1usize), (2, 25), (50, 25), (16, 100), (512, 200)]
+                {
+                    let row_counts: Vec<Vec<u16>> = (0..rows)
+                        .map(|r| match r {
+                            0 => vec![0; len],
+                            1 => vec![lanes as u16; len],
+                            _ => random_counts(len, lanes, (rows * 1000 + len + r) as u64),
+                        })
+                        .collect();
+                    let btanh = Btanh::new(states).unwrap();
+                    let expected: Vec<BitStream> = row_counts
+                        .iter()
+                        .map(|counts| {
+                            let counts = CountStream::new(counts.clone(), lanes).unwrap();
+                            btanh.clone().transform(&counts)
+                        })
+                        .collect();
+                    let counts = interleave(&row_counts, len);
+                    for (body, outputs) in row_walks(&btanh, &counts, lanes, rows, len) {
+                        assert_eq!(
+                            outputs, expected,
+                            "{body}: {rows} rows, {len} cycles, K {states}, {lanes} lanes"
+                        );
+                    }
+                }
+            }
+        }
+        Btanh::new(6).unwrap().transform_rows(&[], 4, &mut []);
+    }
+
+    /// At the largest state count whose walk fits `i32` every body steps
+    /// in `i32` (an overflow would panic in the test build); one more even
+    /// count takes the `i64` step. Both stay exact over walks that climb
+    /// from the centre to the top and fall to the bottom with the largest
+    /// per-cycle step.
+    #[test]
+    fn activation_batches_bit_exact_across_backends() {
+        let lanes = usize::from(u16::MAX);
+        let edge = i32::MAX as usize + 1 - 2 * usize::from(u16::MAX);
+        assert!(walk_fits_i32(edge, lanes) && !walk_fits_i32(edge + 2, lanes));
+        let len = 70_000;
+        let climb: Vec<u16> = (0..len)
+            .map(|t| if t < len / 2 { u16::MAX } else { 0 })
+            .collect();
+        let fall: Vec<u16> = climb.iter().map(|&c| u16::MAX - c).collect();
+        let row_counts = [climb, fall, random_counts(len, lanes, 3)];
+        let counts = interleave(&row_counts, len);
+        for states in [edge, edge + 2] {
+            let btanh = Btanh::new(states).unwrap();
+            let expected: Vec<BitStream> = row_counts
+                .iter()
+                .map(|counts| {
+                    let counts = CountStream::new(counts.clone(), lanes).unwrap();
+                    btanh.clone().transform(&counts)
+                })
+                .collect();
+            assert!(expected[0].count_ones() > 0 && expected[1].count_ones() > 0);
+            let runs = row_walks(&btanh, &counts, lanes, row_counts.len(), len);
+            assert_eq!(runs.len() > 1, states == edge, "K {states}");
+            for (body, outputs) in runs {
+                assert_eq!(outputs, expected, "{body}: K {states}");
+            }
         }
     }
 

@@ -37,12 +37,17 @@
 //! which totals each segment from the planes' lane popcounts.
 //!
 //! **Drain.** Only then are the planes turned into `u16` counts, once per
-//! pooled row ([`CountPlanes::drain_into`]): per 8 columns, byte `k` of one
-//! word gathers byte `g` of plane `k`, an 8×8 bit transpose turns byte `j`
-//! into column `8g + j`'s count, the count's low byte; planes 8 and up
-//! (256 or more ones in a column) take a second transpose for the high
-//! byte. The drain is word-generic: it converts the planes of `W::LANES`
-//! words per step.
+//! pooled row: per 8 columns, byte `k` of one word gathers byte `g` of
+//! plane `k`, an 8×8 bit transpose turns byte `j` into column `8g + j`'s
+//! count, the count's low byte; planes 8 and up (256 or more ones in a
+//! column) take a second transpose for the high byte. The drain is
+//! word-generic: it converts the planes of `W::LANES` words per step. It
+//! writes one row's counts in column order ([`CountPlanes::drain_into`]),
+//! or every row of a layer position with strided stores into one
+//! row-interleaved, cycle-major buffer ([`CountPlanes::drain_interleaved`]:
+//! per group of [`ROW_GROUP`] rows, cycle `t` holds the group's counts side
+//! by side), the layout the Btanh walk steps [`ROW_GROUP`] rows at a time
+//! from ([`crate::activation::Btanh::transform_rows`]).
 //!
 //! The counts are **exact**, identical to per-lane accumulation in any
 //! order, so every kernel built on the core is bit-compatible with the
@@ -52,6 +57,7 @@ use crate::add::CountStream;
 use crate::arena::StreamArena;
 use crate::bitstream::{BitStream, StreamLength};
 use crate::error::ScError;
+use crate::sng::{fill_lanes, LaneSequence};
 use crate::word::{dispatch_word_kernel, Word};
 
 /// Words per column group of the packed layout (256 columns), whatever the
@@ -61,6 +67,11 @@ pub const GROUP_WORDS: usize = 4;
 
 /// Columns per group.
 const GROUP_BITS: usize = 64 * GROUP_WORDS;
+
+/// Rows per group of a row-interleaved count buffer
+/// ([`CountPlanes::drain_interleaved`]): the rows the Btanh row walk steps
+/// together, one 32-bit lane of a 256-bit vector each.
+pub const ROW_GROUP: usize = 8;
 
 /// Largest lane count a packed matrix may hold: column counts are `u16`.
 const MAX_LANES: usize = u16::MAX as usize;
@@ -191,6 +202,52 @@ impl PackedLanes {
             let at = base + g * group_words + lane * GROUP_WORDS;
             self.words[at..at + chunk.len()].copy_from_slice(chunk);
         }
+        Ok(())
+    }
+
+    /// Overwrites row `row` with the stream of comparator threshold
+    /// `thresholds[lane]` drawn from `sequences[lane]` for every lane,
+    /// each filled straight into its group-lane slots in one call on the
+    /// active backend. Bit-exact with [`LaneSequence::fill`] followed by
+    /// [`PackedLanes::write_lane`] per lane.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScError::LengthMismatch`] unless there is one sequence and
+    /// one threshold per lane and every sequence has the matrix's length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
+    pub fn fill_row(
+        &mut self,
+        row: usize,
+        sequences: &[LaneSequence],
+        thresholds: &[u32],
+    ) -> Result<(), ScError> {
+        for count in [sequences.len(), thresholds.len()] {
+            if count != self.lanes {
+                return Err(ScError::LengthMismatch {
+                    left: self.lanes,
+                    right: count,
+                });
+            }
+        }
+        if let Some(sequence) = sequences.iter().find(|s| s.length() != self.length) {
+            return Err(ScError::LengthMismatch {
+                left: self.length.bits(),
+                right: sequence.length().bits(),
+            });
+        }
+        assert!(row < self.rows, "row {row} out of range");
+        let row_words = row_words(self.lanes, self.length);
+        fill_lanes(
+            sequences,
+            thresholds,
+            &mut self.words[row * row_words..(row + 1) * row_words],
+            GROUP_WORDS,
+            self.lanes * GROUP_WORDS,
+        );
         Ok(())
     }
 
@@ -366,6 +423,53 @@ impl CountPlanes {
         }
         let planes = self.planes();
         dispatch_word_kernel!(drain_impl, avx2::drain_avx2, (&self.words, planes, counts));
+        Ok(())
+    }
+
+    /// Writes every row's column counts into one row-interleaved,
+    /// cycle-major buffer, the input of [`Btanh::transform_rows`]: the
+    /// count of row `r` at column `t` goes to
+    /// `counts[(r / ROW_GROUP · length + t) · ROW_GROUP + r % ROW_GROUP]`.
+    /// Each row's drain is [`CountPlanes::drain_into`]'s with strided
+    /// stores; entries of rows past the last (up to a multiple of
+    /// [`ROW_GROUP`]) are left as they are.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScError::LengthMismatch`] for rows of different lengths or
+    /// unless `counts` holds `rows.len()` rounded up to a multiple of
+    /// [`ROW_GROUP`] rows of every column, and
+    /// [`ScError::InvalidParameter`] for rows of different lane counts.
+    ///
+    /// [`Btanh::transform_rows`]: crate::activation::Btanh::transform_rows
+    pub fn drain_interleaved(rows: &[CountPlanes], counts: &mut [u16]) -> Result<(), ScError> {
+        let Some(first) = rows.first() else {
+            return Ok(());
+        };
+        if let Some(row) = rows.iter().find(|row| row.length != first.length) {
+            return Err(ScError::LengthMismatch {
+                left: first.length.bits(),
+                right: row.length.bits(),
+            });
+        }
+        if let Some(row) = rows.iter().find(|row| row.lanes != first.lanes) {
+            return Err(ScError::InvalidParameter {
+                name: "rows",
+                message: format!("rows of {} and {} lanes", first.lanes, row.lanes),
+            });
+        }
+        let expected = rows.len().next_multiple_of(ROW_GROUP) * first.length.bits();
+        if counts.len() != expected {
+            return Err(ScError::LengthMismatch {
+                left: expected,
+                right: counts.len(),
+            });
+        }
+        dispatch_word_kernel!(
+            drain_interleaved_impl,
+            avx2::drain_interleaved_avx2,
+            (rows, counts)
+        );
         Ok(())
     }
 
@@ -611,6 +715,14 @@ mod avx2 {
     pub(super) unsafe fn drain_avx2(words: &[u64], planes: usize, counts: &mut [u16]) {
         super::drain_impl::<WAvx2>(words, planes, counts)
     }
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn drain_interleaved_avx2(rows: &[CountPlanes], counts: &mut [u16]) {
+        super::drain_interleaved_impl::<WAvx2>(rows, counts)
+    }
 }
 
 /// Word-generic body of [`product_column_planes`]: rows outermost, then
@@ -785,29 +897,57 @@ fn compress<W: Word, const MASKED: bool>(
     p
 }
 
-/// Word-generic body of [`CountPlanes::drain_into`]: groups in order, each
-/// group's planes converted `W::LANES` words per step.
+/// Word-generic body of [`CountPlanes::drain_into`].
 #[inline(always)]
 fn drain_impl<W: Word>(words: &[u64], planes: usize, counts: &mut [u16]) {
-    let bits = counts.len();
+    drain_row::<W, 1>(words, planes, counts.len(), counts)
+}
+
+/// Word-generic body of [`CountPlanes::drain_interleaved`].
+#[inline(always)]
+fn drain_interleaved_impl<W: Word>(rows: &[CountPlanes], counts: &mut [u16]) {
+    for (r, row) in rows.iter().enumerate() {
+        let bits = row.length.bits();
+        let at = r / ROW_GROUP * bits * ROW_GROUP + r % ROW_GROUP;
+        drain_row::<W, ROW_GROUP>(&row.words, row.planes(), bits, &mut counts[at..]);
+    }
+}
+
+/// Drains one row's planes of `bits` columns, column `t`'s count to
+/// `out[t · STRIDE]`: groups in order, each group's planes converted
+/// `W::LANES` words per step.
+#[inline(always)]
+fn drain_row<W: Word, const STRIDE: usize>(
+    words: &[u64],
+    planes: usize,
+    bits: usize,
+    out: &mut [u16],
+) {
     for (g, group) in words.chunks_exact(planes * GROUP_WORDS).enumerate() {
         let start = g * GROUP_BITS;
         let span = (bits - start).min(GROUP_BITS);
-        let out = &mut counts[start..start + span];
+        let out = &mut out[start * STRIDE..];
         let mut sub = 0;
         while sub < GROUP_WORDS && sub * 64 < span {
-            drain_words::<W>(group, planes, sub, out);
+            drain_words::<W, STRIDE>(group, planes, sub, span, out);
             sub += W::LANES;
         }
     }
 }
 
 /// Writes the counts of words `sub..sub + W::LANES` of one group (`group`:
-/// its `planes · 4` plane words; `out`: its counts, up to 256) one 8-column
-/// block at a time: a byte transpose of the low 8 planes, and one of the
-/// upper planes for the high byte when a count reaches 256.
+/// its `planes · 4` plane words; `span`: its columns, up to 256, column
+/// `c`'s count to `out[c · STRIDE]`) one 8-column block at a time: a byte
+/// transpose of the low 8 planes, and one of the upper planes for the high
+/// byte when a count reaches 256.
 #[inline(always)]
-fn drain_words<W: Word>(group: &[u64], planes: usize, sub: usize, out: &mut [u16]) {
+fn drain_words<W: Word, const STRIDE: usize>(
+    group: &[u64],
+    planes: usize,
+    sub: usize,
+    span: usize,
+    out: &mut [u16],
+) {
     let mut plane_words = [W::zero(); MAX_PLANES];
     for (k, plane) in plane_words.iter_mut().enumerate().take(planes) {
         *plane = W::load(&group[k * GROUP_WORDS + sub..]);
@@ -816,14 +956,14 @@ fn drain_words<W: Word>(group: &[u64], planes: usize, sub: usize, out: &mut [u16
     let high = &plane_words[planes.min(8)..planes];
     let mut low_bytes = [0u64; 4];
     // The common case: whole words, every count below 256 (one byte).
-    if high.iter().all(|plane| plane.is_zero()) && (sub + W::LANES) * 64 <= out.len() {
+    if high.iter().all(|plane| plane.is_zero()) && (sub + W::LANES) * 64 <= span {
         for block in 0..8 {
             byte_transpose(low, block as u32).store(&mut low_bytes);
             for (j, bytes) in low_bytes.iter().enumerate().take(W::LANES) {
                 let column = (sub + j) * 64 + 8 * block;
-                let columns = &mut out[column..column + 8];
-                for (slot, byte) in columns.iter_mut().zip(bytes.to_le_bytes()) {
-                    *slot = u16::from(byte);
+                let columns = &mut out[column * STRIDE..(column + 7) * STRIDE + 1];
+                for (c, byte) in bytes.to_le_bytes().into_iter().enumerate() {
+                    columns[c * STRIDE] = u16::from(byte);
                 }
             }
         }
@@ -831,20 +971,19 @@ fn drain_words<W: Word>(group: &[u64], planes: usize, sub: usize, out: &mut [u16
     }
     let mut high_bytes = [0u64; 4];
     for block in 0..8 {
-        if sub * 64 + 8 * block >= out.len() {
+        if sub * 64 + 8 * block >= span {
             break;
         }
         byte_transpose(low, block as u32).store(&mut low_bytes);
         byte_transpose(high, block as u32).store(&mut high_bytes);
         for j in 0..W::LANES {
             let column = (sub + j) * 64 + 8 * block;
-            if column >= out.len() {
+            if column >= span {
                 break;
             }
-            let end = out.len().min(column + 8);
             let (low, high) = (low_bytes[j].to_le_bytes(), high_bytes[j].to_le_bytes());
-            for (c, slot) in out[column..end].iter_mut().enumerate() {
-                *slot = u16::from_le_bytes([low[c], high[c]]);
+            for c in 0..span.min(column + 8) - column {
+                out[(column + c) * STRIDE] = u16::from_le_bytes([low[c], high[c]]);
             }
         }
     }
@@ -867,7 +1006,7 @@ fn byte_transpose<W: Word>(planes: &[W], block: u32) -> W {
 /// `(r, c)`) in every lane: three masked delta-swaps (Hacker's Delight
 /// 7-3).
 #[inline(always)]
-fn transpose8<W: Word>(x: W) -> W {
+pub(crate) fn transpose8<W: Word>(x: W) -> W {
     let x = delta_swap(x, 7, 0x00AA_00AA_00AA_00AA);
     let x = delta_swap(x, 14, 0x0000_CCCC_0000_CCCC);
     delta_swap(x, 28, 0x0000_0000_F0F0_F0F0)
@@ -1135,22 +1274,29 @@ mod tests {
     /// for full and partial words and groups, on every backend.
     #[test]
     fn byte_sliced_drain_matches_plane_unpack_reference() {
-        for planes in 1..=MAX_PLANES {
-            for bits in [10usize, 64, 300, 512] {
-                let lanes = (1usize << planes) - 1;
-                let mut stored = CountPlanes::zeroed(lanes, StreamLength::new(bits)).unwrap();
-                assert_eq!(stored.planes(), planes);
-                let mut expected = vec![0u16; bits];
-                for (t, count) in expected.iter_mut().enumerate() {
-                    let (g, s, b) = (t / GROUP_BITS, t % GROUP_BITS / 64, t % 64);
-                    for k in 0..planes {
-                        let word = random_stream(64, (100 + k * 7 + t / 64) as u64).as_words()[0];
-                        if (word >> b) & 1 == 1 {
-                            stored.words[(g * planes + k) * GROUP_WORDS + s] |= 1 << b;
-                            *count += 1 << k;
-                        }
+        // Random planes of `planes` planes over `bits` columns, and the
+        // counts they hold.
+        let random_planes = |planes: usize, bits: usize, salt: usize| {
+            let lanes = (1usize << planes) - 1;
+            let mut stored = CountPlanes::zeroed(lanes, StreamLength::new(bits)).unwrap();
+            assert_eq!(stored.planes(), planes);
+            let mut expected = vec![0u16; bits];
+            for (t, count) in expected.iter_mut().enumerate() {
+                let (g, s, b) = (t / GROUP_BITS, t % GROUP_BITS / 64, t % 64);
+                for k in 0..planes {
+                    let word =
+                        random_stream(64, (100 + salt + k * 7 + t / 64) as u64).as_words()[0];
+                    if (word >> b) & 1 == 1 {
+                        stored.words[(g * planes + k) * GROUP_WORDS + s] |= 1 << b;
+                        *count += 1 << k;
                     }
                 }
+            }
+            (stored, expected)
+        };
+        for planes in 1..=MAX_PLANES {
+            for bits in [10usize, 64, 300, 512] {
+                let (stored, expected) = random_planes(planes, bits, 0);
                 let mut runs = vec![
                     ("scalar", drain_with::<u64>(&stored)),
                     ("wide", drain_with::<crate::word::W4>(&stored)),
@@ -1164,10 +1310,51 @@ mod tests {
                         "{backend}: {planes} planes, {bits} columns"
                     );
                 }
+                // The interleaved drain of 9 rows: two groups, the second
+                // padded with 7 rows whose entries stay untouched.
+                let (rows, expected): (Vec<_>, Vec<_>) = (0..9)
+                    .map(|r| random_planes(planes, bits, 1000 * r))
+                    .unzip();
+                let interleaved = |drain: fn(&[CountPlanes], &mut [u16])| {
+                    let mut counts = vec![u16::MAX; 16 * bits];
+                    drain(&rows, &mut counts);
+                    counts
+                };
+                let runs = [
+                    ("scalar", interleaved(drain_interleaved_impl::<u64>)),
+                    (
+                        "wide",
+                        interleaved(drain_interleaved_impl::<crate::word::W4>),
+                    ),
+                    (
+                        "active",
+                        interleaved(|rows, counts| {
+                            CountPlanes::drain_interleaved(rows, counts).unwrap()
+                        }),
+                    ),
+                ];
+                for (backend, counts) in runs {
+                    for r in 0..16 {
+                        let row: Vec<u16> = (0..bits)
+                            .map(|t| counts[(r / ROW_GROUP * bits + t) * ROW_GROUP + r % ROW_GROUP])
+                            .collect();
+                        let want = expected.get(r).cloned().unwrap_or(vec![u16::MAX; bits]);
+                        assert_eq!(row, want, "{backend}: interleaved row {r}, {planes} planes");
+                    }
+                }
             }
         }
         let stored = CountPlanes::zeroed(3, StreamLength::new(64)).unwrap();
         assert!(stored.drain_into(&mut [0u16; 63]).is_err());
+        let other = CountPlanes::zeroed(3, StreamLength::new(65)).unwrap();
+        let wider = CountPlanes::zeroed(4, StreamLength::new(64)).unwrap();
+        let rows = [stored.clone(), stored.clone()];
+        assert!(CountPlanes::drain_interleaved(&rows, &mut [0u16; 8 * 63]).is_err());
+        assert!(
+            CountPlanes::drain_interleaved(&[stored.clone(), other], &mut [0; 8 * 64]).is_err()
+        );
+        assert!(CountPlanes::drain_interleaved(&[stored, wider], &mut [0; 8 * 64]).is_err());
+        assert!(CountPlanes::drain_interleaved(&[], &mut []).is_ok());
     }
 
     /// Every backend must produce the scalar backend's counts.
@@ -1224,5 +1411,15 @@ mod tests {
             product_column_counts(narrow.view(), w.view(), &mut vec![vec![0; 100]; 2]).is_err()
         );
         assert_eq!(w.view_rows(1..2).rows(), 1);
+        // A row fill needs one sequence and one threshold per lane, each
+        // sequence of the matrix's length.
+        let length = StreamLength::new(100);
+        let sequences: Vec<LaneSequence> = (0..3).map(|i| LaneSequence::new(i, length)).collect();
+        let mut packed = PackedLanes::zeroed(3, length, 2).unwrap();
+        assert!(packed.fill_row(1, &sequences, &[0x8000; 3]).is_ok());
+        assert!(packed.fill_row(1, &sequences[..2], &[0x8000; 2]).is_err());
+        assert!(packed.fill_row(1, &sequences, &[0x8000; 2]).is_err());
+        let mut longer = PackedLanes::zeroed(3, StreamLength::new(101), 1).unwrap();
+        assert!(longer.fill_row(0, &sequences, &[0x8000; 3]).is_err());
     }
 }

@@ -9,6 +9,7 @@
 
 use crate::add::MuxSelectorPlan;
 use crate::bitstream::{BitStream, StreamLength};
+use crate::csa::GROUP_WORDS;
 use crate::encoding::{Bipolar, Encoding, Unipolar};
 use crate::error::ScError;
 use crate::rng::{Lfsr, LfsrWidth, RandomSource, SoftwareRng};
@@ -135,7 +136,11 @@ fn fill_words_lfsr32_batched(
     let staged = staged_bits(bits);
     if staged > 0 {
         lfsr.w32_sequence_into(staged, seq);
-        compare_staged(seq, threshold, &mut words[..staged / 64]);
+        dispatch_word_kernel!(
+            compare_staged,
+            comparator_avx2::compare_staged_avx2,
+            (seq, threshold, words, GROUP_WORDS, staged / 64)
+        );
     }
     // The rest (every bit of a stream under 128 bits) runs serially from
     // the resynced state.
@@ -158,103 +163,149 @@ fn staged_bits(bits: usize) -> usize {
     }
 }
 
-/// Comparator outputs for the staged part of a stream: one word per 64
-/// sequence bits of `seq` (a [`Lfsr::w32_sequence_into`] buffer).
-fn compare_staged(seq: &[u8], threshold: u32, words: &mut [u64]) {
-    match threshold {
-        0 => words.fill(0),
-        1..=0xFFFF => comparator_fill(seq, threshold, words, words.len()),
-        // p == 1.0: every sample satisfies `sample < threshold`.
-        _ => words.fill(u64::MAX),
-    }
+/// Where word `w` of a stream lands in a comparator fill's output: words go
+/// in groups of [`GROUP_WORDS`] (one 256-column group of the packed
+/// layout), group `g` at `g · group_stride`. A plain stream has
+/// `group_stride == GROUP_WORDS`; a lane of a [`PackedLanes`] row has its
+/// row's `lanes · GROUP_WORDS`.
+///
+/// [`PackedLanes`]: crate::csa::PackedLanes
+#[inline(always)]
+fn slot(w: usize, group_stride: usize) -> usize {
+    w / GROUP_WORDS * group_stride + w % GROUP_WORDS
 }
 
-/// Extracts the 128-bit sequence window of output word `w`: sequence bits
-/// `w·64 − 15 .. w·64 + 63` (buffer bit offset `w·64 + 17`). For the first
-/// word the window reaches into the 32 virtual seed bits of the buffer.
+/// Comparator outputs for the staged part of a stream: `words` words, one
+/// per 64 sequence bits of `seq` (a [`Lfsr::w32_sequence_into`] buffer),
+/// placed by [`slot`].
 #[inline(always)]
-fn sequence_window(seq: &[u8], w: usize) -> u128 {
-    let base = w * 64 + 32 - 15;
-    let byte = base / 8;
-    let shift = (base % 8) as u32;
-    u128::from_le_bytes(seq[byte..byte + 16].try_into().expect("16 bytes")) >> shift
+fn compare_staged<W: Word>(
+    seq: &[u8],
+    threshold: u32,
+    out: &mut [u64],
+    group_stride: usize,
+    words: usize,
+) {
+    let constant = match threshold {
+        0 => 0,
+        1..=0xFFFF => return comparator_fill_impl::<W>(seq, threshold, out, group_stride, words),
+        // p == 1.0: every sample satisfies `sample < threshold`.
+        _ => u64::MAX,
+    };
+    for w in 0..words {
+        out[slot(w, group_stride)] = constant;
+    }
 }
 
 /// Bit-sliced threshold comparator over the staged GF(2) sequence buffer,
 /// generic over the kernel backend: evaluates `sample < threshold` for
-/// `64 · W::LANES` samples per iteration of the outer loop.
+/// `64 · W::LANES` samples per step, branch-free in the threshold's bits.
 ///
-/// Per group of [`Word::LANES`] output words, each lane's 128-bit window is
-/// extracted exactly as in the scalar reference; plane `j` — sample bit `j`
-/// of the 64 samples of a word — is the window shifted right by `15 − j`,
-/// which for the whole group is two uniform lane shifts and an OR. The
-/// `lt`/`eq` comparator recurrence then runs in whole-word lane operations.
-/// `lt` is final once the threshold's lowest set bit has been processed:
-/// below it every threshold bit is zero, which only narrows `eq`.
+/// Per step, [`compare_words`] reads the sequence windows of `W::LANES`
+/// output words with two unaligned loads; plane `j` (sample bit `j` of the
+/// 64 samples of every word) is two uniform shifts and an OR of them. The
+/// `lt`/`eq` comparator recurrence runs over the planes with threshold bit
+/// `j` splatted to a mask `set`: `lt |= eq & set & !plane` and
+/// `eq &= !(plane ^ set)`, so a threshold's bits steer no branch. `lt` is
+/// final once the threshold's lowest set bit has been processed: below it
+/// every threshold bit is zero, which only narrows `eq`. A [`Word::LANES`]
+/// step never crosses a group of [`slot`]'s layout; words past the last
+/// whole step take the one-word body.
 #[inline(always)]
 fn comparator_fill_impl<W: Word>(
     seq: &[u8],
     threshold: u32,
-    words: &mut [u64],
-    batch_words: usize,
+    out: &mut [u64],
+    group_stride: usize,
+    words: usize,
 ) {
     debug_assert!((1..=0xFFFF).contains(&threshold));
-    let low_bit = threshold.trailing_zeros();
     let mut w = 0;
-    if W::LANES > 1 {
-        let mut lo_lanes = [0u64; 4];
-        let mut hi_lanes = [0u64; 4];
-        while w + W::LANES <= batch_words {
-            for (lane, (lo, hi)) in lo_lanes.iter_mut().zip(hi_lanes.iter_mut()).enumerate() {
-                if lane == W::LANES {
-                    break;
-                }
-                let window = sequence_window(seq, w + lane);
-                *lo = window as u64;
-                // Only the low 15 bits of the window's upper half ever feed
-                // a plane (shifted left by ≥ 49), so the bits past the
-                // 16-byte read being zero is immaterial.
-                *hi = (window >> 64) as u64;
-            }
-            let lo = W::load(&lo_lanes);
-            let hi = W::load(&hi_lanes);
-            let mut lt = W::zero();
-            let mut eq = W::splat(u64::MAX);
-            for j in (low_bit..16).rev() {
-                let s = 15 - j;
-                let plane = if s == 0 {
-                    lo
-                } else {
-                    lo.shr(s).or(hi.shl(64 - s))
-                };
-                if (threshold >> j) & 1 == 1 {
-                    lt = lt.or(eq.andnot(plane));
-                    eq = eq.and(plane);
-                } else {
-                    eq = eq.andnot(plane);
-                }
-            }
-            lt.store(&mut words[w..w + W::LANES]);
-            w += W::LANES;
-        }
+    while w + W::LANES <= words {
+        compare_words::<W>(seq, w, threshold).store(&mut out[slot(w, group_stride)..]);
+        w += W::LANES;
     }
-    // Remaining words (all of them for the scalar backend): the reference
-    // single-word loop.
-    for out_word in words.iter_mut().take(batch_words).skip(w) {
-        let window = sequence_window(seq, w);
-        let mut lt = 0u64;
-        let mut eq = u64::MAX;
-        for j in (low_bit..16).rev() {
-            let plane = (window >> (15 - j)) as u64;
-            if (threshold >> j) & 1 == 1 {
-                lt |= eq & !plane;
-                eq &= plane;
-            } else {
-                eq &= !plane;
-            }
+    for w in w..words {
+        out[slot(w, group_stride)] = compare_words::<u64>(seq, w, threshold);
+    }
+}
+
+/// The comparator outputs of words `w .. w + W::LANES` (see
+/// [`comparator_fill_impl`]).
+///
+/// Word `w`'s samples are the 16-bit windows ending at sequence bits
+/// `64w .. 64w + 63`, i.e. buffer bits `64w + 17 ..` (the buffer leads with
+/// 32 virtual seed bits): the 79 bits from byte `8w + 2`, shifted by one.
+/// Plane `15 − s` is those bits shifted right by `s`: with `a` and `b` the
+/// little-endian words at bytes `8w + 2` and `8w + 10`, that is
+/// `a >> (s + 1) | b << (63 − s)`.
+#[inline(always)]
+fn compare_words<W: Word>(seq: &[u8], w: usize, threshold: u32) -> W {
+    let a = W::load_le_bytes(&seq[8 * w + 2..]);
+    let b = W::load_le_bytes(&seq[8 * w + 10..]);
+    let mut lt = W::zero();
+    let mut eq = W::splat(u64::MAX);
+    for j in (threshold.trailing_zeros()..16).rev() {
+        let s = 15 - j;
+        let plane = a.shr(s + 1).or(b.shl(63 - s));
+        let set = W::splat(0u64.wrapping_sub(u64::from(threshold >> j & 1)));
+        lt = lt.or(eq.and(set).andnot(plane));
+        eq = eq.andnot(plane.xor(set));
+    }
+    lt
+}
+
+/// Fills lane `i`'s stream of comparator threshold `thresholds[i]` from
+/// `sequences[i]` for every lane, in one call on the active backend: word
+/// `w` of lane `i` lands at `out[i · lane_stride + slot(w, group_stride)]`
+/// (see [`slot`]). Every word of every lane's stream is written; words past
+/// a stream's end are not touched.
+///
+/// # Panics
+///
+/// Panics if `out` is too short for the layout.
+pub(crate) fn fill_lanes(
+    sequences: &[LaneSequence],
+    thresholds: &[u32],
+    out: &mut [u64],
+    lane_stride: usize,
+    group_stride: usize,
+) {
+    dispatch_word_kernel!(
+        fill_lanes_impl,
+        comparator_avx2::fill_lanes_avx2,
+        (sequences, thresholds, out, lane_stride, group_stride)
+    )
+}
+
+/// Word-generic body of [`fill_lanes`].
+#[inline(always)]
+fn fill_lanes_impl<W: Word>(
+    sequences: &[LaneSequence],
+    thresholds: &[u32],
+    out: &mut [u64],
+    lane_stride: usize,
+    group_stride: usize,
+) {
+    for (lane, (sequence, &threshold)) in sequences.iter().zip(thresholds).enumerate() {
+        let out = &mut out[lane * lane_stride..];
+        let staged = staged_bits(sequence.length.bits()) / 64;
+        compare_staged::<W>(&sequence.staged, threshold, out, group_stride, staged);
+        if sequence.tail.is_empty() {
+            continue;
         }
-        *out_word = lt;
-        w += 1;
+        // The serial tail is under 128 bits: at most two words.
+        let mut tail = [0u64; 2];
+        let mut samples = sequence.tail.iter();
+        fill_words_with(
+            || samples.next().map_or(0, |&sample| u32::from(sample)),
+            threshold,
+            &mut tail,
+            sequence.tail.len(),
+        );
+        for (i, &word) in tail[..sequence.tail.len().div_ceil(64)].iter().enumerate() {
+            out[slot(staged + i, group_stride)] = word;
+        }
     }
 }
 
@@ -267,25 +318,29 @@ mod comparator_avx2 {
     ///
     /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn comparator_fill_avx2(
+    pub(super) unsafe fn compare_staged_avx2(
         seq: &[u8],
         threshold: u32,
-        words: &mut [u64],
-        batch_words: usize,
+        out: &mut [u64],
+        group_stride: usize,
+        words: usize,
     ) {
-        comparator_fill_impl::<WAvx2>(seq, threshold, words, batch_words)
+        compare_staged::<WAvx2>(seq, threshold, out, group_stride, words)
     }
-}
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-use comparator_avx2::comparator_fill_avx2;
 
-/// Backend-dispatched bit-sliced comparator fill.
-fn comparator_fill(seq: &[u8], threshold: u32, words: &mut [u64], batch_words: usize) {
-    dispatch_word_kernel!(
-        comparator_fill_impl,
-        comparator_fill_avx2,
-        (seq, threshold, words, batch_words)
-    )
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn fill_lanes_avx2(
+        sequences: &[LaneSequence],
+        thresholds: &[u32],
+        out: &mut [u64],
+        lane_stride: usize,
+        group_stride: usize,
+    ) {
+        fill_lanes_impl::<WAvx2>(sequences, thresholds, out, lane_stride, group_stride)
+    }
 }
 
 /// Word-at-a-time comparator fill: draws one 16-bit threshold sample per bit
@@ -631,6 +686,11 @@ impl LaneSequence {
         }
     }
 
+    /// The stream length the sequence fills.
+    pub(crate) fn length(&self) -> StreamLength {
+        self.length
+    }
+
     /// Fills `stream` with the lane's encoding of the comparator
     /// `threshold` (see [`probability_threshold`]). Every word of `stream`
     /// is overwritten.
@@ -646,16 +706,12 @@ impl LaneSequence {
                 right: stream.len(),
             });
         }
-        let (staged, tail) = stream
-            .words_mut()
-            .split_at_mut(staged_bits(self.length.bits()) / 64);
-        compare_staged(&self.staged, threshold, staged);
-        let mut samples = self.tail.iter();
-        fill_words_with(
-            || samples.next().map_or(0, |&sample| u32::from(sample)),
-            threshold,
-            tail,
-            self.tail.len(),
+        fill_lanes(
+            std::slice::from_ref(self),
+            &[threshold],
+            stream.words_mut(),
+            0,
+            GROUP_WORDS,
         );
         Ok(())
     }
@@ -1104,11 +1160,17 @@ mod tests {
                     let mut lfsr = Lfsr::new(LfsrWidth::W32, 0x00C0_FFEE ^ threshold);
                     let mut seq = Vec::new();
                     lfsr.w32_sequence_into(bits, &mut seq);
-                    let batch_words = bits / 64;
-                    let mut reference = vec![0u64; batch_words];
-                    comparator_fill_impl::<u64>(&seq, threshold, &mut reference, batch_words);
-                    let mut wide = vec![0u64; batch_words];
-                    comparator_fill_impl::<W>(&seq, threshold, &mut wide, batch_words);
+                    let words = bits / 64;
+                    let mut reference = vec![0u64; words];
+                    comparator_fill_impl::<u64>(
+                        &seq,
+                        threshold,
+                        &mut reference,
+                        GROUP_WORDS,
+                        words,
+                    );
+                    let mut wide = vec![0u64; words];
+                    comparator_fill_impl::<W>(&seq, threshold, &mut wide, GROUP_WORDS, words);
                     assert_eq!(
                         wide, reference,
                         "{backend} threshold {threshold:#x} bits {bits}"

@@ -1,13 +1,14 @@
 //! Word-generic kernel backends: scalar, portable super-word, and SIMD.
 //!
-//! Every hot kernel in this crate — the SNG comparator fill, the fused
-//! XNOR/popcount inner-product counts, bit-sliced MUX selector application,
-//! the packed Harley-Seal column counts, the count-plane drain, and the
-//! word-interleaved Btanh batch walk — is written once, generically over
-//! [`Word`]: a fixed-width bundle of 64-bit bit-stream lanes. So are
-//! `sc-blocks`' hardware max pools over streams and over count planes. The
-//! MUX selected-sequence fill is the exception: a per-cycle gather, it has
-//! one scalar loop and one AVX2 gather path.
+//! Every hot kernel in this crate — the SNG comparator fill (into streams
+//! and straight into packed lanes), the fused XNOR/popcount inner-product
+//! counts, bit-sliced MUX selector application, the packed Harley-Seal
+//! column counts and the count-plane drain — is written once, generically
+//! over [`Word`]: a fixed-width bundle of 64-bit bit-stream lanes. So are
+//! `sc-blocks`' hardware max pools over streams and over count planes. Two
+//! per-cycle kernels are the exceptions, each with one portable body and
+//! one AVX2 path: the MUX selected-sequence fill (a gather) and the Btanh
+//! row walk (8 counters in `i32` lanes).
 //!
 //! * `u64` ([`Word::LANES`] = 1) is the **bit-exact reference**. Every other
 //!   backend is required to produce identical bits; the kernels contain no
@@ -36,7 +37,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// Lane `i` of a `Word` loaded from `src` holds `src[i]`; all bitwise
 /// operations act lane-wise, and shift counts are uniform across lanes and
 /// must be `< 64`. The `*_i64` operations treat each lane as a signed 64-bit
-/// integer (used by the FSM activation walks); comparison results are
+/// integer (used by the max pools' lane-wise argmax); comparison results are
 /// per-lane masks (all-ones for true, zero for false).
 pub trait Word: Copy {
     /// Number of 64-bit lanes in this word.
@@ -54,6 +55,14 @@ pub trait Word: Copy {
     ///
     /// Panics if `src.len() < Self::LANES`.
     fn load(src: &[u64]) -> Self;
+
+    /// Loads [`Word::LANES`] little-endian lanes from the front of `src`,
+    /// at any byte alignment: lane `i` is bytes `8i .. 8i + 8`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src.len() < 8 * Self::LANES`.
+    fn load_le_bytes(src: &[u8]) -> Self;
 
     /// Stores the lanes to the front of `dst`.
     ///
@@ -100,12 +109,6 @@ pub trait Word: Copy {
     /// Sum of all lanes (wrapping).
     fn horizontal_sum(self) -> u64;
 
-    /// Broadcasts a signed value into every lane.
-    #[inline(always)]
-    fn splat_i64(value: i64) -> Self {
-        Self::splat(value as u64)
-    }
-
     /// Lane-wise wrapping addition of signed 64-bit lanes.
     fn add_i64(self, rhs: Self) -> Self;
 
@@ -138,6 +141,11 @@ impl Word for u64 {
     #[inline(always)]
     fn load(src: &[u64]) -> Self {
         src[0]
+    }
+
+    #[inline(always)]
+    fn load_le_bytes(src: &[u8]) -> Self {
+        u64::from_le_bytes(src[..8].try_into().expect("8 bytes"))
     }
 
     #[inline(always)]
@@ -232,6 +240,11 @@ impl Word for W4 {
     #[inline(always)]
     fn load(src: &[u64]) -> Self {
         W4([src[0], src[1], src[2], src[3]])
+    }
+
+    #[inline(always)]
+    fn load_le_bytes(src: &[u8]) -> Self {
+        W4(std::array::from_fn(|i| u64::load_le_bytes(&src[8 * i..])))
     }
 
     #[inline(always)]
@@ -382,6 +395,14 @@ mod avx2 {
         fn load(src: &[u64]) -> Self {
             let src: &[u64] = &src[..4];
             // SAFETY: the reslice above guarantees 4 readable lanes;
+            // `loadu` has no alignment requirement.
+            WAvx2(unsafe { _mm256_loadu_si256(src.as_ptr().cast()) })
+        }
+
+        #[inline(always)]
+        fn load_le_bytes(src: &[u8]) -> Self {
+            let src: &[u8] = &src[..32];
+            // SAFETY: the reslice above guarantees 32 readable bytes;
             // `loadu` has no alignment requirement.
             WAvx2(unsafe { _mm256_loadu_si256(src.as_ptr().cast()) })
         }
@@ -742,8 +763,16 @@ mod tests {
             assert!(!W::splat(1).is_zero());
             assert!(W::zero().is_zero());
             assert_eq!(a.is_zero(), lanes_a.iter().all(|&l| l == 0));
-            W::splat_i64(-3).store(&mut out);
+            W::splat((-3i64) as u64).store(&mut out);
             assert!(out.iter().all(|&l| l == (-3i64) as u64));
+
+            // Little-endian lanes from any byte offset.
+            let bytes: Vec<u8> = lanes_a.iter().flat_map(|l| l.to_le_bytes()).collect();
+            let offset = round % 8;
+            let mut shifted = vec![0xA5u8; offset];
+            shifted.extend_from_slice(&bytes);
+            W::load_le_bytes(&shifted[offset..]).store(&mut out);
+            assert_eq!(out, lanes_a, "load_le_bytes at offset {offset}");
         }
     }
 

@@ -40,6 +40,36 @@ use sc_nn::tensor::Tensor;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
+/// The least work worth a single-request fan-out, in lane words: an APC
+/// layer's rows × lanes × stream words ([`CompiledLayer::apc_row_work`] per
+/// row and position).
+///
+/// Handing a range to a parked helper costs about 27 µs (`bench_kernels`
+/// `fan_out_call_n16`: the caller plus one helper at thread limit 2), and
+/// the packed APC core reads about one lane word per nanosecond on AVX2
+/// (`packed_apc_fc1_n256_u64_l1024`: 262,144 words in ~0.28 ms). Halving
+/// `w` words of work saves about `w / 2` ns, which outweighs the handoff
+/// from ~54,000 words; 2^16 rounds that up. tiny-LeNet's fc2 (10 rows ×
+/// 64 lanes × 4 words at L = 256: 2,560; 10,240 at L = 1024) runs
+/// serially; its fc1 (64 × 256 × 4 = 65,536 at L = 256) and its
+/// convolutions (conv1 at L = 256: 144 positions × 8 filters × 4 fields ×
+/// 25 lanes × 4 words) fan out.
+///
+/// The cutoff is derived for, and measured on, APC layers only. A MUX
+/// layer has no work measure ([`fan_out_work`]) and fans out whenever the
+/// thread limit allows, as every layer did before the cutoff.
+const MIN_FAN_OUT_WORK: usize = 1 << 16;
+
+/// The work [`Engine::fan_out`] weighs against [`MIN_FAN_OUT_WORK`] for
+/// `rows` rows of `compiled` (a dense layer's units, or a convolution's
+/// positions × filters); `usize::MAX` for a MUX layer, which always fans
+/// out.
+fn fan_out_work(compiled: &CompiledLayer, rows: usize) -> usize {
+    compiled
+        .apc_row_work()
+        .map_or(usize::MAX, |row_work| rows * row_work)
+}
+
 /// Options controlling compilation and engine behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineOptions {
@@ -315,14 +345,18 @@ impl Engine {
     /// session whoever runs it, so the results (concatenated in order) are
     /// bit-deterministic and a warm session allocates nothing, however
     /// many helpers the thread budget lends.
+    ///
+    /// A layer whose `work` (see [`MIN_FAN_OUT_WORK`]) is below the
+    /// handoff's worth runs serially in `session`.
     fn fan_out<R: Send>(
         &self,
         session: &mut Session,
         count: usize,
+        work: usize,
         eval: impl Fn(&mut Session, Range<usize>) -> Result<Vec<R>, ServeError> + Sync,
     ) -> Result<Vec<R>, ServeError> {
         let parts = sc_core::parallel::max_threads().min(count);
-        if parts <= 1 {
+        if parts <= 1 || work < MIN_FAN_OUT_WORK {
             return eval(session, 0..count);
         }
         let mut workers = std::mem::take(&mut session.workers);
@@ -395,7 +429,8 @@ impl Engine {
                         })
                         .collect::<Result<Vec<_>, ServeError>>()
                 };
-                let per_position = self.fan_out(session, positions, eval_positions)?;
+                let work = fan_out_work(compiled, positions * filters);
+                let per_position = self.fan_out(session, positions, work, eval_positions)?;
                 // Transpose position-major results into the plan's
                 // filter-major output order.
                 let mut outputs = vec![0.0f64; filters * positions];
@@ -420,7 +455,8 @@ impl Engine {
                     session.arena.recycle_all(streams);
                     Ok(decoded)
                 };
-                let decoded = self.fan_out(session, compiled.rows(), eval_units);
+                let work = fan_out_work(compiled, compiled.rows());
+                let decoded = self.fan_out(session, compiled.rows(), work, eval_units);
                 inputs.recycle(&mut session.arena);
                 decoded
             }
@@ -604,24 +640,97 @@ mod tests {
         assert_eq!(batched, sequential);
     }
 
+    /// An all-APC tiny-LeNet at `stream_length`: layers large enough to
+    /// fan out (the small test network's never are).
+    fn tiny_all_apc(stream_length: usize) -> Engine {
+        tiny_lenet_engine(FeatureBlockKind::ApcMaxBtanh, stream_length)
+    }
+
+    /// tiny-LeNet with every layer of max-pooling `kind`.
+    fn tiny_lenet_engine(kind: FeatureBlockKind, stream_length: usize) -> Engine {
+        let config = ScNetworkConfig::new("tiny", vec![kind; 4], stream_length, PoolingStyle::Max);
+        Engine::compile(
+            &sc_nn::lenet::tiny_lenet(5),
+            &config,
+            EngineOptions::default(),
+        )
+        .unwrap()
+    }
+
+    fn frame(seed: u32) -> Tensor {
+        Tensor::from_fn(&[1, 28, 28], |i| {
+            (((i as u32).wrapping_mul(seed.wrapping_mul(2_654_435_761) | 1) >> 16) % 255) as f32
+                / 255.0
+        })
+    }
+
+    /// Whether each layer of `engine` fans out at thread limit `threads`,
+    /// in plan order: every layer is evaluated on `frame`'s activations in
+    /// a fresh session, whose sub-sessions only a fan-out creates. The
+    /// caller holds `THREAD_LIMIT_LOCK`.
+    fn layer_fan_outs(engine: &Engine, threads: usize, frame: &Tensor) -> Vec<bool> {
+        sc_core::parallel::set_thread_limit(threads);
+        let mut values = engine.plan().input_values(frame);
+        let mut fanned_out = Vec::new();
+        for (layer, compiled) in engine.plan().layers.iter().zip(&engine.layers) {
+            let mut session = engine.new_session();
+            values = engine
+                .eval_layer(&mut session, layer, compiled, &values)
+                .unwrap();
+            fanned_out.push(!session.workers.is_empty());
+        }
+        sc_core::parallel::set_thread_limit(0);
+        fanned_out
+    }
+
+    /// Whether sc-core fans out at all (its `parallel` feature). The
+    /// caller holds `THREAD_LIMIT_LOCK`.
+    fn can_fan_out() -> bool {
+        sc_core::parallel::set_thread_limit(2);
+        let can = sc_core::parallel::max_threads() > 1;
+        sc_core::parallel::set_thread_limit(0);
+        can
+    }
+
+    /// tiny-LeNet's layers that fan out at L = 256: conv1, conv2 and fc1
+    /// when sc-core fans out at all; fc2 is below `MIN_FAN_OUT_WORK`.
+    fn fanned_at_l256() -> [bool; 4] {
+        let parallel = can_fan_out();
+        [parallel, parallel, parallel, false]
+    }
+
     #[test]
     fn single_request_fan_out_is_schedule_independent() {
-        let network = small_network(33);
-        let config = ScNetworkConfig::new(
-            "c",
-            vec![FeatureBlockKind::ApcMaxBtanh; 2],
-            100,
-            PoolingStyle::Max,
-        );
-        let engine = Engine::compile(&network, &config, options()).unwrap();
-        let image = image(11);
+        let engine = tiny_all_apc(256);
+        let image = frame(11);
         let _guard = THREAD_LIMIT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        // Every layer but fc2 takes the fan-out path at 4 threads.
+        assert_eq!(layer_fan_outs(&engine, 4, &image), fanned_at_l256());
         sc_core::parallel::set_thread_limit(1);
         let serial = engine.infer(&mut engine.new_session(), &image).unwrap();
         sc_core::parallel::set_thread_limit(4);
         let fanned = engine.infer(&mut engine.new_session(), &image).unwrap();
         sc_core::parallel::set_thread_limit(0);
         assert_eq!(serial, fanned);
+    }
+
+    /// Below `MIN_FAN_OUT_WORK` a layer runs in the calling session: at
+    /// thread limit 2, tiny-LeNet's fc2 never touches the sub-sessions,
+    /// while its convolutions and fc1 fan out.
+    #[test]
+    fn layers_below_the_handoff_work_run_serially() {
+        let engine = tiny_all_apc(256);
+        let _guard = THREAD_LIMIT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        assert_eq!(layer_fan_outs(&engine, 2, &frame(3)), fanned_at_l256());
+    }
+
+    /// The cutoff weighs APC work only: a MUX layer fans out whatever its
+    /// size, fc2 at L = 64 included.
+    #[test]
+    fn mux_layers_fan_out_at_any_work() {
+        let engine = tiny_lenet_engine(FeatureBlockKind::MuxMaxStanh, 64);
+        let _guard = THREAD_LIMIT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        assert_eq!(layer_fan_outs(&engine, 2, &frame(5)), [can_fan_out(); 4]);
     }
 
     #[test]
@@ -664,17 +773,12 @@ mod tests {
         // return to that arena: steady state must neither allocate fresh
         // buffers nor grow the pools (buffers leaking from one arena into
         // another would do both, one dense layer's worth per request).
-        let network = small_network(17);
-        let config = ScNetworkConfig::new(
-            "c",
-            vec![FeatureBlockKind::ApcMaxBtanh; 2],
-            64,
-            PoolingStyle::Max,
-        );
-        let engine = Engine::compile(&network, &config, options()).unwrap();
+        let engine = tiny_all_apc(256);
         let mut session = engine.new_session();
-        let frame = image(3);
+        let frame = frame(3);
         let _guard = THREAD_LIMIT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        // The dense layer fc1 fans out too, not only the convolutions.
+        assert_eq!(layer_fan_outs(&engine, 4, &frame), fanned_at_l256());
         sc_core::parallel::set_thread_limit(4);
         for _ in 0..3 {
             engine.infer(&mut session, &frame).unwrap();

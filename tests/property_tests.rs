@@ -150,24 +150,35 @@ proptest! {
     }
 
     /// A lane's precomputed sequence fills exactly the stream its batched
-    /// and per-lane generators draw, at every length (below the 128-bit
-    /// staged minimum and off word multiples too), at the comparator's edge
-    /// thresholds, and under every kernel backend this build and CPU run.
+    /// and per-lane generators draw and the per-bit comparator loop
+    /// (`Sng::generate_probability_bitwise`, which shares no code with the
+    /// bit-sliced comparator), at every length (below the 128-bit staged
+    /// minimum and off word multiples too), at the comparator's edge
+    /// thresholds and at L-quantized ones `k·65536/L` with odd and even
+    /// `k` (whose trailing zeros set how many planes the comparator
+    /// walks), and under every kernel backend this build and CPU run.
     #[test]
     fn lane_sequence_fill_matches_batched_and_per_lane_sng(seed in any::<u64>(),
-                                                          random_threshold in 0u32..=0x10000) {
+                                                          random_threshold in 0u32..=0x10000,
+                                                          k in 0usize..4096) {
         let original = active_backend();
-        for bits in [1usize, 63, 64, 100, 127, 128, 129, 1024, 8191] {
+        for bits in [1usize, 63, 64, 100, 127, 128, 129, 256, 1024, 8191] {
             let length = StreamLength::new(bits);
             let lane = LaneSequence::new(seed, length);
-            for threshold in [0u32, 1, 0x8000, 0xFFFF, 0x10000, random_threshold] {
+            let quantized = |k: usize| (k % bits * 65536 / bits) as u32;
+            let odd = quantized(2 * k + 1);
+            let even = quantized(2 * k + 2);
+            for threshold in [0u32, 1, 0x8000, 0xFFFF, 0x10000, random_threshold, odd, even] {
                 // Exact: `probability_threshold` maps it back to `threshold`.
                 let probability = f64::from(threshold) / 65536.0;
+                let bitwise = Sng::new(SngKind::Lfsr32, seed)
+                    .generate_probability_bitwise(probability, length)
+                    .unwrap();
                 for backend in Backend::ALL.into_iter().filter(|b| b.is_available()) {
                     prop_assert!(force_backend(backend));
                     let mut batched = BitStream::zeros(length);
                     let mut per_lane = BitStream::zeros(length);
-                    let mut filled = BitStream::zeros(length);
+                    let mut filled = BitStream::ones(length);
                     BatchSng::new(SngKind::Lfsr32)
                         .fill_probability(seed, probability, &mut batched)
                         .unwrap();
@@ -175,8 +186,9 @@ proptest! {
                         .generate_probability_into(probability, &mut per_lane)
                         .unwrap();
                     lane.fill(threshold, &mut filled).unwrap();
-                    prop_assert_eq!(&filled, &batched, "{} bits={} threshold={:#x}", backend.name(), bits, threshold);
-                    prop_assert_eq!(&filled, &per_lane, "{} bits={} threshold={:#x}", backend.name(), bits, threshold);
+                    prop_assert_eq!(&filled, &bitwise, "{} bits={} threshold={:#x}", backend.name(), bits, threshold);
+                    prop_assert_eq!(&batched, &bitwise, "{} bits={} threshold={:#x}", backend.name(), bits, threshold);
+                    prop_assert_eq!(&per_lane, &bitwise, "{} bits={} threshold={:#x}", backend.name(), bits, threshold);
                 }
             }
         }
@@ -374,6 +386,53 @@ proptest! {
                         selected.fill(&thresholds, &mut filled).unwrap();
                         prop_assert_eq!(&filled, &gathered, "{} lanes={} bits={}", backend.name(), lanes, bits);
                     }
+                }
+            }
+        }
+        force_backend(original);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// An APC field filled straight into its packed group-lane slots
+    /// (`PackedLanes::fill_row`) equals every lane filled on its own
+    /// (`LaneSequence::fill`) and written with `PackedLanes::write_lane`,
+    /// for a field of one lane, conv1's 25, conv2's 200 and fc1's 256, at
+    /// lengths below the staged minimum, off word and group multiples and
+    /// at several groups, with edge, L-quantized and random thresholds, in
+    /// a middle row of three, under every kernel backend this build and
+    /// CPU run.
+    #[test]
+    fn packed_field_fill_matches_per_lane_fills(seed in any::<u64>(),
+                                                threshold_seed in any::<u64>()) {
+        let original = active_backend();
+        let mut rng = StdRng::seed_from_u64(threshold_seed);
+        for lanes in [1usize, 25, 200, 256] {
+            for bits in [64usize, 127, 256, 257, 1024] {
+                let length = StreamLength::new(bits);
+                let sequences: Vec<LaneSequence> = (0..lanes)
+                    .map(|lane| LaneSequence::new(SngBank::lane_seed(seed, lane), length))
+                    .collect();
+                let thresholds: Vec<u32> = (0..lanes)
+                    .map(|lane| match lane % 4 {
+                        0 => [0u32, 1, 0xFFFF, 0x10000][lane / 4 % 4],
+                        1 => (rng.gen_range(0..bits) * 65536 / bits) as u32,
+                        _ => rng.gen_range(0..=0x10000u32),
+                    })
+                    .collect();
+                let mut expected = PackedLanes::zeroed(lanes, length, 3).unwrap();
+                for (lane, (sequence, &threshold)) in sequences.iter().zip(&thresholds).enumerate() {
+                    let mut stream = BitStream::zeros(length);
+                    sequence.fill(threshold, &mut stream).unwrap();
+                    expected.write_lane(1, lane, &stream).unwrap();
+                }
+                for backend in Backend::ALL.into_iter().filter(|b| b.is_available()) {
+                    prop_assert!(force_backend(backend));
+                    let mut packed = PackedLanes::zeroed(lanes, length, 3).unwrap();
+                    packed.fill_row(1, &sequences, &thresholds).unwrap();
+                    prop_assert_eq!(&packed, &expected, "{} lanes={} bits={}", backend.name(), lanes, bits);
                 }
             }
         }
