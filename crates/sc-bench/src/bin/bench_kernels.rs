@@ -536,9 +536,12 @@ fn bench_shared_apc_csa(samples: usize, iters: usize) -> Comparison {
     }
     let (packed_inputs, packed_weights) = pack_operands(&inputs, &unit_ws);
     let mut arena = StreamArena::new();
-    let packed = Apc::new()
-        .count_packed_with(packed_inputs.view(), packed_weights.view(), &mut arena)
-        .unwrap();
+    let packed: Vec<CountStream> = Apc::new()
+        .count_planes_with(packed_inputs.view(), packed_weights.view(), &mut arena)
+        .unwrap()
+        .into_iter()
+        .map(|planes| planes.drain_with(&mut arena).unwrap())
+        .collect();
     for (unit, ws) in unit_ws.iter().enumerate() {
         let per_unit = Apc::new().count_products(&inputs, ws).unwrap();
         assert_eq!(
@@ -552,11 +555,12 @@ fn bench_shared_apc_csa(samples: usize, iters: usize) -> Comparison {
         counts
     });
     let optimized_ns = measure(samples, iters, || {
-        let counts = Apc::new()
-            .count_packed_with(packed_inputs.view(), packed_weights.view(), &mut arena)
+        let rows = Apc::new()
+            .count_planes_with(packed_inputs.view(), packed_weights.view(), &mut arena)
             .unwrap();
-        for stream in counts {
-            arena.recycle_counts(stream.into_counts());
+        for planes in rows {
+            let counts = planes.drain_with(&mut arena).unwrap();
+            arena.recycle_counts(counts.into_counts());
         }
     });
     Comparison {
@@ -797,7 +801,7 @@ mod frozen_shared {
         }
     }
 
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn counts_avx2(
         input_words: &[&[u64]],
@@ -820,7 +824,7 @@ mod frozen_shared {
             sc_core::Backend::Scalar => {
                 counts_impl::<u64>(input_words, unit_lane_words, len, counts)
             }
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             // SAFETY: the backend selector reports AVX2 only when available.
             sc_core::Backend::Avx2 => unsafe {
                 counts_avx2(input_words, unit_lane_words, len, counts)
@@ -917,9 +921,12 @@ fn bench_fc1_apc(samples: usize, iters: usize, cold: bool) -> Comparison {
     let mut frozen = vec![vec![0u16; len]; units];
     frozen_shared::counts(&input_words, &unit_lane_words, len, &mut frozen);
     let mut arena = StreamArena::new();
-    let packed = Apc::new()
-        .count_packed_with(packed_inputs.view(), packed_weights.view(), &mut arena)
-        .unwrap();
+    let packed: Vec<CountStream> = Apc::new()
+        .count_planes_with(packed_inputs.view(), packed_weights.view(), &mut arena)
+        .unwrap()
+        .into_iter()
+        .map(|planes| planes.drain_with(&mut arena).unwrap())
+        .collect();
     for (unit, (exact, apc)) in frozen.iter().zip(&packed).enumerate() {
         let mut expected = ExactParallelCounter::new()
             .count_products(&inputs, &unit_ws[unit])
@@ -950,11 +957,12 @@ fn bench_fc1_apc(samples: usize, iters: usize, cold: bool) -> Comparison {
         counts
     });
     let optimized_ns = measure_prepared(samples, iters, evict_packed, || {
-        let counts = Apc::new()
-            .count_packed_with(packed_inputs.view(), packed_weights.view(), &mut arena)
+        let rows = Apc::new()
+            .count_planes_with(packed_inputs.view(), packed_weights.view(), &mut arena)
             .unwrap();
-        for stream in counts {
-            arena.recycle_counts(stream.into_counts());
+        for planes in rows {
+            let counts = planes.drain_with(&mut arena).unwrap();
+            arena.recycle_counts(counts.into_counts());
         }
     });
     if cold {
@@ -1210,7 +1218,7 @@ mod frozen_field_drain {
         CountStream::new(out, inputs[0].lanes()).unwrap()
     }
 
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn apc_counts_avx2(
         input: &[u64],
@@ -1233,7 +1241,7 @@ mod frozen_field_drain {
     ) {
         match sc_core::active_backend() {
             sc_core::Backend::Scalar => apc_counts_impl::<u64>(input, weights, lanes, bits, counts),
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             // SAFETY: the backend selector reports AVX2 only when available.
             sc_core::Backend::Avx2 => unsafe {
                 apc_counts_avx2(input, weights, lanes, bits, counts)
@@ -2001,11 +2009,12 @@ fn backend_matrix(samples: usize, iters: usize) -> Vec<BackendMatrixRow> {
             samples,
             iters,
             move || {
-                let counts = Apc::new()
-                    .count_packed_with(x.view(), w.view(), &mut arena)
+                let rows = Apc::new()
+                    .count_planes_with(x.view(), w.view(), &mut arena)
                     .unwrap();
-                for stream in counts {
-                    arena.recycle_counts(stream.into_counts());
+                for planes in rows {
+                    let counts = planes.drain_with(&mut arena).unwrap();
+                    arena.recycle_counts(counts.into_counts());
                 }
             },
         ));
@@ -2082,7 +2091,7 @@ fn main() {
     }
 
     let mut json = String::from("{\n");
-    json.push_str("  \"generated_by\": \"cargo run --release -p sc-bench --features simd --bin bench_kernels\",\n");
+    json.push_str("  \"generated_by\": \"cargo run --release -p sc-bench --bin bench_kernels\",\n");
     json.push_str(&format!(
         "  \"threads_available\": {},\n",
         std::thread::available_parallelism()

@@ -26,8 +26,7 @@ use sc_core::stats::ErrorSummary;
 /// `(observed, reference)` pairs.
 ///
 /// Every trial seeds its RNG from its own index, so the summary is identical
-/// whatever the thread count (including the serial fallback when the
-/// `parallel` feature is disabled).
+/// whatever the thread count (`SC_THREADS=1` included).
 ///
 /// # Panics
 ///

@@ -286,7 +286,7 @@ impl HardwareMaxPooling {
             let segment_bits = self.segment_bits;
             match active_backend() {
                 Backend::Scalar => pool_lane_counts::<u64>(segment_bits, candidates, out, len),
-                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+                #[cfg(target_arch = "x86_64")]
                 Backend::Avx2 => {
                     // SAFETY: `active_backend` reports AVX2 only after
                     // runtime feature detection.
@@ -375,7 +375,7 @@ impl HardwareMaxPooling {
         let out = output.words_mut();
         match active_backend() {
             Backend::Scalar => pool_planes::<u64>(inputs, out, planes),
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => {
                 // SAFETY: `active_backend` reports AVX2 only after runtime
                 // feature detection.
@@ -665,7 +665,7 @@ fn segment_totals<W: Word>(words: &[u64], at: usize, planes: usize) -> (W, W) {
     (even, odd)
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::PoolInputs;
     use sc_core::csa::CountPlanes;

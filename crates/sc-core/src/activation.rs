@@ -357,7 +357,7 @@ impl Btanh {
             lanes: lanes as i32,
         };
         match crate::word::active_backend() {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             crate::word::Backend::Avx2 => {
                 // SAFETY: `active_backend` reports AVX2 only after runtime
                 // feature detection.
@@ -493,7 +493,7 @@ fn walk_rows<S: RowStates>(counts: &[u16], len: usize, walk: &RowWalk, outputs: 
 }
 
 /// The AVX2 row walk: a group's states in one 256-bit vector.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod rows_avx2 {
     use super::{walk_rows, RowStates, RowWalk, ROW_GROUP};
     use crate::bitstream::BitStream;
@@ -832,7 +832,7 @@ mod tests {
             let mut outputs = dirty();
             walk_rows::<PortableRows>(counts, len, &walk, &mut outputs);
             runs.push(("portable", outputs));
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             if crate::word::Backend::Avx2.is_available() {
                 let mut outputs = dirty();
                 // SAFETY: AVX2 availability was checked above.

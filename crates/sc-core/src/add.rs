@@ -527,7 +527,7 @@ fn plan_sum_words(plan: &MuxSelectorPlan, words: &[&[u64]], out: &mut [u64]) {
 /// Concrete AVX2 entry points: `#[target_feature]` wrappers over the
 /// `#[inline(always)]` generic kernels, so the intrinsics inline into one
 /// AVX2-compiled body per kernel (see [`crate::word`]).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod mux_avx2 {
     use super::*;
     use crate::word::WAvx2;
@@ -826,30 +826,6 @@ impl Apc {
         let mut counts = product_counts(inputs, weights)?;
         apply_apc_lsb(&mut counts, inputs.len());
         CountStream::new(counts, inputs.len())
-    }
-
-    /// Layer-fused multiply-count over packed operands: APC column counts of
-    /// the one-row `inputs` (one receptive field's lanes) against every row
-    /// of `weights` (one row per output unit), with the count buffers taken
-    /// from `arena`'s count pool (recycle each result's buffer via
-    /// [`CountStream::into_counts`] when done). `result[u]` is bit-exact
-    /// with [`Apc::count_products`] on the unpacked input lanes and unit
-    /// `u`'s weight lanes: the planes of [`Apc::count_planes_with`],
-    /// drained ([`CountPlanes::drain_with`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Apc::count_planes_with`].
-    pub fn count_packed_with(
-        &self,
-        inputs: PackedView<'_>,
-        weights: PackedView<'_>,
-        arena: &mut StreamArena,
-    ) -> Result<Vec<CountStream>, ScError> {
-        self.count_planes_with(inputs, weights, arena)?
-            .into_iter()
-            .map(|planes| planes.drain_with(arena))
-            .collect()
     }
 
     /// Layer-fused multiply-count in bit-plane form: the APC column counts
@@ -1222,6 +1198,21 @@ mod tests {
         )
     }
 
+    /// Every unit's APC counts as a pooling block reads them: the planes
+    /// of [`Apc::count_planes_with`], each drained.
+    fn drained_counts(
+        x: PackedView<'_>,
+        w: PackedView<'_>,
+        arena: &mut StreamArena,
+    ) -> Vec<CountStream> {
+        Apc::new()
+            .count_planes_with(x, w, arena)
+            .unwrap()
+            .into_iter()
+            .map(|planes| planes.drain_with(arena).unwrap())
+            .collect()
+    }
+
     #[test]
     fn shared_count_products_matches_per_unit_kernel() {
         for len in [100usize, 127, 512] {
@@ -1230,9 +1221,7 @@ mod tests {
                 .map(|u| streams_for(&[-0.5, 0.25, 0.1, 0.9, 0.3], len, 900 + u * 31))
                 .collect();
             let (x, w) = packed_operands(&xs, &unit_ws);
-            let shared = Apc::new()
-                .count_packed_with(x.view(), w.view(), &mut StreamArena::new())
-                .unwrap();
+            let shared = drained_counts(x.view(), w.view(), &mut StreamArena::new());
             assert_eq!(shared.len(), 3);
             for (unit, counts) in shared.iter().enumerate() {
                 let per_unit = Apc::new().count_products(&xs, &unit_ws[unit]).unwrap();
@@ -1274,9 +1263,7 @@ mod tests {
                 // Exact counts: packed core vs the naive reference.
                 let shared = ExactParallelCounter::new();
                 let (x, w) = packed_operands(&xs, &unit_ws);
-                let apc_shared = Apc::new()
-                    .count_packed_with(x.view(), w.view(), &mut StreamArena::new())
-                    .unwrap();
+                let apc_shared = drained_counts(x.view(), w.view(), &mut StreamArena::new());
                 for (unit, ws) in unit_ws.iter().enumerate() {
                     let naive = per_bit_product_counts(&xs, ws);
                     let exact = shared.count_products(&xs, ws).unwrap();
@@ -1313,9 +1300,7 @@ mod tests {
         let (x, w) = packed_operands(&xs, &unit_ws);
         let mut arena = StreamArena::new();
         for round in 0..3 {
-            let pooled = Apc::new()
-                .count_packed_with(x.view(), w.view(), &mut arena)
-                .unwrap();
+            let pooled = drained_counts(x.view(), w.view(), &mut arena);
             assert_eq!(pooled, plain, "round {round}");
             for counts in pooled {
                 arena.recycle_counts(counts.into_counts());
@@ -1326,9 +1311,7 @@ mod tests {
         assert_eq!(stats.count_allocs, 3);
         assert_eq!(stats.count_reuses, 6);
         // A one-unit view of the same weights counts that unit alone.
-        let one = Apc::new()
-            .count_packed_with(x.view(), w.view_rows(2..3), &mut arena)
-            .unwrap();
+        let one = drained_counts(x.view(), w.view_rows(2..3), &mut arena);
         assert_eq!(one, plain[2..]);
     }
 
@@ -1458,7 +1441,7 @@ mod tests {
             }
         }
         check::<crate::word::W4>("wide");
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         if crate::word::Backend::Avx2.is_available() {
             check::<crate::word::WAvx2>("avx2");
         }
@@ -1488,11 +1471,7 @@ mod tests {
                             .unwrap(),
                     );
                     let (x, w) = packed_operands(&xs, &unit_ws);
-                    all.extend(
-                        Apc::new()
-                            .count_packed_with(x.view(), w.view(), &mut StreamArena::new())
-                            .unwrap(),
-                    );
+                    all.extend(drained_counts(x.view(), w.view(), &mut StreamArena::new()));
                 }
             }
             all
@@ -1518,19 +1497,19 @@ mod tests {
         let mut arena = StreamArena::new();
         let apc = Apc::new();
         assert!(apc
-            .count_packed_with(x.view(), w.view(), &mut arena)
+            .count_planes_with(x.view(), w.view(), &mut arena)
             .is_ok());
         // Two input rows, too few lanes, another length.
         assert!(apc
-            .count_packed_with(w.view(), w.view(), &mut arena)
+            .count_planes_with(w.view(), w.view(), &mut arena)
             .is_err());
         let narrow = PackedLanes::pack([short.as_slice()]).unwrap();
         assert!(apc
-            .count_packed_with(narrow.view(), w.view(), &mut arena)
+            .count_planes_with(narrow.view(), w.view(), &mut arena)
             .is_err());
         let longer = PackedLanes::pack([long.as_slice()]).unwrap();
         assert!(apc
-            .count_packed_with(longer.view(), w.view(), &mut arena)
+            .count_planes_with(longer.view(), w.view(), &mut arena)
             .is_err());
         // Rows of unequal lane counts never pack.
         assert!(PackedLanes::pack([ws.as_slice(), short.as_slice()]).is_err());

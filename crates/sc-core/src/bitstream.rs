@@ -67,7 +67,7 @@ fn xor_popcount_impl<W: Word>(a: &[u64], b: &[u64]) -> u64 {
 
 /// Concrete `#[target_feature]` entry points for the popcount kernels; see
 /// the dispatch macro in [`crate::word`] for why these exist.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod popcount_avx2 {
     use super::*;
     use crate::word::WAvx2;
@@ -96,7 +96,7 @@ mod popcount_avx2 {
         xor_popcount_impl::<WAvx2>(a, b)
     }
 }
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 use popcount_avx2::{and_popcount_avx2, popcount_words_avx2, xor_popcount_avx2};
 
 /// Backend-dispatched sum of population counts over a word buffer.
@@ -931,7 +931,7 @@ mod tests {
             }
         }
         check::<W4>("wide");
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         if crate::word::Backend::Avx2.is_available() {
             check::<crate::word::WAvx2>("avx2");
         }

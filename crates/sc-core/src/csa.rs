@@ -689,7 +689,7 @@ pub(crate) fn product_column_counts(
     Ok(())
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::CountPlanes;
     use crate::word::WAvx2;
@@ -1089,7 +1089,7 @@ mod tests {
             ("scalar", counts_with::<u64>(inputs, weights)),
             ("wide", counts_with::<crate::word::W4>(inputs, weights)),
         ];
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         if crate::word::Backend::Avx2.is_available() {
             let mut planes =
                 vec![CountPlanes::zeroed(inputs.lanes(), inputs.length()).unwrap(); weights.rows()];

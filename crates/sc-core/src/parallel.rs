@@ -9,8 +9,8 @@
 //!    partitioned by *index*, each item derives all of its randomness from
 //!    its own index (the `SngBank` splitmix scheme), and results are written
 //!    into the output slot matching the input index. Running with
-//!    `SC_THREADS=1`, with the `parallel` feature disabled, on a 128-core
-//!    box, or with every helper busy produces exactly the same numbers.
+//!    `SC_THREADS=1`, on a 128-core box, or with every helper busy
+//!    produces exactly the same numbers.
 //! 2. **No thread spawn per call.** A fan-out splits its items into one
 //!    contiguous part per participant: the caller runs the first part
 //!    itself and posts the others to parked helper threads. Helpers start
@@ -24,9 +24,9 @@
 //!    server thus keeps one SC thread per core, while an idle core helps
 //!    the request in flight.
 //!
-//! The `parallel` cargo feature (default-on) gates the threading; when
-//! disabled every function here degrades to the serial loop. The
-//! `SC_THREADS` environment variable caps the thread count at runtime.
+//! The `SC_THREADS` environment variable (or [`set_thread_limit`]) caps
+//! the thread count at runtime; a cap of 1 runs every function here as
+//! the serial loop.
 //! No dependency beyond `std`: this is the crate's stand-in for a rayon
 //! thread pool in an offline build environment (see `vendor/README.md`).
 
@@ -62,12 +62,12 @@ pub fn set_thread_limit(limit: usize) {
 /// Maximum number of threads doing SC work at once: the fan-out width and
 /// the budget shared by fan-outs and [`JobGuard`] holders.
 ///
-/// Honors, in order: the `parallel` feature (off → 1), a nested fan-out
-/// (worker context → 1), [`set_thread_limit`], the `SC_THREADS` environment
-/// variable (read once per process; values `0` and `1` both mean "serial"),
-/// then the machine's available parallelism. Always at least 1.
+/// Honors, in order: a nested fan-out (worker context → 1),
+/// [`set_thread_limit`], the `SC_THREADS` environment variable (read once
+/// per process; values `0` and `1` both mean "serial"), then the machine's
+/// available parallelism. Always at least 1.
 pub fn max_threads() -> usize {
-    if !cfg!(feature = "parallel") || IN_WORKER.with(Cell::get) {
+    if IN_WORKER.with(Cell::get) {
         return 1;
     }
     let limit = THREAD_LIMIT.load(Ordering::Relaxed);
@@ -549,9 +549,7 @@ mod tests {
                 assert!(message.contains(&format!("part {panicking} panics")));
                 let ran_on = parallel_map(&[0u8, 1], |_, _| current());
                 assert_eq!(ran_on[0], current());
-                if cfg!(feature = "parallel") {
-                    assert_ne!(ran_on[1], current(), "the next fan-out gets a helper");
-                }
+                assert_ne!(ran_on[1], current(), "the next fan-out gets a helper");
             }
         });
     }

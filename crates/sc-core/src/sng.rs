@@ -309,7 +309,7 @@ fn fill_lanes_impl<W: Word>(
     }
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod comparator_avx2 {
     use super::*;
     use crate::word::WAvx2;
@@ -843,7 +843,7 @@ impl SelectedSequence {
         }
         let words = stream.words_mut();
         match active_backend() {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             crate::word::Backend::Avx2 => {
                 // SAFETY: `active_backend` reports AVX2 only after runtime
                 // feature detection; `gather` refused every lane that does
@@ -873,7 +873,7 @@ fn selected_fill_scalar(lanes: &[u32], samples: &[u16], thresholds: &[u32], word
     }
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod gather_avx2 {
     use std::arch::x86_64::*;
 
@@ -1179,7 +1179,7 @@ mod tests {
             }
         }
         check::<W4>("wide");
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         if crate::word::Backend::Avx2.is_available() {
             check::<crate::word::WAvx2>("avx2");
         }

@@ -17,8 +17,8 @@
 //! * [`W4`] (`[u64; 4]`, 4 lanes) is the **portable super-word** — plain
 //!   array code the compiler auto-vectorizes, available everywhere with no
 //!   feature flags. It is the default wide path.
-//! * `WAvx2` (x86-64, 4 lanes) is the `std::arch` backend behind the
-//!   `simd` cargo feature, selected at runtime only when the CPU supports
+//! * `WAvx2` (x86-64, 4 lanes) is the `std::arch` backend, compiled on
+//!   every x86-64 build and selected at runtime only when the CPU supports
 //!   AVX2. Other targets (AArch64 included) run the scalar and [`W4`]
 //!   backends.
 //!
@@ -359,7 +359,7 @@ impl Word for W4 {
     }
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::Word;
     use std::arch::x86_64::*;
@@ -519,14 +519,14 @@ mod avx2 {
     }
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 pub use avx2::WAvx2;
 
 /// The kernel backend the dispatchers route through.
 ///
 /// All variants exist on every platform so tooling (benches, CI scripts,
 /// config parsing) can name them unconditionally; [`Backend::is_available`]
-/// reports whether this build and CPU can actually run one, and the
+/// reports whether this target and CPU can actually run one, and the
 /// selection functions never activate an unavailable backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Backend {
@@ -534,7 +534,7 @@ pub enum Backend {
     Scalar,
     /// Portable `[u64; 4]` super-word (always available).
     Wide,
-    /// AVX2 256-bit path (`simd` feature, x86-64 with AVX2 only).
+    /// AVX2 256-bit path (x86-64 with AVX2 only).
     Avx2,
 }
 
@@ -542,13 +542,13 @@ impl Backend {
     /// All backends, in preference order (best first).
     pub const ALL: [Backend; 3] = [Backend::Avx2, Backend::Wide, Backend::Scalar];
 
-    /// Whether this backend can run in this build on this CPU.
+    /// Whether this backend can run on this target and CPU.
     pub fn is_available(self) -> bool {
         match self {
             Backend::Scalar | Backend::Wide => true,
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
-            #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+            #[cfg(not(target_arch = "x86_64"))]
             Backend::Avx2 => false,
         }
     }
@@ -583,15 +583,14 @@ impl std::fmt::Display for Backend {
 ///
 /// `$generic` is an `#[inline(always)]` function generic over [`Word`];
 /// `$avx2` is its concrete `#[target_feature(enable = "avx2")]` entry point
-/// (only referenced when the `simd` feature is on for x86-64, so it may be
-/// left undefined elsewhere). The AVX2 arm is what makes the intrinsics
-/// inline: calling the generic directly would compile its body without the
-/// feature enabled.
+/// (only referenced on x86-64, so it may be left undefined elsewhere). The
+/// AVX2 arm is what makes the intrinsics inline: calling the generic
+/// directly would compile its body without the feature enabled.
 macro_rules! dispatch_word_kernel {
     ($generic:ident, $avx2:path, ($($arg:expr),* $(,)?)) => {{
         match $crate::word::active_backend() {
             $crate::word::Backend::Scalar => $generic::<u64>($($arg),*),
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             $crate::word::Backend::Avx2 => {
                 // SAFETY: `active_backend` reports AVX2 only after runtime
                 // feature detection (or an availability-checked force).
@@ -786,11 +785,21 @@ mod tests {
         check_backend_ops::<W4>();
     }
 
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx2_backend_ops_match_scalar() {
         if Backend::Avx2.is_available() {
             check_backend_ops::<WAvx2>();
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_backend_is_built_on_x86_64() {
+        let has_avx2 = std::arch::is_x86_feature_detected!("avx2");
+        assert_eq!(Backend::Avx2.is_available(), has_avx2);
+        if has_avx2 {
+            assert_eq!(best_available_backend(), Backend::Avx2);
         }
     }
 

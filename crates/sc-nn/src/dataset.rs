@@ -116,9 +116,8 @@ impl SyntheticDigits {
         self.test_images.len()
     }
 
-    /// Loads the real MNIST dataset from `SC_MNIST_DIR` when the `mnist`
-    /// feature is enabled and the IDX files are present, otherwise generates
-    /// the synthetic dataset (always the case without the feature).
+    /// Loads the real MNIST dataset from `SC_MNIST_DIR` when the variable is
+    /// set and the IDX files load, otherwise generates the synthetic dataset.
     ///
     /// The MNIST split is truncated to `train_per_class` training and
     /// `max(train_per_class / 4, 1)` test samples per class so the two
@@ -128,17 +127,14 @@ impl SyntheticDigits {
     ///
     /// Panics if `train_per_class` is zero.
     pub fn load_or_generate(train_per_class: usize, seed: u64) -> Self {
-        #[cfg(feature = "mnist")]
-        {
-            if let Some(dir) = std::env::var_os("SC_MNIST_DIR") {
-                match mnist::load_from_dir(std::path::Path::new(&dir), train_per_class) {
-                    Ok(data) => return data,
-                    Err(error) => {
-                        eprintln!(
-                            "SC_MNIST_DIR set but MNIST load failed ({error}); \
-                             falling back to SyntheticDigits"
-                        );
-                    }
+        if let Some(dir) = std::env::var_os("SC_MNIST_DIR") {
+            match mnist::load_from_dir(std::path::Path::new(&dir), train_per_class) {
+                Ok(data) => return data,
+                Err(error) => {
+                    eprintln!(
+                        "SC_MNIST_DIR set but MNIST load failed ({error}); \
+                         falling back to SyntheticDigits"
+                    );
                 }
             }
         }
@@ -146,13 +142,12 @@ impl SyntheticDigits {
     }
 }
 
-/// Loader for the real MNIST IDX files (enabled by the `mnist` feature).
+/// Loader for the real MNIST IDX files (pointed at by `SC_MNIST_DIR`).
 ///
 /// Parses the classic `train-images-idx3-ubyte` / `train-labels-idx1-ubyte`
 /// (and `t10k-…`) files with plain `std` I/O — no decompression, no network
 /// access. Pixels are normalized to `[0, 1]` and shaped `(1, 28, 28)`, so
 /// the loaded dataset is a drop-in replacement for [`SyntheticDigits`].
-#[cfg(feature = "mnist")]
 pub mod mnist {
     use super::{SyntheticDigits, CLASSES};
     use crate::tensor::Tensor;
@@ -405,8 +400,8 @@ mod tests {
 
     #[test]
     fn load_or_generate_falls_back_to_synthetic() {
-        // Without SC_MNIST_DIR (or without the feature) this must be the
-        // synthetic generator, bit-for-bit.
+        // Without SC_MNIST_DIR this must be the synthetic generator,
+        // bit-for-bit.
         let loaded = SyntheticDigits::load_or_generate(3, 42);
         let generated = SyntheticDigits::generate(3, 42);
         assert_eq!(
@@ -417,7 +412,7 @@ mod tests {
     }
 }
 
-#[cfg(all(test, feature = "mnist"))]
+#[cfg(test)]
 mod mnist_tests {
     use super::mnist::{load_from_dir, read_idx_images, read_idx_labels};
     use super::*;

@@ -13,10 +13,10 @@
 //! ```
 //!
 //! Trains the reduced LeNet on the synthetic digit dataset (or real MNIST
-//! when built with `--features mnist` and `SC_MNIST_DIR` is set) once,
-//! compiles it for every requested Table-6-style configuration, and serves
-//! inference requests, printing a metrics report every few seconds. Several
-//! `serve` replicas (same model list) can be fronted by the `route` binary.
+//! when `SC_MNIST_DIR` is set) once, compiles it for every requested
+//! Table-6-style configuration, and serves inference requests, printing a
+//! metrics report every few seconds. Several `serve` replicas (same model
+//! list) can be fronted by the `route` binary.
 //!
 //! Observability: `--admin-addr 127.0.0.1:9878` exposes a live scrape
 //! endpoint (`/metrics` Prometheus text, `/metrics.json`); `--trace-log

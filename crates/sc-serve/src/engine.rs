@@ -553,8 +553,8 @@ mod tests {
     }
 
     /// End-to-end kernel-backend bit-exactness: the scalar reference and
-    /// the widest available backend (the portable super-word without the
-    /// `simd` feature, AVX2 with it on x86-64) must serve bit-identical
+    /// the widest available backend (AVX2 on an x86-64 CPU that has it,
+    /// the portable super-word elsewhere) must serve bit-identical
     /// inferences through the full fused path — SNG comparator fills, fused
     /// XNOR/count and MUX-plan kernels, CSA compression, and the batch
     /// activation walks — for every feature-block family. `force_backend`
@@ -683,21 +683,9 @@ mod tests {
         fanned_out
     }
 
-    /// Whether sc-core fans out at all (its `parallel` feature). The
-    /// caller holds `THREAD_LIMIT_LOCK`.
-    fn can_fan_out() -> bool {
-        sc_core::parallel::set_thread_limit(2);
-        let can = sc_core::parallel::max_threads() > 1;
-        sc_core::parallel::set_thread_limit(0);
-        can
-    }
-
-    /// tiny-LeNet's layers that fan out at L = 256: conv1, conv2 and fc1
-    /// when sc-core fans out at all; fc2 is below `MIN_FAN_OUT_WORK`.
-    fn fanned_at_l256() -> [bool; 4] {
-        let parallel = can_fan_out();
-        [parallel, parallel, parallel, false]
-    }
+    /// tiny-LeNet's layers that fan out at L = 256: conv1, conv2 and fc1;
+    /// fc2 is below `MIN_FAN_OUT_WORK`.
+    const FANNED_AT_L256: [bool; 4] = [true, true, true, false];
 
     #[test]
     fn single_request_fan_out_is_schedule_independent() {
@@ -705,7 +693,7 @@ mod tests {
         let image = frame(11);
         let _guard = THREAD_LIMIT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // Every layer but fc2 takes the fan-out path at 4 threads.
-        assert_eq!(layer_fan_outs(&engine, 4, &image), fanned_at_l256());
+        assert_eq!(layer_fan_outs(&engine, 4, &image), FANNED_AT_L256);
         sc_core::parallel::set_thread_limit(1);
         let serial = engine.infer(&mut engine.new_session(), &image).unwrap();
         sc_core::parallel::set_thread_limit(4);
@@ -721,7 +709,7 @@ mod tests {
     fn layers_below_the_handoff_work_run_serially() {
         let engine = tiny_all_apc(256);
         let _guard = THREAD_LIMIT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        assert_eq!(layer_fan_outs(&engine, 2, &frame(3)), fanned_at_l256());
+        assert_eq!(layer_fan_outs(&engine, 2, &frame(3)), FANNED_AT_L256);
     }
 
     /// The cutoff weighs APC work only: a MUX layer fans out whatever its
@@ -730,7 +718,7 @@ mod tests {
     fn mux_layers_fan_out_at_any_work() {
         let engine = tiny_lenet_engine(FeatureBlockKind::MuxMaxStanh, 64);
         let _guard = THREAD_LIMIT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        assert_eq!(layer_fan_outs(&engine, 2, &frame(5)), [can_fan_out(); 4]);
+        assert_eq!(layer_fan_outs(&engine, 2, &frame(5)), [true; 4]);
     }
 
     #[test]
@@ -778,7 +766,7 @@ mod tests {
         let frame = frame(3);
         let _guard = THREAD_LIMIT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // The dense layer fc1 fans out too, not only the convolutions.
-        assert_eq!(layer_fan_outs(&engine, 4, &frame), fanned_at_l256());
+        assert_eq!(layer_fan_outs(&engine, 4, &frame), FANNED_AT_L256);
         sc_core::parallel::set_thread_limit(4);
         for _ in 0..3 {
             engine.infer(&mut session, &frame).unwrap();
