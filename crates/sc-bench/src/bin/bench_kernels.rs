@@ -13,7 +13,7 @@ use sc_core::activation::{Btanh, Stanh};
 use sc_core::add::{Apc, CountStream, ExactParallelCounter, MuxAdder, MuxSelectorPlan};
 use sc_core::arena::StreamArena;
 use sc_core::bitstream::{BitStream, StreamLength};
-use sc_core::csa::{CountPlanes, PackedLanes, ROW_GROUP};
+use sc_core::csa::{CountPlanes, PackedLanes, PackedView, ROW_GROUP};
 use sc_core::multiply;
 use sc_core::rng::Lfsr;
 use sc_core::sng::{LaneSequence, SelectedSequence, Sng, SngBank, SngKind};
@@ -536,12 +536,7 @@ fn bench_shared_apc_csa(samples: usize, iters: usize) -> Comparison {
     }
     let (packed_inputs, packed_weights) = pack_operands(&inputs, &unit_ws);
     let mut arena = StreamArena::new();
-    let packed: Vec<CountStream> = Apc::new()
-        .count_planes_with(packed_inputs.view(), packed_weights.view(), &mut arena)
-        .unwrap()
-        .into_iter()
-        .map(|planes| planes.drain_with(&mut arena).unwrap())
-        .collect();
+    let packed = apc_counts(packed_inputs.view(), packed_weights.view(), &mut arena);
     for (unit, ws) in unit_ws.iter().enumerate() {
         let per_unit = Apc::new().count_products(&inputs, ws).unwrap();
         assert_eq!(
@@ -555,11 +550,7 @@ fn bench_shared_apc_csa(samples: usize, iters: usize) -> Comparison {
         counts
     });
     let optimized_ns = measure(samples, iters, || {
-        let rows = Apc::new()
-            .count_planes_with(packed_inputs.view(), packed_weights.view(), &mut arena)
-            .unwrap();
-        for planes in rows {
-            let counts = planes.drain_with(&mut arena).unwrap();
+        for counts in apc_counts(packed_inputs.view(), packed_weights.view(), &mut arena) {
             arena.recycle_counts(counts.into_counts());
         }
     });
@@ -571,6 +562,23 @@ fn bench_shared_apc_csa(samples: usize, iters: usize) -> Comparison {
         baseline_ns,
         optimized_ns,
     }
+}
+
+/// The engine's APC counts of every row of `w` against `x`: the plane
+/// block of `Apc::count_planes_into`, each row drained into a count buffer
+/// from `arena` (recycle them via `into_counts`).
+fn apc_counts(x: PackedView<'_>, w: PackedView<'_>, arena: &mut StreamArena) -> Vec<CountStream> {
+    let mut block = arena.take_planes(x.lanes(), x.length(), w.rows()).unwrap();
+    Apc::new().count_planes_into(x, w, &mut block, 0).unwrap();
+    let counts = (0..w.rows())
+        .map(|row| {
+            let mut counts = arena.take_counts(x.length().bits());
+            block.drain_row_into(row, &mut counts).unwrap();
+            CountStream::new(counts, x.lanes()).unwrap()
+        })
+        .collect();
+    arena.recycle_planes(block);
+    counts
 }
 
 /// Packs one input field and the weights of every unit (one row each).
@@ -921,12 +929,7 @@ fn bench_fc1_apc(samples: usize, iters: usize, cold: bool) -> Comparison {
     let mut frozen = vec![vec![0u16; len]; units];
     frozen_shared::counts(&input_words, &unit_lane_words, len, &mut frozen);
     let mut arena = StreamArena::new();
-    let packed: Vec<CountStream> = Apc::new()
-        .count_planes_with(packed_inputs.view(), packed_weights.view(), &mut arena)
-        .unwrap()
-        .into_iter()
-        .map(|planes| planes.drain_with(&mut arena).unwrap())
-        .collect();
+    let packed = apc_counts(packed_inputs.view(), packed_weights.view(), &mut arena);
     for (unit, (exact, apc)) in frozen.iter().zip(&packed).enumerate() {
         let mut expected = ExactParallelCounter::new()
             .count_products(&inputs, &unit_ws[unit])
@@ -957,11 +960,7 @@ fn bench_fc1_apc(samples: usize, iters: usize, cold: bool) -> Comparison {
         counts
     });
     let optimized_ns = measure_prepared(samples, iters, evict_packed, || {
-        let rows = Apc::new()
-            .count_planes_with(packed_inputs.view(), packed_weights.view(), &mut arena)
-            .unwrap();
-        for planes in rows {
-            let counts = planes.drain_with(&mut arena).unwrap();
+        for counts in apc_counts(packed_inputs.view(), packed_weights.view(), &mut arena) {
             arena.recycle_counts(counts.into_counts());
         }
     });
@@ -988,19 +987,41 @@ fn bench_fc1_apc(samples: usize, iters: usize, cold: bool) -> Comparison {
     }
 }
 
-/// Frozen copy of the APC count path the plane path replaced on the
-/// engine: the packed Harley-Seal core draining every (field, row) into
-/// `u16` counts through a `[[u64; 16]; 4]` scratch and a scalar 8-column
-/// transpose, the approximate LSB applied to the counts, and the hardware
-/// max pool over the count rows.
-mod frozen_field_drain {
-    use sc_core::add::CountStream;
-    use sc_core::arena::StreamArena;
+/// Frozen copy of the APC position path the plane block replaced on the
+/// engine: per field, the packed Harley-Seal core storing each row's planes
+/// into its own zeroed buffer from a pool, a second pass rewriting the ones
+/// plane with the approximate LSB, the per-row plane max pool into another
+/// zeroed buffer, and the interleaved drain writing each row's counts with
+/// scalar stores 8 apart.
+mod frozen_row_planes {
     use sc_core::word::Word;
 
     const GROUP_WORDS: usize = 4;
     const GROUP_BITS: usize = 256;
     const MAX_PLANES: usize = 16;
+    const ROW_GROUP: usize = 8;
+
+    /// A LIFO pool of plane buffers, each re-zeroed when taken (the arena's
+    /// plane pool as the path used it).
+    #[derive(Default)]
+    pub struct PlanePool(Vec<Vec<u64>>);
+
+    impl PlanePool {
+        fn take(&mut self, words: usize) -> Vec<u64> {
+            let mut buffer = self.0.pop().unwrap_or_default();
+            buffer.clear();
+            buffer.resize(words, 0);
+            buffer
+        }
+
+        fn recycle(&mut self, buffer: Vec<u64>) {
+            self.0.push(buffer);
+        }
+    }
+
+    fn plane_count(lanes: usize) -> usize {
+        (usize::BITS - lanes.leading_zeros()) as usize
+    }
 
     #[inline(always)]
     fn csa<W: Word>(a: W, b: W, c: W) -> (W, W) {
@@ -1009,85 +1030,21 @@ mod frozen_field_drain {
     }
 
     struct Planes<W: Word> {
-        ones: W,
-        twos: W,
-        fours: W,
-        eights: W,
+        low: [W; 4],
         upper: [W; MAX_PLANES - 4],
     }
 
     impl<W: Word> Planes<W> {
         #[inline(always)]
-        fn add(&mut self, word: W, upper: usize) {
-            let carry = self.ones.and(word);
-            self.ones = self.ones.xor(word);
-            let carry2 = self.twos.and(carry);
-            self.twos = self.twos.xor(carry);
-            let carry4 = self.fours.and(carry2);
-            self.fours = self.fours.xor(carry2);
-            let carry8 = self.eights.and(carry4);
-            self.eights = self.eights.xor(carry4);
-            self.add_sixteens(carry8, upper);
-        }
-
-        #[inline(always)]
-        fn add_sixteens(&mut self, mut carry: W, upper: usize) {
-            for plane in &mut self.upper[..upper] {
-                let next = plane.and(carry);
-                *plane = plane.xor(carry);
-                carry = next;
-            }
-        }
-
-        #[inline(always)]
-        fn drain(&self, sub: usize, planes: usize, out: &mut [u16]) {
-            let mut by_word = [[0u64; MAX_PLANES]; GROUP_WORDS];
-            let low = [self.ones, self.twos, self.fours, self.eights];
-            for (k, plane) in low.iter().chain(&self.upper).take(planes).enumerate() {
-                let mut words = [0u64; GROUP_WORDS];
-                plane.store(&mut words);
-                for (word_planes, &bits) in by_word.iter_mut().zip(&words) {
-                    word_planes[k] = bits;
-                }
-            }
-            for (lane, word_planes) in by_word.iter().enumerate().take(W::LANES) {
-                let start = (sub + lane) * 64;
-                if start >= out.len() {
-                    break;
-                }
-                let end = out.len().min(start + 64);
-                drain_word(&word_planes[..planes], &mut out[start..end]);
-            }
-        }
-    }
-
-    #[inline(always)]
-    fn compress<W: Word>(x: &[u64], w: &[u64], sub: usize, mask: W, upper: usize) -> Planes<W> {
-        let product = |x: &[u64], w: &[u64], lane: usize| {
-            let at = lane * GROUP_WORDS + sub;
-            W::load(&x[at..at + W::LANES])
-                .xor(W::load(&w[at..at + W::LANES]))
-                .not()
-                .and(mask)
-        };
-        let mut p = Planes {
-            ones: W::zero(),
-            twos: W::zero(),
-            fours: W::zero(),
-            eights: W::zero(),
-            upper: [W::zero(); MAX_PLANES - 4],
-        };
-        let mut xs = x.chunks_exact(16 * GROUP_WORDS);
-        let mut ws = w.chunks_exact(16 * GROUP_WORDS);
-        for (xc, wc) in (&mut xs).zip(&mut ws) {
-            let d = |lane| product(xc, wc, lane);
-            let (ones, twos_a) = csa(p.ones, d(0), d(1));
+        fn add_sixteen(&mut self, d: impl Fn(usize) -> W, upper: usize) {
+            let [ones, twos, fours, eights] = self.low;
+            let (ones, twos_a) = csa(ones, d(0), d(1));
             let (ones, twos_b) = csa(ones, d(2), d(3));
-            let (twos, fours_a) = csa(p.twos, twos_a, twos_b);
+            let (twos, fours_a) = csa(twos, twos_a, twos_b);
             let (ones, twos_a) = csa(ones, d(4), d(5));
             let (ones, twos_b) = csa(ones, d(6), d(7));
             let (twos, fours_b) = csa(twos, twos_a, twos_b);
-            let (fours, eights_a) = csa(p.fours, fours_a, fours_b);
+            let (fours, eights_a) = csa(fours, fours_a, fours_b);
             let (ones, twos_a) = csa(ones, d(8), d(9));
             let (ones, twos_b) = csa(ones, d(10), d(11));
             let (twos, fours_a) = csa(twos, twos_a, twos_b);
@@ -1095,158 +1052,335 @@ mod frozen_field_drain {
             let (ones, twos_b) = csa(ones, d(14), d(15));
             let (twos, fours_b) = csa(twos, twos_a, twos_b);
             let (fours, eights_b) = csa(fours, fours_a, fours_b);
-            let (eights, sixteens) = csa(p.eights, eights_a, eights_b);
-            p.ones = ones;
-            p.twos = twos;
-            p.fours = fours;
-            p.eights = eights;
-            p.add_sixteens(sixteens, upper);
+            let (eights, mut carry) = csa(eights, eights_a, eights_b);
+            self.low = [ones, twos, fours, eights];
+            for plane in &mut self.upper[..upper] {
+                let next = plane.and(carry);
+                *plane = plane.xor(carry);
+                carry = next;
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn compress<W: Word, const MASKED: bool>(
+        x: &[u64],
+        w: &[u64],
+        sub: usize,
+        mask: W,
+        upper: usize,
+    ) -> Planes<W> {
+        let product = |x: &[u64], w: &[u64], lane: usize| {
+            let at = lane * GROUP_WORDS + sub;
+            let p = W::load(&x[at..]).xor(W::load(&w[at..])).not();
+            if MASKED {
+                p.and(mask)
+            } else {
+                p
+            }
+        };
+        let mut p = Planes {
+            low: [W::zero(); 4],
+            upper: [W::zero(); MAX_PLANES - 4],
+        };
+        let mut xs = x.chunks_exact(16 * GROUP_WORDS);
+        let mut ws = w.chunks_exact(16 * GROUP_WORDS);
+        for (xc, wc) in (&mut xs).zip(&mut ws) {
+            p.add_sixteen(|lane| product(xc, wc, lane), upper);
         }
         let (xr, wr) = (xs.remainder(), ws.remainder());
-        for lane in 0..xr.len() / GROUP_WORDS {
-            p.add(product(xr, wr, lane), upper);
+        let rest = xr.len() / GROUP_WORDS;
+        if rest > 0 {
+            let d = |lane| {
+                if lane < rest {
+                    product(xr, wr, lane)
+                } else {
+                    W::zero()
+                }
+            };
+            p.add_sixteen(d, upper);
         }
         p
     }
 
+    /// Every row's APC count planes of one field (`lanes` lanes, `bits`
+    /// columns): each row's planes stored into a zeroed pool buffer, then
+    /// the ones plane rewritten.
     #[inline(always)]
-    fn drain_word(planes: &[u64], out: &mut [u16]) {
-        let low = &planes[..planes.len().min(8)];
-        let mut full = [0u16; 64];
-        for (group, columns) in full.chunks_exact_mut(8).enumerate() {
-            let shift = 8 * group as u32;
-            let mut packed = 0u64;
-            for (k, &plane) in low.iter().enumerate() {
-                packed |= ((plane >> shift) & 0xFF) << (8 * k);
-            }
-            let transposed = transpose8(packed);
-            for (j, count) in columns.iter_mut().enumerate() {
-                *count = ((transposed >> (8 * j)) & 0xFF) as u16;
-            }
-        }
-        let len = out.len();
-        out.copy_from_slice(&full[..len]);
-        for (k, &plane) in planes.iter().enumerate().skip(8) {
-            let mut bits = plane;
-            while bits != 0 {
-                out[bits.trailing_zeros() as usize] += 1 << k;
-                bits &= bits - 1;
-            }
-        }
-    }
-
-    #[inline(always)]
-    fn transpose8(mut x: u64) -> u64 {
-        let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
-        x ^= t ^ (t << 7);
-        let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
-        x ^= t ^ (t << 14);
-        let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
-        x ^= t ^ (t << 28);
-        x
-    }
-
-    /// APC counts of the one-row packed `input` against every packed row of
-    /// `weights` (`lanes` lanes, `bits` columns), into `counts`.
-    #[inline(always)]
-    pub fn apc_counts_impl<W: Word>(
+    fn count_rows<W: Word>(
         input: &[u64],
         weights: &[u64],
         lanes: usize,
         bits: usize,
-        counts: &mut [Vec<u16>],
-    ) {
+        pool: &mut PlanePool,
+    ) -> Vec<Vec<u64>> {
         let group_words = lanes * GROUP_WORDS;
         let groups = bits.div_ceil(GROUP_BITS);
-        let planes = (usize::BITS - lanes.leading_zeros()) as usize;
-        let upper = planes.saturating_sub(4);
-        for (row, row_counts) in weights
-            .chunks_exact(groups * group_words)
-            .zip(counts.iter_mut())
-        {
-            for g in 0..groups {
+        let planes = plane_count(lanes);
+        let mut rows = Vec::new();
+        for row in weights.chunks_exact(groups * group_words) {
+            let mut out = pool.take(groups * planes * GROUP_WORDS);
+            for (g, group) in out.chunks_exact_mut(planes * GROUP_WORDS).enumerate() {
                 let x = &input[g * group_words..(g + 1) * group_words];
                 let w = &row[g * group_words..(g + 1) * group_words];
                 let span = (bits - g * GROUP_BITS).min(GROUP_BITS);
-                let out = &mut row_counts[g * GROUP_BITS..g * GROUP_BITS + span];
                 let mut sub = 0;
+                let upper = planes.saturating_sub(4);
                 while sub < GROUP_WORDS && sub * 64 < span {
-                    let mut masks = [0u64; GROUP_WORDS];
-                    for (s, mask) in masks.iter_mut().enumerate() {
-                        let valid = span.saturating_sub(s * 64).min(64);
-                        *mask = if valid == 64 {
-                            u64::MAX
-                        } else {
-                            (1u64 << valid) - 1
-                        };
+                    let p = if span == GROUP_BITS {
+                        compress::<W, false>(x, w, sub, W::zero(), upper)
+                    } else {
+                        let mut masks = [0u64; GROUP_WORDS];
+                        for (s, mask) in masks.iter_mut().enumerate() {
+                            let valid = span.saturating_sub(s * 64).min(64);
+                            *mask = if valid == 64 {
+                                u64::MAX
+                            } else {
+                                (1 << valid) - 1
+                            };
+                        }
+                        compress::<W, true>(x, w, sub, W::load(&masks[sub..]), upper)
+                    };
+                    for (k, plane) in p.low.iter().chain(&p.upper).take(planes).enumerate() {
+                        plane.store(&mut group[k * GROUP_WORDS + sub..]);
                     }
-                    compress::<W>(x, w, sub, W::load(&masks[sub..]), upper).drain(sub, planes, out);
                     sub += W::LANES;
                 }
             }
+            apc_lsb(&mut out, lanes, bits);
+            rows.push(out);
         }
-        if lanes >= 2 {
-            for row_counts in counts.iter_mut() {
-                for (i, count) in row_counts.iter_mut().enumerate() {
-                    *count = ((*count & !1) + (i & 1) as u16).min(lanes as u16);
-                }
+        rows
+    }
+
+    fn apc_lsb(words: &mut [u64], lanes: usize, bits: usize) {
+        if lanes < 2 {
+            return;
+        }
+        let planes = plane_count(lanes);
+        for (g, group) in words.chunks_exact_mut(planes * GROUP_WORDS).enumerate() {
+            for s in 0..GROUP_WORDS {
+                let valid = match bits.saturating_sub((g * GROUP_WORDS + s) * 64) {
+                    0 => 0,
+                    n if n >= 64 => u64::MAX,
+                    n => (1 << n) - 1,
+                };
+                let saturated = if lanes.is_multiple_of(2) {
+                    (1..planes)
+                        .filter(|k| lanes >> k & 1 == 1)
+                        .fold(u64::MAX, |acc, k| acc & group[k * GROUP_WORDS + s])
+                } else {
+                    0
+                };
+                group[s] = 0xAAAA_AAAA_AAAA_AAAA & valid & !saturated;
             }
         }
     }
 
-    /// The hardware max pool over `u16` count rows into an arena buffer
-    /// (16-bit segments), as the engine ran it.
-    pub fn pool_counts_with(inputs: &[CountStream], arena: &mut StreamArena) -> CountStream {
-        let len = inputs[0].len();
-        let mut out = arena.take_counts(len);
-        let mut selected = 0usize;
-        for start in (0..len).step_by(16) {
-            let end = (start + 16).min(len);
-            out[start..end].copy_from_slice(&inputs[selected].counts()[start..end]);
-            let mut best = (0usize, 0u64);
-            for (input, stream) in inputs.iter().enumerate() {
-                let total: u64 = stream.counts()[start..end]
-                    .iter()
-                    .map(|&c| u64::from(c))
-                    .sum();
-                if total > best.1 {
-                    best = (input, total);
+    #[inline(always)]
+    fn lane_counts<W: Word>(mut word: W) -> W {
+        let mut width = 1;
+        while width < 16 {
+            let mask = W::splat(u64::MAX / ((1u64 << width) + 1));
+            word = word.and(mask).add_i64(word.shr(width).and(mask));
+            width *= 2;
+        }
+        word
+    }
+
+    #[inline(always)]
+    fn lane_greater32<W: Word>(a: W, b: W) -> W {
+        let high = W::splat(0x8000_0000_8000_0000);
+        let greater = high.andnot(b.or(high).sub_i64(a).and(high));
+        greater.sub_i64(greater.shr(31)).or(greater)
+    }
+
+    #[inline(always)]
+    fn segment_totals<W: Word>(words: &[u64], at: usize, planes: usize) -> (W, W) {
+        let low_halves = W::splat(0x0000_FFFF_0000_FFFF);
+        let (mut even, mut odd) = (W::zero(), W::zero());
+        for k in 0..planes {
+            let counts = lane_counts::<W>(W::load(&words[at + k * GROUP_WORDS..]));
+            even = even.add_i64(counts.and(low_halves).shl(k as u32));
+            odd = odd.add_i64(counts.shr(16).and(low_halves).shl(k as u32));
+        }
+        (even, odd)
+    }
+
+    /// The plane max pool of one row's fields into a zeroed pool buffer.
+    #[inline(always)]
+    fn pool_row<W: Word>(inputs: &[Vec<u64>], planes: usize, pool: &mut PlanePool) -> Vec<u64> {
+        const FIRST_SEGMENT: u64 = 0xFFFF;
+        let mut out = pool.take(inputs[0].len());
+        let low_halves = W::splat(0x0000_FFFF_0000_FFFF);
+        let mut carry = 0;
+        for group in (0..out.len()).step_by(planes * GROUP_WORDS) {
+            for sub in (0..GROUP_WORDS).step_by(W::LANES) {
+                let at = group + sub;
+                let (mut best_even, mut best_odd) = segment_totals::<W>(&inputs[0], at, planes);
+                let mut next = [W::zero(); 16];
+                for (k, plane) in next.iter_mut().enumerate().take(planes) {
+                    *plane = W::load(&inputs[0][at + k * GROUP_WORDS..]);
+                }
+                let mut top_winners = W::zero();
+                for (input, words) in inputs.iter().enumerate().skip(1) {
+                    let (even, odd) = segment_totals::<W>(words, at, planes);
+                    let wins_even = lane_greater32(even, best_even);
+                    let wins_odd = lane_greater32(odd, best_odd);
+                    best_even = best_even.blend(even, wins_even);
+                    best_odd = best_odd.blend(odd, wins_odd);
+                    let wins = wins_even.and(low_halves).or(wins_odd.andnot(low_halves));
+                    let shifted = wins.shl(16);
+                    for (k, plane) in next.iter_mut().enumerate().take(planes) {
+                        *plane = plane.blend(W::load(&words[at + k * GROUP_WORDS..]), shifted);
+                    }
+                    let top_won = W::zero().cmp_gt_i64(wins);
+                    top_winners = top_winners.blend(W::splat(input as u64), top_won);
+                }
+                for (k, plane) in next.iter().enumerate().take(planes) {
+                    plane
+                        .andnot(W::splat(FIRST_SEGMENT))
+                        .store(&mut out[at + k * GROUP_WORDS..]);
+                }
+                let mut winners = [0u64; 4];
+                top_winners.store(&mut winners);
+                for (j, &winner) in winners.iter().take(W::LANES).enumerate() {
+                    for k in 0..planes {
+                        let word = at + k * GROUP_WORDS + j;
+                        out[word] |= inputs[carry][word] & FIRST_SEGMENT;
+                    }
+                    carry = winner as usize;
                 }
             }
-            selected = best.0;
         }
-        CountStream::new(out, inputs[0].lanes()).unwrap()
+        out
+    }
+
+    #[inline(always)]
+    fn transpose8<W: Word>(x: W) -> W {
+        let swap = |x: W, shift: u32, mask: u64| {
+            let t = x.xor(x.shr(shift)).and(W::splat(mask));
+            x.xor(t.xor(t.shl(shift)))
+        };
+        let x = swap(x, 7, 0x00AA_00AA_00AA_00AA);
+        let x = swap(x, 14, 0x0000_CCCC_0000_CCCC);
+        swap(x, 28, 0x0000_0000_F0F0_F0F0)
+    }
+
+    #[inline(always)]
+    fn byte_transpose<W: Word>(planes: &[W], block: u32) -> W {
+        let mut packed = W::zero();
+        for (k, plane) in planes.iter().enumerate() {
+            packed = packed.or(plane.shr(8 * block).and(W::splat(0xFF)).shl(8 * k as u32));
+        }
+        transpose8(packed)
+    }
+
+    /// One row's drain, column `t`'s count to `out[t · ROW_GROUP]`.
+    #[inline(always)]
+    fn drain_row<W: Word>(words: &[u64], planes: usize, bits: usize, out: &mut [u16]) {
+        for (g, group) in words.chunks_exact(planes * GROUP_WORDS).enumerate() {
+            let start = g * GROUP_BITS;
+            let span = (bits - start).min(GROUP_BITS);
+            let out = &mut out[start * ROW_GROUP..];
+            let mut sub = 0;
+            while sub < GROUP_WORDS && sub * 64 < span {
+                let mut plane_words = [W::zero(); MAX_PLANES];
+                for (k, plane) in plane_words.iter_mut().enumerate().take(planes) {
+                    *plane = W::load(&group[k * GROUP_WORDS + sub..]);
+                }
+                let (low, high) = plane_words[..planes].split_at(planes.min(8));
+                let (mut low_bytes, mut high_bytes) = ([0u64; 4], [0u64; 4]);
+                // The common case: whole words, every count below 256.
+                let whole =
+                    high.iter().all(|plane| plane.is_zero()) && (sub + W::LANES) * 64 <= span;
+                for block in 0..8 {
+                    byte_transpose(low, block as u32).store(&mut low_bytes);
+                    if whole {
+                        for (j, bytes) in low_bytes.iter().enumerate().take(W::LANES) {
+                            let column = (sub + j) * 64 + 8 * block;
+                            let columns =
+                                &mut out[column * ROW_GROUP..(column + 7) * ROW_GROUP + 1];
+                            for (c, byte) in bytes.to_le_bytes().into_iter().enumerate() {
+                                columns[c * ROW_GROUP] = u16::from(byte);
+                            }
+                        }
+                        continue;
+                    }
+                    byte_transpose(high, block as u32).store(&mut high_bytes);
+                    for j in 0..W::LANES {
+                        let column = (sub + j) * 64 + 8 * block;
+                        let (low, high) = (low_bytes[j].to_le_bytes(), high_bytes[j].to_le_bytes());
+                        for c in 0..span.saturating_sub(column).min(8) {
+                            out[(column + c) * ROW_GROUP] = u16::from_le_bytes([low[c], high[c]]);
+                        }
+                    }
+                }
+                sub += W::LANES;
+            }
+        }
+    }
+
+    /// One position: every field's rows counted, each row pooled, every
+    /// pooled row drained into the row-interleaved buffer `counts`.
+    #[inline(always)]
+    pub fn position_impl<W: Word>(
+        fields: &[(&[u64], &[u64])],
+        lanes: usize,
+        bits: usize,
+        pool: &mut PlanePool,
+        counts: &mut [u16],
+    ) {
+        let planes = plane_count(lanes);
+        let mut per_row: Vec<Vec<Vec<u64>>> = Vec::new();
+        for &(input, weights) in fields {
+            let rows = count_rows::<W>(input, weights, lanes, bits, pool);
+            per_row.resize_with(rows.len(), || Vec::with_capacity(fields.len()));
+            for (row, planes) in rows.into_iter().enumerate() {
+                per_row[row].push(planes);
+            }
+        }
+        let mut pooled_rows = Vec::with_capacity(per_row.len());
+        for row_planes in per_row {
+            pooled_rows.push(pool_row::<W>(&row_planes, planes, pool));
+            for planes in row_planes {
+                pool.recycle(planes);
+            }
+        }
+        for (r, row) in pooled_rows.into_iter().enumerate() {
+            let at = r / ROW_GROUP * bits * ROW_GROUP + r % ROW_GROUP;
+            drain_row::<W>(&row, planes, bits, &mut counts[at..]);
+            pool.recycle(row);
+        }
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn apc_counts_avx2(
-        input: &[u64],
-        weights: &[u64],
+    unsafe fn position_avx2(
+        fields: &[(&[u64], &[u64])],
         lanes: usize,
         bits: usize,
-        counts: &mut [Vec<u16>],
+        pool: &mut PlanePool,
+        counts: &mut [u16],
     ) {
-        apc_counts_impl::<sc_core::word::WAvx2>(input, weights, lanes, bits, counts)
+        position_impl::<sc_core::word::WAvx2>(fields, lanes, bits, pool, counts)
     }
 
-    /// The frozen kernel under the active backend, as the library
-    /// dispatched it.
-    pub fn apc_counts(
-        input: &[u64],
-        weights: &[u64],
+    /// The frozen path under the active backend, as the library dispatched
+    /// it.
+    pub fn position(
+        fields: &[(&[u64], &[u64])],
         lanes: usize,
         bits: usize,
-        counts: &mut [Vec<u16>],
+        pool: &mut PlanePool,
+        counts: &mut [u16],
     ) {
         match sc_core::active_backend() {
-            sc_core::Backend::Scalar => apc_counts_impl::<u64>(input, weights, lanes, bits, counts),
+            sc_core::Backend::Scalar => position_impl::<u64>(fields, lanes, bits, pool, counts),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the backend selector reports AVX2 only when available.
-            sc_core::Backend::Avx2 => unsafe {
-                apc_counts_avx2(input, weights, lanes, bits, counts)
-            },
-            _ => apc_counts_impl::<sc_core::word::W4>(input, weights, lanes, bits, counts),
+            sc_core::Backend::Avx2 => unsafe { position_avx2(fields, lanes, bits, pool, counts) },
+            _ => position_impl::<sc_core::word::W4>(fields, lanes, bits, pool, counts),
         }
     }
 }
@@ -1255,14 +1389,14 @@ mod frozen_field_drain {
 /// filters, and the filters' APC-Max Btanh.
 const CONV1_APC: (usize, usize, usize, usize) = (4, 25, 8, 256);
 
-/// One conv1 position of the all-APC network, count to pooled counts, for
-/// every row: the frozen per-field drain with the approximate LSB on the
-/// counts and the count pool over the drained rows, against the plane
-/// path the engine runs (`Apc::count_planes_with`, `pool_planes_with`, one
-/// drain of every pooled row into the row-interleaved buffer the Btanh
-/// walk reads). Both sides stop at the pooled counts, asserted equal
-/// before timing: the Btanh walk that follows is the same on both, and is
-/// timed on its own (`btanh_rows8_l256`).
+/// One conv1 position of the all-APC network, count to the pooled counts
+/// the Btanh walk reads, for every row: the frozen per-row plane path
+/// against the plane block the engine runs (`Apc::count_planes_into` for
+/// every field into one block, `pool_planes_with` into a second, one
+/// register-transposed drain into the row-interleaved buffer). Both sides
+/// fill the same buffer, asserted equal per backend before timing: the
+/// Btanh walk that follows is the same on both, and is timed on its own
+/// (`btanh_rows8_l256`).
 fn bench_apc_max_window(samples: usize, iters: usize) -> Comparison {
     let (window, lanes, rows, bits) = CONV1_APC;
     let len = StreamLength::new(bits);
@@ -1299,88 +1433,48 @@ fn bench_apc_max_window(samples: usize, iters: usize) -> Comparison {
         })
         .collect();
     let pool = HardwareMaxPooling::default();
-    let frozen = |frozen_arena: &mut StreamArena| {
-        let mut per_row: Vec<Vec<CountStream>> =
-            (0..rows).map(|_| Vec::with_capacity(window)).collect();
-        for (x, w) in inputs.iter().zip(&weights) {
-            let mut counts: Vec<Vec<u16>> =
-                (0..rows).map(|_| frozen_arena.take_counts(bits)).collect();
-            frozen_field_drain::apc_counts(x.as_words(), w.as_words(), lanes, bits, &mut counts);
-            for (row, row_counts) in counts.into_iter().enumerate() {
-                per_row[row].push(CountStream::new(row_counts, lanes).unwrap());
-            }
-        }
-        let mut pooled = Vec::with_capacity(rows);
-        for row_counts in per_row {
-            pooled.push(frozen_field_drain::pool_counts_with(
-                &row_counts,
-                frozen_arena,
-            ));
-            for counts in row_counts {
-                frozen_arena.recycle_counts(counts.into_counts());
-            }
-        }
-        pooled
-    };
-    let planes = |plane_arena: &mut StreamArena| {
-        let mut per_row: Vec<Vec<CountPlanes>> =
-            (0..rows).map(|_| Vec::with_capacity(window)).collect();
-        for (x, w) in inputs.iter().zip(&weights) {
-            let field = Apc::new()
-                .count_planes_with(x.view(), w.view(), plane_arena)
-                .unwrap();
-            for (row, row_planes) in field.into_iter().enumerate() {
-                per_row[row].push(row_planes);
-            }
-        }
-        let mut pooled = Vec::with_capacity(rows);
-        for row_planes in per_row {
-            pooled.push(pool.pool_planes_with(&row_planes, plane_arena).unwrap());
-            for field in row_planes {
-                plane_arena.recycle_planes(field);
-            }
-        }
-        let mut counts = plane_arena.take_counts(rows.next_multiple_of(ROW_GROUP) * bits);
-        CountPlanes::drain_interleaved(&pooled, &mut counts).unwrap();
-        for row in pooled {
-            plane_arena.recycle_planes(row);
-        }
-        counts
-    };
+    let fields: Vec<(&[u64], &[u64])> = inputs
+        .iter()
+        .zip(&weights)
+        .map(|(x, w)| (x.as_words(), w.as_words()))
+        .collect();
+    let mut planes = frozen_row_planes::PlanePool::default();
+    let mut frozen =
+        |counts: &mut [u16]| frozen_row_planes::position(&fields, lanes, bits, &mut planes, counts);
     let mut arena = StreamArena::new();
+    let mut block = |counts: &mut [u16]| {
+        let mut counted = arena.take_planes(lanes, len, window * rows).unwrap();
+        for (field, (x, w)) in inputs.iter().zip(&weights).enumerate() {
+            Apc::new()
+                .count_planes_into(x.view(), w.view(), &mut counted, field * rows)
+                .unwrap();
+        }
+        let pooled = pool.pool_planes_with(&counted, window, &mut arena).unwrap();
+        pooled.drain_interleaved(counts).unwrap();
+        arena.recycle_planes(counted);
+        arena.recycle_planes(pooled);
+    };
+    let mut counts = vec![0u16; rows.next_multiple_of(ROW_GROUP) * bits];
     check_per_backend(|backend| {
-        let (before, after) = (frozen(&mut arena), planes(&mut arena));
-        for (row, counts) in before.iter().enumerate() {
-            for (t, &count) in counts.counts().iter().enumerate() {
-                assert_eq!(
-                    after[(row / ROW_GROUP * bits + t) * ROW_GROUP + row % ROW_GROUP],
-                    count,
-                    "{backend}: plane path must match the frozen count path"
-                );
-            }
-        }
-        for counts in before {
-            arena.recycle_counts(counts.into_counts());
-        }
-        arena.recycle_counts(after);
+        let mut before = vec![u16::MAX; counts.len()];
+        frozen(&mut before);
+        block(&mut counts);
+        assert_eq!(
+            before, counts,
+            "{backend}: the plane block must match the frozen per-row path"
+        );
     });
-    let baseline_ns = measure(samples, iters, || {
-        for counts in frozen(&mut arena) {
-            arena.recycle_counts(counts.into_counts());
-        }
-    });
-    let optimized_ns = measure(samples, iters, || {
-        let counts = planes(&mut arena);
-        arena.recycle_counts(counts);
-    });
+    let baseline_ns = measure(samples, iters, || frozen(&mut counts));
+    let optimized_ns = measure(samples, iters, || block(&mut counts));
     Comparison {
         name: "apc_max_window_n25_u8_l256",
         description: "One conv1 position of the all-APC network (4 fields x 8 rows \
-                      of 25 lanes, 256 bits, APC-Max pool, up to the pooled counts \
-                      the Btanh walk reads): frozen per-field u16 drain + APC LSB on \
-                      the counts + pool_counts_with vs the plane path (LSB as a \
-                      plane rewrite, plane max pool, one word-generic drain of every \
-                      pooled row into the row-interleaved count buffer)",
+                      of 25 lanes, 256 bits, APC-Max pool, up to the row-interleaved \
+                      counts the Btanh walk reads): frozen per-row plane path (a \
+                      zeroed buffer per row, APC LSB as a second pass, per-row pool, \
+                      drain with stores 8 apart) vs the plane block (APC LSB in the \
+                      core's store, every field's rows in one block, pooled into a \
+                      second, drain transposed across 8 rows in registers)",
         baseline_ns,
         optimized_ns,
     }
@@ -1944,12 +2038,14 @@ fn backend_matrix(samples: usize, iters: usize) -> Vec<BackendMatrixRow> {
                 .collect()
         })
         .collect();
-    // (7) The plane drain alone: (6)'s conv-sized rows as APC count planes,
-    // drained into `u16` counts, checked against the per-bit APC counter.
+    // (7) The plane drain alone: (6)'s conv-sized rows as a block of APC
+    // count planes, drained into the row-interleaved `u16` counts the Btanh
+    // walk reads, checked against the per-bit APC counter.
     {
         let (x, w) = pack_operands(&inputs, &unit_ws);
-        let planes = Apc::new()
-            .count_planes_with(x.view(), w.view(), &mut StreamArena::new())
+        let mut planes = CountPlanes::zeroed(lanes, len, units).unwrap();
+        Apc::new()
+            .count_planes_into(x.view(), w.view(), &mut planes, 0)
             .unwrap();
         let expected: Vec<CountStream> = unit_ws
             .iter()
@@ -1959,24 +2055,26 @@ fn backend_matrix(samples: usize, iters: usize) -> Vec<BackendMatrixRow> {
                 Apc::new().count(&products).unwrap()
             })
             .collect();
-        let mut counts = vec![0u16; len.bits()];
+        let bits = len.bits();
+        let mut counts = vec![0u16; units.next_multiple_of(ROW_GROUP) * bits];
         check_per_backend(|backend| {
-            for (row, expected) in planes.iter().zip(&expected) {
-                row.drain_into(&mut counts).unwrap();
-                assert_eq!(counts, expected.counts(), "{backend} plane drain");
+            planes.drain_interleaved(&mut counts).unwrap();
+            for (row, expected) in expected.iter().enumerate() {
+                let drained: Vec<u16> = (0..bits)
+                    .map(|t| counts[(row / ROW_GROUP * bits + t) * ROW_GROUP + row % ROW_GROUP])
+                    .collect();
+                assert_eq!(drained, expected.counts(), "{backend} plane drain");
             }
         });
         rows.push(measure_per_backend(
             "count_plane_drain_n25_u8_l1024",
-            "APC count-plane drain (8 rows of 25-lane planes, 1024 bits): a \
-             byte transpose of W::LANES plane words per step, widened to u16",
+            "APC count-plane drain (a block of 8 rows of 25-lane planes, 1024 \
+             bits) into the row-interleaved counts: per row a byte transpose \
+             of W::LANES plane words, then an 8x8 byte transpose across the \
+             rows, widened to u16 and stored 8 columns x 8 rows at a time",
             samples,
             iters * 4,
-            move || {
-                for row in &planes {
-                    row.drain_into(&mut counts).unwrap();
-                }
-            },
+            move || planes.drain_interleaved(&mut counts).unwrap(),
         ));
     }
 
@@ -1984,8 +2082,9 @@ fn backend_matrix(samples: usize, iters: usize) -> Vec<BackendMatrixRow> {
         (
             "packed_apc_n25_u8_l1024",
             "Packed APC multiply-count (25 lanes, 8 units, 1024 bits): \
-             Harley-Seal 3:2 compression of product super-words into count \
-             planes, APC LSB as a plane rewrite, word-generic plane drain",
+             Harley-Seal 3:2 compression of product super-words into a count \
+             plane block, APC LSB in the core's store, word-generic plane \
+             drain per row",
             pack_operands(&inputs, &unit_ws),
             iters,
         ),
@@ -1993,7 +2092,8 @@ fn backend_matrix(samples: usize, iters: usize) -> Vec<BackendMatrixRow> {
             "packed_apc_fc1_n256_u64_l1024",
             "Packed APC multiply-count, fc1's shape (256 lanes, 64 units, 1024 \
              bits), weights cached: Harley-Seal 3:2 compression of product \
-             super-words into count planes, word-generic plane drain",
+             super-words into a count plane block, word-generic plane drain \
+             per row",
             {
                 let (inputs, unit_ws) = fc1_operands();
                 pack_operands(&inputs, &unit_ws)
@@ -2009,11 +2109,7 @@ fn backend_matrix(samples: usize, iters: usize) -> Vec<BackendMatrixRow> {
             samples,
             iters,
             move || {
-                let rows = Apc::new()
-                    .count_planes_with(x.view(), w.view(), &mut arena)
-                    .unwrap();
-                for planes in rows {
-                    let counts = planes.drain_with(&mut arena).unwrap();
+                for counts in apc_counts(x.view(), w.view(), &mut arena) {
                     arena.recycle_counts(counts.into_counts());
                 }
             },
@@ -2027,11 +2123,19 @@ fn json_escape(text: &str) -> String {
     text.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (samples, iters) = if quick { (5, 20) } else { (15, 200) };
+/// Whole passes per `BENCH_kernels.json` write: each recorded timing is
+/// the median of its row's passes, so one host spell during one pass does
+/// not set the recording.
+const RECORDED_PASSES: usize = 3;
 
-    println!("Measuring word-parallel kernels against per-bit baselines ...\n");
+/// The median of `values`.
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(|a, b| a.total_cmp(b));
+    values[values.len() / 2]
+}
+
+/// One whole pass: the baseline comparisons, then the per-backend matrix.
+fn run_pass(samples: usize, iters: usize) -> (Vec<Comparison>, Vec<BackendMatrixRow>) {
     let comparisons = vec![
         bench_sng(1024, samples, iters * 4),
         bench_sng(8192, samples, iters),
@@ -2047,6 +2151,45 @@ fn main() {
         bench_stanh_batch(samples, iters.div_ceil(4)),
         bench_fan_out(samples, iters),
     ];
+    (comparisons, backend_matrix(samples, iters))
+}
+
+fn main() {
+    let quick = std::env::args().any(|a| a == "--quick");
+    let (samples, iters, passes) = if quick {
+        (5, 20, 1)
+    } else {
+        (15, 200, RECORDED_PASSES)
+    };
+
+    println!(
+        "Measuring word-parallel kernels against per-bit baselines \
+         ({passes} whole pass(es), each row the median of its passes) ...\n"
+    );
+    let mut runs: Vec<_> = (0..passes).map(|_| run_pass(samples, iters)).collect();
+    let (mut comparisons, mut matrix) = runs.pop().expect("at least one pass");
+    for (i, c) in comparisons.iter_mut().enumerate() {
+        let per_pass = |ns: fn(&Comparison) -> f64| {
+            median(
+                runs.iter()
+                    .map(|(cs, _)| ns(&cs[i]))
+                    .chain([ns(c)])
+                    .collect(),
+            )
+        };
+        (c.baseline_ns, c.optimized_ns) =
+            (per_pass(|c| c.baseline_ns), per_pass(|c| c.optimized_ns));
+    }
+    for (i, row) in matrix.iter_mut().enumerate() {
+        for (b, timing) in row.timings.iter_mut().enumerate() {
+            timing.1 = median(
+                runs.iter()
+                    .map(|(_, rows)| rows[i].timings[b].1)
+                    .chain([timing.1])
+                    .collect(),
+            );
+        }
+    }
 
     println!(
         "{:<34}{:>16}{:>16}{:>10}",
@@ -2071,7 +2214,6 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", ")
     );
-    let matrix = backend_matrix(samples, iters);
     print!("{:<30}", "kernel");
     for backend in &backends {
         print!("{:>14}", backend.name());
@@ -2098,7 +2240,9 @@ fn main() {
             .map(|n| n.get())
             .unwrap_or(1)
     ));
-    json.push_str("  \"unit\": \"nanoseconds per evaluation (median)\",\n");
+    json.push_str(&format!(
+        "  \"unit\": \"nanoseconds per evaluation (median of {passes} whole passes)\",\n"
+    ));
     json.push_str("  \"benchmarks\": [\n");
     for (i, c) in comparisons.iter().enumerate() {
         json.push_str("    {\n");

@@ -40,7 +40,7 @@ use crate::pooling::{AveragePooling, HardwareMaxPooling, PoolingKind};
 use sc_core::add::{Apc, MuxSelectorPlan};
 use sc_core::arena::StreamArena;
 use sc_core::bitstream::{BitStream, StreamLength};
-use sc_core::csa::{CountPlanes, PackedLanes, ROW_GROUP};
+use sc_core::csa::{PackedLanes, ROW_GROUP};
 use sc_core::encoding::{Bipolar, Encoding};
 use sc_core::error::ScError;
 use sc_core::parallel::parallel_map_with;
@@ -621,7 +621,8 @@ pub struct LayerInputs(Inputs);
 #[derive(Debug)]
 enum Inputs {
     Selected(Vec<BitStream>),
-    Packed(Vec<PackedLanes>),
+    /// One row per field.
+    Packed(PackedLanes),
 }
 
 impl LayerInputs {
@@ -629,11 +630,7 @@ impl LayerInputs {
     pub fn recycle(self, arena: &mut StreamArena) {
         match self.0 {
             Inputs::Selected(fields) => arena.recycle_all(fields),
-            Inputs::Packed(fields) => {
-                for field in fields {
-                    arena.recycle_packed(field);
-                }
-            }
+            Inputs::Packed(fields) => arena.recycle_packed(fields),
         }
     }
 }
@@ -726,17 +723,16 @@ impl CompiledLayer {
                     })
                     .collect::<Result<_, ScError>>()?,
             ),
-            Operands::Apc { inputs, .. } => Inputs::Packed(
-                fields
-                    .iter()
-                    .zip(inputs)
-                    .map(|(thresholds, lanes)| {
-                        let mut packed = arena.take_packed(block.input_size, length)?;
-                        packed.fill_row(0, lanes, thresholds)?;
-                        Ok(packed)
-                    })
-                    .collect::<Result<_, ScError>>()?,
-            ),
+            Operands::Apc { inputs, .. } => {
+                let mut packed = arena.take_packed(block.input_size, length, fields.len())?;
+                for (field, (thresholds, lanes)) in fields.iter().zip(inputs).enumerate() {
+                    if let Err(error) = packed.fill_row(field, lanes, thresholds) {
+                        arena.recycle_packed(packed);
+                        return Err(error);
+                    }
+                }
+                Inputs::Packed(packed)
+            }
         };
         Ok(LayerInputs(inputs))
     }
@@ -760,17 +756,19 @@ impl CompiledLayer {
     /// * the average-pooling MUX selector is planned once and replayed over
     ///   the materialized field sums;
     /// * APC popcounts run through the packed Harley-Seal core
-    ///   ([`Apc::count_planes_with`]): each row's weights of a field are
+    ///   ([`Apc::count_planes_into`]): each row's weights of a field are
     ///   read once, front to back, against the field's packed inputs, and
-    ///   the counts stay bit-planes (see [`sc_core::csa`]); the APC's
-    ///   approximate LSB is a rewrite of each row's ones plane;
+    ///   the counts stay bit-planes (see [`sc_core::csa`]) in one block of
+    ///   every field's rows, taken from the arena; the core's store writes
+    ///   the APC's approximate LSB into the ones plane;
     /// * an APC-Max row pools its fields' planes: each 16-bit segment's
     ///   total is the planes' SWAR lane-popcounts shifted by plane weight,
     ///   and the previous segment's winner's planes are blended in
     ///   ([`HardwareMaxPooling::pool_planes_with`]); an APC-Avg row adds
     ///   its fields' planes with a bit-sliced ripple adder
-    ///   ([`CountPlanes::merge_sum_with`]); either way only the pooled row
-    ///   is drained into the `u16` counts the Btanh walk reads, once;
+    ///   ([`CountPlanes::merge_sum_with`]); either way the pooled rows go
+    ///   into a second block, and only they are drained into the `u16`
+    ///   counts the Btanh walk reads, once;
     /// * the MUX-Max hardware max pool counts every 16-bit segment of a
     ///   word with one SWAR lane-popcount and picks the forwarding mask by
     ///   a lane-wise argmax, `W::LANES` words per step on the active
@@ -797,6 +795,9 @@ impl CompiledLayer {
     /// Returns [`ScError::InvalidParameter`] for a row range past the last
     /// row or `inputs` filled by a layer of another form or shape, and
     /// propagates kernel errors.
+    ///
+    /// [`CountPlanes::merge_sum_with`]: sc_core::csa::CountPlanes::merge_sum_with
+    /// [`CountPlanes::drain_interleaved`]: sc_core::csa::CountPlanes::drain_interleaved
     pub fn evaluate(
         &self,
         inputs: &LayerInputs,
@@ -823,10 +824,9 @@ impl CompiledLayer {
                 self.evaluate_mux(fields, &weights[rows], avg_plan.as_ref(), arena)
             }
             (Operands::Apc { weights, .. }, Inputs::Packed(fields))
-                if fields.len() == block.pool_window
-                    && fields.iter().all(|field| {
-                        field.lanes() == block.input_size && field.length().bits() == bits
-                    }) =>
+                if fields.rows() == block.pool_window
+                    && fields.lanes() == block.input_size
+                    && fields.length().bits() == bits =>
             {
                 self.evaluate_apc(fields, weights, rows, arena)
             }
@@ -883,13 +883,14 @@ impl CompiledLayer {
         Ok(outputs)
     }
 
-    /// The APC branch of [`CompiledLayer::evaluate`]: per field, every
-    /// row's APC count planes; per row, the pool in the plane domain; then
-    /// one drain of every pooled row into a row-interleaved count buffer
-    /// and one Btanh walk over all of them.
+    /// The APC branch of [`CompiledLayer::evaluate`]: every field's rows
+    /// counted into one plane block (`[field][row]`), pooled into a second
+    /// (`[row]`; a one-field window is its field), then one drain of every
+    /// pooled row into a row-interleaved count buffer and one Btanh walk
+    /// over all of them.
     fn evaluate_apc(
         &self,
-        inputs: &[PackedLanes],
+        inputs: &PackedLanes,
         weights: &[PackedLanes],
         rows: Range<usize>,
         arena: &mut StreamArena,
@@ -898,53 +899,46 @@ impl CompiledLayer {
         if rows.is_empty() {
             return Ok(Vec::new());
         }
-        // Planes transposed to row-major as each field's pass completes.
-        let mut per_row: Vec<Vec<CountPlanes>> = rows
-            .clone()
-            .map(|_| Vec::with_capacity(block.pool_window))
-            .collect();
-        for (input, field_weights) in inputs.iter().zip(weights) {
-            let field_planes = Apc::new().count_planes_with(
-                input.view(),
-                field_weights.view_rows(rows.clone()),
-                arena,
-            )?;
-            for (row, planes) in field_planes.into_iter().enumerate() {
-                per_row[row].push(planes);
-            }
-        }
+        let (count, window) = (rows.len(), block.pool_window);
         let max_pool = HardwareMaxPooling::new(DEFAULT_MAX_POOL_SEGMENT)?;
-        let mut pooled_rows = Vec::with_capacity(per_row.len());
-        for mut row_planes in per_row {
-            let pooled = if block.pool_window == 1 {
-                row_planes.pop().expect("one field")
-            } else {
-                let pooled = if block.kind == FeatureBlockKind::ApcAvgBtanh {
-                    CountPlanes::merge_sum_with(&row_planes, arena)?
-                } else {
-                    max_pool.pool_planes_with(&row_planes, arena)?
-                };
-                for planes in row_planes {
-                    arena.recycle_planes(planes);
+        let btanh = block.btanh.as_ref().expect("APC blocks carry a Btanh");
+        let mut counted =
+            arena.take_planes(block.input_size, block.stream_length, window * count)?;
+        let pooled = weights
+            .iter()
+            .enumerate()
+            .try_for_each(|(field, field_weights)| {
+                Apc::new().count_planes_into(
+                    inputs.view_rows(field..field + 1),
+                    field_weights.view_rows(rows.clone()),
+                    &mut counted,
+                    field * count,
+                )
+            })
+            .and_then(|()| match window {
+                // The max or average of one field is that field.
+                1 => Ok(None),
+                _ if block.kind == FeatureBlockKind::ApcAvgBtanh => {
+                    counted.merge_sum_with(window, arena).map(Some)
                 }
-                pooled
-            };
-            pooled_rows.push(pooled);
-        }
-        let lanes = pooled_rows[0].lanes();
-        let mut counts = arena.take_counts(
-            pooled_rows.len().next_multiple_of(ROW_GROUP) * block.stream_length.bits(),
-        );
-        let drained = CountPlanes::drain_interleaved(&pooled_rows, &mut counts);
-        let rows = pooled_rows.len();
-        for pooled in pooled_rows {
-            arena.recycle_planes(pooled);
-        }
-        let outputs = drained.map(|()| {
-            let btanh = block.btanh.as_ref().expect("APC blocks carry a Btanh");
-            btanh.apply_rows_with(&counts, rows, lanes, block.stream_length, arena)
+                _ => max_pool.pool_planes_with(&counted, window, arena).map(Some),
+            });
+        let outputs = pooled.and_then(|pooled| {
+            let planes = pooled.as_ref().unwrap_or(&counted);
+            let mut counts =
+                arena.take_counts(count.next_multiple_of(ROW_GROUP) * block.stream_length.bits());
+            let outputs = planes.drain_interleaved(&mut counts).map(|()| {
+                btanh.apply_rows_with(&counts, count, planes.lanes(), block.stream_length, arena)
+            });
+            arena.recycle_counts(counts);
+            if let Some(pooled) = pooled {
+                arena.recycle_planes(pooled);
+            }
+            outputs
         });
-        arena.recycle_counts(counts);
+        // Recycled last, the counted block is the next position's first
+        // take: each block keeps the buffer of its own shape.
+        arena.recycle_planes(counted);
         outputs
     }
 }

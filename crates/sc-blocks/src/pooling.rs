@@ -332,56 +332,56 @@ impl HardwareMaxPooling {
         CountStream::new(out_counts, inputs[0].lanes())
     }
 
-    /// Pools APC count rows held as bit-planes, into planes taken from
-    /// `arena` (recycle them via [`StreamArena::recycle_planes`] or drain
-    /// them): drained, the result is bit-identical to
-    /// [`HardwareMaxPooling::pool_counts`] over the drained inputs. Each
-    /// 16-bit segment's total is exact for any lane count, the strictly
-    /// largest total wins (the first input on ties), and the winner's
-    /// planes are forwarded over the next segment, `W::LANES` words per step
-    /// on the active backend.
+    /// Pools APC count rows held as bit-planes: `fields` holds `window`
+    /// fields of equally many rows (`[field][row]`, see
+    /// [`CountPlanes::pooled_rows`]), and pooled row `r` pools row `r` of
+    /// every field, into a block taken from `arena` (recycle it via
+    /// [`StreamArena::recycle_planes`]). Drained, pooled row `r` is
+    /// bit-identical to [`HardwareMaxPooling::pool_counts`] over the
+    /// fields' drained rows `r`. Each 16-bit segment's total is exact for
+    /// any lane count, the strictly largest total wins (the first field on
+    /// ties), and the winner's planes are forwarded over the next segment,
+    /// `W::LANES` words per step on the active backend.
     ///
     /// # Errors
     ///
-    /// Returns [`ScError::EmptyInput`] for no inputs,
-    /// [`ScError::LengthMismatch`] for inputs of different lengths, and
-    /// [`ScError::InvalidParameter`] for inputs of different lane counts or
-    /// a segment length other than 16 bits (the block's
+    /// Returns [`ScError::InvalidParameter`] for a window that does not
+    /// divide the rows or a segment length other than 16 bits (the block's
     /// [`crate::feature_block::DEFAULT_MAX_POOL_SEGMENT`]).
     pub fn pool_planes_with(
         &self,
-        inputs: &[CountPlanes],
+        fields: &CountPlanes,
+        window: usize,
         arena: &mut StreamArena,
     ) -> Result<CountPlanes, ScError> {
-        let first = inputs.first().ok_or(ScError::EmptyInput)?;
-        if let Some(input) = inputs.iter().find(|p| p.length() != first.length()) {
-            return Err(ScError::LengthMismatch {
-                left: first.length().bits(),
-                right: input.length().bits(),
-            });
-        }
-        if self.segment_bits != 16 || inputs.iter().any(|p| p.lanes() != first.lanes()) {
+        let rows = fields.pooled_rows(window)?;
+        if self.segment_bits != 16 {
             return Err(ScError::InvalidParameter {
-                name: "inputs",
+                name: "segment_bits",
                 message: format!(
-                    "plane pooling takes 16-bit segments over rows of one lane count \
-                     ({}-bit segments)",
+                    "plane pooling takes 16-bit segments, not {}",
                     self.segment_bits
                 ),
             });
         }
-        let mut output = arena.take_planes(first.lanes(), first.length())?;
-        let planes = first.planes();
+        let mut output = arena.take_planes(fields.lanes(), fields.length(), rows)?;
+        let rows = PlaneRows {
+            words: fields.as_words(),
+            row_words: fields.row_words(),
+            field_words: rows * fields.row_words(),
+            window,
+            planes: fields.planes(),
+        };
         let out = output.words_mut();
         match active_backend() {
-            Backend::Scalar => pool_planes::<u64>(inputs, out, planes),
+            Backend::Scalar => pool_planes::<u64>(&rows, out),
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => {
                 // SAFETY: `active_backend` reports AVX2 only after runtime
                 // feature detection.
-                unsafe { avx2::pool_planes_avx2(inputs, out, planes) }
+                unsafe { avx2::pool_planes_avx2(&rows, out) }
             }
-            _ => pool_planes::<W4>(inputs, out, planes),
+            _ => pool_planes::<W4>(&rows, out),
         }
         Ok(output)
     }
@@ -574,22 +574,36 @@ fn lane_greater<const S: u32, W: Word>(a: W, b: W) -> W {
     greater.sub_i64(greater.shr(S - 1)).or(greater)
 }
 
-/// Bit-plane hardware max pool over 16-bit segments (`inputs` of `planes`
-/// planes per group; `out`: the pooled row's zeroed words), `W::LANES`
-/// words per step, the top segment's winner of each word carried into the
-/// next.
+/// The input of a bit-plane max pool: `window` fields of rows of `planes`
+/// planes per group in one block (field `i`'s row `r` at words
+/// `i · field_words + r · row_words ..`).
+struct PlaneRows<'a> {
+    words: &'a [u64],
+    row_words: usize,
+    field_words: usize,
+    window: usize,
+    planes: usize,
+}
+
+/// Bit-plane hardware max pool over 16-bit segments (`out`: one pooled row
+/// per row of a field, every word written), `W::LANES` words per step, the
+/// top segment's winner of each word carried into the next.
 #[inline(always)]
-fn pool_planes<W: Word>(inputs: &[CountPlanes], out: &mut [u64], planes: usize) {
-    let mut carry = 0;
-    for group in (0..out.len()).step_by(planes * GROUP_WORDS) {
-        for sub in (0..GROUP_WORDS).step_by(W::LANES) {
-            carry = pool_plane_words::<W>(inputs, out, group + sub, planes, carry);
+fn pool_planes<W: Word>(fields: &PlaneRows<'_>, out: &mut [u64]) {
+    for (r, out) in out.chunks_exact_mut(fields.row_words).enumerate() {
+        let row = &fields.words[r * fields.row_words..];
+        let mut carry = 0;
+        for group in (0..out.len()).step_by(fields.planes * GROUP_WORDS) {
+            for sub in (0..GROUP_WORDS).step_by(W::LANES) {
+                carry = pool_plane_words::<W>(fields, row, out, group + sub, carry);
+            }
         }
     }
 }
 
 /// Pools words `at .. at + W::LANES` of every plane (plane `k` of those
-/// words at `at + k · GROUP_WORDS`), given the input that won the top
+/// words at `at + k · GROUP_WORDS`) of one row of every field (`row`: the
+/// block from the first field's row on), given the field that won the top
 /// segment of the previous word (`carry`), and returns the top segment's
 /// winner of the last word. The counterpart of [`pool_words`] for planes:
 /// per input, the segment totals `Σₖ lane_counts(planeₖ) ≪ k` are summed in
@@ -598,24 +612,26 @@ fn pool_planes<W: Word>(inputs: &[CountPlanes], out: &mut [u64], planes: usize) 
 /// the winners' next segments are blended into every plane.
 #[inline(always)]
 fn pool_plane_words<W: Word>(
-    inputs: &[CountPlanes],
+    fields: &PlaneRows<'_>,
+    row: &[u64],
     out: &mut [u64],
     at: usize,
-    planes: usize,
     mut carry: usize,
 ) -> usize {
     const FIRST_SEGMENT: u64 = 0xFFFF;
+    let planes = fields.planes;
+    let field = |i: usize| &row[i * fields.field_words..];
     let low_halves = W::splat(LOW_HALVES);
-    let (mut best_even, mut best_odd) = segment_totals::<W>(inputs[0].as_words(), at, planes);
+    let (mut best_even, mut best_odd) = segment_totals::<W>(field(0), at, planes);
     // Segment `s + 1` of `next[k]` holds plane `k` of segment `s`'s running
     // winner.
     let mut next = [W::zero(); 16];
     for (k, plane) in next.iter_mut().enumerate().take(planes) {
-        *plane = W::load(&inputs[0].as_words()[at + k * GROUP_WORDS..]);
+        *plane = W::load(&field(0)[at + k * GROUP_WORDS..]);
     }
     let mut top_winners = W::zero();
-    for (input, planes_in) in inputs.iter().enumerate().skip(1) {
-        let words = planes_in.as_words();
+    for input in 1..fields.window {
+        let words = field(input);
         let (even, odd) = segment_totals::<W>(words, at, planes);
         let wins_even = lane_greater::<32, W>(even, best_even);
         let wins_odd = lane_greater::<32, W>(odd, best_odd);
@@ -639,7 +655,7 @@ fn pool_plane_words<W: Word>(
     for (j, &winner) in winners.iter().take(W::LANES).enumerate() {
         for k in 0..planes {
             let word = at + k * GROUP_WORDS + j;
-            out[word] |= inputs[carry].as_words()[word] & FIRST_SEGMENT;
+            out[word] |= field(carry)[word] & FIRST_SEGMENT;
         }
         carry = winner as usize;
     }
@@ -667,16 +683,15 @@ fn segment_totals<W: Word>(words: &[u64], at: usize, planes: usize) -> (W, W) {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::PoolInputs;
-    use sc_core::csa::CountPlanes;
+    use super::{PlaneRows, PoolInputs};
     use sc_core::word::WAvx2;
 
     /// # Safety
     ///
     /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn pool_planes_avx2(inputs: &[CountPlanes], out: &mut [u64], planes: usize) {
-        super::pool_planes::<WAvx2>(inputs, out, planes)
+    pub(super) unsafe fn pool_planes_avx2(fields: &PlaneRows<'_>, out: &mut [u64]) {
+        super::pool_planes::<WAvx2>(fields, out)
     }
 
     /// # Safety
@@ -1137,49 +1152,40 @@ mod tests {
         let lanes: Vec<BitStream> = (0..5)
             .map(|i| stream_for(0.1 * i as f64, 127, 40 + i))
             .collect();
-        let planes: Vec<CountPlanes> = (0..3u64)
-            .map(|field| {
-                let weights: Vec<BitStream> = (0..5)
-                    .map(|i| stream_for(-0.3, 127, 70 + 5 * field + i))
-                    .collect();
-                let x = PackedLanes::pack([lanes.as_slice()]).unwrap();
-                let w = PackedLanes::pack([weights.as_slice()]).unwrap();
-                Apc::new()
-                    .count_planes_with(x.view(), w.view(), &mut arena)
-                    .unwrap()
-                    .pop()
-                    .unwrap()
-            })
-            .collect();
-        let counts: Vec<CountStream> = planes
-            .iter()
-            .map(|p| p.clone().drain_with(&mut StreamArena::new()).unwrap())
-            .collect();
-        let pooled = hw.pool_planes_with(&planes, &mut arena).unwrap();
-        assert_eq!(
-            pooled.drain_with(&mut arena).unwrap(),
-            hw.pool_counts(&counts).unwrap()
-        );
+        let mut planes = CountPlanes::zeroed(5, length, 3).unwrap();
+        for field in 0..3u64 {
+            let weights: Vec<BitStream> = (0..5)
+                .map(|i| stream_for(-0.3, 127, 70 + 5 * field + i))
+                .collect();
+            let x = PackedLanes::pack([lanes.as_slice()]).unwrap();
+            let w = PackedLanes::pack([weights.as_slice()]).unwrap();
+            Apc::new()
+                .count_planes_into(x.view(), w.view(), &mut planes, field as usize)
+                .unwrap();
+        }
+        let drain = |planes: &CountPlanes, row: usize| {
+            let mut counts = vec![0u16; 127];
+            planes.drain_row_into(row, &mut counts).unwrap();
+            CountStream::new(counts, planes.lanes()).unwrap()
+        };
+        let counts: Vec<CountStream> = (0..3).map(|row| drain(&planes, row)).collect();
+        let pooled = hw.pool_planes_with(&planes, 3, &mut arena).unwrap();
+        assert_eq!(pooled.rows(), 1);
+        assert_eq!(drain(&pooled, 0), hw.pool_counts(&counts).unwrap());
+        arena.recycle_planes(pooled);
         // Error paths reject empty inputs without leaking buffers.
         assert!(hw.pool_streams_with(&[], &mut arena).is_err());
-        assert!(hw.pool_planes_with(&[], &mut arena).is_err());
         assert!(avg
             .pool_streams_with_plan_with(&[], &plan, &mut arena)
             .is_err());
-        // A mismatched operand set, or a segment the plane pool does not
-        // total, is rejected before a plane buffer is taken, so the pool is
-        // untouched.
+        // A window that does not divide the rows, or a segment the plane
+        // pool does not total, is rejected before a plane buffer is taken,
+        // so the pool is untouched.
         let before = arena.stats();
-        let short = CountPlanes::zeroed(5, StreamLength::new(100)).unwrap();
-        let narrow = CountPlanes::zeroed(4, length).unwrap();
-        assert!(hw
-            .pool_planes_with(&[planes[0].clone(), short], &mut arena)
-            .is_err());
-        assert!(hw
-            .pool_planes_with(&[planes[0].clone(), narrow], &mut arena)
-            .is_err());
+        assert!(hw.pool_planes_with(&planes, 0, &mut arena).is_err());
+        assert!(hw.pool_planes_with(&planes, 2, &mut arena).is_err());
         let eight = HardwareMaxPooling::new(8).unwrap();
-        assert!(eight.pool_planes_with(&planes, &mut arena).is_err());
+        assert!(eight.pool_planes_with(&planes, 3, &mut arena).is_err());
         assert_eq!(arena.stats(), before);
     }
 

@@ -14,7 +14,6 @@
 //!    relative error, Table 3) at ~40 % lower gate cost than an exact counter.
 //! 4. Two-line representation adder — see [`crate::twoline`].
 
-use crate::arena::StreamArena;
 use crate::bitstream::{BitStream, StreamLength};
 use crate::csa::{
     product_column_counts, product_column_planes, CountPlanes, PackedLanes, PackedView,
@@ -174,7 +173,7 @@ impl MuxAdder {
     }
 
     /// [`MuxAdder::sum_with_plan`] writing into a caller-provided stream
-    /// (typically taken from a [`StreamArena`]), so the fused layer path
+    /// (typically taken from a [`crate::arena::StreamArena`]), so the fused layer path
     /// allocates no output buffer. Every word of `out` is overwritten.
     ///
     /// # Errors
@@ -575,7 +574,7 @@ impl CountStream {
     }
 
     /// Consumes the stream and returns its count buffer, so it can be
-    /// recycled into a [`StreamArena`] count pool.
+    /// recycled into a [`crate::arena::StreamArena`] count pool.
     pub fn into_counts(self) -> Vec<u16> {
         self.counts
     }
@@ -829,43 +828,35 @@ impl Apc {
     }
 
     /// Layer-fused multiply-count in bit-plane form: the APC column counts
-    /// of the one-row `inputs` against every row of `weights` as
-    /// [`CountPlanes`] taken from `arena` (recycle them via
-    /// [`StreamArena::recycle_planes`] or drain them with
-    /// [`CountPlanes::drain_with`]). Drained, `result[u]` is bit-exact with
-    /// [`Apc::count_products`] on the unpacked lanes of unit `u`.
+    /// of the one-row `inputs` against every row of `weights`, written as
+    /// rows `first_row ..` of the block `out` (a layer position's block
+    /// holds every field's rows, `[field][row]`; take it from an arena with
+    /// [`crate::arena::StreamArena::take_planes`]). Drained, row `first_row + u` is
+    /// bit-exact with [`Apc::count_products`] on the unpacked lanes of unit
+    /// `u`.
     ///
     /// This is the APC kernel of a whole SC layer position: all
     /// inner-product blocks share their input streams and differ only in
     /// the filter driving their weights, and each unit's packed weights are
-    /// read once, front to back (see [`crate::csa`]). The approximate LSB
-    /// is a rewrite of each row's ones plane, so a pooling block can take
-    /// the rows as planes and drain only its pooled row.
+    /// read once, front to back (see [`crate::csa`]). The core's store
+    /// writes the approximate LSB into the ones plane and every word of the
+    /// rows, so a pooling block can take the rows as planes and drain only
+    /// its pooled rows.
     ///
     /// # Errors
     ///
-    /// Returns [`ScError::InvalidParameter`] unless `inputs` has one row and
-    /// the lane counts agree, and [`ScError::LengthMismatch`] for different
-    /// stream lengths.
-    pub fn count_planes_with(
+    /// Returns [`ScError::InvalidParameter`] unless `inputs` has one row,
+    /// the lane counts of `inputs`, `weights` and `out` agree and `out`
+    /// holds the rows, and [`ScError::LengthMismatch`] for different stream
+    /// lengths.
+    pub fn count_planes_into(
         &self,
         inputs: PackedView<'_>,
         weights: PackedView<'_>,
-        arena: &mut StreamArena,
-    ) -> Result<Vec<CountPlanes>, ScError> {
-        let mut planes = (0..weights.rows())
-            .map(|_| arena.take_planes(inputs.lanes(), inputs.length()))
-            .collect::<Result<Vec<_>, _>>()?;
-        if let Err(error) = product_column_planes(inputs, weights, &mut planes) {
-            for row in planes {
-                arena.recycle_planes(row);
-            }
-            return Err(error);
-        }
-        for row in &mut planes {
-            row.apc_lsb();
-        }
-        Ok(planes)
+        out: &mut CountPlanes,
+        first_row: usize,
+    ) -> Result<(), ScError> {
+        product_column_planes(inputs, weights, true, out, first_row)
     }
 
     /// Gate-count reduction relative to the exact accumulative parallel
@@ -878,7 +869,7 @@ impl Apc {
 /// Replaces exact column counts with the APC approximation: the LSB is
 /// dropped and a toggling dither bit substituted (see [`Apc`]). Single-lane
 /// counters stay exact. The per-call reference of the plane rewrite the
-/// layer-fused kernels apply ([`Apc::count_planes_with`]).
+/// layer-fused kernels apply ([`Apc::count_planes_into`]).
 fn apply_apc_lsb(counts: &mut [u16], lanes: usize) {
     if lanes < 2 {
         return;
@@ -918,6 +909,7 @@ fn common_length(inputs: &[BitStream]) -> Result<usize, ScError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::StreamArena;
     use crate::rng::Lfsr;
     use crate::sng::{Sng, SngKind};
 
@@ -1198,19 +1190,26 @@ mod tests {
         )
     }
 
-    /// Every unit's APC counts as a pooling block reads them: the planes
-    /// of [`Apc::count_planes_with`], each drained.
+    /// Every unit's APC counts as a pooling block reads them: the block
+    /// of [`Apc::count_planes_into`] (taken from `arena`, so a reused one
+    /// holds stale words), each row drained into a count buffer from
+    /// `arena`.
     fn drained_counts(
         x: PackedView<'_>,
         w: PackedView<'_>,
         arena: &mut StreamArena,
     ) -> Vec<CountStream> {
-        Apc::new()
-            .count_planes_with(x, w, arena)
-            .unwrap()
-            .into_iter()
-            .map(|planes| planes.drain_with(arena).unwrap())
-            .collect()
+        let mut block = arena.take_planes(x.lanes(), x.length(), w.rows()).unwrap();
+        Apc::new().count_planes_into(x, w, &mut block, 0).unwrap();
+        let counts = (0..w.rows())
+            .map(|row| {
+                let mut counts = arena.take_counts(x.length().bits());
+                block.drain_row_into(row, &mut counts).unwrap();
+                CountStream::new(counts, x.lanes()).unwrap()
+            })
+            .collect();
+        arena.recycle_planes(block);
+        counts
     }
 
     #[test]
@@ -1323,16 +1322,20 @@ mod tests {
         let b = CountStream::new(vec![3, 4, 0], 4).unwrap();
         let mut arena = StreamArena::new();
         let merged = CountStream::merge_sum(&[a.clone(), b.clone()]).unwrap();
-        let planes = [CountPlanes::from_counts(&a), CountPlanes::from_counts(&b)];
-        let pooled = CountPlanes::merge_sum_with(&planes, &mut arena).unwrap();
-        assert_eq!(pooled.lanes(), 8);
-        assert_eq!(pooled.drain_with(&mut arena).unwrap(), merged);
-        assert!(CountPlanes::merge_sum_with(&[], &mut arena).is_err());
-        let short = CountPlanes::from_counts(&CountStream::new(vec![1], 4).unwrap());
-        let mismatched = [planes[0].clone(), short];
-        assert!(CountPlanes::merge_sum_with(&mismatched, &mut arena).is_err());
-        let wide = CountPlanes::zeroed(u16::MAX as usize, StreamLength::new(3)).unwrap();
-        assert!(CountPlanes::merge_sum_with(&[wide.clone(), wide], &mut arena).is_err());
+        // Two fields of one row each.
+        let planes = CountPlanes::from_counts(&[a, b]);
+        let pooled = planes.merge_sum_with(2, &mut arena).unwrap();
+        assert_eq!((pooled.lanes(), pooled.rows()), (8, 1));
+        let mut counts = vec![0u16; 3];
+        pooled.drain_row_into(0, &mut counts).unwrap();
+        assert_eq!(counts, merged.counts());
+        // One field is that field.
+        assert_eq!(planes.merge_sum_with(1, &mut arena).unwrap(), planes);
+        // A window that does not divide the rows, or lanes past `u16`.
+        assert!(planes.merge_sum_with(0, &mut arena).is_err());
+        assert!(planes.merge_sum_with(3, &mut arena).is_err());
+        let wide = CountPlanes::zeroed(u16::MAX as usize, StreamLength::new(3), 2).unwrap();
+        assert!(wide.merge_sum_with(2, &mut arena).is_err());
     }
 
     #[test]
@@ -1494,22 +1497,38 @@ mod tests {
         let short = streams_for(&[0.5], 64, 9);
         let long = streams_for(&[0.5, -0.25], 65, 9);
         let (x, w) = packed_operands(&xs, &[ws.clone(), ws.clone()]);
-        let mut arena = StreamArena::new();
+        let length = StreamLength::new(64);
+        let mut out = CountPlanes::zeroed(2, length, 4).unwrap();
         let apc = Apc::new();
         assert!(apc
-            .count_planes_with(x.view(), w.view(), &mut arena)
+            .count_planes_into(x.view(), w.view(), &mut out, 0)
             .is_ok());
-        // Two input rows, too few lanes, another length.
         assert!(apc
-            .count_planes_with(w.view(), w.view(), &mut arena)
+            .count_planes_into(x.view(), w.view(), &mut out, 2)
+            .is_ok());
+        // Rows past the block's, two input rows, too few lanes, another
+        // length, a block of another lane count or length.
+        assert!(apc
+            .count_planes_into(x.view(), w.view(), &mut out, 3)
+            .is_err());
+        assert!(apc
+            .count_planes_into(w.view(), w.view(), &mut out, 0)
             .is_err());
         let narrow = PackedLanes::pack([short.as_slice()]).unwrap();
         assert!(apc
-            .count_planes_with(narrow.view(), w.view(), &mut arena)
+            .count_planes_into(narrow.view(), w.view(), &mut out, 0)
             .is_err());
         let longer = PackedLanes::pack([long.as_slice()]).unwrap();
         assert!(apc
-            .count_planes_with(longer.view(), w.view(), &mut arena)
+            .count_planes_into(longer.view(), w.view(), &mut out, 0)
+            .is_err());
+        let mut wider = CountPlanes::zeroed(3, length, 2).unwrap();
+        assert!(apc
+            .count_planes_into(x.view(), w.view(), &mut wider, 0)
+            .is_err());
+        let mut other = CountPlanes::zeroed(2, StreamLength::new(65), 2).unwrap();
+        assert!(apc
+            .count_planes_into(x.view(), w.view(), &mut other, 0)
             .is_err());
         // Rows of unequal lane counts never pack.
         assert!(PackedLanes::pack([ws.as_slice(), short.as_slice()]).is_err());

@@ -163,9 +163,9 @@ impl StreamArena {
         self.counts.push(buffer);
     }
 
-    /// Takes an all-zero one-row [`PackedLanes`] of `lanes` streams of
-    /// `length` bits (an input field of the packed APC kernel), reusing a
-    /// pooled buffer when one is available.
+    /// Takes an all-zero [`PackedLanes`] of `rows` rows of `lanes` streams
+    /// of `length` bits (the input fields of the packed APC kernel, one row
+    /// each), reusing a pooled buffer when one is available.
     ///
     /// # Errors
     ///
@@ -175,6 +175,7 @@ impl StreamArena {
         &mut self,
         lanes: usize,
         length: StreamLength,
+        rows: usize,
     ) -> Result<PackedLanes, ScError> {
         let buffer = self.packed.pop().unwrap_or_default();
         if buffer.capacity() > 0 {
@@ -182,7 +183,7 @@ impl StreamArena {
         } else {
             self.stream_allocs += 1;
         }
-        PackedLanes::from_buffer(buffer, lanes, length, 1)
+        PackedLanes::from_buffer(buffer, lanes, length, rows)
     }
 
     /// Returns a packed field's buffer to the pool for reuse.
@@ -190,9 +191,11 @@ impl StreamArena {
         self.packed.push(packed.into_words());
     }
 
-    /// Takes all-zero [`CountPlanes`] of counts of up to `lanes` over
-    /// `length` columns (the APC kernels' per-row counts), reusing a pooled
-    /// buffer when one is available.
+    /// Takes a [`CountPlanes`] block of `rows` rows of counts of up to
+    /// `lanes` over `length` columns (an APC layer position's counts),
+    /// reusing a pooled buffer when one is available. The block is not
+    /// zeroed: it holds whatever its buffer last held, and the kernel
+    /// writing it writes every word.
     ///
     /// # Errors
     ///
@@ -202,6 +205,7 @@ impl StreamArena {
         &mut self,
         lanes: usize,
         length: StreamLength,
+        rows: usize,
     ) -> Result<CountPlanes, ScError> {
         let buffer = self.planes.pop().unwrap_or_default();
         if buffer.capacity() > 0 {
@@ -209,10 +213,10 @@ impl StreamArena {
         } else {
             self.stream_allocs += 1;
         }
-        CountPlanes::from_buffer(buffer, lanes, length)
+        CountPlanes::from_buffer(buffer, lanes, length, rows)
     }
 
-    /// Returns count planes' buffer to the pool for reuse.
+    /// Returns a count-plane block's buffer to the pool for reuse.
     pub fn recycle_planes(&mut self, planes: CountPlanes) {
         self.planes.push(planes.into_words());
     }
@@ -250,39 +254,53 @@ mod tests {
     fn packed_fields_pool_apart_from_streams() {
         let mut arena = StreamArena::new();
         let len = StreamLength::new(300);
-        let packed = arena.take_packed(25, len).unwrap();
-        assert_eq!((packed.lanes(), packed.rows()), (25, 1));
+        let packed = arena.take_packed(25, len, 4).unwrap();
+        assert_eq!((packed.lanes(), packed.rows()), (25, 4));
         arena.recycle_packed(packed);
         assert_eq!(arena.stats().pooled_streams, 1);
         // A stream never takes the packed buffer, and the packed buffer
         // comes back zeroed.
         let stream = arena.take_zeroed(len);
         assert_eq!(arena.stats().stream_allocs, 2);
-        let again = arena.take_packed(25, len).unwrap();
+        let again = arena.take_packed(25, len, 1).unwrap();
         assert_eq!(again, PackedLanes::zeroed(25, len, 1).unwrap());
         let stats = arena.stats();
         assert_eq!((stats.stream_allocs, stats.stream_reuses), (2, 1));
         arena.recycle(stream);
         arena.recycle_packed(again);
-        assert!(arena.take_packed(0, len).is_err());
+        assert!(arena.take_packed(0, len, 1).is_err());
     }
 
     #[test]
     fn count_planes_pool_with_the_counts() {
         let mut arena = StreamArena::new();
         let len = StreamLength::new(300);
-        let mut planes = arena.take_planes(25, len).unwrap();
-        assert_eq!((planes.lanes(), planes.planes()), (25, 5));
-        planes.words_mut()[0] = u64::MAX;
+        let mut planes = arena.take_planes(25, len, 32).unwrap();
+        assert_eq!(
+            (planes.lanes(), planes.planes(), planes.rows()),
+            (25, 5, 32)
+        );
+        assert_eq!(planes.as_words().len(), 32 * planes.row_words());
+        planes.words_mut().fill(u64::MAX);
         arena.recycle_planes(planes);
         assert_eq!(arena.stats().pooled_streams, 1);
-        // The buffer comes back zeroed, resized for another lane count.
-        let again = arena.take_planes(200, len).unwrap();
-        assert_eq!(again, CountPlanes::zeroed(200, len).unwrap());
+        // The buffer comes back resized for another shape, its old words
+        // kept (the kernel writing a block writes every word) and only its
+        // growth zeroed.
+        let again = arena.take_planes(200, len, 32).unwrap();
+        assert_eq!((again.planes(), again.rows()), (8, 32));
+        let kept = 32 * 5 * 8;
+        assert!(again.as_words()[..kept].iter().all(|&w| w == u64::MAX));
+        assert!(again.as_words()[kept..].iter().all(|&w| w == 0));
         let stats = arena.stats();
         assert_eq!((stats.stream_allocs, stats.stream_reuses), (1, 1));
         arena.recycle_planes(again);
-        assert!(arena.take_planes(0, len).is_err());
+        assert!(arena.take_planes(0, len, 1).is_err());
+        assert!(CountPlanes::zeroed(25, len, 2)
+            .unwrap()
+            .as_words()
+            .iter()
+            .all(|&w| w == 0));
     }
 
     #[test]

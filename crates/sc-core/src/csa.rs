@@ -27,33 +27,43 @@
 //! process the 4 words of a group in one super-word; the scalar backend
 //! steps through them.
 //!
-//! **Planes.** The core stores each row's planes, not counts: a
-//! [`CountPlanes`] holds, per 256-column group, plane `k` of the group's 4
-//! words, and plane `k`, bit `t` is bit `k` of column `t`'s count. The APC
-//! layers stay in this form through the APC's approximate LSB (a rewrite of
-//! the ones plane, [`crate::add::Apc::count_planes_with`]), the average
-//! pool's adder tree (a bit-sliced ripple adder,
+//! **Planes.** The core stores planes, not counts: a [`CountPlanes`] block
+//! holds rows of column counts, each row, per 256-column group, plane `k`
+//! of the group's 4 words, and plane `k`, bit `t` is bit `k` of column
+//! `t`'s count. An APC layer position counts every field's rows into one
+//! block (`[field][row]`) that the session's arena keeps for the layer's
+//! shape. The core's store applies the APC's approximate LSB
+//! ([`crate::add::Apc::count_planes_into`]): the ones plane is written as
+//! the odd-cycle mask, cleared past the stream end and where an even lane
+//! count is saturated, computed from the planes still in registers. It
+//! writes every word of its rows, zero past the stream end, so a block is
+//! never zeroed before use. The counts stay in this form through the
+//! average pool's adder tree (a bit-sliced ripple adder,
 //! [`CountPlanes::merge_sum_with`]) and `sc-blocks`' hardware max pool,
-//! which totals each segment from the planes' lane popcounts.
+//! which totals each segment from the planes' lane popcounts; both read the
+//! fields' rows out of the block and write the pooled rows into a second.
 //!
 //! **Drain.** Only then are the planes turned into `u16` counts, once per
-//! pooled row: per 8 columns, byte `k` of one word gathers byte `g` of
-//! plane `k`, an 8×8 bit transpose turns byte `j` into column `8g + j`'s
-//! count, the count's low byte; planes 8 and up (256 or more ones in a
-//! column) take a second transpose for the high byte. The drain is
-//! word-generic: it converts the planes of `W::LANES` words per step. It
-//! writes one row's counts in column order ([`CountPlanes::drain_into`]),
-//! or every row of a layer position with strided stores into one
-//! row-interleaved, cycle-major buffer ([`CountPlanes::drain_interleaved`]:
-//! per group of [`ROW_GROUP`] rows, cycle `t` holds the group's counts side
-//! by side), the layout the Btanh walk steps [`ROW_GROUP`] rows at a time
-//! from ([`crate::activation::Btanh::transform_rows`]).
+//! pooled row, `W::LANES` words per step on the word-generic backends. Per
+//! row, a byte transpose of the low 8 planes makes word `b` gather byte `b`
+//! of every plane, and an 8×8 bit transpose of each then makes its byte
+//! `c` the low byte of column `8b + c`'s count; planes 8 and up (256 or
+//! more ones in a column) take the same path for the high byte.
+//! [`CountPlanes::drain_row_into`] writes one row in column order.
+//! [`CountPlanes::drain_interleaved`] writes every row of a layer position
+//! into one row-interleaved, cycle-major buffer (per group of
+//! [`ROW_GROUP`] rows, cycle `t` holds the group's counts side by side),
+//! the layout the Btanh walk steps [`ROW_GROUP`] rows at a time from
+//! ([`crate::activation::Btanh::transform_rows`]): after the per-row
+//! transposes, an 8×8 byte transpose *across* the group's rows leaves one
+//! column's 8 counts in one word, widened to `u16`, and a block of 8
+//! columns × 8 rows is 64 consecutive counts, stored word by word instead
+//! of one `u16` at a time 8 entries apart.
 //!
 //! The counts are **exact**, identical to per-lane accumulation in any
 //! order, so every kernel built on the core is bit-compatible with the
 //! per-bit reference (property-tested here and in [`crate::add`]).
 
-use crate::add::CountStream;
 use crate::arena::StreamArena;
 use crate::bitstream::{BitStream, StreamLength};
 use crate::error::ScError;
@@ -328,48 +338,54 @@ impl PackedView<'_> {
     }
 }
 
-/// The bit-planes of one row's column counts, each column a count of at
-/// most [`CountPlanes::lanes`] (see the [module docs](self)).
+/// Rows of column counts as bit-planes in one contiguous block, each
+/// column a count of at most [`CountPlanes::lanes`] (see the [module
+/// docs](self)).
 ///
-/// Per 256-column group the buffer holds [`CountPlanes::planes`] planes of
-/// [`GROUP_WORDS`] words: word `(g · planes + k) · GROUP_WORDS + s` is
-/// plane `k` of word `4g + s` of the stream, and its bit `b` is bit `k` of
-/// the count of column `64 · (4g + s) + b`. Every kernel keeps the columns
-/// past the end of the stream zero in every plane.
+/// Row `r` is words `r · row_words ..` ([`CountPlanes::row_words`]). Per
+/// 256-column group a row holds [`CountPlanes::planes`] planes of
+/// [`GROUP_WORDS`] words: word `(g · planes + k) · GROUP_WORDS + s` of the
+/// row is plane `k` of word `4g + s` of the stream, and its bit `b` is bit
+/// `k` of the count of column `64 · (4g + s) + b`. Every kernel writing a
+/// block writes every word of its rows, zero past the end of the stream, so
+/// a block taken from an arena ([`StreamArena::take_planes`]) is never
+/// zeroed first.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CountPlanes {
     words: Vec<u64>,
     lanes: usize,
     length: StreamLength,
+    rows: usize,
 }
 
 impl CountPlanes {
-    /// All-zero planes of counts of up to `lanes` over `length` columns.
+    /// `rows` rows of all-zero planes of counts of up to `lanes` over
+    /// `length` columns.
     ///
     /// # Errors
     ///
     /// Returns [`ScError::InvalidParameter`] for a lane count outside
     /// `1..=65535` (drained counts are `u16`).
-    pub fn zeroed(lanes: usize, length: StreamLength) -> Result<Self, ScError> {
-        Self::from_buffer(Vec::new(), lanes, length)
+    pub fn zeroed(lanes: usize, length: StreamLength, rows: usize) -> Result<Self, ScError> {
+        Self::from_buffer(Vec::new(), lanes, length, rows)
     }
 
-    /// Reuses `buffer` as all-zero planes (the arena's plane pool).
+    /// Reuses `buffer` as a block of `rows` rows (the arena's plane pool).
+    /// The words it already holds are kept: the kernel writing the block
+    /// overwrites every one, so only growth is zeroed.
     pub(crate) fn from_buffer(
         mut buffer: Vec<u64>,
         lanes: usize,
         length: StreamLength,
+        rows: usize,
     ) -> Result<Self, ScError> {
         check_lanes(lanes)?;
-        buffer.clear();
-        buffer.resize(
-            length.bits().div_ceil(GROUP_BITS) * plane_count(lanes) * GROUP_WORDS,
-            0,
-        );
+        buffer.resize(plane_row_words(lanes, length) * rows, 0);
         Ok(Self {
             words: buffer,
             lanes,
             length,
+            rows,
         })
     }
 
@@ -383,19 +399,29 @@ impl CountPlanes {
         self.length
     }
 
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
     /// Planes per group: the bit length of [`CountPlanes::lanes`].
     pub fn planes(&self) -> usize {
         plane_count(self.lanes)
     }
 
-    /// The plane words, group after group.
+    /// Words of one row.
+    pub fn row_words(&self) -> usize {
+        plane_row_words(self.lanes, self.length)
+    }
+
+    /// The plane words, row after row.
     pub fn as_words(&self) -> &[u64] {
         &self.words
     }
 
     /// The plane words, for a kernel writing planes (a pooling block). It
-    /// must keep every column a count of at most [`CountPlanes::lanes`] and
-    /// the columns past the stream end zero.
+    /// must write every word, keep every column a count of at most
+    /// [`CountPlanes::lanes`] and the columns past the stream end zero.
     pub fn words_mut(&mut self) -> &mut [u64] {
         &mut self.words
     }
@@ -405,15 +431,36 @@ impl CountPlanes {
         self.words
     }
 
-    /// Writes every column's count to `counts` (see the [module
-    /// docs](self)), `W::LANES` words of planes per step on the active
-    /// [`crate::word`] backend.
+    /// The rows a pool over `window` fields of this block yields, the block
+    /// holding `window` fields of that many rows each (`[field][row]`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScError::InvalidParameter`] for a window of zero or one
+    /// that does not divide the rows.
+    pub fn pooled_rows(&self, window: usize) -> Result<usize, ScError> {
+        if window == 0 || !self.rows.is_multiple_of(window) {
+            return Err(ScError::InvalidParameter {
+                name: "window",
+                message: format!("{} rows are not {window} equal fields", self.rows),
+            });
+        }
+        Ok(self.rows / window)
+    }
+
+    /// Writes row `row`'s count of every column to `counts` in column
+    /// order (see the [module docs](self)), `W::LANES` words of planes per
+    /// step on the active [`crate::word`] backend.
     ///
     /// # Errors
     ///
     /// Returns [`ScError::LengthMismatch`] unless `counts` has one entry per
     /// column.
-    pub fn drain_into(&self, counts: &mut [u16]) -> Result<(), ScError> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
+    pub fn drain_row_into(&self, row: usize, counts: &mut [u16]) -> Result<(), ScError> {
         let bits = self.length.bits();
         if counts.len() != bits {
             return Err(ScError::LengthMismatch {
@@ -421,8 +468,11 @@ impl CountPlanes {
                 right: counts.len(),
             });
         }
+        assert!(row < self.rows, "row {row} out of range");
+        let row_words = self.row_words();
+        let words = &self.words[row * row_words..(row + 1) * row_words];
         let planes = self.planes();
-        dispatch_word_kernel!(drain_impl, avx2::drain_avx2, (&self.words, planes, counts));
+        dispatch_word_kernel!(drain_impl, avx2::drain_avx2, (words, planes, counts));
         Ok(())
     }
 
@@ -430,107 +480,79 @@ impl CountPlanes {
     /// cycle-major buffer, the input of [`Btanh::transform_rows`]: the
     /// count of row `r` at column `t` goes to
     /// `counts[(r / ROW_GROUP · length + t) · ROW_GROUP + r % ROW_GROUP]`.
-    /// Each row's drain is [`CountPlanes::drain_into`]'s with strided
-    /// stores; entries of rows past the last (up to a multiple of
-    /// [`ROW_GROUP`]) are left as they are.
+    /// Every entry is written; those of the rows that pad the last group
+    /// to [`ROW_GROUP`] become zero. Bit-exact with
+    /// [`CountPlanes::drain_row_into`] per row.
     ///
     /// # Errors
     ///
-    /// Returns [`ScError::LengthMismatch`] for rows of different lengths or
-    /// unless `counts` holds `rows.len()` rounded up to a multiple of
-    /// [`ROW_GROUP`] rows of every column, and
-    /// [`ScError::InvalidParameter`] for rows of different lane counts.
+    /// Returns [`ScError::LengthMismatch`] unless `counts` holds the rows
+    /// rounded up to a multiple of [`ROW_GROUP`] rows of every column.
     ///
     /// [`Btanh::transform_rows`]: crate::activation::Btanh::transform_rows
-    pub fn drain_interleaved(rows: &[CountPlanes], counts: &mut [u16]) -> Result<(), ScError> {
-        let Some(first) = rows.first() else {
-            return Ok(());
-        };
-        if let Some(row) = rows.iter().find(|row| row.length != first.length) {
-            return Err(ScError::LengthMismatch {
-                left: first.length.bits(),
-                right: row.length.bits(),
-            });
-        }
-        if let Some(row) = rows.iter().find(|row| row.lanes != first.lanes) {
-            return Err(ScError::InvalidParameter {
-                name: "rows",
-                message: format!("rows of {} and {} lanes", first.lanes, row.lanes),
-            });
-        }
-        let expected = rows.len().next_multiple_of(ROW_GROUP) * first.length.bits();
+    pub fn drain_interleaved(&self, counts: &mut [u16]) -> Result<(), ScError> {
+        let bits = self.length.bits();
+        let expected = self.rows.next_multiple_of(ROW_GROUP) * bits;
         if counts.len() != expected {
             return Err(ScError::LengthMismatch {
                 left: expected,
                 right: counts.len(),
             });
         }
+        let (words, rows, planes) = (self.words.as_slice(), self.rows, self.planes());
         dispatch_word_kernel!(
             drain_interleaved_impl,
             avx2::drain_interleaved_avx2,
-            (rows, counts)
+            (words, rows, planes, bits, counts)
         );
         Ok(())
     }
 
-    /// Drains the planes into a count stream whose buffer comes from
-    /// `arena`'s count pool, and recycles the planes into its plane pool.
+    /// Sums the counts of `window` fields column by column, as the adder
+    /// tree of an APC average pool does: pooled row `r` adds row `r` of
+    /// every field of this `[field][row]` block (see
+    /// [`CountPlanes::pooled_rows`]) with a bit-sliced ripple adder over the
+    /// planes, into a block from `arena` whose lane count is the fields'
+    /// total. Bit-exact with [`crate::add::CountStream::merge_sum`] over the
+    /// drained counts.
     ///
     /// # Errors
     ///
-    /// Returns [`ScError::InvalidParameter`] if a kernel left a count above
-    /// [`CountPlanes::lanes`].
-    pub fn drain_with(self, arena: &mut StreamArena) -> Result<CountStream, ScError> {
-        let mut counts = arena.take_counts(self.length.bits());
-        self.drain_into(&mut counts)?;
-        let lanes = self.lanes;
-        arena.recycle_planes(self);
-        CountStream::new(counts, lanes)
-    }
-
-    /// Sums the counts of `fields` column by column, as the adder tree of an
-    /// APC average pool does: a bit-sliced ripple adder over the planes,
-    /// into planes from `arena` whose lane count is the fields' total.
-    /// Bit-exact with [`CountStream::merge_sum`] over the drained counts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScError::EmptyInput`] for no fields,
-    /// [`ScError::LengthMismatch`] for fields of different lengths, and
-    /// [`ScError::InvalidParameter`] when the total lane count exceeds the
-    /// `u16` count range.
+    /// Returns [`ScError::InvalidParameter`] for a window that does not
+    /// divide the rows, or a total lane count past the `u16` count range.
     pub fn merge_sum_with(
-        fields: &[CountPlanes],
+        &self,
+        window: usize,
         arena: &mut StreamArena,
     ) -> Result<CountPlanes, ScError> {
-        let first = fields.first().ok_or(ScError::EmptyInput)?;
-        if let Some(field) = fields.iter().find(|f| f.length != first.length) {
-            return Err(ScError::LengthMismatch {
-                left: first.length.bits(),
-                right: field.length.bits(),
-            });
-        }
-        let mut sum = arena.take_planes(fields.iter().map(|f| f.lanes).sum(), first.length)?;
-        let planes = sum.planes();
-        for field in fields {
-            let field_planes = field.planes();
-            let groups = sum
-                .words
-                .chunks_exact_mut(planes * GROUP_WORDS)
-                .zip(field.words.chunks_exact(field_planes * GROUP_WORDS));
-            for (acc, addend) in groups {
+        let rows = self.pooled_rows(window)?;
+        let mut sum = arena.take_planes(window * self.lanes, self.length, rows)?;
+        let (field_planes, planes) = (self.planes(), sum.planes());
+        let (row_words, sum_row_words) = (self.row_words(), sum.row_words());
+        let field_words = rows * row_words;
+        for (r, out) in sum.words.chunks_exact_mut(sum_row_words).enumerate() {
+            let groups = out.chunks_exact_mut(planes * GROUP_WORDS);
+            for (g, out) in groups.enumerate() {
+                let at = r * row_words + g * field_planes * GROUP_WORDS;
                 for s in 0..GROUP_WORDS {
-                    let mut carry = 0u64;
-                    for k in 0..planes {
-                        let a = acc[k * GROUP_WORDS + s];
-                        let b = if k < field_planes {
-                            addend[k * GROUP_WORDS + s]
-                        } else {
-                            0
-                        };
-                        let partial = a ^ b;
-                        acc[k * GROUP_WORDS + s] = partial ^ carry;
-                        carry = (a & b) | (partial & carry);
+                    let mut acc = [0u64; MAX_PLANES];
+                    for field in 0..window {
+                        let addend = &self.words[field * field_words + at + s..];
+                        let mut carry = 0u64;
+                        for (k, acc) in acc.iter_mut().enumerate().take(planes) {
+                            let b = if k < field_planes {
+                                addend[k * GROUP_WORDS]
+                            } else {
+                                0
+                            };
+                            let a = *acc;
+                            let partial = a ^ b;
+                            *acc = partial ^ carry;
+                            carry = (a & b) | (partial & carry);
+                        }
+                    }
+                    for (k, &plane) in acc.iter().enumerate().take(planes) {
+                        out[k * GROUP_WORDS + s] = plane;
                     }
                 }
             }
@@ -538,74 +560,44 @@ impl CountPlanes {
         Ok(sum)
     }
 
-    /// The planes of `counts` (tests build pooling inputs from counts).
+    /// One row of planes of each of `counts` (tests build pooling inputs
+    /// from counts).
     #[cfg(test)]
-    pub(crate) fn from_counts(counts: &CountStream) -> Self {
-        let mut planes = Self::zeroed(counts.lanes(), StreamLength::new(counts.len()))
-            .expect("a count stream's lane count fits the planes");
-        let stride = planes.planes() * GROUP_WORDS;
-        for (t, &count) in counts.counts().iter().enumerate() {
-            let (g, s, b) = (t / GROUP_BITS, t % GROUP_BITS / 64, t % 64);
-            for k in (0..planes.planes()).filter(|k| count >> k & 1 == 1) {
-                planes.words[g * stride + k * GROUP_WORDS + s] |= 1 << b;
+    pub(crate) fn from_counts(counts: &[crate::add::CountStream]) -> Self {
+        let mut planes = Self::zeroed(
+            counts[0].lanes(),
+            StreamLength::new(counts[0].len()),
+            counts.len(),
+        )
+        .expect("a count stream's lane count fits the planes");
+        let (stride, row_words) = (planes.planes() * GROUP_WORDS, planes.row_words());
+        for (r, row) in counts.iter().enumerate() {
+            for (t, &count) in row.counts().iter().enumerate() {
+                let (g, s, b) = (t / GROUP_BITS, t % GROUP_BITS / 64, t % 64);
+                for k in (0..planes.planes()).filter(|k| count >> k & 1 == 1) {
+                    planes.words[r * row_words + g * stride + k * GROUP_WORDS + s] |= 1 << b;
+                }
             }
         }
         planes
     }
+}
 
-    /// The APC's approximate least-significant bit (see
-    /// [`crate::add::Apc`]) as a plane rewrite: the ones plane becomes the
-    /// odd-cycle mask, cleared where an even lane count is saturated (a
-    /// column counting every lane keeps that count: the `min(lanes)` clamp)
-    /// and past the stream end. A single lane stays exact.
-    pub(crate) fn apc_lsb(&mut self) {
-        const ODD_CYCLES: u64 = 0xAAAA_AAAA_AAAA_AAAA;
-        let lanes = self.lanes;
-        if lanes < 2 {
-            return;
-        }
-        let bits = self.length.bits();
-        let planes = self.planes();
-        for (g, group) in self
-            .words
-            .chunks_exact_mut(planes * GROUP_WORDS)
-            .enumerate()
-        {
-            for s in 0..GROUP_WORDS {
-                let valid = match bits.saturating_sub((g * GROUP_WORDS + s) * 64) {
-                    0 => 0,
-                    n if n >= 64 => u64::MAX,
-                    n => (1 << n) - 1,
-                };
-                // A count is at most `lanes`, so it equals `lanes` exactly
-                // where every set bit of `lanes` is set.
-                let saturated = if lanes.is_multiple_of(2) {
-                    (1..planes)
-                        .filter(|k| lanes >> k & 1 == 1)
-                        .fold(u64::MAX, |acc, k| acc & group[k * GROUP_WORDS + s])
-                } else {
-                    0
-                };
-                group[s] = ODD_CYCLES & valid & !saturated;
-            }
-        }
-    }
+/// Words of one row of [`CountPlanes`]: `plane_count(lanes)` planes per
+/// group.
+fn plane_row_words(lanes: usize, length: StreamLength) -> usize {
+    length.bits().div_ceil(GROUP_BITS) * plane_count(lanes) * GROUP_WORDS
 }
 
 /// Validates the operands of the column-count core and returns the stream
 /// length in bits.
-fn check_operands(
-    input: PackedView<'_>,
-    weights: PackedView<'_>,
-    outputs: usize,
-) -> Result<usize, ScError> {
-    if input.rows != 1 || input.lanes != weights.lanes || outputs != weights.rows {
+fn check_operands(input: PackedView<'_>, weights: PackedView<'_>) -> Result<usize, ScError> {
+    if input.rows != 1 || input.lanes != weights.lanes {
         return Err(ScError::InvalidParameter {
             name: "weights",
             message: format!(
-                "{} input row(s) of {} lanes against {} weight rows of {} lanes into {} \
-                 outputs",
-                input.rows, input.lanes, weights.rows, weights.lanes, outputs
+                "{} input row(s) of {} lanes against weight rows of {} lanes",
+                input.rows, input.lanes, weights.lanes
             ),
         });
     }
@@ -620,40 +612,49 @@ fn check_operands(
 }
 
 /// Exact column-count planes of the XNOR products of the one-row `input`
-/// with every row of `weights`: `planes[r]` becomes the planes of the
-/// number of lanes whose input and row-`r` weight bits agree at each
-/// cycle. Every word of each row's planes is overwritten or stays zero.
+/// with every row of `weights`, written to rows `first_row ..` of `out`:
+/// row `first_row + r` becomes the planes of the number of lanes whose input
+/// and row-`r` weight bits agree at each cycle, with the APC's approximate
+/// LSB in the ones plane when `apc` is set (see [`crate::add::Apc`]). Every
+/// word of those rows is written.
 ///
 /// # Errors
 ///
-/// Returns [`ScError::InvalidParameter`] unless `input` has one row,
-/// `planes` one buffer per weight row, and both operands and every buffer
-/// the same lane count; [`ScError::LengthMismatch`] for different stream
-/// lengths.
+/// Returns [`ScError::InvalidParameter`] unless `input` has one row, both
+/// operands and `out` the same lane count, and `out` the rows;
+/// [`ScError::LengthMismatch`] for different stream lengths.
 pub(crate) fn product_column_planes(
     input: PackedView<'_>,
     weights: PackedView<'_>,
-    planes: &mut [CountPlanes],
+    apc: bool,
+    out: &mut CountPlanes,
+    first_row: usize,
 ) -> Result<(), ScError> {
-    let bits = check_operands(input, weights, planes.len())?;
-    for row in planes.iter() {
-        if row.lanes != input.lanes {
-            return Err(ScError::InvalidParameter {
-                name: "planes",
-                message: format!("planes of {} lanes for {} lanes", row.lanes, input.lanes),
-            });
-        }
-        if row.length.bits() != bits {
-            return Err(ScError::LengthMismatch {
-                left: bits,
-                right: row.length.bits(),
-            });
-        }
+    let bits = check_operands(input, weights)?;
+    if out.lanes != input.lanes || first_row + weights.rows > out.rows {
+        return Err(ScError::InvalidParameter {
+            name: "out",
+            message: format!(
+                "rows {first_row}..{} of {} rows of {} lanes for {} lanes",
+                first_row + weights.rows,
+                out.rows,
+                out.lanes,
+                input.lanes
+            ),
+        });
     }
+    if out.length.bits() != bits {
+        return Err(ScError::LengthMismatch {
+            left: bits,
+            right: out.length.bits(),
+        });
+    }
+    let row_words = out.row_words();
+    let out = &mut out.words[first_row * row_words..(first_row + weights.rows) * row_words];
     dispatch_word_kernel!(
         product_column_planes_impl,
         avx2::product_column_planes_avx2,
-        (input.words, weights.words, input.lanes, bits, planes)
+        (input.words, weights.words, input.lanes, bits, apc, out)
     );
     Ok(())
 }
@@ -665,33 +666,34 @@ pub(crate) fn product_column_planes(
 ///
 /// # Errors
 ///
-/// As [`product_column_planes`], and [`ScError::LengthMismatch`] for a
-/// count buffer of another length.
+/// As [`product_column_planes`], [`ScError::InvalidParameter`] unless
+/// there is one count buffer per weight row, and
+/// [`ScError::LengthMismatch`] for a count buffer of another length.
 pub(crate) fn product_column_counts(
     input: PackedView<'_>,
     weights: PackedView<'_>,
     counts: &mut [Vec<u16>],
 ) -> Result<(), ScError> {
-    let bits = check_operands(input, weights, counts.len())?;
-    if let Some(row) = counts.iter().find(|row| row.len() != bits) {
-        return Err(ScError::LengthMismatch {
-            left: bits,
-            right: row.len(),
+    if counts.len() != weights.rows {
+        return Err(ScError::InvalidParameter {
+            name: "counts",
+            message: format!(
+                "{} count rows for {} weight rows",
+                counts.len(),
+                weights.rows
+            ),
         });
     }
-    let mut planes = (0..weights.rows)
-        .map(|_| CountPlanes::zeroed(input.lanes, input.length))
-        .collect::<Result<Vec<_>, _>>()?;
-    product_column_planes(input, weights, &mut planes)?;
-    for (row, row_counts) in planes.iter().zip(counts) {
-        row.drain_into(row_counts)?;
+    let mut planes = CountPlanes::zeroed(input.lanes, input.length, weights.rows)?;
+    product_column_planes(input, weights, false, &mut planes, 0)?;
+    for (row, row_counts) in counts.iter_mut().enumerate() {
+        planes.drain_row_into(row, row_counts)?;
     }
     Ok(())
 }
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::CountPlanes;
     use crate::word::WAvx2;
 
     /// # Safety
@@ -703,9 +705,10 @@ mod avx2 {
         weights: &[u64],
         lanes: usize,
         bits: usize,
-        planes: &mut [CountPlanes],
+        apc: bool,
+        out: &mut [u64],
     ) {
-        super::product_column_planes_impl::<WAvx2>(input, weights, lanes, bits, planes)
+        super::product_column_planes_impl::<WAvx2>(input, weights, lanes, bits, apc, out)
     }
 
     /// # Safety
@@ -720,42 +723,80 @@ mod avx2 {
     ///
     /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn drain_interleaved_avx2(rows: &[CountPlanes], counts: &mut [u16]) {
-        super::drain_interleaved_impl::<WAvx2>(rows, counts)
+    pub(super) unsafe fn drain_interleaved_avx2(
+        words: &[u64],
+        rows: usize,
+        planes: usize,
+        bits: usize,
+        counts: &mut [u16],
+    ) {
+        super::drain_interleaved_impl::<WAvx2>(words, rows, planes, bits, counts)
+    }
+}
+
+/// How the core's store writes the ones plane: exact, or the APC's
+/// approximate LSB, the odd-cycle mask cleared past the stream end and
+/// where an even lane count is saturated (a column counting every lane
+/// keeps that count: the `min(lanes)` clamp). A single lane stays exact.
+#[derive(Clone, Copy)]
+struct Lsb {
+    dither: bool,
+    /// The planes whose AND marks a saturated column: the set bits of an
+    /// even lane count (a count is at most `lanes`, so it equals `lanes`
+    /// exactly where every set bit of `lanes` is set); zero for an odd one.
+    saturating: usize,
+}
+
+impl Lsb {
+    fn new(apc: bool, lanes: usize) -> Self {
+        let dither = apc && lanes >= 2;
+        let saturating = if dither && lanes.is_multiple_of(2) {
+            lanes
+        } else {
+            0
+        };
+        Self { dither, saturating }
     }
 }
 
 /// Word-generic body of [`product_column_planes`]: rows outermost, then
 /// groups, each group's lanes compressed and stored in `W::LANES`-word
-/// steps.
+/// steps (the words past the end of the stream compress to zero under the
+/// tail mask, so every word is written).
 #[inline(always)]
 fn product_column_planes_impl<W: Word>(
     input: &[u64],
     weights: &[u64],
     lanes: usize,
     bits: usize,
-    out: &mut [CountPlanes],
+    apc: bool,
+    out: &mut [u64],
 ) {
     let group_words = lanes * GROUP_WORDS;
     let groups = bits.div_ceil(GROUP_BITS);
     let planes = plane_count(lanes);
     let upper = planes.saturating_sub(4);
-    for (row, row_planes) in weights.chunks_exact(groups * group_words).zip(out) {
-        let row_planes = row_planes.words.chunks_exact_mut(planes * GROUP_WORDS);
-        for (g, group_planes) in row_planes.enumerate() {
+    let lsb = Lsb::new(apc, lanes);
+    let rows = weights
+        .chunks_exact(groups * group_words)
+        .zip(out.chunks_exact_mut(groups * planes * GROUP_WORDS));
+    for (row, row_planes) in rows {
+        for (g, group_planes) in row_planes
+            .chunks_exact_mut(planes * GROUP_WORDS)
+            .enumerate()
+        {
             let x = &input[g * group_words..(g + 1) * group_words];
             let w = &row[g * group_words..(g + 1) * group_words];
             let span = (bits - g * GROUP_BITS).min(GROUP_BITS);
-            let mut sub = 0;
-            // Words wholly past the end of the stream hold no columns.
-            while sub < GROUP_WORDS && sub * 64 < span {
-                let state = if span == GROUP_BITS {
-                    compress::<W, false>(x, w, sub, W::zero(), upper)
+            for sub in (0..GROUP_WORDS).step_by(W::LANES) {
+                let (state, valid) = if span == GROUP_BITS {
+                    let all = W::splat(u64::MAX);
+                    (compress::<W, false>(x, w, sub, all, upper), all)
                 } else {
-                    compress::<W, true>(x, w, sub, tail_mask(span, sub), upper)
+                    let valid = tail_mask(span, sub);
+                    (compress::<W, true>(x, w, sub, valid, upper), valid)
                 };
-                state.store(sub, planes, group_planes);
-                sub += W::LANES;
+                state.store(sub, planes, lsb, valid, group_planes);
             }
         }
     }
@@ -833,11 +874,27 @@ impl<W: Word> Planes<W> {
     }
 
     /// Stores the low `planes` planes as words `sub..sub + W::LANES` of a
-    /// group's planes (`out`: the group's `planes · 4` words).
+    /// group's planes (`out`: the group's `planes · 4` words), the ones
+    /// plane under `lsb` (`valid`: the words' columns inside the stream).
     #[inline(always)]
-    fn store(&self, sub: usize, planes: usize, out: &mut [u64]) {
+    fn store(&self, sub: usize, planes: usize, lsb: Lsb, valid: W, out: &mut [u64]) {
+        const ODD_CYCLES: u64 = 0xAAAA_AAAA_AAAA_AAAA;
         let low = [self.ones, self.twos, self.fours, self.eights];
-        for (k, plane) in low.iter().chain(&self.upper).take(planes).enumerate() {
+        let all = || low.iter().chain(&self.upper).take(planes).enumerate();
+        let ones = if lsb.dither {
+            let saturated = if lsb.saturating == 0 {
+                W::zero()
+            } else {
+                all()
+                    .filter(|(k, _)| lsb.saturating >> k & 1 == 1)
+                    .fold(W::splat(u64::MAX), |acc, (_, plane)| acc.and(*plane))
+            };
+            W::splat(ODD_CYCLES).and(valid).andnot(saturated)
+        } else {
+            self.ones
+        };
+        ones.store(&mut out[sub..]);
+        for (k, plane) in all().skip(1) {
             plane.store(&mut out[k * GROUP_WORDS + sub..]);
         }
     }
@@ -897,39 +954,18 @@ fn compress<W: Word, const MASKED: bool>(
     p
 }
 
-/// Word-generic body of [`CountPlanes::drain_into`].
+/// Word-generic body of [`CountPlanes::drain_row_into`]: groups in order,
+/// each group's planes converted `W::LANES` words per step.
 #[inline(always)]
 fn drain_impl<W: Word>(words: &[u64], planes: usize, counts: &mut [u16]) {
-    drain_row::<W, 1>(words, planes, counts.len(), counts)
-}
-
-/// Word-generic body of [`CountPlanes::drain_interleaved`].
-#[inline(always)]
-fn drain_interleaved_impl<W: Word>(rows: &[CountPlanes], counts: &mut [u16]) {
-    for (r, row) in rows.iter().enumerate() {
-        let bits = row.length.bits();
-        let at = r / ROW_GROUP * bits * ROW_GROUP + r % ROW_GROUP;
-        drain_row::<W, ROW_GROUP>(&row.words, row.planes(), bits, &mut counts[at..]);
-    }
-}
-
-/// Drains one row's planes of `bits` columns, column `t`'s count to
-/// `out[t · STRIDE]`: groups in order, each group's planes converted
-/// `W::LANES` words per step.
-#[inline(always)]
-fn drain_row<W: Word, const STRIDE: usize>(
-    words: &[u64],
-    planes: usize,
-    bits: usize,
-    out: &mut [u16],
-) {
+    let bits = counts.len();
     for (g, group) in words.chunks_exact(planes * GROUP_WORDS).enumerate() {
         let start = g * GROUP_BITS;
         let span = (bits - start).min(GROUP_BITS);
-        let out = &mut out[start * STRIDE..];
+        let out = &mut counts[start..];
         let mut sub = 0;
         while sub < GROUP_WORDS && sub * 64 < span {
-            drain_words::<W, STRIDE>(group, planes, sub, span, out);
+            drain_words::<W>(group, planes, sub, span, out);
             sub += W::LANES;
         }
     }
@@ -937,69 +973,184 @@ fn drain_row<W: Word, const STRIDE: usize>(
 
 /// Writes the counts of words `sub..sub + W::LANES` of one group (`group`:
 /// its `planes · 4` plane words; `span`: its columns, up to 256, column
-/// `c`'s count to `out[c · STRIDE]`) one 8-column block at a time: a byte
-/// transpose of the low 8 planes, and one of the upper planes for the high
-/// byte when a count reaches 256.
+/// `c`'s count to `out[c]`): the count bytes of the low 8 planes
+/// ([`count_bytes`]), and those of the upper planes for the high byte when
+/// a count reaches 256, written one 8-column block at a time.
 #[inline(always)]
-fn drain_words<W: Word, const STRIDE: usize>(
-    group: &[u64],
-    planes: usize,
-    sub: usize,
-    span: usize,
-    out: &mut [u16],
-) {
+fn drain_words<W: Word>(group: &[u64], planes: usize, sub: usize, span: usize, out: &mut [u16]) {
     let mut plane_words = [W::zero(); MAX_PLANES];
     for (k, plane) in plane_words.iter_mut().enumerate().take(planes) {
         *plane = W::load(&group[k * GROUP_WORDS + sub..]);
     }
-    let low = &plane_words[..planes.min(8)];
-    let high = &plane_words[planes.min(8)..planes];
-    let mut low_bytes = [0u64; 4];
-    // The common case: whole words, every count below 256 (one byte).
-    if high.iter().all(|plane| plane.is_zero()) && (sub + W::LANES) * 64 <= span {
-        for block in 0..8 {
-            byte_transpose(low, block as u32).store(&mut low_bytes);
-            for (j, bytes) in low_bytes.iter().enumerate().take(W::LANES) {
-                let column = (sub + j) * 64 + 8 * block;
-                let columns = &mut out[column * STRIDE..(column + 7) * STRIDE + 1];
-                for (c, byte) in bytes.to_le_bytes().into_iter().enumerate() {
-                    columns[c * STRIDE] = u16::from(byte);
-                }
-            }
-        }
-        return;
-    }
-    let mut high_bytes = [0u64; 4];
+    let split = planes.min(8);
+    let low = count_bytes(plane_words[..split].iter().copied());
+    let has_high = plane_words[split..planes]
+        .iter()
+        .any(|plane| !plane.is_zero());
+    let high = if has_high {
+        count_bytes(plane_words[split..planes].iter().copied())
+    } else {
+        [W::zero(); 8]
+    };
+    let (mut low_bytes, mut high_bytes) = ([0u64; 4], [0u64; 4]);
     for block in 0..8 {
         if sub * 64 + 8 * block >= span {
             break;
         }
-        byte_transpose(low, block as u32).store(&mut low_bytes);
-        byte_transpose(high, block as u32).store(&mut high_bytes);
+        low[block].store(&mut low_bytes);
+        high[block].store(&mut high_bytes);
         for j in 0..W::LANES {
             let column = (sub + j) * 64 + 8 * block;
             if column >= span {
                 break;
             }
             let (low, high) = (low_bytes[j].to_le_bytes(), high_bytes[j].to_le_bytes());
-            for c in 0..span.min(column + 8) - column {
-                out[(column + c) * STRIDE] = u16::from_le_bytes([low[c], high[c]]);
+            let columns = span.min(column + 8) - column;
+            for (c, count) in out[column..column + columns].iter_mut().enumerate() {
+                *count = u16::from_le_bytes([low[c], high[c]]);
             }
         }
     }
 }
 
-/// For 8-column block `block` of every word lane: byte `k` gathers byte
-/// `block` of plane `k`, and the 8×8 transpose makes byte `j` the count
-/// bits of column `8 · block + j`.
+/// Word-generic body of [`CountPlanes::drain_interleaved`]. Per group of
+/// [`ROW_GROUP`] rows and per `W::LANES` words of a column group: each
+/// row's count bytes ([`count_bytes`], one word lane per stream word), then
+/// per 8-column block an 8×8 byte transpose across the rows, which leaves
+/// column `c`'s counts of the 8 rows in word `c`, widened to `u16` (the
+/// upper planes' bytes, when any count reaches 256, transposed alike and
+/// shifted in above). The block's 8 columns × 8 rows are 64 consecutive
+/// counts of the buffer, stored a word (4 counts) at a time per word lane.
 #[inline(always)]
-fn byte_transpose<W: Word>(planes: &[W], block: u32) -> W {
-    let byte = W::splat(0xFF);
-    let mut packed = W::zero();
-    for (k, plane) in planes.iter().enumerate() {
-        packed = packed.or(plane.shr(8 * block).and(byte).shl(8 * k as u32));
+fn drain_interleaved_impl<W: Word>(
+    words: &[u64],
+    rows: usize,
+    planes: usize,
+    bits: usize,
+    counts: &mut [u16],
+) {
+    let groups = bits.div_ceil(GROUP_BITS);
+    let row_words = groups * planes * GROUP_WORDS;
+    let split = planes.min(8);
+    let row_groups = (0..rows)
+        .step_by(ROW_GROUP)
+        .zip(counts.chunks_exact_mut(ROW_GROUP * bits));
+    for (first, out) in row_groups {
+        let group_rows = &words[first * row_words..(first + ROW_GROUP).min(rows) * row_words];
+        for g in 0..groups {
+            let start = g * GROUP_BITS;
+            for sub in (0..GROUP_WORDS).step_by(W::LANES) {
+                if start + sub * 64 >= bits {
+                    break;
+                }
+                let at = g * planes * GROUP_WORDS + sub;
+                let plane = |row: &[u64], k: usize| W::load(&row[at + k * GROUP_WORDS..]);
+                let has_high = group_rows
+                    .chunks_exact(row_words)
+                    .any(|row| (split..planes).any(|k| !plane(row, k).is_zero()));
+                // `low_rows[r][b]`: row `r`'s count bytes of block `b`.
+                let mut low_rows = [[W::zero(); 8]; ROW_GROUP];
+                let mut high_rows = [[W::zero(); 8]; ROW_GROUP];
+                for (r, row) in group_rows.chunks_exact(row_words).enumerate() {
+                    low_rows[r] = count_bytes((0..split).map(|k| plane(row, k)));
+                    if has_high {
+                        high_rows[r] = count_bytes((split..planes).map(|k| plane(row, k)));
+                    }
+                }
+                for block in 0..8 {
+                    let (mut low, mut high) = ([W::zero(); ROW_GROUP], [W::zero(); ROW_GROUP]);
+                    for r in 0..ROW_GROUP {
+                        (low[r], high[r]) = (low_rows[r][block], high_rows[r][block]);
+                    }
+                    transpose_bytes(&mut low);
+                    if has_high {
+                        transpose_bytes(&mut high);
+                    }
+                    // `cycles[2c + h][j]`: rows `4h ..` of column `c` in
+                    // word lane `j`, four `u16` counts.
+                    let mut cycles = [[0u64; 4]; 2 * ROW_GROUP];
+                    for (c, pair) in cycles.chunks_exact_mut(2).enumerate() {
+                        let (mut first_rows, mut last_rows) = widen(low[c]);
+                        if has_high {
+                            let (first_high, last_high) = widen(high[c]);
+                            first_rows = first_rows.or(first_high.shl(8));
+                            last_rows = last_rows.or(last_high.shl(8));
+                        }
+                        first_rows.store(&mut pair[0]);
+                        last_rows.store(&mut pair[1]);
+                    }
+                    for j in 0..W::LANES {
+                        let column = start + (sub + j) * 64 + 8 * block;
+                        if column >= bits {
+                            break;
+                        }
+                        let columns = (bits - column).min(8);
+                        let dst = &mut out[column * ROW_GROUP..(column + columns) * ROW_GROUP];
+                        for (quad, word) in dst.chunks_exact_mut(4).zip(&cycles) {
+                            let word = word[j];
+                            quad.copy_from_slice(&[
+                                word as u16,
+                                (word >> 16) as u16,
+                                (word >> 32) as u16,
+                                (word >> 48) as u16,
+                            ]);
+                        }
+                    }
+                }
+            }
+        }
     }
-    transpose8(packed)
+}
+
+/// The count bytes of 64 columns (one word in every lane) from their low
+/// or high 8 planes (`planes`, up to 8: the `k`-th is plane `k`'s word):
+/// the byte transpose makes word `b` gather byte `b` of every plane, and
+/// the bit transpose of each word then makes byte `c` of word `b` the
+/// count bits of column `8b + c`.
+#[inline(always)]
+fn count_bytes<W: Word>(planes: impl Iterator<Item = W>) -> [W; 8] {
+    let mut bytes = [W::zero(); 8];
+    for (byte, plane) in bytes.iter_mut().zip(planes) {
+        *byte = plane;
+    }
+    transpose_bytes(&mut bytes);
+    for byte in &mut bytes {
+        *byte = transpose8(*byte);
+    }
+    bytes
+}
+
+/// Transposes the 8×8 byte matrix whose row `r` is `rows[r]` (byte `c` of
+/// it is column `c`) in every lane: the recursive 2×2 block transpose,
+/// swapping 32-, then 16-, then 8-bit blocks between rows 4, 2 and 1
+/// apart.
+#[inline(always)]
+fn transpose_bytes<W: Word>(rows: &mut [W; 8]) {
+    let rounds = [
+        (32, 0x0000_0000_FFFF_FFFF),
+        (16, 0x0000_FFFF_0000_FFFF),
+        (8, 0x00FF_00FF_00FF_00FF),
+    ];
+    for (shift, mask) in rounds {
+        let apart = shift as usize / 8;
+        let low = W::splat(mask);
+        for r in (0..8).filter(|r| r & apart == 0) {
+            let (a, b) = (rows[r], rows[r + apart]);
+            rows[r] = a.and(low).or(b.shl(shift).andnot(low));
+            rows[r + apart] = a.shr(shift).and(low).or(b.andnot(low));
+        }
+    }
+}
+
+/// Zero-extends the 8 bytes of every lane to `u16`s: bytes 0–3 into the
+/// first word, bytes 4–7 into the second.
+#[inline(always)]
+fn widen<W: Word>(x: W) -> (W, W) {
+    let spread = |x: W| {
+        let x = x.or(x.shl(16)).and(W::splat(0x0000_FFFF_0000_FFFF));
+        x.or(x.shl(8)).and(W::splat(0x00FF_00FF_00FF_00FF))
+    };
+    (spread(x.and(W::splat(0xFFFF_FFFF))), spread(x.shr(32)))
 }
 
 /// Transposes an 8×8 bit matrix held row-per-byte (bit `8r + c` is entry
@@ -1059,22 +1210,40 @@ mod tests {
     /// Runs the core and the drain under backend `W` directly (no
     /// process-wide switch).
     fn counts_with<W: Word>(inputs: &PackedLanes, weights: PackedView<'_>) -> Vec<Vec<u16>> {
-        let mut planes =
-            vec![CountPlanes::zeroed(inputs.lanes(), inputs.length()).unwrap(); weights.rows()];
+        let mut planes = stale_block(inputs.lanes(), inputs.length(), weights.rows());
         product_column_planes_impl::<W>(
             &inputs.words,
             weights.words,
             inputs.lanes(),
             inputs.length().bits(),
-            &mut planes,
+            false,
+            &mut planes.words,
         );
-        planes.iter().map(drain_with::<W>).collect()
+        (0..weights.rows())
+            .map(|row| drain_with::<W>(&planes, row))
+            .collect()
     }
 
-    /// [`drain_impl`] under backend `W`.
-    fn drain_with<W: Word>(planes: &CountPlanes) -> Vec<u16> {
+    /// A block whose every word is set, as a reused arena buffer may be:
+    /// the core must overwrite every word.
+    fn stale_block(lanes: usize, length: StreamLength, rows: usize) -> CountPlanes {
+        CountPlanes::from_buffer(vec![u64::MAX; 8], lanes, length, rows)
+            .map(|mut block| {
+                block.words.fill(u64::MAX);
+                block
+            })
+            .unwrap()
+    }
+
+    /// [`drain_impl`] of row `row` under backend `W`.
+    fn drain_with<W: Word>(planes: &CountPlanes, row: usize) -> Vec<u16> {
         let mut counts = vec![u16::MAX; planes.length().bits()];
-        drain_impl::<W>(&planes.words, planes.planes(), &mut counts);
+        let row_words = planes.row_words();
+        drain_impl::<W>(
+            &planes.words[row * row_words..(row + 1) * row_words],
+            planes.planes(),
+            &mut counts,
+        );
         counts
     }
 
@@ -1091,8 +1260,8 @@ mod tests {
         ];
         #[cfg(target_arch = "x86_64")]
         if crate::word::Backend::Avx2.is_available() {
-            let mut planes =
-                vec![CountPlanes::zeroed(inputs.lanes(), inputs.length()).unwrap(); weights.rows()];
+            let mut planes = stale_block(inputs.lanes(), inputs.length(), weights.rows());
+            let row_words = planes.row_words();
             // SAFETY: AVX2 availability was checked above.
             let counts = unsafe {
                 avx2::product_column_planes_avx2(
@@ -1100,13 +1269,15 @@ mod tests {
                     weights.words,
                     inputs.lanes(),
                     inputs.length().bits(),
-                    &mut planes,
+                    false,
+                    &mut planes.words,
                 );
                 planes
-                    .iter()
+                    .words
+                    .chunks_exact(row_words)
                     .map(|row| {
-                        let mut counts = vec![u16::MAX; row.length().bits()];
-                        avx2::drain_avx2(&row.words, row.planes(), &mut counts);
+                        let mut counts = vec![u16::MAX; inputs.length().bits()];
+                        avx2::drain_avx2(row, planes.planes(), &mut counts);
                         counts
                     })
                     .collect()
@@ -1249,9 +1420,9 @@ mod tests {
         planes.add_sixteen(|lane| if lane == 0 { 0b001 } else { 0 }, 2);
         planes.add_sixteens(0b101, 2);
         planes.add_sixteens(0b100, 2);
-        let mut stored = CountPlanes::zeroed(63, StreamLength::new(64)).unwrap();
-        planes.store(0, 6, &mut stored.words);
-        let counts = drain_with::<u64>(&stored);
+        let mut stored = CountPlanes::zeroed(63, StreamLength::new(64), 1).unwrap();
+        planes.store(0, 6, Lsb::new(false, 63), u64::MAX, &mut stored.words);
+        let counts = drain_with::<u64>(&stored, 0);
         assert_eq!(&counts[..3], &[17, 0, 32]);
         assert!(counts[3..].iter().all(|&c| c == 0));
     }
@@ -1271,24 +1442,30 @@ mod tests {
 
     /// The drain must agree with a per-bit reference computed straight
     /// from the planes, for every plane population up to the `u16` range,
-    /// for full and partial words and groups, on every backend.
+    /// for full and partial words and groups, on every backend; the
+    /// interleaved drain must write every row's counts and zero the rows
+    /// that pad the last row group.
     #[test]
     fn byte_sliced_drain_matches_plane_unpack_reference() {
-        // Random planes of `planes` planes over `bits` columns, and the
-        // counts they hold.
-        let random_planes = |planes: usize, bits: usize, salt: usize| {
+        // `rows` rows of random planes of `planes` planes over `bits`
+        // columns, and the counts each row holds.
+        let random_planes = |planes: usize, bits: usize, rows: usize| {
             let lanes = (1usize << planes) - 1;
-            let mut stored = CountPlanes::zeroed(lanes, StreamLength::new(bits)).unwrap();
+            let mut stored = CountPlanes::zeroed(lanes, StreamLength::new(bits), rows).unwrap();
             assert_eq!(stored.planes(), planes);
-            let mut expected = vec![0u16; bits];
-            for (t, count) in expected.iter_mut().enumerate() {
-                let (g, s, b) = (t / GROUP_BITS, t % GROUP_BITS / 64, t % 64);
-                for k in 0..planes {
-                    let word =
-                        random_stream(64, (100 + salt + k * 7 + t / 64) as u64).as_words()[0];
-                    if (word >> b) & 1 == 1 {
-                        stored.words[(g * planes + k) * GROUP_WORDS + s] |= 1 << b;
-                        *count += 1 << k;
+            let row_words = stored.row_words();
+            let mut expected = vec![vec![0u16; bits]; rows];
+            for (r, expected) in expected.iter_mut().enumerate() {
+                for (t, count) in expected.iter_mut().enumerate() {
+                    let (g, s, b) = (t / GROUP_BITS, t % GROUP_BITS / 64, t % 64);
+                    for k in 0..planes {
+                        let salt = 100 + 1000 * r + k * 7 + t / 64;
+                        let word = random_stream(64, salt as u64).as_words()[0];
+                        if (word >> b) & 1 == 1 {
+                            stored.words[r * row_words + (g * planes + k) * GROUP_WORDS + s] |=
+                                1 << b;
+                            *count += 1 << k;
+                        }
                     }
                 }
             }
@@ -1296,65 +1473,56 @@ mod tests {
         };
         for planes in 1..=MAX_PLANES {
             for bits in [10usize, 64, 300, 512] {
-                let (stored, expected) = random_planes(planes, bits, 0);
-                let mut runs = vec![
-                    ("scalar", drain_with::<u64>(&stored)),
-                    ("wide", drain_with::<crate::word::W4>(&stored)),
-                ];
+                let (stored, expected) = random_planes(planes, bits, 1);
                 let mut dispatched = vec![u16::MAX; bits];
-                stored.drain_into(&mut dispatched).unwrap();
-                runs.push(("active", dispatched));
+                stored.drain_row_into(0, &mut dispatched).unwrap();
+                let runs = [
+                    ("scalar", drain_with::<u64>(&stored, 0)),
+                    ("wide", drain_with::<crate::word::W4>(&stored, 0)),
+                    ("active", dispatched),
+                ];
                 for (backend, counts) in runs {
                     assert_eq!(
-                        counts, expected,
+                        counts, expected[0],
                         "{backend}: {planes} planes, {bits} columns"
                     );
                 }
-                // The interleaved drain of 9 rows: two groups, the second
-                // padded with 7 rows whose entries stay untouched.
-                let (rows, expected): (Vec<_>, Vec<_>) = (0..9)
-                    .map(|r| random_planes(planes, bits, 1000 * r))
-                    .unzip();
-                let interleaved = |drain: fn(&[CountPlanes], &mut [u16])| {
+                // The interleaved drain of 9 rows: two row groups, the
+                // second padded with 7 zero rows.
+                let (rows, expected) = random_planes(planes, bits, 9);
+                let interleaved = |drain: fn(&[u64], usize, usize, usize, &mut [u16])| {
                     let mut counts = vec![u16::MAX; 16 * bits];
-                    drain(&rows, &mut counts);
+                    drain(&rows.words, 9, planes, bits, &mut counts);
                     counts
                 };
+                let mut dispatched = vec![u16::MAX; 16 * bits];
+                rows.drain_interleaved(&mut dispatched).unwrap();
                 let runs = [
                     ("scalar", interleaved(drain_interleaved_impl::<u64>)),
                     (
                         "wide",
                         interleaved(drain_interleaved_impl::<crate::word::W4>),
                     ),
-                    (
-                        "active",
-                        interleaved(|rows, counts| {
-                            CountPlanes::drain_interleaved(rows, counts).unwrap()
-                        }),
-                    ),
+                    ("active", dispatched),
                 ];
                 for (backend, counts) in runs {
                     for r in 0..16 {
                         let row: Vec<u16> = (0..bits)
                             .map(|t| counts[(r / ROW_GROUP * bits + t) * ROW_GROUP + r % ROW_GROUP])
                             .collect();
-                        let want = expected.get(r).cloned().unwrap_or(vec![u16::MAX; bits]);
+                        let want = expected.get(r).cloned().unwrap_or(vec![0; bits]);
                         assert_eq!(row, want, "{backend}: interleaved row {r}, {planes} planes");
                     }
                 }
             }
         }
-        let stored = CountPlanes::zeroed(3, StreamLength::new(64)).unwrap();
-        assert!(stored.drain_into(&mut [0u16; 63]).is_err());
-        let other = CountPlanes::zeroed(3, StreamLength::new(65)).unwrap();
-        let wider = CountPlanes::zeroed(4, StreamLength::new(64)).unwrap();
-        let rows = [stored.clone(), stored.clone()];
-        assert!(CountPlanes::drain_interleaved(&rows, &mut [0u16; 8 * 63]).is_err());
-        assert!(
-            CountPlanes::drain_interleaved(&[stored.clone(), other], &mut [0; 8 * 64]).is_err()
-        );
-        assert!(CountPlanes::drain_interleaved(&[stored, wider], &mut [0; 8 * 64]).is_err());
-        assert!(CountPlanes::drain_interleaved(&[], &mut []).is_ok());
+        let stored = CountPlanes::zeroed(3, StreamLength::new(64), 2).unwrap();
+        assert!(stored.drain_row_into(0, &mut [0u16; 63]).is_err());
+        assert!(stored.drain_interleaved(&mut [0u16; 8 * 63]).is_err());
+        assert!(stored.drain_interleaved(&mut [0u16; 16 * 64]).is_err());
+        assert!(stored.drain_interleaved(&mut [0u16; 8 * 64]).is_ok());
+        let empty = CountPlanes::zeroed(3, StreamLength::new(64), 0).unwrap();
+        assert!(empty.drain_interleaved(&mut []).is_ok());
     }
 
     /// Every backend must produce the scalar backend's counts.

@@ -100,6 +100,9 @@ pub struct Session {
     /// [`Session::take_cache_fill`] — the serving runtime drains this per
     /// request into the `cache_fill` stage histogram.
     fill_ns: u64,
+    /// The receptive fields of the convolution position being filled,
+    /// gathered into these buffers so that a warm session allocates none.
+    fields: Vec<Vec<u32>>,
 }
 
 impl Session {
@@ -255,6 +258,7 @@ impl Engine {
             fills: 0,
             workers: Vec::new(),
             fill_ns: 0,
+            fields: Vec::new(),
         }
     }
 
@@ -416,8 +420,11 @@ impl Engine {
                     range
                         .map(|position| {
                             let (py, px) = (position / pooled_w, position % pooled_w);
-                            let inputs =
-                                session.fill(compiled, &conv.gather_fields(&thresholds, py, px))?;
+                            let mut fields = std::mem::take(&mut session.fields);
+                            conv.gather_fields_into(&thresholds, py, px, &mut fields);
+                            let inputs = session.fill(compiled, &fields);
+                            session.fields = fields;
+                            let inputs = inputs?;
                             let outputs =
                                 compiled.evaluate(&inputs, 0..filters, &mut session.arena);
                             inputs.recycle(&mut session.arena);

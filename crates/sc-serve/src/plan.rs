@@ -96,24 +96,36 @@ impl ConvPlanLayer {
     /// The four receptive fields of pooled output position `(py, px)`, in
     /// pool-window order, gathered from the flattened input `values`.
     pub fn gather_fields<T: Copy>(&self, values: &[T], py: usize, px: usize) -> Vec<Vec<T>> {
+        let mut fields = Vec::new();
+        self.gather_fields_into(values, py, px, &mut fields);
+        fields
+    }
+
+    /// [`ConvPlanLayer::gather_fields`] into `fields`, reusing its buffers:
+    /// a warm `fields` (one that held a position of this layer) takes no
+    /// allocation.
+    pub fn gather_fields_into<T: Copy>(
+        &self,
+        values: &[T],
+        py: usize,
+        px: usize,
+        fields: &mut Vec<Vec<T>>,
+    ) {
         let [channels, height, width] = self.in_shape;
         debug_assert_eq!(values.len(), channels * height * width);
         let k = self.kernel;
-        POOL_WINDOW_OFFSETS
-            .iter()
-            .map(|&(dy, dx)| {
-                let y0 = 2 * py + dy;
-                let x0 = 2 * px + dx;
-                let mut field = Vec::with_capacity(channels * k * k);
-                for c in 0..channels {
-                    for ky in 0..k {
-                        let row = (c * height + y0 + ky) * width + x0;
-                        field.extend_from_slice(&values[row..row + k]);
-                    }
+        fields.resize_with(POOL_WINDOW_OFFSETS.len(), Vec::new);
+        for (field, &(dy, dx)) in fields.iter_mut().zip(&POOL_WINDOW_OFFSETS) {
+            let y0 = 2 * py + dy;
+            let x0 = 2 * px + dx;
+            field.clear();
+            for c in 0..channels {
+                for ky in 0..k {
+                    let row = (c * height + y0 + ky) * width + x0;
+                    field.extend_from_slice(&values[row..row + k]);
                 }
-                field
-            })
-            .collect()
+            }
+        }
     }
 
     /// Number of feature-extraction blocks in this layer.
@@ -565,6 +577,11 @@ mod tests {
         assert_eq!(fields[3][0], values[3 * 28 + 5]);
         // Second kernel row of field 0.
         assert_eq!(fields[0][5], values[3 * 28 + 4]);
+        // Gathering into buffers that held another position overwrites
+        // them.
+        let mut reused = conv.gather_fields(&values, 0, 0);
+        conv.gather_fields_into(&values, 1, 2, &mut reused);
+        assert_eq!(reused, fields);
     }
 
     #[test]

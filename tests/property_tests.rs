@@ -6,7 +6,7 @@ use rand::{Rng, SeedableRng};
 use sc_dcnn_repro::blocks::pooling::HardwareMaxPooling;
 use sc_dcnn_repro::core::add::MuxSelectorPlan;
 use sc_dcnn_repro::core::add::{Apc, CountStream, ExactParallelCounter};
-use sc_dcnn_repro::core::csa::{CountPlanes, PackedLanes, GROUP_WORDS};
+use sc_dcnn_repro::core::csa::{CountPlanes, PackedLanes, GROUP_WORDS, ROW_GROUP};
 use sc_dcnn_repro::core::encoding::{prescale, Bipolar, Encoding, Unipolar};
 use sc_dcnn_repro::core::prelude::*;
 use sc_dcnn_repro::core::sng::{BatchSng, LaneSequence, SelectedSequence, SngBank};
@@ -474,13 +474,50 @@ fn planes_of(counts: &[u16], planes: usize) -> Vec<u64> {
     words
 }
 
+/// Row `row`'s counts of a plane block, drained in column order.
+fn drained(planes: &CountPlanes, row: usize) -> CountStream {
+    let mut counts = vec![u16::MAX; planes.length().bits()];
+    planes.drain_row_into(row, &mut counts).unwrap();
+    CountStream::new(counts, planes.lanes()).unwrap()
+}
+
+/// Row `row` of the row-interleaved drain `counts` of `bits` columns.
+fn interleaved_row(counts: &[u16], bits: usize, row: usize) -> Vec<u16> {
+    (0..bits)
+        .map(|t| counts[(row / ROW_GROUP * bits + t) * ROW_GROUP + row % ROW_GROUP])
+        .collect()
+}
+
+/// Per field `(inputs, weights)`, `rows` rows of pseudo-random weights of
+/// `lanes` lanes each.
+type Fields = Vec<(Vec<BitStream>, Vec<Vec<BitStream>>)>;
+
+/// Every row's APC counts of every field, the oracle way: materialized XNOR
+/// products through `Apc::count` (per-bit counts + `apply_apc_lsb`).
+fn oracle_counts(fields: &Fields) -> Vec<Vec<CountStream>> {
+    fields
+        .iter()
+        .map(|(inputs, rows)| {
+            rows.iter()
+                .map(|weights| {
+                    let products: Vec<BitStream> =
+                        inputs.iter().zip(weights).map(|(x, w)| x.xnor(w)).collect();
+                    Apc::new().count(&products).unwrap()
+                })
+                .collect()
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
     /// The APC layers' plane path — the core's planes with the approximate
-    /// LSB rewritten in the ones plane, the plane max pool, the bit-sliced
-    /// average merge and the drain — equals the count path it replaced on
-    /// the engine: `Apc::count` (per-bit counts + `apply_apc_lsb`), then
+    /// LSB in its store, written into one block of every field's rows
+    /// taken from an arena (so holding the last case's words), the plane
+    /// max pool and the bit-sliced average merge into a second block, and
+    /// the drain — equals the count path it replaced on the engine:
+    /// `Apc::count` (per-bit counts + `apply_apc_lsb`), then
     /// `HardwareMaxPooling::pool_counts` / `CountStream::merge_sum`. The
     /// planes themselves must match the oracle's counts word for word,
     /// zero past the stream end. Lane counts around every plane boundary,
@@ -497,6 +534,7 @@ proptest! {
         let mut arena = StreamArena::new();
         for lanes in [1usize, 2, 3, 24, 25, 200, 256, 4095, 4096] {
             for bits in [1usize, 15, 16, 17, 63, 64, 255, 256, 257, 1024] {
+                let length = StreamLength::new(bits);
                 for kind in 0..3u64 {
                     let salt = seed ^ (lanes as u64) << 40 ^ (bits as u64) << 8 ^ kind;
                     let fields: Vec<(Vec<BitStream>, Vec<BitStream>)> = (0..4u64)
@@ -532,36 +570,214 @@ proptest! {
                         .collect();
                     for backend in Backend::ALL.into_iter().filter(|b| b.is_available()) {
                         prop_assert!(force_backend(backend));
-                        let planes: Vec<CountPlanes> = packed
-                            .iter()
-                            .map(|(x, w)| {
-                                Apc::new()
-                                    .count_planes_with(x.view(), w.view(), &mut arena)
-                                    .unwrap()
-                                    .pop()
-                                    .unwrap()
-                            })
-                            .collect();
                         for window in 1..=4 {
                             let case = format!(
                                 "{} lanes={lanes} bits={bits} kind={kind} window={window}",
                                 backend.name()
                             );
+                            // One row per field: field `f` is row `f`.
+                            let mut block = arena.take_planes(lanes, length, window).unwrap();
+                            for (field, (x, w)) in packed.iter().take(window).enumerate() {
+                                Apc::new().count_planes_into(x.view(), w.view(), &mut block, field).unwrap();
+                            }
+                            let row_words = block.row_words();
+                            for (field, expected) in oracle.iter().take(window).enumerate() {
+                                prop_assert_eq!(
+                                    &block.as_words()[field * row_words..(field + 1) * row_words],
+                                    planes_of(expected.counts(), block.planes()).as_slice(),
+                                    "counted planes: {} field {}", &case, field
+                                );
+                            }
                             let expected_max = pool.pool_counts(&oracle[..window]).unwrap();
                             let expected_sum = CountStream::merge_sum(&oracle[..window]).unwrap();
-                            let pooled = pool.pool_planes_with(&planes[..window], &mut arena).unwrap();
-                            let merged = CountPlanes::merge_sum_with(&planes[..window], &mut arena).unwrap();
+                            let pooled = pool.pool_planes_with(&block, window, &mut arena).unwrap();
+                            let merged = block.merge_sum_with(window, &mut arena).unwrap();
+                            arena.recycle_planes(block);
                             for (got, expected) in [(pooled, expected_max), (merged, expected_sum)] {
+                                prop_assert_eq!(got.rows(), 1);
                                 prop_assert_eq!(
                                     got.as_words(),
                                     planes_of(expected.counts(), got.planes()).as_slice(),
                                     "planes: {}", &case
                                 );
-                                prop_assert_eq!(got.drain_with(&mut arena).unwrap(), expected, "counts: {}", &case);
+                                prop_assert_eq!(drained(&got, 0), expected, "counts: {}", &case);
+                                arena.recycle_planes(got);
                             }
                         }
-                        for field in planes {
-                            arena.recycle_planes(field);
+                    }
+                }
+            }
+        }
+        force_backend(original);
+    }
+
+    /// One arena block reused across shapes — 25 lanes at 257 bits, then
+    /// 200 lanes and 25 lanes at 256 bits, then 25 lanes at 257 bits again
+    /// — with every word set between uses: the core, the pool and the
+    /// drain must write every word they own, zero past the stream end, so
+    /// each use matches a fresh zeroed block and the oracle.
+    #[test]
+    fn reused_plane_blocks_overwrite_stale_words(seed in any::<u64>()) {
+        let original = active_backend();
+        let pool = HardwareMaxPooling::default();
+        let mut arena = StreamArena::new();
+        for backend in Backend::ALL.into_iter().filter(|b| b.is_available()) {
+            prop_assert!(force_backend(backend));
+            for (step, (lanes, bits)) in [(25usize, 257usize), (200, 256), (25, 256), (25, 257)].into_iter().enumerate() {
+                let length = StreamLength::new(bits);
+                let fields: Fields = (0..4u64)
+                    .map(|field| {
+                        let salt = seed ^ (step as u64) << 32 ^ field;
+                        let rows = (0..3).map(|row| random_lanes(lanes, bits, salt.wrapping_mul(7) + row)).collect();
+                        (random_lanes(lanes, bits, salt.wrapping_mul(5)), rows)
+                    })
+                    .collect();
+                let oracle = oracle_counts(&fields);
+                let mut block = arena.take_planes(lanes, length, 12).unwrap();
+                let mut fresh = CountPlanes::zeroed(lanes, length, 12).unwrap();
+                for (field, (inputs, rows)) in fields.iter().enumerate() {
+                    let x = PackedLanes::pack([inputs.as_slice()]).unwrap();
+                    let w = PackedLanes::pack(rows.iter().map(Vec::as_slice)).unwrap();
+                    for planes in [&mut block, &mut fresh] {
+                        Apc::new().count_planes_into(x.view(), w.view(), planes, 3 * field).unwrap();
+                    }
+                }
+                prop_assert_eq!(&block, &fresh, "{} step {}", backend.name(), step);
+                let pooled = pool.pool_planes_with(&block, 4, &mut arena).unwrap();
+                let mut counts = arena.take_counts(8 * bits);
+                counts.fill(u16::MAX);
+                pooled.drain_interleaved(&mut counts).unwrap();
+                for row in 0..8 {
+                    let expected = match row {
+                        0..=2 => {
+                            let window: Vec<CountStream> = oracle.iter().map(|field| field[row].clone()).collect();
+                            pool.pool_counts(&window).unwrap().counts().to_vec()
+                        }
+                        _ => vec![0; bits],
+                    };
+                    prop_assert_eq!(interleaved_row(&counts, bits, row), expected, "{} step {} row {}", backend.name(), step, row);
+                }
+                for mut planes in [block, pooled] {
+                    planes.words_mut().fill(u64::MAX);
+                    arena.recycle_planes(planes);
+                }
+                arena.recycle_counts(counts);
+            }
+        }
+        force_backend(original);
+    }
+
+    /// Row ranges that are no whole number of row groups — a fan-out chunk
+    /// of a conv layer's filters, fc2's 10 units — through the count, both
+    /// pools (a window of 4) or none (a window of 1) and the interleaved
+    /// drain, against the oracle per row.
+    #[test]
+    fn apc_row_ranges_off_the_row_groups_match_the_count_path(seed in any::<u64>()) {
+        let original = active_backend();
+        let pool = HardwareMaxPooling::default();
+        let mut arena = StreamArena::new();
+        for backend in Backend::ALL.into_iter().filter(|b| b.is_available()) {
+            prop_assert!(force_backend(backend));
+            for (lanes, bits, window) in [(25usize, 256usize, 4usize), (64, 127, 1), (200, 300, 4)] {
+                let length = StreamLength::new(bits);
+                let fields: Fields = (0..window as u64)
+                    .map(|field| {
+                        let salt = seed ^ (lanes as u64) << 32 ^ field;
+                        let rows = (0..19).map(|row| random_lanes(lanes, bits, salt.wrapping_mul(7) + row)).collect();
+                        (random_lanes(lanes, bits, salt.wrapping_mul(5)), rows)
+                    })
+                    .collect();
+                let oracle = oracle_counts(&fields);
+                let packed: Vec<(PackedLanes, PackedLanes)> = fields
+                    .iter()
+                    .map(|(inputs, rows)| {
+                        (
+                            PackedLanes::pack([inputs.as_slice()]).unwrap(),
+                            PackedLanes::pack(rows.iter().map(Vec::as_slice)).unwrap(),
+                        )
+                    })
+                    .collect();
+                for rows in [0..10, 3..13, 5..19, 18..19] {
+                    let count = rows.len();
+                    let mut block = arena.take_planes(lanes, length, window * count).unwrap();
+                    for (field, (x, w)) in packed.iter().enumerate() {
+                        Apc::new().count_planes_into(x.view(), w.view_rows(rows.clone()), &mut block, field * count).unwrap();
+                    }
+                    let pools = if window == 1 {
+                        vec![(block.clone(), None)]
+                    } else {
+                        vec![
+                            (pool.pool_planes_with(&block, window, &mut arena).unwrap(), Some(true)),
+                            (block.merge_sum_with(window, &mut arena).unwrap(), Some(false)),
+                        ]
+                    };
+                    arena.recycle_planes(block);
+                    for (pooled, max) in pools {
+                        let mut counts = arena.take_counts(count.next_multiple_of(ROW_GROUP) * bits);
+                        pooled.drain_interleaved(&mut counts).unwrap();
+                        for (i, row) in rows.clone().enumerate() {
+                            let window: Vec<CountStream> = oracle.iter().map(|field| field[row].clone()).collect();
+                            let expected = match max {
+                                None => window[0].clone(),
+                                Some(true) => pool.pool_counts(&window).unwrap(),
+                                Some(false) => CountStream::merge_sum(&window).unwrap(),
+                            };
+                            prop_assert_eq!(
+                                interleaved_row(&counts, bits, i),
+                                expected.counts(),
+                                "{} lanes={} rows={:?} row {} max={:?}", backend.name(), lanes, &rows, row, max
+                            );
+                        }
+                        arena.recycle_counts(counts);
+                        arena.recycle_planes(pooled);
+                    }
+                }
+            }
+        }
+        force_backend(original);
+    }
+
+    /// The interleaved drain of random blocks — every plane count up to the
+    /// `u16` range, lengths around word and group tails, row counts around
+    /// the row groups — equals `drain_row_into` per row, with the rows that
+    /// pad the last group zero; under every backend.
+    #[test]
+    fn interleaved_drain_matches_the_row_drain(seed in any::<u64>()) {
+        let original = active_backend();
+        for backend in Backend::ALL.into_iter().filter(|b| b.is_available()) {
+            prop_assert!(force_backend(backend));
+            for lanes in [1usize, 3, 25, 200, 255, 256, 1000, 65535] {
+                for bits in [1usize, 63, 64, 200, 256, 257, 1024] {
+                    for rows in [1usize, 7, 8, 9, 16, 17] {
+                        let length = StreamLength::new(bits);
+                        let mut block = CountPlanes::zeroed(lanes, length, rows).unwrap();
+                        let planes = block.planes();
+                        // Random counts of at most `lanes`, in plane form.
+                        let mut state = seed ^ (lanes as u64) << 40 ^ (bits as u64) << 16 ^ rows as u64;
+                        let row_words = block.row_words();
+                        for row in 0..rows {
+                            let counts: Vec<u16> = (0..bits)
+                                .map(|_| {
+                                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                                    ((state >> 33) % (lanes as u64 + 1)) as u16
+                                })
+                                .collect();
+                            block.words_mut()[row * row_words..(row + 1) * row_words]
+                                .copy_from_slice(&planes_of(&counts, planes));
+                        }
+                        let mut counts = vec![u16::MAX; rows.next_multiple_of(ROW_GROUP) * bits];
+                        block.drain_interleaved(&mut counts).unwrap();
+                        for row in 0..rows.next_multiple_of(ROW_GROUP) {
+                            let expected = if row < rows {
+                                drained(&block, row).counts().to_vec()
+                            } else {
+                                vec![0; bits]
+                            };
+                            prop_assert_eq!(
+                                interleaved_row(&counts, bits, row),
+                                expected,
+                                "{} lanes={} bits={} rows={} row {}", backend.name(), lanes, bits, rows, row
+                            );
                         }
                     }
                 }
