@@ -1385,6 +1385,410 @@ mod frozen_row_planes {
     }
 }
 
+/// Frozen copy of the compiled fills the byte compare replaced: the
+/// bit-sliced comparator over each lane's staged LFSR bit-sequence, 16
+/// sample planes against the threshold's bits (APC lanes), and the
+/// 8-cycle threshold gather over `u16` samples (MUX fields), each as the
+/// library dispatched it.
+mod frozen_fills {
+    use sc_core::word::Word;
+
+    const GROUP_WORDS: usize = 4;
+
+    /// The staged buffer of an LFSR32 register seeded `state`, as the
+    /// library's staged recurrence laid it out: 32 seed bits (oldest
+    /// first), the `bits`-bit sequence LSB-first, 16 zero bytes.
+    pub fn staged(state: u32, bits: usize) -> Vec<u8> {
+        let mut lfsr = super::SeedLfsr32::new(state);
+        let mut seq = vec![0u8; 4 + bits / 8 + 16];
+        seq[..4].copy_from_slice(&lfsr.state.reverse_bits().to_le_bytes());
+        for n in 0..bits {
+            seq[4 + n / 8] |= ((lfsr.step() & 1) as u8) << (n % 8);
+        }
+        seq
+    }
+
+    fn slot(w: usize, group_stride: usize) -> usize {
+        w / GROUP_WORDS * group_stride + w % GROUP_WORDS
+    }
+
+    #[inline(always)]
+    fn compare_words<W: Word>(seq: &[u8], w: usize, threshold: u32) -> W {
+        let a = W::load_le_bytes(&seq[8 * w + 2..]);
+        let b = W::load_le_bytes(&seq[8 * w + 10..]);
+        let mut lt = W::zero();
+        let mut eq = W::splat(u64::MAX);
+        for j in (threshold.trailing_zeros()..16).rev() {
+            let s = 15 - j;
+            let plane = a.shr(s + 1).or(b.shl(63 - s));
+            let set = W::splat(0u64.wrapping_sub(u64::from(threshold >> j & 1)));
+            lt = lt.or(eq.and(set).andnot(plane));
+            eq = eq.andnot(plane.xor(set));
+        }
+        lt
+    }
+
+    #[inline(always)]
+    fn compare_staged<W: Word>(
+        seq: &[u8],
+        threshold: u32,
+        out: &mut [u64],
+        group_stride: usize,
+        words: usize,
+    ) {
+        let constant = match threshold {
+            0 => 0,
+            1..=0xFFFF => {
+                let mut w = 0;
+                while w + W::LANES <= words {
+                    compare_words::<W>(seq, w, threshold).store(&mut out[slot(w, group_stride)..]);
+                    w += W::LANES;
+                }
+                for w in w..words {
+                    out[slot(w, group_stride)] = compare_words::<u64>(seq, w, threshold);
+                }
+                return;
+            }
+            _ => u64::MAX,
+        };
+        for w in 0..words {
+            out[slot(w, group_stride)] = constant;
+        }
+    }
+
+    /// One packed field row: lane `i`'s stream of `thresholds[i]` from
+    /// `staged[i]` at word `(g · lanes + i) · 4 + s` (whole words only).
+    #[inline(always)]
+    fn fill_row_impl<W: Word>(
+        staged: &[Vec<u8>],
+        thresholds: &[u32],
+        out: &mut [u64],
+        bits: usize,
+    ) {
+        let lanes = staged.len();
+        for (lane, (seq, &threshold)) in staged.iter().zip(thresholds).enumerate() {
+            compare_staged::<W>(
+                seq,
+                threshold,
+                &mut out[lane * GROUP_WORDS..],
+                lanes * GROUP_WORDS,
+                bits / 64,
+            );
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn fill_row_avx2(staged: &[Vec<u8>], thresholds: &[u32], out: &mut [u64], bits: usize) {
+        fill_row_impl::<sc_core::word::WAvx2>(staged, thresholds, out, bits)
+    }
+
+    /// The frozen field fill under the active backend.
+    pub fn fill_row(staged: &[Vec<u8>], thresholds: &[u32], out: &mut [u64], bits: usize) {
+        match sc_core::active_backend() {
+            sc_core::Backend::Scalar => fill_row_impl::<u64>(staged, thresholds, out, bits),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the backend selector reports AVX2 only when available.
+            sc_core::Backend::Avx2 => unsafe { fill_row_avx2(staged, thresholds, out, bits) },
+            _ => fill_row_impl::<sc_core::word::W4>(staged, thresholds, out, bits),
+        }
+    }
+
+    fn selected_scalar(lanes: &[u32], samples: &[u16], thresholds: &[u32], words: &mut [u64]) {
+        let cycles = lanes.chunks(64).zip(samples.chunks(64));
+        for (word, (lanes, samples)) in words.iter_mut().zip(cycles) {
+            let mut packed = 0u64;
+            for (bit, (&lane, &sample)) in lanes.iter().zip(samples).enumerate() {
+                packed |= u64::from(u32::from(sample) < thresholds[lane as usize]) << bit;
+            }
+            *word = packed;
+        }
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and every lane must index `thresholds`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn selected_avx2(lanes: &[u32], samples: &[u16], thresholds: &[u32], words: &mut [u64]) {
+        use std::arch::x86_64::*;
+        let cap = _mm256_set1_epi32(1 << 16);
+        let cycles = lanes.chunks(64).zip(samples.chunks(64));
+        for (word, (lanes, samples)) in words.iter_mut().zip(cycles) {
+            let groups = lanes.len() / 8;
+            let mut packed = 0u64;
+            for group in 0..groups {
+                // SAFETY: in bounds by `groups`; lanes index `thresholds`.
+                unsafe {
+                    let index = _mm256_loadu_si256(lanes.as_ptr().add(group * 8).cast());
+                    let threshold = _mm256_min_epu32(
+                        _mm256_i32gather_epi32::<4>(thresholds.as_ptr().cast(), index),
+                        cap,
+                    );
+                    let sample = _mm256_cvtepu16_epi32(_mm_loadu_si128(
+                        samples.as_ptr().add(group * 8).cast(),
+                    ));
+                    let below = _mm256_cmpgt_epi32(threshold, sample);
+                    let bits = _mm256_movemask_ps(_mm256_castsi256_ps(below)) as u32;
+                    packed |= u64::from(bits) << (group * 8);
+                }
+            }
+            for bit in groups * 8..lanes.len() {
+                let threshold = thresholds[lanes[bit] as usize];
+                packed |= u64::from(u32::from(samples[bit]) < threshold) << bit;
+            }
+            *word = packed;
+        }
+    }
+
+    /// The frozen selected fill under the active backend (the scalar loop
+    /// served `scalar` and `wide`).
+    pub fn selected(lanes: &[u32], samples: &[u16], thresholds: &[u32], words: &mut [u64]) {
+        match sc_core::active_backend() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: AVX2 is available; the fixture's lanes index
+            // `thresholds`.
+            sc_core::Backend::Avx2 => unsafe { selected_avx2(lanes, samples, thresholds, words) },
+            _ => selected_scalar(lanes, samples, thresholds, words),
+        }
+    }
+}
+
+/// The LFSR32 register state `Sng::new(SngKind::Lfsr32, seed)` starts from.
+fn lane_state(seed: u64) -> u32 {
+    seed as u32 ^ 0x9E37_79B9
+}
+
+/// The APC input fills timed: name, description, fields, lanes, bits.
+const APC_FILLS: [(&str, &str, usize, usize, usize); 3] = [
+    (
+        "apc_field_fill_n25_l256",
+        "APC input fill of an all-APC conv1 position (4 fields x 25 lanes, \
+         256 bits, L-quantized thresholds): frozen bit-sliced comparator over \
+         the staged LFSR sequence vs the byte compare of the lanes' sample \
+         bytes (high bytes only), straight into the packed slots",
+        4,
+        25,
+        256,
+    ),
+    (
+        "apc_field_fill_n200_l256",
+        "APC input fill of an all-APC conv2 position (4 fields x 200 lanes, \
+         256 bits, L-quantized thresholds): frozen bit-sliced comparator vs \
+         the byte compare (high bytes only)",
+        4,
+        200,
+        256,
+    ),
+    (
+        "apc_field_fill_n256_l1024",
+        "APC input fill of fc1 at L = 1024 (256 lanes, L-quantized \
+         thresholds, most with a low byte): frozen bit-sliced comparator vs \
+         the byte compare with the low-byte tie-break",
+        1,
+        256,
+        1024,
+    ),
+];
+
+/// The lanes of `fields` APC fields filled from L-quantized pseudo-random
+/// thresholds, as the frozen bit-sliced fill and the byte compare see them.
+struct FieldFill {
+    bits: usize,
+    lanes: usize,
+    sequences: Vec<Vec<LaneSequence>>,
+    staged: Vec<Vec<Vec<u8>>>,
+    thresholds: Vec<Vec<u32>>,
+}
+
+impl FieldFill {
+    fn new(fields: usize, lanes: usize, bits: usize) -> Self {
+        let length = StreamLength::new(bits);
+        let seed = |field: usize, lane: usize| SngBank::lane_seed(90 + field as u64, lane);
+        Self {
+            bits,
+            lanes,
+            sequences: (0..fields)
+                .map(|f| {
+                    (0..lanes)
+                        .map(|l| LaneSequence::new(seed(f, l), length))
+                        .collect()
+                })
+                .collect(),
+            staged: (0..fields)
+                .map(|f| {
+                    (0..lanes)
+                        .map(|l| frozen_fills::staged(lane_state(seed(f, l)), bits))
+                        .collect()
+                })
+                .collect(),
+            thresholds: (0..fields)
+                .map(|field| {
+                    (0..lanes)
+                        .map(|lane| {
+                            (((field * lanes + lane) * 2_654_435_761) % bits * 65536 / bits) as u32
+                        })
+                        .collect()
+                })
+                .collect(),
+        }
+    }
+
+    fn packed(&self) -> Vec<PackedLanes> {
+        let length = StreamLength::new(self.bits);
+        (0..self.sequences.len())
+            .map(|_| PackedLanes::zeroed(self.lanes, length, 1).unwrap())
+            .collect()
+    }
+
+    /// The byte-compare fill the engine runs.
+    fn byte(&self, packed: &mut [PackedLanes]) {
+        for ((field, sequences), thresholds) in
+            packed.iter_mut().zip(&self.sequences).zip(&self.thresholds)
+        {
+            field.fill_row(0, sequences, thresholds).unwrap();
+        }
+    }
+
+    /// The frozen bit-sliced fill into one word buffer per field.
+    fn frozen(&self, out: &mut [Vec<u64>]) {
+        for ((words, staged), thresholds) in out.iter_mut().zip(&self.staged).zip(&self.thresholds)
+        {
+            frozen_fills::fill_row(staged, thresholds, words, self.bits);
+        }
+    }
+
+    fn frozen_buffers(&self) -> Vec<Vec<u64>> {
+        self.packed()
+            .into_iter()
+            .map(|p| p.as_words().to_vec())
+            .collect()
+    }
+
+    fn check(&self, backend: Backend) {
+        let mut packed = self.packed();
+        let mut frozen = self.frozen_buffers();
+        self.byte(&mut packed);
+        self.frozen(&mut frozen);
+        for (packed, frozen) in packed.iter().zip(&frozen) {
+            assert_eq!(
+                packed.as_words(),
+                frozen.as_slice(),
+                "{backend}: the byte compare must match the frozen bit-sliced fill"
+            );
+        }
+    }
+}
+
+/// A conv1 MUX field's selected fill (25 lanes, 1024 bits), as the frozen
+/// gather over `u16` samples and the byte-plane fill see it.
+struct SelectedFill {
+    selected: SelectedSequence,
+    lanes: Vec<u32>,
+    samples: Vec<u16>,
+    thresholds: Vec<u32>,
+}
+
+impl SelectedFill {
+    const LANES: usize = 25;
+    const BITS: usize = 1024;
+    const DESCRIPTION: &'static str = "MUX selected-sequence fill (25 lanes, 1024 bits): one \
+        comparator per cycle against the selected lane's threshold; frozen \
+        8-cycle AVX2 threshold gather over u16 samples vs two in-register \
+        byte-shuffle tables per sample byte plane, 32 cycles per step";
+
+    fn new() -> Self {
+        let seeds: Vec<u64> = (0..Self::LANES)
+            .map(|lane| SngBank::lane_seed(31, lane))
+            .collect();
+        let plan =
+            MuxSelectorPlan::new(Self::LANES, Self::BITS, &mut Lfsr::new_32(0x5EED)).unwrap();
+        let lanes = plan.selected_lanes();
+        let states: Vec<Vec<u16>> = seeds
+            .iter()
+            .map(|&seed| {
+                let mut lfsr = SeedLfsr32::new(lane_state(seed));
+                (0..Self::BITS).map(|_| lfsr.step() as u16).collect()
+            })
+            .collect();
+        let samples = lanes
+            .iter()
+            .enumerate()
+            .map(|(t, &lane)| states[lane as usize][t])
+            .collect();
+        Self {
+            selected: SelectedSequence::new(&seeds, &plan).unwrap(),
+            lanes,
+            samples,
+            thresholds: (0..Self::LANES as u32)
+                .map(|lane| (lane * 2_731) % 0x1_0001)
+                .collect(),
+        }
+    }
+
+    fn byte(&self, out: &mut BitStream) {
+        self.selected.fill(&self.thresholds, out).unwrap();
+    }
+
+    fn frozen(&self, out: &mut BitStream) {
+        frozen_fills::selected(
+            &self.lanes,
+            &self.samples,
+            &self.thresholds,
+            out.words_mut(),
+        );
+    }
+
+    fn check(&self, backend: Backend) {
+        let length = StreamLength::new(Self::BITS);
+        let (mut byte, mut frozen) = (BitStream::ones(length), BitStream::zeros(length));
+        self.byte(&mut byte);
+        self.frozen(&mut frozen);
+        assert_eq!(
+            byte, frozen,
+            "{backend}: the byte-plane selected fill must match the frozen gather"
+        );
+    }
+}
+
+/// The APC input fills: the frozen bit-sliced fill against the byte
+/// compare, each asserted equal per backend before timing.
+fn bench_apc_fills(samples: usize, iters: usize) -> Vec<Comparison> {
+    APC_FILLS
+        .into_iter()
+        .map(|(name, description, fields, lanes, bits)| {
+            let fill = FieldFill::new(fields, lanes, bits);
+            check_per_backend(|backend| fill.check(backend));
+            let iters = (iters * 100 / (fields * lanes * bits / 256)).max(1);
+            let mut frozen = fill.frozen_buffers();
+            let mut packed = fill.packed();
+            let baseline_ns = measure(samples, iters, || fill.frozen(&mut frozen));
+            let optimized_ns = measure(samples, iters, || fill.byte(&mut packed));
+            Comparison {
+                name,
+                description,
+                baseline_ns,
+                optimized_ns,
+            }
+        })
+        .collect()
+}
+
+/// The MUX selected fill: the frozen gather against the byte-plane fill.
+fn bench_selected_fill(samples: usize, iters: usize) -> Comparison {
+    let fill = SelectedFill::new();
+    check_per_backend(|backend| fill.check(backend));
+    let mut out = BitStream::zeros(StreamLength::new(SelectedFill::BITS));
+    let baseline_ns = measure(samples, iters, || fill.frozen(&mut out));
+    let optimized_ns = measure(samples, iters, || fill.byte(&mut out));
+    Comparison {
+        name: "selected_fill_n25_l1024",
+        description: SelectedFill::DESCRIPTION,
+        baseline_ns,
+        optimized_ns,
+    }
+}
+
 /// conv1's all-APC shape at L=256: 4 pool-window fields of 25 lanes, 8
 /// filters, and the filters' APC-Max Btanh.
 const CONV1_APC: (usize, usize, usize, usize) = (4, 25, 8, 256);
@@ -1806,111 +2210,33 @@ fn backend_matrix(samples: usize, iters: usize) -> Vec<BackendMatrixRow> {
         ));
     }
 
-    // (4) Selected-sequence fill of a conv1 field: 25 lanes, one comparator
-    // per cycle against the selected lane's threshold.
+    // (4) Selected-sequence fill of a conv1 field (25 lanes, one comparator
+    // per cycle against the selected lane's threshold), and (4b) APC input
+    // fills of all-APC conv1 and conv2 positions and of fc1 at L = 1024,
+    // straight into the packed group-lane slots; each checked against the
+    // frozen fill it replaced on every backend.
     {
-        let lanes = 25usize;
-        let sequences: Vec<LaneSequence> = (0..lanes)
-            .map(|lane| LaneSequence::new(SngBank::lane_seed(31, lane), len))
-            .collect();
-        let plan = MuxSelectorPlan::new(lanes, len.bits(), &mut Lfsr::new_32(0x5EED)).unwrap();
-        let selected = SelectedSequence::new(&sequences, &plan).unwrap();
-        let thresholds: Vec<u32> = (0..lanes as u32)
-            .map(|lane| (lane * 2_731) % 0x1_0001)
-            .collect();
-        // The scalar loop's answer is the MUX gather of every lane's fill.
-        let lane_streams: Vec<BitStream> = sequences
-            .iter()
-            .zip(&thresholds)
-            .map(|(sequence, &threshold)| {
-                let mut stream = BitStream::zeros(len);
-                sequence.fill(threshold, &mut stream).unwrap();
-                stream
-            })
-            .collect();
-        let expected = MuxAdder::new().sum_with_plan(&lane_streams, &plan).unwrap();
-        let mut out = BitStream::zeros(len);
-        check_per_backend(|backend| {
-            selected.fill(&thresholds, &mut out).unwrap();
-            assert_eq!(
-                out, expected,
-                "{backend} selected fill must match the scalar loop"
-            );
-        });
+        let selected = SelectedFill::new();
+        check_per_backend(|backend| selected.check(backend));
+        let mut out = BitStream::zeros(StreamLength::new(SelectedFill::BITS));
         rows.push(measure_per_backend(
             "selected_fill_n25_l1024",
-            "MUX selected-sequence fill (25 lanes, 1024 bits): one comparator \
-             per cycle against the selected lane's threshold; AVX2 gathers 8 \
-             thresholds per step",
+            SelectedFill::DESCRIPTION,
             samples,
             iters * 4,
-            move || selected.fill(&thresholds, &mut out).unwrap(),
+            || selected.byte(&mut out),
         ));
     }
-
-    // (4b) An all-APC conv1 position's input fill: 4 fields of 25 lanes at
-    // L = 256, each filled straight into its packed group-lane slots, from
-    // L-quantized pseudo-random thresholds (as real inputs vary them).
-    {
-        let (fields, lanes, bits) = (4usize, 25usize, 256usize);
-        let length = StreamLength::new(bits);
-        let sequences: Vec<Vec<LaneSequence>> = (0..fields)
-            .map(|field| {
-                (0..lanes)
-                    .map(|lane| {
-                        LaneSequence::new(SngBank::lane_seed(90 + field as u64, lane), length)
-                    })
-                    .collect()
-            })
-            .collect();
-        let thresholds: Vec<Vec<u32>> = (0..fields)
-            .map(|field| {
-                (0..lanes)
-                    .map(|lane| {
-                        (((field * lanes + lane) * 2_654_435_761) % bits * 65536 / bits) as u32
-                    })
-                    .collect()
-            })
-            .collect();
-        let expected: Vec<PackedLanes> = sequences
-            .iter()
-            .zip(&thresholds)
-            .map(|(sequences, thresholds)| {
-                let streams: Vec<BitStream> = sequences
-                    .iter()
-                    .zip(thresholds)
-                    .map(|(sequence, &threshold)| {
-                        let mut stream = BitStream::zeros(length);
-                        sequence.fill(threshold, &mut stream).unwrap();
-                        stream
-                    })
-                    .collect();
-                PackedLanes::pack([streams.as_slice()]).unwrap()
-            })
-            .collect();
-        let fill = |packed: &mut [PackedLanes]| {
-            for ((field, sequences), thresholds) in
-                packed.iter_mut().zip(&sequences).zip(&thresholds)
-            {
-                field.fill_row(0, sequences, thresholds).unwrap();
-            }
-        };
-        let mut packed: Vec<PackedLanes> = (0..fields)
-            .map(|_| PackedLanes::zeroed(lanes, length, 1).unwrap())
-            .collect();
-        check_per_backend(|backend| {
-            fill(&mut packed);
-            assert_eq!(packed, expected, "{backend} packed field fill");
-        });
+    for (kernel, description, fields, lanes, bits) in APC_FILLS {
+        let fill = FieldFill::new(fields, lanes, bits);
+        check_per_backend(|backend| fill.check(backend));
+        let mut packed = fill.packed();
         rows.push(measure_per_backend(
-            "apc_field_fill_n25_l256",
-            "APC input fill of an all-APC conv1 position (4 fields x 25 lanes, \
-             256 bits, L-quantized thresholds): branch-free bit-sliced \
-             comparator straight into the packed group-lane slots, one call \
-             per field",
+            kernel,
+            description,
             samples,
-            iters * 4,
-            || fill(&mut packed),
+            (iters * 100 / (fields * lanes * bits / 256)).max(1),
+            || fill.byte(&mut packed),
         ));
     }
 
@@ -2151,6 +2477,9 @@ fn run_pass(samples: usize, iters: usize) -> (Vec<Comparison>, Vec<BackendMatrix
         bench_stanh_batch(samples, iters.div_ceil(4)),
         bench_fan_out(samples, iters),
     ];
+    let mut comparisons = comparisons;
+    comparisons.extend(bench_apc_fills(samples, iters * 4));
+    comparisons.push(bench_selected_fill(samples, iters * 4));
     (comparisons, backend_matrix(samples, iters))
 }
 

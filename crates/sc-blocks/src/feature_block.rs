@@ -370,11 +370,19 @@ impl FeatureBlock {
         self.seed.wrapping_add(1 + field_index as u64 * 131)
     }
 
-    /// The lane sequences of the SNG bank based at `base_seed`, one per
+    /// The lane seeds of the SNG bank based at `base_seed`, one per
     /// receptive-field element.
-    fn lane_sequences(&self, base_seed: u64) -> Vec<LaneSequence> {
+    fn lane_seeds(&self, base_seed: u64) -> Vec<u64> {
         (0..self.input_size)
-            .map(|lane| LaneSequence::new(SngBank::lane_seed(base_seed, lane), self.stream_length))
+            .map(|lane| SngBank::lane_seed(base_seed, lane))
+            .collect()
+    }
+
+    /// The lane sequences of the SNG bank based at `base_seed`.
+    fn lane_sequences(&self, base_seed: u64) -> Vec<LaneSequence> {
+        self.lane_seeds(base_seed)
+            .into_iter()
+            .map(|seed| LaneSequence::new(seed, self.stream_length))
             .collect()
     }
 
@@ -434,9 +442,9 @@ impl FeatureBlock {
                         length.bits(),
                         &mut mux_selector(seed),
                     )?;
-                    inputs.push(SelectedSequence::new(&self.lane_sequences(seed), &plan)?);
+                    inputs.push(SelectedSequence::new(&self.lane_seeds(seed), &plan)?);
                     let selected_weights = SelectedSequence::new(
-                        &self.lane_sequences(seed ^ WEIGHT_BANK_SEED_XOR),
+                        &self.lane_seeds(seed ^ WEIGHT_BANK_SEED_XOR),
                         &plan,
                     )?;
                     for (row, thresholds) in weights.iter_mut().zip(&weight_thresholds) {

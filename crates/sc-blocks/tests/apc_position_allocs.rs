@@ -62,14 +62,18 @@ fn allocations_during(f: impl FnOnce()) -> usize {
 }
 
 /// One APC layer of `rows` rows of `lanes`-lane fields, `window` fields per
-/// position, at L = 256, and the thresholds of one position.
+/// position, at L = `bits`, and the thresholds of one position: values on
+/// the L + 1 levels inputs are snapped to, whose thresholds at L = 1024
+/// are multiples of 64, mostly with a low byte (the byte compare's
+/// tie-break).
 fn layer(
     kind: FeatureBlockKind,
     lanes: usize,
     window: usize,
     rows: usize,
+    bits: usize,
 ) -> (sc_blocks::feature_block::CompiledLayer, Vec<Vec<u32>>) {
-    let length = StreamLength::new(256);
+    let length = StreamLength::new(bits);
     let block = FeatureBlock::with_pool_window(kind, lanes, window, length, 7).unwrap();
     let weights: Vec<Vec<f64>> = (0..rows)
         .map(|row| {
@@ -81,7 +85,10 @@ fn layer(
     let fields = (0..window)
         .map(|field| {
             (0..lanes)
-                .map(|i| probability_threshold(((field * lanes + i) % 13) as f64 / 12.0).unwrap())
+                .map(|i| {
+                    let level = (field * lanes + i) * 37 % (bits + 1);
+                    probability_threshold(level as f64 / bits as f64).unwrap()
+                })
                 .collect()
         })
         .collect();
@@ -94,15 +101,20 @@ fn warm_apc_positions_allocate_only_their_output_vec() {
     // The all-APC tiny LeNet's conv1 and conv2 (25 and 200 lanes, 8 and 16
     // filters, 2x2 pool windows), conv1 with the average pool, and fc1
     // (256 lanes, 64 units) evaluated in two row ranges of no whole number
-    // of row groups, as fan-out splits it.
-    let cases: [(FeatureBlockKind, usize, usize, &[usize]); 4] = [
-        (ApcMaxBtanh, 25, 4, &[0, 8]),
-        (ApcMaxBtanh, 200, 4, &[0, 16]),
-        (ApcAvgBtanh, 25, 4, &[0, 8]),
-        (ApcMaxBtanh, 256, 1, &[0, 29, 64]),
+    // of row groups, as fan-out splits it, at L = 256, and conv1 and fc1
+    // again at L = 1024, where the fills take the low-byte tie-break.
+    let cases: [(FeatureBlockKind, usize, usize, &[usize], usize); 6] = [
+        (ApcMaxBtanh, 25, 4, &[0, 8], 256),
+        (ApcMaxBtanh, 200, 4, &[0, 16], 256),
+        (ApcAvgBtanh, 25, 4, &[0, 8], 256),
+        (ApcMaxBtanh, 256, 1, &[0, 29, 64], 256),
+        (ApcMaxBtanh, 25, 4, &[0, 8], 1024),
+        (ApcMaxBtanh, 256, 1, &[0, 29, 64], 1024),
     ];
-    for (kind, lanes, window, splits) in cases {
-        let (layer, fields) = layer(kind, lanes, window, splits[splits.len() - 1]);
+    for (kind, lanes, window, splits, bits) in cases {
+        let (layer, fields) = layer(kind, lanes, window, splits[splits.len() - 1], bits);
+        let low_bytes = fields.iter().flatten().filter(|&&t| t & 0xFF != 0).count();
+        assert_eq!(low_bytes > 0, bits == 1024, "{kind} at L={bits}");
         let ranges = splits.windows(2).map(|range| range[0]..range[1]);
         let mut arena = StreamArena::new();
         let position = |arena: &mut StreamArena| {
@@ -118,8 +130,8 @@ fn warm_apc_positions_allocate_only_their_output_vec() {
         assert_eq!(
             allocations,
             splits.len() - 1,
-            "{kind} with {lanes} lanes: a warm position allocates only each \
-             evaluation's output Vec"
+            "{kind} with {lanes} lanes at L={bits}: a warm position allocates \
+             only each evaluation's output Vec"
         );
     }
 }

@@ -163,9 +163,11 @@ impl StreamArena {
         self.counts.push(buffer);
     }
 
-    /// Takes an all-zero [`PackedLanes`] of `rows` rows of `lanes` streams
-    /// of `length` bits (the input fields of the packed APC kernel, one row
-    /// each), reusing a pooled buffer when one is available.
+    /// Takes a [`PackedLanes`] of `rows` rows of `lanes` streams of
+    /// `length` bits (the input fields of the packed APC kernel, one row
+    /// each), reusing a pooled buffer when one is available. The matrix is
+    /// not zeroed: it holds whatever its buffer last held, and
+    /// [`PackedLanes::fill_row`] writes every word of a row.
     ///
     /// # Errors
     ///
@@ -259,7 +261,7 @@ mod tests {
         arena.recycle_packed(packed);
         assert_eq!(arena.stats().pooled_streams, 1);
         // A stream never takes the packed buffer, and the packed buffer
-        // comes back zeroed.
+        // comes back as it was left: zero, as nothing wrote it.
         let stream = arena.take_zeroed(len);
         assert_eq!(arena.stats().stream_allocs, 2);
         let again = arena.take_packed(25, len, 1).unwrap();

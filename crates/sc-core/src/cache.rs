@@ -1,9 +1,9 @@
 //! Input-stream fill counters.
 //!
 //! The compiled engine fills every input stream with the comparator alone,
-//! from its lane's precomputed [`crate::sng::LaneSequence`] (APC layers) or
-//! its field's [`crate::sng::SelectedSequence`] (MUX layers); nothing is
-//! memoized. [`CacheStats`] keeps the name and shape the repo benchmark
+//! a byte compare against the per-cycle sample bytes drawn at compile time:
+//! its lane's [`crate::sng::LaneSequence`] (APC layers) or its field's
+//! [`crate::sng::SelectedSequence`] (MUX layers); nothing is memoized. [`CacheStats`] keeps the name and shape the repo benchmark
 //! (`perfbench/`) compiles against, until the benchmark change that drops
 //! its `layer.*.cache_hit_rate` metric.
 

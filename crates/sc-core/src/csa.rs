@@ -13,6 +13,10 @@
 //! group first, then lane, then the group's 4 words, so the core reads each
 //! row front to back exactly once: word `(g · lanes + lane) · 4 + s` is word
 //! `4g + s` of the lane's stream. Words past the end of a stream are zero.
+//! A request's input field is written straight into this layout by the
+//! byte-compare SNG fill ([`PackedLanes::fill_row`] over the lanes'
+//! [`LaneSequence`] sample bytes), which writes every word of the row, zero
+//! past the stream end, so an arena buffer is reused without zeroing.
 //!
 //! **Core.** For every row and every 256-column group, the lanes' XNOR
 //! products pass through a branchless Harley-Seal tree of 3:2 compressors
@@ -131,7 +135,9 @@ impl PackedLanes {
         Self::from_buffer(Vec::new(), lanes, length, rows)
     }
 
-    /// Reuses `buffer` as an all-zero matrix (the arena's packed pool).
+    /// Reuses `buffer` as a matrix (the arena's packed pool): its words are
+    /// kept, only growth is zeroed, so an empty buffer makes an all-zero
+    /// matrix.
     pub(crate) fn from_buffer(
         mut buffer: Vec<u64>,
         lanes: usize,
@@ -139,7 +145,6 @@ impl PackedLanes {
         rows: usize,
     ) -> Result<Self, ScError> {
         check_lanes(lanes)?;
-        buffer.clear();
         buffer.resize(row_words(lanes, length) * rows, 0);
         Ok(Self {
             words: buffer,
@@ -218,8 +223,10 @@ impl PackedLanes {
     /// Overwrites row `row` with the stream of comparator threshold
     /// `thresholds[lane]` drawn from `sequences[lane]` for every lane,
     /// each filled straight into its group-lane slots in one call on the
-    /// active backend. Bit-exact with [`LaneSequence::fill`] followed by
-    /// [`PackedLanes::write_lane`] per lane.
+    /// active backend. Every word of the row is written, zero past the
+    /// stream end, so the row's previous words do not matter. Bit-exact
+    /// with [`LaneSequence::fill`] followed by [`PackedLanes::write_lane`]
+    /// per lane on a zeroed row.
     ///
     /// # Errors
     ///
@@ -251,13 +258,16 @@ impl PackedLanes {
         }
         assert!(row < self.rows, "row {row} out of range");
         let row_words = row_words(self.lanes, self.length);
-        fill_lanes(
-            sequences,
-            thresholds,
-            &mut self.words[row * row_words..(row + 1) * row_words],
-            GROUP_WORDS,
-            self.lanes * GROUP_WORDS,
-        );
+        let row = &mut self.words[row * row_words..(row + 1) * row_words];
+        let group_words = self.lanes * GROUP_WORDS;
+        fill_lanes(sequences, thresholds, row, GROUP_WORDS, group_words);
+        let words = self.length.bits().div_ceil(64);
+        if !words.is_multiple_of(GROUP_WORDS) {
+            let last = &mut row[words / GROUP_WORDS * group_words..];
+            for lane in last.chunks_exact_mut(GROUP_WORDS) {
+                lane[words % GROUP_WORDS..].fill(0);
+            }
+        }
         Ok(())
     }
 
@@ -1108,7 +1118,7 @@ fn drain_interleaved_impl<W: Word>(
 /// the bit transpose of each word then makes byte `c` of word `b` the
 /// count bits of column `8b + c`.
 #[inline(always)]
-fn count_bytes<W: Word>(planes: impl Iterator<Item = W>) -> [W; 8] {
+pub(crate) fn count_bytes<W: Word>(planes: impl Iterator<Item = W>) -> [W; 8] {
     let mut bytes = [W::zero(); 8];
     for (byte, plane) in bytes.iter_mut().zip(planes) {
         *byte = plane;

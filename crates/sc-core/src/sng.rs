@@ -6,10 +6,19 @@
 //! bit. The randomness source and how it is shared across SNGs dominate both
 //! the correlation error and the peripheral hardware cost, so the generator
 //! kind is an explicit configuration knob throughout this reproduction.
+//!
+//! Two comparator paths produce the same bits. A per-call generator
+//! ([`Sng`], [`BatchSng`]) draws the register's staged bit-sequence and
+//! compares it with the threshold bit-sliced, 16 sample planes against the
+//! threshold's bits; it is the oracle. A compiled layer draws each lane's
+//! samples once as bytes ([`LaneSequence`], [`SelectedSequence`]) and fills
+//! every later stream with a byte compare per cycle: the high bytes alone
+//! when the threshold's low byte is zero, the low bytes breaking ties
+//! otherwise.
 
 use crate::add::MuxSelectorPlan;
 use crate::bitstream::{BitStream, StreamLength};
-use crate::csa::GROUP_WORDS;
+use crate::csa::{count_bytes, GROUP_WORDS};
 use crate::encoding::{Bipolar, Encoding, Unipolar};
 use crate::error::ScError;
 use crate::rng::{Lfsr, LfsrWidth, RandomSource, SoftwareRng};
@@ -255,11 +264,113 @@ fn compare_words<W: Word>(seq: &[u8], w: usize, threshold: u32) -> W {
     lt
 }
 
+/// Sample bytes are stored with their top bit flipped: a signed byte
+/// compare of flipped bytes orders them as unsigned, and AVX2 compares
+/// bytes only signed.
+const BIAS: u8 = 0x80;
+
+/// A comparator threshold as the byte compare reads it: `sample < θ` is a
+/// constant for `θ = 0` and `θ ≥ 2^16`, the high bytes' compare alone when
+/// `θ`'s low byte is zero (at `L = 256` every L-quantized threshold is a
+/// multiple of 256), and otherwise `hi < θhi | (hi == θhi & lo < θlo)`.
+/// The bytes are flipped like the samples' ([`BIAS`]).
+#[derive(Debug, Clone, Copy)]
+enum ByteThreshold {
+    Constant(u64),
+    High(u8),
+    HighLow(u8, u8),
+}
+
+impl ByteThreshold {
+    fn new(threshold: u32) -> Self {
+        match threshold {
+            0 => Self::Constant(0),
+            1..=0xFFFF => match (threshold as u16).to_be_bytes() {
+                [high, 0] => Self::High(high ^ BIAS),
+                [high, low] => Self::HighLow(high ^ BIAS, low ^ BIAS),
+            },
+            _ => Self::Constant(u64::MAX),
+        }
+    }
+}
+
+/// The byte comparator of 64 cycles: bit `i` of the output word compares
+/// the flipped sample bytes of cycle `i` (signed) with a threshold's.
+trait ByteCompare {
+    /// Bit `i` is `high[i] < h`.
+    fn high(high: &[u8], h: u8) -> u64;
+
+    /// Bit `i` is `(high[i], low[i]) < (h, l)`, lexicographically.
+    fn high_low(high: &[u8], low: &[u8], h: u8, l: u8) -> u64;
+}
+
+/// The byte comparator 8 cycles per `u64` (SWAR); serves the `scalar` and
+/// `wide` backends.
+struct Portable;
+
+/// The top bit of every byte.
+const TOP_BITS: u64 = 0x8080_8080_8080_8080;
+
+/// The 8 flipped sample bytes from `bytes` as unsigned bytes of a word,
+/// cycle order from the low byte.
+#[inline(always)]
+fn unflipped(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes")) ^ TOP_BITS
+}
+
+/// Per byte of two words of unsigned bytes, the top bit set where `a < b`:
+/// the low 7 bits compare through one subtraction that cannot borrow
+/// across bytes, and the top bits decide where they differ.
+#[inline(always)]
+fn bytes_below(a: u64, b: u64) -> u64 {
+    let low_at_least = (a | TOP_BITS) - (b & !TOP_BITS);
+    ((!a & b) | (!(a ^ b) & !low_at_least)) & TOP_BITS
+}
+
+/// Per byte, the top bit set where `a == b`.
+#[inline(always)]
+fn bytes_equal(a: u64, b: u64) -> u64 {
+    let differ = a ^ b;
+    !(((differ & !TOP_BITS) + !TOP_BITS) | differ) & TOP_BITS
+}
+
+/// The 8 top bits of a word's bytes, byte `i`'s as bit `i`: each lands on
+/// bit `56 + i` of one multiply, with no two partial products colliding.
+#[inline(always)]
+fn top_bits(x: u64) -> u64 {
+    ((x >> 7).wrapping_mul(0x0102_0408_1020_4080)) >> 56
+}
+
+impl ByteCompare for Portable {
+    #[inline(always)]
+    fn high(high: &[u8], h: u8) -> u64 {
+        let h = u64::from_ne_bytes([h; 8]) ^ TOP_BITS;
+        let cycles = high[..64].chunks_exact(8).enumerate();
+        cycles.fold(0, |word, (k, x)| {
+            word | top_bits(bytes_below(unflipped(x), h)) << (8 * k)
+        })
+    }
+
+    #[inline(always)]
+    fn high_low(high: &[u8], low: &[u8], h: u8, l: u8) -> u64 {
+        let (h, l) = (
+            u64::from_ne_bytes([h; 8]) ^ TOP_BITS,
+            u64::from_ne_bytes([l; 8]) ^ TOP_BITS,
+        );
+        let cycles = high[..64].chunks_exact(8).zip(low[..64].chunks_exact(8));
+        cycles.enumerate().fold(0, |word, (k, (x, y))| {
+            let x = unflipped(x);
+            let below = bytes_below(x, h) | bytes_equal(x, h) & bytes_below(unflipped(y), l);
+            word | top_bits(below) << (8 * k)
+        })
+    }
+}
+
 /// Fills lane `i`'s stream of comparator threshold `thresholds[i]` from
 /// `sequences[i]` for every lane, in one call on the active backend: word
 /// `w` of lane `i` lands at `out[i · lane_stride + slot(w, group_stride)]`
 /// (see [`slot`]). Every word of every lane's stream is written; words past
-/// a stream's end are not touched.
+/// a stream's end are not touched. The sequences have one length.
 ///
 /// # Panics
 ///
@@ -271,40 +382,111 @@ pub(crate) fn fill_lanes(
     lane_stride: usize,
     group_stride: usize,
 ) {
-    dispatch_word_kernel!(
-        fill_lanes_impl,
-        comparator_avx2::fill_lanes_avx2,
-        (sequences, thresholds, out, lane_stride, group_stride)
-    )
+    match active_backend() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `active_backend` reports AVX2 only after runtime feature
+        // detection.
+        crate::word::Backend::Avx2 => unsafe {
+            comparator_avx2::fill_lanes_avx2(sequences, thresholds, out, lane_stride, group_stride)
+        },
+        _ => fill_lanes_impl::<Portable>(sequences, thresholds, out, lane_stride, group_stride),
+    }
 }
 
-/// Word-generic body of [`fill_lanes`].
+/// Comparator-generic body of [`fill_lanes`]: group by group of the
+/// layout, every lane's words of the group, each one byte compare of 64
+/// cycles against the threshold's [`ByteThreshold`] form.
 #[inline(always)]
-fn fill_lanes_impl<W: Word>(
+fn fill_lanes_impl<C: ByteCompare>(
     sequences: &[LaneSequence],
     thresholds: &[u32],
     out: &mut [u64],
     lane_stride: usize,
     group_stride: usize,
 ) {
-    for (lane, (sequence, &threshold)) in sequences.iter().zip(thresholds).enumerate() {
-        let out = &mut out[lane * lane_stride..];
-        let staged = staged_bits(sequence.length.bits()) / 64;
-        compare_staged::<W>(&sequence.staged, threshold, out, group_stride, staged);
-        if sequence.tail.is_empty() {
-            continue;
+    let Some(first) = sequences.first() else {
+        return;
+    };
+    let bits = first.length.bits();
+    debug_assert!(sequences.iter().all(|s| s.length == first.length));
+    let words = bits.div_ceil(64);
+    for g in 0..words.div_ceil(GROUP_WORDS) {
+        let group = &mut out[g * group_stride..];
+        let span = (words - g * GROUP_WORDS).min(GROUP_WORDS);
+        let lanes = sequences.iter().zip(thresholds).enumerate();
+        for (lane, (sequence, &threshold)) in lanes {
+            let out = &mut group[lane * lane_stride..][..span];
+            let bytes = &sequence.bytes[64 * GROUP_WORDS * g..];
+            let threshold = ByteThreshold::new(threshold);
+            // A whole group at a length the compiler knows: unrolled, with
+            // no per-word bounds check or `memset` call.
+            match <&mut [u64; GROUP_WORDS]>::try_from(&mut *out) {
+                Ok(group) => compare_bytes::<C>(bytes, threshold, group),
+                Err(_) => compare_bytes::<C>(bytes, threshold, out),
+            }
         }
-        // The serial tail is under 128 bits: at most two words.
-        let mut tail = [0u64; 2];
-        let mut samples = sequence.tail.iter();
-        fill_words_with(
-            || samples.next().map_or(0, |&sample| u32::from(sample)),
-            threshold,
-            &mut tail,
-            sequence.tail.len(),
-        );
-        for (i, &word) in tail[..sequence.tail.len().div_ceil(64)].iter().enumerate() {
-            out[slot(staged + i, group_stride)] = word;
+    }
+    if bits % 64 != 0 {
+        let last = slot(words - 1, group_stride);
+        for lane in 0..sequences.len().min(thresholds.len()) {
+            out[lane * lane_stride + last] &= (1u64 << (bits % 64)) - 1;
+        }
+    }
+}
+
+/// The comparator outputs of `out.len()` words from a [`LaneSequence`]'s
+/// `bytes`, one byte compare per word.
+#[inline(always)]
+fn compare_bytes<C: ByteCompare>(bytes: &[u8], threshold: ByteThreshold, out: &mut [u64]) {
+    let bytes = &bytes[..64 * out.len() + 8];
+    match threshold {
+        ByteThreshold::Constant(word) => out.fill(word),
+        ByteThreshold::High(h) => {
+            for (s, word) in out.iter_mut().enumerate() {
+                *word = C::high(&bytes[64 * s..], h);
+            }
+        }
+        ByteThreshold::HighLow(h, l) => {
+            for (s, word) in out.iter_mut().enumerate() {
+                *word = C::high_low(&bytes[64 * s..], &bytes[64 * s + 8..], h, l);
+            }
+        }
+    }
+}
+
+/// Writes the flipped high byte of the comparator sample of every cycle of
+/// the first `words` words of a staged sequence `seq` (see
+/// [`Lfsr::w32_sequence_into`]) to `out[t]`, `W::LANES` words per step.
+#[inline(always)]
+fn high_bytes<W: Word>(seq: &[u8], words: usize, out: &mut [u8]) {
+    let mut w = 0;
+    while w + W::LANES <= words {
+        high_bytes_step::<W>(seq, w, out);
+        w += W::LANES;
+    }
+    for w in w..words {
+        high_bytes_step::<u64>(seq, w, out);
+    }
+}
+
+/// [`high_bytes`] of words `w .. w + W::LANES`: sample bit `j` of cycle
+/// `t` is buffer bit `t + 32 − j` (see [`compare_words`]), so the planes
+/// of sample bits 8–15 of a word are two shifts and an OR each, and the
+/// plane-to-byte transpose of the count drain ([`count_bytes`]) turns them
+/// into the word's 64 high bytes, 8 per output word in cycle order.
+#[inline(always)]
+fn high_bytes_step<W: Word>(seq: &[u8], w: usize, out: &mut [u8]) {
+    let a = W::load_le_bytes(&seq[8 * w + 2..]);
+    let b = W::load_le_bytes(&seq[8 * w + 10..]);
+    let bytes = count_bytes((8..16).map(|j| a.shr(16 - j).or(b.shl(48 + j))));
+    let mut lanes = [0u64; 4];
+    for (k, column) in bytes.into_iter().enumerate() {
+        column
+            .xor(W::splat(u64::from_ne_bytes([BIAS; 8])))
+            .store(&mut lanes);
+        for (i, lane) in lanes[..W::LANES].iter().enumerate() {
+            let at = 64 * (w + i) + 8 * k;
+            out[at..at + 8].copy_from_slice(&lane.to_le_bytes());
         }
     }
 }
@@ -313,6 +495,7 @@ fn fill_lanes_impl<W: Word>(
 mod comparator_avx2 {
     use super::*;
     use crate::word::WAvx2;
+    use std::arch::x86_64::*;
 
     /// # Safety
     ///
@@ -339,7 +522,86 @@ mod comparator_avx2 {
         lane_stride: usize,
         group_stride: usize,
     ) {
-        fill_lanes_impl::<WAvx2>(sequences, thresholds, out, lane_stride, group_stride)
+        fill_lanes_impl::<Avx2>(sequences, thresholds, out, lane_stride, group_stride)
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn high_bytes_avx2(seq: &[u8], words: usize, out: &mut [u8]) {
+        high_bytes::<WAvx2>(seq, words, out)
+    }
+
+    /// The byte comparator 32 cycles per compare and move-mask. Only
+    /// instantiated inside this module's `avx2` functions.
+    struct Avx2;
+
+    /// All-ones bytes where `threshold > *bytes` (signed), for the 32
+    /// bytes from `bytes`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and 32 bytes must be readable at `bytes`.
+    #[inline(always)]
+    unsafe fn above(threshold: __m256i, bytes: *const u8) -> __m256i {
+        unsafe { _mm256_cmpgt_epi8(threshold, _mm256_loadu_si256(bytes.cast())) }
+    }
+
+    /// The 64 move-mask bits of two 32-byte halves.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[inline(always)]
+    unsafe fn bits(first: __m256i, second: __m256i) -> u64 {
+        unsafe {
+            let first = _mm256_movemask_epi8(first) as u32;
+            let second = _mm256_movemask_epi8(second) as u32;
+            u64::from(first) | u64::from(second) << 32
+        }
+    }
+
+    impl ByteCompare for Avx2 {
+        #[inline(always)]
+        fn high(high: &[u8], h: u8) -> u64 {
+            let high = &high[..64];
+            // SAFETY: the reslice guarantees 64 readable bytes; callers
+            // hold the module-level AVX2 precondition.
+            unsafe {
+                let h = _mm256_set1_epi8(h as i8);
+                bits(above(h, high.as_ptr()), above(h, high.as_ptr().add(32)))
+            }
+        }
+
+        #[inline(always)]
+        fn high_low(high: &[u8], low: &[u8], h: u8, l: u8) -> u64 {
+            let (high, low) = (&high[..64], &low[..64]);
+            // SAFETY: as above.
+            unsafe {
+                let (h, l) = (_mm256_set1_epi8(h as i8), _mm256_set1_epi8(l as i8));
+                bits(
+                    below(h, l, high.as_ptr(), low.as_ptr()),
+                    below(h, l, high.as_ptr().add(32), low.as_ptr().add(32)),
+                )
+            }
+        }
+    }
+
+    /// All-ones bytes where `(*high, *low) < (h, l)` (signed,
+    /// lexicographically), for the 32 cycles from `high` and `low`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and 32 bytes must be readable at both
+    /// pointers.
+    #[inline(always)]
+    unsafe fn below(h: __m256i, l: __m256i, high: *const u8, low: *const u8) -> __m256i {
+        unsafe {
+            let x = _mm256_loadu_si256(high.cast());
+            let tie = _mm256_and_si256(_mm256_cmpeq_epi8(h, x), above(l, low));
+            _mm256_or_si256(_mm256_cmpgt_epi8(h, x), tie)
+        }
     }
 }
 
@@ -645,24 +907,29 @@ impl BatchSng {
     }
 }
 
-/// The precomputed random sequence of one [`SngKind::Lfsr32`] lane, for
-/// streams of one length.
+/// The precomputed comparator samples of one [`SngKind::Lfsr32`] lane,
+/// for streams of one length.
 ///
 /// A lane's comparator samples depend only on its seed, never on the value
 /// being encoded, so they can be drawn once and every later stream of the
 /// lane filled by the comparator alone — the hardware view of one fixed RNG
-/// sequence per comparator group. The sequence is held the way the batched
-/// fill consumes it: the staged bit-sequence of the register for the whole
-/// words, and the serial threshold samples for the rest.
+/// sequence per comparator group. The 16-bit sample of every cycle is held
+/// as bytes, so a fill is a byte compare per cycle: the high bytes alone
+/// when the threshold's low byte is zero, the low bytes breaking ties
+/// otherwise, 32 cycles per compare and move-mask on AVX2. The
+/// samples are the register's low half, a shift register of its output
+/// bits, so the low byte of cycle `t`'s sample is the high byte of cycle
+/// `t + 8`'s and one byte per cycle holds both: the high-byte plane is
+/// `bytes[t]` and the low-byte plane `bytes[t + 8]`. They are drawn word
+/// by word from the register's staged bit-sequence (a plane transpose per
+/// 64 cycles), the cycles past the last whole word serially.
 /// [`LaneSequence::fill`] is bit-exact with [`BatchSng::fill_probability`]
 /// for the same lane seed and length.
 #[derive(Debug, Clone)]
 pub struct LaneSequence {
-    /// Staged bit-sequence of the leading whole words, as
-    /// [`Lfsr::w32_sequence_into`] lays it out (empty below 128 bits).
-    staged: Vec<u8>,
-    /// Threshold samples of the remaining bits, in stream order.
-    tail: Vec<u16>,
+    /// Flipped ([`BIAS`]) high sample bytes of every cycle and of the 8
+    /// cycles past the stream end, padded to whole words plus 8.
+    bytes: Vec<u8>,
     length: StreamLength,
 }
 
@@ -670,20 +937,25 @@ impl LaneSequence {
     /// Draws the sequence of the lane seeded with `lane_seed` for streams of
     /// `length` bits.
     pub fn new(lane_seed: u64, length: StreamLength) -> Self {
+        let bits = length.bits();
+        let mut bytes = vec![0; 64 * bits.div_ceil(64) + 8];
         let mut lfsr = lfsr32_for_seed(lane_seed);
-        let staged = staged_bits(length.bits());
-        let mut seq = Vec::new();
+        let staged = staged_bits(bits);
         if staged > 0 {
+            let mut seq = Vec::new();
             lfsr.w32_sequence_into(staged, &mut seq);
+            dispatch_word_kernel!(
+                high_bytes,
+                comparator_avx2::high_bytes_avx2,
+                (&seq, staged / 64, &mut bytes)
+            );
         }
-        let tail = (staged..length.bits())
-            .map(|_| (lfsr.step() & 0xFFFF) as u16)
-            .collect();
-        Self {
-            staged: seq,
-            tail,
-            length,
+        // The rest, with the 8 cycles whose high bytes are the last 8
+        // cycles' low bytes, from the resynced state.
+        for byte in &mut bytes[staged..bits + 8] {
+            *byte = (lfsr.step() >> 8) as u8 ^ BIAS;
         }
+        Self { bytes, length }
     }
 
     /// The stream length the sequence fills.
@@ -715,15 +987,46 @@ impl LaneSequence {
         );
         Ok(())
     }
+}
+
+/// One [`SngKind::Lfsr32`] lane's draw as the staged comparator consumes
+/// it: the staged bit-sequence of the leading whole words and the serial
+/// samples of the rest. Cheap to draw and read one cycle at a time, which
+/// is all a MUX field needs of each of its lanes.
+struct LaneDraw {
+    /// Staged bit-sequence of the leading whole words, as
+    /// [`Lfsr::w32_sequence_into`] lays it out (empty below 128 bits).
+    staged: Vec<u8>,
+    /// Threshold samples of the remaining bits, in stream order.
+    tail: Vec<u16>,
+    staged_bits: usize,
+}
+
+impl LaneDraw {
+    fn new(lane_seed: u64, length: StreamLength) -> Self {
+        let mut lfsr = lfsr32_for_seed(lane_seed);
+        let staged_bits = staged_bits(length.bits());
+        let mut staged = Vec::new();
+        if staged_bits > 0 {
+            lfsr.w32_sequence_into(staged_bits, &mut staged);
+        }
+        let tail = (staged_bits..length.bits())
+            .map(|_| (lfsr.step() & 0xFFFF) as u16)
+            .collect();
+        Self {
+            staged,
+            tail,
+            staged_bits,
+        }
+    }
 
     /// The 16-bit comparator sample the lane draws at cycle `t`: the low
     /// half of the register state after `t + 1` steps, which in the staged
     /// buffer is the 16-bit window ending at buffer bit `t + 32`, most
     /// recent bit lowest (see [`Lfsr::w32_sequence_into`]).
     fn sample(&self, t: usize) -> u16 {
-        let staged = staged_bits(self.length.bits());
-        if t >= staged {
-            return self.tail[t - staged];
+        if t >= self.staged_bits {
+            return self.tail[t - self.staged_bits];
         }
         let first = t + 17;
         let bytes = self.staged[first / 8..first / 8 + 4]
@@ -733,84 +1036,109 @@ impl LaneSequence {
     }
 }
 
+/// Lanes a field may have for the AVX2 [`SelectedSequence::fill`] to look
+/// the selected thresholds up in registers: two 16-entry byte shuffles.
+const SHUFFLE_LANES: usize = 32;
+
+/// The lane a MUX selects at each cycle: bytes for a field of at most
+/// [`SHUFFLE_LANES`] lanes, which the AVX2 fill shuffles by, words for a
+/// wider one, which it gathers by.
+#[derive(Debug, Clone)]
+enum Selected {
+    Narrow(Vec<u8>),
+    Wide(Vec<u32>),
+}
+
 /// The input sequence one MUX inner product sees: at every cycle, the lane
 /// its selector forwards and that lane's comparator sample.
 ///
 /// A MUX forwards one lane per cycle, so of the `N` input streams of a
 /// field only the selected bit of each cycle ever reaches the output. With
 /// the selector fixed (a [`MuxSelectorPlan`]) and every lane's random
-/// sequence fixed (a [`LaneSequence`]), the selected input stream is a
-/// single comparator pass, `bit t = sample[t] < threshold[lane[t]]`,
-/// instead of `N` lane fills followed by a gather. [`SelectedSequence::fill`]
-/// is bit-exact with [`MuxAdder::sum_with_plan`] over the
-/// [`LaneSequence::fill`] streams of every lane.
+/// sequence fixed, the selected input stream is a single comparator pass,
+/// `bit t = sample[t] < threshold[lane[t]]`, instead of `N` lane fills
+/// followed by a gather. The selected samples are held as a high-byte and
+/// a low-byte plane (flipped like a [`LaneSequence`]'s), padded to whole
+/// words. [`SelectedSequence::fill`] is bit-exact with
+/// [`MuxAdder::sum_with_plan`] over the [`LaneSequence::fill`] streams of
+/// every lane.
 ///
 /// [`MuxAdder::sum_with_plan`]: crate::add::MuxAdder::sum_with_plan
 #[derive(Debug, Clone)]
 pub struct SelectedSequence {
-    /// The lane selected at each cycle.
-    lanes: Vec<u32>,
-    /// The selected lane's comparator sample at each cycle.
-    samples: Vec<u16>,
+    /// The lane selected at each cycle; lane 0 past the stream end.
+    lanes: Selected,
+    /// Flipped high and low bytes of the selected lane's sample at each
+    /// cycle.
+    high: Vec<u8>,
+    low: Vec<u8>,
     /// Number of input lanes the selector chooses between.
     inputs: usize,
     length: StreamLength,
 }
 
 impl SelectedSequence {
-    /// Gathers the selected sequence of `plan` over the lanes' sequences.
+    /// Gathers the selected sequence of `plan` over the lanes seeded with
+    /// `lane_seeds` (one per plan lane; see [`SngBank::lane_seed`]). Each
+    /// lane's sequence is drawn once and read only at the cycles that
+    /// select it.
     ///
     /// # Errors
     ///
-    /// Returns [`ScError::LengthMismatch`] unless there is one sequence per
-    /// plan lane and every sequence has the plan's stream length.
-    pub fn new(sequences: &[LaneSequence], plan: &MuxSelectorPlan) -> Result<Self, ScError> {
-        if sequences.len() != plan.lanes() {
+    /// Returns [`ScError::LengthMismatch`] unless there is one seed per
+    /// plan lane.
+    pub fn new(lane_seeds: &[u64], plan: &MuxSelectorPlan) -> Result<Self, ScError> {
+        if lane_seeds.len() != plan.lanes() {
             return Err(ScError::LengthMismatch {
                 left: plan.lanes(),
-                right: sequences.len(),
+                right: lane_seeds.len(),
             });
         }
-        if let Some(sequence) = sequences
-            .iter()
-            .find(|sequence| sequence.length.bits() != plan.stream_bits())
-        {
-            return Err(ScError::LengthMismatch {
-                left: plan.stream_bits(),
-                right: sequence.length.bits(),
-            });
-        }
-        Self::gather(sequences, plan.selected_lanes())
+        let length = StreamLength::new(plan.stream_bits());
+        Self::gather(lane_seeds, length, plan.selected_lanes())
     }
 
     /// Gathers the samples of the lanes `lanes` selects, cycle by cycle.
     ///
     /// The AVX2 [`SelectedSequence::fill`] gathers thresholds by these lane
-    /// indices without bounds checks, so a lane past the last sequence (or
-    /// one that does not fit the gather's `i32` index) is refused here.
-    fn gather(sequences: &[LaneSequence], lanes: Vec<u32>) -> Result<Self, ScError> {
+    /// indices without bounds checks, so a lane past the last seed (or one
+    /// that does not fit the gather's `i32` index) is refused here.
+    fn gather(lane_seeds: &[u64], length: StreamLength, lanes: Vec<u32>) -> Result<Self, ScError> {
         if let Some(&lane) = lanes
             .iter()
-            .find(|&&lane| lane as usize >= sequences.len() || lane > i32::MAX as u32)
+            .find(|&&lane| lane as usize >= lane_seeds.len() || lane > i32::MAX as u32)
         {
             return Err(ScError::InvalidParameter {
                 name: "lanes",
                 message: format!(
                     "selected lane {lane} is outside the {} lane sequences",
-                    sequences.len()
+                    lane_seeds.len()
                 ),
             });
         }
-        let samples = lanes
+        let draws: Vec<LaneDraw> = lane_seeds
             .iter()
-            .enumerate()
-            .map(|(t, &lane)| sequences[lane as usize].sample(t))
+            .map(|&seed| LaneDraw::new(seed, length))
             .collect();
+        let padded = 64 * length.bits().div_ceil(64);
+        let (mut high, mut low) = (vec![0; padded], vec![0; padded]);
+        for (t, &lane) in lanes.iter().enumerate() {
+            let [h, l] = draws[lane as usize].sample(t).to_be_bytes();
+            (high[t], low[t]) = (h ^ BIAS, l ^ BIAS);
+        }
+        let mut lanes = lanes;
+        lanes.resize(padded, 0);
+        let lanes = if lane_seeds.len() <= SHUFFLE_LANES {
+            Selected::Narrow(lanes.into_iter().map(|lane| lane as u8).collect())
+        } else {
+            Selected::Wide(lanes)
+        };
         Ok(Self {
             lanes,
-            samples,
-            inputs: sequences.len(),
-            length: sequences[0].length,
+            high,
+            low,
+            inputs: lane_seeds.len(),
+            length,
         })
     }
 
@@ -818,11 +1146,15 @@ impl SelectedSequence {
     /// `i` encodes comparator threshold `thresholds[i]` (see
     /// [`probability_threshold`]). Every word of `stream` is overwritten.
     ///
-    /// Bit `t` is `samples[t] < thresholds[lanes[t]]`. The scalar loop is
-    /// the reference and serves the `scalar` and `wide` backends; the AVX2
-    /// backend does 8 cycles per step: one gather of the 8 selected
-    /// thresholds, the 8 samples widened to 32 bits, one compare and one
-    /// move-mask for 8 output bits. Both are bit-identical.
+    /// Bit `t` is `sample[t] < thresholds[lane[t]]`. The portable loop
+    /// compares one cycle at a time and serves the `scalar` and `wide`
+    /// backends. The AVX2 backend looks the selected thresholds of a field
+    /// of at most 32 lanes up in registers, 32 cycles per step: two byte
+    /// shuffles over the thresholds' high bytes (and, when any lane needs
+    /// them, over their low bytes and the `θ ≥ 2^16` lanes) against the
+    /// sample planes, as [`LaneSequence::fill`] compares. A wider field
+    /// gathers 8 thresholds per step and compares them with the samples
+    /// widened to 32 bits. All are bit-identical.
     ///
     /// # Errors
     ///
@@ -842,90 +1174,243 @@ impl SelectedSequence {
             });
         }
         let words = stream.words_mut();
-        match active_backend() {
+        let (high, low) = (&self.high[..], &self.low[..]);
+        match (active_backend(), &self.lanes) {
             #[cfg(target_arch = "x86_64")]
-            crate::word::Backend::Avx2 => {
-                // SAFETY: `active_backend` reports AVX2 only after runtime
-                // feature detection; `gather` refused every lane that does
-                // not index the sequences, of which there are `inputs`, the
-                // length of `thresholds` checked above.
-                unsafe {
-                    gather_avx2::selected_fill_avx2(&self.lanes, &self.samples, thresholds, words)
-                }
+            // SAFETY: `active_backend` reports AVX2 only after runtime
+            // feature detection; a narrow field has at most `SHUFFLE_LANES`
+            // inputs, and `gather` refused every lane that does not index
+            // the seeds, of which there are `inputs`, the length of
+            // `thresholds` checked above.
+            (crate::word::Backend::Avx2, Selected::Narrow(lanes)) => unsafe {
+                selected_avx2::shuffle_fill(lanes, high, low, thresholds, words)
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above.
+            (crate::word::Backend::Avx2, Selected::Wide(lanes)) => unsafe {
+                selected_avx2::gather_fill(lanes, high, low, thresholds, words)
+            },
+            (_, Selected::Narrow(lanes)) => {
+                selected_fill_portable(|t| usize::from(lanes[t]), high, low, thresholds, words)
             }
-            _ => selected_fill_scalar(&self.lanes, &self.samples, thresholds, words),
+            (_, Selected::Wide(lanes)) => {
+                selected_fill_portable(|t| lanes[t] as usize, high, low, thresholds, words)
+            }
         }
+        stream.mask_tail();
         Ok(())
     }
 }
 
-/// The reference selected-sequence fill: one comparator per cycle, packed
-/// into the output words. Nothing in it is word-parallel, so it serves the
-/// `scalar` and `wide` backends alike.
-fn selected_fill_scalar(lanes: &[u32], samples: &[u16], thresholds: &[u32], words: &mut [u64]) {
-    let cycles = lanes.chunks(64).zip(samples.chunks(64));
-    for (word, (lanes, samples)) in words.iter_mut().zip(cycles) {
-        let mut packed = 0u64;
-        for (bit, (&lane, &sample)) in lanes.iter().zip(samples).enumerate() {
-            packed |= u64::from(u32::from(sample) < thresholds[lane as usize]) << bit;
+/// The portable selected-sequence fill: one comparator per cycle, packed
+/// into the output words.
+fn selected_fill_portable(
+    lane: impl Fn(usize) -> usize,
+    high: &[u8],
+    low: &[u8],
+    thresholds: &[u32],
+    words: &mut [u64],
+) {
+    let cycles = high.chunks_exact(64).zip(low.chunks_exact(64));
+    for (w, (word, (high, low))) in words.iter_mut().zip(cycles).enumerate() {
+        let mut packed = 0;
+        for (i, (&h, &l)) in high.iter().zip(low).enumerate() {
+            let sample = u32::from(h ^ BIAS) << 8 | u32::from(l ^ BIAS);
+            packed |= u64::from(sample < thresholds[lane(64 * w + i)]) << i;
         }
         *word = packed;
     }
 }
 
 #[cfg(target_arch = "x86_64")]
-mod gather_avx2 {
+mod selected_avx2 {
+    use super::{BIAS, SHUFFLE_LANES};
     use std::arch::x86_64::*;
 
-    /// [`super::selected_fill_scalar`] 8 cycles at a time: gather the selected
-    /// lanes' thresholds, widen the samples to 32 bits, compare, and pack
-    /// the 8 results with one move-mask. Cycles past the last whole group
-    /// of 8 in a word take the scalar comparator.
+    /// [`super::selected_fill_portable`] for a field of at most
+    /// [`SHUFFLE_LANES`] lanes, 32 cycles per step: the selected lanes'
+    /// threshold bytes are shuffled out of two 16-byte tables per byte
+    /// plane, one per half of the lanes, and compared with the sample
+    /// bytes. The low-byte tie-break runs only when a lane's threshold has
+    /// a low byte, and the `θ ≥ 2^16` table only when a lane has one.
     ///
     /// # Safety
     ///
-    /// The CPU must support AVX2, `lanes` and `samples` must be equally
-    /// long, and every lane must index `thresholds` and fit an `i32`.
-    /// [`super::SelectedSequence::gather`] refuses any other lane and
-    /// [`super::SelectedSequence::fill`] checks `thresholds.len() ==
-    /// inputs`, so its call upholds this.
+    /// The CPU must support AVX2, every lane must be below
+    /// [`SHUFFLE_LANES`] and index `thresholds`, and `lanes`, `high` and
+    /// `low` must hold 64 cycles per word of `words`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn selected_fill_avx2(
-        lanes: &[u32],
-        samples: &[u16],
+    pub(super) unsafe fn shuffle_fill(
+        lanes: &[u8],
+        high: &[u8],
+        low: &[u8],
         thresholds: &[u32],
         words: &mut [u64],
     ) {
-        debug_assert_eq!(lanes.len(), samples.len());
+        debug_assert!(thresholds.len() <= SHUFFLE_LANES);
+        // Per lane, the flipped high and low bytes of its threshold and
+        // whether it is `≥ 2^16`, the one threshold the bytes cannot hold.
+        let mut tables = [[0u8; SHUFFLE_LANES]; 3];
+        for (lane, &threshold) in thresholds.iter().enumerate() {
+            if threshold > 0xFFFF {
+                tables[2][lane] = 0xFF;
+            } else {
+                let [h, l] = (threshold as u16).to_be_bytes();
+                (tables[0][lane], tables[1][lane]) = (h ^ BIAS, l ^ BIAS);
+            }
+        }
+        let any_low = thresholds.iter().any(|&t| t <= 0xFFFF && t & 0xFF != 0);
+        let any_full = tables[2].contains(&0xFF);
+        // SAFETY: the function's preconditions.
+        unsafe {
+            match (any_low, any_full) {
+                (false, false) => shuffle_words::<false, false>(lanes, high, low, &tables, words),
+                (false, true) => shuffle_words::<false, true>(lanes, high, low, &tables, words),
+                (true, false) => shuffle_words::<true, false>(lanes, high, low, &tables, words),
+                (true, true) => shuffle_words::<true, true>(lanes, high, low, &tables, words),
+            }
+        }
+    }
+
+    /// The two halves of a 32-entry byte table, each in both 128-bit lanes.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[inline(always)]
+    unsafe fn halves(table: &[u8; SHUFFLE_LANES]) -> [__m256i; 2] {
+        // SAFETY: 16 readable bytes at each half; AVX2 per the caller.
+        unsafe {
+            [0, 16].map(|at| {
+                _mm256_broadcastsi128_si256(_mm_loadu_si128(table.as_ptr().add(at).cast()))
+            })
+        }
+    }
+
+    /// The entry of `table` for each of 32 lanes, given the shuffle
+    /// indices of the lanes' two table halves.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[inline(always)]
+    unsafe fn look_up(table: [__m256i; 2], index: [__m256i; 2]) -> __m256i {
+        // SAFETY: AVX2 per the caller.
+        unsafe {
+            _mm256_or_si256(
+                _mm256_shuffle_epi8(table[0], index[0]),
+                _mm256_shuffle_epi8(table[1], index[1]),
+            )
+        }
+    }
+
+    /// The body of [`shuffle_fill`], with the low-byte tie-break (`LOW`)
+    /// and the `θ ≥ 2^16` lanes (`FULL`) compiled in or out.
+    ///
+    /// # Safety
+    ///
+    /// As [`shuffle_fill`].
+    #[inline(always)]
+    unsafe fn shuffle_words<const LOW: bool, const FULL: bool>(
+        lanes: &[u8],
+        high: &[u8],
+        low: &[u8],
+        tables: &[[u8; SHUFFLE_LANES]; 3],
+        words: &mut [u64],
+    ) {
+        let (lanes, high, low) = (
+            &lanes[..64 * words.len()],
+            &high[..lanes.len()],
+            &low[..lanes.len()],
+        );
+        // SAFETY: the reslices above hold 64 cycles per word, read 32 at a
+        // time; AVX2 per the caller.
+        unsafe {
+            let [high_table, low_table, full_table] = tables.each_ref().map(|table| halves(table));
+            let (first_half, second_half) = (_mm256_set1_epi8(0x70), _mm256_set1_epi8(16));
+            for (w, word) in words.iter_mut().enumerate() {
+                let mut bits = 0u64;
+                for step in 0..2 {
+                    let at = 64 * w + 32 * step;
+                    let lane = _mm256_loadu_si256(lanes.as_ptr().add(at).cast());
+                    // A shuffle index with its top bit set yields zero, so
+                    // `lane + 0x70` reads the first half only for lanes
+                    // 0–15 and `lane − 16` the second only for 16–31.
+                    let index = [
+                        _mm256_add_epi8(lane, first_half),
+                        _mm256_sub_epi8(lane, second_half),
+                    ];
+                    let h = look_up(high_table, index);
+                    let x = _mm256_loadu_si256(high.as_ptr().add(at).cast());
+                    let mut below = _mm256_cmpgt_epi8(h, x);
+                    if LOW {
+                        let l = look_up(low_table, index);
+                        let y = _mm256_loadu_si256(low.as_ptr().add(at).cast());
+                        let tie =
+                            _mm256_and_si256(_mm256_cmpeq_epi8(h, x), _mm256_cmpgt_epi8(l, y));
+                        below = _mm256_or_si256(below, tie);
+                    }
+                    if FULL {
+                        below = _mm256_or_si256(below, look_up(full_table, index));
+                    }
+                    bits |= u64::from(_mm256_movemask_epi8(below) as u32) << (32 * step);
+                }
+                *word = bits;
+            }
+        }
+    }
+
+    /// [`super::selected_fill_portable`] for a wider field, 8 cycles at a
+    /// time: gather the selected lanes' thresholds, widen the samples to
+    /// 32 bits, compare, and pack the 8 results with one move-mask.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, every lane must index `thresholds` and
+    /// fit an `i32`, and `lanes`, `high` and `low` must hold 64 cycles per
+    /// word of `words`. [`super::SelectedSequence::gather`] refuses any
+    /// other lane and [`super::SelectedSequence::fill`] checks
+    /// `thresholds.len() == inputs`, so its call upholds this.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn gather_fill(
+        lanes: &[u32],
+        high: &[u8],
+        low: &[u8],
+        thresholds: &[u32],
+        words: &mut [u64],
+    ) {
+        let (lanes, high, low) = (
+            &lanes[..64 * words.len()],
+            &high[..lanes.len()],
+            &low[..lanes.len()],
+        );
         // Samples are below 2^16, so a threshold above 2^16 compares like
         // 2^16; capping it keeps the signed 32-bit compare exact for every
         // `u32` threshold.
         let cap = _mm256_set1_epi32(1 << 16);
-        let cycles = lanes.chunks(64).zip(samples.chunks(64));
-        for (word, (lanes, samples)) in words.iter_mut().zip(cycles) {
-            let groups = lanes.len() / 8;
+        let bias = _mm_set1_epi8(BIAS as i8);
+        for (w, word) in words.iter_mut().enumerate() {
             let mut packed = 0u64;
-            for group in 0..groups {
-                // SAFETY: `group * 8 + 8 <= lanes.len() == samples.len()`,
-                // and every gathered index is a lane below
+            for group in 0..8 {
+                let at = 64 * w + 8 * group;
+                // SAFETY: the reslices above hold 64 cycles per word, read
+                // 8 at a time, and every gathered index is a lane below
                 // `thresholds.len()` (the function's precondition).
                 unsafe {
-                    let index = _mm256_loadu_si256(lanes.as_ptr().add(group * 8).cast());
+                    let index = _mm256_loadu_si256(lanes.as_ptr().add(at).cast());
                     let threshold = _mm256_min_epu32(
                         _mm256_i32gather_epi32::<4>(thresholds.as_ptr().cast(), index),
                         cap,
                     );
-                    let sample = _mm256_cvtepu16_epi32(_mm_loadu_si128(
-                        samples.as_ptr().add(group * 8).cast(),
-                    ));
+                    let bytes = _mm_unpacklo_epi8(
+                        _mm_loadl_epi64(low.as_ptr().add(at).cast()),
+                        _mm_loadl_epi64(high.as_ptr().add(at).cast()),
+                    );
+                    let sample = _mm256_cvtepu16_epi32(_mm_xor_si128(bytes, bias));
                     let below = _mm256_cmpgt_epi32(threshold, sample);
                     let bits = _mm256_movemask_ps(_mm256_castsi256_ps(below)) as u32;
-                    packed |= u64::from(bits) << (group * 8);
+                    packed |= u64::from(bits) << (8 * group);
                 }
-            }
-            for bit in groups * 8..lanes.len() {
-                let threshold = thresholds[lanes[bit] as usize];
-                packed |= u64::from(u32::from(samples[bit]) < threshold) << bit;
             }
             *word = packed;
         }
@@ -1185,6 +1670,37 @@ mod tests {
         }
     }
 
+    /// The portable byte compare's SWAR helpers agree with `u8` compares
+    /// for every pair of bytes, in every byte position of a word.
+    #[test]
+    fn swar_byte_compares_match_per_byte_compares() {
+        for a in 0..=255u8 {
+            for b in 0..=255u8 {
+                let position = usize::from(a ^ b) % 8;
+                let mut x = [b.wrapping_add(1); 8];
+                let y = [b; 8];
+                x[position] = a;
+                let (x, y) = (u64::from_le_bytes(x), u64::from_le_bytes(y));
+                let expect = |holds: fn(u8, u8) -> bool| {
+                    (0..8).fold(0, |bits, i| {
+                        let (xi, yi) = (x.to_le_bytes()[i], y.to_le_bytes()[i]);
+                        bits | u64::from(holds(xi, yi)) << i
+                    })
+                };
+                assert_eq!(
+                    top_bits(bytes_below(x, y)),
+                    expect(|x, y| x < y),
+                    "{a} < {b}"
+                );
+                assert_eq!(
+                    top_bits(bytes_equal(x, y)),
+                    expect(|x, y| x == y),
+                    "{a} == {b}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn generate_into_reuses_buffer_and_matches() {
         let len = StreamLength::new(777);
@@ -1250,16 +1766,13 @@ mod tests {
     #[test]
     fn selected_sequence_rejects_mismatched_operands() {
         let length = StreamLength::new(128);
-        let lanes: Vec<LaneSequence> = (0..3).map(|i| LaneSequence::new(i, length)).collect();
+        let seeds = [0, 1, 2];
         let plan = MuxSelectorPlan::new(3, 128, &mut Lfsr::new_32(9)).unwrap();
-        assert!(SelectedSequence::new(&lanes[..2], &plan).is_err());
-        let short = [
-            lanes[0].clone(),
-            lanes[1].clone(),
-            LaneSequence::new(2, StreamLength::new(64)),
-        ];
-        assert!(SelectedSequence::new(&short, &plan).is_err());
-        let selected = SelectedSequence::new(&lanes, &plan).unwrap();
+        assert_eq!(
+            SelectedSequence::new(&seeds[..2], &plan).unwrap_err(),
+            ScError::LengthMismatch { left: 3, right: 2 }
+        );
+        let selected = SelectedSequence::new(&seeds, &plan).unwrap();
         let mut stream = BitStream::zeros(length);
         assert!(selected.fill(&[0x8000; 2], &mut stream).is_err());
         let mut wrong = BitStream::zeros(StreamLength::new(64));
@@ -1272,21 +1785,21 @@ mod tests {
         // A selector naming lane 3 of three sequences would make the AVX2
         // fill gather a threshold past the end of the slice.
         let length = StreamLength::new(64);
-        let lanes: Vec<LaneSequence> = (0..3).map(|i| LaneSequence::new(i, length)).collect();
+        let seeds = [0, 1, 2];
         let mut selected: Vec<u32> = (0..64).map(|t| t % 3).collect();
-        assert!(SelectedSequence::gather(&lanes, selected.clone()).is_ok());
+        assert!(SelectedSequence::gather(&seeds, length, selected.clone()).is_ok());
         selected[40] = 3;
         assert!(matches!(
-            SelectedSequence::gather(&lanes, selected.clone()),
+            SelectedSequence::gather(&seeds, length, selected.clone()),
             Err(ScError::InvalidParameter { name: "lanes", .. })
         ));
         selected[40] = u32::MAX;
-        assert!(SelectedSequence::gather(&lanes, selected).is_err());
+        assert!(SelectedSequence::gather(&seeds, length, selected).is_err());
         // A plan over more lanes than there are sequences is refused before
         // any lane is read.
         let plan = MuxSelectorPlan::new(4, 64, &mut Lfsr::new_32(3)).unwrap();
         assert_eq!(
-            SelectedSequence::new(&lanes, &plan).unwrap_err(),
+            SelectedSequence::new(&seeds, &plan).unwrap_err(),
             ScError::LengthMismatch { left: 4, right: 3 }
         );
     }

@@ -44,16 +44,19 @@ use std::sync::{Arc, Mutex};
 /// layer's rows × lanes × stream words ([`CompiledLayer::apc_row_work`] per
 /// row and position).
 ///
-/// Handing a range to a parked helper costs about 27 µs (`bench_kernels`
-/// `fan_out_call_n16`: the caller plus one helper at thread limit 2), and
-/// the packed APC core reads about one lane word per nanosecond on AVX2
-/// (`packed_apc_fc1_n256_u64_l1024`: 262,144 words in ~0.28 ms). Halving
-/// `w` words of work saves about `w / 2` ns, which outweighs the handoff
-/// from ~54,000 words; 2^16 rounds that up. tiny-LeNet's fc2 (10 rows ×
-/// 64 lanes × 4 words at L = 256: 2,560; 10,240 at L = 1024) runs
-/// serially; its fc1 (64 × 256 × 4 = 65,536 at L = 256) and its
-/// convolutions (conv1 at L = 256: 144 positions × 8 filters × 4 fields ×
-/// 25 lanes × 4 words) fan out.
+/// `BENCH_kernels.json` records the packed APC core at 262,144 lane words
+/// in about 0.18–0.20 ms on AVX2 (`packed_apc_fc1_n256_u64_l1024`), about
+/// 1.4 words per nanosecond, so halving `w` words of work saves about
+/// `w / 2.8` ns. A handoff to a parked helper (`fan_out_call_n16`: the
+/// caller plus one helper at thread limit 2) has read from 2.9 µs to
+/// 12.4 µs across recordings: the saving outweighs those from ~8,000 to
+/// ~35,000 words, and 2^16 stays above that range (a ~27 µs handoff, seen
+/// when the host's second vCPU is busy, would need ~75,000). tiny-LeNet's
+/// fc2 (10 rows ×
+/// 64 lanes × 4 words at L = 256: 2,560; 10,240 at L = 1024, ~1 µs of
+/// saving at best) runs serially; its fc1 (64 × 256 × 4 = 65,536 at
+/// L = 256) and its convolutions (conv1 at L = 256: 144 positions × 8
+/// filters × 4 fields × 25 lanes × 4 words) fan out.
 ///
 /// The cutoff is derived for, and measured on, APC layers only. A MUX
 /// layer has no work measure ([`fan_out_work`]) and fans out whenever the

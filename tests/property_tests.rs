@@ -356,7 +356,8 @@ proptest! {
                     .collect();
                 let plan = MuxSelectorPlan::new(lanes, bits, &mut Lfsr::new_32(selector_seed))
                     .unwrap();
-                let selected = SelectedSequence::new(&sequences, &plan).unwrap();
+                let seeds: Vec<u64> = (0..lanes).map(|lane| SngBank::lane_seed(seed, lane)).collect();
+                let selected = SelectedSequence::new(&seeds, &plan).unwrap();
                 // Every lane draws from the edge thresholds (one past the
                 // comparator's range too) and a random one; a single lane
                 // runs through all seven in turn.
@@ -438,6 +439,174 @@ proptest! {
         }
         force_backend(original);
     }
+}
+
+/// The byte comparator's edge thresholds: both constants, the byte
+/// boundaries of the high and low planes, and one past the comparator's
+/// range.
+const EDGE_THRESHOLDS: [u32; 11] = [
+    0,
+    1,
+    0xFF,
+    0x100,
+    0x101,
+    0x7FFF,
+    0x8000,
+    0xFF00,
+    0xFFFF,
+    0x10000,
+    u32::MAX,
+];
+
+/// The stream of comparator `threshold` of the lane seeded `seed`, drawn by
+/// the per-call staged comparator (`BatchSng`), the oracle of the byte
+/// compare.
+fn batched_fill(seed: u64, threshold: u32, length: StreamLength) -> BitStream {
+    let probability = f64::from(threshold.min(0x10000)) / 65536.0;
+    let mut stream = BitStream::zeros(length);
+    BatchSng::new(SngKind::Lfsr32)
+        .fill_probability(seed, probability, &mut stream)
+        .unwrap();
+    stream
+}
+
+/// The byte comparator at its edges: every edge threshold and L-quantized
+/// ones (`k · 65536 / L`, whose low byte is zero at `L ≤ 256` and not
+/// always at `L = 1024`) at lengths around words, groups and the 128-bit
+/// staged minimum, on every backend, equals the staged comparator
+/// (`BatchSng`) and the per-bit `Sng` loop, one lane at a time
+/// (`LaneSequence::fill`, into a stream of stale ones) and packed
+/// (`PackedLanes::fill_row`, into an arena buffer whose every word, pad
+/// words included, is stale).
+#[test]
+fn byte_comparator_matches_the_staged_and_per_bit_comparators_at_its_edges() {
+    let original = active_backend();
+    let seed = 0x5EED_B17E;
+    for bits in [
+        1usize, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256, 257, 1024,
+    ] {
+        let length = StreamLength::new(bits);
+        let quantized =
+            [1usize, 3, bits / 2, bits.saturating_sub(1), bits].map(|k| (k * 65536 / bits) as u32);
+        let thresholds: Vec<u32> = EDGE_THRESHOLDS.into_iter().chain(quantized).collect();
+        let lanes = thresholds.len();
+        let seeds: Vec<u64> = (0..lanes as u64).map(|lane| seed + lane).collect();
+        let sequences: Vec<LaneSequence> = seeds
+            .iter()
+            .map(|&s| LaneSequence::new(s, length))
+            .collect();
+        let expected: Vec<BitStream> = seeds
+            .iter()
+            .zip(&thresholds)
+            .map(|(&s, &threshold)| {
+                let stream = batched_fill(s, threshold, length);
+                let probability = f64::from(threshold.min(0x10000)) / 65536.0;
+                let bitwise = Sng::new(SngKind::Lfsr32, s)
+                    .generate_probability_bitwise(probability, length)
+                    .unwrap();
+                assert_eq!(stream, bitwise, "bits={bits} threshold={threshold:#x}");
+                stream
+            })
+            .collect();
+        for backend in Backend::ALL.into_iter().filter(|b| b.is_available()) {
+            assert!(force_backend(backend));
+            for ((sequence, &threshold), expected) in
+                sequences.iter().zip(&thresholds).zip(&expected)
+            {
+                let mut filled = BitStream::ones(length);
+                sequence.fill(threshold, &mut filled).unwrap();
+                assert_eq!(
+                    &filled,
+                    expected,
+                    "{} bits={bits} threshold={threshold:#x}",
+                    backend.name()
+                );
+            }
+            // A buffer last used by a wider, longer matrix of all-ones rows.
+            let mut arena = StreamArena::new();
+            let mut stale = arena
+                .take_packed(lanes + 3, StreamLength::new(bits + 300), 3)
+                .unwrap();
+            let wide: Vec<LaneSequence> = (0..lanes as u64 + 3)
+                .map(|lane| LaneSequence::new(lane, StreamLength::new(bits + 300)))
+                .collect();
+            for row in 0..3 {
+                stale
+                    .fill_row(row, &wide, &vec![u32::MAX; lanes + 3])
+                    .unwrap();
+            }
+            arena.recycle_packed(stale);
+            let mut packed = arena.take_packed(lanes, length, 3).unwrap();
+            for row in 0..3 {
+                packed.fill_row(row, &sequences, &thresholds).unwrap();
+            }
+            let rows = [
+                expected.as_slice(),
+                expected.as_slice(),
+                expected.as_slice(),
+            ];
+            assert_eq!(
+                packed,
+                PackedLanes::pack(rows).unwrap(),
+                "{} bits={bits}",
+                backend.name()
+            );
+        }
+    }
+    force_backend(original);
+}
+
+/// A MUX field's selected fill on both sides of the AVX2 shuffle/gather
+/// boundary (32 lanes) and at the shuffle's 16-lane table halves: at 1, 2,
+/// 16, 17, 25, 32, 33 and 200 lanes, with lanes at every edge threshold,
+/// L-quantized ones, and fields of high-byte-only thresholds (no low-byte
+/// tie-break, no `θ ≥ 2^16` lane), on every backend, equals
+/// `MuxAdder::sum_with_plan` over the staged comparator's lane streams.
+#[test]
+fn selected_fill_matches_the_lane_gather_across_the_shuffle_boundary() {
+    let original = active_backend();
+    let seed = 0xF1E1D;
+    for lanes in [1usize, 2, 16, 17, 25, 32, 33, 200] {
+        for bits in [1usize, 33, 64, 129, 256, 1024] {
+            let length = StreamLength::new(bits);
+            let seeds: Vec<u64> = (0..lanes)
+                .map(|lane| SngBank::lane_seed(seed, lane))
+                .collect();
+            let plan = MuxSelectorPlan::new(lanes, bits, &mut Lfsr::new_32(0xC0DE + lanes as u32))
+                .unwrap();
+            let selected = SelectedSequence::new(&seeds, &plan).unwrap();
+            let quantized = |k: usize| (k % (bits + 1) * 65536 / bits) as u32;
+            let fields: [Vec<u32>; 3] = [
+                (0..lanes)
+                    .map(|lane| EDGE_THRESHOLDS[lane % EDGE_THRESHOLDS.len()])
+                    .collect(),
+                (0..lanes).map(|lane| quantized(lane * 7 + 3)).collect(),
+                (0..lanes)
+                    .map(|lane| ((lane * 37 + 11) % 255 + 1) as u32 * 0x100)
+                    .collect(),
+            ];
+            for thresholds in &fields {
+                let lane_streams: Vec<BitStream> = seeds
+                    .iter()
+                    .zip(thresholds)
+                    .map(|(&s, &threshold)| batched_fill(s, threshold, length))
+                    .collect();
+                let expected = MuxAdder::new().sum_with_plan(&lane_streams, &plan).unwrap();
+                for backend in Backend::ALL.into_iter().filter(|b| b.is_available()) {
+                    assert!(force_backend(backend));
+                    let mut filled = BitStream::ones(length);
+                    selected.fill(thresholds, &mut filled).unwrap();
+                    assert_eq!(
+                        filled,
+                        expected,
+                        "{} lanes={lanes} bits={bits}",
+                        backend.name()
+                    );
+                }
+            }
+        }
+    }
+    force_backend(original);
 }
 
 /// `lanes` pseudo-random streams of `bits` bits (splitmix64 words).
